@@ -36,7 +36,7 @@ import numpy as np
 from repro.core.params import derive_emd_parameters
 from repro.experiments.sweeps import SweepRunner, SweepSpec, render_sweep_report
 from repro.hashing import Checksum, PairwiseHash, PrefixHasher, PublicCoins
-from repro.iblt import IBLT, RIBLT, cells_for_differences, riblt_cells_for_pairs
+from repro.iblt import IBLT, RIBLT, cells_for_differences
 from repro.lsh.keys import PrefixKeyBuilder
 from repro.metric import HammingSpace
 
@@ -49,28 +49,16 @@ DIFF_FRACTION = 0.01
 REGRESSION_FACTOR = 2.0
 
 #: Kernels tracked in the report but excluded from the regression floor.
-#: ``sweep_trials`` compares serial vs. a 2-worker pool, so its "speedup"
-#: is parallel efficiency — a function of the *host's* core count, unlike
-#: the python-vs-numpy ratios the same-machine gate was designed around
-#: (a baseline recorded on a many-core box would fail spuriously on a
-#: small CI runner).  ``store_warm_serve`` compares a cold rebuild
-#: against a sub-microsecond cache hit: the ratio is enormous and
-#: dominated by timer noise on the warm side, so the gate would flap;
-#: the >= 5x floor the store must clear is asserted inside the kernel
-#: instead.
+#: ``sweep_trials`` compares serial vs. a 2-worker process pool, so its
+#: "speedup" is parallel efficiency — a function of the *host's* core
+#: count, unlike the python-vs-numpy ratios the same-machine gate was
+#: designed around (a baseline recorded on a many-core box would fail
+#: spuriously on a small CI runner).
 #: ``stream_replay`` compares whole-stack replays on the two backends:
 #: the workload is tiny and store-bookkeeping-dominated, so its ratio is
 #: near 1x and host-sensitive; the kernel's real gate is the in-kernel
 #: assertion that both backends render byte-identical replay reports.
-#: ``riblt_decode_compiled`` compares the cached interpreter engine to
-#: the compiled FIFO peel kernel, so it is only emitted when the kernels
-#: resolve to ``compiled`` (numba installed); a baseline recorded on a
-#: fallback host has no such row to gate against.  Its contract is the
-#: in-kernel byte-equality assertion plus the compiled CI leg, which
-#: checks the >= 5x floor where numba is present.
-UNGATED_KERNELS = frozenset(
-    {"sweep_trials", "store_warm_serve", "stream_replay", "riblt_decode_compiled"}
-)
+UNGATED_KERNELS = frozenset({"sweep_trials", "stream_replay"})
 
 
 def _best(callable_, repeats: int) -> float:
@@ -191,97 +179,6 @@ def bench_emd_round(coins: PublicCoins, n: int, repeats: int) -> tuple[float, fl
     return _best(python_path, max(2, repeats // 2)), _best(numpy_path, repeats)
 
 
-def bench_riblt_decode(coins: PublicCoins, n: int, repeats: int) -> tuple[float, float]:
-    """RIBLT peel of a wide difference table: the pre-engine scalar-per-step
-    decode (``engine="scalar"``) vs the batch-primed hash-cache engine
-    (``engine="cached"``).  Both peel the identical FIFO sequence and
-    produce bit-identical pairs (asserted); the speedup is the shared
-    peel engine's hash-batching win, which every EMD level decode rides."""
-    rng = np.random.default_rng(0x51B17)
-    rows = max(256, n // 100)
-    differences = max(32, n // 800)
-    dim, side, q = 4, 256, 3
-    cells = riblt_cells_for_pairs(2 * differences + 8, q=q)
-    keys = rng.choice(1 << 55, size=rows, replace=False).astype(np.uint64)
-    values = rng.integers(0, side, size=(rows, dim), dtype=np.int64)
-    bob_keys = keys.copy()
-    bob_keys[:differences] = rng.choice(1 << 54, size=differences, replace=False).astype(
-        np.uint64
-    ) + np.uint64(1 << 54)
-    bob_values = values.copy()
-    bob_values[:differences] = rng.integers(0, side, size=(differences, dim))
-
-    table = RIBLT(
-        coins, "bench-riblt-decode", cells=cells, q=q, key_bits=55, dim=dim, side=side
-    )
-    table.insert_batch(keys, values)
-    table.delete_batch(bob_keys, bob_values)
-
-    outcomes = {}
-
-    def decode(engine: str):
-        result = table.copy().decode(engine=engine)
-        assert result.success and result.pair_count == 2 * differences
-        outcomes[engine] = (result.inserted, result.deleted)
-
-    decode("cached")  # warm up (and prime the shared clone cache)
-    decode("scalar")
-    assert outcomes["cached"] == outcomes["scalar"], "engines diverged"
-    # Both engines are interpreter paths, so this ratio is a property of
-    # the code alone (no optional dependency can change it) and the row
-    # stays regression-gated.  The compiled kernel gets its own ungated
-    # row below (``riblt_decode_compiled``).
-    return (
-        _best(lambda: decode("scalar"), max(2, repeats // 2)),
-        _best(lambda: decode("cached"), repeats),
-    )
-
-
-def bench_riblt_decode_compiled(
-    coins: PublicCoins, n: int, repeats: int
-) -> tuple[float, float]:
-    """RIBLT peel: the cached interpreter engine vs the compiled FIFO
-    kernel (``engine="compiled"``).  Only run when the kernels resolve to
-    ``compiled`` — without numba there is nothing to compare — and the
-    CI compiled-kernels leg asserts the >= 5x floor (see
-    ``UNGATED_KERNELS``).  The two engines' decoded pairs are asserted
-    identical."""
-    rng = np.random.default_rng(0x51B18)
-    rows = max(256, n // 100)
-    differences = max(32, n // 800)
-    dim, side, q = 4, 256, 3
-    cells = riblt_cells_for_pairs(2 * differences + 8, q=q)
-    keys = rng.choice(1 << 55, size=rows, replace=False).astype(np.uint64)
-    values = rng.integers(0, side, size=(rows, dim), dtype=np.int64)
-    bob_keys = keys.copy()
-    bob_keys[:differences] = rng.choice(1 << 54, size=differences, replace=False).astype(
-        np.uint64
-    ) + np.uint64(1 << 54)
-    bob_values = values.copy()
-    bob_values[:differences] = rng.integers(0, side, size=(differences, dim))
-
-    table = RIBLT(
-        coins, "bench-riblt-compiled", cells=cells, q=q, key_bits=55, dim=dim, side=side
-    )
-    table.insert_batch(keys, values)
-    table.delete_batch(bob_keys, bob_values)
-
-    outcomes = {}
-
-    def decode(engine: str):
-        result = table.copy().decode(engine=engine)
-        assert result.success and result.pair_count == 2 * differences
-        outcomes[engine] = (result.inserted, result.deleted)
-
-    decode("cached")  # warm up
-    decode("compiled")  # pays the JIT once
-    assert outcomes["cached"] == outcomes["compiled"], "compiled engine diverged"
-    return (
-        _best(lambda: decode("cached"), max(2, repeats // 2)),
-        _best(lambda: decode("compiled"), repeats),
-    )
-
-
 def bench_cell_codec(coins: PublicCoins, n: int, repeats: int) -> tuple[float, float]:
     """The wire cell codec: ``to_payload`` + ``from_payload`` of an IBLT
     sized for the n-key difference set, python-backend table vs
@@ -360,19 +257,15 @@ def bench_iblt_decode_tail(
 
 
 def bench_sweep_trials(n: int, repeats: int) -> tuple[float, float]:
-    """Sweep-campaign trial throughput: serial vs a 2-worker thread pool.
+    """Sweep-campaign trial throughput: serial vs a 2-worker process pool.
 
     Unlike the other kernels this row is not python-vs-numpy: the first
     column is ``--jobs 1`` (serial, in-process) and the second a
-    ``--jobs 2 --pool thread`` dispatch over the *same* numpy-backend
-    trials, so ``speedup`` is the pool's parallel efficiency.  Threads
-    pay no fork and no pickle, but they only overlap where the hot loops
-    release the GIL — i.e. when the compiled kernel layer is active —
-    so on a fallback host the ratio hovers near 1.0x while a compiled
-    host approaches the core count; both are host facts the tracked
-    baseline records, not code properties (see ``UNGATED_KERNELS``).
-    The serial and threaded reports are asserted byte-identical, so the
-    perf row doubles as a determinism check.
+    ``--jobs 2`` process-pool dispatch over the *same* numpy-backend
+    trials, so ``speedup`` is the pool's parallel efficiency — a host
+    fact the tracked baseline records, not a code property (see
+    ``UNGATED_KERNELS``).  The serial and parallel reports are asserted
+    byte-identical, so the perf row doubles as a determinism check.
     """
     sweep = SweepSpec(
         name="bench-sweep",
@@ -386,7 +279,7 @@ def bench_sweep_trials(n: int, repeats: int) -> tuple[float, float]:
     # worker spin-up and every later campaign reuses the warm pool, which
     # is exactly how the CLI drives multi-campaign sweeps.  Best-of
     # timing therefore measures the steady state, not the cold start.
-    parallel = SweepRunner(backend="numpy", jobs=2, pool="thread")
+    parallel = SweepRunner(backend="numpy", jobs=2)
 
     def serial_path():
         return render_sweep_report(sweep, serial.run(sweep, seed=7), seed=7)
@@ -402,49 +295,6 @@ def bench_sweep_trials(n: int, repeats: int) -> tuple[float, float]:
         )
     finally:
         parallel.close()
-
-
-def bench_store_warm_serve(
-    coins: PublicCoins, n: int, repeats: int
-) -> tuple[float, float]:
-    """Store-backed warm sketch serving vs a cold rebuild of the same set.
-
-    The first column is the cold path: a fresh IBLT over the n-key set
-    plus serialisation — what a stateless server pays on *every* repeat
-    request.  The second is :meth:`SketchStore.serve_iblt` on a resident
-    entry: a warm hit returning the cached payload without touching the
-    Mersenne field.  The payloads are asserted byte-identical and the
-    warm path is asserted to hash zero keys, so the ratio measures the
-    cost of statelessness, not a shortcut — and the kernel itself
-    asserts the >= 5x floor (the report row is not regression-gated;
-    see ``UNGATED_KERNELS``).
-    """
-    from repro.store import SketchStore, StoreConfig
-
-    keys, _, differences = _iblt_inputs(n)
-    cells = cells_for_differences(2 * differences)
-    store = SketchStore(StoreConfig(seed=2019, shards=4, capacity=8))
-    store.put_set(1, keys.tolist(), key_bits=55)
-
-    def cold() -> tuple[bytes, int]:
-        table = IBLT(coins, "bench-store", cells=cells, q=3, key_bits=55)
-        table.insert_batch(keys)
-        return table.to_payload()
-
-    def warm() -> tuple[bytes, int]:
-        return store.serve_iblt(1, coins, "bench-store", cells=cells, q=3)
-
-    cold_payload = cold()
-    assert warm() == cold_payload, "warm serve must be byte-identical to cold"
-    hashed_before = store.stats.keys_hashed
-    assert warm() == cold_payload
-    assert store.stats.keys_hashed == hashed_before, "warm serve hashed keys"
-    cold_s = _best(cold, max(2, repeats // 2))
-    warm_s = _best(warm, repeats)
-    assert cold_s >= 5 * warm_s, (
-        f"warm serve must be >= 5x a cold rebuild, got {cold_s / warm_s:.1f}x"
-    )
-    return cold_s, warm_s
 
 
 def bench_stream_replay(n: int, repeats: int) -> tuple[float, float]:
@@ -559,13 +409,7 @@ def run(n: int, repeats: int, quick: bool) -> dict:
     record("prefix_keys", *bench_prefix_keys(coins, n, repeats))
     record("emd_keys", *bench_emd_keys(coins, n, repeats))
     record("emd_round", *bench_emd_round(coins, n, repeats))
-    record("riblt_decode", *bench_riblt_decode(coins, n, repeats))
-    from repro.iblt import _kernels
-
-    if _kernels.active() is not None:
-        record("riblt_decode_compiled", *bench_riblt_decode_compiled(coins, n, repeats))
     record("iblt_decode_tail", *bench_iblt_decode_tail(coins, n, repeats))
-    record("store_warm_serve", *bench_store_warm_serve(coins, n, repeats))
     record("stream_replay", *bench_stream_replay(n, repeats))
     (build_py, build_np), (decode_py, decode_np) = bench_iblt(coins, n, repeats)
     record("iblt_build", build_py, build_np)
@@ -573,7 +417,6 @@ def run(n: int, repeats: int, quick: bool) -> dict:
     record("iblt_build_decode", build_py + decode_py, build_np + decode_np)
     record("cell_codec", *bench_cell_codec(coins, n, repeats))
 
-    status = _kernels.kernel_status()
     return {
         "meta": {
             "n": n,
@@ -582,12 +425,6 @@ def run(n: int, repeats: int, quick: bool) -> dict:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "machine": platform.machine(),
-            # The *resolved* kernel mode ("compiled"/"numpy") this run
-            # actually executed under — speedups from a compiled host and
-            # a fallback host are different experiments, and the baseline
-            # must say which one it recorded.
-            "kernels": status["resolved"],
-            "numba": status["numba"],
         },
         "results": results,
     }

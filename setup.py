@@ -5,10 +5,4 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     install_requires=["numpy"],
-    extras_require={
-        # Optional compiled kernel layer (repro.iblt._kernels): numba
-        # @njit(nogil=True) peel/hash loops.  Everything works without it
-        # on the pure-numpy fallback, bit-identically.
-        "fast": ["numba"],
-    },
 )

@@ -12,11 +12,8 @@ Commands
 ``scenarios``  The seeded scenario matrix (every protocol family) as
                deterministic JSON — what CI's smoke job runs.
 ``sweep``      A parameter-sweep campaign: many seeded trials per grid
-               point, optionally on a process or thread pool (``--pool``),
+               point, optionally on a process pool (``--jobs``),
                aggregated into a ``repro.sweeps/v1`` curve report.
-``kernels``    Capability report for the optional compiled kernel layer:
-               requested/resolved ``REPRO_KERNELS`` mode, numba version,
-               per-kernel compile status.
 ``serve``      The asyncio reconciliation server (Bob as a service) on a
                TCP port, speaking the framed wire protocol; ``--store``
                attaches a sharded sketch store for warm repeat serves.
@@ -72,9 +69,9 @@ from .experiments import (
     render_report,
     render_sweep_report,
 )
-from .experiments.sweeps import POOL_MODES, with_trials
+from .experiments.sweeps import with_trials
 from .hashing import PublicCoins
-from .iblt.backend import BACKENDS, DECODE_MODES
+from .iblt.backend import BACKENDS
 from .lsh import BitSamplingMLSH, GridMLSH
 from .metric import GridSpace, HammingSpace, MetricSpace, emd, emd_k
 from .reconcile import cpi_reconcile, exact_iblt_reconcile, exact_iblt_reconcile_auto
@@ -206,7 +203,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
             print(f"{spec.name:22s} {spec.protocol}")
         return 0
 
-    runner = ScenarioRunner(backend=args.backend, decode_mode=args.decode_mode)
+    runner = ScenarioRunner(backend=args.backend)
     results = runner.run_all(specs)
     # Human-readable progress goes to stderr; stdout (or --output) carries
     # only the canonical JSON so same-seed runs stay byte-identical.
@@ -269,12 +266,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # One runner for every requested campaign: with --jobs > 1 the
     # persistent worker pool spins up once and every campaign reuses
     # the warm workers.
-    with SweepRunner(
-        backend=args.backend,
-        decode_mode=args.decode_mode,
-        jobs=args.jobs,
-        pool=args.pool,
-    ) as runner:
+    with SweepRunner(backend=args.backend, jobs=args.jobs) as runner:
         for name in selected:
             sweep = campaigns[name]
             if args.trials is not None:
@@ -311,22 +303,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # Decode failures are measured outcomes here (the curves include the
     # over-threshold regime), so completion is success.
     return 0
-
-
-def _cmd_kernels(args: argparse.Namespace) -> int:
-    from .iblt import _kernels
-
-    status = _kernels.kernel_status()
-    rows = [
-        ("requested mode", status["requested"]),
-        ("resolved mode", status["resolved"]),
-        ("numba", status["numba"] or "not installed"),
-    ]
-    rows += [(f"kernel {name}", state) for name, state in sorted(status["kernels"].items())]
-    print(format_table(["kernel layer", "status"], rows, title="Compiled kernels"))
-    # "error: ..." resolutions (REPRO_KERNELS=compiled without numba, or a
-    # failed self-test) exit non-zero so CI legs can assert availability.
-    return 0 if not str(status["resolved"]).startswith("error") else 1
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -546,8 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
     scen_parser.add_argument("--seed", type=int, default=0)
     scen_parser.add_argument("--backend", choices=BACKENDS, default=None,
                              help="force a backend (default: process default)")
-    scen_parser.add_argument("--decode-mode", choices=DECODE_MODES, default=None,
-                             help="force an IBLT decode mode")
     scen_parser.add_argument("--only", action="append", metavar="NAME",
                              help="run only the named scenario (repeatable)")
     scen_parser.add_argument("--list", action="store_true",
@@ -567,18 +541,12 @@ def build_parser() -> argparse.ArgumentParser:
                                    "persistent worker pool serves all of them)")
     sweep_parser.add_argument("--seed", type=int, default=0)
     sweep_parser.add_argument("--jobs", type=int, default=1,
-                              help="worker count (1 = serial, in-process)")
-    sweep_parser.add_argument("--pool", choices=POOL_MODES, default="auto",
-                              help="dispatch strategy for --jobs > 1: thread "
-                                   "(zero-pickle; scales when compiled kernels "
-                                   "are active), process, serial, or auto "
-                                   "(reports are byte-identical regardless)")
+                              help="worker processes (1 = serial, in-process; "
+                                   "reports are byte-identical regardless)")
     sweep_parser.add_argument("--trials", type=int, default=None,
                               help="override the campaigns' trials per grid point")
     sweep_parser.add_argument("--backend", choices=BACKENDS, default=None,
                               help="force a backend (default: process default)")
-    sweep_parser.add_argument("--decode-mode", choices=DECODE_MODES, default=None,
-                              help="force an IBLT decode mode")
     sweep_parser.add_argument("--list", action="store_true",
                               help="list campaigns and exit")
     sweep_parser.add_argument("--output", type=Path, default=None,
@@ -588,11 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="write one sweep-<campaign>.json per campaign "
                                    "into this directory")
     sweep_parser.set_defaults(handler=_cmd_sweep)
-
-    kernels_parser = sub.add_parser(
-        "kernels", help="show the resolved kernel mode and per-kernel status"
-    )
-    kernels_parser.set_defaults(handler=_cmd_kernels)
 
     serve_parser = sub.add_parser(
         "serve", help="run the reconciliation server (Bob as a service)"

@@ -1,9 +1,9 @@
 """The scenario runner and its canonical JSON report.
 
 :class:`ScenarioRunner` executes :class:`~repro.experiments.scenarios.ScenarioSpec`
-objects on a chosen backend/decode-mode (by scoping the ``REPRO_BACKEND``
-and ``REPRO_DECODE`` process defaults around each run, exactly the knobs
-CI's matrix sets globally) and times each run.  :func:`render_report`
+objects on a chosen backend (by scoping the ``REPRO_BACKEND`` process
+default around each run, exactly the knob CI's matrix sets globally) and
+times each run.  :func:`render_report`
 turns the results into the canonical JSON document: keys sorted, floats
 pre-rounded by the drivers, timings excluded unless asked for — so two
 runs with the same seed and backend produce byte-identical reports,
@@ -18,12 +18,7 @@ import time
 from contextlib import contextmanager
 from typing import Iterable, Sequence
 
-from ..iblt.backend import (
-    default_backend,
-    default_decode_mode,
-    resolve_backend,
-    resolve_decode_mode,
-)
+from ..iblt.backend import default_backend, resolve_backend
 from .scenarios import DRIVERS, ScenarioResult, ScenarioSpec
 
 __all__ = ["ScenarioRunner", "render_report"]
@@ -49,41 +44,30 @@ def _scoped_env(name: str, value: str | None):
 
 
 class ScenarioRunner:
-    """Run scenario specs against one backend and decode mode.
+    """Run scenario specs against one backend.
 
     Parameters
     ----------
     backend:
         ``"numpy"``/``"python"`` to force, or None for the process-wide
         default (``REPRO_BACKEND`` or numpy).
-    decode_mode:
-        ``"frontier"``/``"rescan"`` to force, or None for the default.
     """
 
-    def __init__(self, backend: str | None = None, decode_mode: str | None = None):
+    def __init__(self, backend: str | None = None):
         # Validate eagerly so a typo fails before any scenario runs.
         self.backend = None if backend is None else resolve_backend(backend)
-        self.decode_mode = (
-            None if decode_mode is None else resolve_decode_mode(decode_mode)
-        )
 
     def run(self, spec: ScenarioSpec) -> ScenarioResult:
         """Execute one spec; raises ``KeyError`` for an unknown protocol."""
         driver = DRIVERS[spec.protocol]
         with _scoped_env("REPRO_BACKEND", self.backend):
-            with _scoped_env("REPRO_DECODE", self.decode_mode):
-                backend = default_backend()
-                # Resolve (and fail fast on) the decode-mode knob so the
-                # report records it; only the numpy backend's decoder
-                # consults it (the python reference has a single peeler).
-                decode_mode = default_decode_mode()
-                start = time.perf_counter()
-                metrics = driver(spec, spec.rng(), spec.coins())
-                elapsed = time.perf_counter() - start
+            backend = default_backend()
+            start = time.perf_counter()
+            metrics = driver(spec, spec.rng(), spec.coins())
+            elapsed = time.perf_counter() - start
         return ScenarioResult(
             spec=spec,
             backend=backend,
-            decode_mode=decode_mode,
             metrics=metrics,
             wall_time_s=elapsed,
         )
@@ -99,19 +83,16 @@ def render_report(
 ) -> str:
     """The canonical JSON report (ends with a newline).
 
-    Byte-deterministic for a fixed seed/backend/decode-mode unless
+    Byte-deterministic for a fixed seed/backend unless
     ``include_timings`` is set: keys are sorted, scenario order follows
     the input order, and all metric floats were rounded by the drivers.
-    Every result records both its resolved ``backend`` and
-    ``decode_mode`` (additively, next to the document-level ``backends``
-    and ``decode_modes`` sets), so a frontier report is distinguishable
-    from a rescan report.
+    Every result records its resolved ``backend`` (next to the
+    document-level ``backends`` set).
     """
     document = {
         "schema": SCHEMA,
         "seed": seed,
         "backends": sorted({result.backend for result in results}),
-        "decode_modes": sorted({result.decode_mode for result in results}),
         "scenario_count": len(results),
         "failures": sorted(
             result.spec.name for result in results if not result.success

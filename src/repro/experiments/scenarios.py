@@ -73,16 +73,13 @@ class ScenarioSpec:
 class ScenarioResult:
     """A finished scenario: the spec, its metrics, and the wall time.
 
-    ``backend`` and ``decode_mode`` record the *resolved* execution knobs
-    (after env defaults), so a report distinguishes a frontier run from a
-    rescan run; only the numpy backend's decoder consults the decode
-    mode.  ``metrics`` is flat and JSON-safe; ``wall_time_s`` lives
-    outside it so the canonical report can stay byte-deterministic.
+    ``backend`` records the *resolved* backend (after env defaults).
+    ``metrics`` is flat and JSON-safe; ``wall_time_s`` lives outside it
+    so the canonical report can stay byte-deterministic.
     """
 
     spec: ScenarioSpec
     backend: str
-    decode_mode: str
     metrics: Mapping[str, Any]
     wall_time_s: float
 
@@ -96,7 +93,6 @@ class ScenarioResult:
             "protocol": self.spec.protocol,
             "seed": self.spec.seed,
             "backend": self.backend,
-            "decode_mode": self.decode_mode,
             "params": dict(self.spec.params),
             "metrics": dict(self.metrics),
         }

@@ -20,21 +20,18 @@ Layers
     indices never share :class:`~repro.hashing.PublicCoins`.
 
 :class:`SweepRunner`
-    Executes the expanded trials serially, on a *persistent*
-    ``concurrent.futures`` process pool, or — when the compiled kernel
-    layer makes the hot loops release the GIL — on a thread pool that
-    dispatches the very same chunks with zero pickle cost.  Pools are
+    Executes the expanded trials serially (``jobs=1``) or on a
+    *persistent* ``concurrent.futures`` process pool.  The pool is
     created on first use and reused across every campaign the runner
     executes, so worker startup (fork + import) is paid once per runner
     instead of once per campaign.  Trials are dispatched in contiguous
     *chunks* — one pickle round-trip per chunk instead of one per trial
-    (threads skip even that) — and are embarrassingly parallel and
-    fully determined by their :class:`ScenarioSpec`; results are
-    re-assembled in expansion order, so a parallel run's report is
-    byte-identical to the serial run's — the invariant CI's
-    ``sweep-smoke`` job enforces across all three pool modes.  Close
-    the pools with :meth:`SweepRunner.close` or use the runner as a
-    context manager.
+    — and are embarrassingly parallel and fully determined by their
+    :class:`ScenarioSpec`; results are re-assembled in expansion order,
+    so a parallel run's report is byte-identical to the serial run's —
+    the invariant CI's ``sweep-smoke`` job enforces.  Close the pool
+    with :meth:`SweepRunner.close` or use the runner as a context
+    manager.
 
 :func:`render_sweep_report`
     Aggregates per-point success rates (Wilson intervals) and numeric
@@ -55,18 +52,17 @@ import dataclasses
 import itertools
 import json
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 from ..analysis.stats import success_rate, summarize
 from ..hashing import derive_seed
-from ..iblt.backend import resolve_backend, resolve_decode_mode
-from .runner import ScenarioRunner, _scoped_env
+from ..iblt.backend import resolve_backend
+from .runner import ScenarioRunner
 from .scenarios import DRIVERS, ScenarioResult, ScenarioSpec
 
 __all__ = [
-    "POOL_MODES",
     "SweepSpec",
     "SweepTrial",
     "SweepPointResult",
@@ -76,14 +72,6 @@ __all__ = [
 ]
 
 SWEEP_SCHEMA = "repro.sweeps/v1"
-
-#: Dispatch strategies for parallel runs (``SweepRunner(pool=...)``).
-POOL_MODES = ("auto", "thread", "process", "serial")
-
-#: ``pool="auto"`` prefers threads for campaigns this small even without
-#: compiled kernels: below this many trials, process-pool startup and
-#: pickle round-trips cost more than the GIL does.
-AUTO_THREAD_TASKS = 32
 
 
 @dataclass(frozen=True)
@@ -200,19 +188,19 @@ class SweepPointResult:
         return sum(1 for result in self.results if result.success)
 
 
-def _execute_trial(task: tuple[str | None, str | None, ScenarioSpec]) -> ScenarioResult:
-    """Worker entry point: run one spec on the requested backend knobs.
+def _execute_trial(task: tuple[str | None, ScenarioSpec]) -> ScenarioResult:
+    """Worker entry point: run one spec on the requested backend.
 
     Module-level (not a closure) so process-pool workers can unpickle it;
     everything a trial does is determined by the task tuple, which is what
     makes parallel runs bit-identical to serial ones.
     """
-    backend, decode_mode, spec = task
-    return ScenarioRunner(backend=backend, decode_mode=decode_mode).run(spec)
+    backend, spec = task
+    return ScenarioRunner(backend=backend).run(spec)
 
 
 def _execute_trial_chunk(
-    tasks: "list[tuple[str | None, str | None, ScenarioSpec]]",
+    tasks: "list[tuple[str | None, ScenarioSpec]]",
 ) -> "list[ScenarioResult]":
     """Worker entry point for a contiguous chunk of trials.
 
@@ -237,42 +225,17 @@ class SweepRunner:
 
     Parameters
     ----------
-    backend, decode_mode:
-        Forced execution knobs, as in :class:`ScenarioRunner` (None means
-        the process-wide default; resolved per-worker, so pools behave
+    backend:
+        Forced backend, as in :class:`ScenarioRunner` (None means the
+        process-wide default; resolved per-worker, so pools behave
         exactly like the parent process).
     jobs:
         Worker count.  ``jobs=1`` runs in-process with no pool at all;
-        any larger count lazily creates one persistent executor that is
-        *kept alive across campaigns* (worker startup was the dominant
+        any larger count lazily creates one persistent process pool that
+        is *kept alive across campaigns* (worker startup was the dominant
         cost of small sweeps) until :meth:`close`.  Chunked futures are
         collected in submission order, so the rendered report is
         byte-identical either way.
-    pool:
-        Dispatch strategy for ``jobs > 1`` (:data:`POOL_MODES`):
-
-        ``"process"``
-            The ``ProcessPoolExecutor`` path: true multi-core scaling,
-            one pickle round-trip per chunk.
-        ``"thread"``
-            A ``ThreadPoolExecutor`` over the *same* chunks with zero
-            pickle cost.  Scales across cores only while the hot loops
-            hold no GIL — i.e. when the compiled kernel layer
-            (:mod:`repro.iblt._kernels`) is active; without it threads
-            still win on small campaigns by skipping pool startup.
-            The backend/decode-mode knobs are pinned *once* around the
-            whole dispatch (threads share ``os.environ``, so the
-            per-trial scoping the process path uses would race).
-        ``"serial"``
-            Force the in-process loop regardless of ``jobs``.
-        ``"auto"`` (default)
-            ``jobs=1`` → serial; compiled kernels active → thread;
-            fewer than :data:`AUTO_THREAD_TASKS` trials → thread;
-            otherwise process.
-
-        All strategies run identical trial chunks in identical order,
-        so reports are byte-identical across every mode — asserted by
-        ``tests/test_kernels.py`` and CI's ``sweep-smoke``.
     chunk_trials:
         Trials per worker submission.  The default splits every campaign
         into ``4 × jobs`` chunks (balance between pickle round-trips and
@@ -283,26 +246,17 @@ class SweepRunner:
     def __init__(
         self,
         backend: str | None = None,
-        decode_mode: str | None = None,
         jobs: int = 1,
         chunk_trials: int | None = None,
-        pool: str = "auto",
     ):
         self.backend = None if backend is None else resolve_backend(backend)
-        self.decode_mode = (
-            None if decode_mode is None else resolve_decode_mode(decode_mode)
-        )
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         if chunk_trials is not None and chunk_trials < 1:
             raise ValueError(f"chunk_trials must be >= 1, got {chunk_trials}")
-        if pool not in POOL_MODES:
-            raise ValueError(f"pool must be one of {POOL_MODES}, got {pool!r}")
         self.jobs = jobs
         self.chunk_trials = chunk_trials
-        self.pool = pool
         self._pool: ProcessPoolExecutor | None = None
-        self._thread_pool: ThreadPoolExecutor | None = None
 
     # -- pool lifecycle ----------------------------------------------------
     def _ensure_pool(self) -> ProcessPoolExecutor:
@@ -311,40 +265,15 @@ class SweepRunner:
             self._pool = ProcessPoolExecutor(max_workers=self.jobs, mp_context=_pool_context())
         return self._pool
 
-    def _ensure_thread_pool(self) -> ThreadPoolExecutor:
-        """The persistent thread pool, created on first threaded run."""
-        if self._thread_pool is None:
-            self._thread_pool = ThreadPoolExecutor(max_workers=self.jobs)
-        return self._thread_pool
-
     def close(self) -> None:
-        """Shut down the persistent pools (idempotent).
+        """Shut down the persistent pool (idempotent).
 
         Runners used as context managers close on exit; otherwise the
-        pools live until closed or the interpreter exits.
+        pool lives until closed or the interpreter exits.
         """
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
-        if self._thread_pool is not None:
-            self._thread_pool.shutdown()
-            self._thread_pool = None
-
-    def _resolve_pool_mode(self, task_count: int) -> str:
-        """The dispatch strategy for one campaign of ``task_count`` trials."""
-        if self.jobs == 1:
-            return "serial"
-        if self.pool != "auto":
-            return self.pool
-        from ..iblt import _kernels
-
-        if _kernels.active() is not None:
-            # GIL-free hot loops: threads scale like processes without
-            # the fork or the pickling.
-            return "thread"
-        if task_count <= AUTO_THREAD_TASKS:
-            return "thread"
-        return "process"
 
     def __enter__(self) -> "SweepRunner":
         return self
@@ -362,24 +291,9 @@ class SweepRunner:
     def run(self, sweep: SweepSpec, seed: int = 0) -> list[SweepPointResult]:
         """Execute every trial of ``sweep`` and group results by grid point."""
         trials = sweep.trial_specs(seed)
-        tasks = [(self.backend, self.decode_mode, trial.spec) for trial in trials]
-        mode = self._resolve_pool_mode(len(tasks))
-        if mode == "serial":
+        tasks = [(self.backend, trial.spec) for trial in trials]
+        if self.jobs == 1:
             results = [_execute_trial(task) for task in tasks]
-        elif mode == "thread":
-            # Threads share os.environ, so the per-trial env scoping the
-            # process path relies on would race.  Pin the knobs once, in
-            # this thread, around the whole dispatch; workers then run
-            # bare specs against the pinned process-wide defaults —
-            # exactly what a per-trial scope resolves to.
-            bare = [(None, None, spec) for _backend, _decode, spec in tasks]
-            chunk = self._chunk_size(len(bare))
-            chunks = [bare[i : i + chunk] for i in range(0, len(bare), chunk)]
-            pool = self._ensure_thread_pool()
-            with _scoped_env("REPRO_BACKEND", self.backend):
-                with _scoped_env("REPRO_DECODE", self.decode_mode):
-                    futures = [pool.submit(_execute_trial_chunk, c) for c in chunks]
-                    results = [r for future in futures for r in future.result()]
         else:
             chunk = self._chunk_size(len(tasks))
             chunks = [tasks[i : i + chunk] for i in range(0, len(tasks), chunk)]
@@ -438,7 +352,7 @@ def render_sweep_report(
 ) -> str:
     """The canonical ``repro.sweeps/v1`` JSON document (ends with a newline).
 
-    Byte-deterministic for a fixed campaign/seed/backend/decode-mode:
+    Byte-deterministic for a fixed campaign/seed/backend:
     keys sorted, points in canonical grid order, floats rounded, and
     nothing execution-dependent (worker count, timings) included.
     """
@@ -467,7 +381,6 @@ def render_sweep_report(
         "axes": {axis: list(values) for axis, values in sorted(sweep.axes.items())},
         "base_params": dict(sweep.base_params),
         "backends": sorted({result.backend for result in all_results}),
-        "decode_modes": sorted({result.decode_mode for result in all_results}),
         "point_count": len(points),
         "points": points,
     }

@@ -27,14 +27,6 @@ This module is the substrate for the vectorised hash families in
 :mod:`repro.hashing.universal` and, through them, for the numpy IBLT
 backend.  Bit-exact agreement with Python's ``%`` on the same inputs is
 pinned by property tests in ``tests/test_hashing.py``.
-
-When the optional compiled kernel layer is active (``REPRO_KERNELS``,
-see :mod:`repro.iblt._kernels`), the batch entry points —
-:func:`mul_mod_p`, :func:`affine_mod_p`, :func:`quadratic_mod_p` —
-dispatch their common 1-d shapes to nopython loops.  Both sides return
-the canonical residue in ``[0, P)``, so the dispatch is bit-invisible;
-shapes the kernels don't cover (broadcast matrices, 0-d scalars) fall
-through to the numpy expressions below unchanged.
 """
 
 from __future__ import annotations
@@ -62,15 +54,6 @@ _S3 = np.uint64(3)
 _S29 = np.uint64(29)
 _S32 = np.uint64(32)
 _S61 = np.uint64(61)
-
-
-def _active_kernels():
-    """The compiled kernel namespace, or None (probe cached per env)."""
-    try:
-        from ..iblt import _kernels
-    except ImportError:  # pragma: no cover - partial-init bootstrap guard
-        return None
-    return _kernels.active()
 
 
 def reduce_mod_p(x: np.ndarray) -> np.ndarray:
@@ -137,14 +120,6 @@ def mul_mod_p(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
-    kernels = _active_kernels()
-    if kernels is not None:
-        if a.ndim == 1 and a.shape == b.shape:
-            return kernels.mul_vv(np.ascontiguousarray(a), np.ascontiguousarray(b))
-        if a.ndim == 0 and b.ndim == 1:
-            return kernels.mul_sv(a[()], np.ascontiguousarray(b))
-        if b.ndim == 0 and a.ndim == 1:
-            return kernels.mul_sv(b[()], np.ascontiguousarray(a))
     return reduce_mod_p(_mul_folded(a, b))
 
 
@@ -160,20 +135,6 @@ def affine_mod_p(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
     x = np.asarray(x, dtype=np.uint64)
-    kernels = _active_kernels()
-    if kernels is not None:
-        if x.ndim == 1 and a.ndim == 0:
-            if b.ndim == 0:  # one hash row over a key batch
-                return kernels.affine_ssv(a[()], b[()], np.ascontiguousarray(x))
-            if b.shape == x.shape:  # vector-hash accumulator step
-                return kernels.affine_svv(
-                    a[()], np.ascontiguousarray(b), np.ascontiguousarray(x)
-                )
-        elif x.ndim == 0 and a.ndim == 1 and a.shape == b.shape:
-            # per-stream prefix extension: many (a, b) rows, one symbol
-            return kernels.affine_vvs(
-                np.ascontiguousarray(a), np.ascontiguousarray(b), x[()]
-            )
     return reduce_mod_p(_mul_folded(a, x) + b)
 
 
@@ -224,11 +185,6 @@ def quadratic_mod_p(a2: int, a1: int, b: int, x: np.ndarray) -> np.ndarray:
     the scalar reference by the hashing property tests.
     """
     xf = to_field(x)
-    kernels = _active_kernels()
-    if kernels is not None and xf.ndim == 1:
-        return kernels.quad_v(
-            np.uint64(a2), np.uint64(a1), np.uint64(b), np.ascontiguousarray(xf)
-        )
     x_hi = xf >> _S32
     x_lo = np.bitwise_and(xf, _MASK32)
     acc = _mul_acc_inplace(

@@ -11,14 +11,7 @@ from .hypergraph import (
     riblt_sparsity_threshold,
     two_core,
 )
-from .backend import (
-    BACKENDS,
-    DECODE_MODES,
-    default_backend,
-    default_decode_mode,
-    resolve_backend,
-    resolve_decode_mode,
-)
+from .backend import BACKENDS, default_backend, resolve_backend
 from .counting import MultisetDecodeResult, MultisetIBLT
 from .frontier import PeelQueue
 from .iblt import IBLT, IBLTDecodeResult, cells_for_differences
@@ -26,11 +19,8 @@ from .riblt import RIBLT, RIBLTDecodeResult, riblt_cells_for_pairs
 
 __all__ = [
     "BACKENDS",
-    "DECODE_MODES",
     "default_backend",
-    "default_decode_mode",
     "resolve_backend",
-    "resolve_decode_mode",
     "PeelQueue",
     "Component",
     "classify_component",

@@ -1,303 +1,6 @@
-"""Capability probe and dispatch surface for the compiled kernel layer.
-
-``REPRO_KERNELS`` selects the backing for the hot peel/hash loops:
-
-* ``auto`` (default) — compiled kernels when numba is importable *and*
-  the kernel self-test passes; otherwise the existing numpy paths,
-  which stay pinned bit-identical.
-* ``compiled`` — require the compiled kernels; raises ``RuntimeError``
-  when numba is missing or the self-test fails (never a silent
-  degrade).
-* ``numpy`` — force the pure numpy/interpreter paths even when numba
-  is available.
-
-Hot paths call :func:`active`, which returns this package (whose
-namespace re-exports every kernel) when the resolved mode is
-``compiled`` and ``None`` otherwise.  The resolution is cached per
-``(REPRO_KERNELS value, numba availability)`` so the per-call cost is a
-dict hit; :func:`reset_probe_cache` clears it for tests that flip the
-environment or monkeypatch :mod:`.compat`.
-
-Bit-identity across modes is structural, not incidental: the Mersenne
-kernels return canonical residues (the numpy expressions do too), and
-the peel kernels replay their interpreters' exact control flow — see
-:mod:`.mersenne_kernels` and :mod:`.peel_kernels`.  The self-test run on
-first activation exercises *every* kernel once, so with numba a compile
-failure surfaces as a clean degrade (or an explicit error under
-``compiled``) instead of an exception mid-decode.
-"""
-
-from __future__ import annotations
-
-import os
-import sys
-
-import numpy as np
-
-from . import compat
-from .mersenne_kernels import (  # noqa: F401  (re-exported dispatch surface)
-    affine,
-    affine_ssv,
-    affine_svv,
-    affine_vvs,
-    cell_index_matrix,
-    mul_sv,
-    mul_vv,
-    mulmod,
-    quad,
-    quad_v,
-)
-from .peel_kernels import (  # noqa: F401  (re-exported dispatch surface)
-    SUM_BOUND,
-    iblt_tail_round,
-    multiset_fifo_peel,
-    riblt_fifo_peel,
-)
-
-__all__ = [
-    "KERNEL_NAMES",
-    "SUM_BOUND",
-    "active",
-    "available",
-    "kernel_status",
-    "require",
-    "reset_probe_cache",
-    "resolve_kernel_mode",
-]
-
-#: The public kernels, in the order the CLI reports them.
-KERNEL_NAMES = (
-    "mul_vv",
-    "mul_sv",
-    "affine_ssv",
-    "affine_svv",
-    "affine_vvs",
-    "quad_v",
-    "cell_index_matrix",
-    "iblt_tail_round",
-    "riblt_fifo_peel",
-    "multiset_fifo_peel",
-)
-
-_MERSENNE_P = (1 << 61) - 1
-
-#: (REPRO_KERNELS raw value, numba availability) -> resolved mode.
-_probe_cache: dict[tuple[str | None, bool], str] = {}
-
-#: None = not yet run; otherwise the cached self-test verdict.
-_self_test_verdict: bool | None = None
+"""Report-metadata stub; the package has no compiled kernel layer."""
 
 
-def available() -> bool:
-    """Whether the compiled implementation can back the kernels."""
-    return bool(compat.HAVE_NUMBA)
-
-
-def reset_probe_cache() -> None:
-    """Forget cached probe results (tests flip env/availability)."""
-    global _self_test_verdict
-    _probe_cache.clear()
-    _self_test_verdict = None
-
-
-def _run_self_test() -> None:
-    """Run every kernel once against Python-int references.
-
-    Doubles as the compile warm-up: with numba this triggers (or loads
-    from the on-disk cache) every ``@njit`` compilation up front, so a
-    toolchain problem is caught at probe time rather than mid-decode.
-    """
-    p = _MERSENNE_P
-    values = [0, 1, 3, p - 1, 0x1234_5678_9ABC_DEF0 % p]
-    xs = np.array(values, dtype=np.uint64)
-    a = 0x0F1E_2D3C_4B5A_6978 % p
-    b = 0x1122_3344_5566_7788 % p
-    c = 12345
-    au, bu, cu = np.uint64(a), np.uint64(b), np.uint64(c)
-    checks = (
-        (mul_sv(au, xs), [(a * x) % p for x in values]),
-        (mul_vv(xs, xs), [(x * x) % p for x in values]),
-        (affine_ssv(au, bu, xs), [(a * x + b) % p for x in values]),
-        (affine_svv(au, xs, xs), [(a * x + x) % p for x in values]),
-        (affine_vvs(xs, xs, au), [(x * a + x) % p for x in values]),
-        (quad_v(au, bu, cu, xs), [(a * x * x + b * x + c) % p for x in values]),
-    )
-    for got, expected in checks:
-        if got.tolist() != expected:
-            raise RuntimeError("mersenne kernel self-test mismatch")
-    block_size = 7
-    matrix = cell_index_matrix(
-        np.array([a, b], dtype=np.uint64),
-        np.array([b, c], dtype=np.uint64),
-        xs,
-        np.uint64(block_size),
-    )
-    expected_matrix = [
-        [j * block_size + ((coeff * x + off) % p) % block_size for x in values]
-        for j, (coeff, off) in enumerate(((a, b), (b, c)))
-    ]
-    if matrix.tolist() != expected_matrix:
-        raise RuntimeError("cell_index_matrix self-test mismatch")
-    # Peel kernels: trivial empty-table runs compile the full loops and
-    # must terminate cleanly with nothing peeled.
-    m, q, dim = 6, 2, 1
-    ha = np.array([a, b], dtype=np.uint64)
-    hb = np.array([b, c], dtype=np.uint64)
-    peeled, touched = iblt_tail_round(
-        np.empty(0, dtype=np.int64),
-        np.zeros(m, dtype=np.int64),
-        np.zeros(m, dtype=np.uint64),
-        np.zeros(m, dtype=np.uint64),
-        au,
-        bu,
-        cu,
-        ha,
-        hb,
-        np.uint64(m // q),
-        np.empty(0, dtype=np.uint64),
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.uint64),
-        np.empty(0, dtype=np.int64),
-    )
-    if (peeled, touched) != (0, 0):
-        raise RuntimeError("iblt_tail_round self-test mismatch")
-    status, peeled = riblt_fifo_peel(
-        np.zeros(m, dtype=np.int64),
-        np.zeros(m, dtype=np.int64),
-        np.zeros(m, dtype=np.int64),
-        np.zeros((m, dim), dtype=np.int64),
-        au,
-        bu,
-        cu,
-        ha,
-        hb,
-        np.uint64(m // q),
-        np.int64(1 << 61),
-        np.empty(m + 1, dtype=np.int64),
-        np.zeros(m, dtype=np.uint8),
-        np.empty(4, dtype=np.int64),
-        np.empty(4, dtype=np.int64),
-        np.empty((4, dim), dtype=np.int64),
-    )
-    if (status, peeled) != (0, 0):
-        raise RuntimeError("riblt_fifo_peel self-test mismatch")
-    status, peeled = multiset_fifo_peel(
-        np.zeros(m, dtype=np.int64),
-        np.zeros(m, dtype=np.int64),
-        np.zeros(m, dtype=np.int64),
-        au,
-        bu,
-        cu,
-        ha,
-        hb,
-        np.uint64(m // q),
-        np.int64(1 << 61),
-        np.empty(m + 1, dtype=np.int64),
-        np.zeros(m, dtype=np.uint8),
-        np.empty(4, dtype=np.int64),
-        np.empty(4, dtype=np.int64),
-    )
-    if (status, peeled) != (0, 0):
-        raise RuntimeError("multiset_fifo_peel self-test mismatch")
-
-
-def _self_test_passes() -> bool:
-    global _self_test_verdict
-    if _self_test_verdict is None:
-        try:
-            _run_self_test()
-        except Exception:
-            _self_test_verdict = False
-        else:
-            _self_test_verdict = True
-    return _self_test_verdict
-
-
-def resolve_kernel_mode(mode: str | None = None) -> str:
-    """Resolve a requested kernel mode to ``"compiled"`` or ``"numpy"``.
-
-    ``None`` reads ``REPRO_KERNELS`` (see
-    :func:`repro.iblt.backend.default_kernel_mode`).  ``"compiled"``
-    raises ``RuntimeError`` when the compiled layer cannot be used;
-    ``"auto"`` degrades silently to ``"numpy"``.
-    """
-    from ..backend import KERNEL_MODES, default_kernel_mode
-
-    requested = default_kernel_mode() if mode is None else mode
-    if requested not in KERNEL_MODES:
-        raise ValueError(
-            f"kernel mode must be one of {KERNEL_MODES}, got {requested!r}"
-        )
-    if requested == "numpy":
-        return "numpy"
-    if requested == "compiled":
-        if not available():
-            raise RuntimeError(
-                "REPRO_KERNELS=compiled requires numba "
-                "(pip install 'repro[fast]'), which is not importable"
-            )
-        if not _self_test_passes():
-            raise RuntimeError("compiled kernels failed their self-test")
-        return "compiled"
-    if available() and _self_test_passes():
-        return "compiled"
-    return "numpy"
-
-
-def active():
-    """The kernel namespace when the resolved mode is compiled, else None.
-
-    The per-environment resolution (including the one-time self-test) is
-    cached, so hot dispatch sites can call this on every operation.
-    Raises like :func:`resolve_kernel_mode` for explicit-but-unusable
-    ``REPRO_KERNELS=compiled`` (errors are never cached).
-    """
-    key = (os.environ.get("REPRO_KERNELS"), bool(compat.HAVE_NUMBA))
-    mode = _probe_cache.get(key)
-    if mode is None:
-        mode = resolve_kernel_mode()
-        _probe_cache[key] = mode
-    if mode == "compiled":
-        return sys.modules[__name__]
-    return None
-
-
-def require():
-    """The kernel namespace, or ``RuntimeError`` when unavailable.
-
-    Used by the explicit ``engine="compiled"`` decode paths, which must
-    fail loudly rather than silently fall back.
-    """
-    resolve_kernel_mode("compiled")
-    return sys.modules[__name__]
-
-
+# Kept only for the end-to-end benchmark's report metadata, which reads it.
 def kernel_status() -> dict:
-    """Resolved-mode and per-kernel compile report for the CLI.
-
-    Never raises for an unusable ``compiled`` request — the report is
-    diagnostics, so the failure is folded into the ``resolved`` field.
-    """
-    from ..backend import default_kernel_mode
-
-    requested = default_kernel_mode()
-    try:
-        resolved = resolve_kernel_mode(requested)
-    except RuntimeError as exc:
-        resolved = f"error: {exc}"
-    module = sys.modules[__name__]
-    kernels = {}
-    for name in KERNEL_NAMES:
-        func = getattr(module, name)
-        if not compat.is_compiled(func):
-            kernels[name] = "python"
-        elif getattr(func, "signatures", None):
-            kernels[name] = "compiled"
-        else:
-            kernels[name] = "compiled (lazy)"
-    return {
-        "requested": requested,
-        "resolved": resolved,
-        "numba": compat.NUMBA_VERSION,
-        "kernels": kernels,
-    }
+    return {"resolved": "numpy"}

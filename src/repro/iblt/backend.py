@@ -6,7 +6,9 @@ Every table in :mod:`repro.iblt` supports two interchangeable backends:
     Cell state lives in flat numpy arrays and the hot paths — hashing,
     batch insert/delete, subtraction, pure-cell detection — run as
     vectorised ``uint64`` operations (exact Mersenne-61 arithmetic via
-    :mod:`repro.hashing.mersenne`).
+    :mod:`repro.hashing.mersenne`).  The IBLT peels with the adaptive
+    frontier decoder (:mod:`repro.iblt.frontier`); the sum-cell tables
+    keep their exact FIFO peel and batch-prime a shared hash cache.
 
 ``"python"``
     The original pure-Python reference implementation: cell state in
@@ -18,39 +20,7 @@ Both backends are bit-identical for the same :class:`~repro.hashing.PublicCoins`
 (``tests/test_backend_parity.py``).  The process-wide default comes from
 the ``REPRO_BACKEND`` environment variable when set, else ``"numpy"``;
 individual tables can override it via their ``backend=`` parameter.
-
-The numpy backend additionally exposes two *decode modes* for its
-vectorised peeler (see :mod:`repro.iblt.frontier`):
-
-``"frontier"`` (default)
-    Incremental frontier tracking: the pure-cell candidate set is seeded
-    once and thereafter only the cells touched by each batch peel are
-    re-tested.
-
-``"rescan"``
-    The pre-frontier decoder that re-derives the full pure mask from the
-    whole cell array every round.  Kept as the regression oracle the
-    frontier decoder is pinned bit-identical against
-    (``tests/test_frontier_decoder.py``) and for decode benchmarking.
-
-The process-wide default comes from ``REPRO_DECODE`` when set, else
-``"frontier"``; individual tables can override it via ``decode_mode=``.
-Both modes produce identical output for any collision-free table state
-— i.e. unless some cell's garbage XOR passes the checksum purity test,
-a ``~2^-61``-per-cell fluke under random coins (see the caveat in
-:mod:`repro.iblt.iblt`); on such a cell only the garbage output
-differs, never the ``success`` verdict.
-
-Orthogonal to both knobs, ``REPRO_KERNELS`` selects the *kernel mode*:
-whether the intrinsically sequential peel/hash inner loops run through
-the optional compiled layer in :mod:`repro.iblt._kernels` (numba
-``@njit(nogil=True)``) or the pure numpy/interpreter paths.  ``"auto"``
-(default) uses the compiled kernels when numba is importable and falls
-back silently otherwise; ``"compiled"`` requires them (``RuntimeError``
-when numba is missing); ``"numpy"`` forces the fallback.  Every mode is
-bit-identical — the compiled kernels replay the interpreter control
-flow exactly and bail back to it rather than ever approximating
-(``tests/test_kernels.py``).
+This is the only environment knob the package reads.
 """
 
 from __future__ import annotations
@@ -59,21 +29,11 @@ import os
 
 __all__ = [
     "BACKENDS",
-    "DECODE_MODES",
-    "KERNEL_MODES",
     "default_backend",
-    "default_decode_mode",
-    "default_kernel_mode",
     "resolve_backend",
-    "resolve_decode_mode",
-    "resolve_kernel_mode",
 ]
 
 BACKENDS = ("numpy", "python")
-
-DECODE_MODES = ("frontier", "rescan")
-
-KERNEL_MODES = ("auto", "compiled", "numpy")
 
 
 def default_backend() -> str:
@@ -95,48 +55,6 @@ def resolve_backend(backend: str | None) -> str:
     return backend
 
 
+# Kept only for the end-to-end benchmark's report metadata, which reads it.
 def default_decode_mode() -> str:
-    """The process-wide decode mode (``REPRO_DECODE`` or ``"frontier"``)."""
-    mode = os.environ.get("REPRO_DECODE", "frontier").strip().lower()
-    if mode not in DECODE_MODES:
-        raise ValueError(f"REPRO_DECODE must be one of {DECODE_MODES}, got {mode!r}")
-    return mode
-
-
-def resolve_decode_mode(decode_mode: str | None) -> str:
-    """Validate an explicit decode-mode choice, or fall back to the default."""
-    if decode_mode is None:
-        return default_decode_mode()
-    if decode_mode not in DECODE_MODES:
-        raise ValueError(
-            f"decode_mode must be one of {DECODE_MODES}, got {decode_mode!r}"
-        )
-    return decode_mode
-
-
-def default_kernel_mode() -> str:
-    """The *requested* kernel mode (``REPRO_KERNELS`` or ``"auto"``).
-
-    This only parses the environment; capability probing (is numba
-    importable, do the kernels self-test) happens in
-    :func:`resolve_kernel_mode`, so that merely importing this module
-    never pays a numba import.
-    """
-    mode = os.environ.get("REPRO_KERNELS", "auto").strip().lower()
-    if mode not in KERNEL_MODES:
-        raise ValueError(f"REPRO_KERNELS must be one of {KERNEL_MODES}, got {mode!r}")
-    return mode
-
-
-def resolve_kernel_mode(mode: str | None = None) -> str:
-    """Resolve a kernel-mode request to ``"compiled"`` or ``"numpy"``.
-
-    ``None`` reads :func:`default_kernel_mode`.  ``"auto"`` degrades
-    silently when the compiled layer is unusable; ``"compiled"`` raises
-    ``RuntimeError`` instead.  The first resolution to ``"compiled"``
-    runs the kernel self-test (and, with numba, the compile warm-up) —
-    see :mod:`repro.iblt._kernels`.
-    """
-    from . import _kernels
-
-    return _kernels.resolve_kernel_mode(mode)
+    return "frontier"

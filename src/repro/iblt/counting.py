@@ -34,12 +34,7 @@ import numpy as np
 from ..hashing import Checksum, PairwiseHash, PublicCoins
 from .backend import resolve_backend
 from .frontier import KeyHashCache, PeelQueue, divisible_key, seed_sum_cell_queue
-from .iblt import (
-    _active_kernels,
-    coerce_key_array,
-    kernel_hash_params,
-    partitioned_cell_indices,
-)
+from .iblt import coerce_key_array, partitioned_cell_indices
 
 __all__ = ["MultisetIBLT", "MultisetDecodeResult"]
 
@@ -101,7 +96,6 @@ class MultisetIBLT:
         self.checksum = Checksum(coins, ("mset-checksum", label), bits=61)
         # Decode hash cache, shared with clones (see repro.iblt.frontier).
         self._hash_cache = KeyHashCache(self.checksum, self._cell_hashes, self.block_size)
-        self._kernel_params: tuple | None | bool = None  # lazy; False = ineligible
         self.counts = [0] * self.m
         self.key_sum = [0] * self.m
         self.check_sum = [0] * self.m
@@ -234,7 +228,6 @@ class MultisetIBLT:
         clone._cell_hashes = self._cell_hashes
         clone.checksum = self.checksum
         clone._hash_cache = self._hash_cache
-        clone._kernel_params = self._kernel_params
         clone.counts = [0] * self.m
         clone.key_sum = [0] * self.m
         clone.check_sum = [0] * self.m
@@ -283,117 +276,18 @@ class MultisetIBLT:
             return None
         return key
 
-    def _sum_kernel_params(self) -> "tuple | None":
-        """Kernel hash coefficients for this table (lazy, clone-shared)."""
-        params = self._kernel_params
-        if params is None:
-            if self.key_bits <= 61:
-                params = kernel_hash_params(self.checksum, self._cell_hashes)
-            params = self._kernel_params = params if params is not None else False
-        return params or None
-
-    def _decode_compiled(self, kernels) -> MultisetDecodeResult | None:
-        """Run the FIFO peel through the compiled kernel, or bail.
-
-        Same contract as :meth:`RIBLT._decode_compiled
-        <repro.iblt.riblt.RIBLT._decode_compiled>`: ``None`` (with the
-        table untouched) when keys are too wide, any sum is at or beyond
-        the guarded ``int64`` range, or the kernel bails mid-peel; the
-        caller then runs the interpreter on identical state.
-        """
-        params = self._sum_kernel_params()
-        if params is None:
-            return None
-        from ._kernels import SUM_BOUND
-
-        try:
-            counts = np.array(self.counts, dtype=np.int64)
-            key_sum = np.array(self.key_sum, dtype=np.int64)
-            check_sum = np.array(self.check_sum, dtype=np.int64)
-        except (OverflowError, ValueError):
-            return None
-        for array in (counts, key_sum, check_sum):
-            if array.size and max(-int(array.min()), int(array.max())) >= SUM_BOUND:
-                return None
-        a2, a1, b, ha, hb = params
-        capacity = 4 * self.m + 64
-        peel_keys = np.empty(capacity, dtype=np.int64)
-        peel_counts = np.empty(capacity, dtype=np.int64)
-        status, n_peeled = kernels.multiset_fifo_peel(
-            counts,
-            key_sum,
-            check_sum,
-            a2,
-            a1,
-            b,
-            ha,
-            hb,
-            np.uint64(self.block_size),
-            np.int64(1 << self.key_bits),
-            np.empty(self.m + 1, dtype=np.int64),
-            np.zeros(self.m, dtype=np.uint8),
-            peel_keys,
-            peel_counts,
-        )
-        if status != 0:
-            return None
-        result = MultisetDecodeResult(success=False)
-        # Replay the (key, count) records in peel order: multiplicity
-        # accumulation and the zero-sum deletions reproduce the
-        # interpreter's dict insertion order exactly.
-        multiplicities = result.multiplicities
-        for key, count in zip(
-            peel_keys[:n_peeled].tolist(), peel_counts[:n_peeled].tolist()
-        ):
-            multiplicities[key] = multiplicities.get(key, 0) + count
-            if multiplicities[key] == 0:
-                del multiplicities[key]
-        self.counts = counts.tolist()
-        self.key_sum = key_sum.tolist()
-        self.check_sum = check_sum.tolist()
-        result.success = bool(
-            not counts.any() and not key_sum.any() and not check_sum.any()
-        )
-        return result
-
-    def decode(self, engine: str | None = None) -> MultisetDecodeResult:
+    def decode(self) -> MultisetDecodeResult:
         """Breadth-first peel; destructive.
 
         The candidate frontier is seeded with one pure scan; afterwards
         only the cells a peel touches can change purity, so only those
-        are pushed (see :mod:`repro.iblt.frontier`).  ``engine`` is
-        ``"cached"`` (default: batch-primed hash cache on the numpy
-        backend — the python backend always runs the scalar reference),
-        ``"scalar"`` (the pre-engine scalar-per-step reference), or
-        ``"compiled"`` (the nopython FIFO kernel; ``RuntimeError`` when
-        unavailable).  ``None`` uses the compiled kernel when
-        ``REPRO_KERNELS`` resolves to it on the numpy backend, else
-        ``"cached"``.  All engines produce bit-identical results; the
-        kernel bails back to the interpreter on untouched state for
-        tables it cannot hold (wide keys, sums beyond its guarded
-        ``int64`` range).
+        are pushed (see :mod:`repro.iblt.frontier`).  The numpy backend
+        batch-primes the shared hash cache; the python backend hashes
+        scalar-per-step as the reference.  Both run the same FIFO peel
+        and produce bit-identical results.
         """
-        if engine not in (None, "cached", "scalar", "compiled"):
-            raise ValueError(
-                f"engine must be 'cached', 'scalar' or 'compiled', got {engine!r}"
-            )
-        kernels = None
-        if engine == "compiled":
-            from . import _kernels
-
-            kernels = _kernels.require()
-        elif engine is None and self.backend == "numpy":
-            kernels = _active_kernels()
-        if kernels is not None:
-            compiled = self._decode_compiled(kernels)
-            if compiled is not None:
-                return compiled
         result = MultisetDecodeResult(success=False)
-        cache = (
-            self._hash_cache
-            if engine != "scalar" and self.backend == "numpy"
-            else None
-        )
+        cache = self._hash_cache if self.backend == "numpy" else None
         queue = PeelQueue(self.m, fifo=True)
         seed_sum_cell_queue(
             self.counts, self.key_sum, self.check_sum, self.key_bits,

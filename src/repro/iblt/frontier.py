@@ -6,8 +6,8 @@ threshold analyses: decode succeeds by repeatedly stripping degree-1
 to.  The process is therefore inherently *incremental* — after the
 initial pure scan, the only cells whose purity can have changed are the
 ones actually touched by a peel.  Every decoder in this package tracks
-that frontier instead of rescanning the table, and they all share the
-engine pieces defined here:
+that frontier instead of scanning the whole table again, and they all
+share the engine pieces defined here:
 
 * :class:`PeelQueue` — the deduplicated candidate queue the scalar
   decoders drive (FIFO for the breadth-first sum-cell decoders whose
@@ -228,8 +228,8 @@ class PeelScratch:
         ``O(m + touched)`` with no sort and no per-round allocation
         beyond the result, replacing the ``np.unique``/fancy-indexing
         pass over the duplicated ``(q, n)`` stream.  The ascending
-        result order is load-bearing: it reproduces the rescan oracle's
-        ``np.flatnonzero`` candidate order, which fixes which cell a
+        result order is load-bearing: it is the ``np.flatnonzero`` order
+        of a whole-table purity scan, which fixes which cell a
         multiply-pure key's sign is read from.
         """
         self._ensure(m)

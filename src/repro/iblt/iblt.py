@@ -18,35 +18,33 @@ Two backends are available (see :mod:`repro.iblt.backend`): the default
 ``"numpy"`` backend keeps ``counts``/``key_xor``/``check_xor`` in flat
 arrays and runs inserts, subtraction and peeling as vectorised ``uint64``
 operations; the ``"python"`` backend is the original list-of-int
-reference path.  Both produce bit-identical tables and decode output for
-the same public coins.  Because all XOR/add cell updates commute, the
-numpy decoder peels the table in *rounds* — the current frontier of pure
-cells is removed with one batched scatter per round — which recovers
-exactly the same key set as sequential peeling (the unpeelable 2-core of
-the hypergraph is order-independent).
+reference path, which peels one cell at a time.  Both produce
+bit-identical tables and recover the same key sets for the same public
+coins.
 
-The round frontier itself is tracked *incrementally* (decode mode
-``"frontier"``, the default): peeling a pure cell's key can only change
-the cells that key hashes to, so after the one seeding scan each round
-re-tests purity only on the cells touched by the previous batch peel —
-``O(q)`` cells per peeled key instead of a full ``m``-cell rescan per
-round.  Any cell that stays pure across a round was itself peeled (its
-key maps to it), hence touched, so the incremental candidate set always
-contains every pure cell and the round sequence is bit-identical to the
-pre-frontier ``"rescan"`` decoder retained in
-:meth:`IBLT._decode_numpy_rescan`.  The decoder is additionally
+The numpy decoder peels the table in *rounds*: the current frontier of
+pure cells is removed with one batched scatter per round.  All XOR/add
+cell updates commute, so this recovers exactly the key set sequential
+peeling does (the unpeelable 2-core of the hypergraph is
+order-independent).  The frontier is tracked *incrementally*: peeling a
+key can only change the cells that key hashes to, so after the one
+seeding scan each round re-tests purity only on the cells touched by the
+previous batch peel — ``O(q)`` cells per peeled key instead of a full
+``m``-cell scan per round.  A cell that stays pure across a round was
+itself peeled (its key maps to it), hence touched, so the candidate set
+always contains every pure cell of the table.  The decoder is also
 *adaptive* (see :mod:`repro.iblt.frontier`): touched cells are deduped
 through a preallocated flag array shared across rounds and repeated
 ``decode()`` calls, and any round whose candidate set falls to at most
 ``tail_threshold`` cells runs in scalar arithmetic — the peel frontier
-shrinks geometrically, so the tail of every decode is dominated by
-fixed numpy call overhead unless the engine switches gears.  That argument assumes every cell
-passing the purity test holds a real key; a 61-bit checksum *collision*
-(a cell whose garbage ``key_xor`` happens to satisfy the checksum test
-without hashing to that cell) breaks it — the rescan decoder re-peels
-such a cell every round while the frontier peels it once.  Both modes
-still report ``success=False`` there; only the garbage output differs,
-with probability ``~2^-61`` per cell under random coins.
+shrinks geometrically, so the tail of every decode is dominated by fixed
+numpy call overhead unless the decoder switches gears.
+
+That argument assumes every cell passing the purity test holds a real
+key.  A 61-bit checksum *collision* (a cell whose garbage ``key_xor``
+happens to satisfy the checksum test without hashing to that cell) is
+peeled once as garbage; the decode still reports ``success=False``.
+Under random coins this happens with probability ``~2^-61`` per cell.
 """
 
 from __future__ import annotations
@@ -59,36 +57,8 @@ import numpy as np
 from ..errors import MalformedPayloadError
 from ..hashing import Checksum, PairwiseHash, PublicCoins
 from ..hashing.mersenne import affine_mod_p, fold_bits, to_field
-from .backend import resolve_backend, resolve_decode_mode
+from .backend import resolve_backend
 from .frontier import PEEL_TAIL_THRESHOLD, KeyHashCache, PeelQueue, PeelScratch
-
-
-def _active_kernels():
-    """The compiled kernel namespace, or None (probe cached per env)."""
-    from . import _kernels
-
-    return _kernels.active()
-
-
-def kernel_hash_params(
-    checksum: Checksum, cell_hashes: "list[PairwiseHash]"
-) -> "tuple | None":
-    """Hash coefficients in the uint64 form the compiled kernels consume.
-
-    Returns ``(a2, a1, b, ha, hb)`` — checksum polynomial coefficients
-    plus per-block affine coefficient vectors — or ``None`` when any
-    hash folds below 61 bits (the kernels assume the fold is the
-    identity, which holds for every table this package builds).
-    """
-    if checksum.bits != 61 or any(h.bits != 61 for h in cell_hashes):
-        return None
-    return (
-        np.uint64(checksum.a2),
-        np.uint64(checksum.a1),
-        np.uint64(checksum.b),
-        np.array([h.a for h in cell_hashes], dtype=np.uint64),
-        np.array([h.b for h in cell_hashes], dtype=np.uint64),
-    )
 
 __all__ = [
     "IBLT",
@@ -200,12 +170,6 @@ def partitioned_cell_indices(
         a = np.array([cell_hash.a for cell_hash in cell_hashes], dtype=np.uint64)
         b = np.array([cell_hash.b for cell_hash in cell_hashes], dtype=np.uint64)
         width = widths.pop()
-        if width == 61:  # fold is the identity; eligible for the fused kernel
-            kernels = _active_kernels()
-            if kernels is not None:
-                return kernels.cell_index_matrix(
-                    a, b, to_field(keys), np.uint64(block_size)
-                )
         hashed = fold_bits(
             affine_mod_p(a[:, None], b[:, None], to_field(keys)[None, :]),
             width,
@@ -270,11 +234,6 @@ class IBLT:
         ``"numpy"`` or ``"python"`` (default: the process-wide default,
         see :mod:`repro.iblt.backend`).  Keys wider than 61 bits force
         the python backend unless ``"numpy"`` was requested explicitly.
-    decode_mode:
-        ``"frontier"`` (incremental candidate tracking, the default) or
-        ``"rescan"`` (full pure-mask rescan per round, the pre-frontier
-        oracle).  Only affects the numpy decoder; both modes produce
-        identical output.
     """
 
     def __init__(
@@ -285,7 +244,6 @@ class IBLT:
         q: int = 3,
         key_bits: int = 61,
         backend: str | None = None,
-        decode_mode: str | None = None,
     ):
         if q < 2:
             raise ValueError(f"q must be >= 2, got {q}")
@@ -304,7 +262,6 @@ class IBLT:
         self.backend = resolve_backend(backend)
         if key_bits > _MAX_NUMPY_KEY_BITS:
             self.backend = "python"
-        self.decode_mode = resolve_decode_mode(decode_mode)
         self._cell_hashes = [
             PairwiseHash(coins, ("iblt-cell", label, j), bits=61) for j in range(q)
         ]
@@ -320,7 +277,6 @@ class IBLT:
         # so repeated decodes reuse one allocation.  Not thread-safe.
         self._scratch = PeelScratch()
         self._hash_cache = KeyHashCache(self.checksum, self._cell_hashes, self.block_size)
-        self._kernel_params: tuple | None | bool = None  # lazy; False = ineligible
         self._alloc_cells()
 
     def _alloc_cells(self) -> None:
@@ -526,13 +482,11 @@ class IBLT:
         clone.key_bits = self.key_bits
         clone.label = self.label
         clone.backend = self.backend
-        clone.decode_mode = self.decode_mode
         clone._cell_hashes = self._cell_hashes
         clone.checksum = self.checksum
         clone.tail_threshold = self.tail_threshold
         clone._scratch = self._scratch
         clone._hash_cache = self._hash_cache
-        clone._kernel_params = self._kernel_params
         clone._alloc_cells()
         return clone
 
@@ -628,12 +582,6 @@ class IBLT:
         key = self.key_xor[index]
         return self.check_xor[index] == self.checksum(key)
 
-    def _pure_mask(self) -> np.ndarray:
-        """Vectorised pure-cell detection over the whole table (numpy)."""
-        return (np.abs(self.counts) == 1) & (
-            self.check_xor == self.checksum.hash_array(self.key_xor)
-        )
-
     def _pure_with_keys(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Pure cells among ``cells`` plus the keys they hold.
 
@@ -657,8 +605,6 @@ class IBLT:
         checksum anomalies).
         """
         if self.backend == "numpy":
-            if self.decode_mode == "rescan":
-                return self._decode_numpy_rescan()
             return self._decode_numpy_frontier()
         return self._decode_python()
 
@@ -697,8 +643,8 @@ class IBLT:
         """One adaptive-tail round: the same round discipline as
         :meth:`_peel_round`, in scalar arithmetic.
 
-        ``candidates`` must be sorted ascending (the rescan candidate
-        order): the first candidate cell that passes the purity test for
+        ``candidates`` must be sorted ascending (the vectorised round's
+        candidate order): the first candidate cell that passes the purity test for
         a key is the cell its sign and checksum are read from, exactly
         as ``np.unique``'s first-occurrence pick over the ascending pure
         array.  Distinct keys are then peeled in ascending key order
@@ -737,54 +683,6 @@ class IBLT:
                 touched.add(cell)
         return sorted(touched)
 
-    def _tail_kernel_params(self) -> "tuple | None":
-        """Kernel hash coefficients for this table (lazy, clone-shared)."""
-        params = self._kernel_params
-        if params is None:
-            if self.key_bits <= _MAX_NUMPY_KEY_BITS:
-                params = kernel_hash_params(self.checksum, self._cell_hashes)
-            params = self._kernel_params = params if params is not None else False
-        return params or None
-
-    def _peel_round_scalar_compiled(
-        self, kernels, params: tuple, result: IBLTDecodeResult, candidates: np.ndarray
-    ) -> np.ndarray:
-        """:meth:`_peel_round_scalar` through the compiled tail kernel.
-
-        Bit-identical by construction (the kernel replays the scan/peel
-        discipline on the same live cell arrays); returns the sorted
-        deduplicated touched cells as the next round's candidate array.
-        """
-        a2, a1, b, ha, hb = params
-        size = candidates.shape[0]
-        keys = np.empty(size, dtype=np.uint64)
-        signs = np.empty(size, dtype=np.int64)
-        checks = np.empty(size, dtype=np.uint64)
-        touched = np.empty(size * self.q, dtype=np.int64)
-        n_peeled, n_touched = kernels.iblt_tail_round(
-            candidates,
-            self.counts,
-            self.key_xor,
-            self.check_xor,
-            a2,
-            a1,
-            b,
-            ha,
-            hb,
-            np.uint64(self.block_size),
-            keys,
-            signs,
-            checks,
-            touched,
-        )
-        for position in range(n_peeled):
-            key = int(keys[position])
-            if signs[position] > 0:
-                result.inserted.append(key)
-            else:
-                result.deleted.append(key)
-        return touched[:n_touched]
-
     def _decode_numpy_frontier(self) -> IBLTDecodeResult:
         """Adaptive round-based peeling with incremental frontier tracking.
 
@@ -796,8 +694,8 @@ class IBLT:
         stream.  Every cell that is pure at round ``r+1`` was touched at
         round ``r`` (a cell pure in both rounds had its own key peeled,
         and that key maps to it), so the candidates always cover the
-        full pure set and the round sequence — hence the decode output —
-        is bit-identical to :meth:`_decode_numpy_rescan`.
+        full pure set: each round peels exactly the cells a whole-table
+        purity scan would find.
 
         Rounds adapt to the frontier: once the candidate set is at most
         :attr:`tail_threshold` cells the round runs through
@@ -807,21 +705,14 @@ class IBLT:
         """
         result = IBLTDecodeResult(success=False)
         scratch = self._scratch
-        kernels = _active_kernels()
-        tail_params = self._tail_kernel_params() if kernels is not None else None
         candidates = scratch.ones_candidates(self.counts)
-        # Round cap as in the rescan decoder: peeling depth is O(log m)
-        # w.h.p.; the cap only guards against checksum-fluke cycles (the
-        # success check below still decides the outcome).
+        # Round cap: peeling depth is O(log m) w.h.p.; the cap only guards
+        # against checksum-fluke cycles (the success check below still
+        # decides the outcome).
         rounds_left = 2 * self.m + 64
         while rounds_left > 0 and candidates.size:
             rounds_left -= 1
             if candidates.size <= self.tail_threshold:
-                if tail_params is not None:
-                    candidates = self._peel_round_scalar_compiled(
-                        kernels, tail_params, result, candidates
-                    )
-                    continue
                 touched_cells = self._peel_round_scalar(result, candidates.tolist())
                 candidates = np.asarray(touched_cells, dtype=np.int64)
                 continue
@@ -830,26 +721,6 @@ class IBLT:
                 break
             touched = self._peel_round(result, pure_cells, pure_keys)
             candidates = scratch.unique_cells(touched, self.m)
-        result.success = bool(
-            not self.counts.any()
-            and not self.key_xor.any()
-            and not self.check_xor.any()
-        )
-        return result
-
-    def _decode_numpy_rescan(self) -> IBLTDecodeResult:
-        """The pre-frontier decoder: full pure-mask rescan every round.
-
-        Kept as the bit-identical oracle for the frontier decoder (see
-        ``tests/test_frontier_decoder.py``) and as the baseline the
-        decode benchmarks measure the frontier win against.
-        """
-        result = IBLTDecodeResult(success=False)
-        for _round in range(2 * self.m + 64):
-            pure_cells = np.flatnonzero(self._pure_mask())
-            if pure_cells.size == 0:
-                break
-            self._peel_round(result, pure_cells)
         result.success = bool(
             not self.counts.any()
             and not self.key_xor.any()

@@ -40,12 +40,7 @@ from ..errors import MalformedPayloadError
 from ..hashing import Checksum, PairwiseHash, PublicCoins
 from ..metric.spaces import Point
 from .frontier import KeyHashCache, PeelQueue, divisible_key, seed_sum_cell_queue
-from .iblt import (
-    _active_kernels,
-    kernel_hash_params,
-    partitioned_cell_indices,
-    validate_cell_ints,
-)
+from .iblt import partitioned_cell_indices, validate_cell_ints
 
 __all__ = ["RIBLT", "RIBLTDecodeResult", "riblt_cells_for_pairs"]
 
@@ -141,7 +136,6 @@ class RIBLT:
         # fresh clone to each reconciliation round; the cached values
         # are pure functions of the key under the shared coins).
         self._hash_cache = KeyHashCache(self.checksum, self._cell_hashes, self.block_size)
-        self._kernel_params: tuple | None | bool = None  # lazy; False = ineligible
         self.counts = [0] * self.m
         self.key_sum = [0] * self.m
         self.check_sum = [0] * self.m
@@ -343,7 +337,6 @@ class RIBLT:
         clone._cell_hashes = self._cell_hashes
         clone.checksum = self.checksum
         clone._hash_cache = self._hash_cache
-        clone._kernel_params = self._kernel_params
         clone.counts = [0] * self.m
         clone.key_sum = [0] * self.m
         clone.check_sum = [0] * self.m
@@ -445,7 +438,7 @@ class RIBLT:
         return read_riblt_cells(BitReader(payload), self)
 
     # -- purity --------------------------------------------------------------
-    def _pure_key(self, index: int, cache: KeyHashCache | None = None) -> int | None:
+    def _pure_key(self, index: int, cache: KeyHashCache) -> int | None:
         """Return the key if cell ``index`` passes the multi-copy purity test.
 
         Section 2.2 item 5: the cell holds ``C`` copies of one key when the
@@ -457,7 +450,7 @@ class RIBLT:
         key = divisible_key(self.counts[index], self.key_sum[index], 1 << self.key_bits)
         if key is None:
             return None
-        check = self.checksum(key) if cache is None else cache.check(key)
+        check = cache.check(key)
         if check * self.counts[index] != self.check_sum[index]:
             return None
         return key
@@ -492,145 +485,28 @@ class RIBLT:
         return points
 
     # -- decoding ------------------------------------------------------------
-    def _sum_kernel_params(self) -> "tuple | None":
-        """Kernel hash coefficients for this table (lazy, clone-shared)."""
-        params = self._kernel_params
-        if params is None:
-            if self.key_bits <= 61:
-                params = kernel_hash_params(self.checksum, self._cell_hashes)
-            params = self._kernel_params = params if params is not None else False
-        return params or None
-
-    def _decode_compiled(
-        self, kernels, rng: random.Random
-    ) -> RIBLTDecodeResult | None:
-        """Run the FIFO peel through the compiled kernel, or bail.
-
-        Returns ``None`` whenever the table cannot be decoded compiled —
-        keys wider than 61 bits, any cell sum at or beyond the kernels'
-        guarded ``int64`` range (entry check here, per-subtraction checks
-        in-kernel), or a record-capacity blowout.  Bailing is free of
-        side effects: the kernel mutates only ``int64`` copies, and the
-        randomized-rounding ``rng`` is consumed during the *replay* of
-        the peel records, which only happens on success — so the caller
-        falls back to the interpreter on bit-identical state.
-        """
-        params = self._sum_kernel_params()
-        if params is None:
-            return None
-        from ._kernels import SUM_BOUND
-
-        try:
-            counts = np.array(self.counts, dtype=np.int64)
-            key_sum = np.array(self.key_sum, dtype=np.int64)
-            check_sum = np.array(self.check_sum, dtype=np.int64)
-            values = np.array(self.value_sum, dtype=np.int64).reshape(self.m, self.dim)
-        except (OverflowError, ValueError):
-            return None
-        for array in (counts, key_sum, check_sum, values):
-            if array.size and max(-int(array.min()), int(array.max())) >= SUM_BOUND:
-                return None
-        a2, a1, b, ha, hb = params
-        capacity = 4 * self.m + 64
-        peel_keys = np.empty(capacity, dtype=np.int64)
-        peel_counts = np.empty(capacity, dtype=np.int64)
-        peel_values = np.empty((capacity, self.dim), dtype=np.int64)
-        status, n_peeled = kernels.riblt_fifo_peel(
-            counts,
-            key_sum,
-            check_sum,
-            values,
-            a2,
-            a1,
-            b,
-            ha,
-            hb,
-            np.uint64(self.block_size),
-            np.int64(1 << self.key_bits),
-            np.empty(self.m + 1, dtype=np.int64),
-            np.zeros(self.m, dtype=np.uint8),
-            peel_keys,
-            peel_counts,
-            peel_values,
-        )
-        if status != 0:
-            return None
-        # Replay the peel records in FIFO order: value extraction (and
-        # with it every rng draw) happens here, exactly as the
-        # interpreter interleaves it with the peel sequence.
-        result = RIBLTDecodeResult(success=False)
-        records = zip(
-            peel_keys[:n_peeled].tolist(),
-            peel_counts[:n_peeled].tolist(),
-            peel_values[:n_peeled].tolist(),
-        )
-        for key, count, value_row in records:
-            copies = -count if count < 0 else count
-            sign = 1 if count > 0 else -1
-            value_total = [sign * coordinate for coordinate in value_row]
-            target = result.inserted if sign > 0 else result.deleted
-            for value in self._extract_values(value_total, copies, rng):
-                target.append((key, value))
-        result.peel_rounds = n_peeled
-        self.counts = counts.tolist()
-        self.key_sum = key_sum.tolist()
-        self.check_sum = check_sum.tolist()
-        self.value_sum = values.tolist()
-        result.success = bool(
-            not counts.any() and not key_sum.any() and not check_sum.any()
-        )
-        return result
-
-    def decode(
-        self, rng: random.Random | None = None, engine: str | None = None
-    ) -> RIBLTDecodeResult:
+    def decode(self, rng: random.Random | None = None) -> RIBLTDecodeResult:
         """Breadth-first peeling of the (subtracted) table.
 
         Destructive.  ``rng`` drives the randomized rounding of averaged
         values (the decoder's private randomness; defaults to a fixed
         seed for reproducibility).
 
-        ``engine`` selects how the peel is evaluated: ``"cached"``
-        batch-primes the shared
+        The seeding scan batch-primes the shared
         :class:`~repro.iblt.frontier.KeyHashCache` with one vectorised
-        Mersenne pass and memoises everything else; ``"scalar"`` is the
-        pre-engine reference that hashes scalar-per-step;
-        ``"compiled"`` requires the nopython FIFO kernel
-        (:mod:`repro.iblt._kernels`), raising ``RuntimeError`` when the
-        compiled layer is unavailable.  ``None`` (the default) uses the
-        compiled kernel when ``REPRO_KERNELS`` resolves to it and the
-        cached engine otherwise.  The peel *sequence* — FIFO order,
-        snapshot subtraction, value rounding — is identical in every
-        engine (the cache and the kernel evaluate the same pure
-        functions and replay the same discipline), so all of them
-        produce bit-identical results; tests pin this.  A table the
-        kernel cannot hold (keys wider than 61 bits, any cell sum
-        beyond its guarded ``int64`` range) falls back to the cached
-        engine on untouched state.
+        Mersenne pass and the peel memoises every other hash.  The cache
+        only holds pure functions of the key, so the peel *sequence* —
+        FIFO order, snapshot subtraction, value rounding — is the one
+        uncached scalar hashing would give; tests pin this.
 
         ``success`` requires every cell to end with zero count, key sum and
         checksum sum; *value* residue may remain -- that is the error the
         protocol's analysis charges to the in-bucket matching.
         """
-        if engine not in (None, "cached", "scalar", "compiled"):
-            raise ValueError(
-                f"engine must be 'cached', 'scalar' or 'compiled', got {engine!r}"
-            )
         if rng is None:
             rng = random.Random(0x5EED)
-        kernels = None
-        if engine == "compiled":
-            from . import _kernels
-
-            kernels = _kernels.require()
-        elif engine is None:
-            kernels = _active_kernels()
-        if kernels is not None:
-            result = self._decode_compiled(kernels, rng)
-            if result is not None:
-                return result
         result = RIBLTDecodeResult(success=False)
-        cache = self._hash_cache if engine != "scalar" else None
+        cache = self._hash_cache
 
         # Breadth-first frontier (item 1: FIFO order, which Lemma 3.10's
         # error-propagation analysis depends on), fed incrementally with
@@ -665,10 +541,7 @@ class RIBLT:
             snapshot_key = self.key_sum[index]
             snapshot_check = self.check_sum[index]
             snapshot_value = list(self.value_sum[index])
-            neighbors = (
-                self.cell_indices(key) if cache is None else cache.indices(key)
-            )
-            for neighbor in neighbors:
+            for neighbor in cache.indices(key):
                 self.counts[neighbor] -= snapshot_count
                 self.key_sum[neighbor] -= snapshot_key
                 self.check_sum[neighbor] -= snapshot_check

@@ -17,7 +17,7 @@ from .resilient import (
     ResilientReconcileResult,
     resilient_reconcile,
 )
-from .strata import StrataEstimator, read_strata, strata_payload
+from .strata import StrataEstimator
 from .naive import NaiveTransferResult, naive_full_transfer, naive_union_transfer
 from .quadtree import QuadtreeEMDProtocol, QuadtreeResult
 
@@ -39,8 +39,6 @@ __all__ = [
     "CPIResult",
     "cpi_reconcile",
     "evaluate_characteristic",
-    "read_strata",
-    "strata_payload",
     "NaiveTransferResult",
     "naive_full_transfer",
     "naive_union_transfer",

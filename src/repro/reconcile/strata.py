@@ -27,7 +27,7 @@ from ..iblt.iblt import IBLT, coerce_key_array
 from ..protocol.serialize import BitReader, BitWriter
 from ..protocol.tables import read_iblt_cells, write_iblt_cells
 
-__all__ = ["StrataEstimator", "strata_payload", "read_strata"]
+__all__ = ["StrataEstimator"]
 
 _DEFAULT_STRATA = 24
 _CELLS_PER_STRATUM = 48
@@ -253,13 +253,3 @@ class StrataEstimator:
                 return max(1, int(_CORRECTION * counted * scale))
             counted += outcome.difference_count
         return max(0, int(_CORRECTION * counted))
-
-
-def strata_payload(estimator: StrataEstimator) -> tuple[bytes, int]:
-    """Deprecated alias for :meth:`StrataEstimator.to_payload`."""
-    return estimator.to_payload()
-
-
-def read_strata(payload: bytes, shell: StrataEstimator) -> StrataEstimator:
-    """Deprecated alias for :meth:`StrataEstimator.from_payload`."""
-    return shell.from_payload(payload)

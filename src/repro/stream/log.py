@@ -20,12 +20,18 @@ full discipline and raises only the typed
 
 * :class:`~repro.errors.TruncatedPayloadError` — empty log, or the
   final line lost its newline (an interrupted append);
-* :class:`~repro.errors.MalformedPayloadError` — bad UTF-8, bad JSON,
-  crc mismatch, wrong schema, unexpected fields, out-of-order or
-  duplicate ``seq``, a regressing ``window``, an out-of-range key.
+* :class:`~repro.errors.MalformedPayloadError` — a line longer than
+  its cap, bad UTF-8, bad JSON (including integers past Python's digit
+  limit and nesting past the recursion limit), crc mismatch, wrong
+  schema, unexpected fields, out-of-order or duplicate ``seq``, a
+  regressing ``window``, an out-of-range key.
 
-Writers refuse out-of-order windows and out-of-range keys eagerly, so a
-log produced by :class:`EventLogWriter` always round-trips.
+Line length is capped *before* JSON parsing — :data:`MAX_EVENT_LINE_BYTES`
+for events, the larger :data:`MAX_HEADER_LINE_BYTES` for the header and
+its free-form ``meta`` — so a hostile line costs bounded parse time and
+memory.  Writers refuse out-of-order windows, out-of-range keys and an
+over-cap header eagerly, so a log produced by :class:`EventLogWriter`
+always round-trips.
 """
 
 from __future__ import annotations
@@ -40,6 +46,8 @@ from .events import OPS, MutationEvent
 
 __all__ = [
     "EVENT_LOG_SCHEMA",
+    "MAX_EVENT_LINE_BYTES",
+    "MAX_HEADER_LINE_BYTES",
     "EventLogReader",
     "EventLogWriter",
     "record_line",
@@ -47,6 +55,13 @@ __all__ = [
 ]
 
 EVENT_LOG_SCHEMA = "repro.events/v1"
+
+#: Longest accepted event line, newline excluded.  A canonical event
+#: record is about 100 bytes even with a 64-bit key.
+MAX_EVENT_LINE_BYTES = 1024
+
+#: Longest accepted header line, newline excluded (room for ``meta``).
+MAX_HEADER_LINE_BYTES = 64 * 1024
 
 _HEADER_FIELDS = frozenset({"crc", "key_bits", "kind", "meta", "schema"})
 _EVENT_FIELDS = frozenset({"crc", "key", "kind", "op", "seq", "source", "window"})
@@ -81,19 +96,20 @@ class EventLogWriter:
             raise ValueError(f"key_bits must be in [1, 64], got {key_bits}")
         self.key_bits = key_bits
         self.meta = dict(meta or {})
-        self._file = open(path, "wb")
         self._seq = 0
         self._window = 0
-        self._file.write(
-            record_line(
-                {
-                    "kind": "header",
-                    "schema": EVENT_LOG_SCHEMA,
-                    "key_bits": key_bits,
-                    "meta": self.meta,
-                }
-            )
+        header = record_line(
+            {
+                "kind": "header",
+                "schema": EVENT_LOG_SCHEMA,
+                "key_bits": key_bits,
+                "meta": self.meta,
+            }
         )
+        if len(header) - 1 > MAX_HEADER_LINE_BYTES:
+            raise ValueError(f"header line exceeds {MAX_HEADER_LINE_BYTES} bytes")
+        self._file = open(path, "wb")
+        self._file.write(header)
 
     def append(self, event: MutationEvent) -> int:
         """Append one event; returns the sequence number it received."""
@@ -168,14 +184,19 @@ class EventLogReader:
         return self._data[:-1].split(b"\n")
 
     @staticmethod
-    def _parse_record(raw: bytes, line_number: int) -> dict:
+    def _parse_record(raw: bytes, line_number: int, max_bytes: int) -> dict:
+        if len(raw) > max_bytes:
+            raise MalformedPayloadError(
+                f"line {line_number}: {len(raw)} bytes exceeds the {max_bytes}-byte cap"
+            )
         try:
             text = raw.decode("utf-8")
         except UnicodeDecodeError as error:
             raise MalformedPayloadError(f"line {line_number}: not UTF-8 ({error})") from error
         try:
             record = json.loads(text)
-        except json.JSONDecodeError as error:
+        except (ValueError, RecursionError) as error:
+            # ValueError covers JSONDecodeError and the int digit limit.
             raise MalformedPayloadError(f"line {line_number}: not JSON ({error})") from error
         if not isinstance(record, dict):
             raise MalformedPayloadError(f"line {line_number}: record is not an object")
@@ -198,7 +219,7 @@ class EventLogReader:
         return value
 
     def _parse_header(self, raw: bytes) -> dict:
-        record = self._parse_record(raw, 1)
+        record = self._parse_record(raw, 1, MAX_HEADER_LINE_BYTES)
         if record.get("kind") != "header":
             raise MalformedPayloadError("first record is not a header")
         if set(record) != _HEADER_FIELDS:
@@ -230,7 +251,7 @@ class EventLogReader:
         last_window = 0
         for offset, raw in enumerate(lines[1:]):
             line_number = offset + 2
-            record = self._parse_record(raw, line_number)
+            record = self._parse_record(raw, line_number, MAX_EVENT_LINE_BYTES)
             kind = record.get("kind")
             if kind == "header":
                 raise MalformedPayloadError(f"line {line_number}: duplicate header")

@@ -88,8 +88,6 @@ class TestScenariosCommand:
         assert document["schema"] == "repro.scenarios/v1"
         assert document["failures"] == []
         assert [s["name"] for s in document["scenarios"]] == ["exact-iblt-hamming"]
-        assert document["decode_modes"] == [document["scenarios"][0]["decode_mode"]]
-        assert document["scenarios"][0]["decode_mode"] in ("frontier", "rescan")
         # Progress/status lines must stay off stdout (byte-determinism).
         assert "ok" in captured.err
 
@@ -99,16 +97,6 @@ class TestScenariosCommand:
         assert main(args + ["--output", str(first)]) == 0
         assert main(args + ["--output", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
-
-    def test_decode_mode_flag_recorded(self, capsys):
-        code = main([
-            "scenarios", "--only", "exact-iblt-hamming", "--seed", "7",
-            "--decode-mode", "rescan",
-        ])
-        assert code == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["decode_modes"] == ["rescan"]
-        assert document["scenarios"][0]["decode_mode"] == "rescan"
 
     def test_timings_flag_adds_wall_time(self, capsys):
         code = main([

@@ -37,7 +37,7 @@ from repro.protocol import (
     riblt_payload,
     write_points,
 )
-from repro.reconcile import StrataEstimator, read_strata, strata_payload
+from repro.reconcile import StrataEstimator
 
 COINS = PublicCoins(0xF022)
 
@@ -173,10 +173,10 @@ class TestStrataFuzz:
         estimator = self._shell()
         for key in range(50):
             estimator.insert(key)
-        payload, _ = strata_payload(estimator)
+        payload, _ = estimator.to_payload()
 
         def decode(mutated: bytes) -> None:
-            read_strata(mutated, self._shell())
+            self._shell().from_payload(mutated)
 
         _assert_only_decode_error(decode, payload, seed=505)
 

@@ -1,12 +1,14 @@
 """The incremental frontier decoder is pinned against two oracles.
 
-The numpy backend's default ``"frontier"`` decode mode must be
-*bit-identical* — same output lists in the same order, same residual
-cell state — to the pre-change ``"rescan"`` decoder it replaced, and
-(up to the documented round-vs-sequential output ordering) to the pure
-python reference backend, across adversarial cell patterns: duplicate
-insertions, multiset (|count| > 1) cells, and undecodable overloads
-whose 2-core both disciplines must leave untouched.
+The numpy backend's frontier decoder must be *bit-identical* — same
+output lists in the same order, same residual cell state — to
+:func:`_rescan_decode`, a test-local decoder that re-derives the full
+pure mask every round, and (up to the documented round-vs-sequential
+output ordering) to the pure python reference backend, across
+adversarial cell patterns: duplicate insertions, multiset (|count| > 1)
+cells, and undecodable overloads whose 2-core both disciplines must
+leave untouched.  The python backend cannot pin the ordered output or
+the multiset states, which is why the rescan oracle exists.
 """
 
 from __future__ import annotations
@@ -17,22 +19,42 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hashing import PublicCoins
-from repro.iblt import IBLT, PeelQueue
-from repro.iblt.backend import default_decode_mode, resolve_decode_mode
+from repro.iblt import IBLT, IBLTDecodeResult, PeelQueue
 
 KEY_BITS = 56
 KEY_MAX = (1 << KEY_BITS) - 1
 
 
+def _rescan_decode(table):
+    """Round peeling over a numpy IBLT that rescans the whole table.
+
+    Every round re-derives the pure mask of all ``m`` cells and peels it
+    through the table's own ``_peel_round``, so it shares the round
+    discipline (distinct keys in ascending order, sign and checksum read
+    from the first pure cell) but none of the frontier tracking or the
+    scalar tail.
+    """
+    result = IBLTDecodeResult(success=False)
+    for _round in range(2 * table.m + 64):
+        pure = (np.abs(table.counts) == 1) & (
+            table.check_xor == table.checksum.hash_array(table.key_xor)
+        )
+        pure_cells = np.flatnonzero(pure)
+        if pure_cells.size == 0:
+            break
+        table._peel_round(result, pure_cells)
+    result.success = bool(
+        not table.counts.any() and not table.key_xor.any() and not table.check_xor.any()
+    )
+    return result
+
+
 def _fresh_tables(coins, cells, q=3, key_bits=KEY_BITS):
-    """One table per decode path: frontier, rescan oracle, python oracle."""
+    """One table per decoder: frontier, rescan oracle, python oracle."""
     return {
-        "frontier": IBLT(coins, "fd", cells=cells, q=q, key_bits=key_bits,
-                         backend="numpy", decode_mode="frontier"),
-        "rescan": IBLT(coins, "fd", cells=cells, q=q, key_bits=key_bits,
-                       backend="numpy", decode_mode="rescan"),
-        "python": IBLT(coins, "fd", cells=cells, q=q, key_bits=key_bits,
-                       backend="python"),
+        "frontier": IBLT(coins, "fd", cells=cells, q=q, key_bits=key_bits, backend="numpy"),
+        "rescan": IBLT(coins, "fd", cells=cells, q=q, key_bits=key_bits, backend="numpy"),
+        "python": IBLT(coins, "fd", cells=cells, q=q, key_bits=key_bits, backend="python"),
     }
 
 
@@ -45,12 +67,15 @@ def _apply_signed(table, signed_keys):
 
 
 def _decode_all(tables):
-    return {mode: table.decode() for mode, table in tables.items()}
+    return {
+        mode: _rescan_decode(table) if mode == "rescan" else table.decode()
+        for mode, table in tables.items()
+    }
 
 
 def _assert_frontier_matches_rescan(tables, results):
     """The core regression contract: the frontier decoder is a pure
-    optimisation of the pre-change rescan decoder — identical output
+    optimisation of the whole-table rescan — identical output
     lists (including order) and identical residual cell state, on any
     *collision-free* table state (i.e. no cell whose garbage XOR passes
     the checksum purity test — a ~2^-61-per-cell fluke that the
@@ -109,7 +134,6 @@ class TestFrontierParity:
             table.insert_all(bob)
             other.insert_all(alice)
             diffs[mode] = table.subtract(other)
-            assert diffs[mode].decode_mode == table.decode_mode
         results = _decode_all(diffs)
         _assert_frontier_matches_oracles(diffs, results)
 
@@ -150,7 +174,7 @@ class TestFrontierParity:
             assert result.inserted == [123]
 
     def test_undecodable_overload(self, coins):
-        """60 cells, 200 keys: a huge 2-core; both numpy modes and the
+        """60 cells, 200 keys: a huge 2-core; both numpy decoders and the
         python reference recover the same maximal peelable set."""
         rng = np.random.default_rng(17)
         keys = rng.choice(KEY_MAX, size=200, replace=False).tolist()
@@ -169,15 +193,14 @@ class TestFrontierParity:
         universe = rng.choice(KEY_MAX, size=4000 + differences, replace=False)
         alice = universe[:4000]
         bob = np.concatenate([universe[differences:4000], universe[4000:]])
-        outcomes = {}
+        diffs = {}
         for mode in ("frontier", "rescan"):
-            table_a = IBLT(coins, "big", cells=cells, q=3, key_bits=KEY_BITS,
-                           backend="numpy", decode_mode=mode)
-            table_b = IBLT(coins, "big", cells=cells, q=3, key_bits=KEY_BITS,
-                           backend="numpy", decode_mode=mode)
+            table_a = IBLT(coins, "big", cells=cells, q=3, key_bits=KEY_BITS, backend="numpy")
+            table_b = IBLT(coins, "big", cells=cells, q=3, key_bits=KEY_BITS, backend="numpy")
             table_a.insert_batch(alice.astype(np.uint64))
             table_b.insert_batch(bob.astype(np.uint64))
-            outcomes[mode] = table_b.subtract(table_a).decode()
+            diffs[mode] = table_b.subtract(table_a)
+        outcomes = _decode_all(diffs)
         assert outcomes["frontier"].success == outcomes["rescan"].success
         assert outcomes["frontier"].inserted == outcomes["rescan"].inserted
         assert outcomes["frontier"].deleted == outcomes["rescan"].deleted
@@ -266,8 +289,7 @@ class TestAdaptiveThreshold:
         keys = rng.choice(KEY_MAX, size=differences, replace=False).astype(np.uint64)
         reference = None
         for threshold in (0, 4, 16, 48, 130, 1 << 30):
-            table = IBLT(coins, "straddle", cells=cells, q=3, key_bits=KEY_BITS,
-                         backend="numpy", decode_mode="frontier")
+            table = IBLT(coins, "straddle", cells=cells, q=3, key_bits=KEY_BITS, backend="numpy")
             table.insert_batch(keys)
             table.tail_threshold = threshold
             result = table.decode()
@@ -275,35 +297,6 @@ class TestAdaptiveThreshold:
             if reference is None:
                 reference = outcome
             assert outcome == reference
-
-
-class TestDecodeModeSelection:
-    def test_default_is_frontier(self, coins, monkeypatch):
-        monkeypatch.delenv("REPRO_DECODE", raising=False)
-        assert default_decode_mode() == "frontier"
-        table = IBLT(coins, "dm", cells=12, q=3)
-        assert table.decode_mode == "frontier"
-
-    def test_env_override(self, coins, monkeypatch):
-        monkeypatch.setenv("REPRO_DECODE", "rescan")
-        assert default_decode_mode() == "rescan"
-        table = IBLT(coins, "dm", cells=12, q=3)
-        assert table.decode_mode == "rescan"
-
-    def test_invalid_values_raise(self, coins, monkeypatch):
-        with pytest.raises(ValueError):
-            resolve_decode_mode("bogus")
-        with pytest.raises(ValueError):
-            IBLT(coins, "dm", cells=12, q=3, decode_mode="bogus")
-        monkeypatch.setenv("REPRO_DECODE", "bogus")
-        with pytest.raises(ValueError):
-            default_decode_mode()
-
-    def test_mode_survives_subtract_and_copy(self, coins):
-        table = IBLT(coins, "dm", cells=12, q=3, decode_mode="rescan")
-        other = IBLT(coins, "dm", cells=12, q=3, decode_mode="rescan")
-        assert table.subtract(other).decode_mode == "rescan"
-        assert table.copy().decode_mode == "rescan"
 
 
 class TestPeelQueue:

@@ -28,9 +28,7 @@ from repro.reconcile import (
     StrataEstimator,
     exact_iblt_reconcile,
     outcome_metrics,
-    read_strata,
     resilient_reconcile,
-    strata_payload,
 )
 from repro.reconcile.outcome import ReconcileOutcome
 
@@ -46,9 +44,6 @@ class TestUnifiedPayloadSurface:
 
     def _multiset(self) -> MultisetIBLT:
         return MultisetIBLT(COINS, "pay-ms", cells=24, q=3, key_bits=30)
-
-    def _strata(self) -> StrataEstimator:
-        return StrataEstimator(COINS, "pay-strata", strata=6, cells=12, key_bits=30)
 
     def test_iblt_roundtrip_matches_free_function(self):
         table = self._iblt()
@@ -84,23 +79,6 @@ class TestUnifiedPayloadSurface:
         loaded = self._multiset().from_payload(payload)
         legacy = read_multiset_cells(BitReader(payload), self._multiset())
         assert loaded.decode().success and legacy.decode().success
-
-    def test_strata_aliases_are_byte_compatible(self):
-        estimator = self._strata()
-        for key in range(40):
-            estimator.insert(key)
-        payload, bits = estimator.to_payload()
-        assert (payload, bits) == strata_payload(estimator)
-
-        other = self._strata()
-        for key in range(20, 60):
-            other.insert(key)
-        via_method = self._strata().from_payload(payload)
-        via_alias = read_strata(payload, self._strata())
-        assert (
-            via_method.subtract(other).estimate()
-            == via_alias.subtract(other).estimate()
-        )
 
 
 class TestReconcileOutcomeProtocol:

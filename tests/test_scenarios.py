@@ -58,8 +58,6 @@ class TestSpec:
     def test_invalid_backend_rejected_eagerly(self):
         with pytest.raises(ValueError):
             ScenarioRunner(backend="fortran")
-        with pytest.raises(ValueError):
-            ScenarioRunner(decode_mode="bogus")
 
 
 class TestRunner:
@@ -93,22 +91,6 @@ class TestRunner:
             assert python_result.backend == "python"
             assert python_result.metrics == by_name[spec.name].metrics
 
-    def test_decode_mode_rescan_matches(self, numpy_results):
-        by_name = {r.spec.name: r for r in numpy_results}
-        runner = ScenarioRunner(backend="numpy", decode_mode="rescan")
-        for spec in builtin_scenarios(SEED):
-            if spec.name != "exact-iblt-hamming":
-                continue
-            rescan = runner.run(spec)
-            assert rescan.metrics == by_name[spec.name].metrics
-            assert rescan.decode_mode == "rescan"
-
-    def test_resolved_decode_mode_recorded(self, numpy_results):
-        assert all(r.decode_mode in ("frontier", "rescan") for r in numpy_results)
-        forced = ScenarioRunner(backend="numpy", decode_mode="frontier")
-        result = forced.run(builtin_scenarios(SEED)[5])
-        assert result.decode_mode == "frontier"
-
 
 class TestReport:
     def test_byte_identical_across_renders(self, numpy_results):
@@ -122,34 +104,24 @@ class TestReport:
         assert document["schema"] == "repro.scenarios/v1"
         assert document["seed"] == SEED
         assert document["backends"] == ["numpy"]
-        assert document["decode_modes"] == sorted({r.decode_mode for r in numpy_results})
         assert document["failures"] == []
         assert document["scenario_count"] == len(numpy_results)
         for entry in document["scenarios"]:
-            assert set(entry) == {
-                "name", "protocol", "seed", "backend", "decode_mode",
-                "params", "metrics",
-            }
-            assert entry["decode_mode"] in ("frontier", "rescan")
+            assert set(entry) == {"name", "protocol", "seed", "backend", "params", "metrics"}
             assert "wall_time_s" not in entry
 
     def test_matches_committed_golden(self, numpy_results):
         """The in-repo golden pins the full report byte-for-byte.
 
         CI's goldens-drift job enforces the same invariant through the
-        CLI; this test catches drift at ``pytest`` time.  The fixture
-        leaves the decode mode at the process default, so compare against
-        the matching golden.
+        CLI; this test catches drift at ``pytest`` time.
         """
-        from repro.iblt.backend import default_decode_mode
-
-        golden = GOLDENS / f"scenarios-numpy-{default_decode_mode()}.json"
+        golden = GOLDENS / "scenarios-numpy.json"
         report = render_report(numpy_results, seed=SEED)
         assert report == golden.read_text(), (
             "scenario report drifted from the golden; if the change is "
             "intentional, re-baseline with: PYTHONPATH=src python -m repro.cli "
-            f"scenarios --seed {SEED} --backend numpy --decode-mode "
-            f"{default_decode_mode()} --output {golden}"
+            f"scenarios --seed {SEED} --backend numpy --output {golden}"
         )
 
     def test_timings_are_opt_in(self, numpy_results):

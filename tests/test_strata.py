@@ -8,12 +8,7 @@ import pytest
 from repro.hashing import PublicCoins
 from repro.metric import HammingSpace
 from repro.protocol import Channel
-from repro.reconcile import (
-    StrataEstimator,
-    exact_iblt_reconcile_auto,
-    read_strata,
-    strata_payload,
-)
+from repro.reconcile import StrataEstimator, exact_iblt_reconcile_auto
 
 
 def _estimator(coins, label="s", **kwargs):
@@ -66,10 +61,10 @@ class TestStrataEstimator:
     def test_serialization_roundtrip(self, coins, rng):
         estimator = _estimator(coins)
         estimator.insert_all(int(v) for v in rng.integers(0, 1 << 39, size=50))
-        payload, bits = strata_payload(estimator)
+        payload, bits = estimator.to_payload()
         assert bits <= 8 * len(payload)
         shell = _estimator(coins)
-        loaded = read_strata(payload, shell)
+        loaded = shell.from_payload(payload)
         for mine, loaded_table in zip(estimator.tables, loaded.tables):
             assert list(mine.counts) == list(loaded_table.counts)
             assert list(mine.key_xor) == list(loaded_table.key_xor)

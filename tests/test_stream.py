@@ -20,6 +20,7 @@ from repro.stream import (
     split_mutations,
     write_event_log,
 )
+from repro.stream.log import MAX_HEADER_LINE_BYTES
 from repro.workloads import ChurnGenerator
 
 COINS = PublicCoins(0x57FEA)
@@ -199,6 +200,42 @@ class TestEventLogFuzz:
             position = rng.randrange(len(lines))
             mutated = lines[:position] + [garbage] + lines[position:]
             self._assert_only_decode_error(b"\n".join(mutated))
+
+    def _header(self, meta_json: str) -> bytes:
+        return (
+            '{"crc":0,"key_bits":8,"kind":"header","meta":' + meta_json
+            + ',"schema":"repro.events/v1"}\n'
+        ).encode()
+
+    def test_huge_integer_in_event_line(self):
+        """A 5000-digit integer, past Python's 4300-digit int cap, is a typed error."""
+        header = self._payload().split(b"\n")[0] + b"\n"
+        line = b'{"crc":0,"key":' + b"9" * 5000 + b"}\n"
+        with pytest.raises(MalformedPayloadError):
+            EventLogReader(header + line).read_all()
+        self._assert_only_decode_error(header + line)
+
+    def test_huge_integer_in_header(self):
+        data = self._header("[" + "9" * 5000 + "]")
+        with pytest.raises(MalformedPayloadError):
+            EventLogReader(data).header()
+
+    def test_deeply_nested_array(self):
+        depth = 20_000  # inside the header cap, far past the recursion limit
+        data = self._header("[" * depth + "]" * depth)
+        assert len(data) < MAX_HEADER_LINE_BYTES
+        with pytest.raises(MalformedPayloadError):
+            EventLogReader(data).header()
+        header = self._payload().split(b"\n")[0] + b"\n"
+        with pytest.raises(MalformedPayloadError, match="cap"):
+            EventLogReader(header + b"[" * depth + b"\n").read_all()
+
+    def test_writer_refuses_over_cap_header(self, tmp_path):
+        with pytest.raises(ValueError):
+            EventLogWriter(
+                tmp_path / "log", key_bits=8, meta={"pad": "x" * MAX_HEADER_LINE_BYTES}
+            )
+        assert not (tmp_path / "log").exists()
 
 
 class TestChurnGenerator:

@@ -137,9 +137,7 @@ class TestRunner:
         first = tiny_sweep(trials=2)
         second = tiny_sweep(trials=3)
         serial = SweepRunner(backend="numpy", jobs=1)
-        with SweepRunner(
-            backend="numpy", jobs=2, chunk_trials=3, pool="process"
-        ) as runner:
+        with SweepRunner(backend="numpy", jobs=2, chunk_trials=3) as runner:
             assert runner._pool is None  # lazy until the first parallel run
             results_first = runner.run(first, seed=SEED)
             pool = runner._pool
