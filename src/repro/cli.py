@@ -75,7 +75,7 @@ from .iblt.backend import BACKENDS
 from .lsh import BitSamplingMLSH, GridMLSH
 from .metric import GridSpace, HammingSpace, MetricSpace, emd, emd_k
 from .reconcile import cpi_reconcile, exact_iblt_reconcile, exact_iblt_reconcile_auto
-from .workloads import noisy_replica_pair
+from .workloads import noisy_replica_pair, split_difference_pair
 
 __all__ = ["main", "build_parser"]
 
@@ -163,9 +163,7 @@ def _cmd_gap(args: argparse.Namespace) -> int:
 def _cmd_exact(args: argparse.Namespace) -> int:
     space = HammingSpace(args.dim)
     rng = np.random.default_rng(args.seed)
-    shared = space.sample(rng, args.n)
-    alice = shared + space.sample(rng, args.delta // 2)
-    bob = shared + space.sample(rng, args.delta - args.delta // 2)
+    alice, bob = split_difference_pair(space, rng, args.n, args.delta)
     coins = PublicCoins(args.seed)
     if args.method == "iblt":
         result = exact_iblt_reconcile(space, alice, bob, args.delta * 2, coins)

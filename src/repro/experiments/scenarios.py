@@ -45,7 +45,12 @@ from ..reconcile.exact_iblt import exact_iblt_reconcile_auto
 from ..reconcile.resilient import ResilienceConfig, resilient_reconcile
 from ..reconcile.strata import StrataEstimator
 from ..setsofsets import SetsOfSetsReconciler
-from ..workloads import noisy_replica_pair, perturb_point, random_far_point
+from ..workloads import (
+    noisy_replica_pair,
+    perturb_point,
+    random_far_point,
+    split_difference_pair,
+)
 
 __all__ = ["DRIVERS", "ScenarioResult", "ScenarioSpec", "builtin_scenarios"]
 
@@ -317,14 +322,11 @@ def _drive_exact_iblt(
     """Exact IBLT reconciliation with a fixed difference bound."""
     p = spec.params
     space = HammingSpace(p["dim"])
-    shared = space.sample(rng, p["n"])
-    delta = p["delta"]
-    alice = shared + space.sample(rng, delta // 2)
-    bob = shared + space.sample(rng, delta - delta // 2)
+    alice, bob = split_difference_pair(space, rng, p["n"], p["delta"])
     # 4x headroom on the bound: tiny tables draw occasional 2-cores and,
     # unlike exact-auto, this driver has no estimate/retry loop to absorb
     # an unlucky seed.
-    result = exact_iblt_reconcile(space, alice, bob, 4 * delta, coins)
+    result = exact_iblt_reconcile(space, alice, bob, 4 * p["delta"], coins)
     return outcome_metrics(result, alice, bob)
 
 
@@ -334,10 +336,7 @@ def _drive_exact_auto(
     """Exact reconciliation with *no* prior bound (strata-sized IBLT)."""
     p = spec.params
     space = HammingSpace(p["dim"])
-    shared = space.sample(rng, p["n"])
-    delta = p["delta"]
-    alice = shared + space.sample(rng, delta // 2)
-    bob = shared + space.sample(rng, delta - delta // 2)
+    alice, bob = split_difference_pair(space, rng, p["n"], p["delta"])
     result = exact_iblt_reconcile_auto(space, alice, bob, coins)
     return outcome_metrics(result, alice, bob)
 
@@ -393,10 +392,7 @@ def _drive_resilient(
     """
     p = spec.params
     space = HammingSpace(p["dim"])
-    shared = space.sample(rng, p["n"])
-    delta = p["delta"]
-    alice = shared + space.sample(rng, delta // 2)
-    bob = shared + space.sample(rng, delta - delta // 2)
+    alice, bob = split_difference_pair(space, rng, p["n"], p["delta"])
     fault_spec = FaultSpec(
         drop_rate=p.get("drop_rate", 0.0),
         truncate_rate=p.get("truncate_rate", 0.0),

@@ -14,13 +14,17 @@ Every table in :mod:`repro.iblt` supports two interchangeable backends:
     The original pure-Python reference implementation: cell state in
     lists, arbitrary-precision integers everywhere.  Kept as the ground
     truth the property tests pin the numpy backend against, and as the
-    fallback for key widths beyond what ``uint64`` cells can hold.
+    backend for keys wider than :data:`MAX_NUMPY_KEY_BITS`.
 
 Both backends are bit-identical for the same :class:`~repro.hashing.PublicCoins`
 (``tests/test_backend_parity.py``).  The process-wide default comes from
 the ``REPRO_BACKEND`` environment variable when set, else ``"numpy"``;
 individual tables can override it via their ``backend=`` parameter.
 This is the only environment knob the package reads.
+
+The key width is the one other input: :func:`resolve_backend` is the
+single place that decides a table's keys are too wide for ``uint64``
+cells and vectorised Mersenne hashing, and routes it to ``"python"``.
 """
 
 from __future__ import annotations
@@ -29,11 +33,16 @@ import os
 
 __all__ = [
     "BACKENDS",
+    "MAX_NUMPY_KEY_BITS",
     "default_backend",
     "resolve_backend",
 ]
 
 BACKENDS = ("numpy", "python")
+
+#: Widest key the numpy backend holds: its ``uint64`` cells and batch
+#: hashes work on elements of the Mersenne field ``GF(2^61 - 1)``.
+MAX_NUMPY_KEY_BITS = 61
 
 
 def default_backend() -> str:
@@ -46,12 +55,24 @@ def default_backend() -> str:
     return backend
 
 
-def resolve_backend(backend: str | None) -> str:
-    """Validate an explicit backend choice, or fall back to the default."""
+def resolve_backend(backend: str | None, key_bits: int | None = None) -> str:
+    """Validate an explicit backend choice, or fall back to the default.
+
+    With ``key_bits`` wider than :data:`MAX_NUMPY_KEY_BITS` the answer is
+    ``"python"``; asking for ``"numpy"`` explicitly for such keys is a
+    ``ValueError``.
+    """
+    wide = key_bits is not None and key_bits > MAX_NUMPY_KEY_BITS
     if backend is None:
-        return default_backend()
+        default = default_backend()
+        return "python" if wide else default
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
+    if backend == "numpy" and wide:
+        raise ValueError(
+            f"the numpy backend holds keys of <= {MAX_NUMPY_KEY_BITS} bits, "
+            f"got key_bits={key_bits}"
+        )
     return backend
 
 

@@ -34,7 +34,7 @@ import numpy as np
 from ..hashing import Checksum, PairwiseHash, PublicCoins
 from .backend import resolve_backend
 from .frontier import KeyHashCache, PeelQueue, divisible_key, seed_sum_cell_queue
-from .iblt import coerce_key_array, partitioned_cell_indices
+from .iblt import coerce_key_array, key_list, partitioned_cell_indices
 
 __all__ = ["MultisetIBLT", "MultisetDecodeResult"]
 
@@ -83,13 +83,7 @@ class MultisetIBLT:
         self.m = self.block_size * q
         self.key_bits = key_bits
         self.label = label
-        if backend == "numpy" and key_bits > 61:
-            raise ValueError(
-                f"the numpy backend hashes keys of <= 61 bits, got key_bits={key_bits}"
-            )
-        self.backend = resolve_backend(backend)
-        if key_bits > 61:
-            self.backend = "python"
+        self.backend = resolve_backend(backend, key_bits)
         self._cell_hashes = [
             PairwiseHash(coins, ("mset-cell", label, j), bits=61) for j in range(q)
         ]
@@ -133,36 +127,44 @@ class MultisetIBLT:
             self.check_sum[index] += signed_multiplicity * check
 
     def insert_batch(
-        self, keys: np.ndarray, multiplicities: np.ndarray | int = 1
+        self,
+        keys: "np.ndarray | Iterable[int]",
+        multiplicities: np.ndarray | int = 1,
     ) -> None:
-        """Insert a key array with per-key (or scalar) multiplicities.
+        """Insert a batch of keys (any ndarray or iterable of ints) with
+        per-key (or scalar) multiplicities.
 
-        On the numpy backend the cell indices and checksums — the
-        dominant insert cost — are computed in one vectorised pass; the
-        unbounded cell sums are then updated exactly.  Falls back to the
-        scalar path on the python backend.
+        The whole batch is validated before any cell changes.  On the
+        numpy backend the cell indices and checksums — the dominant
+        insert cost — are computed in one vectorised pass; the unbounded
+        cell sums are then updated exactly.
         """
         self._update_batch(keys, multiplicities, +1)
 
     def delete_batch(
-        self, keys: np.ndarray, multiplicities: np.ndarray | int = 1
+        self,
+        keys: "np.ndarray | Iterable[int]",
+        multiplicities: np.ndarray | int = 1,
     ) -> None:
-        """Delete a key array with per-key (or scalar) multiplicities."""
+        """Delete a batch of keys with per-key (or scalar) multiplicities."""
         self._update_batch(keys, multiplicities, -1)
 
+    insert_all = insert_batch
+    delete_all = delete_batch
+
     def _update_batch(
-        self, keys: np.ndarray, multiplicities: np.ndarray | int, sign: int
+        self,
+        keys: "np.ndarray | Iterable[int]",
+        multiplicities: np.ndarray | int,
+        sign: int,
     ) -> None:
         if self.backend != "numpy":
-            # Validate the whole batch before mutating anything; keys stay
-            # Python ints so widths beyond uint64 remain exact.
-            key_list = [
-                self._check_key(key) for key in np.asarray(keys).ravel().tolist()
-            ]
+            # Keys stay Python ints, so widths beyond uint64 remain exact.
+            keys = key_list(keys, self.key_bits)
             mult_list = np.broadcast_to(
-                np.asarray(multiplicities, dtype=np.int64), (len(key_list),)
+                np.asarray(multiplicities, dtype=np.int64), (len(keys),)
             ).tolist()
-            for key, mult in zip(key_list, mult_list):
+            for key, mult in zip(keys, mult_list):
                 self._update(key, sign * mult)
             return
         keys = coerce_key_array(keys, self.key_bits)
@@ -173,31 +175,17 @@ class MultisetIBLT:
         )
         checks = self.checksum.hash_array(keys)
         indices = self.cell_index_matrix(keys)
-        key_list = keys.tolist()
+        key_values = keys.tolist()
         check_list = checks.tolist()
         mult_list = (sign * mults).tolist()
         counts, key_sum, check_sum = self.counts, self.key_sum, self.check_sum
         for j in range(self.q):
             for index, key, check, mult in zip(
-                indices[j].tolist(), key_list, check_list, mult_list
+                indices[j].tolist(), key_values, check_list, mult_list
             ):
                 counts[index] += mult
                 key_sum[index] += mult * key
                 check_sum[index] += mult * check
-
-    def insert_all(self, keys: Iterable[int]) -> None:
-        if self.backend == "numpy":
-            self.insert_batch(coerce_key_array(keys, self.key_bits))
-            return
-        for key in keys:
-            self.insert(key)
-
-    def delete_all(self, keys: Iterable[int]) -> None:
-        if self.backend == "numpy":
-            self.delete_batch(coerce_key_array(keys, self.key_bits))
-            return
-        for key in keys:
-            self.delete(key)
 
     def subtract(self, other: "MultisetIBLT") -> "MultisetIBLT":
         self._check_compatible(other)

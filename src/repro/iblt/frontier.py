@@ -45,6 +45,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .backend import MAX_NUMPY_KEY_BITS
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..hashing import Checksum, PairwiseHash
 
@@ -122,11 +124,11 @@ def seed_sum_cell_queue(
     seeding scan performs zero scalar Mersenne evaluations beyond cache
     misses.  Cells are pushed in ascending index order either way — the
     queue the FIFO peel starts from is identical with or without the
-    cache.  (Keys wider than 61 bits skip priming; they cannot ride the
-    ``uint64`` batch hashes.)
+    cache.  (Keys wider than :data:`~repro.iblt.backend.MAX_NUMPY_KEY_BITS`
+    skip priming; they cannot ride the ``uint64`` batch hashes.)
     """
     key_limit = 1 << key_bits
-    if cache is not None and key_bits <= 61:
+    if cache is not None and key_bits <= MAX_NUMPY_KEY_BITS:
         seeds = [
             (index, key)
             for index in range(len(counts))

@@ -65,6 +65,7 @@ __all__ = [
     "IBLTDecodeResult",
     "cells_for_differences",
     "coerce_key_array",
+    "key_list",
     "partitioned_cell_indices",
     "validate_cell_ints",
 ]
@@ -118,9 +119,27 @@ def validate_cell_ints(
 #: at the small table sizes experiments use.
 DEFAULT_HEADROOM = 2.0
 
-#: Widest key the numpy backend can store: uint64 cells hold 61-bit field
-#: elements; wider keys silently fall back to the python backend.
-_MAX_NUMPY_KEY_BITS = 61
+
+def key_list(keys: "np.ndarray | Iterable[int]", key_bits: int) -> list[int]:
+    """Validate keys into a list of exact Python ints; ``ValueError`` otherwise.
+
+    The python-backend twin of :func:`coerce_key_array`: it takes the same
+    inputs — a flat integer (or ``object``) ndarray, or any iterable of
+    ints — at every key width, and checks the whole batch up front so a
+    bad key rejects it before any cell changes.
+    """
+    if isinstance(keys, np.ndarray):
+        if keys.ndim != 1:
+            raise ValueError(f"expected a flat key array, got shape {keys.shape}")
+        if keys.dtype.kind not in ("i", "u", "O"):
+            raise ValueError(f"expected an integer key array, got dtype {keys.dtype}")
+        keys = keys.tolist()
+    values = [int(key) for key in keys]
+    limit = 1 << key_bits
+    for value in values:
+        if not 0 <= value < limit:
+            raise ValueError(f"key {value} outside [0, 2^{key_bits})")
+    return values
 
 
 def coerce_key_array(keys: "np.ndarray | Iterable[int]", key_bits: int) -> np.ndarray:
@@ -137,11 +156,7 @@ def coerce_key_array(keys: "np.ndarray | Iterable[int]", key_bits: int) -> np.nd
     if arr.size == 0:
         return np.empty(0, dtype=np.uint64)
     if arr.dtype.kind == "O":  # oversized Python ints; validate element-wise
-        values = [int(v) for v in arr.tolist()]
-        for value in values:
-            if not 0 <= value < (1 << key_bits):
-                raise ValueError(f"key {value} outside [0, 2^{key_bits})")
-        return np.array(values, dtype=np.uint64)
+        return np.array(key_list(arr, key_bits), dtype=np.uint64)
     if arr.dtype.kind not in ("i", "u"):
         raise ValueError(f"expected an integer key array, got dtype {arr.dtype}")
     if arr.dtype.kind == "i" and int(arr.min()) < 0:
@@ -232,8 +247,8 @@ class IBLT:
         Width of stored keys; keys must lie in ``[0, 2^key_bits)``.
     backend:
         ``"numpy"`` or ``"python"`` (default: the process-wide default,
-        see :mod:`repro.iblt.backend`).  Keys wider than 61 bits force
-        the python backend unless ``"numpy"`` was requested explicitly.
+        see :mod:`repro.iblt.backend`, which also routes keys too wide
+        for ``uint64`` cells to ``"python"``).
     """
 
     def __init__(
@@ -249,19 +264,12 @@ class IBLT:
             raise ValueError(f"q must be >= 2, got {q}")
         if cells < q:
             raise ValueError(f"cells must be >= q, got {cells}")
-        if backend == "numpy" and key_bits > _MAX_NUMPY_KEY_BITS:
-            raise ValueError(
-                f"the numpy backend holds keys of <= {_MAX_NUMPY_KEY_BITS} bits, "
-                f"got key_bits={key_bits}"
-            )
         self.q = q
         self.block_size = (cells + q - 1) // q
         self.m = self.block_size * q
         self.key_bits = key_bits
         self.label = label
-        self.backend = resolve_backend(backend)
-        if key_bits > _MAX_NUMPY_KEY_BITS:
-            self.backend = "python"
+        self.backend = resolve_backend(backend, key_bits)
         self._cell_hashes = [
             PairwiseHash(coins, ("iblt-cell", label, j), bits=61) for j in range(q)
         ]
@@ -307,9 +315,6 @@ class IBLT:
             raise ValueError(f"key {key} outside [0, 2^{self.key_bits})")
         return key
 
-    def _check_key_array(self, keys: np.ndarray) -> np.ndarray:
-        return coerce_key_array(keys, self.key_bits)
-
     # -- updates -----------------------------------------------------------
     def insert(self, key: int) -> None:
         """Add a key (count +1 in each of its cells)."""
@@ -327,32 +332,30 @@ class IBLT:
             self.key_xor[index] ^= key
             self.check_xor[index] ^= check
 
-    def insert_batch(self, keys: np.ndarray) -> None:
-        """Add a whole key array in one vectorised pass (numpy backend).
+    def insert_batch(self, keys: "np.ndarray | Iterable[int]") -> None:
+        """Add a batch of keys: any ndarray or iterable of ints.
 
-        On the python backend this degrades gracefully to a loop, so
-        callers can batch unconditionally.
+        The whole batch is validated before any cell changes.  The numpy
+        backend updates every cell in one vectorised pass; the python
+        backend inserts the keys one by one.
         """
         self._update_batch(keys, +1)
 
-    def delete_batch(self, keys: np.ndarray) -> None:
-        """Remove a whole key array in one vectorised pass."""
+    def delete_batch(self, keys: "np.ndarray | Iterable[int]") -> None:
+        """Remove a batch of keys (same inputs as :meth:`insert_batch`)."""
         self._update_batch(keys, -1)
 
-    def _update_batch(self, keys: np.ndarray, sign: int) -> None:
+    insert_all = insert_batch
+    delete_all = delete_batch
+
+    def _update_batch(self, keys: "np.ndarray | Iterable[int]", sign: int) -> None:
         if self.backend != "numpy":
-            # Validate the whole batch before mutating anything, so an
-            # invalid key leaves the table untouched on both backends.
-            key_list = [
-                self._check_key(key) for key in np.asarray(keys).ravel().tolist()
-            ]
-            for key in key_list:
+            for key in key_list(keys, self.key_bits):
                 self._update(key, sign)
             return
-        keys = self._check_key_array(keys)
-        if keys.size == 0:
-            return
-        self._scatter(keys, sign)
+        keys = coerce_key_array(keys, self.key_bits)
+        if keys.size:
+            self._scatter(keys, sign)
 
     def _scatter(self, keys: np.ndarray, signed_counts: int | np.ndarray) -> None:
         """Apply one ±1-signed update per key to its cells (numpy)."""
@@ -386,20 +389,6 @@ class IBLT:
             np.bitwise_xor.at(self.key_xor, row, keys)
             np.bitwise_xor.at(self.check_xor, row, checks)
 
-    def insert_all(self, keys: Iterable[int]) -> None:
-        if self.backend == "numpy":
-            self.insert_batch(coerce_key_array(keys, self.key_bits))
-            return
-        for key in keys:
-            self.insert(key)
-
-    def delete_all(self, keys: Iterable[int]) -> None:
-        if self.backend == "numpy":
-            self.delete_batch(coerce_key_array(keys, self.key_bits))
-            return
-        for key in keys:
-            self.delete(key)
-
     def apply_mutations(
         self,
         inserts: "np.ndarray | Iterable[int]" = (),
@@ -415,19 +404,15 @@ class IBLT:
         empty.  Invalid keys in either delta leave the table untouched.
         """
         if self.backend != "numpy":
-            ins = [
-                self._check_key(key) for key in np.asarray(list(inserts)).ravel().tolist()
-            ]
-            dels = [
-                self._check_key(key) for key in np.asarray(list(deletes)).ravel().tolist()
-            ]
+            ins = key_list(inserts, self.key_bits)
+            dels = key_list(deletes, self.key_bits)
             for key in ins:
                 self._update(key, +1)
             for key in dels:
                 self._update(key, -1)
             return
-        ins = self._check_key_array(inserts)
-        dels = self._check_key_array(deletes)
+        ins = coerce_key_array(inserts, self.key_bits)
+        dels = coerce_key_array(deletes, self.key_bits)
         if ins.size == 0 and dels.size == 0:
             return
         keys = np.concatenate([ins, dels])

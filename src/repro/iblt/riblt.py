@@ -39,6 +39,7 @@ import numpy as np
 from ..errors import MalformedPayloadError
 from ..hashing import Checksum, PairwiseHash, PublicCoins
 from ..metric.spaces import Point
+from .backend import MAX_NUMPY_KEY_BITS
 from .frontier import KeyHashCache, PeelQueue, divisible_key, seed_sum_cell_queue
 from .iblt import partitioned_cell_indices, validate_cell_ints
 
@@ -282,7 +283,7 @@ class RIBLT:
         pairs = [self._check_pair(key, value) for key, value in pairs]
         if not pairs:
             return
-        if self.key_bits > 61:  # too wide for uint64 hashing; stay exact
+        if self.key_bits > MAX_NUMPY_KEY_BITS:  # too wide for uint64 hashing
             for key, value in pairs:
                 self._update(key, value, sign)
             return

@@ -20,9 +20,10 @@ import numpy as np
 from ..hashing import PublicCoins
 from ..iblt.iblt import IBLT, cells_for_differences
 from ..metric.spaces import MetricSpace, Point
-from ..protocol.channel import ALICE, BOB, Channel
+from ..protocol.channel import ALICE, BOB, BaseChannel, Channel
 from ..protocol.serialize import BitReader, BitWriter, read_points, write_points
 from .outcome import ReconcileOutcome
+from .strata import StrataEstimator
 
 __all__ = [
     "encode_point",
@@ -31,6 +32,7 @@ __all__ = [
     "ExactReconcileResult",
     "exact_iblt_reconcile",
     "exact_iblt_reconcile_auto",
+    "strata_estimate",
 ]
 
 
@@ -45,13 +47,15 @@ def encode_point(space: MetricSpace, point: Point) -> int:
 
 
 def encode_points(space: MetricSpace, points: Sequence[Point]) -> np.ndarray:
-    """Vectorised :func:`encode_point` over a whole point set (``uint64``).
+    """Vectorised :func:`encode_point` over a whole point set.
 
-    Only valid when the encoded universe fits 64 bits (``side^dim < 2^64``);
-    callers with wider universes must fall back to the scalar encoder.
+    Exact for every universe: the result is ``uint64`` when
+    ``side^dim <= 2^64``, else an ``object`` array of Python ints.  Every
+    sketch's batch methods take either.
     """
+    dtype = np.uint64 if space.side**space.dim <= 1 << 64 else object
     if not len(points):
-        return np.empty(0, dtype=np.uint64)
+        return np.empty(0, dtype=dtype)
     coordinates = np.asarray(points, dtype=np.int64)
     if coordinates.ndim != 2 or coordinates.shape[1] != space.dim:
         raise ValueError(
@@ -61,10 +65,10 @@ def encode_points(space: MetricSpace, points: Sequence[Point]) -> np.ndarray:
         int(coordinates.min()) < 0 or int(coordinates.max()) >= space.side
     ):
         raise ValueError(f"coordinate outside [0, {space.side})")
-    side = np.uint64(space.side)
-    values = np.zeros(coordinates.shape[0], dtype=np.uint64)
+    side = np.uint64(space.side) if dtype is np.uint64 else space.side
+    values = np.zeros(coordinates.shape[0], dtype=dtype)
     for column in range(space.dim - 1, -1, -1):
-        values = values * side + coordinates[:, column].astype(np.uint64)
+        values = values * side + coordinates[:, column].astype(dtype)
     return values
 
 
@@ -79,6 +83,11 @@ def decode_point(space: MetricSpace, value: int) -> Point:
     if value != 0:
         raise ValueError("encoded value out of range for this space")
     return tuple(coordinates)
+
+
+def _key_bits(space: MetricSpace) -> int:
+    """Key width of the encoded universe: ``dim`` digits of ``log2 Δ`` bits."""
+    return max(1, space.dim * max(1, (space.side - 1).bit_length()))
 
 
 @dataclass(frozen=True)
@@ -113,19 +122,11 @@ def exact_iblt_reconcile(
     fails, i.e. the difference exceeded what the table supports.
     """
     channel = channel if channel is not None else Channel()
-    key_bits = max(1, space.dim * max(1, (space.side - 1).bit_length()))
+    key_bits = _key_bits(space)
     cells = cells_for_differences(delta_bound, q=q)
 
-    # The encoded universe fits uint64 whenever the IBLT can hash it as a
-    # field element; otherwise stay on the exact scalar path.
-    vectorizable = key_bits <= 61
-
     bob_table = IBLT(coins, "exact-reconcile", cells=cells, q=q, key_bits=key_bits)
-    if vectorizable:
-        bob_table.insert_batch(encode_points(space, bob_points))
-    else:
-        for point in bob_points:
-            bob_table.insert(encode_point(space, point))
+    bob_table.insert_batch(encode_points(space, bob_points))
     payload, bits = bob_table.to_payload()
     sent = channel.send(BOB, "iblt", payload, bits)
 
@@ -133,11 +134,7 @@ def exact_iblt_reconcile(
     alice_view = IBLT(
         coins, "exact-reconcile", cells=cells, q=q, key_bits=key_bits
     ).from_payload(sent)
-    if vectorizable:
-        alice_view.delete_batch(encode_points(space, alice_points))
-    else:
-        for point in alice_points:
-            alice_view.delete(encode_point(space, point))
+    alice_view.delete_batch(encode_points(space, alice_points))
     decoded = alice_view.decode()
     if not decoded.success:
         return ExactReconcileResult(
@@ -174,6 +171,34 @@ def exact_iblt_reconcile(
     )
 
 
+def strata_estimate(
+    space: MetricSpace,
+    alice_points: Sequence[Point],
+    bob_points: Sequence[Point],
+    coins: PublicCoins,
+    channel: BaseChannel,
+    label: str,
+) -> int:
+    """One strata half-round (Alice -> Bob): Bob's measured difference bound.
+
+    Alice ships a :class:`~repro.reconcile.strata.StrataEstimator` of her
+    points under the sketch ``label``; Bob subtracts his own and
+    estimates the symmetric-difference size (at least 4).  The sketch
+    crosses ``channel``, so a faulty channel can make parsing raise
+    :class:`~repro.errors.DecodeError`.
+    """
+    key_bits = _key_bits(space)
+    alice_sketch = StrataEstimator(coins, label, key_bits=key_bits)
+    alice_sketch.insert_batch(encode_points(space, alice_points))
+    payload, bits = alice_sketch.to_payload()
+    sent = channel.send(ALICE, "strata-sketch", payload, bits)
+
+    received = StrataEstimator(coins, label, key_bits=key_bits).from_payload(sent)
+    bob_sketch = StrataEstimator(coins, label, key_bits=key_bits)
+    bob_sketch.insert_batch(encode_points(space, bob_points))
+    return max(4, received.subtract(bob_sketch).estimate())
+
+
 def exact_iblt_reconcile_auto(
     space: MetricSpace,
     alice_points: Sequence[Point],
@@ -195,33 +220,11 @@ def exact_iblt_reconcile_auto(
     ``max_attempts`` times — the standard deployment loop of [10].
     Three rounds in the common case; two extra per retry.
     """
-    from .strata import StrataEstimator
-
     channel = channel if channel is not None else Channel()
-    key_bits = max(1, space.dim * max(1, (space.side - 1).bit_length()))
-
-    vectorizable = key_bits <= 61
-
-    # Round 1 (Alice -> Bob): her strata sketch.
-    alice_sketch = StrataEstimator(coins, "auto-strata", key_bits=key_bits)
-    if vectorizable:
-        alice_sketch.insert_batch(encode_points(space, alice_points))
-    else:
-        for point in alice_points:
-            alice_sketch.insert(encode_point(space, point))
-    payload, bits = alice_sketch.to_payload()
-    sent = channel.send(ALICE, "strata-sketch", payload, bits)
-
-    # Bob: load, subtract his sketch, estimate the difference.
-    shell = StrataEstimator(coins, "auto-strata", key_bits=key_bits)
-    received = shell.from_payload(sent)
-    bob_sketch = StrataEstimator(coins, "auto-strata", key_bits=key_bits)
-    if vectorizable:
-        bob_sketch.insert_batch(encode_points(space, bob_points))
-    else:
-        for point in bob_points:
-            bob_sketch.insert(encode_point(space, point))
-    delta_bound = max(4, received.subtract(bob_sketch).estimate())
+    # Round 1 (Alice -> Bob): her strata sketch; Bob measures the bound.
+    delta_bound = strata_estimate(
+        space, alice_points, bob_points, coins, channel, "auto-strata"
+    )
 
     # Rounds 2-3 (+ doubling retries): the sized reconciliation.
     result = None

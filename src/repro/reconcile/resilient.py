@@ -41,16 +41,10 @@ from ..errors import DecodeError, MalformedPayloadError
 from ..hashing import PublicCoins
 from ..iblt.iblt import cells_for_differences
 from ..metric.spaces import MetricSpace, Point
-from ..protocol.channel import ALICE, Channel
+from ..protocol.channel import Channel
 from ..protocol.faults import FaultyChannel
-from .exact_iblt import (
-    ExactReconcileResult,
-    encode_point,
-    encode_points,
-    exact_iblt_reconcile,
-)
+from .exact_iblt import ExactReconcileResult, exact_iblt_reconcile, strata_estimate
 from .outcome import ReconcileOutcome
-from .strata import StrataEstimator
 
 __all__ = [
     "ResilienceConfig",
@@ -291,42 +285,6 @@ class ResilientReconcileResult(ReconcileOutcome):
     report: RecoveryReport
 
 
-def _strata_estimate(
-    space: MetricSpace,
-    alice_points: "list[Point]",
-    bob_points: "list[Point]",
-    coins: PublicCoins,
-    channel: "Channel | FaultyChannel",
-) -> int:
-    """One strata half-round over ``channel``: Bob's measured bound.
-
-    Mirrors the front half of
-    :func:`~repro.reconcile.exact_iblt.exact_iblt_reconcile_auto`; the
-    received sketch crosses the (possibly faulty) channel, so parsing it
-    can raise :class:`~repro.errors.DecodeError`.
-    """
-    key_bits = max(1, space.dim * max(1, (space.side - 1).bit_length()))
-    vectorizable = key_bits <= 61
-    alice_sketch = StrataEstimator(coins, "resilient-strata", key_bits=key_bits)
-    if vectorizable:
-        alice_sketch.insert_batch(encode_points(space, alice_points))
-    else:
-        for point in alice_points:
-            alice_sketch.insert(encode_point(space, point))
-    payload, bits = alice_sketch.to_payload()
-    sent = channel.send(ALICE, "strata-sketch", payload, bits)
-
-    shell = StrataEstimator(coins, "resilient-strata", key_bits=key_bits)
-    received = shell.from_payload(sent)
-    bob_sketch = StrataEstimator(coins, "resilient-strata", key_bits=key_bits)
-    if vectorizable:
-        bob_sketch.insert_batch(encode_points(space, bob_points))
-    else:
-        for point in bob_points:
-            bob_sketch.insert(encode_point(space, point))
-    return max(4, received.subtract(bob_sketch).estimate())
-
-
 def resilient_reconcile(
     space: MetricSpace,
     alice_points: "list[Point]",
@@ -369,8 +327,13 @@ def resilient_reconcile(
         outcome = "corrupted"
         try:
             if state.breaker_open and state.fallback_bound is None:
-                measured = _strata_estimate(
-                    space, alice_points, bob_points, attempt_coins, channel
+                measured = strata_estimate(
+                    space,
+                    alice_points,
+                    bob_points,
+                    attempt_coins,
+                    channel,
+                    "resilient-strata",
                 )
                 state = state.with_fallback(measured)
                 report.fallback_bound = measured

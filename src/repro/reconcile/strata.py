@@ -23,7 +23,7 @@ import numpy as np
 
 from ..hashing import PairwiseHash, PublicCoins
 from ..iblt.backend import resolve_backend
-from ..iblt.iblt import IBLT, coerce_key_array
+from ..iblt.iblt import IBLT, coerce_key_array, key_list
 from ..protocol.serialize import BitReader, BitWriter
 from ..protocol.tables import read_iblt_cells, write_iblt_cells
 
@@ -69,16 +69,10 @@ class StrataEstimator:
     ):
         if strata < 1:
             raise ValueError(f"strata must be >= 1, got {strata}")
-        if backend == "numpy" and key_bits > 61:
-            raise ValueError(
-                f"the numpy backend hashes keys of <= 61 bits, got key_bits={key_bits}"
-            )
         self.coins = coins
         self.label = label
         self.shape = _Shape(strata=strata, cells=cells, key_bits=key_bits)
-        self.backend = resolve_backend(backend)
-        if key_bits > 61:
-            self.backend = "python"
+        self.backend = resolve_backend(backend, key_bits)
         self._stratum_hash = PairwiseHash(coins, ("strata-level", label), bits=61)
         self.tables = [
             IBLT(
@@ -115,61 +109,43 @@ class StrataEstimator:
     def insert(self, key: int) -> None:
         self.tables[self._stratum_of(key)].insert(key)
 
-    def insert_batch(self, keys: np.ndarray) -> None:
-        """Assign strata and fill every stratum table in vectorised passes.
-
-        Degrades to the scalar path on the python backend, so callers can
-        batch unconditionally.
-        """
-        if self.backend != "numpy":
-            # Validate the whole batch before mutating anything; keys stay
-            # Python ints so widths beyond uint64 remain exact.
-            key_list = [int(key) for key in np.asarray(keys).ravel().tolist()]
-            limit = 1 << self.shape.key_bits
-            for key in key_list:
-                if not 0 <= key < limit:
-                    raise ValueError(
-                        f"key {key} outside [0, 2^{self.shape.key_bits})"
-                    )
-            for key in key_list:
-                self.insert(key)
-            return
-        keys = coerce_key_array(keys, self.shape.key_bits)
-        if keys.size == 0:
-            return
-        strata = self._strata_of_batch(keys)
-        for stratum in np.unique(strata).tolist():
-            self.tables[stratum].insert_batch(keys[strata == stratum])
-
-    def insert_all(self, keys: Iterable[int]) -> None:
-        if self.backend == "numpy":
-            self.insert_batch(coerce_key_array(keys, self.shape.key_bits))
-            return
-        for key in keys:
-            self.insert(key)
-
     def delete(self, key: int) -> None:
         self.tables[self._stratum_of(key)].delete(key)
 
-    def delete_batch(self, keys: np.ndarray) -> None:
-        """Remove a whole key array, routing each key to its stratum."""
+    def insert_batch(self, keys: "np.ndarray | Iterable[int]") -> None:
+        """Add a batch of keys (any ndarray or iterable of ints), each to
+        its stratum; the whole batch is validated before any cell changes."""
+        for table, stratum_keys in self._route(keys):
+            table.insert_batch(stratum_keys)
+
+    def delete_batch(self, keys: "np.ndarray | Iterable[int]") -> None:
+        """Remove a batch of keys, routing each key to its stratum."""
+        for table, stratum_keys in self._route(keys):
+            table.delete_batch(stratum_keys)
+
+    insert_all = insert_batch
+
+    def _route(
+        self, keys: "np.ndarray | Iterable[int]"
+    ) -> "list[tuple[IBLT, np.ndarray | list[int]]]":
+        """Validate a key batch and split it into per-stratum batches.
+
+        The numpy backend assigns strata in one vectorised pass; the
+        python backend keeps the keys as exact Python ints.
+        """
         if self.backend != "numpy":
-            key_list = [int(key) for key in np.asarray(keys).ravel().tolist()]
-            limit = 1 << self.shape.key_bits
-            for key in key_list:
-                if not 0 <= key < limit:
-                    raise ValueError(
-                        f"key {key} outside [0, 2^{self.shape.key_bits})"
-                    )
-            for key in key_list:
-                self.delete(key)
-            return
+            groups: dict[int, list[int]] = {}
+            for key in key_list(keys, self.shape.key_bits):
+                groups.setdefault(self._stratum_of(key), []).append(key)
+            return [(self.tables[stratum], group) for stratum, group in groups.items()]
         keys = coerce_key_array(keys, self.shape.key_bits)
         if keys.size == 0:
-            return
+            return []
         strata = self._strata_of_batch(keys)
-        for stratum in np.unique(strata).tolist():
-            self.tables[stratum].delete_batch(keys[strata == stratum])
+        return [
+            (self.tables[stratum], keys[strata == stratum])
+            for stratum in np.unique(strata).tolist()
+        ]
 
     def apply_mutations(
         self,
@@ -181,13 +157,13 @@ class StrataEstimator:
         Stratum routing is a pure hash of the key, so the result is
         pinned bit-identical to rebuilding the estimator from the
         mutated set — the sketch store maintains warm strata this way.
+        Both deltas are validated before any cell changes.
         """
-        if self.backend == "numpy":
-            self.insert_batch(coerce_key_array(inserts, self.shape.key_bits))
-            self.delete_batch(coerce_key_array(deletes, self.shape.key_bits))
-            return
-        self.insert_batch(np.asarray(list(inserts)))
-        self.delete_batch(np.asarray(list(deletes)))
+        inserted, deleted = self._route(inserts), self._route(deletes)
+        for table, stratum_keys in inserted:
+            table.insert_batch(stratum_keys)
+        for table, stratum_keys in deleted:
+            table.delete_batch(stratum_keys)
 
     def subtract(self, other: "StrataEstimator") -> "StrataEstimator":
         if self.shape != other.shape or self.label != other.label:

@@ -37,11 +37,11 @@ from ..iblt.iblt import IBLT, cells_for_differences
 from ..protocol.channel import ALICE
 from ..protocol.serialize import BitWriter, write_points
 from ..protocol.wire import Frame, MessageType
-from ..reconcile.exact_iblt import decode_point, encode_point, encode_points
+from ..reconcile.exact_iblt import decode_point, encode_points
 from ..reconcile.resilient import BreakerState, ResilienceConfig
 from ..reconcile.strata import StrataEstimator
 from .network import SimulatedNetwork
-from .session import SessionConfig, insert_all, json_payload, parse_json_payload
+from .session import SessionConfig, json_payload, parse_json_payload
 from .transport import (
     DEFAULT_TIMEOUT,
     AsyncChannel,
@@ -202,11 +202,7 @@ class ReconcileClient:
                     q=config.q,
                     key_bits=key_bits,
                 ).from_payload(frame.payload)
-                if key_bits <= 61:
-                    view.delete_batch(encode_points(space, alice))
-                else:
-                    for point in alice:
-                        view.delete(encode_point(space, point))
+                view.delete_batch(encode_points(space, alice))
                 decoded = view.decode()
                 if decoded.success:
                     outcome = "decoded"
@@ -278,7 +274,7 @@ class ReconcileClient:
         sketch = StrataEstimator(
             config.strata_coins(), "service-strata", key_bits=key_bits
         )
-        insert_all(sketch, space, alice, key_bits)
+        sketch.insert_batch(encode_points(space, alice))
         payload, bits = sketch.to_payload()
         frame = await self._request(
             channel,

@@ -39,9 +39,10 @@ from ..iblt.iblt import IBLT, cells_for_differences
 from ..protocol.channel import BOB
 from ..protocol.serialize import BitReader, read_points
 from ..protocol.wire import HEADER_LEN, Frame, MessageType, decode_body, encode_frame
+from ..reconcile.exact_iblt import encode_points
 from ..reconcile.strata import StrataEstimator
 from ..store import SketchStore
-from .session import SessionConfig, insert_all, json_payload, parse_json_payload
+from .session import SessionConfig, json_payload, parse_json_payload
 from .transport import ConnectionClosedError, FrameConnection
 
 __all__ = ["ReconcileServer", "ServerSession"]
@@ -75,21 +76,14 @@ class ServerSession:
         self._store_key: "int | None" = None
         self._diverged = False
         if store is not None:
-            keys = self._encoded_keys()
-            if len(set(map(int, keys))) == len(keys):
+            keys = encode_points(self.space, self.bob_points).tolist()
+            if len(set(keys)) == len(keys):
                 self._store_key = config.store_key()
                 if not store.contains(self._store_key):
                     store.put_set(self._store_key, keys, key_bits=config.key_bits)
             # else: the sampled workload collided into a multiset; the
             # store holds sets, so this (astronomically rare) session
             # stays stateless to preserve exact wire parity.
-
-    def _encoded_keys(self) -> "list[int]":
-        from ..reconcile.exact_iblt import encode_point, encode_points
-
-        if self.config.key_bits <= 61:
-            return [int(k) for k in encode_points(self.space, self.bob_points)]
-        return [encode_point(self.space, point) for point in self.bob_points]
 
     @property
     def _warm(self) -> bool:
@@ -110,7 +104,7 @@ class ServerSession:
             q=self.config.q,
             key_bits=self.config.key_bits,
         )
-        insert_all(table, self.space, self.bob_points, self.config.key_bits)
+        table.insert_batch(encode_points(self.space, self.bob_points))
         return table.to_payload()
 
     def estimate_difference(self, strata_payload: bytes) -> int:
@@ -128,7 +122,7 @@ class ServerSession:
             bob_sketch = StrataEstimator(
                 self.config.strata_coins(), "service-strata", key_bits=key_bits
             )
-            insert_all(bob_sketch, self.space, self.bob_points, key_bits)
+            bob_sketch.insert_batch(encode_points(self.space, self.bob_points))
         return max(4, received.subtract(bob_sketch).estimate())
 
     def merge_push(self, payload: bytes) -> "tuple[bool, int]":

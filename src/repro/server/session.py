@@ -23,13 +23,13 @@ import numpy as np
 from ..errors import MalformedPayloadError
 from ..hashing import PublicCoins, derive_seed
 from ..metric.spaces import HammingSpace, Point
+from ..workloads import split_difference_pair
 
 __all__ = [
     "SessionConfig",
     "json_payload",
     "parse_json_payload",
     "session_workload",
-    "insert_all",
 ]
 
 #: Protocol families a session may request.
@@ -149,30 +149,14 @@ class SessionConfig:
         )
 
 
-def insert_all(sketch, space, points, key_bits: int) -> None:
-    """Insert encoded points, vectorised when the universe fits 61 bits
-    (the same dispatch rule as the in-process reconciliation paths)."""
-    from ..reconcile.exact_iblt import encode_point, encode_points
-
-    if key_bits <= 61:
-        sketch.insert_batch(encode_points(space, points))
-    else:
-        for point in points:
-            sketch.insert(encode_point(space, point))
-
-
 def session_workload(
     seed: int, session_id: int, dim: int, n_shared: int, delta: int
 ) -> "tuple[list[Point], list[Point]]":
     """Deterministic per-session Hamming workload (both endpoints agree).
 
-    Mirrors the scenario drivers' shape: ``n_shared`` common points plus
-    a split of ``delta`` extras, so the true symmetric difference is at
-    most ``delta`` (sampling collisions can only shrink it).
+    The exact-reconciliation workload shape
+    (:func:`~repro.workloads.split_difference_pair`) drawn from
+    ``numpy.random.default_rng([seed, session_id])``.
     """
     rng = np.random.default_rng([seed, session_id])
-    space = HammingSpace(dim)
-    shared = space.sample(rng, n_shared)
-    alice = shared + space.sample(rng, delta // 2)
-    bob = shared + space.sample(rng, delta - delta // 2)
-    return alice, bob
+    return split_difference_pair(HammingSpace(dim), rng, n_shared, delta)

@@ -201,25 +201,19 @@ class SetsOfSetsReconciler:
 
         Vectorised :meth:`_encode_item` over the whole internal-key matrix
         followed by one ``np.unique`` pass; the result feeds the counting
-        IBLT's batch insert/delete directly.  Only valid while encoded
-        items fit ``uint64`` (``item_bits <= 64``) — :meth:`run` falls
-        back to the exact scalar encoding beyond that.
+        IBLT's batch insert/delete directly.  Items are ``uint64`` while
+        they fit (``item_bits <= 64``), else exact Python ints in an
+        ``object`` array.
         """
+        wide = self.item_bits > 64
+        dtype = object if wide else np.uint64
         if internal_matrix.size == 0:
-            return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
-        index_row = np.arange(self.internal_entries, dtype=np.uint64)[None, :]
-        encoded = (internal_matrix << np.uint64(self.index_bits)) | index_row
+            return np.empty(0, dtype=dtype), np.empty(0, dtype=np.int64)
+        index_row = np.arange(self.internal_entries, dtype=np.uint64).astype(dtype, copy=False)
+        shift = self.index_bits if wide else np.uint64(self.index_bits)
+        encoded = (internal_matrix.astype(dtype, copy=False) << shift) | index_row[None, :]
         items, counts = np.unique(encoded.ravel(), return_counts=True)
         return items, counts.astype(np.int64)
-
-    def _items_of(self, internal_keys: Sequence[KeyVector]) -> dict[int, int]:
-        """Scalar item multiset (exact Python ints, any ``item_bits``)."""
-        items: dict[int, int] = {}
-        for key in internal_keys:
-            for index, value in enumerate(key):
-                item = self._encode_item(index, int(value))
-                items[item] = items.get(item, 0) + 1
-        return items
 
     def _table(self) -> MultisetIBLT:
         return MultisetIBLT(
@@ -255,23 +249,13 @@ class SetsOfSetsReconciler:
         # ---- Round 1: Bob -> Alice — counting IBLT over his items --------
         bob_table = self._table()
         alice_view_shell = self._table()
-        if self.item_bits <= 64:
-            bob_items, bob_mults = self._item_multiset(bob_matrix)
-            bob_table.insert_batch(bob_items, bob_mults)
-        else:  # encoded items overflow uint64; use the exact scalar path
-            for item, multiplicity in self._items_of(bob_internal).items():
-                bob_table.insert(item, multiplicity)
+        bob_table.insert_batch(*self._item_multiset(bob_matrix))
         payload, bits = bob_table.to_payload()
         sent = channel.send(BOB, "sos-item-iblt", payload, bits)
 
         # Alice: load, delete her items, peel.
         alice_view = alice_view_shell.from_payload(sent)
-        if self.item_bits <= 64:
-            alice_items, alice_mults = self._item_multiset(alice_matrix)
-            alice_view.delete_batch(alice_items, alice_mults)
-        else:
-            for item, multiplicity in self._items_of(alice_internal).items():
-                alice_view.delete(item, multiplicity)
+        alice_view.delete_batch(*self._item_multiset(alice_matrix))
         decoded = alice_view.decode()
         if not decoded.success:
             return SetsOfSetsResult(

@@ -50,6 +50,7 @@ from typing import Iterable
 import numpy as np
 
 from ..hashing import PairwiseHash, PublicCoins, derive_seed
+from ..iblt.backend import MAX_NUMPY_KEY_BITS
 from ..iblt.iblt import IBLT
 from ..iblt.riblt import RIBLT
 from ..reconcile.resilient import BreakerState
@@ -61,9 +62,6 @@ __all__ = ["ShardRouter", "SketchStore", "StoreConfig", "StoreEntry", "StoreStat
 #: Output span of the 61-bit routing hash; shard ``i`` owns the range
 #: ``[i * width, (i + 1) * width)`` of this line.
 MERSENNE_SPAN = 1 << 61
-
-#: Keys at or above 62 bits cannot ride the vectorised uint64 paths.
-_VECTOR_KEY_BITS = 61
 
 
 @dataclass(frozen=True)
@@ -210,7 +208,7 @@ class StoreEntry:
         """
         if self._sorted is None:
             ordered = sorted(self.keys)
-            if self.key_bits <= _VECTOR_KEY_BITS:
+            if self.key_bits <= MAX_NUMPY_KEY_BITS:
                 self._sorted = np.array(ordered, dtype=np.uint64)
             else:
                 self._sorted = ordered
@@ -373,10 +371,10 @@ class SketchStore:
         if slot is None:
             table = IBLT(coins, label, cells=cells, q=q, key_bits=entry.key_bits)
             keys = entry.sorted_keys()
-            table.insert_all(keys)
+            table.insert_batch(keys)
             self.stats.misses += 1
             self.stats.keys_hashed += len(entry.keys)
-            if entry.key_bits <= _VECTOR_KEY_BITS and len(entry.keys):
+            if entry.key_bits <= MAX_NUMPY_KEY_BITS and len(entry.keys):
                 # Warm the decode-side hash cache too (shared by every
                 # clone `subtract` hands out); behaviour-neutral.
                 key_list = [int(key) for key in keys]
@@ -411,11 +409,7 @@ class SketchStore:
             estimator = StrataEstimator(
                 coins, label, strata=strata, cells=cells, key_bits=entry.key_bits
             )
-            keys = entry.sorted_keys()
-            if isinstance(keys, np.ndarray):
-                estimator.insert_batch(keys)
-            else:
-                estimator.insert_all(keys)
+            estimator.insert_batch(entry.sorted_keys())
             self.stats.misses += 1
             self.stats.keys_hashed += len(entry.keys)
             entry.stratas[slot_key] = estimator

@@ -283,7 +283,7 @@ class StreamReplayer:
         cold = IBLT(
             self.mem_coins, "membership", cells=check_cells, q=self.q, key_bits=self.key_bits
         )
-        cold.insert_all(sorted(truth))
+        cold.insert_batch(sorted(truth))
         cold_payload, _ = cold.to_payload()
         matches = True
         for party in parties:

@@ -7,6 +7,7 @@ from .generators import (
     noisy_replica_pair,
     perturb_point,
     random_far_point,
+    split_difference_pair,
 )
 
 __all__ = [
@@ -17,4 +18,5 @@ __all__ = [
     "noisy_replica_pair",
     "perturb_point",
     "random_far_point",
+    "split_difference_pair",
 ]

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..hashing import PublicCoins
+from ..iblt.backend import MAX_NUMPY_KEY_BITS
 from ..stream.events import MutationEvent
 
 __all__ = ["ChurnGenerator", "ChurnWorkload"]
@@ -79,13 +80,16 @@ class ChurnGenerator:
     coins:
         Seeds the stream; the same coins always yield the same events.
     key_bits:
-        Key universe is ``[0, 2^key_bits)`` (≤ 61 so every key rides
-        the vectorised sketch paths).
+        Key universe is ``[0, 2^key_bits)`` (at most
+        :data:`~repro.iblt.backend.MAX_NUMPY_KEY_BITS`, so every key
+        rides the vectorised sketch paths).
     """
 
     def __init__(self, coins: PublicCoins, key_bits: int = 55):
-        if not 1 <= key_bits <= 61:
-            raise ValueError(f"key_bits must be in [1, 61], got {key_bits}")
+        if not 1 <= key_bits <= MAX_NUMPY_KEY_BITS:
+            raise ValueError(
+                f"key_bits must be in [1, {MAX_NUMPY_KEY_BITS}], got {key_bits}"
+            )
         self.coins = coins
         self.key_bits = key_bits
 

@@ -12,6 +12,8 @@ exactly that structure for every supported space:
 * :func:`clustered_points` — Gaussian-ish clusters on a grid, for less
   uniform EMD instances.
 * :func:`perturb_point` — the per-space noise model itself.
+* :func:`split_difference_pair` — the exact-reconciliation workload:
+  shared points plus a bounded symmetric difference.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
     "noisy_replica_pair",
     "clustered_points",
     "random_far_point",
+    "split_difference_pair",
 ]
 
 
@@ -114,6 +117,22 @@ def random_far_point(
         f"could not place a point at distance >= {far_radius} "
         f"after {max_tries} tries; the space may be too crowded"
     )
+
+
+def split_difference_pair(
+    space: MetricSpace, rng: np.random.Generator, n_shared: int, delta: int
+) -> "tuple[list[Point], list[Point]]":
+    """``(alice, bob)``: ``n_shared`` common points plus a split of extras.
+
+    Alice gets ``delta // 2`` extra uniform points and Bob the other
+    ``delta - delta // 2``, so the true symmetric difference is at most
+    ``delta`` (sampling collisions can only shrink it).  ``rng`` draws
+    the shared points, then Alice's extras, then Bob's.
+    """
+    shared = space.sample(rng, n_shared)
+    alice = shared + space.sample(rng, delta // 2)
+    bob = shared + space.sample(rng, delta - delta // 2)
+    return alice, bob
 
 
 def noisy_replica_pair(

@@ -238,3 +238,100 @@ class TestStrataParity:
             assert list(python_table.counts) == numpy_table.counts.tolist()
             assert list(python_table.key_xor) == numpy_table.key_xor.tolist()
         assert estimates["python"] == estimates["numpy"]
+
+
+_SKETCHES = {
+    "iblt": lambda coins, key_bits, backend: IBLT(
+        coins, "ingest", cells=30, q=3, key_bits=key_bits, backend=backend
+    ),
+    "multiset": lambda coins, key_bits, backend: MultisetIBLT(
+        coins, "ingest", cells=30, q=3, key_bits=key_bits, backend=backend
+    ),
+    "strata": lambda coins, key_bits, backend: StrataEstimator(
+        coins, "ingest", strata=8, cells=12, key_bits=key_bits, backend=backend
+    ),
+}
+
+_KEYS = [3, 17, 99, 1 << 40, (1 << 56) - 1]
+
+#: Every key-sequence shape the batch methods accept (fresh per call).
+_KEY_INPUTS = {
+    "uint64": lambda: np.array(_KEYS, dtype=np.uint64),
+    "int64": lambda: np.array(_KEYS, dtype=np.int64),
+    "object": lambda: np.array(_KEYS, dtype=object),
+    "list": lambda: list(_KEYS),
+    "set": lambda: set(_KEYS),
+    "range": lambda: range(40, 60),
+    "generator": lambda: (key for key in _KEYS),
+}
+
+
+class TestBatchIngest:
+    """One ingest path: every sketch's batch methods take any key
+    sequence on either backend, match scalar inserts byte for byte, and
+    reject a bad batch before touching a cell."""
+
+    @pytest.mark.parametrize("form", sorted(_KEY_INPUTS))
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("kind", sorted(_SKETCHES))
+    def test_batch_matches_scalar_inserts(self, coins, kind, backend, form):
+        scalar = _SKETCHES[kind](coins, KEY_BITS, "python")
+        for key in _KEY_INPUTS[form]():
+            scalar.insert(int(key))
+        batched = _SKETCHES[kind](coins, KEY_BITS, backend)
+        batched.insert_batch(_KEY_INPUTS[form]())
+        assert batched.to_payload() == scalar.to_payload()
+        batched.delete_batch(_KEY_INPUTS[form]())
+        assert batched.is_empty()
+
+    @pytest.mark.parametrize("bad", [-1, 1 << KEY_BITS])
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("kind", sorted(_SKETCHES))
+    def test_bad_key_rejects_whole_batch(self, coins, kind, backend, bad):
+        sketch = _SKETCHES[kind](coins, KEY_BITS, backend)
+        for method in (sketch.insert_batch, sketch.delete_batch):
+            with pytest.raises(ValueError):
+                method([5, 6, bad, 7])
+            assert sketch.is_empty()
+
+    @pytest.mark.parametrize("kind", sorted(_SKETCHES))
+    def test_wide_keys_take_every_form(self, coins, kind):
+        wide = [1, (1 << 70) + 5, (1 << 79) + 3]
+        scalar = _SKETCHES[kind](coins, 80, None)
+        for key in wide:
+            scalar.insert(key)
+        for keys in (np.array(wide, dtype=object), wide, set(wide), iter(wide)):
+            batched = _SKETCHES[kind](coins, 80, None)
+            batched.insert_batch(keys)
+            assert batched.to_payload() == scalar.to_payload()
+        with pytest.raises(ValueError):
+            _SKETCHES[kind](coins, 80, None).insert_batch([1 << 80])
+
+    @pytest.mark.parametrize("kind", sorted(_SKETCHES))
+    def test_all_names_alias_batch_methods(self, kind):
+        sketch_type = type(_SKETCHES[kind](PublicCoins(1), KEY_BITS, None))
+        assert sketch_type.insert_all is sketch_type.insert_batch
+        if kind != "strata":
+            assert sketch_type.delete_all is sketch_type.delete_batch
+
+    @pytest.mark.parametrize("kind", ["iblt", "strata"])
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_apply_mutations_validates_both_deltas_first(self, coins, kind, backend):
+        sketch = _SKETCHES[kind](coins, KEY_BITS, backend)
+        with pytest.raises(ValueError):
+            sketch.apply_mutations(inserts=[1, 2], deletes=[3, -4])
+        assert sketch.is_empty()
+
+
+class TestResolveBackend:
+    def test_key_width_rule(self, monkeypatch):
+        from repro.iblt.backend import MAX_NUMPY_KEY_BITS, resolve_backend
+
+        monkeypatch.setenv("REPRO_BACKEND", "numpy")
+        assert resolve_backend(None, MAX_NUMPY_KEY_BITS) == "numpy"
+        assert resolve_backend(None, MAX_NUMPY_KEY_BITS + 1) == "python"
+        assert resolve_backend("python", 200) == "python"
+        with pytest.raises(ValueError):
+            resolve_backend("numpy", MAX_NUMPY_KEY_BITS + 1)
+        with pytest.raises(ValueError):
+            resolve_backend("fortran", 8)

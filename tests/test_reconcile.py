@@ -12,10 +12,13 @@ from repro.reconcile import (
     decode_point,
     encode_point,
     exact_iblt_reconcile,
+    exact_iblt_reconcile_auto,
     naive_full_transfer,
     naive_union_transfer,
+    resilient_reconcile,
 )
-from repro.workloads import noisy_replica_pair
+from repro.reconcile.exact_iblt import encode_points
+from repro.workloads import noisy_replica_pair, split_difference_pair
 
 
 class TestPointEncoding:
@@ -39,6 +42,23 @@ class TestPointEncoding:
             decode_point(space, 16)
         with pytest.raises(ValueError):
             decode_point(space, -1)
+
+
+    @pytest.mark.parametrize(
+        "space",
+        [HammingSpace(dim) for dim in (40, 61, 62, 64, 65, 70, 130)]
+        + [GridSpace(side=4096, dim=5, p=1.0), GridSpace(side=4096, dim=6, p=1.0)],
+        ids=repr,
+    )
+    def test_batch_encoder_matches_scalar(self, space, rng):
+        """Exact for every universe, including ``side^dim > 2^64``."""
+        points = space.sample(rng, 40)
+        points.append((space.side - 1,) * space.dim)
+        encoded = encode_points(space, points)
+        assert encoded.tolist() == [encode_point(space, point) for point in points]
+        wide = space.side**space.dim > 1 << 64
+        assert encoded.dtype == (object if wide else np.uint64)
+        assert encode_points(space, []).dtype == encoded.dtype
 
 
 class TestNaive:
@@ -105,6 +125,49 @@ class TestExactIBLT:
         result = exact_iblt_reconcile(space, alice, bob, delta_bound=2, coins=coins)
         assert not result.success
         assert result.bob_final == bob
+
+
+class TestWideUniverse:
+    """Keys wider than 61 bits run end to end on the python backend,
+    whatever ``REPRO_BACKEND`` says, with identical transcripts."""
+
+    SPACE = HammingSpace(70)
+
+    def _run(self, protocol, monkeypatch):
+        alice, bob = split_difference_pair(
+            self.SPACE, np.random.default_rng(11), 60, 8
+        )
+        results = {}
+        for backend in ("numpy", "python"):
+            monkeypatch.setenv("REPRO_BACKEND", backend)
+            results[backend] = result = protocol(alice, bob)
+            assert result.success
+            assert set(result.bob_final) == set(alice) | set(bob)
+        assert results["numpy"].total_bits == results["python"].total_bits
+
+    def test_exact(self, coins, monkeypatch):
+        self._run(
+            lambda alice, bob: exact_iblt_reconcile(
+                self.SPACE, alice, bob, delta_bound=16, coins=coins
+            ),
+            monkeypatch,
+        )
+
+    def test_exact_auto(self, coins, monkeypatch):
+        self._run(
+            lambda alice, bob: exact_iblt_reconcile_auto(
+                self.SPACE, alice, bob, coins=coins
+            ),
+            monkeypatch,
+        )
+
+    def test_resilient(self, coins, monkeypatch):
+        self._run(
+            lambda alice, bob: resilient_reconcile(
+                self.SPACE, alice, bob, delta_bound=2, coins=coins
+            ),
+            monkeypatch,
+        )
 
 
 class TestQuadtree:

@@ -13,16 +13,13 @@ from repro.reconcile import (
     exact_iblt_reconcile,
     resilient_reconcile,
 )
+from repro.workloads import split_difference_pair
 
 SPACE = HammingSpace(40)
 
 
 def _workload(seed: int, n: int = 64, delta: int = 8):
-    rng = np.random.default_rng(seed)
-    shared = SPACE.sample(rng, n)
-    alice = shared + SPACE.sample(rng, delta // 2)
-    bob = shared + SPACE.sample(rng, delta - delta // 2)
-    return alice, bob
+    return split_difference_pair(SPACE, np.random.default_rng(seed), n, delta)
 
 
 class TestConfig:

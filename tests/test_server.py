@@ -267,6 +267,33 @@ class TestStoreBackedServer:
             _, bob = config.workload()
             assert len(store.keys_of(key)) == len(bob)
 
+    def test_wide_universe_sessions(self):
+        """70-bit keys (python backend) through the escalation path and
+        the strata fallback, stateless and store-backed alike."""
+        configs = [
+            SessionConfig(
+                session_id=sid,
+                seed=7,
+                dim=70,
+                delta_bound=2,
+                max_escalations=1,
+                max_attempts=10,
+            )
+            for sid in (1, 2)
+        ]
+        stateless, _ = run_service(configs)
+        backed, _ = run_service(configs, store=self._store())
+        for reports in (stateless, backed):
+            for report in reports:
+                assert report.success and report.union_ok
+                assert report.breaker_tripped
+        assert [r.transcript_bits for r in backed] == [
+            r.transcript_bits for r in stateless
+        ]
+        assert render_session_reports(backed, seed=7) == render_session_reports(
+            stateless, seed=7
+        )
+
 
 class TestRenderedReport:
     def test_schema_and_aggregate(self):

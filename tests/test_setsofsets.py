@@ -51,6 +51,19 @@ class TestExactRecovery:
         assert tuple(modified) in result.recovered
         assert alice[0] not in result.shared_alice_keys
 
+    def test_items_wider_than_64_bits(self, coins, rng):
+        """600 entries of 55 bits encode to 65-bit items: the counting
+        IBLT runs on exact Python ints through the same batch path."""
+        reconciler = _reconciler(coins, h=600, entry_bits=55, expected=16)
+        assert reconciler.item_bits > 64
+        alice = _random_keys(rng, 6, h=600, bits=55)
+        modified = list(alice[2])
+        modified[10] ^= 0xABC
+        bob = [tuple(modified)] + alice[:2] + alice[3:]
+        result = reconciler.run(alice, bob, Channel())
+        assert result.success
+        assert tuple(modified) in result.recovered
+
     def test_view_covers_bob_multiset(self, coins, rng):
         alice = _random_keys(rng, 20)
         bob = list(alice)
