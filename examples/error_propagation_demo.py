@@ -28,7 +28,7 @@ def riblt_demo() -> None:
     coins = PublicCoins(2024)
     table = RIBLT(coins, "demo", cells=90, q=3, key_bits=32, dim=1, side=1000)
     pairs = [(key, (100 + 7 * key,)) for key in range(8)]
-    table.insert_pairs(pairs)
+    table.insert_batch([key for key, _ in pairs], [value for _, value in pairs])
     # Alice's (999, 500) cancels Bob's (999, 510): same key, values 10 apart.
     table.insert(999, (500,))
     table.delete(999, (510,))

@@ -34,7 +34,7 @@ import numpy as np
 from ..hashing import Checksum, PairwiseHash, PublicCoins
 from .backend import resolve_backend
 from .frontier import KeyHashCache, PeelQueue, divisible_key, seed_sum_cell_queue
-from .iblt import coerce_key_array, key_list, partitioned_cell_indices
+from .iblt import check_key, coerce_key_array, key_list, partitioned_cell_indices
 
 __all__ = ["MultisetIBLT", "MultisetDecodeResult"]
 
@@ -104,12 +104,6 @@ class MultisetIBLT:
         """Vectorised :meth:`cell_indices`: the ``(q, n)`` index matrix."""
         return partitioned_cell_indices(self._cell_hashes, self.block_size, keys)
 
-    def _check_key(self, key: int) -> int:
-        key = int(key)
-        if not 0 <= key < (1 << self.key_bits):
-            raise ValueError(f"key {key} outside [0, 2^{self.key_bits})")
-        return key
-
     def insert(self, key: int, multiplicity: int = 1) -> None:
         self._update(key, multiplicity)
 
@@ -117,7 +111,7 @@ class MultisetIBLT:
         self._update(key, -multiplicity)
 
     def _update(self, key: int, signed_multiplicity: int) -> None:
-        key = self._check_key(key)
+        key = check_key(key, self.key_bits)
         if signed_multiplicity == 0:
             return
         check = self.checksum(key)

@@ -50,11 +50,10 @@ Under random coins this happens with probability ``~2^-61`` per cell.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
-from ..errors import MalformedPayloadError
 from ..hashing import Checksum, PairwiseHash, PublicCoins
 from ..hashing.mersenne import affine_mod_p, fold_bits, to_field
 from .backend import resolve_backend
@@ -64,55 +63,13 @@ __all__ = [
     "IBLT",
     "IBLTDecodeResult",
     "cells_for_differences",
+    "check_key",
     "coerce_key_array",
+    "exact_int",
     "key_list",
     "partitioned_cell_indices",
-    "validate_cell_ints",
 ]
 
-
-def validate_cell_ints(
-    values: "np.ndarray | Iterable[int]",
-    name: str,
-    length: int,
-    minimum: int,
-    maximum: int,
-) -> list[int]:
-    """Validate an untrusted cell-array snapshot into a list of ints.
-
-    Shared by :meth:`IBLT.load_arrays` and :meth:`RIBLT.load_arrays`:
-    the input must be a 1-d integer array (or iterable of Python ints —
-    ``object`` dtype is accepted for unbounded RIBLT sums) of exactly
-    ``length`` elements, every value inside ``[minimum, maximum]``.
-    Anything else — float or bool dtypes that would silently truncate or
-    misdecode later, wrong shapes, out-of-range cells — raises
-    :class:`~repro.errors.MalformedPayloadError`.
-    """
-    arr = values if isinstance(values, np.ndarray) else np.asarray(list(values))
-    if arr.shape != (length,):
-        raise MalformedPayloadError(
-            f"{name} must have shape ({length},), got {arr.shape}"
-        )
-    if arr.dtype.kind == "O":
-        items = arr.tolist()
-        for value in items:
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise MalformedPayloadError(
-                    f"{name} must contain integers, got {type(value).__name__}"
-                )
-        items = [int(value) for value in items]
-    elif arr.dtype.kind in ("i", "u"):
-        items = [int(value) for value in arr.tolist()]
-    else:
-        raise MalformedPayloadError(
-            f"{name} must be an integer array, got dtype {arr.dtype}"
-        )
-    for value in items:
-        if not minimum <= value <= maximum:
-            raise MalformedPayloadError(
-                f"{name} cell value {value} outside [{minimum}, {maximum}]"
-            )
-    return items
 
 #: Conservative cells-per-difference ratio; q=3 peeling succeeds w.h.p.
 #: below load ~0.81, so 2x headroom keeps the failure probability tiny
@@ -120,13 +77,43 @@ def validate_cell_ints(
 DEFAULT_HEADROOM = 2.0
 
 
+def _is_integer_type(kind: type) -> bool:
+    """The element rule for keys and values: ``int`` and numpy integer
+    scalars are integers; ``bool`` (an ``int`` subclass) and floats —
+    which ``int()`` would silently truncate — are not."""
+    return kind is not bool and issubclass(kind, (int, np.integer))
+
+
+def _check_integers(items: list) -> None:
+    """:func:`_is_integer_type` over a whole batch, one test per distinct type."""
+    for kind in set(map(type, items)):
+        if not _is_integer_type(kind):
+            raise ValueError(f"expected integers, got {kind.__name__}")
+
+
+def exact_int(value: object) -> int:
+    """``value`` as an exact Python int; ``ValueError`` unless it is one."""
+    if not _is_integer_type(type(value)):
+        raise ValueError(f"expected an integer, got {type(value).__name__} {value!r}")
+    return int(value)
+
+
+def check_key(key: object, key_bits: int) -> int:
+    """One key through :func:`exact_int` and the ``[0, 2^key_bits)`` range."""
+    key = exact_int(key)
+    if not 0 <= key < (1 << key_bits):
+        raise ValueError(f"key {key} outside [0, 2^{key_bits})")
+    return key
+
+
 def key_list(keys: "np.ndarray | Iterable[int]", key_bits: int) -> list[int]:
     """Validate keys into a list of exact Python ints; ``ValueError`` otherwise.
 
     The python-backend twin of :func:`coerce_key_array`: it takes the same
     inputs — a flat integer (or ``object``) ndarray, or any iterable of
-    ints — at every key width, and checks the whole batch up front so a
-    bad key rejects it before any cell changes.
+    ints — at every key width, and checks the whole batch up front (the
+    :func:`check_key` rules) so a bad key rejects it before any cell
+    changes.
     """
     if isinstance(keys, np.ndarray):
         if keys.ndim != 1:
@@ -134,6 +121,9 @@ def key_list(keys: "np.ndarray | Iterable[int]", key_bits: int) -> list[int]:
         if keys.dtype.kind not in ("i", "u", "O"):
             raise ValueError(f"expected an integer key array, got dtype {keys.dtype}")
         keys = keys.tolist()
+    else:
+        keys = list(keys)
+    _check_integers(keys)
     values = [int(key) for key in keys]
     limit = 1 << key_bits
     for value in values:
@@ -150,7 +140,12 @@ def coerce_key_array(keys: "np.ndarray | Iterable[int]", key_bits: int) -> np.nd
     insert path raises — batch and scalar inserts must reject identically
     (a silent two's-complement wrap would corrupt the table instead).
     """
-    arr = keys if isinstance(keys, np.ndarray) else np.asarray(list(keys))
+    if isinstance(keys, np.ndarray):
+        arr = keys
+    else:
+        items = list(keys)
+        _check_integers(items)  # before ``np.asarray`` folds a ``True`` into 1
+        arr = np.asarray(items)
     if arr.ndim != 1:
         raise ValueError(f"expected a flat key array, got shape {arr.shape}")
     if arr.size == 0:
@@ -309,12 +304,6 @@ class IBLT:
         """Vectorised :meth:`cell_indices`: the ``(q, n)`` index matrix."""
         return partitioned_cell_indices(self._cell_hashes, self.block_size, keys)
 
-    def _check_key(self, key: int) -> int:
-        key = int(key)
-        if not 0 <= key < (1 << self.key_bits):
-            raise ValueError(f"key {key} outside [0, 2^{self.key_bits})")
-        return key
-
     # -- updates -----------------------------------------------------------
     def insert(self, key: int) -> None:
         """Add a key (count +1 in each of its cells)."""
@@ -325,7 +314,7 @@ class IBLT:
         self._update(key, -1)
 
     def _update(self, key: int, sign: int) -> None:
-        key = self._check_key(key)
+        key = check_key(key, self.key_bits)
         check = self.checksum(key)
         for index in self.cell_indices(key):
             self.counts[index] += sign
@@ -486,53 +475,6 @@ class IBLT:
             clone.key_xor = list(self.key_xor)
             clone.check_xor = list(self.check_xor)
         return clone
-
-    # -- array snapshots -----------------------------------------------------
-    def to_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cell state as ``(counts int64, key_xor uint64, check_xor uint64)``.
-
-        Always returns fresh arrays regardless of backend — the
-        ndarray-native interchange format for persistence and transport.
-        """
-        if self.backend == "numpy":
-            return self.counts.copy(), self.key_xor.copy(), self.check_xor.copy()
-        return (
-            np.array(self.counts, dtype=np.int64),
-            np.array(self.key_xor, dtype=np.uint64),
-            np.array(self.check_xor, dtype=np.uint64),
-        )
-
-    def load_arrays(
-        self, counts: np.ndarray, key_xor: np.ndarray, check_xor: np.ndarray
-    ) -> "IBLT":
-        """Load a :meth:`to_arrays` snapshot into this (empty) table.
-
-        The snapshot is untrusted input (it may have crossed a wire or a
-        cache): shapes, dtypes and value ranges are validated, and any
-        inconsistency raises :class:`~repro.errors.MalformedPayloadError`
-        rather than silently truncating floats or wrapping out-of-range
-        cells into a table that misdecodes later.
-        """
-        if not self.is_empty():
-            raise ValueError("table must be empty before loading cell arrays")
-        count_list = validate_cell_ints(
-            counts, "counts", self.m, -(1 << 63), (1 << 63) - 1
-        )
-        key_list = validate_cell_ints(
-            key_xor, "key_xor", self.m, 0, (1 << self.key_bits) - 1
-        )
-        check_list = validate_cell_ints(
-            check_xor, "check_xor", self.m, 0, (1 << 61) - 1
-        )
-        if self.backend == "numpy":
-            self.counts = np.array(count_list, dtype=np.int64)
-            self.key_xor = np.array(key_list, dtype=np.uint64)
-            self.check_xor = np.array(check_list, dtype=np.uint64)
-        else:
-            self.counts = count_list
-            self.key_xor = key_list
-            self.check_xor = check_list
-        return self
 
     def to_payload(self) -> tuple[bytes, int]:
         """Serialize this sketch; returns ``(payload, exact_bit_count)``.
@@ -764,8 +706,3 @@ class IBLT:
             if count != 0 or key != 0:
                 return False
         return True
-
-    def nonzero_cells(self) -> Iterator[int]:
-        for index in range(self.m):
-            if self.counts[index] != 0 or self.key_xor[index] != 0:
-                yield index

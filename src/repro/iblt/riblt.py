@@ -36,21 +36,19 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..errors import MalformedPayloadError
 from ..hashing import Checksum, PairwiseHash, PublicCoins
 from ..metric.spaces import Point
 from .backend import MAX_NUMPY_KEY_BITS
 from .frontier import KeyHashCache, PeelQueue, divisible_key, seed_sum_cell_queue
-from .iblt import partitioned_cell_indices, validate_cell_ints
+from .iblt import (
+    check_key,
+    coerce_key_array,
+    exact_int,
+    key_list,
+    partitioned_cell_indices,
+)
 
 __all__ = ["RIBLT", "RIBLTDecodeResult", "riblt_cells_for_pairs"]
-
-#: Bound on untrusted cell sums accepted by :meth:`RIBLT.load_arrays`.
-#: RIBLT sums are unbounded Python ints in memory, but nothing larger
-#: than the serializer's varint cap (133 payload bits) can legitimately
-#: cross a wire, so snapshots beyond it are rejected as malformed.
-_SUM_LIMIT = (1 << 133) - 1
-
 
 def riblt_cells_for_pairs(pairs: int, q: int = 3) -> int:
     """Paper sizing: ``m = 4·q²·k`` cells for up to ``4k`` decoded pairs.
@@ -151,10 +149,8 @@ class RIBLT:
         ]
 
     def _check_pair(self, key: int, value: Point) -> tuple[int, tuple[int, ...]]:
-        key = int(key)
-        if not 0 <= key < (1 << self.key_bits):
-            raise ValueError(f"key {key} outside [0, 2^{self.key_bits})")
-        value = tuple(int(v) for v in value)
+        key = check_key(key, self.key_bits)
+        value = tuple(exact_int(v) for v in value)
         if len(value) != self.dim:
             raise ValueError(f"value has dimension {len(value)}, expected {self.dim}")
         return key, value
@@ -183,54 +179,68 @@ class RIBLT:
         """Vectorised :meth:`cell_indices`: the ``(q, n)`` index matrix."""
         return partitioned_cell_indices(self._cell_hashes, self.block_size, keys)
 
-    def insert_pairs(self, pairs: Iterable[tuple[int, Point]]) -> None:
-        self._update_pairs(pairs, +1)
+    def insert_batch(
+        self, keys: "np.ndarray | Iterable[int]", values: "np.ndarray | Sequence[Point]"
+    ) -> None:
+        """Add a batch of pairs: any key sequence, ``(n, dim)`` integer values.
 
-    def delete_pairs(self, pairs: Iterable[tuple[int, Point]]) -> None:
-        self._update_pairs(pairs, -1)
-
-    def insert_batch(self, keys: np.ndarray, values: np.ndarray) -> None:
-        """Array-native :meth:`insert`: ``uint64`` keys, ``(n, dim)`` values."""
+        The whole batch is validated before any cell changes; the result
+        is bit-identical to an :meth:`insert` loop over the same pairs.
+        """
         self._update_batch(keys, values, +1)
 
-    def delete_batch(self, keys: np.ndarray, values: np.ndarray) -> None:
-        """Array-native :meth:`delete`: ``uint64`` keys, ``(n, dim)`` values."""
+    def delete_batch(
+        self, keys: "np.ndarray | Iterable[int]", values: "np.ndarray | Sequence[Point]"
+    ) -> None:
+        """Subtract a batch of pairs (same inputs as :meth:`insert_batch`)."""
         self._update_batch(keys, values, -1)
 
-    def _update_batch(self, keys: np.ndarray, values: np.ndarray, sign: int) -> None:
+    def _update_batch(
+        self,
+        keys: "np.ndarray | Iterable[int]",
+        values: "np.ndarray | Sequence[Point]",
+        sign: int,
+    ) -> None:
         """Batched update without per-pair Python tuples on the hot path.
 
-        ``keys`` is a 1-d ``uint64`` array (one key per pair, e.g. one
-        column of :meth:`~repro.lsh.keys.PrefixKeyBuilder.keys_for`);
-        ``values`` an ``(n, dim)`` integer matrix of point coordinates.
-        Checksums and cell indices come from the vectorised Mersenne
-        hashes, and the per-cell deltas are accumulated with ``np.add.at``
-        — keys and checksums split into 32-bit limbs so every int64
-        accumulator stays exact — then merged into the unbounded Python-int
-        cell sums once per *touched cell* instead of once per pair.
-        Bit-identical to a :meth:`_update_pairs` loop over the same pairs.
+        ``keys`` is any key sequence (e.g. one ``uint64`` column of
+        :meth:`~repro.lsh.keys.PrefixKeyBuilder.keys_for`), validated like
+        every other table's batch keys; ``values`` an ``(n, dim)`` integer
+        matrix of point coordinates.  Keys within
+        :data:`~repro.iblt.backend.MAX_NUMPY_KEY_BITS` take the vector
+        route: checksums and cell indices come from the vectorised
+        Mersenne hashes, and the per-cell deltas are accumulated with
+        ``np.add.at`` — keys and checksums split into 32-bit limbs so
+        every int64 accumulator stays exact — then merged into the
+        unbounded Python-int cell sums once per *touched cell* instead of
+        once per pair.  Wider keys, and batches whose int64 accumulators
+        could overflow, go through :meth:`_update` pair by pair.
         """
-        keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        values = np.ascontiguousarray(values, dtype=np.int64)
-        if keys.ndim != 1:
-            raise ValueError(f"keys must be 1-d, got shape {keys.shape}")
-        if values.shape != (keys.size, self.dim):
+        vector = self.key_bits <= MAX_NUMPY_KEY_BITS
+        if vector:
+            keys = coerce_key_array(keys, self.key_bits)
+        else:
+            keys = key_list(keys, self.key_bits)
+        values = np.asarray(values)
+        if values.shape != (len(keys), self.dim):
             raise ValueError(
-                f"values must have shape {(keys.size, self.dim)}, got {values.shape}"
+                f"values must have shape {(len(keys), self.dim)}, got {values.shape}"
             )
-        if keys.size == 0:
+        if values.dtype.kind not in ("i", "u", "O"):
+            raise ValueError(f"expected integer values, got dtype {values.dtype}")
+        if values.dtype.kind == "O":
+            for value in values.ravel().tolist():
+                exact_int(value)
+        if not len(keys):
             return
-        if self.key_bits < 64 and bool(
-            (keys >> np.uint64(self.key_bits)).any()
-        ):
-            raise ValueError(f"keys outside [0, 2^{self.key_bits})")
-        max_coordinate = int(np.abs(values).max()) if values.size else 0
-        if keys.size >= (1 << 31) or max_coordinate * keys.size >= (1 << 62):
-            # int64 delta accumulators could overflow; stay exact per pair.
-            self._update_pairs(
-                zip(keys.tolist(), map(tuple, values.tolist())), sign
-            )
+        max_coordinate = max(int(values.max()), -int(values.min())) if values.size else 0
+        if not vector or len(keys) >= (1 << 31) or max_coordinate * len(keys) >= (1 << 62):
+            # Too wide for uint64 hashing, or int64 delta accumulators
+            # could overflow: stay exact per pair.
+            for key, value in zip(keys.tolist() if vector else keys, values.tolist()):
+                self._update(key, value, sign)
             return
+        values = np.ascontiguousarray(values, dtype=np.int64)
         checks = self.checksum.hash_array(keys)
         indices = self.cell_index_matrix(keys)  # (q, n)
         low_mask = np.uint64(0xFFFFFFFF)
@@ -275,30 +285,6 @@ class RIBLT:
             cell_value = self.value_sum[index]
             for coordinate in range(dim):
                 cell_value[coordinate] += sign * row[4 + coordinate]
-
-    def _update_pairs(self, pairs: Iterable[tuple[int, Point]], sign: int) -> None:
-        """Batched insert/delete: cell indices and checksums are computed
-        with the vectorised Mersenne hashes (the dominant per-pair cost);
-        the unbounded cell sums are then updated exactly per pair."""
-        pairs = [self._check_pair(key, value) for key, value in pairs]
-        if not pairs:
-            return
-        if self.key_bits > MAX_NUMPY_KEY_BITS:  # too wide for uint64 hashing
-            for key, value in pairs:
-                self._update(key, value, sign)
-            return
-        keys = np.fromiter((key for key, _ in pairs), dtype=np.uint64, count=len(pairs))
-        checks = self.checksum.hash_array(keys).tolist()
-        indices = self.cell_index_matrix(keys)
-        counts, key_sum, check_sum = self.counts, self.key_sum, self.check_sum
-        for j in range(self.q):
-            for index, (key, value), check in zip(indices[j].tolist(), pairs, checks):
-                counts[index] += sign
-                key_sum[index] += sign * key
-                check_sum[index] += sign * check
-                cell_value = self.value_sum[index]
-                for coordinate in range(self.dim):
-                    cell_value[coordinate] += sign * value[coordinate]
 
     # -- combination ---------------------------------------------------------
     def subtract(self, other: "RIBLT") -> "RIBLT":
@@ -351,71 +337,6 @@ class RIBLT:
         clone.check_sum = list(self.check_sum)
         clone.value_sum = [list(cell) for cell in self.value_sum]
         return clone
-
-    # -- array snapshots -----------------------------------------------------
-    def to_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Cell state as ``(counts, key_sum, check_sum, value_sum)`` arrays.
-
-        ``counts`` is ``int64``; the sums are ``object``-dtype arrays
-        (``value_sum`` of shape ``(m, dim)``) because RIBLT cell sums are
-        unbounded Python ints.  Always fresh arrays — the interchange
-        format for persistence and transport, mirroring
-        :meth:`IBLT.to_arrays`.
-        """
-        value_sum = np.empty((self.m, self.dim), dtype=object)
-        for index in range(self.m):
-            for coordinate in range(self.dim):
-                value_sum[index, coordinate] = self.value_sum[index][coordinate]
-        return (
-            np.array(self.counts, dtype=np.int64),
-            np.array(self.key_sum, dtype=object),
-            np.array(self.check_sum, dtype=object),
-            value_sum,
-        )
-
-    def load_arrays(
-        self,
-        counts: np.ndarray,
-        key_sum: np.ndarray,
-        check_sum: np.ndarray,
-        value_sum: np.ndarray,
-    ) -> "RIBLT":
-        """Load a :meth:`to_arrays` snapshot into this (empty) table.
-
-        The snapshot is untrusted: shapes, dtypes and value magnitudes
-        are validated and inconsistencies raise
-        :class:`~repro.errors.MalformedPayloadError` instead of building
-        a table that silently misdecodes later.
-        """
-        if not self.is_empty():
-            raise ValueError("table must be empty before loading cell arrays")
-        count_list = validate_cell_ints(
-            counts, "counts", self.m, -(1 << 63), (1 << 63) - 1
-        )
-        key_list = validate_cell_ints(key_sum, "key_sum", self.m, -_SUM_LIMIT, _SUM_LIMIT)
-        check_list = validate_cell_ints(
-            check_sum, "check_sum", self.m, -_SUM_LIMIT, _SUM_LIMIT
-        )
-        values = (
-            value_sum
-            if isinstance(value_sum, np.ndarray)
-            else np.asarray(list(value_sum), dtype=object)
-        )
-        if values.shape != (self.m, self.dim):
-            raise MalformedPayloadError(
-                f"value_sum must have shape ({self.m}, {self.dim}), got {values.shape}"
-            )
-        value_list = validate_cell_ints(
-            values.ravel(), "value_sum", self.m * self.dim, -_SUM_LIMIT, _SUM_LIMIT
-        )
-        self.counts = count_list
-        self.key_sum = key_list
-        self.check_sum = check_list
-        self.value_sum = [
-            value_list[index * self.dim : (index + 1) * self.dim]
-            for index in range(self.m)
-        ]
-        return self
 
     def to_payload(self) -> tuple[bytes, int]:
         """Serialize this sketch; returns ``(payload, exact_bit_count)``.

@@ -74,19 +74,16 @@ class _Level:
         matrix = np.asarray(points, dtype=np.float64)
         return np.floor((matrix + self.offset[None, :]) / self.width).astype(np.int64)
 
-    def keys_and_centres(
-        self, points: Sequence[Point]
-    ) -> tuple[list[int], list[Point]]:
-        """Folded cell keys plus each point's cell-centre value."""
+    def keys_and_centres(self, points: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
+        """Folded cell keys plus each point's cell-centre value, as the
+        ``(n,)`` keys and ``(n, d)`` values a RIBLT batch takes."""
         if not points:
-            return [], []
+            return np.empty(0, dtype=np.int64), np.empty((0, self.space.dim), dtype=np.int64)
         cells = self.cells_of(points)  # (n, d)
         keys = fold_cells(cells[None, :, :], self.coeffs_1, self.coeffs_2)[:, 0]
-        centres = []
         raw = (cells.astype(np.float64) + 0.5) * self.width - self.offset[None, :]
-        for row in raw:
-            centres.append(self.space.clamp(row))
-        return [int(key) for key in keys], centres
+        centres = np.array([self.space.clamp(row) for row in raw], dtype=np.int64)
+        return keys, centres
 
 
 class QuadtreeEMDProtocol:
@@ -162,9 +159,7 @@ class QuadtreeEMDProtocol:
         writer = BitWriter()
         for index, level in enumerate(levels):
             table = self._table(coins, index)
-            keys, centres = level.keys_and_centres(alice_points)
-            for key, centre in zip(keys, centres):
-                table.insert(key, centre)
+            table.insert_batch(*level.keys_and_centres(alice_points))
             write_riblt_cells(writer, table)
         payload = channel.send(
             ALICE, "quadtree-riblts", writer.getvalue(), writer.bit_length
@@ -181,9 +176,7 @@ class QuadtreeEMDProtocol:
         decoded_pairs = 0
         for index in range(len(levels) - 1, -1, -1):
             table = loaded[index]
-            keys, centres = levels[index].keys_and_centres(bob_points)
-            for key, centre in zip(keys, centres):
-                table.delete(key, centre)
+            table.delete_batch(*levels[index].keys_and_centres(bob_points))
             outcome = table.decode()
             if outcome.success and outcome.pair_count <= 4 * self.k:
                 decoded_level = index

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..hashing import PairwiseHash, PublicCoins
 from ..iblt.backend import resolve_backend
-from ..iblt.iblt import IBLT, coerce_key_array, key_list
+from ..iblt.iblt import IBLT, check_key, coerce_key_array, key_list
 from ..protocol.serialize import BitReader, BitWriter
 from ..protocol.tables import read_iblt_cells, write_iblt_cells
 
@@ -107,9 +107,11 @@ class StrataEstimator:
         return np.minimum(trailing, self.shape.strata - 1)
 
     def insert(self, key: int) -> None:
+        key = check_key(key, self.shape.key_bits)
         self.tables[self._stratum_of(key)].insert(key)
 
     def delete(self, key: int) -> None:
+        key = check_key(key, self.shape.key_bits)
         self.tables[self._stratum_of(key)].delete(key)
 
     def insert_batch(self, keys: "np.ndarray | Iterable[int]") -> None:

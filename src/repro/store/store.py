@@ -27,10 +27,6 @@ spent where it saves the most hashing:
   are commuting exact operations with exact inverses, so a mutated
   snapshot is pinned bit-identical to a cold rebuild of the mutated
   set; only the delta is hashed.
-* **Untrusted snapshots** — externally supplied cell arrays go through
-  the validating ``load_arrays`` paths and damage raises the typed
-  :class:`~repro.errors.DecodeError` hierarchy, never corrupts a
-  served payload.
 * **Peer memory** — the PR-6 circuit breaker's learning is persisted
   per peer as a serialisable
   :class:`~repro.reconcile.resilient.BreakerState`, so a flaky peer's
@@ -51,8 +47,7 @@ import numpy as np
 
 from ..hashing import PairwiseHash, PublicCoins, derive_seed
 from ..iblt.backend import MAX_NUMPY_KEY_BITS
-from ..iblt.iblt import IBLT
-from ..iblt.riblt import RIBLT
+from ..iblt.iblt import IBLT, key_list
 from ..reconcile.resilient import BreakerState
 from ..reconcile.strata import StrataEstimator
 from ..stream.events import MutationEvent, split_mutations
@@ -116,8 +111,6 @@ class StoreStats:
     keys_hashed: int = 0  #: keys run through fresh Mersenne hash passes
     evictions: int = 0  #: entries dropped by shard LRU pressure
     sketch_evictions: int = 0  #: per-entry sketch slots dropped
-    snapshot_loads: int = 0  #: validated external snapshots accepted
-    riblt_snapshots_dropped: int = 0  #: value-carrying snapshots invalidated
 
     @property
     def hit_rate(self) -> float:
@@ -133,8 +126,6 @@ class StoreStats:
             "keys_hashed": self.keys_hashed,
             "evictions": self.evictions,
             "sketch_evictions": self.sketch_evictions,
-            "snapshot_loads": self.snapshot_loads,
-            "riblt_snapshots_dropped": self.riblt_snapshots_dropped,
         }
 
 
@@ -171,7 +162,7 @@ class _SketchSlot:
 
     __slots__ = ("payload", "sketch")
 
-    def __init__(self, sketch: "IBLT | RIBLT"):
+    def __init__(self, sketch: IBLT):
         self.sketch = sketch
         self.payload: "tuple[bytes, int] | None" = None
 
@@ -189,14 +180,9 @@ class StoreEntry:
             raise ValueError(f"key_bits must be >= 1, got {key_bits}")
         self.store_key = store_key
         self.key_bits = key_bits
-        self.keys: set[int] = {int(key) for key in keys}
-        limit = 1 << key_bits
-        for key in self.keys:
-            if not 0 <= key < limit:
-                raise ValueError(f"key {key} outside [0, 2^{key_bits})")
+        self.keys: set[int] = set(key_list(keys, key_bits))
         self._sorted: "list[int] | np.ndarray | None" = None
         self.iblts: "OrderedDict[tuple, _SketchSlot]" = OrderedDict()
-        self.riblts: "OrderedDict[tuple, _SketchSlot]" = OrderedDict()
         self.stratas: "OrderedDict[tuple, StrataEstimator]" = OrderedDict()
 
     def sorted_keys(self) -> "list[int] | np.ndarray":
@@ -290,17 +276,11 @@ class SketchStore:
         an absent one raises ``ValueError`` *before* anything mutates,
         because it would silently desynchronise every cached sketch
         from the membership.  Each cached IBLT and strata estimate is
-        updated in place (hashing only the delta); RIBLT snapshots
-        carry values the store does not know, so they are dropped
-        rather than silently served stale.
+        updated in place (hashing only the delta).
         """
         entry = self._entry(store_key)
-        ins = [int(key) for key in inserts]
-        dels = [int(key) for key in deletes]
-        limit = 1 << entry.key_bits
-        for key in ins + dels:
-            if not 0 <= key < limit:
-                raise ValueError(f"key {key} outside [0, 2^{entry.key_bits})")
+        ins = key_list(inserts, entry.key_bits)
+        dels = key_list(deletes, entry.key_bits)
         if len(set(ins)) != len(ins) or len(set(dels)) != len(dels):
             raise ValueError("mutation delta contains duplicate keys")
         for key in ins:
@@ -325,9 +305,6 @@ class SketchStore:
             estimator.apply_mutations(ins, dels)
             self.stats.incremental_refreshes += 1
             self.stats.keys_hashed += delta
-        if entry.riblts:
-            self.stats.riblt_snapshots_dropped += len(entry.riblts)
-            entry.riblts.clear()
 
     def apply_events(self, store_key: int, events: Iterable[MutationEvent]) -> int:
         """Apply a batch of :class:`~repro.stream.events.MutationEvent`\\ s.
@@ -377,9 +354,9 @@ class SketchStore:
             if entry.key_bits <= MAX_NUMPY_KEY_BITS and len(entry.keys):
                 # Warm the decode-side hash cache too (shared by every
                 # clone `subtract` hands out); behaviour-neutral.
-                key_list = [int(key) for key in keys]
-                table._hash_cache.prime(key_list)
-                self.stats.keys_hashed += len(key_list)
+                primed = keys.tolist()
+                table._hash_cache.prime(primed)
+                self.stats.keys_hashed += len(primed)
             slot = _SketchSlot(table)
             entry.iblts[slot_key] = slot
             self._bound_slots(entry.iblts)
@@ -419,94 +396,6 @@ class SketchStore:
             self.stats.hits += 1
             self.stats.rebuilds_avoided += 1
         return estimator
-
-    # -- untrusted snapshots -------------------------------------------------
-    def export_iblt_arrays(
-        self,
-        store_key: int,
-        coins: PublicCoins,
-        label: object,
-        cells: int,
-        q: int = 3,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``to_arrays()`` of the (possibly cold-built) warm sketch."""
-        self.serve_iblt(store_key, coins, label, cells=cells, q=q)
-        entry = self._entry(store_key)
-        slot = entry.iblts[self._slot_key(coins, label, cells, q)]
-        return slot.sketch.to_arrays()
-
-    def load_iblt_snapshot(
-        self,
-        store_key: int,
-        coins: PublicCoins,
-        label: object,
-        cells: int,
-        q: int,
-        counts: np.ndarray,
-        key_xor: np.ndarray,
-        check_xor: np.ndarray,
-    ) -> None:
-        """Adopt an externally produced cell snapshot as warm state.
-
-        The arrays are untrusted input: they run through the validating
-        :meth:`~repro.iblt.iblt.IBLT.load_arrays`, and damage raises
-        the typed :class:`~repro.errors.DecodeError` hierarchy without
-        touching existing warm state.  The caller asserts the snapshot
-        encodes the entry's *current* membership; from then on
-        :meth:`apply_mutations` keeps it in step like any cold-built
-        sketch.
-        """
-        entry = self._entry(store_key)
-        shell = IBLT(coins, label, cells=cells, q=q, key_bits=entry.key_bits)
-        shell.load_arrays(counts, key_xor, check_xor)  # raises DecodeError
-        slot_key = self._slot_key(coins, label, cells, q)
-        entry.iblts[slot_key] = _SketchSlot(shell)
-        entry.iblts.move_to_end(slot_key)
-        self._bound_slots(entry.iblts)
-        self.stats.snapshot_loads += 1
-
-    def load_riblt_snapshot(
-        self,
-        store_key: int,
-        shell: RIBLT,
-        counts: np.ndarray,
-        key_sum: np.ndarray,
-        check_sum: np.ndarray,
-        value_sum: np.ndarray,
-    ) -> None:
-        """Adopt a validated RIBLT snapshot (static warm state).
-
-        RIBLT cells carry value sums the store has no way to maintain
-        incrementally, so these slots serve warm payloads only until
-        the next mutation drops them.
-        """
-        entry = self._entry(store_key)
-        shell.load_arrays(counts, key_sum, check_sum, value_sum)  # raises DecodeError
-        slot_key = ("riblt", repr(shell.label), shell.m, shell.q, shell.dim)
-        entry.riblts[slot_key] = _SketchSlot(shell)
-        entry.riblts.move_to_end(slot_key)
-        self._bound_slots(entry.riblts)
-        self.stats.snapshot_loads += 1
-
-    def serve_riblt(
-        self, store_key: int, label: object, cells: int, q: int, dim: int
-    ) -> tuple[bytes, int]:
-        """Payload of a previously loaded RIBLT snapshot (warm only).
-
-        Raises ``KeyError`` when no live snapshot matches — the caller
-        rebuilds cold; the store cannot (it has no values).
-        """
-        entry = self._entry(store_key)
-        block_size = (cells + q - 1) // q
-        slot_key = ("riblt", repr(label), block_size * q, q, dim)
-        slot = entry.riblts.get(slot_key)
-        if slot is None:
-            self.stats.misses += 1
-            raise KeyError(f"no warm RIBLT snapshot for {slot_key}")
-        entry.riblts.move_to_end(slot_key)
-        self.stats.hits += 1
-        self.stats.rebuilds_avoided += 1
-        return slot.serve()
 
     # -- per-peer breaker persistence ----------------------------------------
     def _peer_slot(self, peer: object) -> tuple[_Shard, int]:

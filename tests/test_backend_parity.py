@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hashing import PublicCoins
-from repro.iblt import IBLT, MultisetIBLT
+from repro.iblt import IBLT, RIBLT, MultisetIBLT
 from repro.reconcile.strata import StrataEstimator
 
 KEY_BITS = 56
@@ -113,14 +113,6 @@ class TestIBLTParity:
         _assert_same_cells(python_table, loaded)
         result = loaded.decode()
         assert result.success and sorted(result.inserted) == keys
-
-    def test_to_arrays_roundtrip(self, coins):
-        table = IBLT(coins, "arr", cells=30, q=3, key_bits=KEY_BITS, backend="numpy")
-        table.insert_all([7, 8, 9])
-        counts, key_xor, check_xor = table.to_arrays()
-        python_clone = IBLT(coins, "arr", cells=30, q=3, key_bits=KEY_BITS, backend="python")
-        python_clone.load_arrays(counts, key_xor, check_xor)
-        _assert_same_cells(python_clone, table)
 
     def test_wide_keys_fall_back_to_python(self, coins):
         table = IBLT(coins, "wide", cells=30, q=3, key_bits=80)
@@ -254,6 +246,10 @@ _SKETCHES = {
 
 _KEYS = [3, 17, 99, 1 << 40, (1 << 56) - 1]
 
+#: Floats and bools that ``int()`` would silently truncate into keys.
+_NON_INTEGER_KEYS = [3.5, True, np.float64(2.0)]
+_BAD_KEYS = [-1, 1 << KEY_BITS, *_NON_INTEGER_KEYS]
+
 #: Every key-sequence shape the batch methods accept (fresh per call).
 _KEY_INPUTS = {
     "uint64": lambda: np.array(_KEYS, dtype=np.uint64),
@@ -284,7 +280,7 @@ class TestBatchIngest:
         batched.delete_batch(_KEY_INPUTS[form]())
         assert batched.is_empty()
 
-    @pytest.mark.parametrize("bad", [-1, 1 << KEY_BITS])
+    @pytest.mark.parametrize("bad", _BAD_KEYS)
     @pytest.mark.parametrize("backend", ["python", "numpy"])
     @pytest.mark.parametrize("kind", sorted(_SKETCHES))
     def test_bad_key_rejects_whole_batch(self, coins, kind, backend, bad):
@@ -292,6 +288,17 @@ class TestBatchIngest:
         for method in (sketch.insert_batch, sketch.delete_batch):
             with pytest.raises(ValueError):
                 method([5, 6, bad, 7])
+            assert sketch.is_empty()
+
+    @pytest.mark.parametrize("bad", _NON_INTEGER_KEYS)
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("kind", sorted(_SKETCHES))
+    def test_non_integer_scalar_key_rejected(self, coins, kind, backend, bad):
+        """``insert(3.9)`` must not truncate to key 3 on either backend."""
+        sketch = _SKETCHES[kind](coins, KEY_BITS, backend)
+        for method in (sketch.insert, sketch.delete):
+            with pytest.raises(ValueError):
+                method(bad)
             assert sketch.is_empty()
 
     @pytest.mark.parametrize("kind", sorted(_SKETCHES))
@@ -321,6 +328,84 @@ class TestBatchIngest:
         with pytest.raises(ValueError):
             sketch.apply_mutations(inserts=[1, 2], deletes=[3, -4])
         assert sketch.is_empty()
+
+
+def _riblt(coins, key_bits=KEY_BITS):
+    return RIBLT(coins, "ingest", cells=30, q=3, key_bits=key_bits, dim=2, side=1 << 62)
+
+
+class TestRIBLTBatchIngest:
+    """RIBLT's one batch path takes the same key sequences as the other
+    tables and matches an :meth:`RIBLT.insert` loop byte for byte."""
+
+    @pytest.mark.parametrize("form", sorted(_KEY_INPUTS))
+    @pytest.mark.parametrize("route", ["vector", "overflow-guard"])
+    def test_batch_matches_scalar_inserts(self, coins, monkeypatch, form, route):
+        keys = list(_KEY_INPUTS[form]())  # the order the batch sees
+        scale = 1 if route == "vector" else 1 << 60  # 2^61 * n >= 2^62
+        values = [((key % 3) * scale, key % 5) for key in keys]
+        scalar = _riblt(coins)
+        for key, value in zip(keys, values):
+            scalar.insert(key, value)
+
+        scalar_updates = []
+        update = RIBLT._update
+
+        def counted(self, *args):
+            scalar_updates.append(args)
+            update(self, *args)
+
+        monkeypatch.setattr(RIBLT, "_update", counted)
+        batched = _riblt(coins)
+        batched.insert_batch(_KEY_INPUTS[form](), values)
+        assert batched.to_payload() == scalar.to_payload()
+        assert len(scalar_updates) == (0 if route == "vector" else len(keys))
+        batched.delete_batch(_KEY_INPUTS[form](), np.array(values, dtype=object))
+        assert batched.is_empty() and batched.residual_value_mass() == 0
+
+    def test_wide_keys_take_object_arrays_and_lists(self, coins):
+        wide = [1, (1 << 65) + 5, (1 << 69) + 3]
+        values = [(1, 2), (3, 4), (5, 6)]
+        scalar = _riblt(coins, key_bits=70)
+        for key, value in zip(wide, values):
+            scalar.insert(key, value)
+        for keys in (np.array(wide, dtype=object), wide):
+            table = _riblt(coins, key_bits=70)
+            table.insert_batch(keys, values)
+            assert table.to_payload() == scalar.to_payload()
+            result = table.decode()
+            assert result.success
+            assert sorted(result.inserted) == sorted(zip(wide, values))
+        with pytest.raises(ValueError):
+            _riblt(coins, key_bits=70).insert_batch([1 << 70], [(0, 0)])
+
+    @pytest.mark.parametrize("bad", _BAD_KEYS)
+    def test_bad_key_rejects_whole_batch(self, coins, bad):
+        table = _riblt(coins)
+        for method in (table.insert_batch, table.delete_batch):
+            with pytest.raises(ValueError):
+                method([5, 6, bad, 7], np.ones((4, 2), dtype=np.int64))
+            assert table.is_empty()
+        with pytest.raises(ValueError):
+            table.insert(bad, (1, 1))
+        assert table.is_empty()
+
+    def test_float_keys_and_values_rejected(self, coins):
+        table = _riblt(coins)
+        ones = np.ones((2, 2), dtype=np.int64)
+        with pytest.raises(ValueError):
+            table.insert_batch(np.array([5, 1.5]), ones)
+        for values in (
+            np.array([[1.5, 2.0], [1.0, 1.0]]),
+            [(1.0, 2.0), (1.0, 1.0)],
+            np.array([[True, False], [True, True]]),
+            np.array([[1.5, 2], [1, 1]], dtype=object),
+        ):
+            with pytest.raises(ValueError):
+                table.insert_batch([5, 6], values)
+        with pytest.raises(ValueError):
+            table.insert(5, (1.5, 2))
+        assert table.is_empty()
 
 
 class TestResolveBackend:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
 import pytest
 
 from repro.errors import (
@@ -179,116 +178,3 @@ class TestStrataFuzz:
             self._shell().from_payload(mutated)
 
         _assert_only_decode_error(decode, payload, seed=505)
-
-
-class TestIBLTLoadArraysValidation:
-    def _table(self) -> IBLT:
-        return IBLT(COINS, "arrays", cells=48, q=3, key_bits=30)
-
-    def _snapshot(self):
-        table = self._table()
-        for key in range(9):
-            table.insert(key)
-        return table.to_arrays()
-
-    def test_roundtrip(self):
-        counts, key_xor, check_xor = self._snapshot()
-        loaded = self._table().load_arrays(counts, key_xor, check_xor)
-        result = loaded.decode()
-        assert result.success
-        assert sorted(result.inserted) == list(range(9))
-
-    def test_float_dtype_rejected(self):
-        counts, key_xor, check_xor = self._snapshot()
-        with pytest.raises(MalformedPayloadError):
-            self._table().load_arrays(
-                counts.astype(np.float64), key_xor, check_xor
-            )
-
-    def test_bool_dtype_rejected(self):
-        counts, key_xor, check_xor = self._snapshot()
-        with pytest.raises(MalformedPayloadError):
-            self._table().load_arrays(
-                counts, key_xor, check_xor.astype(bool)
-            )
-
-    def test_wrong_length_rejected(self):
-        counts, key_xor, check_xor = self._snapshot()
-        with pytest.raises(MalformedPayloadError):
-            self._table().load_arrays(counts[:-1], key_xor[:-1], check_xor[:-1])
-
-    def test_wrong_ndim_rejected(self):
-        counts, key_xor, check_xor = self._snapshot()
-        with pytest.raises(MalformedPayloadError):
-            self._table().load_arrays(
-                counts.reshape(2, 24), key_xor, check_xor
-            )
-
-    def test_out_of_range_key_rejected(self):
-        counts, key_xor, check_xor = self._snapshot()
-        key_xor = key_xor.astype(object)
-        key_xor[0] = 1 << 30  # key_bits is 30, so max is 2^30 - 1
-        with pytest.raises(MalformedPayloadError):
-            self._table().load_arrays(counts, key_xor, check_xor)
-
-    def test_out_of_range_count_rejected(self):
-        counts, key_xor, check_xor = self._snapshot()
-        counts = counts.astype(object)
-        counts[0] = 1 << 63
-        with pytest.raises(MalformedPayloadError):
-            self._table().load_arrays(counts, key_xor, check_xor)
-
-    def test_malformed_is_still_valueerror(self):
-        """Backward compatibility: callers catching ValueError keep working."""
-        counts, key_xor, check_xor = self._snapshot()
-        with pytest.raises(ValueError):
-            self._table().load_arrays(counts[:-1], key_xor, check_xor)
-
-
-class TestRIBLTLoadArraysValidation:
-    def _table(self) -> RIBLT:
-        return RIBLT(
-            COINS, "arrays-r", cells=12, q=3, key_bits=30, dim=3, side=64
-        )
-
-    def _snapshot(self):
-        table = self._table()
-        for key in range(7):
-            table.insert(key, (key % 64, (2 * key) % 64, (3 * key) % 64))
-        return table.to_arrays()
-
-    def test_roundtrip(self):
-        counts, key_sum, check_sum, value_sum = self._snapshot()
-        loaded = self._table().load_arrays(counts, key_sum, check_sum, value_sum)
-        result = loaded.decode()
-        assert result.success
-        assert sorted(key for key, _value in result.inserted) == list(range(7))
-
-    def test_float_sums_rejected(self):
-        counts, key_sum, check_sum, value_sum = self._snapshot()
-        with pytest.raises(MalformedPayloadError):
-            self._table().load_arrays(
-                counts, np.array([float(v) for v in key_sum]), check_sum,
-                value_sum,
-            )
-
-    def test_wrong_value_shape_rejected(self):
-        counts, key_sum, check_sum, value_sum = self._snapshot()
-        with pytest.raises(MalformedPayloadError):
-            self._table().load_arrays(
-                counts, key_sum, check_sum, value_sum[:, :2]
-            )
-
-    def test_oversized_sum_rejected(self):
-        counts, key_sum, check_sum, value_sum = self._snapshot()
-        key_sum = key_sum.copy()
-        key_sum[0] = 1 << 140  # beyond what the wire varint can carry
-        with pytest.raises(MalformedPayloadError):
-            self._table().load_arrays(counts, key_sum, check_sum, value_sum)
-
-    def test_nonempty_shell_rejected(self):
-        counts, key_sum, check_sum, value_sum = self._snapshot()
-        dirty = self._table()
-        dirty.insert(1, (1, 1, 1))
-        with pytest.raises(ValueError, match="empty"):
-            dirty.load_arrays(counts, key_sum, check_sum, value_sum)

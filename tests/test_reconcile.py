@@ -206,6 +206,22 @@ class TestQuadtree:
         assert result.decoded_pairs == 0
         assert sorted(result.bob_final) == sorted(points)
 
+    def test_batch_levels_match_scalar_inserts(self, coins):
+        """Every level's table, built through the batch path the protocol
+        uses, serialises to the bytes of a scalar insert loop."""
+        space, wl = self._workload(seed=3)
+        protocol = QuadtreeEMDProtocol(space, n=24, k=2)
+        for index, level in enumerate(protocol._levels(coins)):
+            keys, centres = level.keys_and_centres(wl.alice)
+            batched = protocol._table(coins, index)
+            batched.insert_batch(keys, centres)
+            scalar = protocol._table(coins, index)
+            for key, centre in zip(keys.tolist(), centres.tolist()):
+                scalar.insert(key, centre)
+            assert batched.to_payload() == scalar.to_payload()
+            batched.delete_batch(*level.keys_and_centres([]))
+            assert batched.to_payload() == scalar.to_payload()
+
     def test_rejects_hamming(self):
         with pytest.raises(TypeError):
             QuadtreeEMDProtocol(HammingSpace(8), n=10, k=1)

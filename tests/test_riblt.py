@@ -20,6 +20,13 @@ def _table(coins, cells=108, q=3, key_bits=32, dim=3, side=64, label="r"):
     )
 
 
+def _batch_insert(table, pairs):
+    """Insert ``(key, value)`` pairs through the one batch path."""
+    keys = [key for key, _ in pairs]
+    values = np.array([value for _, value in pairs], dtype=np.int64)
+    table.insert_batch(keys, values.reshape(len(keys), table.dim))
+
+
 class TestBasics:
     def test_insert_delete_cancels(self, coins):
         table = _table(coins)
@@ -63,7 +70,7 @@ class TestDecode:
     def test_simple_exact_decode(self, coins):
         table = _table(coins)
         pairs = [(10, (1, 2, 3)), (20, (4, 5, 6)), (30, (7, 8, 9))]
-        table.insert_pairs(pairs)
+        _batch_insert(table, pairs)
         result = table.decode()
         assert result.success
         assert sorted(result.inserted) == sorted(pairs)
@@ -135,7 +142,7 @@ class TestDecode:
                 (int(key), tuple(int(v) for v in rng.integers(0, 64, size=3)))
                 for key in rng.choice(1 << 30, size=8, replace=False)
             ]
-            table.insert_pairs(pairs)
+            _batch_insert(table, pairs)
             # A cancelled pair with value noise 1 in one coordinate.
             noisy_key = 1 << 31 - 1
             value = (10, 10, 10)
@@ -176,8 +183,8 @@ class TestSubtract:
         bob_only = [(int((1 << 31) + 1), (4, 5, 6))]
         a = _table(coins, label="sub")
         b = _table(coins, label="sub")
-        a.insert_pairs(shared + alice_only)
-        b.insert_pairs(shared + bob_only)
+        _batch_insert(a, shared + alice_only)
+        _batch_insert(b, shared + bob_only)
         result = a.subtract(b).decode()
         assert result.success
         assert result.inserted == alice_only
@@ -262,9 +269,9 @@ def test_decode_recovers_distinct_pairs_property(seed, pairs):
 
 
 class TestBatchParity:
-    """The array-native batch path must be bit-identical to per-pair
-    updates — it is what the EMD protocol now feeds its uint64 key
-    matrices through."""
+    """The batch path must be bit-identical to an :meth:`RIBLT.insert`
+    loop (the scalar reference) — it is what the EMD protocol feeds its
+    uint64 key matrices through."""
 
     def _random_pairs(self, rng, count, key_bits=32, dim=3, side=64):
         keys = rng.choice(1 << key_bits, size=count, replace=False).astype(np.uint64)
@@ -279,16 +286,14 @@ class TestBatchParity:
         coins = PublicCoins(seed)
         keys, values = self._random_pairs(rng, count)
         batch_table = _table(coins, label="bp")
-        pair_table = _table(coins, label="bp")
+        scalar_table = _table(coins, label="bp")
         batch_table.insert_batch(keys, values)
-        pair_table.insert_pairs(
-            (int(key), tuple(int(v) for v in row))
-            for key, row in zip(keys.tolist(), values.tolist())
-        )
-        assert batch_table.counts == pair_table.counts
-        assert batch_table.key_sum == pair_table.key_sum
-        assert batch_table.check_sum == pair_table.check_sum
-        assert batch_table.value_sum == pair_table.value_sum
+        for key, row in zip(keys.tolist(), values.tolist()):
+            scalar_table.insert(key, row)
+        assert batch_table.counts == scalar_table.counts
+        assert batch_table.key_sum == scalar_table.key_sum
+        assert batch_table.check_sum == scalar_table.check_sum
+        assert batch_table.value_sum == scalar_table.value_sum
 
     def test_delete_batch_cancels_insert_batch(self, coins):
         rng = np.random.default_rng(9)
@@ -342,11 +347,9 @@ class TestBatchParity:
         keys = np.array([1, 2, 3], dtype=np.uint64)
         values = np.full((3, 3), (1 << 61), dtype=np.int64)
         batch_table = _table(coins, side=1 << 62, label="bp7")
-        pair_table = _table(coins, side=1 << 62, label="bp7")
+        scalar_table = _table(coins, side=1 << 62, label="bp7")
         batch_table.insert_batch(keys, values)
-        pair_table.insert_pairs(
-            (int(key), tuple(int(v) for v in row))
-            for key, row in zip(keys.tolist(), values.tolist())
-        )
-        assert batch_table.key_sum == pair_table.key_sum
-        assert batch_table.value_sum == pair_table.value_sum
+        for key, row in zip(keys.tolist(), values.tolist()):
+            scalar_table.insert(key, row)
+        assert batch_table.key_sum == scalar_table.key_sum
+        assert batch_table.value_sum == scalar_table.value_sum

@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import MalformedPayloadError
 from repro.hashing import PublicCoins
-from repro.iblt import IBLT, RIBLT
+from repro.iblt import IBLT
 from repro.reconcile import BreakerState, ResilienceConfig
 from repro.reconcile.strata import StrataEstimator
 from repro.store import ShardRouter, SketchStore, StoreConfig
@@ -195,55 +195,22 @@ class TestApplyMutations:
         assert store.keys_of(1) == set(keys)
         assert store.serve_iblt(1, coins, "d", cells=12, q=3) == baseline
 
-    def test_riblt_snapshots_drop_on_mutation(self, coins):
-        store = SketchStore(StoreConfig(seed=3, shards=1, capacity=4))
-        keys = _keys(15, 40)
-        store.put_set(2, keys, key_bits=55)
-        source = RIBLT(coins, "r", cells=16, q=3, key_bits=55, dim=8, side=64)
-        for key in keys:
-            source.insert(key, tuple((key >> (3 * j)) % 64 for j in range(8)))
-        shell = RIBLT(coins, "r", cells=16, q=3, key_bits=55, dim=8, side=64)
-        store.load_riblt_snapshot(2, shell, *source.to_arrays())
-        assert store.serve_riblt(2, "r", cells=16, q=3, dim=8) == source.to_payload()
-        store.apply_mutations(2, deletes=[keys[0]])
-        assert store.stats.riblt_snapshots_dropped == 1
-        with pytest.raises(KeyError):
-            store.serve_riblt(2, "r", cells=16, q=3, dim=8)
-
-
-class TestUntrustedSnapshots:
-    def test_valid_snapshot_round_trips(self, coins):
-        store = SketchStore(StoreConfig(seed=4, shards=1, capacity=4))
-        keys = _keys(21, 80)
-        store.put_set(3, keys, key_bits=55)
-        counts, key_xor, check_xor = store.export_iblt_arrays(
-            3, coins, "snap", cells=20, q=3
-        )
-        other = SketchStore(StoreConfig(seed=4, shards=1, capacity=4))
-        other.put_set(3, keys, key_bits=55)
-        other.load_iblt_snapshot(3, coins, "snap", 20, 3, counts, key_xor, check_xor)
-        assert other.stats.snapshot_loads == 1
-        assert other.serve_iblt(3, coins, "snap", cells=20, q=3) == store.serve_iblt(
-            3, coins, "snap", cells=20, q=3
-        )
-
-    def test_damaged_snapshot_raises_typed_error(self, coins):
-        store = SketchStore(StoreConfig(seed=4, shards=1, capacity=4))
-        keys = _keys(21, 80)
-        store.put_set(3, keys, key_bits=55)
-        counts, key_xor, check_xor = store.export_iblt_arrays(
-            3, coins, "snap", cells=20, q=3
-        )
-        bad_key = key_xor.copy()
-        bad_key[0] = np.uint64(1 << 60)  # above the 55-bit key range
-        with pytest.raises(MalformedPayloadError):
-            store.load_iblt_snapshot(3, coins, "snap", 20, 3, counts, bad_key, check_xor)
-        with pytest.raises(MalformedPayloadError):
-            store.load_iblt_snapshot(3, coins, "snap", 20, 3, counts[:-1], key_xor, check_xor)
-        # Failed loads never replace the existing warm slot.
-        fresh = IBLT(coins, "snap", cells=20, q=3, key_bits=55)
-        fresh.insert_batch(np.asarray(sorted(keys), dtype=np.uint64))
-        assert store.serve_iblt(3, coins, "snap", cells=20, q=3) == fresh.to_payload()
+    @pytest.mark.parametrize("bad", [3.9, True, np.float64(2.0)])
+    def test_non_integer_keys_rejected(self, coins, bad):
+        """Floats and bools are not keys: ``int()`` would truncate them
+        into a different (possibly resident) key."""
+        store = SketchStore(StoreConfig(seed=2, shards=1, capacity=4))
+        with pytest.raises(ValueError):
+            store.put_set(1, [5, bad])
+        assert not store.contains(1)
+        store.put_set(1, [2, 3], key_bits=55)
+        baseline = store.serve_iblt(1, coins, "f", cells=12, q=3)
+        with pytest.raises(ValueError):
+            store.apply_mutations(1, inserts=[7, bad])
+        with pytest.raises(ValueError):
+            store.apply_mutations(1, deletes=[bad])
+        assert store.keys_of(1) == {2, 3}
+        assert store.serve_iblt(1, coins, "f", cells=12, q=3) == baseline
 
 
 class TestBreakerMemory:
