@@ -20,12 +20,10 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from ..hashing import PublicCoins
 from ..iblt.riblt import RIBLT
 from ..lsh.keys import PrefixKeyBuilder
-from ..metric.spaces import MetricSpace, Point
+from ..metric.spaces import MetricSpace, Point, point_tuples
 from ..protocol.channel import ALICE, Channel
 from ..protocol.serialize import BitReader, BitWriter
 from ..protocol.tables import read_riblt_cells, write_riblt_cells
@@ -33,11 +31,6 @@ from .params import EMDParameters, derive_emd_parameters
 from .repair import repair_point_set
 
 __all__ = ["EMDResult", "EMDProtocol"]
-
-
-def point_matrix(points: Sequence[Point], dim: int) -> np.ndarray:
-    """Points as the ``(n, dim)`` int64 matrix the RIBLT batch path takes."""
-    return np.asarray(points, dtype=np.int64).reshape(len(points), dim)
 
 
 @dataclass(frozen=True)
@@ -149,21 +142,21 @@ class EMDProtocol:
         RIBLT's randomized rounding (Bob's private coins).
         """
         p = self.parameters
-        if len(alice_points) != len(bob_points):
+        alice = self.space.point_array(alice_points)
+        bob = self.space.point_array(bob_points)
+        if len(alice) != len(bob):
             raise ValueError(
-                "the EMD model requires |S_A| = |S_B| "
-                f"(got {len(alice_points)}, {len(bob_points)})"
+                f"the EMD model requires |S_A| = |S_B| (got {len(alice)}, {len(bob)})"
             )
         channel = channel if channel is not None else Channel()
         builder = self._key_builder(coins)
 
         # ---- Alice: build and send all t RIBLTs --------------------------
-        alice_keys = builder.keys_for(alice_points)  # (n, t) uint64
-        alice_values = point_matrix(alice_points, self.space.dim)
+        alice_keys = builder.keys_for(alice)  # (n, t) uint64
         writer = BitWriter()
         for level in range(p.levels):
             table = self._table(coins, level)
-            table.insert_batch(alice_keys[:, level], alice_values)
+            table.insert_batch(alice_keys[:, level], alice)
             write_riblt_cells(writer, table)
         payload = channel.send(ALICE, "emd-riblts", writer.getvalue(), writer.bit_length)
 
@@ -173,8 +166,7 @@ class EMDProtocol:
             read_riblt_cells(reader, self._table(coins, level))
             for level in range(p.levels)
         ]
-        bob_keys = builder.keys_for(bob_points)
-        bob_values = point_matrix(bob_points, self.space.dim)
+        bob_keys = builder.keys_for(bob)
         decode_rng = decode_rng if decode_rng is not None else random.Random(0xB0B)
 
         decoded_level: int | None = None
@@ -183,7 +175,7 @@ class EMDProtocol:
         decoded_pairs = 0
         for level in range(p.levels - 1, -1, -1):
             table = loaded[level]
-            table.delete_batch(bob_keys[:, level], bob_values)
+            table.delete_batch(bob_keys[:, level], bob)
             outcome = table.decode(decode_rng)
             if outcome.success and outcome.pair_count <= p.accept_pairs:
                 decoded_level = level
@@ -195,7 +187,7 @@ class EMDProtocol:
         if decoded_level is None:
             return EMDResult(
                 success=False,
-                bob_final=list(bob_points),
+                bob_final=point_tuples(bob),
                 decoded_level=None,
                 decoded_pairs=0,
                 total_bits=channel.total_bits,
@@ -203,7 +195,7 @@ class EMDProtocol:
             )
 
         bob_final = repair_point_set(
-            self.space, bob_points, decoded_alice, decoded_bob, matcher=matcher
+            self.space, point_tuples(bob), decoded_alice, decoded_bob, matcher=matcher
         )
         return EMDResult(
             success=True,

@@ -20,11 +20,11 @@ from typing import Sequence
 
 from ..hashing import PublicCoins
 from ..lsh.keys import PrefixKeyBuilder
-from ..metric.spaces import MetricSpace, Point
+from ..metric.spaces import MetricSpace, Point, point_tuples
 from ..protocol.channel import ALICE, Channel
 from ..protocol.serialize import BitReader, BitWriter
 from ..protocol.tables import read_riblt_cells, write_riblt_cells
-from .emd_protocol import EMDProtocol, point_matrix
+from .emd_protocol import EMDProtocol
 from .params import default_distance_bounds, derive_emd_parameters
 from .repair import repair_point_set
 
@@ -128,19 +128,20 @@ class ScaledEMDProtocol:
         """All intervals in one round; Bob adopts the smallest success."""
         channel = channel if channel is not None else Channel()
         decode_rng = decode_rng if decode_rng is not None else random.Random(0xB0B)
+        alice = self.space.point_array(alice_points)
+        bob = self.space.point_array(bob_points)
 
         # ---- Alice: every interval's tables in one message ----------------
         writer = BitWriter()
         builders: list[PrefixKeyBuilder] = []
-        alice_values = point_matrix(alice_points, self.space.dim)
         for j, instance in enumerate(self.instances):
             interval_coins = coins.child("scaled-emd", j)
             builder = instance._key_builder(interval_coins)
             builders.append(builder)
-            keys = builder.keys_for(alice_points)
+            keys = builder.keys_for(alice)
             for level in range(instance.parameters.levels):
                 table = instance._table(interval_coins, level)
-                table.insert_batch(keys[:, level], alice_values)
+                table.insert_batch(keys[:, level], alice)
                 write_riblt_cells(writer, table)
         payload = channel.send(
             ALICE, "scaled-emd-riblts", writer.getvalue(), writer.bit_length
@@ -148,7 +149,6 @@ class ScaledEMDProtocol:
 
         # ---- Bob: decode per interval, smallest index wins ----------------
         reader = BitReader(payload)
-        bob_values = point_matrix(bob_points, self.space.dim)
         outcome_per_interval: list[tuple[int, list[Point], list[Point], int] | None] = []
         for j, instance in enumerate(self.instances):
             interval_coins = coins.child("scaled-emd", j)
@@ -157,11 +157,11 @@ class ScaledEMDProtocol:
                 read_riblt_cells(reader, instance._table(interval_coins, level))
                 for level in range(p.levels)
             ]
-            bob_keys = builders[j].keys_for(bob_points)
+            bob_keys = builders[j].keys_for(bob)
             found: tuple[int, list[Point], list[Point], int] | None = None
             for level in range(p.levels - 1, -1, -1):
                 table = loaded[level]
-                table.delete_batch(bob_keys[:, level], bob_values)
+                table.delete_batch(bob_keys[:, level], bob)
                 outcome = table.decode(decode_rng)
                 if outcome.success and outcome.pair_count <= p.accept_pairs:
                     found = (
@@ -178,7 +178,7 @@ class ScaledEMDProtocol:
                 continue
             level, decoded_alice, decoded_bob, pairs = found
             bob_final = repair_point_set(
-                self.space, bob_points, decoded_alice, decoded_bob, matcher=matcher
+                self.space, point_tuples(bob), decoded_alice, decoded_bob, matcher=matcher
             )
             return ScaledEMDResult(
                 success=True,
@@ -192,7 +192,7 @@ class ScaledEMDProtocol:
             )
         return ScaledEMDResult(
             success=False,
-            bob_final=list(bob_points),
+            bob_final=point_tuples(bob),
             chosen_interval=None,
             decoded_level=None,
             decoded_pairs=0,

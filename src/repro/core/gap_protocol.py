@@ -30,7 +30,7 @@ import numpy as np
 from ..hashing import PublicCoins
 from ..lsh.base import LSHFamily, LSHParams, batches_for_p2_half
 from ..lsh.keys import BatchKeyBuilder, key_bits_for
-from ..metric.spaces import MetricSpace, Point
+from ..metric.spaces import MetricSpace, Point, point_tuples
 from ..protocol.channel import ALICE, Channel
 from ..protocol.serialize import BitReader, BitWriter, read_points, write_points
 from ..setsofsets.protocol import SetsOfSetsReconciler
@@ -47,11 +47,11 @@ def verify_gap_guarantee(
     """Check the model's postcondition: every ``a ∈ S_A`` is within ``r2``
     of some point of ``S'_B`` (Definition 4.1; Bob's own points are in
     ``S'_B`` by construction)."""
-    if not alice_points:
+    if not len(alice_points):
         return True
-    if not bob_final:
+    if not len(bob_final):
         return False
-    distances = space.distance_matrix(list(alice_points), list(bob_final))
+    distances = space.distance_matrix(alice_points, bob_final)
     return bool((distances.min(axis=1) <= r2 + 1e-9).all())
 
 
@@ -184,11 +184,13 @@ class GapProtocol:
         """Execute the 4-round protocol; Bob ends with ``S_B ∪ T_A``."""
         channel = channel if channel is not None else Channel()
         builder = self._key_builder(coins)
+        alice = self.space.point_array(alice_points)
+        bob = self.space.point_array(bob_points)
         # Key vectors stay (n, h) uint64 matrices end-to-end: built with
         # vectorised entry hashes, reconciled as matrices, matched as
         # matrices — no per-point Python loops on the hot path.
-        alice_keys = builder.key_matrix_for(list(alice_points))
-        bob_keys = builder.key_matrix_for(list(bob_points))
+        alice_keys = builder.key_matrix_for(alice)
+        bob_keys = builder.key_matrix_for(bob)
 
         # ---- Rounds 1-3: Alice learns Bob's key multiset ------------------
         reconciler = SetsOfSetsReconciler(
@@ -203,7 +205,7 @@ class GapProtocol:
         if not sos.success:
             return GapResult(
                 success=False,
-                bob_final=list(bob_points),
+                bob_final=point_tuples(bob),
                 transmitted=[],
                 sos_unresolved=0,
                 pair_difference=0,
@@ -217,20 +219,16 @@ class GapProtocol:
             len(candidates), self.entries
         )
         best = BatchKeyBuilder.best_matches(alice_keys, candidate_matrix)
-        transmitted = [
-            point
-            for point, matches in zip(alice_points, best.tolist())
-            if matches < self.match_threshold
-        ]
+        far = alice[best < self.match_threshold]
 
         # ---- Round 4: Alice -> Bob — the far elements ---------------------
         writer = BitWriter()
-        write_points(writer, self.space, transmitted)
+        write_points(writer, self.space, far)
         payload = channel.send(
             ALICE, "gap-far-points", writer.getvalue(), writer.bit_length
         )
         received = read_points(BitReader(payload), self.space)
-        bob_final = list(bob_points)
+        bob_final = point_tuples(bob)
         existing = set(bob_final)
         for point in received:
             if point not in existing:
@@ -240,7 +238,7 @@ class GapProtocol:
         return GapResult(
             success=True,
             bob_final=bob_final,
-            transmitted=transmitted,
+            transmitted=point_tuples(far),
             sos_unresolved=sos.unresolved,
             pair_difference=sos.pair_difference,
             total_bits=channel.total_bits,

@@ -68,23 +68,28 @@ class LSHParams:
 class LSHBatch(ABC):
     """A concrete batch of ``count`` independently-drawn hash functions."""
 
-    def __init__(self, count: int):
+    def __init__(self, space: MetricSpace, count: int):
         if count < 1:
             raise ValueError(f"batch size must be >= 1, got {count}")
+        self.space = space
         self.count = count
 
-    @abstractmethod
-    def evaluate(self, points: Sequence[Point]) -> np.ndarray:
+    def evaluate(self, points: "Sequence[Point] | np.ndarray") -> np.ndarray:
         """Hash every point with every function.
 
+        ``points`` pass :meth:`~repro.metric.MetricSpace.point_array`.
         Returns an ``(len(points), count)`` int64 matrix; column ``j`` holds
         the values of the ``j``-th function.  Values are opaque integers --
         equality is the only meaningful operation.
         """
+        matrix = self.space.point_array(points)
+        if not len(matrix):
+            return np.empty((0, self.count), dtype=np.int64)
+        return self._evaluate(matrix)
 
-    def evaluate_one(self, point: Point) -> np.ndarray:
-        """Hash a single point; returns a length-``count`` vector."""
-        return self.evaluate([point])[0]
+    @abstractmethod
+    def _evaluate(self, matrix: np.ndarray) -> np.ndarray:
+        """:meth:`evaluate` on a validated, non-empty ``(n, d)`` int64 matrix."""
 
 
 class LSHFamily(ABC):

@@ -16,12 +16,10 @@ giving an MLSH family with parameters ``(r, p, α) = (.79·w, e^{-2/w}, 1/2)``.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from ..hashing import PublicCoins
-from ..metric.spaces import HammingSpace, Point
+from ..metric.spaces import HammingSpace
 from .base import LSHBatch, LSHParams, MLSHFamily
 
 __all__ = ["BitSamplingMLSH", "BitSamplingBatch"]
@@ -34,19 +32,11 @@ class BitSamplingBatch(LSHBatch):
     ``indices[j]``; ``indices[j] == -1`` means the constant-0 function.
     """
 
-    def __init__(self, indices: np.ndarray, dim: int):
-        super().__init__(count=len(indices))
+    def __init__(self, space: HammingSpace, indices: np.ndarray):
+        super().__init__(space, count=len(indices))
         self.indices = np.asarray(indices, dtype=np.int64)
-        self.dim = dim
 
-    def evaluate(self, points: Sequence[Point]) -> np.ndarray:
-        if not points:
-            return np.empty((0, self.count), dtype=np.int64)
-        matrix = np.asarray(points, dtype=np.int64)
-        if matrix.shape[1] != self.dim:
-            raise ValueError(
-                f"points have dimension {matrix.shape[1]}, expected {self.dim}"
-            )
+    def _evaluate(self, matrix: np.ndarray) -> np.ndarray:
         out = np.zeros((matrix.shape[0], self.count), dtype=np.int64)
         real = self.indices >= 0
         if real.any():
@@ -98,4 +88,4 @@ class BitSamplingMLSH(MLSHFamily):
         real = rng.random(count) < d / self.w
         indices = np.full(count, -1, dtype=np.int64)
         indices[real] = rng.integers(0, d, size=int(real.sum()))
-        return BitSamplingBatch(indices, dim=d)
+        return BitSamplingBatch(self.space, indices)

@@ -142,8 +142,6 @@ class DistanceSensitiveBloomFilter:
     # -- construction --------------------------------------------------------
     def _buckets_of(self, points: Sequence[Point]) -> list[list[int]]:
         """Row-bucket indices for each point: ``result[i][j]``."""
-        if not points:
-            return []
         values = self._batch.evaluate(points)  # (n, groups*per_group)
         all_buckets = []
         for row_values in values.tolist():

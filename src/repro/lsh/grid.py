@@ -17,12 +17,10 @@ builders see one value per function; the fold's false-collision rate is
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from ..hashing import PublicCoins
-from ..metric.spaces import GridSpace, Point
+from ..metric.spaces import GridSpace
 from .base import LSHBatch, LSHParams, MLSHFamily
 
 __all__ = ["GridMLSH", "GridBatch", "fold_cells"]
@@ -70,22 +68,21 @@ def fold_cells(cells: np.ndarray, coeffs_1: np.ndarray, coeffs_2: np.ndarray) ->
 class GridBatch(LSHBatch):
     """A batch of randomly shifted lattice hashes of width ``w``."""
 
-    def __init__(self, offsets: np.ndarray, w: float, coeffs_1: np.ndarray, coeffs_2: np.ndarray):
-        super().__init__(count=offsets.shape[0])
+    def __init__(
+        self,
+        space: GridSpace,
+        offsets: np.ndarray,
+        w: float,
+        coeffs_1: np.ndarray,
+        coeffs_2: np.ndarray,
+    ):
+        super().__init__(space, count=offsets.shape[0])
         self.offsets = offsets  # (count, d) uniform in [0, w)
         self.w = w
         self.coeffs_1 = coeffs_1
         self.coeffs_2 = coeffs_2
 
-    def evaluate(self, points: Sequence[Point]) -> np.ndarray:
-        if not points:
-            return np.empty((0, self.count), dtype=np.int64)
-        matrix = np.asarray(points, dtype=np.float64)  # (n, d)
-        if matrix.shape[1] != self.offsets.shape[1]:
-            raise ValueError(
-                f"points have dimension {matrix.shape[1]}, "
-                f"expected {self.offsets.shape[1]}"
-            )
+    def _evaluate(self, matrix: np.ndarray) -> np.ndarray:
         shifted = matrix[None, :, :] + self.offsets[:, None, :]  # (count, n, d)
         cells = np.floor(shifted / self.w).astype(np.int64)
         return fold_cells(cells, self.coeffs_1, self.coeffs_2)
@@ -117,4 +114,4 @@ class GridMLSH(MLSHFamily):
         offsets = rng.uniform(0.0, self.w, size=(count, d))
         coeffs_1 = rng.integers(1, _FOLD_PRIME_1, size=(count, d), dtype=np.int64)
         coeffs_2 = rng.integers(1, _FOLD_PRIME_2, size=(count, d), dtype=np.int64)
-        return GridBatch(offsets, self.w, coeffs_1, coeffs_2)
+        return GridBatch(self.space, offsets, self.w, coeffs_1, coeffs_2)

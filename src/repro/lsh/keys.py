@@ -87,7 +87,7 @@ class PrefixKeyBuilder:
         self.hasher = PrefixHasher(coins, ("prefix-key", label), bits=key_bits)
         self.key_bits = key_bits
 
-    def keys_for(self, points: Sequence[Point]) -> np.ndarray:
+    def keys_for(self, points: "Sequence[Point] | np.ndarray") -> np.ndarray:
         """Return the ``(len(points), levels)`` ``uint64`` matrix of level keys.
 
         Row ``i`` column ``j`` is ``key_{j+1}(points[i])``: the hash of the
@@ -96,9 +96,9 @@ class PrefixKeyBuilder:
         — one vectorised rolling-hash step per MLSH column instead of a
         Python loop per point.
         """
-        if not points:
-            return np.empty((0, self.levels), dtype=np.uint64)
         values = self.batch.evaluate(points)  # (n, s_max)
+        if not len(values):
+            return np.empty((0, self.levels), dtype=np.uint64)
         return self.hasher.prefix_digests_many(values, self.prefix_lengths)
 
 
@@ -137,7 +137,7 @@ class BatchKeyBuilder:
             for j in range(entries)
         ]
 
-    def key_matrix_for(self, points: Sequence[Point]) -> np.ndarray:
+    def key_matrix_for(self, points: "Sequence[Point] | np.ndarray") -> np.ndarray:
         """The ``(len(points), entries)`` ``uint64`` matrix of key vectors.
 
         Entry hash ``j`` is evaluated over its LSH-value batch for *all*
@@ -145,10 +145,8 @@ class BatchKeyBuilder:
         whole key set costs ``O(entries · per_entry)`` vectorised field
         operations instead of a Python loop per point.
         """
-        if not points:
-            return np.empty((0, self.entries), dtype=np.uint64)
         values = self.batch.evaluate(points)  # (n, h*m)
-        keys = np.empty((len(points), self.entries), dtype=np.uint64)
+        keys = np.empty((len(values), self.entries), dtype=np.uint64)
         for j, entry_hash in enumerate(self.entry_hashes):
             start = j * self.per_entry
             keys[:, j] = entry_hash.hash_rows(values[:, start : start + self.per_entry])

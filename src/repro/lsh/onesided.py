@@ -67,4 +67,4 @@ class OneSidedGridLSH(LSHFamily):
         offsets = rng.uniform(0.0, self.cell_width, size=(count, d))
         coeffs_1 = rng.integers(1, _FOLD_PRIME_1, size=(count, d), dtype=np.int64)
         coeffs_2 = rng.integers(1, _FOLD_PRIME_2, size=(count, d), dtype=np.int64)
-        return GridBatch(offsets, self.cell_width, coeffs_1, coeffs_2)
+        return GridBatch(self.space, offsets, self.cell_width, coeffs_1, coeffs_2)

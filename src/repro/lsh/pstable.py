@@ -15,12 +15,11 @@ obtain an MLSH family with parameters
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
 from ..hashing import PublicCoins
-from ..metric.spaces import GridSpace, Point
+from ..metric.spaces import GridSpace
 from .base import LSHBatch, LSHParams, MLSHFamily
 
 __all__ = ["PStableMLSH", "PStableBatch", "pstable_collision_probability"]
@@ -50,22 +49,14 @@ def pstable_collision_probability(distance: float, w: float) -> float:
 class PStableBatch(LSHBatch):
     """A batch of Gaussian-projection lattice hashes."""
 
-    def __init__(self, directions: np.ndarray, shifts: np.ndarray, w: float):
-        super().__init__(count=directions.shape[0])
+    def __init__(self, space: GridSpace, directions: np.ndarray, shifts: np.ndarray, w: float):
+        super().__init__(space, count=directions.shape[0])
         self.directions = directions  # (count, d)
         self.shifts = shifts  # (count,)
         self.w = w
 
-    def evaluate(self, points: Sequence[Point]) -> np.ndarray:
-        if not points:
-            return np.empty((0, self.count), dtype=np.int64)
-        matrix = np.asarray(points, dtype=np.float64)
-        if matrix.shape[1] != self.directions.shape[1]:
-            raise ValueError(
-                f"points have dimension {matrix.shape[1]}, "
-                f"expected {self.directions.shape[1]}"
-            )
-        projections = matrix @ self.directions.T  # (n, count)
+    def _evaluate(self, matrix: np.ndarray) -> np.ndarray:
+        projections = matrix.astype(np.float64) @ self.directions.T  # (n, count)
         return np.floor((projections + self.shifts[None, :]) / self.w).astype(np.int64)
 
 
@@ -104,4 +95,4 @@ class PStableMLSH(MLSHFamily):
         d = self.space.dim
         directions = rng.standard_normal(size=(count, d))
         shifts = rng.uniform(0.0, self.w, size=count)
-        return PStableBatch(directions, shifts, self.w)
+        return PStableBatch(self.space, directions, shifts, self.w)

@@ -2,7 +2,7 @@
 
 from .emd import emd, emd_k, emd_k_with_exclusions, emd_with_matching
 from .matching import greedy_matching, hungarian, matching_cost, min_cost_matching
-from .spaces import GridSpace, HammingSpace, MetricSpace, Point
+from .spaces import GridSpace, HammingSpace, MetricSpace, Point, point_tuples
 
 __all__ = [
     "GridSpace",
@@ -17,4 +17,5 @@ __all__ = [
     "hungarian",
     "matching_cost",
     "min_cost_matching",
+    "point_tuples",
 ]

@@ -8,24 +8,39 @@ The paper works in discretised metric spaces ``(U, f)`` of two flavours:
   Corollaries 3.6 and 4.4, Theorem 4.5).
 
 Points are plain tuples of Python ints: hashable, exact, and directly
-summable inside RIBLT cells.  Each space knows how to validate, clamp and
-measure points, how big its universe is (``log2|U|`` drives the
-communication accounting of every protocol), and how to draw uniform
-points for workloads and tests.
+summable inside RIBLT cells.  Inside a protocol run a point set travels
+as an ``(n, d)`` int64 matrix, and there is one way in and one way out:
+
+* :meth:`MetricSpace.point_array` is the only inbound rule.  It takes
+  an integer ndarray or any sequence of point tuples and raises
+  ``ValueError`` for a wrong dimension, a non-integer dtype (float,
+  bool, object) or a coordinate outside ``[0, side)``.  Every encoder,
+  serializer, LSH family and protocol coerces through it, once per set.
+* :func:`point_tuples` is the only outbound conversion, one ``tolist``
+  per matrix, wherever points are handed back to a caller.
+
+Each space also knows how to clamp and measure points, how big its
+universe is (``log2|U|`` drives the communication accounting of every
+protocol), and how to draw uniform points for workloads and tests.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["Point", "MetricSpace", "HammingSpace", "GridSpace"]
+__all__ = ["Point", "MetricSpace", "HammingSpace", "GridSpace", "point_tuples"]
 
 #: A point is an immutable tuple of integer coordinates.
 Point = tuple[int, ...]
+
+
+def point_tuples(matrix: np.ndarray) -> list[Point]:
+    """An ``(n, d)`` integer matrix as a list of point tuples of Python ints."""
+    return [tuple(row) for row in matrix.tolist()]
 
 
 class MetricSpace(ABC):
@@ -78,49 +93,53 @@ class MetricSpace(ABC):
 
     # -- point handling ------------------------------------------------------
     def contains(self, point: Point) -> bool:
-        """Whether ``point`` lies in the space."""
-        return len(point) == self.dim and all(
-            0 <= coordinate < self.side for coordinate in point
-        )
+        """Whether ``point`` lies in the space (passes :meth:`point_array`)."""
+        try:
+            self.point_array([point])
+        except ValueError:
+            return False
+        return True
+
+    def point_array(self, points: "Sequence[Point] | np.ndarray") -> np.ndarray:
+        """The one inbound point rule: ``points`` as an ``(n, d)`` int64 matrix.
+
+        Accepts an integer ndarray or any sequence of point tuples; an
+        empty input gives ``(0, d)``.  Raises ``ValueError`` for a wrong
+        dimension, a non-integer dtype (float, bool, object) or any
+        coordinate outside ``[0, side)``.
+        """
+        matrix = np.asarray(points)
+        if matrix.shape == (0,):
+            return np.empty((0, self.dim), dtype=np.int64)
+        if matrix.ndim != 2 or matrix.shape[1] != self.dim:
+            raise ValueError(
+                f"expected (n, {self.dim}) points for {self!r}, got shape {matrix.shape}"
+            )
+        if matrix.dtype.kind not in "iu":
+            raise ValueError(f"point coordinates must be integers, got dtype {matrix.dtype}")
+        if matrix.size and (matrix.min() < 0 or matrix.max() >= self.side):
+            raise ValueError(f"point coordinate outside [0, {self.side}) for {self!r}")
+        return matrix.astype(np.int64, copy=False)
 
     def validate(self, point: Point) -> Point:
         """Return ``point`` as a canonical tuple, or raise ``ValueError``."""
-        candidate = tuple(int(coordinate) for coordinate in point)
-        if not self.contains(candidate):
-            raise ValueError(f"point {point!r} outside {self!r}")
-        return candidate
+        return point_tuples(self.point_array([point]))[0]
 
-    def validate_all(self, points: Iterable[Point]) -> list[Point]:
-        """Validate an iterable of points."""
-        return [self.validate(point) for point in points]
-
-    def clamp(self, point: Sequence[float]) -> Point:
-        """Round and clamp an arbitrary real vector into the space.
+    def clamp(self, values: "Sequence[float] | np.ndarray") -> "Point | np.ndarray":
+        """Round and clamp real coordinates into the space.
 
         This is the "shift the result into [0, Δ]" operation the RIBLT
         extraction step uses (Section 2.2, item 5) after averaging values.
+        Rounding is half-to-even, like :func:`round`.  An ``(n, d)``
+        matrix gives an ``(n, d)`` int64 matrix; one point gives a tuple.
         """
-        clamped = []
-        for coordinate in point:
-            value = int(round(coordinate))
-            value = min(max(value, 0), self.side - 1)
-            clamped.append(value)
-        return tuple(clamped)
+        matrix = np.asarray(values, dtype=np.float64)
+        clamped = np.clip(np.rint(matrix), 0, self.side - 1).astype(np.int64)
+        return clamped if matrix.ndim == 2 else tuple(clamped.tolist())
 
     def sample(self, rng: np.random.Generator, count: int) -> list[Point]:
         """Draw ``count`` uniform points from the space."""
-        raw = rng.integers(0, self.side, size=(count, self.dim))
-        return [tuple(int(v) for v in row) for row in raw]
-
-    def to_array(self, points: Sequence[Point]) -> np.ndarray:
-        """Stack points into an ``(n, d)`` int64 array for vector ops."""
-        if not points:
-            return np.empty((0, self.dim), dtype=np.int64)
-        return np.asarray(points, dtype=np.int64)
-
-    def from_array(self, array: np.ndarray) -> list[Point]:
-        """Convert an ``(n, d)`` array back into canonical point tuples."""
-        return [tuple(int(v) for v in row) for row in np.asarray(array)]
+        return point_tuples(rng.integers(0, self.side, size=(count, self.dim)))
 
     # -- identity ------------------------------------------------------------
     def __eq__(self, other: object) -> bool:
@@ -148,8 +167,8 @@ class HammingSpace(MetricSpace):
         return float(sum(a != b for a, b in zip(x, y)))
 
     def distance_matrix(self, xs: Sequence[Point], ys: Sequence[Point]) -> np.ndarray:
-        xs_arr = self.to_array(xs)
-        ys_arr = self.to_array(ys)
+        xs_arr = self.point_array(xs)
+        ys_arr = self.point_array(ys)
         if xs_arr.size == 0 or ys_arr.size == 0:
             return np.zeros((len(xs), len(ys)))
         return (xs_arr[:, None, :] != ys_arr[None, :, :]).sum(axis=2).astype(float)
@@ -193,8 +212,8 @@ class GridSpace(MetricSpace):
         return float(sum(diff**self.p for diff in diffs) ** (1.0 / self.p))
 
     def distance_matrix(self, xs: Sequence[Point], ys: Sequence[Point]) -> np.ndarray:
-        xs_arr = self.to_array(xs).astype(float)
-        ys_arr = self.to_array(ys).astype(float)
+        xs_arr = self.point_array(xs).astype(float)
+        ys_arr = self.point_array(ys).astype(float)
         if xs_arr.size == 0 or ys_arr.size == 0:
             return np.zeros((len(xs), len(ys)))
         diffs = np.abs(xs_arr[:, None, :] - ys_arr[None, :, :])

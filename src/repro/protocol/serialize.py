@@ -28,6 +28,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from ..errors import MalformedPayloadError, TruncatedPayloadError
 from ..metric.spaces import MetricSpace, Point
 
@@ -254,24 +256,27 @@ def coordinate_bits(space: MetricSpace) -> int:
     return max(1, math.ceil(math.log2(space.side)))
 
 
+def _write_rows(writer: BitWriter, space: MetricSpace, matrix: np.ndarray) -> None:
+    """Pack each row of a validated point matrix into one field."""
+    bits = coordinate_bits(space)
+    for row in matrix.tolist():
+        packed = 0
+        shift = 0
+        for coordinate in row:
+            packed |= coordinate << shift
+            shift += bits
+        writer.write_uint(packed, shift)
+
+
 def write_point(writer: BitWriter, space: MetricSpace, point: Point) -> None:
     """Write one point as a single ``d · ceil(log2 Δ)``-bit field.
 
     Coordinates are packed LSB-first (coordinate 0 in the low bits), the
-    same bytes as writing each one as its own fixed-width field.
+    same bytes as writing each one as its own fixed-width field.  The
+    point passes :meth:`~repro.metric.MetricSpace.point_array`, so the
+    writer accepts exactly what :func:`read_point` accepts.
     """
-    bits = coordinate_bits(space)
-    if len(point) != space.dim:
-        raise ValueError(f"point has dimension {len(point)}, expected {space.dim}")
-    packed = 0
-    shift = 0
-    for coordinate in point:
-        coordinate = int(coordinate)
-        if coordinate < 0 or bits < coordinate.bit_length():
-            raise ValueError(f"value {coordinate} does not fit in {bits} bits")
-        packed |= coordinate << shift
-        shift += bits
-    writer.write_uint(packed, shift)
+    _write_rows(writer, space, space.point_array([point]))
 
 
 def read_point(reader: BitReader, space: MetricSpace) -> Point:
@@ -287,11 +292,13 @@ def read_point(reader: BitReader, space: MetricSpace) -> Point:
     return point
 
 
-def write_points(writer: BitWriter, space: MetricSpace, points: Sequence[Point]) -> None:
-    """Length-prefixed list of points."""
-    writer.write_varuint(len(points))
-    for point in points:
-        write_point(writer, space, point)
+def write_points(
+    writer: BitWriter, space: MetricSpace, points: "Sequence[Point] | np.ndarray"
+) -> None:
+    """Length-prefixed list of points; the whole set is validated first."""
+    matrix = space.point_array(points)
+    writer.write_varuint(len(matrix))
+    _write_rows(writer, space, matrix)
 
 
 def read_points(reader: BitReader, space: MetricSpace) -> list[Point]:

@@ -34,7 +34,7 @@ from ..hashing import MERSENNE_P, PublicCoins
 from ..metric.spaces import MetricSpace, Point
 from ..protocol.channel import ALICE, BOB, Channel
 from ..protocol.serialize import BitReader, BitWriter, read_points, write_points
-from .exact_iblt import encode_point
+from .exact_iblt import encode_points
 from .outcome import ReconcileOutcome
 
 __all__ = ["cpi_reconcile", "CPIResult", "evaluate_characteristic"]
@@ -161,8 +161,8 @@ def cpi_reconcile(
     rng = coins.python_rng("cpi-evals")
     zs = [rng.randrange(_P // 2, _P) for _ in range(m)]  # away from encodings
 
-    alice_encoded = [encode_point(space, point) for point in alice_points]
-    bob_encoded = [encode_point(space, point) for point in bob_points]
+    alice_encoded = encode_points(space, alice_points).tolist()
+    bob_encoded = encode_points(space, bob_points).tolist()
 
     # ---- Round 1: Bob's size + evaluations ------------------------------
     bob_values = evaluate_characteristic(bob_encoded, zs)

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..hashing import PublicCoins
 from ..iblt.iblt import IBLT, cells_for_differences
-from ..metric.spaces import MetricSpace, Point
+from ..metric.spaces import MetricSpace, Point, point_tuples
 from ..protocol.channel import ALICE, BOB, BaseChannel, Channel
 from ..protocol.serialize import BitReader, BitWriter, read_points, write_points
 from .outcome import ReconcileOutcome
@@ -38,33 +38,19 @@ __all__ = [
 
 def encode_point(space: MetricSpace, point: Point) -> int:
     """Bijective mixed-radix encoding of a point into ``[0, Δ^d)``."""
-    value = 0
-    for coordinate in reversed(point):
-        if not 0 <= coordinate < space.side:
-            raise ValueError(f"coordinate {coordinate} outside [0, {space.side})")
-        value = value * space.side + coordinate
-    return value
+    return encode_points(space, [point]).tolist()[0]
 
 
-def encode_points(space: MetricSpace, points: Sequence[Point]) -> np.ndarray:
+def encode_points(space: MetricSpace, points: "Sequence[Point] | np.ndarray") -> np.ndarray:
     """Vectorised :func:`encode_point` over a whole point set.
 
-    Exact for every universe: the result is ``uint64`` when
-    ``side^dim <= 2^64``, else an ``object`` array of Python ints.  Every
-    sketch's batch methods take either.
+    ``points`` pass :meth:`~repro.metric.MetricSpace.point_array`.  Exact
+    for every universe: the result is ``uint64`` when ``side^dim <= 2^64``,
+    else an ``object`` array of Python ints.  Every sketch's batch methods
+    take either.
     """
+    coordinates = space.point_array(points)
     dtype = np.uint64 if space.side**space.dim <= 1 << 64 else object
-    if not len(points):
-        return np.empty(0, dtype=dtype)
-    coordinates = np.asarray(points, dtype=np.int64)
-    if coordinates.ndim != 2 or coordinates.shape[1] != space.dim:
-        raise ValueError(
-            f"expected points of dimension {space.dim}, got shape {coordinates.shape}"
-        )
-    if coordinates.size and (
-        int(coordinates.min()) < 0 or int(coordinates.max()) >= space.side
-    ):
-        raise ValueError(f"coordinate outside [0, {space.side})")
     side = np.uint64(space.side) if dtype is np.uint64 else space.side
     values = np.zeros(coordinates.shape[0], dtype=dtype)
     for column in range(space.dim - 1, -1, -1):
@@ -124,9 +110,10 @@ def exact_iblt_reconcile(
     channel = channel if channel is not None else Channel()
     key_bits = _key_bits(space)
     cells = cells_for_differences(delta_bound, q=q)
+    bob = space.point_array(bob_points)
 
     bob_table = IBLT(coins, "exact-reconcile", cells=cells, q=q, key_bits=key_bits)
-    bob_table.insert_batch(encode_points(space, bob_points))
+    bob_table.insert_batch(encode_points(space, bob))
     payload, bits = bob_table.to_payload()
     sent = channel.send(BOB, "iblt", payload, bits)
 
@@ -139,7 +126,7 @@ def exact_iblt_reconcile(
     if not decoded.success:
         return ExactReconcileResult(
             success=False,
-            bob_final=list(bob_points),
+            bob_final=point_tuples(bob),
             alice_only=[],
             bob_only=[],
             total_bits=channel.total_bits,
@@ -155,7 +142,7 @@ def exact_iblt_reconcile(
     reply = channel.send(ALICE, "alice-only-points", writer.getvalue(), writer.bit_length)
     shipped = read_points(BitReader(reply), space)
 
-    bob_final = list(bob_points)
+    bob_final = point_tuples(bob)
     existing = set(bob_final)
     for point in shipped:
         if point not in existing:
@@ -221,18 +208,18 @@ def exact_iblt_reconcile_auto(
     Three rounds in the common case; two extra per retry.
     """
     channel = channel if channel is not None else Channel()
+    alice = space.point_array(alice_points)
+    bob = space.point_array(bob_points)
     # Round 1 (Alice -> Bob): her strata sketch; Bob measures the bound.
-    delta_bound = strata_estimate(
-        space, alice_points, bob_points, coins, channel, "auto-strata"
-    )
+    delta_bound = strata_estimate(space, alice, bob, coins, channel, "auto-strata")
 
     # Rounds 2-3 (+ doubling retries): the sized reconciliation.
     result = None
     for attempt in range(max_attempts):
         result = exact_iblt_reconcile(
             space,
-            alice_points,
-            bob_points,
+            alice,
+            bob,
             delta_bound=delta_bound << attempt,
             coins=coins.child("auto-exact", attempt),
             channel=channel,

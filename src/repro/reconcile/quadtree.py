@@ -36,7 +36,7 @@ from ..core.repair import repair_point_set
 from ..hashing import PublicCoins
 from ..iblt.riblt import RIBLT, riblt_cells_for_pairs
 from ..lsh.grid import _FOLD_PRIME_1, _FOLD_PRIME_2, fold_cells
-from ..metric.spaces import GridSpace, Point
+from ..metric.spaces import GridSpace, Point, point_tuples
 from ..protocol.channel import ALICE, Channel
 from ..protocol.serialize import BitReader, BitWriter
 from ..protocol.tables import read_riblt_cells, write_riblt_cells
@@ -70,20 +70,16 @@ class _Level:
             1, _FOLD_PRIME_2, size=(1, space.dim), dtype=np.int64
         )
 
-    def cells_of(self, points: Sequence[Point]) -> np.ndarray:
-        matrix = np.asarray(points, dtype=np.float64)
-        return np.floor((matrix + self.offset[None, :]) / self.width).astype(np.int64)
-
-    def keys_and_centres(self, points: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
+    def keys_and_centres(
+        self, points: "Sequence[Point] | np.ndarray"
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Folded cell keys plus each point's cell-centre value, as the
         ``(n,)`` keys and ``(n, d)`` values a RIBLT batch takes."""
-        if not points:
-            return np.empty(0, dtype=np.int64), np.empty((0, self.space.dim), dtype=np.int64)
-        cells = self.cells_of(points)  # (n, d)
+        matrix = self.space.point_array(points)
+        cells = np.floor((matrix + self.offset[None, :]) / self.width).astype(np.int64)
         keys = fold_cells(cells[None, :, :], self.coeffs_1, self.coeffs_2)[:, 0]
         raw = (cells.astype(np.float64) + 0.5) * self.width - self.offset[None, :]
-        centres = np.array([self.space.clamp(row) for row in raw], dtype=np.int64)
-        return keys, centres
+        return keys, self.space.clamp(raw)
 
 
 class QuadtreeEMDProtocol:
@@ -154,12 +150,14 @@ class QuadtreeEMDProtocol:
         """Execute the one-round protocol and Bob's repair step."""
         channel = channel if channel is not None else Channel()
         levels = self._levels(coins)
+        alice = self.space.point_array(alice_points)
+        bob = self.space.point_array(bob_points)
 
         # --- Alice: build and send one RIBLT per level -------------------
         writer = BitWriter()
         for index, level in enumerate(levels):
             table = self._table(coins, index)
-            table.insert_batch(*level.keys_and_centres(alice_points))
+            table.insert_batch(*level.keys_and_centres(alice))
             write_riblt_cells(writer, table)
         payload = channel.send(
             ALICE, "quadtree-riblts", writer.getvalue(), writer.bit_length
@@ -176,7 +174,7 @@ class QuadtreeEMDProtocol:
         decoded_pairs = 0
         for index in range(len(levels) - 1, -1, -1):
             table = loaded[index]
-            table.delete_batch(*levels[index].keys_and_centres(bob_points))
+            table.delete_batch(*levels[index].keys_and_centres(bob))
             outcome = table.decode()
             if outcome.success and outcome.pair_count <= 4 * self.k:
                 decoded_level = index
@@ -187,14 +185,14 @@ class QuadtreeEMDProtocol:
         if decoded_level is None:
             return QuadtreeResult(
                 success=False,
-                bob_final=list(bob_points),
+                bob_final=point_tuples(bob),
                 decoded_level=None,
                 total_bits=channel.total_bits,
                 rounds=channel.rounds,
                 decoded_pairs=0,
             )
         bob_final = repair_point_set(
-            self.space, bob_points, decoded_alice, decoded_bob, matcher=matcher
+            self.space, point_tuples(bob), decoded_alice, decoded_bob, matcher=matcher
         )
         return QuadtreeResult(
             success=True,

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 from ..errors import DecodeError, MalformedPayloadError
 from ..hashing import PublicCoins
 from ..iblt.iblt import cells_for_differences
-from ..metric.spaces import MetricSpace, Point
+from ..metric.spaces import MetricSpace, Point, point_tuples
 from ..protocol.channel import Channel
 from ..protocol.faults import FaultyChannel
 from .exact_iblt import ExactReconcileResult, exact_iblt_reconcile, strata_estimate
@@ -313,6 +313,8 @@ def resilient_reconcile(
     channel = channel if channel is not None else Channel()
     report = RecoveryReport(success=False)
     final: ExactReconcileResult | None = None
+    alice = space.point_array(alice_points)
+    bob = space.point_array(bob_points)
 
     resumed = breaker is not None
     state = breaker if resumed else BreakerState(bound=delta_bound)
@@ -329,8 +331,8 @@ def resilient_reconcile(
             if state.breaker_open and state.fallback_bound is None:
                 measured = strata_estimate(
                     space,
-                    alice_points,
-                    bob_points,
+                    alice,
+                    bob,
                     attempt_coins,
                     channel,
                     "resilient-strata",
@@ -339,8 +341,8 @@ def resilient_reconcile(
                 report.fallback_bound = measured
             result = exact_iblt_reconcile(
                 space,
-                alice_points,
-                bob_points,
+                alice,
+                bob,
                 delta_bound=state.bound,
                 coins=attempt_coins,
                 channel=channel,
@@ -395,7 +397,7 @@ def resilient_reconcile(
     if final is None:
         return ResilientReconcileResult(
             success=False,
-            bob_final=list(bob_points),
+            bob_final=point_tuples(bob),
             alice_only=[],
             bob_only=[],
             total_bits=channel.total_bits,

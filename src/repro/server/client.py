@@ -156,6 +156,7 @@ class ReconcileClient:
 
         alice, _ = config.workload()
         space = config.space()
+        alice_keys = encode_points(space, alice)
         key_bits = config.key_bits
 
         resilient = config.protocol == "resilient"
@@ -175,7 +176,7 @@ class ReconcileClient:
             attempt_coins = config.attempt_coins(attempt)
             if breaker.breaker_open and breaker.fallback_bound is None:
                 measured = await self._strata_fallback(
-                    config, channel, state, space, alice, key_bits
+                    config, channel, state, alice_keys, key_bits
                 )
                 breaker = breaker.with_fallback(measured)
             bound = breaker.bound
@@ -202,7 +203,7 @@ class ReconcileClient:
                     q=config.q,
                     key_bits=key_bits,
                 ).from_payload(frame.payload)
-                view.delete_batch(encode_points(space, alice))
+                view.delete_batch(alice_keys)
                 decoded = view.decode()
                 if decoded.success:
                     outcome = "decoded"
@@ -268,13 +269,13 @@ class ReconcileClient:
         )
 
     async def _strata_fallback(
-        self, config, channel, state, space, alice, key_bits: int
+        self, config, channel, state, alice_keys, key_bits: int
     ) -> int:
         """Ship Alice's strata sketch; return Bob's measured bound."""
         sketch = StrataEstimator(
             config.strata_coins(), "service-strata", key_bits=key_bits
         )
-        sketch.insert_batch(encode_points(space, alice))
+        sketch.insert_batch(alice_keys)
         payload, bits = sketch.to_payload()
         frame = await self._request(
             channel,

@@ -75,8 +75,11 @@ class ServerSession:
         self.store = store
         self._store_key: "int | None" = None
         self._diverged = False
+        #: Bob's encoded keys, encoded once here and again only when
+        #: :meth:`merge_push` grows his set.
+        self._bob_keys = encode_points(self.space, self.bob_points)
         if store is not None:
-            keys = encode_points(self.space, self.bob_points).tolist()
+            keys = self._bob_keys.tolist()
             if len(set(keys)) == len(keys):
                 self._store_key = config.store_key()
                 if not store.contains(self._store_key):
@@ -104,7 +107,7 @@ class ServerSession:
             q=self.config.q,
             key_bits=self.config.key_bits,
         )
-        table.insert_batch(encode_points(self.space, self.bob_points))
+        table.insert_batch(self._bob_keys)
         return table.to_payload()
 
     def estimate_difference(self, strata_payload: bytes) -> int:
@@ -122,21 +125,25 @@ class ServerSession:
             bob_sketch = StrataEstimator(
                 self.config.strata_coins(), "service-strata", key_bits=key_bits
             )
-            bob_sketch.insert_batch(encode_points(self.space, self.bob_points))
+            bob_sketch.insert_batch(self._bob_keys)
         return max(4, received.subtract(bob_sketch).estimate())
 
     def merge_push(self, payload: bytes) -> "tuple[bool, int]":
         """Merge Alice's pushed points; verify against the ground truth."""
         shipped = read_points(BitReader(payload), self.space)
         existing = set(self.bob_points)
+        grown = False
         for point in shipped:
             if point not in existing:
                 self.bob_points.append(point)
                 existing.add(point)
-                # Bob no longer matches the store's derived set; any
-                # further sketch for this session must be built from
-                # the merged points (the store entry stays derived).
-                self._diverged = True
+                grown = True
+        if grown:
+            # Bob no longer matches the store's derived set; any further
+            # sketch for this session must be built from the merged
+            # points (the store entry stays derived).
+            self._diverged = True
+            self._bob_keys = encode_points(self.space, self.bob_points)
         return existing == self.expected_union, len(self.bob_points)
 
 

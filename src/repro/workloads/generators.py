@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..metric.spaces import GridSpace, HammingSpace, MetricSpace, Point
+from ..metric.spaces import GridSpace, HammingSpace, MetricSpace, Point, point_tuples
 
 __all__ = [
     "ReconciliationWorkload",
@@ -198,8 +198,7 @@ def clustered_points(
     """``n`` points around ``clusters`` random centres (grid spaces)."""
     if clusters < 1:
         raise ValueError(f"clusters must be >= 1, got {clusters}")
-    centres = space.to_array(space.sample(rng, clusters)).astype(float)
+    centres = rng.integers(0, space.side, size=(clusters, space.dim))
     assignments = rng.integers(0, clusters, size=n)
     noise = rng.normal(0.0, spread, size=(n, space.dim))
-    raw = centres[assignments] + noise
-    return [space.clamp(row) for row in raw]
+    return point_tuples(space.clamp(centres[assignments] + noise))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metric import GridSpace, HammingSpace
+from repro.metric import GridSpace, HammingSpace, point_tuples
 
 
 class TestHammingSpace:
@@ -92,14 +92,16 @@ class TestGridSpace:
         space = GridSpace(side=8, dim=3, p=1.0)
         assert space.clamp((-3.0, 7.6, 3.4)) == (0, 7, 3)
 
-    def test_to_from_array_roundtrip(self, rng):
+    def test_point_array_roundtrip(self, rng):
         space = GridSpace(side=50, dim=5, p=2.0)
         points = space.sample(rng, 7)
-        assert space.from_array(space.to_array(points)) == points
+        matrix = space.point_array(points)
+        assert matrix.dtype == np.int64 and matrix.shape == (7, 5)
+        assert point_tuples(matrix) == points
 
-    def test_to_array_empty(self):
+    def test_point_array_empty(self):
         space = GridSpace(side=50, dim=5)
-        assert space.to_array([]).shape == (0, 5)
+        assert space.point_array([]).shape == (0, 5)
 
     def test_distance_matrix_matches_loop(self, rng):
         for p in (1.0, 2.0):
