@@ -3,9 +3,9 @@
 
 Measures the numpy backend against the pure-Python reference on the
 kernels every protocol in this repo funnels through — batch key hashing
-over the Mersenne field, prefix-key construction, and IBLT build /
-subtract+decode — and writes the timings to ``BENCH_core.json`` so later
-PRs have a trajectory to beat.
+over the Mersenne field, prefix-key and Gap key-vector construction, and
+IBLT build / subtract+decode — and writes the timings to
+``BENCH_core.json`` so later PRs have a trajectory to beat.
 
 Usage::
 
@@ -37,7 +37,8 @@ from repro.core.params import derive_emd_parameters
 from repro.experiments.sweeps import SweepRunner, SweepSpec, render_sweep_report
 from repro.hashing import Checksum, PairwiseHash, PrefixHasher, PublicCoins
 from repro.iblt import IBLT, RIBLT, cells_for_differences
-from repro.lsh.keys import PrefixKeyBuilder
+from repro.lsh import BitSamplingMLSH
+from repro.lsh.keys import BatchKeyBuilder, PrefixKeyBuilder
 from repro.metric import HammingSpace
 
 FULL_N = 100_000
@@ -130,6 +131,35 @@ def bench_emd_keys(coins: PublicCoins, n: int, repeats: int) -> tuple[float, flo
         return builder.hasher.prefix_digests_many(values, lengths)
 
     numpy_path()
+    return _best(python_path, max(2, repeats // 2)), _best(numpy_path, repeats)
+
+
+def bench_gap_keys(coins: PublicCoins, n: int, repeats: int) -> tuple[float, float]:
+    """The Gap protocol's key vectors (Section 4.1) at the gap-hamming
+    shape (h = 36 entries of m = 3 bit samples, 32-bit keys):
+    ``BatchKeyBuilder.key_matrix_for`` vs the per-row scalar
+    ``VectorHash`` reference, asserted equal."""
+    space = HammingSpace(128)
+    rows = max(1, n // 20)
+    entries, per_entry = 36, 3
+    family = BitSamplingMLSH(space, w=float(space.dim))
+    batch = family.sample_batch(coins, "bench-gap-lsh", entries * per_entry)
+    builder = BatchKeyBuilder(batch, entries, per_entry, coins, "bench-gap-keys", key_bits=32)
+    points = space.point_array(space.sample(np.random.default_rng(0x6A9), rows))
+
+    def python_path():
+        return [
+            [
+                entry_hash(row[j * per_entry : (j + 1) * per_entry])
+                for j, entry_hash in enumerate(builder.entry_hashes)
+            ]
+            for row in batch.evaluate(points).tolist()
+        ]
+
+    def numpy_path():
+        return builder.key_matrix_for(points)
+
+    assert numpy_path().tolist() == python_path(), "gap key vectors diverged"
     return _best(python_path, max(2, repeats // 2)), _best(numpy_path, repeats)
 
 
@@ -409,6 +439,7 @@ def run(n: int, repeats: int, quick: bool) -> dict:
     record("pairwise_hash", *bench_pairwise_hash(coins, n, repeats))
     record("prefix_keys", *bench_prefix_keys(coins, n, repeats))
     record("emd_keys", *bench_emd_keys(coins, n, repeats))
+    record("gap_keys", *bench_gap_keys(coins, n, repeats))
     record("emd_round", *bench_emd_round(coins, n, repeats))
     record("iblt_decode_tail", *bench_iblt_decode_tail(coins, n, repeats))
     record("stream_replay", *bench_stream_replay(n, repeats))

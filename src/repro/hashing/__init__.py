@@ -20,6 +20,8 @@ from .universal import (
     PairwiseHash,
     PrefixHasher,
     VectorHash,
+    check_integers,
+    exact_int,
     fold_to_bits,
 )
 
@@ -32,6 +34,8 @@ __all__ = [
     "PrefixHasher",
     "VectorHash",
     "fold_to_bits",
+    "check_integers",
+    "exact_int",
     "add_mod_p",
     "affine_mod_p",
     "fold_bits",

@@ -31,21 +31,34 @@ pinned by property tests in ``tests/test_hashing.py``.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 __all__ = [
     "MERSENNE_P",
     "reduce_mod_p",
+    "integer_array",
     "to_field",
     "add_mod_p",
     "mul_mod_p",
     "affine_mod_p",
     "quadratic_mod_p",
+    "row_products",
+    "sum_mod_p",
+    "prefix_sums_mod_p",
     "fold_bits",
 ]
 
 #: The Mersenne prime 2^61 - 1 (kept as a Python int; see universal.py).
 MERSENNE_P = (1 << 61) - 1
+
+#: Elements per block of :func:`row_products`.  A field multiply makes
+#: about fifteen passes over ``uint64`` temporaries; on a 10^4 × 32
+#: matrix it ran 11.6 ms whole vs 4.7 ms in 2^14-element blocks, whose
+#: temporaries stay in cache (2-core x86_64 host).  Blocks of 2^15 were
+#: as fast but raised the EMD benchmark's peak RSS by 2 MB.
+_BLOCK_ELEMENTS = 1 << 14
 
 _P = np.uint64(MERSENNE_P)
 _MASK32 = np.uint64(0xFFFFFFFF)
@@ -69,6 +82,19 @@ def reduce_mod_p(x: np.ndarray) -> np.ndarray:
     return r - _P * (r >= _P)
 
 
+def integer_array(x: np.ndarray) -> np.ndarray:
+    """``x`` as an ndarray of an integer dtype; ``ValueError`` otherwise.
+
+    The array form of the hashing element rule: a float, bool or object
+    array is rejected because a cast would silently truncate ``1.5`` and
+    ``True`` to ``1``.
+    """
+    arr = np.asarray(x)
+    if arr.dtype.kind not in ("i", "u"):
+        raise ValueError(f"expected an integer array, got dtype {arr.dtype}")
+    return arr
+
+
 _WRAP64 = np.uint64(MERSENNE_P - 8)  # ≡ -(2^64 mod P): undoes two's-complement wrap
 
 
@@ -79,8 +105,11 @@ def to_field(x: np.ndarray) -> np.ndarray:
     negative (e.g. p-stable LSH cell indices): viewing a negative ``x`` as
     two's-complement uint64 adds ``2^64 ≡ 8 (mod P)``, so those lanes get
     ``P - 8`` added back, which reproduces floored modulo exactly.
+
+    Float, bool and object arrays raise ``ValueError``
+    (:func:`integer_array`).
     """
-    arr = np.asarray(x)
+    arr = integer_array(x)
     if arr.dtype.kind == "i":
         reduced = reduce_mod_p(arr.astype(np.uint64))
         negative = arr < 0
@@ -204,6 +233,80 @@ def quadratic_mod_p(a2: int, a1: int, b: int, x: np.ndarray) -> np.ndarray:
     out += acc
     np.subtract(out, _P, out=out, where=out >= _P)
     return out
+
+
+def row_products(matrix: np.ndarray, row: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield ``(rows, products)``: ``matrix[rows, j] · row[j]`` per block.
+
+    ``matrix`` is an ``(n, len(row))`` integer matrix (any ``int64`` or
+    ``uint64`` values, reduced with :func:`to_field`) and ``row`` holds
+    field elements.  Each block covers at most ``_BLOCK_ELEMENTS`` entries
+    (one row if a row alone is larger).  The products are folded once,
+    not reduced: each is congruent to the exact product mod ``P`` and
+    below ``2^62 + 16``, which is all :func:`sum_mod_p` needs.  The row's
+    limbs are split once and tiled to the block shape, so every pass runs
+    over same-shape contiguous operands instead of a short broadcast row.
+    """
+    row = np.asarray(row, dtype=np.uint64)
+    step = max(1, _BLOCK_ELEMENTS // max(len(row), 1))
+    tile = (min(step, len(matrix)), 1)
+    row_hi = np.tile(row >> _S32, tile)
+    row_lo = np.tile(row & _MASK32, tile)
+    for start in range(0, len(matrix), step):
+        x = to_field(matrix[start : start + step])
+        count = len(x)
+        products = _mul_acc_inplace(row_hi[:count], row_lo[:count], x >> _S32, x & _MASK32)
+        yield slice(start, start + count), products
+
+
+def _limbs_mod_p(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``(hi·2^32 + lo) mod P`` for any ``uint64`` limb sums ``lo``, ``hi``.
+
+    The recombination step of :func:`sum_mod_p` and of the closed-form
+    prefix hash: ``hi·2^32`` folds like a product's middle term,
+    ``(hi >> 29) + ((hi & (2^29-1)) << 32)``, so with ``lo`` reduced first
+    the total stays below ``2^62 + 2^35`` and one :func:`reduce_mod_p`
+    finishes it.
+    """
+    return reduce_mod_p(reduce_mod_p(lo) + (hi >> _S29) + ((hi & _MASK29) << _S32))
+
+
+def sum_mod_p(x: np.ndarray) -> np.ndarray:
+    """``Σ x mod P`` over the last axis, for any ``uint64`` operands.
+
+    Exact for fewer than ``2^32`` terms: the low 32-bit limbs sum below
+    ``2^64`` and the high limbs below ``2^64`` too, so two plain
+    ``uint64`` sums and one :func:`_limbs_mod_p` replace a field addition
+    per term.  The sums run through ``einsum``, which keeps a short last
+    axis (a Gap entry of ``m = 3`` values) off numpy's per-row reduction
+    loop: 6x faster than ``np.sum`` on ``(303, 36, 3)``.
+    """
+    x = np.asarray(x, dtype=np.uint64)
+    return _limbs_mod_p(np.einsum("...i->...", x & _MASK32), np.einsum("...i->...", x >> _S32))
+
+
+def prefix_sums_mod_p(x: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """``Σ_{j≤e} x[..., j] mod P`` for each column ``e`` of ``ends``.
+
+    The prefix-sum twin of :func:`sum_mod_p`, with the same limb split
+    and the same exactness: over ``c < 2^32`` operands the low and high
+    limbs each sum below ``c·2^32``.  ``ends`` must be strictly
+    increasing.  Each limb is summed per segment between consecutive
+    ends (``np.add.reduceat``) and the few segment sums are then
+    accumulated, which on a 16 × 1024 block with 12 ends is 4x faster
+    than a full ``cumsum``.
+    """
+    x = np.asarray(x, dtype=np.uint64)
+    ends = np.asarray(ends, dtype=np.int64)
+    if not len(ends):
+        return np.zeros(x.shape[:-1] + (0,), dtype=np.uint64)
+    x = x[..., : ends[-1] + 1]
+    starts = np.concatenate(([0], ends[:-1] + 1))
+
+    def prefix(limb: np.ndarray) -> np.ndarray:
+        return np.cumsum(np.add.reduceat(limb, starts, axis=-1), axis=-1)
+
+    return _limbs_mod_p(prefix(x & _MASK32), prefix(x >> _S32))
 
 
 def fold_bits(x: np.ndarray, bits: int) -> np.ndarray:

@@ -14,9 +14,23 @@ places:
 All of these are provided here.  We work over the Mersenne prime
 ``P = 2^61 - 1``, which supports exact modular arithmetic with Python ints
 and fast reduction, and we expose a *prefix-evaluable* polynomial hash
-(:class:`PrefixHasher`) so Algorithm 1 can derive the key for resolution
-level ``i`` (a hash of the first ``c_i`` MLSH values) in O(1) additional
-work per level instead of rehashing the whole growing prefix.
+(:class:`PrefixHasher`) so Algorithm 1 can derive the keys of every
+resolution level ``i`` (a hash of the first ``c_i`` MLSH values) from one
+pass over the longest prefix instead of rehashing each prefix.
+
+The batch paths evaluate every polynomial in closed form: one broadcast
+field multiply of the whole input matrix by a cached coefficient row,
+then exact sums of the products' 32-bit limbs (a row sum for
+:meth:`VectorHash.hash_rows`, a prefix sum for
+:meth:`PrefixHasher.prefix_digests_many`).  The scalar ``__call__`` /
+:meth:`PrefixHasher.extend` paths are the reference the batch paths are
+pinned against.
+
+Hash inputs follow one element rule (:func:`exact_int`): Python
+ints and numpy integer scalars are integers; bools and floats, which
+``int()`` would silently truncate, are a ``ValueError``.  Matrix inputs
+take the same rule as one dtype check,
+:func:`~repro.hashing.mersenne.integer_array`.
 """
 
 from __future__ import annotations
@@ -25,7 +39,19 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .mersenne import MERSENNE_P, affine_mod_p, fold_bits, quadratic_mod_p, to_field
+from .mersenne import (
+    MERSENNE_P,
+    add_mod_p,
+    affine_mod_p,
+    fold_bits,
+    integer_array,
+    mul_mod_p,
+    prefix_sums_mod_p,
+    quadratic_mod_p,
+    row_products,
+    sum_mod_p,
+    to_field,
+)
 from .random_source import PublicCoins
 
 __all__ = [
@@ -35,12 +61,58 @@ __all__ = [
     "PrefixHasher",
     "Checksum",
     "fold_to_bits",
+    "check_integers",
+    "exact_int",
 ]
+
+
+def _is_integer_type(kind: type) -> bool:
+    """The element rule for keys, values and hash inputs: ``int`` and
+    numpy integer scalars are integers; ``bool`` (an ``int`` subclass) and
+    floats — which ``int()`` would silently truncate — are not."""
+    return kind is not bool and issubclass(kind, (int, np.integer))
+
+
+def check_integers(items: Iterable[object]) -> None:
+    """:func:`_is_integer_type` over a whole batch, one test per distinct type."""
+    for kind in set(map(type, items)):
+        if not _is_integer_type(kind):
+            raise ValueError(f"expected integers, got {kind.__name__}")
+
+
+def exact_int(value: object) -> int:
+    """``value`` as an exact Python int; ``ValueError`` unless it is one."""
+    if type(value) is int:
+        return value
+    if not _is_integer_type(type(value)):
+        raise ValueError(f"expected an integer, got {type(value).__name__} {value!r}")
+    return int(value)
+
+
+def _check_bits(bits: int) -> int:
+    """The output-width rule shared by every hash family: ``[1, 61]``."""
+    if not 1 <= bits <= 61:
+        raise ValueError(f"bits must be in [1, 61], got {bits}")
+    return bits
 
 
 def _mod_p(x: int) -> int:
     """Reduce ``x`` modulo the Mersenne prime ``2^61 - 1``."""
     return x % MERSENNE_P
+
+
+def _field_row(values: Sequence[int]) -> np.ndarray:
+    """Field elements (Python ints in ``[0, P)``) as a ``uint64`` row."""
+    return np.array(values, dtype=np.uint64)
+
+
+def _integer_matrix(values: np.ndarray, columns: int | None = None) -> np.ndarray:
+    """``values`` as a 2-d integer array (``integer_array``'s dtype rule)."""
+    matrix = integer_array(values)
+    if matrix.ndim != 2 or (columns is not None and matrix.shape[1] != columns):
+        expected = f"(n, {columns})" if columns is not None else "a 2-d matrix"
+        raise ValueError(f"expected shape {expected}, got {matrix.shape}")
+    return matrix
 
 
 def fold_to_bits(value: int, bits: int) -> int:
@@ -69,12 +141,10 @@ class PairwiseHash:
     """
 
     def __init__(self, coins: PublicCoins, label: object, bits: int = 61):
-        if not 1 <= bits <= 61:
-            raise ValueError(f"bits must be in [1, 61], got {bits}")
+        self.bits = _check_bits(bits)
         rng = coins.python_rng("pairwise", label)
         self.a = rng.randrange(1, MERSENNE_P)
         self.b = rng.randrange(0, MERSENNE_P)
-        self.bits = bits
 
     def __call__(self, x: int) -> int:
         return fold_to_bits(_mod_p(self.a * _mod_p(x) + self.b), self.bits)
@@ -101,40 +171,37 @@ class VectorHash:
     def __init__(self, coins: PublicCoins, label: object, arity: int, bits: int = 61):
         if arity < 1:
             raise ValueError("arity must be >= 1")
+        self.bits = _check_bits(bits)
         rng = coins.python_rng("vector", label)
         self.coeffs = [rng.randrange(1, MERSENNE_P) for _ in range(arity)]
         self.b = rng.randrange(0, MERSENNE_P)
         self.arity = arity
-        self.bits = bits
+        self.coeff_row = _field_row(self.coeffs)
 
     def __call__(self, xs: Sequence[int]) -> int:
+        """Scalar reference evaluation (the oracle :meth:`hash_rows` matches)."""
         if len(xs) != self.arity:
             raise ValueError(f"expected {self.arity} inputs, got {len(xs)}")
         acc = self.b
         for coeff, x in zip(self.coeffs, xs):
-            acc += coeff * _mod_p(int(x))
+            acc += coeff * _mod_p(exact_int(x))
         return fold_to_bits(_mod_p(acc), self.bits)
 
     def hash_rows(self, matrix: np.ndarray) -> np.ndarray:
-        """Hash each row of an ``(n, arity)`` matrix; returns ``uint64``.
+        """Hash each row of an ``(n, arity)`` integer matrix; returns ``uint64``.
 
-        Bit-identical to mapping :meth:`__call__` over the rows for
-        non-negative entries below ``2^64``; one fused pass of vectorised
-        field operations per column.
+        Bit-identical to mapping :meth:`__call__` over the rows for any
+        ``int64``/``uint64`` entries.  Closed form: one blockwise field
+        multiply by the coefficient row
+        (:func:`~repro.hashing.mersenne.row_products`), then an exact
+        limb-split row sum (:func:`~repro.hashing.mersenne.sum_mod_p`)
+        plus ``b``.
         """
-        matrix = np.asarray(matrix)
-        if matrix.ndim != 2 or matrix.shape[1] != self.arity:
-            raise ValueError(f"expected shape (n, {self.arity}), got {matrix.shape}")
-        # Reduce once, then transpose-copy so each column scan is contiguous.
-        reduced = np.ascontiguousarray(to_field(matrix).T)
-        acc = np.full(matrix.shape[0], self.b, dtype=np.uint64)
-        for column, coeff in enumerate(self.coeffs):
-            acc = affine_mod_p(np.uint64(coeff), acc, reduced[column])
-        return fold_bits(acc, self.bits)
-
-    def hash_matrix(self, matrix: np.ndarray) -> list[int]:
-        """Hash each row of an ``(n, arity)`` integer matrix."""
-        return [int(value) for value in self.hash_rows(matrix)]
+        matrix = _integer_matrix(matrix, self.arity)
+        sums = np.empty(len(matrix), dtype=np.uint64)
+        for rows, products in row_products(matrix, self.coeff_row):
+            sums[rows] = sum_mod_p(products)
+        return fold_bits(add_mod_p(sums, self.b), self.bits)
 
 
 class PrefixHasher:
@@ -147,7 +214,8 @@ class PrefixHasher:
     of a point, with ``c_1 < c_2 < ... < c_t``.  Rather than hashing each
     prefix from scratch (quadratic), callers feed values once via
     :meth:`extend` and snapshot the state at each required prefix length,
-    which is linear in ``c_t``.
+    which is linear in ``c_t``.  :meth:`prefix_digests_many` does the same
+    for a whole matrix in closed form.
 
     The family is universal for unequal-length or differing prefixes up to
     collision probability ``len/P`` — comfortably ``1/poly(n)`` for the
@@ -155,10 +223,12 @@ class PrefixHasher:
     """
 
     def __init__(self, coins: PublicCoins, label: object, bits: int = 61):
+        self.bits = _check_bits(bits)
         rng = coins.python_rng("prefix", label)
         self.r = rng.randrange(2, MERSENNE_P)
         self.b = rng.randrange(0, MERSENNE_P)
-        self.bits = bits
+        self._r_inverse = pow(self.r, MERSENNE_P - 2, MERSENNE_P)
+        self._inverse_powers = _field_row([])  # r^-1, r^-2, ... (see _weights)
 
     def initial_state(self) -> int:
         """The state corresponding to the empty prefix."""
@@ -166,7 +236,7 @@ class PrefixHasher:
 
     def extend(self, state: int, value: int) -> int:
         """Absorb one more value into the rolling state."""
-        return _mod_p(state * self.r + _mod_p(int(value)))
+        return _mod_p(state * self.r + _mod_p(exact_int(value)))
 
     def extend_many(self, state: int, values: Iterable[int]) -> int:
         """Absorb a sequence of values into the rolling state."""
@@ -185,7 +255,11 @@ class PrefixHasher:
         return self.digest(self.extend_many(self.initial_state(), values[:length]))
 
     def prefix_digests(self, values: Sequence[int], lengths: Sequence[int]) -> list[int]:
-        """Digests for several (sorted, increasing) prefix lengths in one pass."""
+        """Digests for several (sorted, increasing) prefix lengths in one pass.
+
+        This is the scalar reference :meth:`prefix_digests_many` is pinned
+        against.
+        """
         digests: list[int] = []
         state = self.initial_state()
         consumed = 0
@@ -199,37 +273,53 @@ class PrefixHasher:
             digests.append(self.digest(state))
         return digests
 
+    def _weights(self, width: int) -> np.ndarray:
+        """The cached inverse powers ``r^-1 .. r^-width`` as a ``uint64`` row."""
+        if len(self._inverse_powers) < width:
+            power, powers = 1, []
+            for _ in range(width):
+                power = power * self._r_inverse % MERSENNE_P
+                powers.append(power)
+            self._inverse_powers = _field_row(powers)
+        return self._inverse_powers[:width]
+
     def prefix_digests_many(
         self, values: np.ndarray, lengths: Sequence[int]
     ) -> np.ndarray:
         """Vectorised :meth:`prefix_digests` over every row of a matrix.
 
-        ``values`` is an ``(n, width)`` matrix of non-negative integers;
-        the return is the ``(n, len(lengths))`` ``uint64`` matrix whose row
-        ``i`` equals ``prefix_digests(values[i], lengths)``.  The rolling
-        state advances one exact vectorised field step per column, so the
-        whole point set is hashed in ``O(width)`` numpy operations.
+        ``values`` is an ``(n, width)`` ``int64``/``uint64`` matrix; the
+        return is the ``(n, len(lengths))`` ``uint64`` matrix whose row
+        ``i`` equals ``prefix_digests(values[i], lengths)``.
+
+        Closed form: the state after ``c`` values is
+        ``r^c · (b + Σ_{j≤c} x_j · r^-j) mod P``.  One blockwise field
+        multiply (:func:`~repro.hashing.mersenne.row_products`) weights
+        every column by its cached ``r^-j``; exact prefix sums of the
+        products' 32-bit limbs
+        (:func:`~repro.hashing.mersenne.prefix_sums_mod_p`, exact for any
+        width below ``2^32``) give ``Σ_{j≤c}`` at every requested length,
+        and each distinct length costs one multiply by ``r^c``.
         """
-        values = np.asarray(values)
-        if values.ndim != 2:
-            raise ValueError(f"expected a 2-d matrix, got shape {values.shape}")
+        values = _integer_matrix(values)
         rows, width = values.shape
-        # Reduce once, then transpose-copy so each column scan is contiguous.
-        reduced = np.ascontiguousarray(to_field(values).T)
-        state = np.full(rows, self.b, dtype=np.uint64)
-        r = np.uint64(self.r)
-        out = np.empty((rows, len(lengths)), dtype=np.uint64)
+        lengths = [int(length) for length in lengths]
         consumed = 0
-        for position, length in enumerate(lengths):
+        for length in lengths:
             if length < consumed:
                 raise ValueError("prefix lengths must be non-decreasing")
             if length > width:
                 raise ValueError(f"prefix length {length} exceeds {width} values")
-            for column in range(consumed, length):
-                state = affine_mod_p(state, reduced[column], r)
             consumed = length
-            out[:, position] = fold_bits(state, self.bits)
-        return out
+        distinct, level = np.unique(np.array(lengths, dtype=np.int64), return_inverse=True)
+        summed = distinct > 0  # the empty prefix sums nothing
+        ends = distinct[summed] - 1
+        scales = _field_row([pow(self.r, int(c), MERSENNE_P) for c in distinct])
+        sums = np.zeros((rows, len(distinct)), dtype=np.uint64)
+        for block, products in row_products(values[:, :consumed], self._weights(consumed)):
+            sums[block, summed] = prefix_sums_mod_p(products, ends)
+        states = mul_mod_p(add_mod_p(sums, self.b), scales)
+        return fold_bits(states[:, level], self.bits)
 
 
 class Checksum:
@@ -244,11 +334,11 @@ class Checksum:
     """
 
     def __init__(self, coins: PublicCoins, label: object, bits: int = 61):
+        self.bits = _check_bits(bits)
         rng = coins.python_rng("checksum", label)
         self.a1 = rng.randrange(1, MERSENNE_P)
         self.a2 = rng.randrange(1, MERSENNE_P)
         self.b = rng.randrange(0, MERSENNE_P)
-        self.bits = bits
 
     def __call__(self, key: int) -> int:
         x = _mod_p(int(key))

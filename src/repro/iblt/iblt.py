@@ -54,7 +54,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ..hashing import Checksum, PairwiseHash, PublicCoins
+from ..hashing import Checksum, PairwiseHash, PublicCoins, check_integers, exact_int
 from ..hashing.mersenne import affine_mod_p, fold_bits, to_field
 from .backend import resolve_backend
 from .frontier import PEEL_TAIL_THRESHOLD, KeyHashCache, PeelQueue, PeelScratch
@@ -65,7 +65,6 @@ __all__ = [
     "cells_for_differences",
     "check_key",
     "coerce_key_array",
-    "exact_int",
     "key_list",
     "partitioned_cell_indices",
 ]
@@ -75,27 +74,6 @@ __all__ = [
 #: below load ~0.81, so 2x headroom keeps the failure probability tiny
 #: at the small table sizes experiments use.
 DEFAULT_HEADROOM = 2.0
-
-
-def _is_integer_type(kind: type) -> bool:
-    """The element rule for keys and values: ``int`` and numpy integer
-    scalars are integers; ``bool`` (an ``int`` subclass) and floats —
-    which ``int()`` would silently truncate — are not."""
-    return kind is not bool and issubclass(kind, (int, np.integer))
-
-
-def _check_integers(items: list) -> None:
-    """:func:`_is_integer_type` over a whole batch, one test per distinct type."""
-    for kind in set(map(type, items)):
-        if not _is_integer_type(kind):
-            raise ValueError(f"expected integers, got {kind.__name__}")
-
-
-def exact_int(value: object) -> int:
-    """``value`` as an exact Python int; ``ValueError`` unless it is one."""
-    if not _is_integer_type(type(value)):
-        raise ValueError(f"expected an integer, got {type(value).__name__} {value!r}")
-    return int(value)
 
 
 def check_key(key: object, key_bits: int) -> int:
@@ -123,7 +101,7 @@ def key_list(keys: "np.ndarray | Iterable[int]", key_bits: int) -> list[int]:
         keys = keys.tolist()
     else:
         keys = list(keys)
-    _check_integers(keys)
+    check_integers(keys)
     values = [int(key) for key in keys]
     limit = 1 << key_bits
     for value in values:
@@ -144,7 +122,7 @@ def coerce_key_array(keys: "np.ndarray | Iterable[int]", key_bits: int) -> np.nd
         arr = keys
     else:
         items = list(keys)
-        _check_integers(items)  # before ``np.asarray`` folds a ``True`` into 1
+        check_integers(items)  # before ``np.asarray`` folds a ``True`` into 1
         arr = np.asarray(items)
     if arr.ndim != 1:
         raise ValueError(f"expected a flat key array, got shape {arr.shape}")

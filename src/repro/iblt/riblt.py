@@ -36,17 +36,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..hashing import Checksum, PairwiseHash, PublicCoins
+from ..hashing import Checksum, PairwiseHash, PublicCoins, exact_int
 from ..metric.spaces import Point
 from .backend import MAX_NUMPY_KEY_BITS
 from .frontier import KeyHashCache, PeelQueue, divisible_key, seed_sum_cell_queue
-from .iblt import (
-    check_key,
-    coerce_key_array,
-    exact_int,
-    key_list,
-    partitioned_cell_indices,
-)
+from .iblt import check_key, coerce_key_array, key_list, partitioned_cell_indices
 
 __all__ = ["RIBLT", "RIBLTDecodeResult", "riblt_cells_for_pairs"]
 

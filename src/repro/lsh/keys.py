@@ -5,8 +5,9 @@ Both protocols turn a point's vector of LSH values into compact *keys*:
 * **Algorithm 1 (EMD)** keys level ``i`` by a pairwise-independent hash of
   the first ``c_i`` MLSH values, with ``c_1 < c_2 < ... < c_t`` doubling
   per level (``key_i(a) = h(g_1(a), ..., g_{c_i}(a))``).
-  :class:`PrefixKeyBuilder` computes all ``t`` keys for every point in one
-  linear pass using the rolling :class:`~repro.hashing.PrefixHasher`.
+  :class:`PrefixKeyBuilder` computes all ``t`` keys for every point from
+  one closed-form prefix sum of the rolling
+  :class:`~repro.hashing.PrefixHasher`.
 * **The Gap protocol (Section 4.1)** gives each point a key *vector* of
   ``h`` entries, each entry a pairwise-independent hash of a batch of ``m``
   LSH values.  :class:`BatchKeyBuilder` produces these vectors.
@@ -15,7 +16,7 @@ Key widths are ``Θ(log n)`` bits; both parties construct builders from the
 same public coins so keys agree without communication.
 
 :class:`PrefixKeyBuilder` is the *single* EMD key stream: its rolling hash
-runs over the Mersenne-61 field, fully vectorised via
+runs over the Mersenne-61 field, evaluated in closed form by
 :meth:`~repro.hashing.PrefixHasher.prefix_digests_many`, and every caller
 (:class:`~repro.core.emd_protocol.EMDProtocol`, its interval-scaled
 wrapper, experiments, benchmarks) keys all resolution levels through it.
@@ -29,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from ..hashing import PrefixHasher, PublicCoins, VectorHash
+from ..hashing.mersenne import add_mod_p, fold_bits, row_products, sum_mod_p
 from ..metric.spaces import Point
 from .base import LSHBatch
 
@@ -93,12 +95,10 @@ class PrefixKeyBuilder:
         Row ``i`` column ``j`` is ``key_{j+1}(points[i])``: the hash of the
         first ``c_{j+1}`` MLSH values of the point.  The whole point set is
         hashed with :meth:`~repro.hashing.PrefixHasher.prefix_digests_many`
-        — one vectorised rolling-hash step per MLSH column instead of a
-        Python loop per point.
+        — one broadcast field multiply and one limb-split prefix sum over
+        the ``(n, c_t)`` MLSH matrix, then one multiply per level.
         """
         values = self.batch.evaluate(points)  # (n, s_max)
-        if not len(values):
-            return np.empty((0, self.levels), dtype=np.uint64)
         return self.hasher.prefix_digests_many(values, self.prefix_lengths)
 
 
@@ -136,21 +136,25 @@ class BatchKeyBuilder:
             VectorHash(coins, ("batch-key", label, j), arity=per_entry, bits=key_bits)
             for j in range(entries)
         ]
+        # Entry j's coefficients sit over columns j·m .. (j+1)·m - 1.
+        self._coeffs = np.concatenate([h.coeff_row for h in self.entry_hashes])
+        self._offsets = np.array([h.b for h in self.entry_hashes], dtype=np.uint64)
 
     def key_matrix_for(self, points: "Sequence[Point] | np.ndarray") -> np.ndarray:
         """The ``(len(points), entries)`` ``uint64`` matrix of key vectors.
 
-        Entry hash ``j`` is evaluated over its LSH-value batch for *all*
-        points at once (:meth:`~repro.hashing.VectorHash.hash_rows`), so the
-        whole key set costs ``O(entries · per_entry)`` vectorised field
-        operations instead of a Python loop per point.
+        Column ``j`` equals ``entry_hashes[j].hash_rows`` over LSH values
+        ``j·m .. (j+1)·m - 1``, computed for every entry at once: one
+        blockwise field multiply of the ``(n, h·m)`` value matrix by the
+        stacked entry coefficients
+        (:func:`~repro.hashing.mersenne.row_products`), then an exact
+        limb-split sum over each entry's ``m`` columns.
         """
         values = self.batch.evaluate(points)  # (n, h*m)
-        keys = np.empty((len(values), self.entries), dtype=np.uint64)
-        for j, entry_hash in enumerate(self.entry_hashes):
-            start = j * self.per_entry
-            keys[:, j] = entry_hash.hash_rows(values[:, start : start + self.per_entry])
-        return keys
+        sums = np.empty((len(values), self.entries), dtype=np.uint64)
+        for rows, products in row_products(values, self._coeffs):
+            sums[rows] = sum_mod_p(products.reshape(len(products), self.entries, self.per_entry))
+        return fold_bits(add_mod_p(sums, self._offsets), self.key_bits)
 
     def keys_for(self, points: Sequence[Point]) -> list[tuple[int, ...]]:
         """Return one ``h``-entry key vector per point (tuple view)."""

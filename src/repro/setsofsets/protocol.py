@@ -47,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..hashing import PublicCoins, VectorHash
+from ..hashing import PublicCoins, VectorHash, check_integers
 from ..iblt.counting import MultisetIBLT
 from ..iblt.iblt import cells_for_differences
 from ..protocol.channel import ALICE, BOB, Channel
@@ -164,30 +164,33 @@ class SetsOfSetsReconciler:
         )
 
     # -- key / item encoding -------------------------------------------------
-    def _internal(self, key: KeyVector) -> KeyVector:
-        """Append the signature entry."""
-        if len(key) != self.entries:
-            raise ValueError(f"key has {len(key)} entries, expected {self.entries}")
-        return tuple(key) + (self.signature_hash(key),)
-
     def _as_matrix(self, keys: Sequence[KeyVector] | np.ndarray) -> np.ndarray:
-        """Normalise a key collection to an ``(n, entries)`` ``uint64`` matrix."""
-        matrix = np.asarray(keys, dtype=np.uint64)
-        if matrix.size == 0:
-            return matrix.reshape(0, self.entries)
-        if matrix.ndim != 2 or matrix.shape[1] != self.entries:
+        """Normalise a key collection to an ``(n, entries)`` ``uint64`` matrix.
+
+        Entries follow the hashing element rule: a float or bool entry is a
+        ``ValueError`` (checked per element for key sequences, by dtype for
+        arrays), as is any entry outside ``[0, 2^entry_bits)``.
+        """
+        if not isinstance(keys, np.ndarray):
+            keys = [tuple(key) for key in keys]
+            check_integers(value for key in keys for value in key)
+            keys = np.asarray(keys)
+        if keys.size == 0:
+            return np.empty((0, self.entries), dtype=np.uint64)
+        if keys.ndim != 2 or keys.shape[1] != self.entries:
             raise ValueError(
-                f"key has {matrix.shape[-1] if matrix.ndim else 0} entries, "
+                f"key has {keys.shape[-1] if keys.ndim else 0} entries, "
                 f"expected {self.entries}"
             )
-        if int(matrix.max()) >= (1 << self.entry_bits):
-            raise ValueError(
-                f"entry value {int(matrix.max())} outside [0, 2^{self.entry_bits})"
-            )
-        return matrix
+        if keys.dtype.kind not in ("i", "u"):
+            raise ValueError(f"expected integer key entries, got dtype {keys.dtype}")
+        for extreme in (int(keys.min()), int(keys.max())):
+            if not 0 <= extreme < (1 << self.entry_bits):
+                raise ValueError(f"entry value {extreme} outside [0, 2^{self.entry_bits})")
+        return keys.astype(np.uint64, copy=False)
 
     def _internal_matrix(self, matrix: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`_internal`: append the signature column."""
+        """Append the signature column (a hash of the whole key) to a key matrix."""
         signatures = self.signature_hash.hash_rows(matrix)
         return np.concatenate([matrix, signatures[:, None]], axis=1)
 
@@ -297,8 +300,11 @@ class SetsOfSetsReconciler:
             ]
             if diff_entries:
                 affected.append((key, multiplicity, diff_entries))
+        affected_keys = np.array([key for key, _, _ in affected], dtype=np.uint64)
+        affected_keys = affected_keys.reshape(len(affected), self.internal_entries)
+        checksums = self.key_checksum.hash_rows(affected_keys).tolist()
         writer.write_varuint(len(affected))
-        for key, multiplicity, diff_entries in affected:
+        for (key, multiplicity, diff_entries), checksum in zip(affected, checksums):
             verbatim = len(diff_entries) >= self.verbatim_threshold
             writer.write_bool(verbatim)
             writer.write_varuint(multiplicity)
@@ -307,7 +313,7 @@ class SetsOfSetsReconciler:
                 for value in key[: self.entries]:
                     writer.write_uint(value, self.entry_bits)
             else:
-                writer.write_uint(self.key_checksum(key), _CHECK_BITS)
+                writer.write_uint(checksum, _CHECK_BITS)
                 writer.write_varuint(len(diff_entries))
                 for index, value in diff_entries:
                     writer.write_uint(index, self.index_bits)
@@ -321,6 +327,8 @@ class SetsOfSetsReconciler:
         recovered: dict[KeyVector, int] = {}
         unresolved = 0
         distinct_alice = list(dict.fromkeys(alice_internal))
+        distinct_matrix = np.array(distinct_alice, dtype=np.uint64)
+        distinct_matrix = distinct_matrix.reshape(len(distinct_alice), self.internal_entries)
         record_count = reader.read_varuint()
         for _ in range(record_count):
             verbatim = reader.read_bool()
@@ -337,7 +345,7 @@ class SetsOfSetsReconciler:
                 (reader.read_uint(self.index_bits), reader.read_uint(self.entry_bits))
                 for _ in range(patch_length)
             ]
-            reconstructed = self._apply_patch(distinct_alice, patch, checksum)
+            reconstructed = self._apply_patch(distinct_matrix, patch, checksum)
             if reconstructed is None:
                 unresolved += multiplicity
             else:
@@ -369,25 +377,26 @@ class SetsOfSetsReconciler:
 
     def _apply_patch(
         self,
-        alice_internal_keys: list[KeyVector],
+        alice_internal_keys: np.ndarray,
         patch: list[tuple[int, int]],
         checksum: int,
     ) -> KeyVector | None:
         """Patch each of Alice's keys; the checksum identifies the original.
 
-        Returns the *external* (signature-stripped) key, additionally
-        validating that the signature entry is consistent with the
-        reconstructed vector.
+        ``alice_internal_keys`` is Alice's ``(n, entries + 1)`` matrix of
+        distinct internal keys.  The patch is written into a copy of it and
+        every candidate is checksummed with one ``hash_rows`` call.
+        Returns the *external* (signature-stripped) key of the first row
+        whose checksum matches and whose signature entry is consistent
+        with the reconstructed vector (a checksum collision can produce an
+        inconsistent key), or ``None``.
         """
-        for base in alice_internal_keys:
-            candidate = list(base)
-            for index, value in patch:
-                candidate[index] = value
-            key = tuple(candidate)
-            if self.key_checksum(key) != checksum:
-                continue
-            external = key[: self.entries]
-            if self.signature_hash(external) != key[self.entries]:
-                continue  # checksum collision produced an inconsistent key
-            return external
-        return None
+        candidates = alice_internal_keys.copy()
+        for index, value in patch:
+            candidates[:, index] = value
+        matched = candidates[self.key_checksum.hash_rows(candidates) == checksum]
+        signatures = self.signature_hash.hash_rows(matched[:, : self.entries])
+        consistent = np.flatnonzero(signatures == matched[:, self.entries])
+        if not len(consistent):
+            return None
+        return tuple(matched[consistent[0], : self.entries].tolist())

@@ -145,6 +145,23 @@ class TestPairwiseHash:
         assert min(buckets) > 5
 
 
+#: Matrix fills at the closed form's limb-sum bounds: every term ``P - 1``,
+#: ``uint64`` values near ``2^64`` and negative ``int64`` values.
+_FILLS = ("random", "all-p-minus-1", "near-2^64", "negative")
+
+
+def _matrix(fill: str, rows: int, width: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if fill == "random":
+        return rng.integers(0, 1 << 63, size=(rows, width), dtype=np.int64)
+    if fill == "all-p-minus-1":
+        return np.full((rows, width), MERSENNE_P - 1, dtype=np.uint64)
+    if fill == "near-2^64":
+        offsets = rng.integers(0, 1 << 8, size=(rows, width), dtype=np.uint64)
+        return np.uint64((1 << 64) - 1) - offsets
+    return rng.integers(-(1 << 63), 0, size=(rows, width), dtype=np.int64)
+
+
 class TestVectorHash:
     def test_deterministic(self, coins):
         h1 = VectorHash(coins, "v", arity=4, bits=32)
@@ -163,7 +180,7 @@ class TestVectorHash:
     def test_hash_matrix(self, coins):
         h = VectorHash(coins, "m", arity=3, bits=40)
         matrix = np.array([[1, 2, 3], [4, 5, 6]], dtype=np.int64)
-        assert h.hash_matrix(matrix) == [h([1, 2, 3]), h([4, 5, 6])]
+        assert h.hash_rows(matrix).tolist() == [h([1, 2, 3]), h([4, 5, 6])]
 
     def test_hash_rows_matches_scalar(self, coins):
         h = VectorHash(coins, "rows", arity=5, bits=50)
@@ -176,7 +193,19 @@ class TestVectorHash:
     def test_hash_matrix_shape_check(self, coins):
         h = VectorHash(coins, "m", arity=3)
         with pytest.raises(ValueError):
-            h.hash_matrix(np.zeros((2, 4), dtype=np.int64))
+            h.hash_rows(np.zeros((2, 4), dtype=np.int64))
+
+    @given(
+        arity=st.integers(min_value=1, max_value=1024),
+        rows=st.integers(min_value=0, max_value=20),
+        fill=st.sampled_from(_FILLS),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_hash_rows_closed_form_matches_scalar(self, arity, rows, fill, seed):
+        h = VectorHash(PublicCoins(seed), "closed", arity=arity, bits=61)
+        matrix = _matrix(fill, rows, arity, seed)
+        assert h.hash_rows(matrix).tolist() == [h(row) for row in matrix.tolist()]
 
 
 class TestPrefixHasher:
@@ -235,6 +264,49 @@ class TestPrefixHasher:
         with pytest.raises(ValueError):
             hasher.prefix_digests_many(values, [7])
 
+    @given(
+        width=st.integers(min_value=0, max_value=4096),
+        rows=st.integers(min_value=0, max_value=3),
+        fill=st.sampled_from(_FILLS),
+        cuts=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=14),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_prefix_digests_many_closed_form(self, width, rows, fill, cuts, seed):
+        """The closed form equals the rolling reference at any width up to
+        4,096, on the inputs at its limb-sum bounds."""
+        hasher = PrefixHasher(PublicCoins(seed), "closed", bits=61)
+        values = _matrix(fill, rows, width, seed)
+        lengths = sorted(round(cut * width) for cut in cuts)
+        assert hasher.prefix_digests_many(values, lengths).tolist() == [
+            hasher.prefix_digests(row, lengths) for row in values.tolist()
+        ]
+
+    @pytest.mark.parametrize(
+        "rows, lengths",
+        [
+            # the emd-hamming schedule (doubling up to 1,024, then repeats),
+            # over 40 rows: three row blocks of 2^14 values
+            (40, [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 768, 1024, 1024, 1024, 1024]),
+            # one-column segments and repeats between the ends
+            (40, [255, 256, 256, 257, 511, 512, 513, 768, 1024]),
+            (5, [0, 0, 1024]),
+            # rows wider than a block: one row per block
+            (3, [1, 16383, 16384, 16385, 16500]),
+        ],
+    )
+    def test_prefix_digests_many_block_edges(self, coins, rows, lengths):
+        hasher = PrefixHasher(coins, "edges", bits=40)
+        values = _matrix("random", rows, lengths[-1], 0xED6E)
+        assert hasher.prefix_digests_many(values, lengths).tolist() == [
+            hasher.prefix_digests(row, lengths) for row in values.tolist()
+        ]
+
+    def test_prefix_digests_many_zero_rows(self, coins):
+        hasher = PrefixHasher(coins, "empty", bits=40)
+        out = hasher.prefix_digests_many(np.zeros((0, 300), dtype=np.int64), [1, 300])
+        assert out.shape == (0, 2) and out.dtype == np.uint64
+
     @given(st.lists(st.integers(min_value=0, max_value=1 << 61), min_size=1, max_size=30))
     @settings(max_examples=50, deadline=None)
     def test_extend_many_matches_loop(self, values):
@@ -285,3 +357,40 @@ class TestChecksum:
         checksum = Checksum(PublicCoins(3), "hyp", bits=61)
         batch = checksum.hash_array(np.array([key], dtype=np.uint64))
         assert int(batch[0]) == checksum(key)
+
+
+_FAMILIES = [
+    lambda coins, bits: PairwiseHash(coins, "w", bits=bits),
+    lambda coins, bits: VectorHash(coins, "w", arity=2, bits=bits),
+    lambda coins, bits: PrefixHasher(coins, "w", bits=bits),
+    lambda coins, bits: Checksum(coins, "w", bits=bits),
+]
+
+
+class TestInputRules:
+    @pytest.mark.parametrize("family", _FAMILIES, ids=["pairwise", "vector", "prefix", "checksum"])
+    @pytest.mark.parametrize("bits", [0, 62, -3])
+    def test_rejects_bad_bits(self, coins, family, bits):
+        """A zero width would collide every key; a width above 61 would
+        silently give 61 bits; a negative one would fail at the first call."""
+        with pytest.raises(ValueError, match="bits must be in"):
+            family(coins, bits)
+
+    @pytest.mark.parametrize("bad", [1.5, True, np.float64(2.0), np.bool_(True)])
+    def test_scalar_paths_reject_non_integers(self, coins, bad):
+        vector = VectorHash(coins, "nonint", arity=2)
+        prefix = PrefixHasher(coins, "nonint")
+        with pytest.raises(ValueError, match="expected an integer"):
+            vector([bad, 2])
+        with pytest.raises(ValueError, match="expected an integer"):
+            prefix.prefix_digests([bad, 2], [2])
+        with pytest.raises(ValueError, match="expected an integer"):
+            prefix.extend(prefix.initial_state(), bad)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_, object])
+    def test_matrix_paths_reject_non_integers(self, coins, dtype):
+        matrix = np.ones((2, 3), dtype=dtype)
+        with pytest.raises(ValueError, match="expected an integer array"):
+            VectorHash(coins, "nonint", arity=3).hash_rows(matrix)
+        with pytest.raises(ValueError, match="expected an integer array"):
+            PrefixHasher(coins, "nonint").prefix_digests_many(matrix, [1, 3])

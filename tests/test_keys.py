@@ -172,6 +172,22 @@ class TestBatchKeyBuilder:
         assert matrix.dtype == np.uint64
         assert [tuple(row) for row in matrix.tolist()] == builder.keys_for(points)
 
+    @pytest.mark.parametrize("count", [0, 1, 400])
+    def test_key_matrix_matches_scalar_reference(self, coins, count):
+        """Every entry equals its scalar ``VectorHash`` over its ``m`` LSH
+        values; 400 points of 36 × 3 values span three row blocks."""
+        space = HammingSpace(128)
+        batch = BitSamplingMLSH(space, w=128.0).sample_batch(coins, "ref", 108)
+        builder = BatchKeyBuilder(
+            batch, entries=36, per_entry=3, coins=coins, label="ref", key_bits=32
+        )
+        points = space.sample(np.random.default_rng(9), count)
+        expected = [
+            [entry(row[3 * j : 3 * j + 3]) for j, entry in enumerate(builder.entry_hashes)]
+            for row in batch.evaluate(points).tolist()
+        ]
+        assert builder.key_matrix_for(points).tolist() == expected
+
     def test_far_points_rarely_match(self, coins, rng):
         space = HammingSpace(64)
         family = BitSamplingMLSH(space, w=64)

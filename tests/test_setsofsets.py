@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.hashing import PublicCoins
@@ -181,3 +182,59 @@ class TestValidation:
         reconciler = _reconciler(coins, entry_bits=4)
         with pytest.raises(ValueError):
             reconciler.run([tuple([16] * 8)], [], Channel())
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            [(1.5,) + (2,) * 7],
+            [(True,) + (2,) * 7],
+            [(-1,) + (2,) * 7],
+            np.full((1, 8), 1.5),
+            np.ones((1, 8), dtype=bool),
+            np.full((1, 8), -1),
+        ],
+        ids=["float", "bool", "negative", "float-matrix", "bool-matrix", "negative-matrix"],
+    )
+    def test_rejects_non_integer_and_negative_entries(self, coins, keys):
+        """A cast would truncate floats and bools into valid entries, and
+        wrap negatives; all are a ``ValueError`` on either side."""
+        reconciler = _reconciler(coins)
+        with pytest.raises(ValueError):
+            reconciler.run(keys, [], Channel())
+        with pytest.raises(ValueError):
+            reconciler.run([], keys, Channel())
+
+
+class _StubChecksum:
+    """A key checksum that reports ``value`` for the chosen rows only."""
+
+    def __init__(self, rows, value):
+        self.rows = rows
+        self.value = value
+
+    def hash_rows(self, matrix):
+        out = np.zeros(len(matrix), dtype=np.uint64)
+        out[self.rows] = self.value
+        return out
+
+
+class TestPatchSearch:
+    def test_first_consistent_row_wins(self, coins, rng):
+        """Rows 1-3 all collide on the checksum; row 1's signature entry
+        is inconsistent, so the search must return row 2, not row 3."""
+        reconciler = _reconciler(coins)
+        keys = np.array(_random_keys(rng, 4), dtype=np.uint64)
+        keys[3, 0] = keys[2, 0]  # the patch below keeps rows 2 and 3 valid
+        internal = reconciler._internal_matrix(keys)
+        internal[1, reconciler.entries] ^= np.uint64(1)
+        reconciler.key_checksum = _StubChecksum([1, 2, 3], 77)
+        patched = reconciler._apply_patch(internal, [(0, int(keys[2, 0]))], 77)
+        assert patched == tuple(keys[2].tolist())
+
+    def test_no_consistent_row(self, coins, rng):
+        reconciler = _reconciler(coins)
+        internal = reconciler._internal_matrix(np.array(_random_keys(rng, 3), dtype=np.uint64))
+        assert reconciler._apply_patch(internal, [(0, 5)], 1) is None
+        reconciler.key_checksum = _StubChecksum([0], 9)
+        internal[0, reconciler.entries] ^= np.uint64(1)
+        assert reconciler._apply_patch(internal, [], 9) is None
