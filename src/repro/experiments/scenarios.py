@@ -42,7 +42,7 @@ from ..metric import GridSpace, HammingSpace, MetricSpace, emd
 from ..protocol import Channel, FaultSpec, FaultyChannel
 from ..reconcile import exact_iblt_reconcile, outcome_metrics
 from ..reconcile.exact_iblt import exact_iblt_reconcile_auto
-from ..reconcile.resilient import ResilienceConfig, resilient_reconcile
+from ..reconcile.resilient import Recovery, ResilienceConfig, resilient_reconcile
 from ..reconcile.strata import StrataEstimator
 from ..setsofsets import SetsOfSetsReconciler
 from ..workloads import (
@@ -556,18 +556,18 @@ def _drive_store_churn(
     membership, which the report counts), and (3) reconciles each hot
     set against a lagging replica: the store serves the sketch (warm
     where resident), the replica deletes its stale view and peels.  An
-    undecodable table escalates the bound through a
-    :class:`~repro.reconcile.resilient.BreakerState`; a tripped breaker
-    falls back to a store-served strata measurement, and the final state
-    is persisted per replica in the store — so a set whose churn
-    outruns its bound starts *later windows* at the escalated bound.
+    undecodable table escalates the bound through the shared
+    :class:`~repro.reconcile.resilient.Recovery` loop; a tripped breaker
+    falls back to a store-served strata measurement, taken right after
+    the failing attempt, and the final breaker state is kept per replica
+    in the store — so a set whose churn outruns its bound starts *later
+    windows* at the escalated bound.
     ``success`` requires every recovered difference to match ground
     truth exactly and every replica to end the run converged.  Cache
     accounting (hits, rebuilds avoided, incremental refreshes,
     evictions) is reported but never affects served bytes.
     """
     from ..iblt.iblt import cells_for_differences
-    from ..reconcile.resilient import BreakerState
     from ..store import SketchStore, StoreConfig
 
     p = spec.params
@@ -645,11 +645,11 @@ def _drive_store_churn(
                 store.put_set(skey, sorted(truth), key_bits=key_bits)
                 reregistrations += 1
             peer = ("replica", index)
-            state = store.load_breaker(peer) or BreakerState(bound=p["delta_bound"])
+            recovery = Recovery(policy, p["delta_bound"], store.load_breaker(peer))
             stale_view = np.asarray(sorted(replica), dtype=np.uint64)
             decoded = None
-            for _attempt in range(policy.max_attempts):
-                cells = cells_for_differences(state.bound, q=q)
+            for _attempt in recovery:
+                cells = cells_for_differences(recovery.bound, q=q)
                 payload, bits = store.serve_iblt(
                     skey, set_coins[index], "store-churn", cells=cells, q=q
                 )
@@ -660,18 +660,13 @@ def _drive_store_churn(
                 ).from_payload(payload)
                 view.delete_batch(stale_view)
                 result = view.decode()
+                recovery.record("decoded" if result.success else "undecodable")
                 if result.success:
                     decoded = result
-                    break
-                decode_failures += 1
-                advanced = state.after_undecodable(policy)
-                if advanced.escalations > state.escalations:
-                    escalations += 1
-                state = advanced
-                if state.breaker_open and state.fallback_bound is None:
+                elif recovery.needs_fallback:
                     # Escalation budget exhausted: measure the difference
                     # with the store-served strata estimator (read-only;
-                    # ``subtract`` returns a fresh result).
+                    # ``difference_bound`` subtracts into a fresh result).
                     served = store.serve_strata(
                         skey, set_coins[index].child("strata"), "store-churn-strata"
                     )
@@ -682,9 +677,11 @@ def _drive_store_churn(
                     )
                     local.insert_batch(stale_view)
                     bits_total += served.to_payload()[1]
-                    state = state.with_fallback(max(4, served.subtract(local).estimate()))
-                    strata_fallbacks += 1
-            store.save_breaker(peer, state)
+                    recovery.adopt_fallback(served.difference_bound(local))
+            store.save_breaker(peer, recovery.state)
+            decode_failures += recovery.undecodable
+            escalations += recovery.escalations
+            strata_fallbacks += recovery.fallbacks
             if decoded is None:
                 all_exact = False  # replica stays stale; churn compounds
                 continue

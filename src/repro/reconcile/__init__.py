@@ -1,20 +1,19 @@
 """Classical reconciliation baselines: naive, exact IBLT, quadtree ([7])."""
 
 from .exact_iblt import (
-    ExactReconcileResult,
     decode_point,
     encode_point,
     exact_iblt_reconcile,
     exact_iblt_reconcile_auto,
 )
-from .cpi import CPIResult, cpi_reconcile, evaluate_characteristic
-from .outcome import ReconcileOutcome, outcome_metrics
+from .cpi import cpi_reconcile, evaluate_characteristic
+from .outcome import ReconcileResult, outcome_metrics
 from .resilient import (
     AttemptRecord,
     BreakerState,
+    Recovery,
     RecoveryReport,
     ResilienceConfig,
-    ResilientReconcileResult,
     resilient_reconcile,
 )
 from .strata import StrataEstimator
@@ -24,19 +23,17 @@ from .quadtree import QuadtreeEMDProtocol, QuadtreeResult
 __all__ = [
     "AttemptRecord",
     "BreakerState",
+    "Recovery",
     "RecoveryReport",
     "ResilienceConfig",
-    "ResilientReconcileResult",
     "resilient_reconcile",
-    "ExactReconcileResult",
-    "ReconcileOutcome",
+    "ReconcileResult",
     "outcome_metrics",
     "decode_point",
     "encode_point",
     "exact_iblt_reconcile",
     "exact_iblt_reconcile_auto",
     "StrataEstimator",
-    "CPIResult",
     "cpi_reconcile",
     "evaluate_characteristic",
     "NaiveTransferResult",

@@ -27,17 +27,16 @@ ablation benches, head-to-head with the IBLT approach.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from ..hashing import MERSENNE_P, PublicCoins
-from ..metric.spaces import MetricSpace, Point
-from ..protocol.channel import ALICE, BOB, Channel
-from ..protocol.serialize import BitReader, BitWriter, read_points, write_points
-from .exact_iblt import encode_points
-from .outcome import ReconcileOutcome
+from ..metric.spaces import MetricSpace, Point, point_tuples
+from ..protocol.channel import BOB, Channel
+from ..protocol.serialize import BitReader, BitWriter
+from .exact_iblt import encode_points, ship_alice_only
+from .outcome import ReconcileResult
 
-__all__ = ["cpi_reconcile", "CPIResult", "evaluate_characteristic"]
+__all__ = ["cpi_reconcile", "evaluate_characteristic"]
 
 _P = MERSENNE_P
 _HOLDOUT = 8
@@ -114,20 +113,6 @@ def _solve_rational(
     return solution[: deg_p + 1], solution[deg_p + 1 :] + [1]
 
 
-@dataclass(frozen=True)
-class CPIResult(ReconcileOutcome):
-    """Outcome of characteristic-polynomial reconciliation; implements
-    the shared :class:`~repro.reconcile.outcome.ReconcileOutcome`
-    surface."""
-
-    success: bool
-    bob_final: list[Point]
-    alice_only: list[Point]
-    bob_only: list[Point]
-    total_bits: int
-    rounds: int
-
-
 def cpi_reconcile(
     space: MetricSpace,
     alice_points: Sequence[Point],
@@ -135,7 +120,7 @@ def cpi_reconcile(
     delta_bound: int,
     coins: PublicCoins,
     channel: Channel | None = None,
-) -> CPIResult:
+) -> ReconcileResult:
     """Two-round exact one-way reconciliation via polynomial evaluations.
 
     Round 1 (Bob -> Alice): his set size and characteristic-polynomial
@@ -161,8 +146,10 @@ def cpi_reconcile(
     rng = coins.python_rng("cpi-evals")
     zs = [rng.randrange(_P // 2, _P) for _ in range(m)]  # away from encodings
 
-    alice_encoded = encode_points(space, alice_points).tolist()
-    bob_encoded = encode_points(space, bob_points).tolist()
+    alice = space.point_array(alice_points)
+    bob = space.point_array(bob_points)
+    alice_encoded = encode_points(space, alice).tolist()
+    bob_encoded = encode_points(space, bob).tolist()
 
     # ---- Round 1: Bob's size + evaluations ------------------------------
     bob_values = evaluate_characteristic(bob_encoded, zs)
@@ -181,9 +168,9 @@ def cpi_reconcile(
     ratios = [a * _inv(b) % _P for a, b in zip(alice_values, received)]
     size_gap = len(alice_encoded) - bob_size  # = deg P - deg Q of the ratio
 
-    failure = CPIResult(
+    failure = ReconcileResult(
         success=False,
-        bob_final=list(bob_points),
+        bob_final=point_tuples(bob),
         alice_only=[],
         bob_only=[],
         total_bits=channel.total_bits,
@@ -215,28 +202,18 @@ def cpi_reconcile(
     # The reduced numerator vanishes exactly on A \ B.
     alice_only = [
         point
-        for point, encoded in zip(alice_points, alice_encoded)
+        for point, encoded in zip(point_tuples(alice), alice_encoded)
         if _poly_eval(p_coeffs, encoded) == 0
     ]
     bob_only = [
         point
-        for point, encoded in zip(bob_points, bob_encoded)
+        for point, encoded in zip(point_tuples(bob), bob_encoded)
         if _poly_eval(q_coeffs, encoded) == 0
     ]
 
     # ---- Round 2: Alice ships her side of the difference -----------------
-    writer = BitWriter()
-    write_points(writer, space, alice_only)
-    reply = channel.send(ALICE, "cpi-alice-only", writer.getvalue(), writer.bit_length)
-    shipped = read_points(BitReader(reply), space)
-
-    bob_final = list(bob_points)
-    existing = set(bob_final)
-    for point in shipped:
-        if point not in existing:
-            bob_final.append(point)
-            existing.add(point)
-    return CPIResult(
+    bob_final = ship_alice_only(space, channel, "cpi-alice-only", bob, alice_only)
+    return ReconcileResult(
         success=True,
         bob_final=bob_final,
         alice_only=alice_only,

@@ -12,7 +12,6 @@ Point encoding: a point of ``[Δ]^d`` maps to the mixed-radix integer
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -22,16 +21,16 @@ from ..iblt.iblt import IBLT, cells_for_differences
 from ..metric.spaces import MetricSpace, Point, point_tuples
 from ..protocol.channel import ALICE, BOB, BaseChannel, Channel
 from ..protocol.serialize import BitReader, BitWriter, read_points, write_points
-from .outcome import ReconcileOutcome
+from .outcome import ReconcileResult
 from .strata import StrataEstimator
 
 __all__ = [
     "encode_point",
     "decode_point",
     "encode_points",
-    "ExactReconcileResult",
     "exact_iblt_reconcile",
     "exact_iblt_reconcile_auto",
+    "ship_alice_only",
     "strata_estimate",
 ]
 
@@ -76,18 +75,29 @@ def _key_bits(space: MetricSpace) -> int:
     return max(1, space.dim * max(1, (space.side - 1).bit_length()))
 
 
-@dataclass(frozen=True)
-class ExactReconcileResult(ReconcileOutcome):
-    """Outcome of exact one-way reconciliation (also returned by the
-    auto-sized variant); implements the shared
-    :class:`~repro.reconcile.outcome.ReconcileOutcome` surface."""
+def ship_alice_only(
+    space: MetricSpace,
+    channel: BaseChannel,
+    label: str,
+    bob_points: "Sequence[Point] | np.ndarray",
+    alice_only: "Sequence[Point] | np.ndarray",
+) -> list[Point]:
+    """Round 2 of every one-way reconciler (Alice -> Bob): Bob's final set.
 
-    success: bool
-    bob_final: list[Point]
-    alice_only: list[Point]
-    bob_only: list[Point]
-    total_bits: int
-    rounds: int
+    Alice ships ``alice_only`` under ``label``; Bob appends each shipped
+    point he lacks to his own points, in order, as tuples.  Both point
+    sets pass :meth:`~repro.metric.MetricSpace.point_array`.
+    """
+    writer = BitWriter()
+    write_points(writer, space, alice_only)
+    reply = channel.send(ALICE, label, writer.getvalue(), writer.bit_length)
+    bob_final = point_tuples(space.point_array(bob_points))
+    existing = set(bob_final)
+    for point in read_points(BitReader(reply), space):
+        if point not in existing:
+            bob_final.append(point)
+            existing.add(point)
+    return bob_final
 
 
 def exact_iblt_reconcile(
@@ -98,7 +108,7 @@ def exact_iblt_reconcile(
     coins: PublicCoins,
     channel: Channel | None = None,
     q: int = 3,
-) -> ExactReconcileResult:
+) -> ReconcileResult:
     """Two-round exact one-way reconciliation: Bob ends with ``S_A ∪ S_B``.
 
     Round 1 (Bob -> Alice): Bob's IBLT of his encoded points, sized for
@@ -124,7 +134,7 @@ def exact_iblt_reconcile(
     alice_view.delete_batch(encode_points(space, alice_points))
     decoded = alice_view.decode()
     if not decoded.success:
-        return ExactReconcileResult(
+        return ReconcileResult(
             success=False,
             bob_final=point_tuples(bob),
             alice_only=[],
@@ -136,19 +146,8 @@ def exact_iblt_reconcile(
     # Alice-only and must be shipped to Bob.
     bob_only = [decode_point(space, key) for key in decoded.inserted]
     alice_only = [decode_point(space, key) for key in decoded.deleted]
-
-    writer = BitWriter()
-    write_points(writer, space, alice_only)
-    reply = channel.send(ALICE, "alice-only-points", writer.getvalue(), writer.bit_length)
-    shipped = read_points(BitReader(reply), space)
-
-    bob_final = point_tuples(bob)
-    existing = set(bob_final)
-    for point in shipped:
-        if point not in existing:
-            bob_final.append(point)
-            existing.add(point)
-    return ExactReconcileResult(
+    bob_final = ship_alice_only(space, channel, "alice-only-points", bob, alice_only)
+    return ReconcileResult(
         success=True,
         bob_final=bob_final,
         alice_only=alice_only,
@@ -169,8 +168,8 @@ def strata_estimate(
     """One strata half-round (Alice -> Bob): Bob's measured difference bound.
 
     Alice ships a :class:`~repro.reconcile.strata.StrataEstimator` of her
-    points under the sketch ``label``; Bob subtracts his own and
-    estimates the symmetric-difference size (at least 4).  The sketch
+    points under the sketch ``label``; Bob measures the bound against his
+    own (:meth:`~repro.reconcile.strata.StrataEstimator.difference_bound`).  The sketch
     crosses ``channel``, so a faulty channel can make parsing raise
     :class:`~repro.errors.DecodeError`.
     """
@@ -183,7 +182,7 @@ def strata_estimate(
     received = StrataEstimator(coins, label, key_bits=key_bits).from_payload(sent)
     bob_sketch = StrataEstimator(coins, label, key_bits=key_bits)
     bob_sketch.insert_batch(encode_points(space, bob_points))
-    return max(4, received.subtract(bob_sketch).estimate())
+    return received.difference_bound(bob_sketch)
 
 
 def exact_iblt_reconcile_auto(
@@ -194,7 +193,7 @@ def exact_iblt_reconcile_auto(
     channel: Channel | None = None,
     q: int = 3,
     max_attempts: int = 4,
-) -> ExactReconcileResult:
+) -> ReconcileResult:
     """Exact reconciliation with *no* prior difference bound ([10]).
 
     Adds a strata-estimator half-round in front of

@@ -14,6 +14,7 @@ from typing import Sequence
 from ..metric.spaces import MetricSpace, Point
 from ..protocol.channel import ALICE, Channel
 from ..protocol.serialize import BitReader, BitWriter, read_points, write_points
+from .exact_iblt import ship_alice_only
 
 __all__ = ["NaiveTransferResult", "naive_full_transfer", "naive_union_transfer"]
 
@@ -58,16 +59,7 @@ def naive_union_transfer(
     Satisfies the Gap Guarantee trivially for any ``r2 > 0``.
     """
     channel = channel if channel is not None else Channel()
-    writer = BitWriter()
-    write_points(writer, space, list(alice_points))
-    payload = channel.send(ALICE, "naive-points", writer.getvalue(), writer.bit_length)
-    received = read_points(BitReader(payload), space)
-    union = list(bob_points)
-    existing = set(union)
-    for point in received:
-        if point not in existing:
-            union.append(point)
-            existing.add(point)
+    union = ship_alice_only(space, channel, "naive-points", bob_points, alice_points)
     return NaiveTransferResult(
         bob_final=union, total_bits=channel.total_bits, rounds=channel.rounds
     )

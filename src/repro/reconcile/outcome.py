@@ -1,98 +1,60 @@
-"""One result surface for every reconciler.
+"""One result type for every exact reconciler.
 
-Each reconciliation entry point historically returned its own dataclass
-(:class:`~repro.reconcile.exact_iblt.ExactReconcileResult`,
-:class:`~repro.reconcile.resilient.ResilientReconcileResult`,
-:class:`~repro.reconcile.cpi.CPIResult`, and now the wire service's
-:class:`~repro.server.client.SessionResult`), and every consumer — the
-scenario drivers, the sweeps, the new session server — re-read the same
-four facts off each one by name.  :class:`ReconcileOutcome` is the
-shared mixin: any result with ``success``, ``alice_only``, ``bob_only``,
-``bob_final``, ``total_bits`` and ``rounds`` fields exposes a uniform
-minimal interface (missing-at-Alice / missing-at-Bob, a transcript
-summary, and the ``ok`` flag), so generic code stops special-casing the
-concrete dataclasses.
-
-``outcome_metrics`` is the scenario-driver half of the bargain: the flat
-JSON-safe metrics dict every exact-reconciliation driver shares.
+:func:`~repro.reconcile.exact_iblt.exact_iblt_reconcile`, its auto-sized
+variant, :func:`~repro.reconcile.cpi.cpi_reconcile` and
+:func:`~repro.reconcile.resilient.resilient_reconcile` all return a
+:class:`ReconcileResult`; only the resilient controller fills in its
+``report``.  ``outcome_metrics`` is the flat JSON-safe metrics dict
+every exact-reconciliation scenario driver shares.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
-
-from ..protocol.channel import TranscriptSummary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..metric.spaces import Point
+    from .resilient import RecoveryReport
 
-__all__ = ["ReconcileOutcome", "outcome_metrics"]
+__all__ = ["ReconcileResult", "outcome_metrics"]
 
 
-class ReconcileOutcome:
-    """Mixin exposing the minimal shared reconciliation-result surface.
+@dataclass(frozen=True)
+class ReconcileResult:
+    """Outcome of one exact one-way reconciliation run.
 
-    Host classes provide the underlying fields; the mixin adds the
-    uniform vocabulary:
-
-    * :attr:`ok` — did the run reconcile end-to-end;
-    * :attr:`missing_at_alice` — points only Bob held (Alice lacks them);
-    * :attr:`missing_at_bob` — points only Alice held (what round 2
-      ships to Bob);
-    * :meth:`transcript_summary` — the measured communication cost as a
-      :class:`~repro.protocol.channel.TranscriptSummary`.
+    ``alice_only`` holds the points only Alice had (what round 2 ships
+    to Bob), ``bob_only`` the points only Bob had.  On failure Bob's set
+    is unchanged and both sides are empty.  ``report`` is the recovery
+    path of a :func:`~repro.reconcile.resilient.resilient_reconcile` run
+    and ``None`` for every single-shot reconciler.
     """
 
-    # Fields the host dataclass supplies.
     success: bool
+    bob_final: "list[Point]"
     alice_only: "list[Point]"
     bob_only: "list[Point]"
-    bob_final: "list[Point]"
     total_bits: int
     rounds: int
-
-    @property
-    def ok(self) -> bool:
-        """``success`` under the protocol-wide name."""
-        return bool(self.success)
-
-    @property
-    def missing_at_alice(self) -> "list[Point]":
-        """Points Alice was missing (Bob-only side of the difference)."""
-        return list(self.bob_only)
-
-    @property
-    def missing_at_bob(self) -> "list[Point]":
-        """Points Bob was missing (Alice-only side of the difference)."""
-        return list(self.alice_only)
-
-    def transcript_summary(self) -> TranscriptSummary:
-        """The measured cost of the run as a transcript summary.
-
-        The base implementation carries totals only (results hold
-        aggregate bits/rounds, not per-message breakdowns); transports
-        that kept the full transcript override this with the real
-        per-label/per-sender split.
-        """
-        return TranscriptSummary(total_bits=int(self.total_bits), rounds=int(self.rounds))
+    report: "RecoveryReport | None" = None
 
 
 def outcome_metrics(
-    result: ReconcileOutcome,
+    result: ReconcileResult,
     alice: "Sequence[Point]",
     bob: "Sequence[Point]",
 ) -> "dict[str, Any]":
     """The flat metrics every exact-reconciliation scenario driver shares.
 
-    Works on *any* :class:`ReconcileOutcome` — exact, auto, resilient,
-    CPI, or a wire-service session — which is exactly why the drivers no
-    longer special-case the concrete result dataclasses.
+    Reads only the :class:`ReconcileResult` fields, so any object that
+    carries them works.
     """
     return {
-        "success": result.ok,
+        "success": bool(result.success),
         "rounds": int(result.rounds),
         "bits": int(result.total_bits),
-        "alice_only": len(result.missing_at_bob),
-        "bob_only": len(result.missing_at_alice),
+        "alice_only": len(result.alice_only),
+        "bob_only": len(result.bob_only),
         "union_reached": bool(set(result.bob_final) == set(alice) | set(bob)),
     }

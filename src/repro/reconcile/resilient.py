@@ -30,28 +30,33 @@ Every attempt's outcome, table size, and measured bits land in a
 :class:`RecoveryReport` whose canonical JSON is byte-deterministic for a
 fixed fault seed — the artifact the fault-rate sweep campaign and CI's
 fault-smoke gate aggregate.
+
+The policy itself lives in :class:`Recovery`, an I/O-free tracker: this
+controller, the service client (:mod:`repro.server.client`) and the
+store-churn scenario each drive one, so the three loops cannot drift.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from typing import Iterator
 
-from ..errors import DecodeError, MalformedPayloadError
+from ..errors import DecodeError
 from ..hashing import PublicCoins
 from ..iblt.iblt import cells_for_differences
 from ..metric.spaces import MetricSpace, Point, point_tuples
 from ..protocol.channel import Channel
 from ..protocol.faults import FaultyChannel
-from .exact_iblt import ExactReconcileResult, exact_iblt_reconcile, strata_estimate
-from .outcome import ReconcileOutcome
+from .exact_iblt import exact_iblt_reconcile, strata_estimate
+from .outcome import ReconcileResult
 
 __all__ = [
     "ResilienceConfig",
     "BreakerState",
+    "Recovery",
     "AttemptRecord",
     "RecoveryReport",
-    "ResilientReconcileResult",
     "resilient_reconcile",
 ]
 
@@ -95,16 +100,16 @@ class ResilienceConfig:
 
 @dataclass(frozen=True)
 class BreakerState:
-    """Serialisable circuit-breaker state of the recovery loop.
+    """Circuit-breaker state of the recovery loop.
 
     Everything the escalation policy has learned about a peer — the
     current difference bound, the blind escalations consumed, whether
     the breaker is open, and the strata-measured fallback bound — in one
-    frozen value.  :func:`resilient_reconcile` both consumes it (resume
-    a returning peer where the last session left off) and produces it
-    (:attr:`RecoveryReport.breaker`), and the sketch store persists it
-    per peer, so a flaky peer's next session starts at its escalated
-    bound instead of rediscovering the failure.
+    frozen value.  A :class:`Recovery` both consumes it (resume a
+    returning peer where the last session left off) and produces it
+    (:attr:`RecoveryReport.breaker`), and the sketch store keeps it per
+    peer, so a flaky peer's next session starts at its escalated bound
+    instead of rediscovering the failure.
     """
 
     bound: int
@@ -144,10 +149,6 @@ class BreakerState:
             return replace(self, bound=grown, fallback_bound=grown)
         return self
 
-    def with_fallback(self, measured: int) -> "BreakerState":
-        """Adopt a strata-measured bound as the fallback baseline."""
-        return replace(self, bound=measured, fallback_bound=measured)
-
     # -- serialisation -------------------------------------------------------
     def to_dict(self) -> dict:
         return {
@@ -157,46 +158,96 @@ class BreakerState:
             "fallback_bound": self.fallback_bound,
         }
 
-    @classmethod
-    def from_dict(cls, payload: object) -> "BreakerState":
-        """Restore persisted state, treating it as untrusted input.
 
-        Damage raises :class:`~repro.errors.MalformedPayloadError` (the
-        typed :class:`~repro.errors.DecodeError` surface), never a bare
-        ``KeyError``/``TypeError`` — stores load these from disk or
-        wire.
+class Recovery:
+    """The recovery loop of every exact reconciler, free of I/O.
+
+    Iterating yields 1-based attempt numbers up to the attempt budget and
+    stops after an attempt is recorded ``"decoded"``.  The driving loop
+    runs each attempt at :attr:`bound`, measures a strata fallback first
+    (or, like the store-churn scenario, right after the failing attempt)
+    whenever :attr:`needs_fallback` holds, and hands the attempt's
+    outcome to :meth:`record`, which owns every
+    :class:`BreakerState` transition, the phase and the counters.
+
+    ``config=None`` is the policy-free exact protocol: one attempt, and
+    a failure is only counted — it never escalates or trips.  A given
+    ``breaker`` resumes that state (phase ``"resumed"``); otherwise the
+    loop starts fresh at ``delta_bound``.
+    """
+
+    def __init__(
+        self,
+        config: "ResilienceConfig | None",
+        delta_bound: int,
+        breaker: "BreakerState | None" = None,
+    ) -> None:
+        self.config = config
+        self.state = breaker if breaker is not None else BreakerState(bound=delta_bound)
+        self.phase = "primary" if breaker is None else "resumed"
+        self.attempts = 0
+        self.decoded = False
+        self.rerequests = 0
+        self.escalations = 0
+        self.undecodable = 0
+        self.fallbacks = 0
+        self.breaker_tripped = False
+        #: The strata-measured bound, before any post-fallback doubling.
+        self.measured_bound: "int | None" = None
+
+    def __iter__(self) -> Iterator[int]:
+        budget = 1 if self.config is None else self.config.max_attempts
+        for attempt in range(1, budget + 1):
+            self.attempts = attempt
+            yield attempt
+            if self.decoded:
+                return
+
+    @property
+    def bound(self) -> int:
+        """The difference bound the current attempt's table is sized for."""
+        return self.state.bound
+
+    @property
+    def needs_fallback(self) -> bool:
+        """The breaker is open and no fallback bound is measured yet."""
+        return self.state.breaker_open and self.state.fallback_bound is None
+
+    def adopt_fallback(self, measured: int) -> None:
+        """Run the remaining attempts from a strata-measured bound."""
+        self.state = replace(self.state, bound=measured, fallback_bound=measured)
+        self.measured_bound = measured
+        self.fallbacks += 1
+
+    def record(self, outcome: str) -> None:
+        """Book one attempt: ``"decoded"``, ``"undecodable"`` or ``"corrupted"``.
+
+        Damage in flight says nothing about sizing, so a corrupted
+        attempt is re-requested at the same bound (a corrupted strata
+        exchange retries the fallback entry wholesale).  An undecodable
+        sketch was undersized: escalate, trip the breaker, or double the
+        fallback.
         """
-        if not isinstance(payload, dict):
-            raise MalformedPayloadError(
-                f"breaker state must be a dict, got {type(payload).__name__}"
-            )
-        expected = {"bound", "escalations", "breaker_open", "fallback_bound"}
-        if set(payload) != expected:
-            raise MalformedPayloadError(
-                f"breaker state keys {sorted(payload)} != {sorted(expected)}"
-            )
-        bound = payload["bound"]
-        escalations = payload["escalations"]
-        breaker_open = payload["breaker_open"]
-        fallback_bound = payload["fallback_bound"]
-        for name, value in (("bound", bound), ("escalations", escalations)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise MalformedPayloadError(f"breaker {name} must be an int")
-        if not isinstance(breaker_open, bool):
-            raise MalformedPayloadError("breaker breaker_open must be a bool")
-        if fallback_bound is not None and (
-            not isinstance(fallback_bound, int) or isinstance(fallback_bound, bool)
-        ):
-            raise MalformedPayloadError("breaker fallback_bound must be int or None")
-        try:
-            return cls(
-                bound=bound,
-                escalations=escalations,
-                breaker_open=breaker_open,
-                fallback_bound=fallback_bound,
-            )
-        except ValueError as exc:
-            raise MalformedPayloadError(str(exc)) from exc
+        if outcome == "decoded":
+            self.decoded = True
+        elif outcome == "corrupted":
+            self.rerequests += 1
+            if self.phase == "primary":
+                self.phase = "rerequest"
+        elif outcome == "undecodable":
+            self.undecodable += 1
+            if self.config is None:
+                return
+            advanced = self.state.after_undecodable(self.config)
+            if advanced.escalations > self.state.escalations:
+                self.escalations += 1
+                self.phase = "escalated"
+            elif advanced.breaker_open and not self.state.breaker_open:
+                self.breaker_tripped = True
+                self.phase = "fallback"
+            self.state = advanced
+        else:
+            raise ValueError(f"unknown attempt outcome {outcome!r}")
 
 
 @dataclass(frozen=True)
@@ -204,7 +255,7 @@ class AttemptRecord:
     """One reconciliation attempt on the recovery path."""
 
     attempt: int  #: 1-based position in the attempt sequence
-    phase: str  #: "primary" | "rerequest" | "escalated" | "fallback"
+    phase: str  #: "primary" | "resumed" | "rerequest" | "escalated" | "fallback"
     breaker: str  #: breaker state entering the attempt: "closed" | "open"
     delta_bound: int  #: difference bound the table was sized for
     cells: int  #: actual cell count of that table
@@ -270,21 +321,6 @@ class RecoveryReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-@dataclass(frozen=True)
-class ResilientReconcileResult(ReconcileOutcome):
-    """Mirror of :class:`ExactReconcileResult` plus the recovery report;
-    implements the shared
-    :class:`~repro.reconcile.outcome.ReconcileOutcome` surface."""
-
-    success: bool
-    bob_final: list[Point]
-    alice_only: list[Point]
-    bob_only: list[Point]
-    total_bits: int
-    rounds: int
-    report: RecoveryReport
-
-
 def resilient_reconcile(
     space: MetricSpace,
     alice_points: "list[Point]",
@@ -294,7 +330,7 @@ def resilient_reconcile(
     channel: "Channel | FaultyChannel | None" = None,
     config: ResilienceConfig = ResilienceConfig(),
     breaker: "BreakerState | None" = None,
-) -> ResilientReconcileResult:
+) -> ReconcileResult:
     """Exact two-way reconciliation with a deterministic recovery path.
 
     See the module docstring for the policy.  ``channel`` may be a plain
@@ -311,91 +347,71 @@ def resilient_reconcile(
     state lands in :attr:`RecoveryReport.breaker` for persisting.
     """
     channel = channel if channel is not None else Channel()
-    report = RecoveryReport(success=False)
-    final: ExactReconcileResult | None = None
     alice = space.point_array(alice_points)
     bob = space.point_array(bob_points)
+    recovery = Recovery(config, delta_bound, breaker)
+    attempts: "list[AttemptRecord]" = []
+    final: "ReconcileResult | None" = None
 
-    resumed = breaker is not None
-    state = breaker if resumed else BreakerState(bound=delta_bound)
-    phase = "resumed" if resumed else "primary"
-
-    for attempt in range(1, config.max_attempts + 1):
+    for attempt in recovery:
         attempt_coins = (
             coins if attempt == 1 else coins.child("resilient-attempt", attempt)
         )
         bits_before = channel.total_bits
         rounds_before = channel.rounds
-        outcome = "corrupted"
         try:
-            if state.breaker_open and state.fallback_bound is None:
-                measured = strata_estimate(
-                    space,
-                    alice,
-                    bob,
-                    attempt_coins,
-                    channel,
-                    "resilient-strata",
+            if recovery.needs_fallback:
+                recovery.adopt_fallback(
+                    strata_estimate(
+                        space, alice, bob, attempt_coins, channel, "resilient-strata"
+                    )
                 )
-                state = state.with_fallback(measured)
-                report.fallback_bound = measured
             result = exact_iblt_reconcile(
                 space,
                 alice,
                 bob,
-                delta_bound=state.bound,
+                delta_bound=recovery.bound,
                 coins=attempt_coins,
                 channel=channel,
                 q=config.q,
             )
             if result.success:
-                outcome = "decoded"
                 final = result
-            else:
-                outcome = "undecodable"
+            outcome = "decoded" if result.success else "undecodable"
         except DecodeError:
             outcome = "corrupted"
 
-        report.attempts.append(
+        attempts.append(
             AttemptRecord(
                 attempt=attempt,
-                phase=phase,
-                breaker="open" if state.breaker_open else "closed",
-                delta_bound=state.bound,
-                cells=cells_for_differences(state.bound, q=config.q),
+                phase=recovery.phase,
+                breaker="open" if recovery.state.breaker_open else "closed",
+                delta_bound=recovery.bound,
+                cells=cells_for_differences(recovery.bound, q=config.q),
                 outcome=outcome,
                 bits=channel.total_bits - bits_before,
                 cumulative_bits=channel.total_bits,
                 rounds=channel.rounds - rounds_before,
             )
         )
-        if outcome == "decoded":
-            break
-        if outcome == "corrupted":
-            # Damage in flight: re-request at the same size (a corrupted
-            # strata exchange retries the fallback entry wholesale).
-            report.rerequests += 1
-            if phase == "primary":
-                phase = "rerequest"
-        else:  # undecodable: the table was undersized for the difference
-            advanced = state.after_undecodable(config)
-            if advanced.escalations > state.escalations:
-                report.escalations += 1
-                phase = "escalated"
-            elif advanced.breaker_open and not state.breaker_open:
-                report.breaker_tripped = True
-                phase = "fallback"
-            state = advanced
+        recovery.record(outcome)
 
-    report.breaker = state
-    report.success = final is not None
-    report.total_bits = channel.total_bits
-    report.rounds = channel.rounds
-    if isinstance(channel, FaultyChannel):
-        report.faults = channel.fault_summary().to_dict()
-
+    report = RecoveryReport(
+        success=final is not None,
+        attempts=attempts,
+        escalations=recovery.escalations,
+        rerequests=recovery.rerequests,
+        breaker_tripped=recovery.breaker_tripped,
+        fallback_bound=recovery.measured_bound,
+        total_bits=channel.total_bits,
+        rounds=channel.rounds,
+        faults=(
+            channel.fault_summary().to_dict() if isinstance(channel, FaultyChannel) else {}
+        ),
+        breaker=recovery.state,
+    )
     if final is None:
-        return ResilientReconcileResult(
+        return ReconcileResult(
             success=False,
             bob_final=point_tuples(bob),
             alice_only=[],
@@ -404,12 +420,4 @@ def resilient_reconcile(
             rounds=channel.rounds,
             report=report,
         )
-    return ResilientReconcileResult(
-        success=True,
-        bob_final=final.bob_final,
-        alice_only=final.alice_only,
-        bob_only=final.bob_only,
-        total_bits=channel.total_bits,
-        rounds=channel.rounds,
-        report=report,
-    )
+    return replace(final, total_bits=channel.total_bits, rounds=channel.rounds, report=report)

@@ -32,6 +32,7 @@ __all__ = ["StrataEstimator"]
 _DEFAULT_STRATA = 24
 _CELLS_PER_STRATUM = 48
 _CORRECTION = 2.0  # headroom multiplier applied by estimate()
+_MIN_BOUND = 4  # smallest bound difference_bound() returns
 
 
 @dataclass(frozen=True)
@@ -231,3 +232,12 @@ class StrataEstimator:
                 return max(1, int(_CORRECTION * counted * scale))
             counted += outcome.difference_count
         return max(0, int(_CORRECTION * counted))
+
+    def difference_bound(self, other: "StrataEstimator") -> int:
+        """The difference bound a reconciliation table is sized for.
+
+        The estimate of ``self - other``, floored at 4: the one rule every
+        strata-sized exchange (the auto-sized and resilient reconcilers,
+        the service's ``ESTIMATE`` reply, the store-churn fallback) uses.
+        """
+        return max(_MIN_BOUND, self.subtract(other).estimate())

@@ -4,8 +4,9 @@
 over one framed connection.  Each session re-enacts the in-process
 resilient controller (:mod:`repro.reconcile.resilient`) with the roles
 split across the wire: the client is **Alice** — she requests Bob's
-sketch, peels it, decides what the failure means, and owns the whole
-recovery policy —
+sketch, peels it, and books each attempt with the same
+:class:`~repro.reconcile.resilient.Recovery` tracker, which owns the
+policy —
 
 * a *damaged* sketch (payload CRC or sketch parse failure) is
   re-requested at the same bound with the next attempt's coins;
@@ -38,7 +39,7 @@ from ..protocol.channel import ALICE
 from ..protocol.serialize import BitWriter, write_points
 from ..protocol.wire import Frame, MessageType
 from ..reconcile.exact_iblt import decode_point, encode_points
-from ..reconcile.resilient import BreakerState, ResilienceConfig
+from ..reconcile.resilient import Recovery, ResilienceConfig
 from ..reconcile.strata import StrataEstimator
 from .network import SimulatedNetwork
 from .session import SessionConfig, json_payload, parse_json_payload
@@ -159,28 +160,24 @@ class ReconcileClient:
         alice_keys = encode_points(space, alice)
         key_bits = config.key_bits
 
-        resilient = config.protocol == "resilient"
-        max_attempts = config.max_attempts if resilient else 1
-        # The wire controller runs the same escalation policy as the
-        # in-process resilient loop, through the same state machine.
-        policy = ResilienceConfig(
-            max_attempts=max_attempts,
-            max_escalations=config.max_escalations if resilient else 0,
+        # The wire controller drives the same recovery loop as the
+        # in-process resilient controller; ``exact`` has no policy.
+        policy = (
+            ResilienceConfig(
+                max_attempts=config.max_attempts, max_escalations=config.max_escalations
+            )
+            if config.protocol == "resilient"
+            else None
         )
-        breaker = BreakerState(bound=config.delta_bound)
-        success = False
+        recovery = Recovery(policy, config.delta_bound)
         alice_only: "list | None" = None
 
-        for attempt in range(1, max_attempts + 1):
-            state.attempts = attempt
-            attempt_coins = config.attempt_coins(attempt)
-            if breaker.breaker_open and breaker.fallback_bound is None:
-                measured = await self._strata_fallback(
-                    config, channel, state, alice_keys, key_bits
+        for attempt in recovery:
+            if recovery.needs_fallback:
+                recovery.adopt_fallback(
+                    await self._strata_fallback(config, channel, state, alice_keys, key_bits)
                 )
-                breaker = breaker.with_fallback(measured)
-            bound = breaker.bound
-            outcome = "corrupted"
+            bound = recovery.bound
             try:
                 frame = await self._request(
                     channel,
@@ -197,7 +194,7 @@ class ReconcileClient:
                 frame.verify_payload()
                 cells = cells_for_differences(bound, q=config.q)
                 view = IBLT(
-                    attempt_coins,
+                    config.attempt_coins(attempt),
                     "exact-reconcile",
                     cells=cells,
                     q=config.q,
@@ -206,32 +203,15 @@ class ReconcileClient:
                 view.delete_batch(alice_keys)
                 decoded = view.decode()
                 if decoded.success:
-                    outcome = "decoded"
                     alice_only = [decode_point(space, key) for key in decoded.deleted]
-                    success = True
-                else:
-                    outcome = "undecodable"
+                outcome = "decoded" if decoded.success else "undecodable"
             except DecodeError:
                 outcome = "corrupted"
-
-            if outcome == "decoded":
-                break
-            if outcome == "corrupted":
-                # Damage in flight says nothing about sizing: re-request.
-                state.rerequests += 1
-            elif not resilient:
-                pass  # exact: one attempt, no recovery policy
-            else:
-                advanced = breaker.after_undecodable(policy)
-                if advanced.escalations > breaker.escalations:
-                    state.escalations += 1
-                elif advanced.breaker_open and not breaker.breaker_open:
-                    state.breaker_tripped = True
-                breaker = advanced
+            recovery.record(outcome)
 
         union_ok = False
         bob_size = -1
-        if success and alice_only is not None:
+        if alice_only is not None:
             writer = BitWriter()
             write_points(writer, space, alice_only)
             result = await self._request(
@@ -254,14 +234,14 @@ class ReconcileClient:
         return SessionReport(
             session_id=config.session_id,
             protocol=config.protocol,
-            success=success,
+            success=recovery.decoded,
             union_ok=union_ok,
             bob_size=bob_size,
-            attempts=state.attempts,
-            escalations=state.escalations,
-            rerequests=state.rerequests,
-            breaker_tripped=state.breaker_tripped,
-            fallback_bound=breaker.fallback_bound,
+            attempts=recovery.attempts,
+            escalations=recovery.escalations,
+            rerequests=state.resends + recovery.rerequests,
+            breaker_tripped=recovery.breaker_tripped,
+            fallback_bound=recovery.measured_bound,
             transcript_bits=summary.total_bits,
             transcript_rounds=summary.rounds,
             by_label=summary.by_label,
@@ -320,11 +300,11 @@ class ReconcileClient:
                 try:
                     frame.verify_payload()
                 except MalformedPayloadError:
-                    state.rerequests += 1
+                    state.resends += 1
                     continue  # even the error was chewed; ask again
                 detail = parse_json_payload(frame.payload)
                 if detail.get("code") == "decode":
-                    state.rerequests += 1
+                    state.resends += 1
                     continue  # our outbound frame was damaged in flight
                 raise ProtocolError(
                     f"server error in session {channel.session_id}: {detail!r}"
@@ -338,7 +318,7 @@ class ReconcileClient:
                 try:
                     frame.verify_payload()
                 except MalformedPayloadError:
-                    state.rerequests += 1
+                    state.resends += 1
                     continue
             return frame
         raise ProtocolError(
@@ -348,13 +328,10 @@ class ReconcileClient:
 
 
 class _SessionState:
-    """Mutable recovery counters threaded through one session."""
+    """Transport-level resends of one session, below the recovery loop."""
 
     def __init__(self) -> None:
-        self.attempts = 0
-        self.escalations = 0
-        self.rerequests = 0
-        self.breaker_tripped = False
+        self.resends = 0
 
 
 def render_session_reports(reports: "list[SessionReport]", seed: int) -> str:

@@ -126,7 +126,7 @@ class ServerSession:
                 self.config.strata_coins(), "service-strata", key_bits=key_bits
             )
             bob_sketch.insert_batch(self._bob_keys)
-        return max(4, received.subtract(bob_sketch).estimate())
+        return received.difference_bound(bob_sketch)
 
     def merge_push(self, payload: bytes) -> "tuple[bool, int]":
         """Merge Alice's pushed points; verify against the ground truth."""

@@ -2,9 +2,9 @@
 
 Every sketch type exposes the same ``to_payload()`` / ``from_payload()``
 pair, byte-compatible with the older free-function serializers (now
-aliases), and every reconciliation result implements the shared
-:class:`~repro.reconcile.outcome.ReconcileOutcome` vocabulary — the API
-surface the wire service multiplexes over.
+aliases), and every exact reconciler returns the one
+:class:`~repro.reconcile.outcome.ReconcileResult` that the scenario
+drivers read through ``outcome_metrics``.
 """
 
 from __future__ import annotations
@@ -25,12 +25,14 @@ from repro.protocol import (
     riblt_payload,
 )
 from repro.reconcile import (
+    ReconcileResult,
     StrataEstimator,
+    cpi_reconcile,
     exact_iblt_reconcile,
+    exact_iblt_reconcile_auto,
     outcome_metrics,
     resilient_reconcile,
 )
-from repro.reconcile.outcome import ReconcileOutcome
 
 COINS = PublicCoins(0xFACE)
 
@@ -82,33 +84,38 @@ class TestUnifiedPayloadSurface:
 
 
 class TestReconcileOutcomeProtocol:
-    def _run(self, reconcile, **kwargs):
+    """Every exact reconciler returns the one ``ReconcileResult``."""
+
+    def _run(self, reconcile, *args, **kwargs):
         space = HammingSpace(24)
         coins = PublicCoins(31)
         rng = coins.numpy_rng("workload")
         shared = space.sample(rng, 40)
         alice = shared + space.sample(rng, 3)
         bob = shared + space.sample(rng, 3)
-        result = reconcile(space, alice, bob, 12, coins, **kwargs)
+        result = reconcile(space, alice, bob, *args, coins, **kwargs)
         return result, alice, bob
 
-    def test_exact_result_implements_outcome(self):
-        result, alice, bob = self._run(exact_iblt_reconcile)
-        assert isinstance(result, ReconcileOutcome)
-        assert result.ok is result.success
-        assert set(result.missing_at_bob) == set(result.alice_only)
-        assert set(result.missing_at_alice) == set(result.bob_only)
-        summary = result.transcript_summary()
-        assert summary.total_bits == result.total_bits
-        assert summary.rounds == result.rounds
-
-    def test_resilient_result_implements_outcome(self):
-        result, _, _ = self._run(resilient_reconcile)
-        assert isinstance(result, ReconcileOutcome)
-        assert result.ok
+    @pytest.mark.parametrize(
+        "reconcile, args",
+        [
+            (exact_iblt_reconcile, (12,)),
+            (exact_iblt_reconcile_auto, ()),
+            (cpi_reconcile, (12,)),
+            (resilient_reconcile, (12,)),
+        ],
+        ids=["exact", "auto", "cpi", "resilient"],
+    )
+    def test_every_exact_reconciler_returns_the_one_result_type(self, reconcile, args):
+        result, alice, bob = self._run(reconcile, *args)
+        assert type(result) is ReconcileResult
+        assert result.success
+        assert set(result.alice_only) == set(alice) - set(bob)
+        assert set(result.bob_only) == set(bob) - set(alice)
+        assert (result.report is not None) == (reconcile is resilient_reconcile)
 
     def test_outcome_metrics_is_driver_uniform(self):
-        result, alice, bob = self._run(exact_iblt_reconcile)
+        result, alice, bob = self._run(exact_iblt_reconcile, 12)
         metrics = outcome_metrics(result, alice, bob)
         assert metrics == {
             "success": True,
@@ -120,19 +127,25 @@ class TestReconcileOutcomeProtocol:
         }
 
     def test_outcome_metrics_on_duck_typed_result(self):
-        """Any object with the outcome fields works — no isinstance checks."""
+        """Any object with the result fields works — no isinstance checks."""
 
-        class WireResult(ReconcileOutcome):
+        class WireResult:
             success = True
-            alice_only = []
+            alice_only = [(1, 0)]
             bob_only = []
-            bob_final = []
+            bob_final = [(0, 1), (1, 0)]
             total_bits = 128
             rounds = 2
 
-        metrics = outcome_metrics(WireResult(), [], [])
-        assert metrics["bits"] == 128
-        assert metrics["union_reached"] is True
+        metrics = outcome_metrics(WireResult(), [(1, 0)], [(0, 1)])
+        assert metrics == {
+            "success": True,
+            "rounds": 2,
+            "bits": 128,
+            "alice_only": 1,
+            "bob_only": 0,
+            "union_reached": True,
+        }
 
 
 def _fill_riblt(table: RIBLT) -> None:

@@ -23,8 +23,10 @@ from repro.metric import GridSpace, HammingSpace, point_tuples
 from repro.protocol import BitReader, BitWriter, read_point, write_point, write_points
 from repro.reconcile import (
     QuadtreeEMDProtocol,
+    cpi_reconcile,
     exact_iblt_reconcile,
     exact_iblt_reconcile_auto,
+    naive_union_transfer,
 )
 from repro.reconcile.exact_iblt import encode_point, encode_points
 from repro.workloads import noisy_replica_pair, split_difference_pair
@@ -186,6 +188,8 @@ _RUNS = {
     "emd-l2": (_grid_replicas, _emd),
     "gap-hamming": (_hamming_replicas, _gap_run),
     "exact": (_split, lambda s, a, b, c: exact_iblt_reconcile(s, a, b, 8, c)),
+    "cpi": (_split, lambda s, a, b, c: cpi_reconcile(s, a, b, 8, c)),
+    "naive-union": (_split, lambda s, a, b, c: naive_union_transfer(s, a, b)),
     "quadtree": (_grid_replicas, lambda s, a, b, c: QuadtreeEMDProtocol(s, 24, 2).run(a, b, c)),
 }
 
@@ -203,6 +207,15 @@ def test_ndarray_points_run_like_tuple_lists(run, seed):
     assert from_arrays.total_bits == from_lists.total_bits
     assert from_arrays.bob_final == from_lists.bob_final
     assert all(type(c) is int for point in from_arrays.bob_final for c in point)
+
+
+def test_cpi_difference_sides_are_point_tuples():
+    space, alice, bob = _split(0)
+    result = cpi_reconcile(space, np.asarray(alice), np.asarray(bob), 8, PublicCoins(0))
+    assert result.success
+    assert set(result.alice_only) == set(alice) - set(bob)
+    assert set(result.bob_only) == set(bob) - set(alice)
+    assert all(type(c) is int for point in result.alice_only + result.bob_only for c in point)
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,8 @@ from repro.hashing import PublicCoins
 from repro.metric import HammingSpace
 from repro.protocol import Channel, FaultSpec, FaultyChannel
 from repro.reconcile import (
+    BreakerState,
+    Recovery,
     ResilienceConfig,
     exact_iblt_reconcile,
     resilient_reconcile,
@@ -30,6 +32,123 @@ class TestConfig:
             ResilienceConfig(max_escalations=-1)
         with pytest.raises(ValueError):
             ResilienceConfig(escalation_factor=1)
+
+
+#: (case, config, delta_bound, resumed breaker, recorded outcomes,
+#:  per-attempt (phase, bound, breaker) entering each attempt,
+#:  final counters and state).  Every case measures the fallback at
+#:  bound 10 at the start of the attempt that needs it.
+_RECOVERY_CASES = [
+    (
+        "primary-then-rerequest",
+        ResilienceConfig(),
+        4,
+        None,
+        ["corrupted", "corrupted", "decoded"],
+        [("primary", 4, "closed"), ("rerequest", 4, "closed"), ("rerequest", 4, "closed")],
+        dict(rerequests=2, escalations=0, undecodable=0, fallbacks=0, tripped=False,
+             measured=None, decoded=True, state=BreakerState(bound=4)),
+    ),
+    (
+        "escalate-trip-fallback-double",
+        ResilienceConfig(max_attempts=6, max_escalations=2),
+        4,
+        None,
+        ["undecodable"] * 5 + ["decoded"],
+        [
+            ("primary", 4, "closed"),
+            ("escalated", 8, "closed"),
+            ("escalated", 16, "closed"),
+            ("fallback", 10, "open"),
+            ("fallback", 20, "open"),
+            ("fallback", 40, "open"),
+        ],
+        dict(rerequests=0, escalations=2, undecodable=5, fallbacks=1, tripped=True,
+             measured=10, decoded=True,
+             state=BreakerState(bound=40, escalations=2, breaker_open=True, fallback_bound=40)),
+    ),
+    (
+        "resumed-phase",
+        ResilienceConfig(max_escalations=2),
+        2,
+        BreakerState(bound=16, escalations=2),
+        ["corrupted", "undecodable", "decoded"],
+        [("resumed", 16, "closed"), ("resumed", 16, "closed"), ("fallback", 10, "open")],
+        dict(rerequests=1, escalations=0, undecodable=1, fallbacks=1, tripped=True,
+             measured=10, decoded=True,
+             state=BreakerState(bound=10, escalations=2, breaker_open=True, fallback_bound=10)),
+    ),
+    (
+        "budget-exhausted-still-escalates",
+        ResilienceConfig(max_attempts=2, max_escalations=4),
+        1,
+        None,
+        ["undecodable", "undecodable"],
+        [("primary", 1, "closed"), ("escalated", 2, "closed")],
+        dict(rerequests=0, escalations=2, undecodable=2, fallbacks=0, tripped=False,
+             measured=None, decoded=False, state=BreakerState(bound=4, escalations=2)),
+    ),
+    (
+        "no-policy-undecodable",
+        None,
+        1,
+        None,
+        ["undecodable"],
+        [("primary", 1, "closed")],
+        dict(rerequests=0, escalations=0, undecodable=1, fallbacks=0, tripped=False,
+             measured=None, decoded=False, state=BreakerState(bound=1)),
+    ),
+    (
+        "no-policy-corrupted",
+        None,
+        1,
+        None,
+        ["corrupted"],
+        [("primary", 1, "closed")],
+        dict(rerequests=1, escalations=0, undecodable=0, fallbacks=0, tripped=False,
+             measured=None, decoded=False, state=BreakerState(bound=1)),
+    ),
+]
+
+
+class TestRecovery:
+    """The I/O-free recovery loop every exact reconciler drives."""
+
+    @pytest.mark.parametrize(
+        "config, delta_bound, breaker, outcomes, entering, final",
+        [case[1:] for case in _RECOVERY_CASES],
+        ids=[case[0] for case in _RECOVERY_CASES],
+    )
+    def test_transitions_and_counters(
+        self, config, delta_bound, breaker, outcomes, entering, final
+    ):
+        recovery = Recovery(config, delta_bound, breaker)
+        script = iter(outcomes)
+        seen = []
+        for attempt in recovery:
+            assert attempt == len(seen) + 1
+            if recovery.needs_fallback:
+                recovery.adopt_fallback(10)
+            breaker = "open" if recovery.state.breaker_open else "closed"
+            seen.append((recovery.phase, recovery.bound, breaker))
+            recovery.record(next(script))
+        assert seen == entering
+        assert next(script, None) is None  # the loop consumed every outcome
+        assert recovery.attempts == len(entering)
+        assert {
+            "rerequests": recovery.rerequests,
+            "escalations": recovery.escalations,
+            "undecodable": recovery.undecodable,
+            "fallbacks": recovery.fallbacks,
+            "tripped": recovery.breaker_tripped,
+            "measured": recovery.measured_bound,
+            "decoded": recovery.decoded,
+            "state": recovery.state,
+        } == final
+
+    def test_unknown_outcome_rejected(self):
+        with pytest.raises(ValueError):
+            Recovery(ResilienceConfig(), 4).record("lost")
 
 
 class TestNoFaultParity:
@@ -122,13 +241,9 @@ class TestEscalation:
         saved = first.report.breaker
         assert saved is not None and saved.bound > 2
 
-        # Round-trip through the serialised form, as a store would.
-        from repro.reconcile import BreakerState
-
-        restored = BreakerState.from_dict(saved.to_dict())
-        assert restored == saved
+        # Hand the state onward as the store does: the object itself.
         second = resilient_reconcile(
-            SPACE, alice, bob, 2, coins, config=config, breaker=restored
+            SPACE, alice, bob, 2, coins, config=config, breaker=saved
         )
         assert second.success
         report = second.report

@@ -1,11 +1,12 @@
-"""The sharded sketch store: routing, LRU, warm parity, breaker memory."""
+"""The sharded sketch store: routing, LRU, warm parity, breaker memory,
+and the store-churn scenario that drives them."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.errors import MalformedPayloadError
+from repro.experiments import ScenarioRunner, ScenarioSpec, builtin_campaigns
 from repro.hashing import PublicCoins
 from repro.iblt import IBLT
 from repro.reconcile import BreakerState, ResilienceConfig
@@ -214,35 +215,6 @@ class TestApplyMutations:
 
 
 class TestBreakerMemory:
-    def test_round_trip_preserves_escalation_sequence(self):
-        """Serialise → restore → the restored state walks the *identical*
-        escalation sequence under the same policy."""
-        policy = ResilienceConfig(max_attempts=8, max_escalations=3)
-        state = BreakerState(bound=2)
-        trace = []
-        for _ in range(5):
-            state = state.after_undecodable(policy)
-            trace.append((state.bound, state.escalations, state.breaker_open))
-        restored = BreakerState.from_dict(BreakerState(bound=2).to_dict())
-        replay = []
-        for _ in range(5):
-            restored = restored.after_undecodable(policy)
-            replay.append((restored.bound, restored.escalations, restored.breaker_open))
-        assert replay == trace
-
-    def test_from_dict_rejects_malformed_payloads(self):
-        good = BreakerState(bound=4, escalations=1).to_dict()
-        assert BreakerState.from_dict(good) == BreakerState(bound=4, escalations=1)
-        for payload in (
-            {},
-            {**good, "extra": 1},
-            {**good, "bound": "4"},
-            {**good, "breaker_open": 1},
-            {**good, "bound": 0},
-        ):
-            with pytest.raises(MalformedPayloadError):
-                BreakerState.from_dict(payload)
-
     def test_store_persists_per_peer(self):
         store = SketchStore(StoreConfig(seed=5, shards=2, capacity=4))
         assert store.load_breaker("peer-a") is None
@@ -275,3 +247,37 @@ class TestBreakerMemory:
         third = resumed.after_undecodable(policy)
         assert third.bound == 16 and third.escalations == 3
         assert third.after_undecodable(policy).breaker_open
+
+
+class TestStoreChurnFallback:
+    """The store-churn scenario's strata-fallback branch, pinned.
+
+    The sweep's ``churn=16, capacity=4`` point outruns the escalation
+    budget, so replicas trip the breaker and measure a fallback with the
+    store-served strata estimator right after the failing attempt.
+    """
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_fallback_metrics(self, backend):
+        params = builtin_campaigns()["store-churn"].point_params({"churn": 16, "capacity": 4})
+        spec = ScenarioSpec("store-churn-fallback", "store-churn", seed=0, params=params)
+        metrics = ScenarioRunner(backend=backend).run(spec).metrics
+        assert metrics == {
+            "success": True,
+            "rounds": 4,
+            "bits": 589248,
+            "sets": 6,
+            "serves": 45,
+            "decode_failures": 21,
+            "escalations": 18,
+            "strata_fallbacks": 3,
+            "reregistrations": 0,
+            "store_hits": 18,
+            "store_misses": 30,
+            "store_hit_rate": 0.375,
+            "rebuilds_avoided": 18,
+            "incremental_refreshes": 70,
+            "keys_hashed": 3856,
+            "evictions": 4,
+            "sketch_evictions": 0,
+        }
