@@ -235,27 +235,16 @@ class SweepRunner:
         is *kept alive across campaigns* (worker startup was the dominant
         cost of small sweeps) until :meth:`close`.  Chunked futures are
         collected in submission order, so the rendered report is
-        byte-identical either way.
-    chunk_trials:
-        Trials per worker submission.  The default splits every campaign
-        into ``4 × jobs`` chunks (balance between pickle round-trips and
-        work stealing); pass an explicit count to override.  Chunking is
-        pure transport — it cannot affect report bytes.
+        byte-identical either way.  Each campaign is split into
+        ``4 × jobs`` chunks of trials, one pickle round-trip per chunk;
+        chunking is pure transport and cannot affect report bytes.
     """
 
-    def __init__(
-        self,
-        backend: str | None = None,
-        jobs: int = 1,
-        chunk_trials: int | None = None,
-    ):
+    def __init__(self, backend: str | None = None, jobs: int = 1):
         self.backend = None if backend is None else resolve_backend(backend)
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if chunk_trials is not None and chunk_trials < 1:
-            raise ValueError(f"chunk_trials must be >= 1, got {chunk_trials}")
         self.jobs = jobs
-        self.chunk_trials = chunk_trials
         self._pool: ProcessPoolExecutor | None = None
 
     # -- pool lifecycle ----------------------------------------------------
@@ -282,8 +271,6 @@ class SweepRunner:
         self.close()
 
     def _chunk_size(self, task_count: int) -> int:
-        if self.chunk_trials is not None:
-            return self.chunk_trials
         # 4 chunks per worker: few enough that pickling stays amortised,
         # enough that an unlucky slow chunk does not idle the pool.
         return max(1, -(-task_count // (self.jobs * 4)))

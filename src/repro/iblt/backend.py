@@ -1,14 +1,16 @@
 """Backend selection for the IBLT family.
 
-Every table in :mod:`repro.iblt` supports two interchangeable backends:
+:class:`~repro.iblt.iblt.IBLT` and :class:`~repro.iblt.counting.MultisetIBLT`
+(and the strata estimator built from IBLTs) take one of two
+interchangeable backends:
 
 ``"numpy"`` (default)
     Cell state lives in flat numpy arrays and the hot paths — hashing,
     batch insert/delete, subtraction, pure-cell detection — run as
     vectorised ``uint64`` operations (exact Mersenne-61 arithmetic via
     :mod:`repro.hashing.mersenne`).  The IBLT peels with the adaptive
-    frontier decoder (:mod:`repro.iblt.frontier`); the sum-cell tables
-    keep their exact FIFO peel and batch-prime a shared hash cache.
+    frontier decoder (:mod:`repro.iblt.frontier`); the multiset table
+    keeps its exact FIFO peel and batch-primes a shared hash cache.
 
 ``"python"``
     The original pure-Python reference implementation: cell state in
@@ -25,6 +27,11 @@ This is the only environment knob the package reads.
 The key width is the one other input: :func:`resolve_backend` is the
 single place that decides a table's keys are too wide for ``uint64``
 cells and vectorised Mersenne hashing, and routes it to ``"python"``.
+
+The :class:`~repro.iblt.riblt.RIBLT` has no backend.  Its cells are
+always exact Python ints, and its batch ingest takes the vectorised route
+whenever ``key_bits <= MAX_NUMPY_KEY_BITS``, under either
+``REPRO_BACKEND``; wider keys are added pair by pair.
 """
 
 from __future__ import annotations

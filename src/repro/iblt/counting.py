@@ -31,10 +31,10 @@ from typing import Iterable
 
 import numpy as np
 
-from ..hashing import Checksum, PairwiseHash, PublicCoins
+from ..hashing import PublicCoins
 from .backend import resolve_backend
 from .frontier import KeyHashCache, PeelQueue, divisible_key, seed_sum_cell_queue
-from .iblt import check_key, coerce_key_array, key_list, partitioned_cell_indices
+from .iblt import CellTable, check_key, coerce_key_array, key_list
 
 __all__ = ["MultisetIBLT", "MultisetDecodeResult"]
 
@@ -62,8 +62,11 @@ class MultisetDecodeResult:
         return sum(abs(c) for c in self.multiplicities.values())
 
 
-class MultisetIBLT:
+class MultisetIBLT(CellTable):
     """A sum-cell IBLT over integer keys with multiplicities."""
+
+    _TAG = "mset"
+    _CELLS = ("counts", "key_sum", "check_sum")
 
     def __init__(
         self,
@@ -76,33 +79,13 @@ class MultisetIBLT:
     ):
         if q < 2:
             raise ValueError(f"q must be >= 2, got {q}")
-        if cells < q:
-            raise ValueError(f"cells must be >= q, got {cells}")
-        self.q = q
-        self.block_size = (cells + q - 1) // q
-        self.m = self.block_size * q
-        self.key_bits = key_bits
-        self.label = label
         self.backend = resolve_backend(backend, key_bits)
-        self._cell_hashes = [
-            PairwiseHash(coins, ("mset-cell", label, j), bits=61) for j in range(q)
-        ]
-        self.checksum = Checksum(coins, ("mset-checksum", label), bits=61)
-        # Decode hash cache, shared with clones (see repro.iblt.frontier).
-        self._hash_cache = KeyHashCache(self.checksum, self._cell_hashes, self.block_size)
+        super().__init__(coins, label, cells, q, key_bits)
+
+    def _alloc_cells(self) -> None:
         self.counts = [0] * self.m
         self.key_sum = [0] * self.m
         self.check_sum = [0] * self.m
-
-    def cell_indices(self, key: int) -> list[int]:
-        return [
-            j * self.block_size + self._cell_hashes[j](key) % self.block_size
-            for j in range(self.q)
-        ]
-
-    def cell_index_matrix(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`cell_indices`: the ``(q, n)`` index matrix."""
-        return partitioned_cell_indices(self._cell_hashes, self.block_size, keys)
 
     def insert(self, key: int, multiplicity: int = 1) -> None:
         self._update(key, multiplicity)
@@ -189,44 +172,6 @@ class MultisetIBLT:
             result.key_sum[index] = self.key_sum[index] - other.key_sum[index]
             result.check_sum[index] = self.check_sum[index] - other.check_sum[index]
         return result
-
-    def _check_compatible(self, other: "MultisetIBLT") -> None:
-        if (
-            self.m != other.m
-            or self.q != other.q
-            or self.key_bits != other.key_bits
-            or self.label != other.label
-        ):
-            raise ValueError("MultisetIBLTs are structurally incompatible")
-
-    def _empty_clone(self) -> "MultisetIBLT":
-        clone = object.__new__(MultisetIBLT)
-        clone.q = self.q
-        clone.block_size = self.block_size
-        clone.m = self.m
-        clone.key_bits = self.key_bits
-        clone.label = self.label
-        clone.backend = self.backend
-        clone._cell_hashes = self._cell_hashes
-        clone.checksum = self.checksum
-        clone._hash_cache = self._hash_cache
-        clone.counts = [0] * self.m
-        clone.key_sum = [0] * self.m
-        clone.check_sum = [0] * self.m
-        return clone
-
-    def copy(self) -> "MultisetIBLT":
-        clone = self._empty_clone()
-        clone.counts = list(self.counts)
-        clone.key_sum = list(self.key_sum)
-        clone.check_sum = list(self.check_sum)
-        return clone
-
-    def is_empty(self) -> bool:
-        for count, key in zip(self.counts, self.key_sum):
-            if count != 0 or key != 0:
-                return False
-        return True
 
     def to_payload(self) -> tuple[bytes, int]:
         """Serialize this sketch; returns ``(payload, exact_bit_count)``.

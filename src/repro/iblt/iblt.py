@@ -8,11 +8,8 @@ difference, which a peeling process recovers in ``O(m)`` time whenever the
 number of differences is below ``c·m`` for a constant ``c`` (Theorem 2.6).
 
 This is the standard-set-reconciliation workhorse the paper builds on; the
-robust variant for noisy values lives in :mod:`repro.iblt.riblt`.
-
-The table is *partitioned*: hash function ``j`` maps into the ``j``-th
-block of ``m/q`` cells, guaranteeing the ``q`` cell indices of a key are
-distinct (Section 2.2).
+robust variant for noisy values lives in :mod:`repro.iblt.riblt`.  All
+three tables share one cell geometry, :class:`CellTable`.
 
 Two backends are available (see :mod:`repro.iblt.backend`): the default
 ``"numpy"`` backend keeps ``counts``/``key_xor``/``check_xor`` in flat
@@ -49,8 +46,9 @@ Under random coins this happens with probability ``~2^-61`` per cell.
 
 from __future__ import annotations
 
+from copy import copy as shallow_copy
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, TypeVar
 
 import numpy as np
 
@@ -60,6 +58,7 @@ from .backend import resolve_backend
 from .frontier import PEEL_TAIL_THRESHOLD, KeyHashCache, PeelQueue, PeelScratch
 
 __all__ = [
+    "CellTable",
     "IBLT",
     "IBLTDecodeResult",
     "cells_for_differences",
@@ -69,6 +68,8 @@ __all__ = [
     "partitioned_cell_indices",
 ]
 
+
+_Table = TypeVar("_Table", bound="CellTable")
 
 #: Conservative cells-per-difference ratio; q=3 peeling succeeds w.h.p.
 #: below load ~0.81, so 2x headroom keeps the failure probability tiny
@@ -204,7 +205,88 @@ class IBLTDecodeResult:
         return len(self.inserted) + len(self.deleted)
 
 
-class IBLT:
+class CellTable:
+    """The cell geometry shared by :class:`IBLT`,
+    :class:`~repro.iblt.counting.MultisetIBLT` and
+    :class:`~repro.iblt.riblt.RIBLT`.
+
+    The table is *partitioned*: hash function ``j`` maps into the ``j``-th
+    block of ``m/q`` cells, guaranteeing the ``q`` cell indices of a key are
+    distinct (Section 2.2).  The cell hashes and the checksum are drawn
+    from the public coins under the table's ``_TAG`` and ``label``, so two
+    parties that agree on those build identical geometry.
+
+    A subclass names its count, key and checksum columns in ``_CELLS``
+    and the attributes two tables must share to be combined in
+    ``_SHAPE``.  Its ``_alloc_cells`` builds zeroed cells; any attribute
+    that method reads must be set before this constructor is called.
+    """
+
+    _TAG: str
+    _CELLS: tuple[str, ...]
+    _SHAPE: tuple[str, ...] = ("m", "q", "key_bits", "label")
+
+    def __init__(self, coins: PublicCoins, label: object, cells: int, q: int, key_bits: int):
+        if cells < q:
+            raise ValueError(f"cells must be >= q, got {cells}")
+        self.q = q
+        self.block_size = (cells + q - 1) // q
+        self.m = self.block_size * q
+        self.key_bits = key_bits
+        self.label = label
+        self._cell_hashes = [
+            PairwiseHash(coins, (f"{self._TAG}-cell", label, j), bits=61) for j in range(q)
+        ]
+        self.checksum = Checksum(coins, (f"{self._TAG}-checksum", label), bits=61)
+        # Decode hash cache, shared with every clone (`subtract` hands a
+        # fresh clone to each reconciliation; the cached values are pure
+        # functions of the key under the shared coins).
+        self._hash_cache = KeyHashCache(self.checksum, self._cell_hashes, self.block_size)
+        self._alloc_cells()
+
+    def cell_indices(self, key: int) -> list[int]:
+        """The ``q`` distinct cells ``key`` maps to (one per block)."""
+        return [
+            j * self.block_size + self._cell_hashes[j](key) % self.block_size
+            for j in range(self.q)
+        ]
+
+    def cell_index_matrix(self, keys: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`cell_indices`: the ``(q, n)`` index matrix."""
+        return partitioned_cell_indices(self._cell_hashes, self.block_size, keys)
+
+    def _check_compatible(self, other: "CellTable") -> None:
+        """``ValueError`` unless ``other`` matches this table on ``_SHAPE``."""
+        for name in self._SHAPE:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if mine != theirs:
+                raise ValueError(
+                    f"{type(self).__name__}s are structurally incompatible: "
+                    f"{name} {mine!r} != {theirs!r}"
+                )
+
+    def _empty_clone(self: _Table) -> _Table:
+        """A zeroed table sharing everything but the cells with this one."""
+        clone = shallow_copy(self)
+        clone._alloc_cells()
+        return clone
+
+    def copy(self: _Table) -> _Table:
+        """A table with its own copy of every cell."""
+        clone = shallow_copy(self)
+        for name in self._CELLS:
+            setattr(clone, name, getattr(self, name).copy())
+        return clone
+
+    def is_empty(self) -> bool:
+        """True iff every count and key cell is zero."""
+        counts, keys = (getattr(self, name) for name in self._CELLS[:2])
+        if isinstance(counts, np.ndarray):
+            return not counts.any() and not keys.any()
+        return not any(counts) and not any(keys)
+
+
+class IBLT(CellTable):
     """An invertible Bloom lookup table over integer keys.
 
     Parameters
@@ -224,6 +306,10 @@ class IBLT:
         for ``uint64`` cells to ``"python"``).
     """
 
+    _TAG = "iblt"
+    _CELLS = ("counts", "key_xor", "check_xor")
+    _SHAPE = CellTable._SHAPE + ("backend",)
+
     def __init__(
         self,
         coins: PublicCoins,
@@ -235,30 +321,17 @@ class IBLT:
     ):
         if q < 2:
             raise ValueError(f"q must be >= 2, got {q}")
-        if cells < q:
-            raise ValueError(f"cells must be >= q, got {cells}")
-        self.q = q
-        self.block_size = (cells + q - 1) // q
-        self.m = self.block_size * q
-        self.key_bits = key_bits
-        self.label = label
         self.backend = resolve_backend(backend, key_bits)
-        self._cell_hashes = [
-            PairwiseHash(coins, ("iblt-cell", label, j), bits=61) for j in range(q)
-        ]
-        self.checksum = Checksum(coins, ("iblt-checksum", label), bits=61)
         #: Candidate-set size at or below which the adaptive frontier
         #: decoder runs a round in scalar arithmetic.  Behaviour-neutral
         #: (any value decodes bit-identically); exposed for tests and
         #: tuning.
         self.tail_threshold = PEEL_TAIL_THRESHOLD
         # Decode work state, shared with every clone this table spawns
-        # (`subtract` hands a fresh clone to each reconciliation, and the
-        # buffers/caches are pure functions of the shared hash context),
-        # so repeated decodes reuse one allocation.  Not thread-safe.
+        # (the buffers are pure functions of the shared geometry), so
+        # repeated decodes reuse one allocation.  Not thread-safe.
         self._scratch = PeelScratch()
-        self._hash_cache = KeyHashCache(self.checksum, self._cell_hashes, self.block_size)
-        self._alloc_cells()
+        super().__init__(coins, label, cells, q, key_bits)
 
     def _alloc_cells(self) -> None:
         if self.backend == "numpy":
@@ -269,18 +342,6 @@ class IBLT:
             self.counts = [0] * self.m
             self.key_xor = [0] * self.m
             self.check_xor = [0] * self.m
-
-    # -- structure ---------------------------------------------------------
-    def cell_indices(self, key: int) -> list[int]:
-        """The ``q`` distinct cells ``key`` maps to (one per block)."""
-        return [
-            j * self.block_size + self._cell_hashes[j](key) % self.block_size
-            for j in range(self.q)
-        ]
-
-    def cell_index_matrix(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`cell_indices`: the ``(q, n)`` index matrix."""
-        return partitioned_cell_indices(self._cell_hashes, self.block_size, keys)
 
     # -- updates -----------------------------------------------------------
     def insert(self, key: int) -> None:
@@ -412,47 +473,6 @@ class IBLT:
             result.key_xor[index] = self.key_xor[index] ^ other.key_xor[index]
             result.check_xor[index] = self.check_xor[index] ^ other.check_xor[index]
         return result
-
-    def _check_compatible(self, other: "IBLT") -> None:
-        if (
-            self.m != other.m
-            or self.q != other.q
-            or self.key_bits != other.key_bits
-            or self.label != other.label
-        ):
-            raise ValueError("IBLTs are structurally incompatible")
-        if self.backend != other.backend:
-            raise ValueError(
-                f"cannot combine {self.backend!r} and {other.backend!r} backends"
-            )
-
-    def _empty_clone(self) -> "IBLT":
-        clone = object.__new__(IBLT)
-        clone.q = self.q
-        clone.block_size = self.block_size
-        clone.m = self.m
-        clone.key_bits = self.key_bits
-        clone.label = self.label
-        clone.backend = self.backend
-        clone._cell_hashes = self._cell_hashes
-        clone.checksum = self.checksum
-        clone.tail_threshold = self.tail_threshold
-        clone._scratch = self._scratch
-        clone._hash_cache = self._hash_cache
-        clone._alloc_cells()
-        return clone
-
-    def copy(self) -> "IBLT":
-        clone = self._empty_clone()
-        if self.backend == "numpy":
-            clone.counts = self.counts.copy()
-            clone.key_xor = self.key_xor.copy()
-            clone.check_xor = self.check_xor.copy()
-        else:
-            clone.counts = list(self.counts)
-            clone.key_xor = list(self.key_xor)
-            clone.check_xor = list(self.check_xor)
-        return clone
 
     def to_payload(self) -> tuple[bytes, int]:
         """Serialize this sketch; returns ``(payload, exact_bit_count)``.
@@ -676,11 +696,3 @@ class IBLT:
         if self.backend == "numpy":
             return abs(int(self.counts.sum())) // self.q
         return abs(sum(self.counts)) // self.q
-
-    def is_empty(self) -> bool:
-        if self.backend == "numpy":
-            return bool(not self.counts.any() and not self.key_xor.any())
-        for count, key in zip(self.counts, self.key_xor):
-            if count != 0 or key != 0:
-                return False
-        return True

@@ -36,11 +36,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..hashing import Checksum, PairwiseHash, PublicCoins, exact_int
+from ..hashing import PublicCoins, exact_int
 from ..metric.spaces import Point
 from .backend import MAX_NUMPY_KEY_BITS
 from .frontier import KeyHashCache, PeelQueue, divisible_key, seed_sum_cell_queue
-from .iblt import check_key, coerce_key_array, key_list, partitioned_cell_indices
+from .iblt import CellTable, check_key, coerce_key_array, key_list
 
 __all__ = ["RIBLT", "RIBLTDecodeResult", "riblt_cells_for_pairs"]
 
@@ -79,7 +79,7 @@ class RIBLTDecodeResult:
         return len(self.inserted) + len(self.deleted)
 
 
-class RIBLT:
+class RIBLT(CellTable):
     """A robust IBLT over (key, point-value) pairs.
 
     Parameters
@@ -100,6 +100,11 @@ class RIBLT:
         ``[0, side-1]``.
     """
 
+    _TAG = "riblt"
+    # ``value_sum`` is a list of per-cell lists; :meth:`copy` copies it.
+    _CELLS = ("counts", "key_sum", "check_sum")
+    _SHAPE = CellTable._SHAPE + ("dim", "side")
+
     def __init__(
         self,
         coins: PublicCoins,
@@ -112,35 +117,15 @@ class RIBLT:
     ):
         if q < 3:
             raise ValueError(f"RIBLT requires q >= 3, got {q}")
-        if cells < q:
-            raise ValueError(f"cells must be >= q, got {cells}")
-        self.q = q
-        self.block_size = (cells + q - 1) // q
-        self.m = self.block_size * q
-        self.key_bits = key_bits
         self.dim = dim
         self.side = side
-        self.label = label
-        self._cell_hashes = [
-            PairwiseHash(coins, ("riblt-cell", label, j), bits=61) for j in range(q)
-        ]
-        self.checksum = Checksum(coins, ("riblt-checksum", label), bits=61)
-        # Decode hash cache, shared with every clone (`subtract` hands a
-        # fresh clone to each reconciliation round; the cached values
-        # are pure functions of the key under the shared coins).
-        self._hash_cache = KeyHashCache(self.checksum, self._cell_hashes, self.block_size)
+        super().__init__(coins, label, cells, q, key_bits)
+
+    def _alloc_cells(self) -> None:
         self.counts = [0] * self.m
         self.key_sum = [0] * self.m
         self.check_sum = [0] * self.m
-        self.value_sum = [[0] * dim for _ in range(self.m)]
-
-    # -- structure ---------------------------------------------------------
-    def cell_indices(self, key: int) -> list[int]:
-        """The ``q`` distinct cells (one per block) that ``key`` maps to."""
-        return [
-            j * self.block_size + self._cell_hashes[j](key) % self.block_size
-            for j in range(self.q)
-        ]
+        self.value_sum = [[0] * self.dim for _ in range(self.m)]
 
     def _check_pair(self, key: int, value: Point) -> tuple[int, tuple[int, ...]]:
         key = check_key(key, self.key_bits)
@@ -168,10 +153,6 @@ class RIBLT:
             cell_value = self.value_sum[index]
             for coordinate in range(self.dim):
                 cell_value[coordinate] += sign * value[coordinate]
-
-    def cell_index_matrix(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`cell_indices`: the ``(q, n)`` index matrix."""
-        return partitioned_cell_indices(self._cell_hashes, self.block_size, keys)
 
     def insert_batch(
         self, keys: "np.ndarray | Iterable[int]", values: "np.ndarray | Sequence[Point]"
@@ -295,40 +276,8 @@ class RIBLT:
             ]
         return result
 
-    def _check_compatible(self, other: "RIBLT") -> None:
-        if (
-            self.m != other.m
-            or self.q != other.q
-            or self.key_bits != other.key_bits
-            or self.dim != other.dim
-            or self.side != other.side
-            or self.label != other.label
-        ):
-            raise ValueError("RIBLTs are structurally incompatible")
-
-    def _empty_clone(self) -> "RIBLT":
-        clone = object.__new__(RIBLT)
-        clone.q = self.q
-        clone.block_size = self.block_size
-        clone.m = self.m
-        clone.key_bits = self.key_bits
-        clone.dim = self.dim
-        clone.side = self.side
-        clone.label = self.label
-        clone._cell_hashes = self._cell_hashes
-        clone.checksum = self.checksum
-        clone._hash_cache = self._hash_cache
-        clone.counts = [0] * self.m
-        clone.key_sum = [0] * self.m
-        clone.check_sum = [0] * self.m
-        clone.value_sum = [[0] * self.dim for _ in range(self.m)]
-        return clone
-
     def copy(self) -> "RIBLT":
-        clone = self._empty_clone()
-        clone.counts = list(self.counts)
-        clone.key_sum = list(self.key_sum)
-        clone.check_sum = list(self.check_sum)
+        clone = super().copy()
         clone.value_sum = [list(cell) for cell in self.value_sum]
         return clone
 
@@ -479,12 +428,6 @@ class RIBLT:
         return result
 
     # -- introspection ---------------------------------------------------------
-    def is_empty(self) -> bool:
-        for count, key in zip(self.counts, self.key_sum):
-            if count != 0 or key != 0:
-                return False
-        return True
-
     def residual_value_mass(self) -> int:
         """Total absolute value residue left in cells (post-decode noise)."""
         return sum(

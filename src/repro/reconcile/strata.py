@@ -16,6 +16,7 @@ one extra half-round carrying ``O(log|U|)`` fixed-size sketches.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -171,14 +172,7 @@ class StrataEstimator:
     def subtract(self, other: "StrataEstimator") -> "StrataEstimator":
         if self.shape != other.shape or self.label != other.label:
             raise ValueError("strata estimators are structurally incompatible")
-        result = StrataEstimator(
-            self.coins,
-            self.label,
-            strata=self.shape.strata,
-            cells=self.shape.cells,
-            key_bits=self.shape.key_bits,
-            backend=self.backend,
-        )
+        result = copy(self)
         result.tables = [
             mine.subtract(theirs)
             for mine, theirs in zip(self.tables, other.tables)

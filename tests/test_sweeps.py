@@ -137,7 +137,7 @@ class TestRunner:
         first = tiny_sweep(trials=2)
         second = tiny_sweep(trials=3)
         serial = SweepRunner(backend="numpy", jobs=1)
-        with SweepRunner(backend="numpy", jobs=2, chunk_trials=3) as runner:
+        with SweepRunner(backend="numpy", jobs=2) as runner:
             assert runner._pool is None  # lazy until the first parallel run
             results_first = runner.run(first, seed=SEED)
             pool = runner._pool
@@ -151,23 +151,20 @@ class TestRunner:
         assert runner._pool is None  # context exit closed it
 
     def test_chunk_sizes_cannot_change_reports(self):
-        """Chunking is transport only: every chunk size, same bytes."""
+        """Chunking is transport only: every worker count, same bytes."""
         sweep = tiny_sweep(trials=2)
         baseline = render_sweep_report(
             sweep, SweepRunner(backend="numpy", jobs=1).run(sweep, seed=SEED), seed=SEED
         )
-        for chunk in (1, 3, 100):
-            with SweepRunner(backend="numpy", jobs=2, chunk_trials=chunk) as runner:
+        for jobs in (2, 3, 4):
+            with SweepRunner(backend="numpy", jobs=jobs) as runner:
                 report = render_sweep_report(
                     sweep, runner.run(sweep, seed=SEED), seed=SEED
                 )
             assert report == baseline
 
     def test_chunk_trials_validated(self):
-        with pytest.raises(ValueError):
-            SweepRunner(jobs=2, chunk_trials=0)
         assert SweepRunner(jobs=2)._chunk_size(16) == 2
-        assert SweepRunner(jobs=2, chunk_trials=5)._chunk_size(16) == 5
         assert SweepRunner(jobs=4)._chunk_size(1) == 1
 
     def test_close_is_idempotent(self):
