@@ -12,16 +12,24 @@ Decoding returns *signed multiplicities*: positive for net insertions,
 negative for net deletions, which is exactly the view a subtracted table
 of two multisets gives.
 
+The cells, their update, subtraction, purity test and FIFO peel are
+:class:`~repro.iblt.iblt.SumCellTable`'s, shared with the RIBLT; this
+module adds the multiplicity bookkeeping.  Multiplicities follow the key
+rule: exact integers within int64, else ``ValueError`` (floats and bools
+are rejected, never truncated), checked for a whole batch before any
+cell changes.
+
 Backends: cell *sums* here are unbounded integers (a pre-subtraction cell
 accumulates ``Θ(n·q/m)`` 61-bit items), so unlike the XOR-based
 :class:`~repro.iblt.iblt.IBLT` they cannot live in fixed-width numpy
 arrays without overflow.  The ``"numpy"`` backend therefore keeps exact
 Python-int cells but batch-computes the expensive part — cell indices and
 checksums — with the vectorised Mersenne hashes, which is where nearly
-all of the insert cost goes; decode likewise batch-primes a shared
-:class:`~repro.iblt.frontier.KeyHashCache` over the seeding scan while
-preserving the exact FIFO peel sequence.  Both backends are
-bit-identical.
+all of the insert cost goes; decode likewise peels through the shared
+:class:`~repro.iblt.frontier.KeyHashCache`, batch-primed by the seeding
+scan.  The ``"python"`` backend peels through
+:class:`~repro.iblt.frontier.ScalarHashes`, one scalar hash per lookup,
+as the reference.  Both run the same FIFO peel and are bit-identical.
 """
 
 from __future__ import annotations
@@ -31,12 +39,43 @@ from typing import Iterable
 
 import numpy as np
 
-from ..hashing import PublicCoins
+from ..hashing import PublicCoins, check_integers, exact_int
 from .backend import resolve_backend
-from .frontier import KeyHashCache, PeelQueue, divisible_key, seed_sum_cell_queue
-from .iblt import CellTable, check_key, coerce_key_array, key_list
+from .frontier import ScalarHashes
+from .iblt import SumCellTable, check_key, coerce_key_array, key_list
 
 __all__ = ["MultisetIBLT", "MultisetDecodeResult"]
+
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def _check_multiplicity(multiplicity: object) -> int:
+    """One multiplicity through :func:`exact_int` and the int64 range."""
+    multiplicity = exact_int(multiplicity)
+    if not _INT64_MIN <= multiplicity <= _INT64_MAX:
+        raise ValueError(f"multiplicity {multiplicity} outside int64")
+    return multiplicity
+
+
+def _multiplicity_array(
+    multiplicities: "np.ndarray | Iterable[int] | int", size: int
+) -> np.ndarray:
+    """Validate per-key (or one shared) multiplicities into ``size`` int64s.
+
+    The batch twin of :func:`_check_multiplicity`: an integer ndarray
+    (dtype kind ``i``, ``u`` or ``O``), a sequence of ints or one int.
+    Floats and bools raise ``ValueError`` instead of being truncated, and
+    so does a value outside int64 or a length other than ``size``.
+    """
+    if not (isinstance(multiplicities, np.ndarray) and multiplicities.dtype.kind in ("i", "u")):
+        # ``object`` keeps each element's type, so a bool or float is
+        # rejected here rather than folded into an integer array.
+        multiplicities = np.asarray(multiplicities, dtype=object)
+        check_integers(multiplicities.ravel().tolist())
+    if multiplicities.size:
+        for bound in (multiplicities.min(), multiplicities.max()):
+            _check_multiplicity(int(bound))
+    return np.broadcast_to(multiplicities.astype(np.int64, copy=False), (size,))
 
 
 @dataclass
@@ -62,11 +101,10 @@ class MultisetDecodeResult:
         return sum(abs(c) for c in self.multiplicities.values())
 
 
-class MultisetIBLT(CellTable):
+class MultisetIBLT(SumCellTable):
     """A sum-cell IBLT over integer keys with multiplicities."""
 
     _TAG = "mset"
-    _CELLS = ("counts", "key_sum", "check_sum")
 
     def __init__(
         self,
@@ -77,31 +115,19 @@ class MultisetIBLT(CellTable):
         key_bits: int = 61,
         backend: str | None = None,
     ):
-        if q < 2:
-            raise ValueError(f"q must be >= 2, got {q}")
         self.backend = resolve_backend(backend, key_bits)
         super().__init__(coins, label, cells, q, key_bits)
 
-    def _alloc_cells(self) -> None:
-        self.counts = [0] * self.m
-        self.key_sum = [0] * self.m
-        self.check_sum = [0] * self.m
-
     def insert(self, key: int, multiplicity: int = 1) -> None:
-        self._update(key, multiplicity)
+        self._update(key, _check_multiplicity(multiplicity))
 
     def delete(self, key: int, multiplicity: int = 1) -> None:
-        self._update(key, -multiplicity)
+        self._update(key, -_check_multiplicity(multiplicity))
 
     def _update(self, key: int, signed_multiplicity: int) -> None:
         key = check_key(key, self.key_bits)
-        if signed_multiplicity == 0:
-            return
-        check = self.checksum(key)
-        for index in self.cell_indices(key):
-            self.counts[index] += signed_multiplicity
-            self.key_sum[index] += signed_multiplicity * key
-            self.check_sum[index] += signed_multiplicity * check
+        if signed_multiplicity:
+            self._add_key(key, signed_multiplicity)
 
     def insert_batch(
         self,
@@ -138,23 +164,19 @@ class MultisetIBLT(CellTable):
         if self.backend != "numpy":
             # Keys stay Python ints, so widths beyond uint64 remain exact.
             keys = key_list(keys, self.key_bits)
-            mult_list = np.broadcast_to(
-                np.asarray(multiplicities, dtype=np.int64), (len(keys),)
-            ).tolist()
-            for key, mult in zip(keys, mult_list):
+            mults = _multiplicity_array(multiplicities, len(keys)).tolist()
+            for key, mult in zip(keys, mults):
                 self._update(key, sign * mult)
             return
         keys = coerce_key_array(keys, self.key_bits)
+        mults = _multiplicity_array(multiplicities, keys.size)
         if keys.size == 0:
             return
-        mults = np.broadcast_to(
-            np.asarray(multiplicities, dtype=np.int64), keys.shape
-        )
         checks = self.checksum.hash_array(keys)
         indices = self.cell_index_matrix(keys)
         key_values = keys.tolist()
         check_list = checks.tolist()
-        mult_list = (sign * mults).tolist()
+        mult_list = [sign * mult for mult in mults.tolist()]
         counts, key_sum, check_sum = self.counts, self.key_sum, self.check_sum
         for j in range(self.q):
             for index, key, check, mult in zip(
@@ -165,13 +187,8 @@ class MultisetIBLT(CellTable):
                 check_sum[index] += mult * check
 
     def subtract(self, other: "MultisetIBLT") -> "MultisetIBLT":
-        self._check_compatible(other)
-        result = self._empty_clone()
-        for index in range(self.m):
-            result.counts[index] = self.counts[index] - other.counts[index]
-            result.key_sum[index] = self.key_sum[index] - other.key_sum[index]
-            result.check_sum[index] = self.check_sum[index] - other.check_sum[index]
-        return result
+        """Cell-wise ``self - other`` for two structurally identical tables."""
+        return self._difference(other)
 
     def to_payload(self) -> tuple[bytes, int]:
         """Serialize this sketch; returns ``(payload, exact_bit_count)``.
@@ -194,61 +211,25 @@ class MultisetIBLT(CellTable):
 
         return read_multiset_cells(BitReader(payload), self)
 
-    def _pure_key(self, index: int, cache: KeyHashCache | None = None) -> int | None:
-        key = divisible_key(self.counts[index], self.key_sum[index], 1 << self.key_bits)
-        if key is None:
-            return None
-        check = self.checksum(key) if cache is None else cache.check(key)
-        if check * self.counts[index] != self.check_sum[index]:
-            return None
-        return key
-
     def decode(self) -> MultisetDecodeResult:
-        """Breadth-first peel; destructive.
+        """Breadth-first peel (:meth:`SumCellTable._peel
+        <repro.iblt.iblt.SumCellTable._peel>`); destructive.
 
-        The candidate frontier is seeded with one pure scan; afterwards
-        only the cells a peel touches can change purity, so only those
-        are pushed (see :mod:`repro.iblt.frontier`).  The numpy backend
-        batch-primes the shared hash cache; the python backend hashes
-        scalar-per-step as the reference.  Both run the same FIFO peel
-        and produce bit-identical results.
+        Each peeled cell adds its count to its key's signed multiplicity.
+        The numpy backend peels through the shared hash cache, the python
+        backend through :class:`~repro.iblt.frontier.ScalarHashes`; the
+        results are bit-identical.
         """
         result = MultisetDecodeResult(success=False)
-        cache = self._hash_cache if self.backend == "numpy" else None
-        queue = PeelQueue(self.m, fifo=True)
-        seed_sum_cell_queue(
-            self.counts, self.key_sum, self.check_sum, self.key_bits,
-            queue, cache, self.checksum,
-        )
-        while queue:
-            index = queue.pop()
-            key = self._pure_key(index, cache)
-            if key is None:
-                continue
-            count = self.counts[index]
-            result.multiplicities[key] = result.multiplicities.get(key, 0) + count
-            if result.multiplicities[key] == 0:
-                del result.multiplicities[key]
-            # Remove all `count` copies and test each neighbour in one
-            # pass (each of the q partitioned cells is distinct, so a
-            # neighbour's purity only depends on its own, already
-            # subtracted, state — identical to updating all cells first).
-            check = self.checksum(key) if cache is None else cache.check(key)
-            neighbors = (
-                self.cell_indices(key) if cache is None else cache.indices(key)
-            )
-            key_delta = count * key
-            check_delta = count * check
-            for neighbor in neighbors:
-                self.counts[neighbor] -= count
-                self.key_sum[neighbor] -= key_delta
-                self.check_sum[neighbor] -= check_delta
-                if (
-                    not queue.pending(neighbor)
-                    and self._pure_key(neighbor, cache) is not None
-                ):
-                    queue.push(neighbor)
-        result.success = self.is_empty() and all(
-            check == 0 for check in self.check_sum
-        )
+        multiplicities = result.multiplicities
+
+        def on_peel(index: int, key: int, cells: list[int]) -> None:
+            total = multiplicities.get(key, 0) + self.counts[index]
+            if total:
+                multiplicities[key] = total
+            else:
+                del multiplicities[key]
+
+        hashes = self._hash_cache if self.backend == "numpy" else ScalarHashes(self)
+        result.success = self._peel(hashes, on_peel)
         return result

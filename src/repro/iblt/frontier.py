@@ -10,7 +10,8 @@ that frontier instead of scanning the whole table again, and they all
 share the engine pieces defined here:
 
 * :class:`PeelQueue` — the deduplicated candidate queue the scalar
-  decoders drive (FIFO for the breadth-first sum-cell decoders whose
+  decoders drive (FIFO for the breadth-first sum-cell peel,
+  :meth:`SumCellTable._peel <repro.iblt.iblt.SumCellTable._peel>`, whose
   error-propagation analysis depends on peel order, RIBLT Lemma 3.10;
   LIFO for the classic IBLT's stack-based python reference).
 * :class:`PeelScratch` — preallocated round work buffers for the
@@ -27,6 +28,9 @@ share the engine pieces defined here:
   key, so the peel sequence — hence the decode output, including the
   value-error propagation the RIBLT analysis charges — is bit-identical
   to uncached scalar evaluation.
+* :class:`ScalarHashes` — the same interface with no memo: the uncached
+  scalar evaluation itself.  The multiset's python backend peels through
+  it, and the tests pin :class:`KeyHashCache` against it.
 
 The peel frontier shrinks geometrically (the supercritical branching
 process dies out), so a fixed-cost vectorised round is exactly wrong at
@@ -45,10 +49,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .backend import MAX_NUMPY_KEY_BITS
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..hashing import Checksum, PairwiseHash
+    from .iblt import CellTable
 
 __all__ = [
     "CACHE_PRIME_THRESHOLD",
@@ -56,8 +59,8 @@ __all__ = [
     "KeyHashCache",
     "PeelQueue",
     "PeelScratch",
+    "ScalarHashes",
     "divisible_key",
-    "seed_sum_cell_queue",
 ]
 
 #: Candidate-set size at or below which the adaptive numpy decoder runs a
@@ -90,10 +93,9 @@ def divisible_key(count: int, key_total: int, key_limit: int) -> int | None:
 
     Section 2.2 item 5: a cell holding ``C`` copies of one key has a key
     sum divisible by its count with an in-range quotient.  This is the
-    cheap integer half of the sum-cell purity test shared by
-    :class:`~repro.iblt.riblt.RIBLT` and
-    :class:`~repro.iblt.counting.MultisetIBLT`; the caller still owns
-    the checksum half (``checksum(key) * count == check_sum``).
+    cheap integer half of the sum-cell purity test,
+    :meth:`SumCellTable._pure_key <repro.iblt.iblt.SumCellTable._pure_key>`,
+    which adds the checksum half (``checksum(key) * count == check_sum``).
     """
     if count == 0:
         return None
@@ -103,56 +105,6 @@ def divisible_key(count: int, key_total: int, key_limit: int) -> int | None:
     if not 0 <= key < key_limit:
         return None
     return key
-
-
-def seed_sum_cell_queue(
-    counts: "list[int]",
-    key_sum: "list[int]",
-    check_sum: "list[int]",
-    key_bits: int,
-    queue: "PeelQueue",
-    cache: "KeyHashCache | None",
-    checksum: "Checksum",
-) -> None:
-    """Seed a sum-cell decoder's candidate queue in one scan.
-
-    Shared by :class:`~repro.iblt.riblt.RIBLT` and
-    :class:`~repro.iblt.counting.MultisetIBLT`: every cell passing the
-    integer half of the purity test (:func:`divisible_key`) is a
-    candidate; with a cache the candidates' checksums are batch-primed
-    with one vectorised pass *before* the checksum half runs, so the
-    seeding scan performs zero scalar Mersenne evaluations beyond cache
-    misses.  Cells are pushed in ascending index order either way — the
-    queue the FIFO peel starts from is identical with or without the
-    cache.  (Keys wider than :data:`~repro.iblt.backend.MAX_NUMPY_KEY_BITS`
-    skip priming; they cannot ride the ``uint64`` batch hashes.)
-    """
-    key_limit = 1 << key_bits
-    if cache is not None and key_bits <= MAX_NUMPY_KEY_BITS:
-        seeds = [
-            (index, key)
-            for index in range(len(counts))
-            if (key := divisible_key(counts[index], key_sum[index], key_limit)) is not None
-        ]
-        # Checksums first, for every candidate; cell indices only for
-        # the keys that survive the checksum test — garbage candidates
-        # (impure cells whose sums happen to divide into range) never
-        # get peeled, so their indices would be pure waste.
-        cache.prime([key for _, key in seeds], want_indices=False)
-        survivors = []
-        for index, key in seeds:
-            if cache.check(key) * counts[index] == check_sum[index]:
-                queue.push(index)
-                survivors.append(key)
-        cache.prime(survivors, want_indices=True)
-        return
-    for index in range(len(counts)):
-        key = divisible_key(counts[index], key_sum[index], key_limit)
-        if key is None:
-            continue
-        check = checksum(key) if cache is None else cache.check(key)
-        if check * counts[index] == check_sum[index]:
-            queue.push(index)
 
 
 class PeelQueue:
@@ -340,3 +292,29 @@ class KeyHashCache:
             ]
             self._indices[key] = cells
         return cells
+
+
+class ScalarHashes:
+    """:class:`KeyHashCache`'s interface without the memo.
+
+    :meth:`check` and :meth:`indices` call the table's own ``checksum``
+    and ``cell_indices`` on every lookup and :meth:`prime` does nothing,
+    so a peel through it hashes one key at a time: the pure-Python
+    reference every cached peel must match.
+    """
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: "CellTable"):
+        self._table = table
+
+    def prime(self, keys: "list[int]", want_indices: bool = True) -> None:
+        """Nothing to fill."""
+
+    def check(self, key: int) -> int:
+        """``checksum(key)``."""
+        return self._table.checksum(key)
+
+    def indices(self, key: int) -> list[int]:
+        """The key's ``q`` partitioned cell indices."""
+        return self._table.cell_indices(key)

@@ -9,7 +9,10 @@ number of differences is below ``c·m`` for a constant ``c`` (Theorem 2.6).
 
 This is the standard-set-reconciliation workhorse the paper builds on; the
 robust variant for noisy values lives in :mod:`repro.iblt.riblt`.  All
-three tables share one cell geometry, :class:`CellTable`.
+three tables share one cell geometry, :class:`CellTable`; the two sum-cell
+tables (:class:`~repro.iblt.counting.MultisetIBLT` and
+:class:`~repro.iblt.riblt.RIBLT`) also share one update, subtraction,
+purity test and FIFO peel, :class:`SumCellTable`.
 
 Two backends are available (see :mod:`repro.iblt.backend`): the default
 ``"numpy"`` backend keeps ``counts``/``key_xor``/``check_xor`` in flat
@@ -48,19 +51,27 @@ from __future__ import annotations
 
 from copy import copy as shallow_copy
 from dataclasses import dataclass, field
-from typing import Iterable, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
 from ..hashing import Checksum, PairwiseHash, PublicCoins, check_integers, exact_int
 from ..hashing.mersenne import affine_mod_p, fold_bits, to_field
-from .backend import resolve_backend
-from .frontier import PEEL_TAIL_THRESHOLD, KeyHashCache, PeelQueue, PeelScratch
+from .backend import MAX_NUMPY_KEY_BITS, resolve_backend
+from .frontier import (
+    PEEL_TAIL_THRESHOLD,
+    KeyHashCache,
+    PeelQueue,
+    PeelScratch,
+    ScalarHashes,
+    divisible_key,
+)
 
 __all__ = [
     "CellTable",
     "IBLT",
     "IBLTDecodeResult",
+    "SumCellTable",
     "cells_for_differences",
     "check_key",
     "coerce_key_array",
@@ -227,6 +238,8 @@ class CellTable:
     _SHAPE: tuple[str, ...] = ("m", "q", "key_bits", "label")
 
     def __init__(self, coins: PublicCoins, label: object, cells: int, q: int, key_bits: int):
+        if q < 2:
+            raise ValueError(f"q must be >= 2, got {q}")
         if cells < q:
             raise ValueError(f"cells must be >= q, got {cells}")
         self.q = q
@@ -279,11 +292,127 @@ class CellTable:
         return clone
 
     def is_empty(self) -> bool:
-        """True iff every count and key cell is zero."""
-        counts, keys = (getattr(self, name) for name in self._CELLS[:2])
-        if isinstance(counts, np.ndarray):
-            return not counts.any() and not keys.any()
-        return not any(counts) and not any(keys)
+        """True iff every count, key and checksum cell is zero: also the
+        one rule by which every decoder reports ``success``."""
+        columns = [getattr(self, name) for name in self._CELLS]
+        if isinstance(columns[0], np.ndarray):
+            return not any(column.any() for column in columns)
+        return not any(any(column) for column in columns)
+
+
+class SumCellTable(CellTable):
+    """The sum cells shared by :class:`~repro.iblt.counting.MultisetIBLT`
+    and :class:`~repro.iblt.riblt.RIBLT` (Section 2.2 items 1, 3 and 5).
+
+    Each cell holds exact Python-int sums of counts, keys and checksums,
+    so insert and delete are inverses over the integers and a cell
+    holding ``C`` copies of one key is recognised and peeled in one step.
+    Peeling is breadth-first: a cell that became pure earlier is peeled
+    earlier, the order Lemma 3.10's error propagation depends on.  A
+    subclass adds what differs: its per-peel hook (the multiset's
+    multiplicities, RIBLT's value extraction) and, for RIBLT, the value
+    columns.
+
+    ``hashes`` below is a :class:`~repro.iblt.frontier.KeyHashCache` or
+    its unmemoised twin :class:`~repro.iblt.frontier.ScalarHashes`; both
+    return the same values, so the choice changes only the cost.
+    """
+
+    _CELLS = ("counts", "key_sum", "check_sum")
+
+    def _alloc_cells(self) -> None:
+        self.counts = [0] * self.m
+        self.key_sum = [0] * self.m
+        self.check_sum = [0] * self.m
+
+    def _add_key(self, key: int, weight: int) -> list[int]:
+        """Add ``weight`` copies of a checked ``key``; returns its cells."""
+        check = self.checksum(key)
+        cells = self.cell_indices(key)
+        for index in cells:
+            self.counts[index] += weight
+            self.key_sum[index] += weight * key
+            self.check_sum[index] += weight * check
+        return cells
+
+    def _difference(self: _Table, other: _Table) -> _Table:
+        """Shape check, then ``self - other`` column by column."""
+        self._check_compatible(other)
+        result = self._empty_clone()
+        for name in self._CELLS:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            setattr(result, name, [a - b for a, b in zip(mine, theirs)])
+        return result
+
+    def _pure_key(self, index: int, hashes: KeyHashCache | ScalarHashes) -> int | None:
+        """The key if cell ``index`` passes the multi-copy purity test.
+
+        Section 2.2 item 5: the cell holds ``C`` copies of one key when
+        the key sum is divisible by the count, the quotient is a valid
+        key, and ``checksum(K/C) · C == S``.
+        """
+        count = self.counts[index]
+        key = divisible_key(count, self.key_sum[index], 1 << self.key_bits)
+        if key is None or hashes.check(key) * count != self.check_sum[index]:
+            return None
+        return key
+
+    def _peel(
+        self,
+        hashes: KeyHashCache | ScalarHashes,
+        on_peel: Callable[[int, int, list[int]], None],
+    ) -> bool:
+        """FIFO-peel every pure cell; True iff the table ends all zero.
+
+        ``on_peel(index, key, cells)`` runs once per peeled cell, before
+        the cell's snapshot is subtracted from the key's ``cells``.
+
+        One scan seeds the queue with the pure cells in ascending index
+        order.  A cache is batch-primed there: checksums for every cell
+        passing the integer half of the test, cell indices only for the
+        keys that pass the checksum half too.  After that, only the cells
+        a peel touches can change purity, so only they are re-tested.
+
+        Peeling a cell subtracts its whole count, key and checksum
+        snapshot from every cell of its key.  For a real pure cell that
+        is exactly ``C·key`` and ``C·checksum(key)``; for a checksum fluke
+        it also sweeps the residue along, as Figure 1 describes.
+        """
+        counts, key_sum, check_sum = self.counts, self.key_sum, self.check_sum
+        key_limit = 1 << self.key_bits
+        prime = self.key_bits <= MAX_NUMPY_KEY_BITS  # uint64 batch hashes only
+        seeds = [
+            (index, key)
+            for index in range(self.m)
+            if (key := divisible_key(counts[index], key_sum[index], key_limit)) is not None
+        ]
+        if prime:
+            hashes.prime([key for _, key in seeds], want_indices=False)
+        queue = PeelQueue(self.m, fifo=True)
+        survivors = []
+        for index, key in seeds:
+            if hashes.check(key) * counts[index] == check_sum[index]:
+                queue.push(index)
+                survivors.append(key)
+        if prime:
+            hashes.prime(survivors, want_indices=True)
+        while queue:
+            index = queue.pop()
+            key = self._pure_key(index, hashes)
+            if key is None:
+                continue
+            cells = hashes.indices(key)
+            on_peel(index, key, cells)
+            count, key_total, check_total = counts[index], key_sum[index], check_sum[index]
+            # The q cells are distinct, so testing each one right after
+            # its own subtraction equals testing after all of them.
+            for cell in cells:
+                counts[cell] -= count
+                key_sum[cell] -= key_total
+                check_sum[cell] -= check_total
+                if not queue.pending(cell) and self._pure_key(cell, hashes) is not None:
+                    queue.push(cell)
+        return self.is_empty()
 
 
 class IBLT(CellTable):
@@ -319,8 +448,6 @@ class IBLT(CellTable):
         key_bits: int = 61,
         backend: str | None = None,
     ):
-        if q < 2:
-            raise ValueError(f"q must be >= 2, got {q}")
         self.backend = resolve_backend(backend, key_bits)
         #: Candidate-set size at or below which the adaptive frontier
         #: decoder runs a round in scalar arithmetic.  Behaviour-neutral
@@ -646,11 +773,7 @@ class IBLT(CellTable):
                 break
             touched = self._peel_round(result, pure_cells, pure_keys)
             candidates = scratch.unique_cells(touched, self.m)
-        result.success = bool(
-            not self.counts.any()
-            and not self.key_xor.any()
-            and not self.check_xor.any()
-        )
+        result.success = self.is_empty()
         return result
 
     def _decode_python(self) -> IBLTDecodeResult:
@@ -676,16 +799,7 @@ class IBLT(CellTable):
             for neighbor in self.cell_indices(key):
                 if not queue.pending(neighbor) and self._is_pure(neighbor):
                     queue.push(neighbor)
-        # Single pass over the cells (not one scan per field).
-        result.success = True
-        for index in range(self.m):
-            if (
-                self.counts[index] != 0
-                or self.key_xor[index] != 0
-                or self.check_xor[index] != 0
-            ):
-                result.success = False
-                break
+        result.success = self.is_empty()
         return result
 
     # -- introspection ---------------------------------------------------------

@@ -26,6 +26,10 @@ later extractions -- exactly the propagation of Figure 1 that Lemma 3.10
 bounds.  The ``decode`` here implements those semantics faithfully:
 peeling a cell subtracts the *entire cell snapshot* (count, key sum,
 checksum sum, value sum) from every cell the key hashes to.
+
+Items 1, 3 and 5 are :class:`~repro.iblt.iblt.SumCellTable`'s, shared
+with the counting IBLT; this module adds the value columns (item 4) and
+value extraction.
 """
 
 from __future__ import annotations
@@ -39,8 +43,7 @@ import numpy as np
 from ..hashing import PublicCoins, exact_int
 from ..metric.spaces import Point
 from .backend import MAX_NUMPY_KEY_BITS
-from .frontier import KeyHashCache, PeelQueue, divisible_key, seed_sum_cell_queue
-from .iblt import CellTable, check_key, coerce_key_array, key_list
+from .iblt import SumCellTable, check_key, coerce_key_array, key_list
 
 __all__ = ["RIBLT", "RIBLTDecodeResult", "riblt_cells_for_pairs"]
 
@@ -72,6 +75,8 @@ class RIBLTDecodeResult:
     success: bool
     inserted: list[tuple[int, Point]] = field(default_factory=list)
     deleted: list[tuple[int, Point]] = field(default_factory=list)
+    #: Cells peeled (one per pure cell, whatever its copy count); not the
+    #: number of breadth-first rounds.
     peel_rounds: int = 0
 
     @property
@@ -79,7 +84,7 @@ class RIBLTDecodeResult:
         return len(self.inserted) + len(self.deleted)
 
 
-class RIBLT(CellTable):
+class RIBLT(SumCellTable):
     """A robust IBLT over (key, point-value) pairs.
 
     Parameters
@@ -101,9 +106,9 @@ class RIBLT(CellTable):
     """
 
     _TAG = "riblt"
-    # ``value_sum`` is a list of per-cell lists; :meth:`copy` copies it.
-    _CELLS = ("counts", "key_sum", "check_sum")
-    _SHAPE = CellTable._SHAPE + ("dim", "side")
+    # ``value_sum`` is a list of per-cell lists, outside ``_CELLS``:
+    # :meth:`copy` and :meth:`subtract` handle it themselves.
+    _SHAPE = SumCellTable._SHAPE + ("dim", "side")
 
     def __init__(
         self,
@@ -122,9 +127,7 @@ class RIBLT(CellTable):
         super().__init__(coins, label, cells, q, key_bits)
 
     def _alloc_cells(self) -> None:
-        self.counts = [0] * self.m
-        self.key_sum = [0] * self.m
-        self.check_sum = [0] * self.m
+        super()._alloc_cells()
         self.value_sum = [[0] * self.dim for _ in range(self.m)]
 
     def _check_pair(self, key: int, value: Point) -> tuple[int, tuple[int, ...]]:
@@ -145,11 +148,7 @@ class RIBLT(CellTable):
 
     def _update(self, key: int, value: Point, sign: int) -> None:
         key, value = self._check_pair(key, value)
-        check = self.checksum(key)
-        for index in self.cell_indices(key):
-            self.counts[index] += sign
-            self.key_sum[index] += sign * key
-            self.check_sum[index] += sign * check
+        for index in self._add_key(key, sign):
             cell_value = self.value_sum[index]
             for coordinate in range(self.dim):
                 cell_value[coordinate] += sign * value[coordinate]
@@ -264,16 +263,11 @@ class RIBLT(CellTable):
     # -- combination ---------------------------------------------------------
     def subtract(self, other: "RIBLT") -> "RIBLT":
         """Cell-wise ``self - other`` for two structurally identical tables."""
-        self._check_compatible(other)
-        result = self._empty_clone()
-        for index in range(self.m):
-            result.counts[index] = self.counts[index] - other.counts[index]
-            result.key_sum[index] = self.key_sum[index] - other.key_sum[index]
-            result.check_sum[index] = self.check_sum[index] - other.check_sum[index]
-            result.value_sum[index] = [
-                a - b
-                for a, b in zip(self.value_sum[index], other.value_sum[index])
-            ]
+        result = self._difference(other)
+        result.value_sum = [
+            [a - b for a, b in zip(mine, theirs)]
+            for mine, theirs in zip(self.value_sum, other.value_sum)
+        ]
         return result
 
     def copy(self) -> "RIBLT":
@@ -301,24 +295,6 @@ class RIBLT(CellTable):
         from ..protocol.tables import read_riblt_cells
 
         return read_riblt_cells(BitReader(payload), self)
-
-    # -- purity --------------------------------------------------------------
-    def _pure_key(self, index: int, cache: KeyHashCache) -> int | None:
-        """Return the key if cell ``index`` passes the multi-copy purity test.
-
-        Section 2.2 item 5: the cell holds ``C`` copies of one key when the
-        key sum is divisible by the count, the quotient is a valid key, and
-        ``checksum(K/C) · C == S``.  ``cache`` memoises the checksum
-        evaluation (a pure function of the key), which never changes the
-        verdict — only the cost of reaching it.
-        """
-        key = divisible_key(self.counts[index], self.key_sum[index], 1 << self.key_bits)
-        if key is None:
-            return None
-        check = cache.check(key)
-        if check * self.counts[index] != self.check_sum[index]:
-            return None
-        return key
 
     # -- extraction helpers ----------------------------------------------------
     def _extract_values(
@@ -357,12 +333,15 @@ class RIBLT(CellTable):
         values (the decoder's private randomness; defaults to a fixed
         seed for reproducibility).
 
-        The seeding scan batch-primes the shared
-        :class:`~repro.iblt.frontier.KeyHashCache` with one vectorised
-        Mersenne pass and the peel memoises every other hash.  The cache
-        only holds pure functions of the key, so the peel *sequence* —
-        FIFO order, snapshot subtraction, value rounding — is the one
-        uncached scalar hashing would give; tests pin this.
+        The peel is :meth:`SumCellTable._peel
+        <repro.iblt.iblt.SumCellTable._peel>` (item 1's FIFO order) through
+        the shared :class:`~repro.iblt.frontier.KeyHashCache`, whose values
+        are pure functions of the key, so the peel sequence is the one
+        :class:`~repro.iblt.frontier.ScalarHashes` gives; tests pin this.
+        Each peeled cell yields ``|count|`` pairs whose values are
+        extracted from its value sum, and its value snapshot is then
+        subtracted from the key's cells along with its count, key and
+        checksum snapshot (Figure 1's error propagation).
 
         ``success`` requires every cell to end with zero count, key sum and
         checksum sum; *value* residue may remain -- that is the error the
@@ -371,60 +350,21 @@ class RIBLT(CellTable):
         if rng is None:
             rng = random.Random(0x5EED)
         result = RIBLTDecodeResult(success=False)
-        cache = self._hash_cache
 
-        # Breadth-first frontier (item 1: FIFO order, which Lemma 3.10's
-        # error-propagation analysis depends on), fed incrementally with
-        # the cells each peel touches; the seeding scan batch-primes the
-        # cache in the same pass.
-        queue = PeelQueue(self.m, fifo=True)
-        seed_sum_cell_queue(
-            self.counts, self.key_sum, self.check_sum, self.key_bits,
-            queue, cache, self.checksum,
-        )
-
-        while queue:
-            index = queue.pop()
-            key = self._pure_key(index, cache)
-            if key is None:
-                continue
+        def on_peel(index: int, key: int, cells: list[int]) -> None:
             result.peel_rounds += 1
             count = self.counts[index]
-            copies = abs(count)
             sign = 1 if count > 0 else -1
+            snapshot = self.value_sum[index]
             # Normalise sums to the positive orientation for extraction.
-            value_total = [sign * coordinate for coordinate in self.value_sum[index]]
-            values = self._extract_values(value_total, copies, rng)
+            value_total = [sign * coordinate for coordinate in snapshot]
+            values = self._extract_values(value_total, abs(count), rng)
             target = result.inserted if sign > 0 else result.deleted
-            for value in values:
-                target.append((key, value))
+            target.extend((key, value) for value in values)
+            for cell in cells:  # new lists, so ``snapshot`` stays intact
+                self.value_sum[cell] = [a - b for a, b in zip(self.value_sum[cell], snapshot)]
 
-            # Subtract the *whole cell snapshot* from every cell of the key;
-            # this removes the copies and propagates any residual value
-            # error the cell had absorbed (Figure 1 semantics).
-            snapshot_count = count
-            snapshot_key = self.key_sum[index]
-            snapshot_check = self.check_sum[index]
-            snapshot_value = list(self.value_sum[index])
-            for neighbor in cache.indices(key):
-                self.counts[neighbor] -= snapshot_count
-                self.key_sum[neighbor] -= snapshot_key
-                self.check_sum[neighbor] -= snapshot_check
-                neighbor_value = self.value_sum[neighbor]
-                for coordinate in range(self.dim):
-                    neighbor_value[coordinate] -= snapshot_value[coordinate]
-                if (
-                    not queue.pending(neighbor)
-                    and self._pure_key(neighbor, cache) is not None
-                ):
-                    queue.push(neighbor)
-
-        result.success = all(
-            self.counts[index] == 0
-            and self.key_sum[index] == 0
-            and self.check_sum[index] == 0
-            for index in range(self.m)
-        )
+        result.success = self._peel(self._hash_cache, on_peel)
         return result
 
     # -- introspection ---------------------------------------------------------

@@ -1,13 +1,15 @@
 """The contract every IBLT-family table inherits from ``CellTable``.
 
 :class:`~repro.iblt.IBLT` (both backends), :class:`~repro.iblt.MultisetIBLT`
-and :class:`~repro.iblt.RIBLT` share one cell geometry.  Two promises are
+and :class:`~repro.iblt.RIBLT` share one cell geometry.  Three promises are
 checked here for all of them:
 
 * a ``copy()`` or an ``_empty_clone()`` owns its cells, so mutating it
   never changes the original's payload bytes;
 * ``subtract`` raises ``ValueError`` naming the attribute when the two
-  tables differ in any single shape attribute.
+  tables differ in any single shape attribute;
+* ``decode`` succeeds exactly when every count, key and checksum cell
+  ends at zero: one nonzero entry in any of those columns fails it.
 """
 
 from __future__ import annotations
@@ -94,3 +96,24 @@ def test_subtract_rejects_single_attribute_mismatch(kind, attribute, left, right
     with pytest.raises(ValueError, match=f"incompatible: {attribute} "):
         mine.subtract(theirs)
     assert mine.subtract(build(kind, **left)).is_empty()
+
+
+@pytest.mark.parametrize("column", [0, 1, 2], ids=["count", "key", "checksum"])
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_single_cell_residue_fails_decode(kind, column):
+    table = build(kind)
+    getattr(table, table._CELLS[column])[7] = 1
+    assert not table.decode().success
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_all_zero_table_decodes(kind):
+    assert build(kind).decode().success
+
+
+def test_riblt_value_residue_still_succeeds():
+    """Values are not part of the rule: their residue is the error the
+    EMD analysis charges to the in-bucket matching."""
+    table = build("riblt")
+    table.value_sum[7][0] = 5
+    assert table.decode().success

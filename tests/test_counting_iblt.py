@@ -41,6 +41,72 @@ class TestBasics:
         assert clone.is_empty() and not table.is_empty()
 
 
+INT64_MAX = (1 << 63) - 1
+
+#: (path, case id, multiplicity): each must raise ``ValueError`` and leave
+#: the table's cells untouched, on both backends.
+BAD_MULTIPLICITIES = [
+    ("scalar", "float", 1.5),
+    ("scalar", "numpy-float", np.float64(2.0)),
+    ("scalar", "bool", True),
+    ("scalar", "above-int64", INT64_MAX + 1),
+    ("scalar", "below-int64", -INT64_MAX - 2),
+    ("batch", "float-array", np.array([1.5, 2.7])),
+    ("batch", "bool-array", np.array([True, False])),
+    ("batch", "float-list", [1, 1.5]),
+    ("batch", "bool-list", [1, True]),
+    ("batch", "float-scalar", 1.5),
+    ("batch", "uint64-above-int64", np.array([1, INT64_MAX + 1], dtype=np.uint64)),
+    ("batch", "object-above-int64", np.array([1, 1 << 70], dtype=object)),
+    ("batch", "list-below-int64", [1, -INT64_MAX - 2]),
+    ("batch", "wrong-length", [1, 2, 3]),
+]
+
+
+@pytest.mark.parametrize("backend", ["numpy", "python"])
+@pytest.mark.parametrize(
+    ("path", "multiplicity"),
+    [(path, value) for path, _, value in BAD_MULTIPLICITIES],
+    ids=[f"{path}-{case}" for path, case, _ in BAD_MULTIPLICITIES],
+)
+def test_non_integer_multiplicity_rejected_before_any_change(coins, backend, path, multiplicity):
+    table = MultisetIBLT(coins, "m", cells=30, q=3, key_bits=30, backend=backend)
+    table.insert(9, 2)
+    before = table.to_payload()
+    for update in ("insert", "delete"):
+        with pytest.raises(ValueError):
+            if path == "scalar":
+                getattr(table, update)(5, multiplicity)
+            else:
+                getattr(table, f"{update}_batch")([4, 5], multiplicity)
+        assert table.to_payload() == before
+
+
+@pytest.mark.parametrize("backend", ["numpy", "python"])
+def test_integer_multiplicity_forms_agree(coins, backend):
+    """Every accepted form gives the cells a scalar insert loop gives."""
+    expected = MultisetIBLT(coins, "m", cells=30, q=3, key_bits=30, backend=backend)
+    for key, multiplicity in ((4, 3), (5, INT64_MAX), (6, 1)):
+        expected.insert(key, multiplicity)
+    keys = [4, 5, 6]
+    for multiplicities in (
+        [3, INT64_MAX, 1],
+        np.array([3, INT64_MAX, 1], dtype=np.int64),
+        np.array([3, INT64_MAX, 1], dtype=np.uint64),
+        np.array([3, INT64_MAX, 1], dtype=object),
+        [np.int32(3), np.uint64(INT64_MAX), np.int8(1)],
+    ):
+        table = MultisetIBLT(coins, "m", cells=30, q=3, key_bits=30, backend=backend)
+        table.insert_batch(keys, multiplicities)
+        assert table.to_payload() == expected.to_payload()
+        table.delete_batch(keys, multiplicities)
+        assert table.is_empty()
+    table = MultisetIBLT(coins, "m", cells=30, q=3, key_bits=30, backend=backend)
+    table.insert(4, np.int64(3))
+    table.insert_batch([5, 6], np.int16(2))
+    assert table.decode().multiplicities == {4: 3, 5: 2, 6: 2}
+
+
 class TestDecode:
     def test_multiplicities_recovered(self, coins):
         table = _table(coins)

@@ -6,8 +6,9 @@ Three contracts pin the engine shared by the whole IBLT family:
   :class:`~repro.iblt.frontier.KeyHashCache` is bit-identical to scalar
   hashing — same FIFO peel sequence, same output, same residual cells —
   for RIBLT (where peel order shapes the *value* error propagation,
-  checked against a pass-through cache) and MultisetIBLT (numpy backend
-  against the uncached python backend) alike;
+  checked against :class:`~repro.iblt.frontier.ScalarHashes`, the
+  unmemoised reference) and MultisetIBLT (numpy backend against the
+  python backend, which peels through ``ScalarHashes``) alike;
 * repeated ``decode()`` calls on the same table object — which reuse
   the shared scratch buffers and hash caches across calls and across
   ``subtract`` clones — are idempotent: re-decoding identical cell
@@ -32,6 +33,7 @@ from repro.iblt.frontier import (
     CACHE_PRIME_THRESHOLD,
     KeyHashCache,
     PeelScratch,
+    ScalarHashes,
     divisible_key,
 )
 
@@ -140,24 +142,6 @@ def _signed_pairs(rng: np.random.Generator, pairs: int, duplicates: bool):
     return list(zip(keys, values, signs))
 
 
-class _PassThroughHashes:
-    """Stand-in for ``RIBLT._hash_cache`` that memoises nothing: every
-    lookup calls the table's ``checksum``/``cell_indices`` directly, and
-    priming is a no-op.  Decoding through it is the scalar reference."""
-
-    def __init__(self, table):
-        self._table = table
-
-    def prime(self, keys, want_indices=True):
-        pass
-
-    def check(self, key):
-        return self._table.checksum(key)
-
-    def indices(self, key):
-        return self._table.cell_indices(key)
-
-
 class TestRIBLTEngineParity:
     @given(
         seed=st.integers(0, 1 << 16),
@@ -179,7 +163,7 @@ class TestRIBLTEngineParity:
             )
             for engine in ("scalar", "cached")
         }
-        tables["scalar"]._hash_cache = _PassThroughHashes(tables["scalar"])
+        tables["scalar"]._hash_cache = ScalarHashes(tables["scalar"])
         for key, value, sign in _signed_pairs(rng, pairs, duplicates):
             for table in tables.values():
                 (table.insert if sign > 0 else table.delete)(key, value)
