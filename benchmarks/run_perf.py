@@ -36,10 +36,11 @@ import numpy as np
 from repro.core.params import derive_emd_parameters
 from repro.experiments.sweeps import SweepRunner, SweepSpec, render_sweep_report
 from repro.hashing import Checksum, PairwiseHash, PrefixHasher, PublicCoins
-from repro.iblt import IBLT, RIBLT, cells_for_differences
+from repro.iblt import IBLT, RIBLT, MultisetIBLT, cells_for_differences
 from repro.lsh import BitSamplingMLSH
 from repro.lsh.keys import BatchKeyBuilder, PrefixKeyBuilder
 from repro.metric import HammingSpace
+from repro.protocol import BitReader, BitWriter
 
 FULL_N = 100_000
 QUICK_N = 20_000
@@ -209,40 +210,101 @@ def bench_emd_round(coins: PublicCoins, n: int, repeats: int) -> tuple[float, fl
     return _best(python_path, max(2, repeats // 2)), _best(numpy_path, repeats)
 
 
+_CHECK_BITS = 61
+
+
+def _reference_write(table) -> bytes:
+    """The per-field reference codec: one public scalar call per cell field."""
+    writer = BitWriter()
+    if isinstance(table, IBLT):
+        for count, key, check in zip(
+            table.counts.tolist(), table.key_xor.tolist(), table.check_xor.tolist()
+        ):
+            writer.write_varint(count)
+            writer.write_uint(key, table.key_bits)
+            writer.write_uint(check, _CHECK_BITS)
+    else:
+        values = getattr(table, "value_sum", [()] * table.m)
+        for cell in zip(table.counts, table.key_sum, table.check_sum, values):
+            for field in (*cell[:3], *cell[3]):
+                writer.write_varint(field)
+    return writer.getvalue()
+
+
+def _reference_read(payload: bytes, shell):
+    """Load ``payload`` into ``shell`` one scalar field at a time."""
+    reader = BitReader(payload)
+    if isinstance(shell, IBLT):
+        columns = [], [], []
+        for _ in range(shell.m):
+            columns[0].append(reader.read_varint())
+            columns[1].append(reader.read_uint(shell.key_bits))
+            columns[2].append(reader.read_uint(_CHECK_BITS))
+        shell.counts = np.array(columns[0], dtype=np.int64)
+        shell.key_xor = np.array(columns[1], dtype=np.uint64)
+        shell.check_xor = np.array(columns[2], dtype=np.uint64)
+        return shell
+    dim = getattr(shell, "dim", 0)
+    cells = [[reader.read_varint() for _ in range(3 + dim)] for _ in range(shell.m)]
+    shell.counts, shell.key_sum, shell.check_sum = (
+        [cell[index] for cell in cells] for index in range(3)
+    )
+    if dim:
+        shell.value_sum = [cell[3:] for cell in cells]
+    return shell
+
+
+def _cell_columns(table) -> list:
+    names = ("counts", "key_xor", "check_xor", "key_sum", "check_sum", "value_sum")
+    return [list(getattr(table, name)) for name in names if hasattr(table, name)]
+
+
 def bench_cell_codec(coins: PublicCoins, n: int, repeats: int) -> tuple[float, float]:
-    """The wire cell codec: ``to_payload`` + ``from_payload`` of an IBLT
-    sized for the n-key difference set, python-backend table vs
-    numpy-backend table.  Both sides stream the same Python ints through
-    the same codec, so the ratio sits near 1x; it catches a backend whose
-    cell columns stop converting in bulk.  The two payloads are asserted
-    byte-identical."""
-    alice, _, differences = _iblt_inputs(n)
+    """The wire cell codec: ``to_payload`` + ``from_payload`` of three
+    tables sized for the n-key difference set, a bench-local per-field
+    reference (one scalar ``write_varint``/``write_uint``/``read_varint``/
+    ``read_uint`` call per field) against the table codec.
+
+    The tables are an IBLT holding the difference, a counting IBLT with
+    multiplicities up to 9, and a RIBLT with 61-bit keys whose checksum
+    sums pass 2^64.  Bytes and loaded columns are asserted identical.
+    The row's ``python_s`` is the reference, ``numpy_s`` the codec."""
+    alice, bob, differences = _iblt_inputs(n)
     cells = cells_for_differences(2 * differences)
+    rng = np.random.default_rng(0xCE11)
+    shells = {
+        "iblt": lambda: IBLT(coins, "bench-cells", cells=cells, q=3, key_bits=55),
+        "multiset": lambda: MultisetIBLT(coins, "bench-cells", cells=cells, q=3, key_bits=55),
+        "riblt": lambda: RIBLT(
+            coins, "bench-cells", cells=cells // 2, q=3, key_bits=61, dim=4, side=256
+        ),
+    }
+    tables = {kind: make() for kind, make in shells.items()}
+    tables["iblt"].insert_batch(alice)
+    tables["iblt"].delete_batch(bob)
+    difference = np.setxor1d(alice, bob)
+    tables["multiset"].insert_batch(difference, rng.integers(1, 10, size=len(difference)))
+    wide_keys = rng.integers(0, 1 << 61, size=2 * cells, dtype=np.uint64)
+    tables["riblt"].insert_batch(wide_keys, rng.integers(0, 256, size=(2 * cells, 4)))
+    assert max(tables["riblt"].check_sum) > 1 << 64
 
-    def shell(backend: str) -> IBLT:
-        return IBLT(coins, "bench-cells", cells=cells, q=3, key_bits=55, backend=backend)
+    def reference():
+        return [
+            _reference_read(_reference_write(table), shells[kind]())
+            for kind, table in tables.items()
+        ]
 
-    tables = {"python": shell("python"), "numpy": shell("numpy")}
-    tables["python"].insert_all(alice.tolist())
-    tables["numpy"].insert_batch(alice)
+    def codec():
+        return [
+            shells[kind]().from_payload(table.to_payload()[0]) for kind, table in tables.items()
+        ]
 
-    def roundtrip(backend: str) -> tuple[bytes, IBLT]:
-        payload, _bits = tables[backend].to_payload()
-        return payload, shell(backend).from_payload(payload)
-
-    (python_payload, python_loaded), (numpy_payload, numpy_loaded) = (
-        roundtrip("python"),
-        roundtrip("numpy"),
-    )
-    assert python_payload == numpy_payload, "cell payloads diverged across backends"
-    for loaded, table in ((python_loaded, tables["python"]), (numpy_loaded, tables["numpy"])):
-        for column in ("counts", "key_xor", "check_xor"):
-            got, want = getattr(loaded, column), getattr(table, column)
-            assert np.array_equal(got, want), "cell codec round trip changed a cell"
-    return (
-        _best(lambda: roundtrip("python"), repeats),
-        _best(lambda: roundtrip("numpy"), repeats),
-    )
+    for (kind, table), by_field, by_table in zip(tables.items(), reference(), codec()):
+        assert _reference_write(table) == table.to_payload()[0], f"{kind} payloads diverged"
+        assert _cell_columns(by_field) == _cell_columns(by_table) == _cell_columns(table), (
+            f"{kind} cell codec round trip changed a cell"
+        )
+    return _best(reference, max(2, repeats // 2)), _best(codec, repeats)
 
 
 def bench_iblt_decode_tail(

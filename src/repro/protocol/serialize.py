@@ -16,11 +16,18 @@ each group the continuation flag is the low bit and the next 7 value
 bits sit above it.  Values are capped at :data:`VARUINT_MAX_GROUPS`
 groups (133 bits).
 
-The codec works a field at a time, never a bit at a time:
+The scalar codec works a field at a time, never a bit at a time:
 :class:`BitWriter` shift-ORs each field into a Python-int accumulator
 and flushes whole bytes once 64 or more bits are pending, and
 :class:`BitReader` decodes a fixed-width field with one
 ``int.from_bytes`` over the bytes that cover it.
+
+Table cells go a run at a time.  :meth:`BitWriter.write_varint_run`
+and :meth:`BitReader.read_varint_run` code a whole table's varints in
+O(1) numpy calls, and :meth:`BitWriter.write_bit_rows` /
+:meth:`BitReader.peek_bit_rows` move a fixed-stride bit matrix.  They
+produce and accept the same bytes as the scalar calls, which stay the
+reference and the error path.
 """
 
 from __future__ import annotations
@@ -60,6 +67,68 @@ _FLUSH_BITS = 64
 
 #: Longest field :meth:`BitWriter.write_varints` builds before pushing it.
 _RUN_BITS = 1024
+
+#: Bits per limb of a value coded in a varint run: seven whole groups, so
+#: no group straddles two limbs, and a limb is exact as a float64.
+_LIMB_BITS = 49
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
+
+#: Fewest values a varint run codes with numpy.  Below it the fixed cost
+#: of the numpy calls exceeds the value-by-value loop.
+_RUN_MIN_VALUES = 64
+
+
+def _zigzag_limbs(block) -> "np.ndarray | None":
+    """The zigzag values of an int column, or of a ``rows × k`` nested
+    block, as three 49-bit limbs: a ``(3, rows, k)`` uint64 array.
+
+    Built in int64 when every value fits, otherwise from each value's
+    bytes.  None when a value needs more than :data:`VARUINT_MAX_GROUPS`
+    groups.
+    """
+    try:
+        values = np.asarray(block, dtype=np.int64)
+    except OverflowError:
+        # Past int64: each value's 192-bit two's complement, zigzagged
+        # and cut into limbs word-wise.
+        wide = np.asarray(block, dtype=object)
+        if wide.ndim == 1:
+            wide = wide[:, None]
+        try:
+            octets = b"".join(
+                [value.to_bytes(24, "little", signed=True) for value in wide.ravel().tolist()]
+            )
+        except OverflowError:
+            return None
+        words = np.frombuffer(octets, dtype="<u8").reshape(-1, 3).T
+        sign = np.negative(words[2] >> 63)  # all ones for a negative value
+        low = (words[0] << 1) ^ sign
+        middle = ((words[1] << 1) | (words[0] >> 63)) ^ sign
+        high = ((words[2] << 1) | (words[1] >> 63)) ^ sign
+        if (high >> (_VARUINT_MAX_BITS - 128)).any():
+            return None
+        limbs = np.stack(
+            (
+                low & _LIMB_MASK,
+                ((low >> _LIMB_BITS) | (middle << (64 - _LIMB_BITS))) & _LIMB_MASK,
+                (middle >> (2 * _LIMB_BITS - 64)) | (high << (128 - 2 * _LIMB_BITS)),
+            )
+        )
+        return limbs.reshape(3, *wide.shape)
+    if values.ndim == 1:
+        values = values[:, None]
+    zigzags = (values.view(np.uint64) << 1) ^ (values >> 63).view(np.uint64)
+    return np.stack((zigzags & _LIMB_MASK, zigzags >> _LIMB_BITS, np.zeros_like(zigzags)))
+
+
+def _row_major(blocks) -> Iterable[int]:
+    """The values of side-by-side blocks, row by row."""
+    for row in zip(*blocks):
+        for part in row:
+            if isinstance(part, (list, tuple, np.ndarray)):
+                yield from part
+            else:
+                yield part
 
 
 def _zigzag(value: int) -> int:
@@ -151,6 +220,51 @@ class BitWriter:
                 field = 0
                 shift = 0
         self._push(field, shift)
+
+    def write_varint_run(self, blocks: Sequence) -> None:
+        """:meth:`write_varints` over the rows of ``blocks`` side by side.
+
+        Each block is a column of ``rows`` ints or a ``rows × k`` nested
+        sequence; row ``i`` writes row ``i`` of every block in turn.  The
+        run is one field built in O(1) numpy calls: one pass writes every
+        value's first group, a second every later group of the values
+        that have more.  Short runs, and runs holding a value over the
+        group cap (which raises :meth:`write_varint`'s ``ValueError``),
+        take the value-by-value loop.
+        """
+        parts = [_zigzag_limbs(block) for block in blocks]
+        if any(part is None for part in parts) or sum(
+            part[0].size for part in parts
+        ) < _RUN_MIN_VALUES:
+            self.write_varints(_row_major(blocks))
+            return
+        limbs = np.concatenate(parts, axis=2).reshape(3, -1)
+        # Bit lengths: limbs are below 2^53, so frexp's exponent is exact.
+        lengths = np.frexp(limbs.astype(np.float64))[1]
+        bits = np.where(lengths[1] > 0, lengths[1] + _LIMB_BITS, lengths[0])
+        bits = np.where(lengths[2] > 0, lengths[2] + 2 * _LIMB_BITS, bits)
+        groups = np.maximum((bits + 6) // 7, 1)
+        ends = np.cumsum(groups)
+        starts = ends - groups
+        run = np.empty(int(ends[-1]), dtype=np.uint8)
+        more = groups > 1
+        run[starts] = ((limbs[0] & 0x7F) << 1) | more
+        # Every later group of the multi-group values in one pass.
+        live = np.flatnonzero(more)
+        index = np.arange(1, int(groups.max()))[:, None]
+        shifts = (7 * (index % 7)).astype(np.uint64)
+        payload = (limbs[index // 7, live] >> shifts) & 0x7F
+        present = index < groups[live]
+        run[(starts[live] + index)[present]] = (
+            (payload << 1) | (index + 1 < groups[live])
+        )[present]
+        self._push(int.from_bytes(run.tobytes(), "little"), 8 * len(run))
+
+    def write_bit_rows(self, bits: np.ndarray) -> None:
+        """Append a ``(rows, width)`` matrix of 0/1 bits, row by row, as
+        one field."""
+        packed = np.packbits(bits.reshape(-1), bitorder="little")
+        self._push(int.from_bytes(packed.tobytes(), "little"), bits.size)
 
     def write_bool(self, flag: bool) -> None:
         self.write_bit(flag)
@@ -246,6 +360,94 @@ class BitReader:
             values.append(value)
         self._position = position
         return values
+
+    def read_varint_run(self, rows: int, width: int) -> "np.ndarray | None":
+        """The next ``rows × width`` :meth:`read_varint` values as a
+        ``(rows, width)`` matrix, read in O(1) numpy calls: int64, or
+        object when some value needs more than 64 bits.
+
+        The covering bytes are aligned once; the terminators are the
+        groups whose continuation bit is clear, and each value's groups
+        are ORed into 49-bit limbs.  Returns None, without moving, when the
+        run is short or does not parse (a value is cut off or runs past
+        :data:`VARUINT_MAX_GROUPS` groups): the caller then replays its
+        value-by-value loop, which raises the typed error.
+        """
+        count = rows * width
+        position = self._position
+        whole = (self._limit - position) >> 3  # whole groups left
+        if count < _RUN_MIN_VALUES or whole < count:
+            return None
+        start, offset = position >> 3, position & 7
+        bound = min(whole, VARUINT_MAX_GROUPS * count)
+        span = min(bound, 4 * count)  # most runs fit; else widen once
+        while True:
+            raw = np.frombuffer(self._data, np.uint8, span + (offset > 0), start)
+            if offset:
+                raw = (raw[:-1] >> offset) | (raw[1:] << (8 - offset))
+            ends = np.flatnonzero(~raw & 1)
+            if len(ends) >= count or span == bound:
+                break
+            span = bound
+        if len(ends) < count:
+            return None
+        ends = ends[:count]
+        groups = np.diff(ends, prepend=-1)
+        if groups.max() > VARUINT_MAX_GROUPS:
+            return None
+        self._position = position + 8 * (int(ends[-1]) + 1)
+        # The writer's two passes in reverse: every value's first group,
+        # then every later group of the values that have more, ORed into
+        # 49-bit limbs (groups 0-6, 7-13 and 14-18).
+        payload = raw >> 1
+        starts = ends - groups + 1
+        limbs = np.zeros((3, count), dtype=np.uint64)
+        limbs[0] = payload[starts]
+        live = np.flatnonzero(groups > 1)
+        index = np.arange(1, int(groups.max()))[:, None]
+        later = np.where(
+            index < groups[live], payload[np.minimum(starts[live] + index, ends[-1])], 0
+        ).astype(np.uint64) << (7 * (index % 7)).astype(np.uint64)
+        for limb in range(3):
+            rows_of_limb = later[max(7 * limb - 1, 0) : 7 * limb + 6]
+            limbs[limb, live] |= np.bitwise_or.reduce(rows_of_limb, axis=0)
+        low, middle, high = limbs
+        wide = np.flatnonzero(high | (middle >> (64 - _LIMB_BITS)))
+        zigzags = low | (middle << _LIMB_BITS)
+        values = (zigzags >> 1).view(np.int64) ^ -(zigzags & 1).view(np.int64)
+        if len(wide):
+            # Past 64 bits: halve each zigzag limb-wise, then join its
+            # limbs into one Python int.
+            low, middle, high = low[wide], middle[wide], high[wide]
+            carry = _LIMB_BITS - 1
+            halves = zip(
+                ((low >> 1) | ((middle & 1) << carry)).tolist(),
+                ((middle >> 1) | ((high & 1) << carry)).tolist(),
+                (high >> 1).tolist(),
+            )
+            magnitudes = [a | b << _LIMB_BITS | c << (2 * _LIMB_BITS) for a, b, c in halves]
+            values = values.astype(object)
+            values[wide] = [
+                ~magnitude if sign else magnitude
+                for magnitude, sign in zip(magnitudes, (low & 1).tolist())
+            ]
+        return values.reshape(rows, width)
+
+    def peek_bit_rows(self, rows: int, width: int) -> "np.ndarray | None":
+        """The next ``rows × width`` bits as a ``(rows, width)`` 0/1 matrix,
+        without moving; None when fewer bits remain."""
+        total = rows * width
+        if total > self.bits_remaining:
+            return None
+        start, offset = self._position >> 3, self._position & 7
+        raw = np.frombuffer(self._data, np.uint8, (offset + total + 7) >> 3, start)
+        return np.unpackbits(raw, bitorder="little")[offset : offset + total].reshape(rows, width)
+
+    def skip_bits(self, bits: int) -> None:
+        """Move past ``bits`` bits already read with :meth:`peek_bit_rows`."""
+        if bits > self.bits_remaining:
+            raise TruncatedPayloadError("bit stream exhausted")
+        self._position += bits
 
     def read_bool(self) -> bool:
         return bool(self.read_bit())

@@ -57,12 +57,17 @@ def _mutations(payload: bytes, seed: int):
         yield bytes(corrupted)
 
 
-def _assert_only_decode_error(decode, payload: bytes, seed: int) -> None:
+def _assert_only_decode_error(load, payload: bytes, seed: int, shell=lambda: None) -> None:
+    """``load(target, mutated)`` for every mutation of ``payload``, where
+    ``target`` is a fresh ``shell()``: only a ``DecodeError`` may escape,
+    and a failed load must leave the shell empty."""
     for mutated in _mutations(payload, seed):
+        target = shell()
         try:
-            decode(mutated)
+            load(target, mutated)
         except DecodeError:
-            pass  # the typed contract — exactly what callers handle
+            # the typed contract — exactly what callers handle
+            assert target is None or target.is_empty(), "a failed load filled the shell"
         except Exception as error:  # pragma: no cover - the failure branch
             raise AssertionError(
                 f"untyped {type(error).__name__} escaped a deserializer: {error}"
@@ -95,7 +100,7 @@ class TestPointsFuzz:
         write_points(writer, space, space.sample(rng, 17))
         payload = writer.getvalue()
 
-        def decode(mutated: bytes) -> None:
+        def decode(_target, mutated: bytes) -> None:
             read_points(BitReader(mutated), space)
 
         _assert_only_decode_error(decode, payload, seed=101)
@@ -117,10 +122,10 @@ class TestIBLTCellsFuzz:
             table.insert(key)
         payload, _ = iblt_payload(table)
 
-        def decode(mutated: bytes) -> None:
-            read_iblt_cells(BitReader(mutated), self._shell())
+        def decode(shell: IBLT, mutated: bytes) -> None:
+            read_iblt_cells(BitReader(mutated), shell)
 
-        _assert_only_decode_error(decode, payload, seed=202)
+        _assert_only_decode_error(decode, payload, seed=202, shell=self._shell)
 
     def test_oversized_count_rejected(self):
         writer = BitWriter()
@@ -130,21 +135,45 @@ class TestIBLTCellsFuzz:
 
 
 class TestRIBLTCellsFuzz:
-    def _shell(self) -> RIBLT:
+    def _shell(self, key_bits: int = 30) -> RIBLT:
         return RIBLT(
-            COINS, "fuzz-riblt", cells=12, q=3, key_bits=30, dim=3, side=64
+            COINS, "fuzz-riblt", cells=12, q=3, key_bits=key_bits, dim=3, side=64
+        )
+
+    def _assert_fuzz(self, table: RIBLT, key_bits: int) -> None:
+        payload, _ = riblt_payload(table)
+
+        def decode(shell: RIBLT, mutated: bytes) -> None:
+            read_riblt_cells(BitReader(mutated), shell)
+
+        _assert_only_decode_error(
+            decode, payload, seed=303, shell=lambda: self._shell(key_bits)
         )
 
     def test_only_decode_error_escapes(self, rng):
         table = self._shell()
         for key in range(21):
             table.insert(key, tuple(int(v) for v in rng.integers(0, 64, size=3)))
-        payload, _ = riblt_payload(table)
+        self._assert_fuzz(table, 30)
 
-        def decode(mutated: bytes) -> None:
-            read_riblt_cells(BitReader(mutated), self._shell())
+    def test_oversized_count_in_a_run_rejected(self):
+        """A count past int64 deep inside a table-long run is caught too."""
+        shell = self._shell()
+        cells = [[0] * (3 + shell.dim) for _ in range(shell.m)]
+        cells[5][0] = 1 << 64
+        writer = BitWriter()
+        writer.write_varints(value for cell in cells for value in cell)
+        with pytest.raises(MalformedPayloadError, match="does not fit int64"):
+            read_riblt_cells(BitReader(writer.getvalue()), shell)
+        assert shell.is_empty()
 
-        _assert_only_decode_error(decode, payload, seed=303)
+    def test_wide_sums_only_decode_error_escapes(self, rng):
+        """61-bit keys: checksum sums past int64 take the run's wide limbs."""
+        table = self._shell(61)
+        for key in rng.integers(0, 1 << 61, size=40).tolist():
+            table.insert(key, tuple(int(v) for v in rng.integers(0, 64, size=3)))
+        assert max(abs(total) for total in table.check_sum) >> 63
+        self._assert_fuzz(table, 61)
 
 
 class TestMultisetCellsFuzz:
@@ -157,10 +186,10 @@ class TestMultisetCellsFuzz:
             table.insert(key, multiplicity=1 + key % 3)
         payload, _ = multiset_payload(table)
 
-        def decode(mutated: bytes) -> None:
-            read_multiset_cells(BitReader(mutated), self._shell())
+        def decode(shell: MultisetIBLT, mutated: bytes) -> None:
+            read_multiset_cells(BitReader(mutated), shell)
 
-        _assert_only_decode_error(decode, payload, seed=404)
+        _assert_only_decode_error(decode, payload, seed=404, shell=self._shell)
 
 
 class TestStrataFuzz:
@@ -174,7 +203,7 @@ class TestStrataFuzz:
             estimator.insert(key)
         payload, _ = estimator.to_payload()
 
-        def decode(mutated: bytes) -> None:
-            self._shell().from_payload(mutated)
+        def decode(shell: StrataEstimator, mutated: bytes) -> None:
+            shell.from_payload(mutated)
 
-        _assert_only_decode_error(decode, payload, seed=505)
+        _assert_only_decode_error(decode, payload, seed=505, shell=self._shell)

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.hashing import PublicCoins
 from repro.iblt import IBLT, cells_for_differences
+from repro.iblt.hypergraph import two_core
 from repro.protocol import BitReader, iblt_payload, read_iblt_cells
 
 
@@ -149,7 +150,12 @@ class TestReconciliation:
         bob_extra=st.integers(min_value=0, max_value=8),
     )
     @settings(max_examples=40, deadline=None)
+    @example(seed=1763, alice_extra=8, bob_extra=5)
     def test_reconciliation_property(self, seed, alice_extra, bob_extra):
+        """Decoding succeeds exactly when the difference keys' hypergraph
+        peels (an empty 2-core), and never reports a key outside the
+        difference.  At seed 1763 an Alice-only and a Bob-only key share
+        all three cells, so that draw cannot decode."""
         rng = np.random.default_rng(seed)
         shared = {int(v) for v in rng.integers(0, 1 << 20, size=50)}
         alice_only = {int(v) | (1 << 21) for v in rng.integers(0, 1 << 20, size=alice_extra)}
@@ -160,9 +166,13 @@ class TestReconciliation:
         a.insert_all(shared | alice_only)
         b.insert_all(shared | bob_only)
         result = a.subtract(b).decode()
-        assert result.success
-        assert set(result.inserted) == alice_only
-        assert set(result.deleted) == bob_only
+        edges = [tuple(a.cell_indices(key)) for key in alice_only | bob_only]
+        assert result.success == (not two_core(a.m, edges))
+        assert set(result.inserted) <= alice_only
+        assert set(result.deleted) <= bob_only
+        if result.success:
+            assert set(result.inserted) == alice_only
+            assert set(result.deleted) == bob_only
 
 
 class TestSerialization:

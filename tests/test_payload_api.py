@@ -9,6 +9,9 @@ drivers read through ``outcome_metrics``.
 
 from __future__ import annotations
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.errors import DecodeError
@@ -17,6 +20,7 @@ from repro.iblt import IBLT, RIBLT, MultisetIBLT
 from repro.metric import HammingSpace
 from repro.protocol import (
     BitReader,
+    BitWriter,
     iblt_payload,
     multiset_payload,
     read_iblt_cells,
@@ -206,3 +210,130 @@ class TestPayloadErrorContract:
         shell = IBLT(COINS, "pay-err", cells=24, q=3, key_bits=30)
         with pytest.raises(DecodeError):
             shell.from_payload(payload[: len(payload) // 2])
+
+
+_PIN_COINS = PublicCoins(0x5EED)
+
+
+def _pin_keys(seed: int, count: int, bits: int) -> list[int]:
+    return np.random.default_rng(seed).integers(0, 1 << bits, size=count).tolist()
+
+
+def _pin_iblt(backend: str) -> IBLT:
+    """Every ``|count| < 64``: one fixed-stride bit matrix."""
+    table = IBLT(_PIN_COINS, "pin-iblt", cells=60, q=3, key_bits=40, backend=backend)
+    table.insert_all(_pin_keys(1, 45, 40))
+    table.delete_all(_pin_keys(2, 12, 40))
+    return table
+
+
+def _pin_heavy_iblt(backend: str) -> IBLT:
+    """Counts far past 64: multi-group count varints."""
+    table = IBLT(_PIN_COINS, "pin-heavy", cells=30, q=3, key_bits=40, backend=backend)
+    table.insert_all(_pin_keys(3, 3000, 40))
+    return table
+
+
+def _pin_multiset(backend: str) -> MultisetIBLT:
+    table = MultisetIBLT(_PIN_COINS, "pin-multiset", cells=60, q=3, key_bits=40, backend=backend)
+    table.insert_batch(_pin_keys(4, 40, 40), np.arange(1, 41) % 9 + 1)
+    return table
+
+
+def _pin_riblt(backend: str) -> RIBLT:
+    """61-bit keys: checksum sums pass 2^64."""
+    del backend  # RIBLT cells are Python ints on either backend
+    table = RIBLT(_PIN_COINS, "pin-riblt", cells=36, q=3, key_bits=61, dim=5, side=1 << 16)
+    values = np.random.default_rng(6).integers(0, 1 << 16, size=(120, 5))
+    table.insert_batch(_pin_keys(5, 120, 61), values)
+    return table
+
+
+def _pin_strata(backend: str) -> StrataEstimator:
+    estimator = StrataEstimator(
+        _PIN_COINS, "pin-strata", strata=8, cells=24, key_bits=32, backend=backend
+    )
+    for key in _pin_keys(7, 500, 32):
+        estimator.insert(key)
+    return estimator
+
+
+class TestPayloadPins:
+    """Fixed-seed payloads keep the exact bytes they had when each table
+    was still coded one value at a time."""
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize(
+        "make, bits, digest",
+        [
+            (_pin_iblt, 6540, "4a09dfe14ef4c2c1cfe27d7715cdfa34ffbb9dce3cd075e54d92efc3e59b8e73"),
+            (_pin_heavy_iblt, 3510, "8d90a0f23788bb4c9b265ce68636d267a91b5eb7433f292c3a66d38d48b5bb8e"),
+            (_pin_multiset, 7192, "6f381e8ef5945323877582c85f48712b3627ad3dc56b45a3d018dd0c63e2e9e2"),
+            (_pin_riblt, 10368, "cf27a795af15bfd35332b2128aec15048084ba4b6b31e73881af6a6af3438228"),
+            (_pin_strata, 19392, "5b5fc94ead9150cf229fdd0c1c4d2997183125fac326269577cb4d7689eefb78"),
+        ],
+        ids=["iblt", "iblt-heavy", "multiset", "riblt", "strata"],
+    )  # fmt: skip
+    def test_payload_digest(self, make, bits, digest, backend):
+        payload, bit_count = make(backend).to_payload()
+        assert bit_count == bits
+        assert hashlib.sha256(payload).hexdigest() == digest
+
+    def test_heavy_iblt_has_wide_counts(self):
+        assert max(abs(int(count)) for count in _pin_heavy_iblt("numpy").counts) >= 64
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_wide_riblt_round_trips_as_one_run(self, backend, monkeypatch):
+        """Checksum sums past 2^64 (every emd-hamming table has them) stay
+        on the run path, with the same bytes and columns back."""
+        table = _pin_riblt(backend)
+        assert max(table.check_sum) > 1 << 64
+
+        def scalar(*_args):
+            raise AssertionError("the cell codec fell back to the scalar loop")
+
+        monkeypatch.setattr(BitWriter, "write_varints", scalar)
+        monkeypatch.setattr(BitReader, "read_varints", scalar)
+        payload, _bits = table.to_payload()
+        loaded = RIBLT(
+            _PIN_COINS, "pin-riblt", cells=36, q=3, key_bits=61, dim=5, side=1 << 16
+        ).from_payload(payload)
+        for column in ("counts", "key_sum", "check_sum", "value_sum"):
+            assert getattr(loaded, column) == getattr(table, column)
+        assert loaded.to_payload()[0] == payload
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize("edge", [63, 64, -64, -65])
+    def test_iblt_count_edges_match_scalar_fields(self, backend, edge):
+        """Counts at the one-group edge code exactly as one scalar
+        ``write_varint`` and two ``write_uint`` fields per cell."""
+        table = _pin_iblt(backend)
+        table.counts[7] = edge
+        reference = BitWriter()
+        for count, key, check in zip(table.counts, table.key_xor, table.check_xor):
+            reference.write_varint(int(count))
+            reference.write_uint(int(key), table.key_bits)
+            reference.write_uint(int(check), 61)
+        payload, bits = table.to_payload()
+        assert (payload, bits) == (reference.getvalue(), reference.bit_length)
+        loaded = IBLT(_PIN_COINS, "pin-iblt", cells=60, q=3, key_bits=40, backend=backend)
+        assert int(loaded.from_payload(payload).counts[7]) == edge
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_regular_iblt_round_trips_as_one_bit_matrix(self, backend, monkeypatch):
+        table = _pin_iblt(backend)
+
+        def scalar(*_args):
+            raise AssertionError("the cell codec fell back to the scalar loop")
+
+        monkeypatch.setattr(BitWriter, "write_varint", scalar)
+        monkeypatch.setattr(BitReader, "read_varint", scalar)
+        payload, _bits = table.to_payload()
+        loaded = IBLT(
+            _PIN_COINS, "pin-iblt", cells=60, q=3, key_bits=40, backend=backend
+        ).from_payload(payload)
+        for column in ("counts", "key_xor", "check_xor"):
+            assert list(getattr(loaded, column)) == list(getattr(table, column))
+        assert type(loaded.counts) is type(table.counts)
+        if backend == "numpy":
+            assert (loaded.counts.dtype, loaded.key_xor.dtype) == (np.int64, np.uint64)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import MalformedPayloadError
+from repro.errors import DecodeError, MalformedPayloadError
 from repro.metric import GridSpace, HammingSpace
 from repro.protocol import (
     ALICE,
@@ -21,6 +21,7 @@ from repro.protocol import (
     write_point,
     write_points,
 )
+from repro.protocol import serialize
 
 
 class TestBitWriterReader:
@@ -271,6 +272,147 @@ class TestOracleParity:
         reader = BitReader(writer.getvalue())
         reader.read_uint(offset)
         assert reader.read_uint(133) == value
+
+
+#: Values at the 1/2-, 9/10- and 18/19-group edges of a zigzag varint,
+#: int64's ends, ±2^63, and the widest values within the 133-bit cap.
+_EDGES = (
+    0, 63, -64, 64, -65,
+    (1 << 62) - 1, -(1 << 62), 1 << 62, -(1 << 62) - 1,
+    (1 << 63) - 1, -(1 << 63), 1 << 63, -(1 << 63) - 1,
+    (1 << 125) - 1, -(1 << 125), 1 << 125, -(1 << 125) - 1,
+    (1 << 132) - 1, -(1 << 132),
+)  # fmt: skip
+
+#: The smallest magnitude whose zigzag needs a 20th group.
+_OVER_CAP = 1 << 132
+
+
+@st.composite
+def _runs(draw):
+    """A ``rows × width`` value matrix, from just under to just over the
+    run path's threshold, and the column at which its nested block starts
+    (``width`` for none)."""
+    width = draw(st.integers(1, 5))
+    threshold = -(-serialize._RUN_MIN_VALUES // width)
+    rows = draw(st.integers(max(1, threshold - 2), threshold + 4))
+    value = (
+        st.sampled_from(_EDGES)
+        | st.integers(-64, 63)
+        | st.integers(-_OVER_CAP, _OVER_CAP - 1)
+    )
+    row = st.lists(value, min_size=width, max_size=width)
+    matrix = draw(st.lists(row, min_size=rows, max_size=rows))
+    return matrix, draw(st.integers(0, width))
+
+
+def _blocks(matrix, split):
+    """Columns ``0..split-1`` as flat columns, the rest as one nested block."""
+    blocks = [[row[column] for row in matrix] for column in range(split)]
+    if split < len(matrix[0]):
+        blocks.append([row[split:] for row in matrix])
+    return blocks
+
+
+def _read_outcome(data: bytes, lead: int, rows: int, width: int, run: bool):
+    """What a reader makes of ``data``: the values and the bits left after
+    them, or the class of the ``DecodeError`` it raised."""
+    reader = BitReader(data)
+    try:
+        reader.read_uint(lead)
+        start = reader.bits_remaining
+        cells = reader.read_varint_run(rows, width) if run else None
+        if cells is None:
+            assert reader.bits_remaining == start, "an unparsed run moved the reader"
+            values = reader.read_varints(rows * width)
+        else:
+            values = cells.ravel().tolist()
+    except DecodeError as error:
+        return type(error)
+    return values, reader.bits_remaining
+
+
+class TestVarintRuns:
+    """The table-at-once varint run is the value-by-value loop's bytes,
+    values, reader position and errors."""
+
+    @given(st.integers(0, 7), _runs())
+    @settings(max_examples=80, deadline=None)
+    def test_run_matches_loop_and_oracle(self, lead, run):
+        matrix, split = run
+        rows, width = len(matrix), len(matrix[0])
+        values = [value for row in matrix for value in row]
+        writer, loop, oracle = BitWriter(), BitWriter(), _OracleWriter()
+        for sink in (writer, loop, oracle):
+            sink.write_uint(0, lead)
+        writer.write_varint_run(_blocks(matrix, split))
+        loop.write_varints(values)
+        oracle.write_varints(values)
+        payload = writer.getvalue()
+        assert payload == loop.getvalue() == oracle.getvalue()
+        assert writer.bit_length == loop.bit_length
+        reader = BitReader(payload)
+        reader.read_uint(lead)
+        cells = reader.read_varint_run(rows, width)
+        # Long runs take the numpy path; short ones defer to the loop.
+        assert (cells is None) == (rows * width < serialize._RUN_MIN_VALUES)
+        if cells is not None:
+            assert cells.tolist() == matrix
+            assert reader.bits_remaining == 8 * len(payload) - writer.bit_length
+
+    @given(
+        st.integers(0, 7),
+        _runs(),
+        st.lists(st.integers(0, 1 << 20), min_size=1, max_size=3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_damaged_runs_fail_like_the_loop(self, lead, run, flips):
+        """Every byte cut, and a few bit flips, give the loop's exception
+        class, or on success its values and reader position."""
+        matrix, _split = run
+        rows, width = len(matrix), len(matrix[0])
+        writer = BitWriter()
+        writer.write_uint(0, lead)
+        writer.write_varints([value for row in matrix for value in row])
+        payload = writer.getvalue()
+        flipped = bytearray(payload)
+        for bit in flips:
+            bit %= 8 * len(payload)
+            flipped[bit >> 3] ^= 1 << (bit & 7)
+        for data in [payload[:cut] for cut in range(len(payload))] + [bytes(flipped)]:
+            assert _read_outcome(data, lead, rows, width, run=True) == _read_outcome(
+                data, lead, rows, width, run=False
+            )
+
+    def test_unparsed_run_leaves_the_position(self):
+        writer = BitWriter()
+        writer.write_varints(range(100))
+        reader = BitReader(writer.getvalue()[:-1])
+        assert reader.read_varint_run(10, 10) is None
+        assert reader.bits_remaining == 8 * (len(writer.getvalue()) - 1)
+
+    def test_group_cap_defers_to_the_loop(self):
+        """A 20-group value is the loop's ``MalformedPayloadError``,
+        inside a run as alone."""
+        writer = BitWriter()
+        writer.write_varints(range(50))
+        # 19 continuing groups; the next value's first group ends it.
+        writer.write_uint((1 << 152) - 1, 152)
+        writer.write_varints(range(50))
+        reader = BitReader(writer.getvalue())
+        assert reader.read_varint_run(100, 1) is None
+        with pytest.raises(MalformedPayloadError):
+            reader.read_varints(100)
+
+    @pytest.mark.parametrize("value", [_OVER_CAP, -_OVER_CAP - 1])
+    def test_over_cap_value_raises_the_loop_error(self, value):
+        values = list(range(-50, 50))
+        values[57] = value
+        with pytest.raises(ValueError) as run_error:
+            BitWriter().write_varint_run([values])
+        with pytest.raises(ValueError) as loop_error:
+            BitWriter().write_varints(values)
+        assert str(run_error.value) == str(loop_error.value)
 
 
 class TestMalformedStreams:
