@@ -8,6 +8,7 @@ from .serialize import (
     BitWriter,
     coordinate_bits,
     read_point,
+    read_point_matrix,
     read_points,
     write_point,
     write_points,
@@ -40,6 +41,7 @@ __all__ = [
     "BitWriter",
     "coordinate_bits",
     "read_point",
+    "read_point_matrix",
     "read_points",
     "write_point",
     "write_points",

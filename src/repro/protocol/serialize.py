@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..errors import MalformedPayloadError, TruncatedPayloadError
-from ..metric.spaces import MetricSpace, Point
+from ..metric.spaces import MetricSpace, Point, point_tuples
 
 __all__ = [
     "BitWriter",
@@ -49,6 +49,7 @@ __all__ = [
     "read_point",
     "write_points",
     "read_points",
+    "read_point_matrix",
 ]
 
 
@@ -458,27 +459,21 @@ def coordinate_bits(space: MetricSpace) -> int:
     return max(1, math.ceil(math.log2(space.side)))
 
 
-def _write_rows(writer: BitWriter, space: MetricSpace, matrix: np.ndarray) -> None:
-    """Pack each row of a validated point matrix into one field."""
-    bits = coordinate_bits(space)
-    for row in matrix.tolist():
-        packed = 0
-        shift = 0
-        for coordinate in row:
-            packed |= coordinate << shift
-            shift += bits
-        writer.write_uint(packed, shift)
-
-
 def write_point(writer: BitWriter, space: MetricSpace, point: Point) -> None:
     """Write one point as a single ``d · ceil(log2 Δ)``-bit field.
 
     Coordinates are packed LSB-first (coordinate 0 in the low bits), the
     same bytes as writing each one as its own fixed-width field.  The
     point passes :meth:`~repro.metric.MetricSpace.point_array`, so the
-    writer accepts exactly what :func:`read_point` accepts.
+    writer accepts exactly what :func:`read_point` accepts.  This is the
+    scalar reference of :func:`write_points`.
     """
-    _write_rows(writer, space, space.point_array([point]))
+    (row,) = space.point_array([point]).tolist()
+    bits = coordinate_bits(space)
+    packed = 0
+    for index, coordinate in enumerate(row):
+        packed |= coordinate << (index * bits)
+    writer.write_uint(packed, space.dim * bits)
 
 
 def read_point(reader: BitReader, space: MetricSpace) -> Point:
@@ -497,18 +492,51 @@ def read_point(reader: BitReader, space: MetricSpace) -> Point:
 def write_points(
     writer: BitWriter, space: MetricSpace, points: "Sequence[Point] | np.ndarray"
 ) -> None:
-    """Length-prefixed list of points; the whole set is validated first."""
+    """Length-prefixed list of points; the whole set is validated first.
+
+    The points go out as one ``(n, d · ceil(log2 Δ))`` bit matrix, each
+    row the bytes :func:`write_point` writes for that point.
+    """
     matrix = space.point_array(points)
+    bits = coordinate_bits(space)
     writer.write_varuint(len(matrix))
-    _write_rows(writer, space, matrix)
+    rows = np.empty(matrix.shape + (bits,), dtype=np.uint8)
+    for bit in range(bits):
+        rows[:, :, bit] = (matrix >> bit) & 1
+    writer.write_bit_rows(rows)
 
 
-def read_points(reader: BitReader, space: MetricSpace) -> list[Point]:
+def read_point_matrix(reader: BitReader, space: MetricSpace) -> np.ndarray:
+    """Read a :func:`write_points` list as an ``(n, d)`` int64 matrix.
+
+    The declared count is checked against the remaining bits before
+    anything is allocated.  A coordinate at or above ``side`` raises
+    :func:`read_point`'s :class:`~repro.errors.MalformedPayloadError`
+    for the first row holding one.
+    """
     count = reader.read_varuint()
-    needed = count * space.dim * coordinate_bits(space)
+    bits = coordinate_bits(space)
+    needed = count * space.dim * bits
     if needed > reader.bits_remaining:
         raise MalformedPayloadError(
             f"declared point count {count} needs {needed} bits, "
             f"only {reader.bits_remaining} remain"
         )
-    return [read_point(reader, space) for _ in range(count)]
+    if count == 0:
+        return np.empty((0, space.dim), dtype=np.int64)
+    rows = reader.peek_bit_rows(count, space.dim * bits).reshape(count, space.dim, bits)
+    reader.skip_bits(needed)
+    matrix = np.zeros((count, space.dim), dtype=np.int64)
+    for bit in range(bits):
+        matrix |= rows[:, :, bit].astype(np.int64) << bit
+    bad = (matrix >= space.side).any(axis=1)
+    if bad.any():
+        raise MalformedPayloadError(
+            f"coordinate {int(matrix[bad.argmax()].max())} outside [0, {space.side})"
+        )
+    return matrix
+
+
+def read_points(reader: BitReader, space: MetricSpace) -> list[Point]:
+    """:func:`read_point_matrix` as a list of point tuples."""
+    return point_tuples(read_point_matrix(reader, space))

@@ -2,7 +2,9 @@
 
 from .exact_iblt import (
     decode_point,
+    decode_points,
     encode_point,
+    encode_points,
     exact_iblt_reconcile,
     exact_iblt_reconcile_auto,
 )
@@ -30,7 +32,9 @@ __all__ = [
     "ReconcileResult",
     "outcome_metrics",
     "decode_point",
+    "decode_points",
     "encode_point",
+    "encode_points",
     "exact_iblt_reconcile",
     "exact_iblt_reconcile_auto",
     "StrataEstimator",

@@ -8,6 +8,9 @@ it is the inner engine of the quadtree baseline.
 
 Point encoding: a point of ``[Δ]^d`` maps to the mixed-radix integer
 ``Σ_j x_j · Δ^j``, a bijection onto ``[Δ^d]`` — exactly ``log2|U|`` bits.
+:func:`encode_points` and :func:`decode_points` convert whole sets between
+``(n, d)`` point matrices and key arrays; :func:`encode_point` and
+:func:`decode_point` are their scalar references.
 """
 
 from __future__ import annotations
@@ -17,19 +20,22 @@ from typing import Sequence
 import numpy as np
 
 from ..hashing import PublicCoins
+from ..hashing.universal import check_integers
 from ..iblt.iblt import IBLT, cells_for_differences
 from ..metric.spaces import MetricSpace, Point, point_tuples
 from ..protocol.channel import ALICE, BOB, BaseChannel, Channel
-from ..protocol.serialize import BitReader, BitWriter, read_points, write_points
+from ..protocol.serialize import BitReader, BitWriter, read_point_matrix, write_points
 from .outcome import ReconcileResult
 from .strata import StrataEstimator
 
 __all__ = [
     "encode_point",
     "decode_point",
+    "decode_points",
     "encode_points",
     "exact_iblt_reconcile",
     "exact_iblt_reconcile_auto",
+    "fresh_rows",
     "ship_alice_only",
     "strata_estimate",
 ]
@@ -49,11 +55,15 @@ def encode_points(space: MetricSpace, points: "Sequence[Point] | np.ndarray") ->
     take either.
     """
     coordinates = space.point_array(points)
-    dtype = np.uint64 if space.side**space.dim <= 1 << 64 else object
-    side = np.uint64(space.side) if dtype is np.uint64 else space.side
-    values = np.zeros(coordinates.shape[0], dtype=dtype)
+    if space.side**space.dim <= 1 << 64:
+        # Every partial sum is at most the key, so uint64 never wraps.
+        weights = np.uint64(space.side) ** np.arange(space.dim, dtype=np.uint64)
+        return coordinates.astype(np.uint64) @ weights
+    values = np.zeros(coordinates.shape[0], dtype=object)
+    if not values.size:
+        return values
     for column in range(space.dim - 1, -1, -1):
-        values = values * side + coordinates[:, column].astype(dtype)
+        values = values * space.side + coordinates[:, column].astype(object)
     return values
 
 
@@ -70,9 +80,62 @@ def decode_point(space: MetricSpace, value: int) -> Point:
     return tuple(coordinates)
 
 
+def decode_points(space: MetricSpace, keys: "Sequence[int] | np.ndarray") -> np.ndarray:
+    """Inverse of :func:`encode_points`: keys as an ``(n, d)`` int64 matrix.
+
+    ``keys`` is a flat integer (or ``object``) array or any sequence of
+    ints; an empty input gives ``(0, d)``.  Universes wider than ``2^64``
+    divide exactly as Python ints in an ``object`` array.  A negative key
+    or one at or above ``side^dim`` raises :func:`decode_point`'s
+    ``ValueError``.
+    """
+    # A sequence becomes an ``object`` array: ``np.asarray`` would turn a
+    # list mixing keys below and above ``2^63`` into float64.
+    values = keys if isinstance(keys, np.ndarray) else np.array(list(keys), dtype=object)
+    if values.ndim != 1 or values.dtype.kind not in "iuO":
+        raise ValueError(
+            f"expected a flat integer key array, got shape {values.shape} "
+            f"and dtype {values.dtype}"
+        )
+    if values.size == 0:
+        return np.empty((0, space.dim), dtype=np.int64)
+    if values.dtype.kind == "O":
+        check_integers(values)
+    if int(values.min()) < 0:
+        raise ValueError(f"encoded value must be >= 0, got {int(values.min())}")
+    universe = space.side**space.dim
+    if int(values.max()) >= universe:
+        raise ValueError("encoded value out of range for this space")
+    if universe <= 1 << 64:
+        values = values.astype(np.uint64)
+        side = np.uint64(space.side)
+    else:
+        values = values.astype(object)
+        side = space.side
+    coordinates = np.empty((values.size, space.dim), dtype=np.int64)
+    for column in range(space.dim):
+        coordinates[:, column] = values % side
+        values = values // side
+    return coordinates
+
+
 def _key_bits(space: MetricSpace) -> int:
     """Key width of the encoded universe: ``dim`` digits of ``log2 Δ`` bits."""
     return max(1, space.dim * max(1, (space.side - 1).bit_length()))
+
+
+def fresh_rows(held: np.ndarray, shipped: np.ndarray) -> np.ndarray:
+    """Indices of the ``shipped`` keys a holder of ``held`` appends: the
+    first occurrence of each key not already held, in shipped order."""
+    _, first = np.unique(shipped, return_index=True)
+    first = np.sort(first)
+    if held.size:
+        # A sorted search, not ``np.isin``: it stays O(n log n) on the
+        # ``object`` key arrays of universes wider than 2^64.
+        held = np.sort(held)
+        index = np.minimum(np.searchsorted(held, shipped[first]), held.size - 1)
+        first = first[held[index] != shipped[first]]
+    return first
 
 
 def ship_alice_only(
@@ -85,19 +148,17 @@ def ship_alice_only(
     """Round 2 of every one-way reconciler (Alice -> Bob): Bob's final set.
 
     Alice ships ``alice_only`` under ``label``; Bob appends each shipped
-    point he lacks to his own points, in order, as tuples.  Both point
-    sets pass :meth:`~repro.metric.MetricSpace.point_array`.
+    point he lacks to his own points, in order (:func:`fresh_rows`), as
+    tuples.  Both point sets pass
+    :meth:`~repro.metric.MetricSpace.point_array`.
     """
     writer = BitWriter()
     write_points(writer, space, alice_only)
     reply = channel.send(ALICE, label, writer.getvalue(), writer.bit_length)
-    bob_final = point_tuples(space.point_array(bob_points))
-    existing = set(bob_final)
-    for point in read_points(BitReader(reply), space):
-        if point not in existing:
-            bob_final.append(point)
-            existing.add(point)
-    return bob_final
+    bob = space.point_array(bob_points)
+    shipped = read_point_matrix(BitReader(reply), space)
+    fresh = fresh_rows(encode_points(space, bob), encode_points(space, shipped))
+    return point_tuples(np.concatenate((bob, shipped[fresh])))
 
 
 def exact_iblt_reconcile(
@@ -144,14 +205,13 @@ def exact_iblt_reconcile(
         )
     # Positive counts were inserted by Bob (his surplus); negatives are
     # Alice-only and must be shipped to Bob.
-    bob_only = [decode_point(space, key) for key in decoded.inserted]
-    alice_only = [decode_point(space, key) for key in decoded.deleted]
+    alice_only = decode_points(space, decoded.deleted)
     bob_final = ship_alice_only(space, channel, "alice-only-points", bob, alice_only)
     return ReconcileResult(
         success=True,
         bob_final=bob_final,
-        alice_only=alice_only,
-        bob_only=bob_only,
+        alice_only=point_tuples(alice_only),
+        bob_only=point_tuples(decode_points(space, decoded.inserted)),
         total_bits=channel.total_bits,
         rounds=channel.rounds,
     )

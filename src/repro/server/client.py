@@ -33,12 +33,14 @@ import asyncio
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..errors import DecodeError, MalformedPayloadError
 from ..iblt.iblt import IBLT, cells_for_differences
 from ..protocol.channel import ALICE
 from ..protocol.serialize import BitWriter, write_points
 from ..protocol.wire import Frame, MessageType
-from ..reconcile.exact_iblt import decode_point, encode_points
+from ..reconcile.exact_iblt import decode_points
 from ..reconcile.resilient import Recovery, ResilienceConfig
 from ..reconcile.strata import StrataEstimator
 from .network import SimulatedNetwork
@@ -155,9 +157,8 @@ class ReconcileClient:
             expect=MessageType.HELLO_ACK,
         )
 
-        alice, _ = config.workload()
+        alice_keys, _ = config.workload_keys()
         space = config.space()
-        alice_keys = encode_points(space, alice)
         key_bits = config.key_bits
 
         # The wire controller drives the same recovery loop as the
@@ -170,7 +171,7 @@ class ReconcileClient:
             else None
         )
         recovery = Recovery(policy, config.delta_bound)
-        alice_only: "list | None" = None
+        alice_only: "np.ndarray | None" = None
 
         for attempt in recovery:
             if recovery.needs_fallback:
@@ -203,7 +204,7 @@ class ReconcileClient:
                 view.delete_batch(alice_keys)
                 decoded = view.decode()
                 if decoded.success:
-                    alice_only = [decode_point(space, key) for key in decoded.deleted]
+                    alice_only = decode_points(space, decoded.deleted)
                 outcome = "decoded" if decoded.success else "undecodable"
             except DecodeError:
                 outcome = "corrupted"

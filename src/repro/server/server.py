@@ -34,12 +34,14 @@ from __future__ import annotations
 
 import asyncio
 
+import numpy as np
+
 from ..errors import DecodeError, MalformedPayloadError
 from ..iblt.iblt import IBLT, cells_for_differences
 from ..protocol.channel import BOB
-from ..protocol.serialize import BitReader, read_points
+from ..protocol.serialize import BitReader, read_point_matrix
 from ..protocol.wire import HEADER_LEN, Frame, MessageType, decode_body, encode_frame
-from ..reconcile.exact_iblt import encode_points
+from ..reconcile.exact_iblt import encode_points, fresh_rows
 from ..reconcile.strata import StrataEstimator
 from ..store import SketchStore
 from .session import SessionConfig, json_payload, parse_json_payload
@@ -51,9 +53,17 @@ __all__ = ["ReconcileServer", "ServerSession"]
 #: hostile REQ_SKETCH cannot make the server allocate a huge table.
 MAX_BOUND = 1 << 20
 
+#: Ceiling on the coordinates a HELLO may make the server draw,
+#: ``(n_shared + delta) · dim``, so a hostile config is refused before
+#: the workload is allocated.
+MAX_WORKLOAD_COORDINATES = 1 << 22
+
 
 class ServerSession:
     """Bob's state for one session on one connection.
+
+    Bob holds his set as encoded keys and the derived union as one
+    sorted key array; shipped points are encoded once on arrival.
 
     With a :class:`~repro.store.SketchStore` attached, Bob's derived
     set is registered under its workload identity and sketches/strata
@@ -68,22 +78,25 @@ class ServerSession:
     def __init__(self, config: SessionConfig, store: "SketchStore | None" = None) -> None:
         self.config = config
         self.space = config.space()
-        alice, bob = config.workload()
-        self.bob_points = list(bob)
-        self.expected_union = set(alice) | set(bob)
+        alice_keys, bob_keys = config.workload_keys()
+        #: Bob's encoded keys, in derivation order; :meth:`merge_push`
+        #: appends the keys it learns.
+        self._bob_keys = bob_keys
+        #: The derived union, as one sorted key array.
+        self.expected_union = np.union1d(alice_keys, bob_keys)
         self.closed = False
         self.store = store
         self._store_key: "int | None" = None
         self._diverged = False
-        #: Bob's encoded keys, encoded once here and again only when
-        #: :meth:`merge_push` grows his set.
-        self._bob_keys = encode_points(self.space, self.bob_points)
         if store is not None:
-            keys = self._bob_keys.tolist()
-            if len(set(keys)) == len(keys):
-                self._store_key = config.store_key()
-                if not store.contains(self._store_key):
-                    store.put_set(self._store_key, keys, key_bits=config.key_bits)
+            store_key = config.store_key()
+            if store.contains(store_key):
+                # Registered by an earlier session with this identity,
+                # which derived the same duplicate-free set.
+                self._store_key = store_key
+            elif np.unique(self._bob_keys).size == self._bob_keys.size:
+                self._store_key = store_key
+                store.put_set(store_key, self._bob_keys, key_bits=config.key_bits)
             # else: the sampled workload collided into a multiset; the
             # store holds sets, so this (astronomically rare) session
             # stays stateless to preserve exact wire parity.
@@ -129,22 +142,24 @@ class ServerSession:
         return received.difference_bound(bob_sketch)
 
     def merge_push(self, payload: bytes) -> "tuple[bool, int]":
-        """Merge Alice's pushed points; verify against the ground truth."""
-        shipped = read_points(BitReader(payload), self.space)
-        existing = set(self.bob_points)
-        grown = False
-        for point in shipped:
-            if point not in existing:
-                self.bob_points.append(point)
-                existing.add(point)
-                grown = True
-        if grown:
+        """Merge Alice's pushed points; verify against the ground truth.
+
+        Bob appends the first occurrence of each shipped point he does
+        not hold, in shipped order (the rule of
+        :func:`~repro.reconcile.exact_iblt.ship_alice_only`).  Returns
+        whether his set now equals the derived union and how many points
+        he holds.
+        """
+        shipped = encode_points(self.space, read_point_matrix(BitReader(payload), self.space))
+        fresh = shipped[fresh_rows(self._bob_keys, shipped)]
+        if fresh.size:
             # Bob no longer matches the store's derived set; any further
             # sketch for this session must be built from the merged
             # points (the store entry stays derived).
             self._diverged = True
-            self._bob_keys = encode_points(self.space, self.bob_points)
-        return existing == self.expected_union, len(self.bob_points)
+            self._bob_keys = np.concatenate((self._bob_keys, fresh))
+        union_ok = np.array_equal(np.unique(self._bob_keys), self.expected_union)
+        return bool(union_ok), len(self._bob_keys)
 
 
 class ReconcileServer:
@@ -245,6 +260,12 @@ class ReconcileServer:
                             raise MalformedPayloadError(
                                 f"HELLO session_id {config.session_id} does not "
                                 f"match frame header session {sid}"
+                            )
+                        coordinates = (config.n_shared + config.delta) * config.dim
+                        if coordinates > MAX_WORKLOAD_COORDINATES:
+                            raise MalformedPayloadError(
+                                f"HELLO workload of {coordinates} coordinates exceeds "
+                                f"{MAX_WORKLOAD_COORDINATES}"
                             )
                         sessions[sid] = ServerSession(config, store=self.store)
                         self.sessions_opened += 1

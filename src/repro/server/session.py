@@ -8,6 +8,15 @@ the server keeps Bob's.  Because the server can derive the full union,
 it can verify end-to-end success and report it in RESULT, making every
 session self-checking.
 
+The workload is two ``(n, d)`` int64 matrices
+(:func:`~repro.workloads.split_difference_arrays`, via
+:func:`session_workload`).  The endpoints work on its keys:
+:func:`session_keys` makes the same draws in 64 KiB blocks and encodes
+each block as it is drawn, so no endpoint holds the matrices.  Keys
+turn back into points only where points cross the wire (Alice's
+shipped difference, decoded by
+:func:`~repro.reconcile.exact_iblt.decode_points`).
+
 All JSON parsing here guards against malformed input with
 :class:`~repro.errors.MalformedPayloadError` — HELLO payloads arrive
 off the wire and must never crash the server.
@@ -22,18 +31,23 @@ import numpy as np
 
 from ..errors import MalformedPayloadError
 from ..hashing import PublicCoins, derive_seed
-from ..metric.spaces import HammingSpace, Point
-from ..workloads import split_difference_pair
+from ..metric.spaces import HammingSpace
+from ..reconcile.exact_iblt import encode_points
+from ..workloads import split_difference_arrays
 
 __all__ = [
     "SessionConfig",
     "json_payload",
     "parse_json_payload",
+    "session_keys",
     "session_workload",
 ]
 
 #: Protocol families a session may request.
 PROTOCOLS = ("exact", "resilient")
+
+#: Most coordinate bytes :func:`session_keys` holds at once.
+KEY_BLOCK_BYTES = 1 << 16
 
 
 def json_payload(obj: dict) -> bytes:
@@ -142,21 +156,61 @@ class SessionConfig:
             self.delta,
         ) & ((1 << 61) - 1)
 
-    def workload(self) -> "tuple[list[Point], list[Point]]":
+    def workload(self) -> "tuple[np.ndarray, np.ndarray]":
         """Derive ``(alice_points, bob_points)`` for this session."""
         return session_workload(
             self.seed, self.session_id, self.dim, self.n_shared, self.delta
         )
 
+    def workload_keys(self) -> "tuple[np.ndarray, np.ndarray]":
+        """Derive ``(alice_keys, bob_keys)``: :meth:`workload`, encoded."""
+        return session_keys(self.seed, self.session_id, self.dim, self.n_shared, self.delta)
+
 
 def session_workload(
     seed: int, session_id: int, dim: int, n_shared: int, delta: int
-) -> "tuple[list[Point], list[Point]]":
+) -> "tuple[np.ndarray, np.ndarray]":
     """Deterministic per-session Hamming workload (both endpoints agree).
 
     The exact-reconciliation workload shape
-    (:func:`~repro.workloads.split_difference_pair`) drawn from
-    ``numpy.random.default_rng([seed, session_id])``.
+    (:func:`~repro.workloads.split_difference_arrays`) drawn from
+    ``numpy.random.default_rng([seed, session_id])``: Alice's and Bob's
+    points as ``(n, d)`` int64 matrices.
     """
     rng = np.random.default_rng([seed, session_id])
-    return split_difference_pair(HammingSpace(dim), rng, n_shared, delta)
+    return split_difference_arrays(HammingSpace(dim), rng, n_shared, delta)
+
+
+def session_keys(
+    seed: int, session_id: int, dim: int, n_shared: int, delta: int
+) -> "tuple[np.ndarray, np.ndarray]":
+    """:func:`session_workload` as key arrays: ``(alice_keys, bob_keys)``.
+
+    The same draws in the same order (shared points, Alice's extras,
+    Bob's), each made in blocks of at most :data:`KEY_BLOCK_BYTES` of
+    coordinates and encoded block by block.  ``Generator.integers`` fills
+    an int64 matrix element by element, so the blocks hold exactly the
+    rows one draw would; the keys equal
+    :func:`~repro.reconcile.exact_iblt.encode_points` of the workload's
+    matrices.  The endpoints never hold those matrices: what a session
+    allocates while deriving its workload stays one block, however large
+    ``n_shared`` is.
+    """
+    space = HammingSpace(dim)
+    rng = np.random.default_rng([seed, session_id])
+    block = max(1, KEY_BLOCK_BYTES // (8 * dim))
+
+    def keys(count: int) -> np.ndarray:
+        if count == 0:
+            return encode_points(space, np.empty((0, dim), dtype=np.int64))
+        draws = (
+            rng.integers(0, space.side, size=(min(block, count - start), dim))
+            for start in range(0, count, block)
+        )
+        return np.concatenate([encode_points(space, draw) for draw in draws])
+
+    shared = keys(n_shared)
+    return (
+        np.concatenate((shared, keys(delta // 2))),
+        np.concatenate((shared, keys(delta - delta // 2))),
+    )

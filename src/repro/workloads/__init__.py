@@ -7,6 +7,7 @@ from .generators import (
     noisy_replica_pair,
     perturb_point,
     random_far_point,
+    split_difference_arrays,
     split_difference_pair,
 )
 
@@ -18,5 +19,6 @@ __all__ = [
     "noisy_replica_pair",
     "perturb_point",
     "random_far_point",
+    "split_difference_arrays",
     "split_difference_pair",
 ]

@@ -12,8 +12,10 @@ exactly that structure for every supported space:
 * :func:`clustered_points` — Gaussian-ish clusters on a grid, for less
   uniform EMD instances.
 * :func:`perturb_point` — the per-space noise model itself.
-* :func:`split_difference_pair` — the exact-reconciliation workload:
-  shared points plus a bounded symmetric difference.
+* :func:`split_difference_arrays` — the exact-reconciliation workload:
+  shared points plus a bounded symmetric difference, as two ``(n, d)``
+  int64 matrices; :func:`split_difference_pair` is the same draw as
+  point tuples.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "noisy_replica_pair",
     "clustered_points",
     "random_far_point",
+    "split_difference_arrays",
     "split_difference_pair",
 ]
 
@@ -119,20 +122,34 @@ def random_far_point(
     )
 
 
-def split_difference_pair(
+def split_difference_arrays(
     space: MetricSpace, rng: np.random.Generator, n_shared: int, delta: int
-) -> "tuple[list[Point], list[Point]]":
-    """``(alice, bob)``: ``n_shared`` common points plus a split of extras.
+) -> "tuple[np.ndarray, np.ndarray]":
+    """``(alice, bob)`` as ``(n, d)`` int64 matrices: ``n_shared`` common
+    rows first, then each party's extras.
 
     Alice gets ``delta // 2`` extra uniform points and Bob the other
     ``delta - delta // 2``, so the true symmetric difference is at most
     ``delta`` (sampling collisions can only shrink it).  ``rng`` draws
-    the shared points, then Alice's extras, then Bob's.
+    the shared points, then Alice's extras, then Bob's, each as one
+    ``rng.integers`` call, the draw :meth:`~repro.metric.MetricSpace.sample`
+    makes.
     """
-    shared = space.sample(rng, n_shared)
-    alice = shared + space.sample(rng, delta // 2)
-    bob = shared + space.sample(rng, delta - delta // 2)
+
+    def draw(count: int) -> np.ndarray:
+        return rng.integers(0, space.side, size=(count, space.dim))
+
+    alice = np.concatenate((draw(n_shared), draw(delta // 2)))
+    bob = np.concatenate((alice[:n_shared], draw(delta - delta // 2)))
     return alice, bob
+
+
+def split_difference_pair(
+    space: MetricSpace, rng: np.random.Generator, n_shared: int, delta: int
+) -> "tuple[list[Point], list[Point]]":
+    """:func:`split_difference_arrays` as lists of point tuples."""
+    alice, bob = split_difference_arrays(space, rng, n_shared, delta)
+    return point_tuples(alice), point_tuples(bob)
 
 
 def noisy_replica_pair(

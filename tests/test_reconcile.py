@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.metric import GridSpace, HammingSpace, emd
 from repro.protocol import Channel
@@ -17,7 +19,7 @@ from repro.reconcile import (
     naive_union_transfer,
     resilient_reconcile,
 )
-from repro.reconcile.exact_iblt import encode_points
+from repro.reconcile.exact_iblt import decode_points, encode_points, fresh_rows
 from repro.workloads import noisy_replica_pair, split_difference_pair
 
 
@@ -46,6 +48,51 @@ class TestPointEncoding:
 
     @pytest.mark.parametrize(
         "space",
+        [
+            HammingSpace(48),
+            HammingSpace(64),
+            HammingSpace(70),
+            GridSpace(5, 3),
+            GridSpace(4096, 2),
+        ],
+        ids=repr,
+    )
+    def test_batch_decoder_matches_scalar(self, space, rng):
+        """``decode_points`` inverts ``encode_points`` row for row, from a
+        key array or a list of ints (64-bit keys mix values below and
+        above ``2^63``); ``HammingSpace(70)`` takes the ``object`` path."""
+        points = space.sample(rng, 40) + [(0,) * space.dim, (space.side - 1,) * space.dim]
+        keys = encode_points(space, points)
+        for source in (keys, keys.tolist()):
+            decoded = decode_points(space, source)
+            assert decoded.dtype == np.int64 and decoded.shape == (len(points), space.dim)
+            assert np.array_equal(decoded, space.point_array(points))
+            assert [tuple(row) for row in decoded.tolist()] == [
+                decode_point(space, int(key)) for key in keys.tolist()
+            ]
+
+    @pytest.mark.parametrize(
+        "space", [HammingSpace(48), HammingSpace(70), GridSpace(5, 3)], ids=repr
+    )
+    def test_batch_decoder_empty_and_invalid(self, space):
+        for empty in ([], np.empty(0, dtype=np.uint64), np.empty(0, dtype=object)):
+            assert decode_points(space, empty).shape == (0, space.dim)
+        for keys in ([0, 1.0], [True], np.array([1, 0.5], dtype=object)):
+            with pytest.raises(ValueError):
+                decode_points(space, keys)
+        universe = space.side**space.dim
+        for keys, bad in (([0, -1], -1), ([universe], universe), ([1, universe + 5], universe + 5)):
+            with pytest.raises(ValueError):
+                decode_points(space, keys)
+            with pytest.raises(ValueError):
+                decode_point(space, bad)
+        with pytest.raises(ValueError):
+            decode_points(space, np.zeros((2, 2), dtype=np.uint64))
+        with pytest.raises(ValueError):
+            decode_points(space, np.array([0.5]))
+
+    @pytest.mark.parametrize(
+        "space",
         [HammingSpace(dim) for dim in (40, 61, 62, 64, 65, 70, 130)]
         + [GridSpace(side=4096, dim=5, p=1.0), GridSpace(side=4096, dim=6, p=1.0)],
         ids=repr,
@@ -59,6 +106,29 @@ class TestPointEncoding:
         wide = space.side**space.dim > 1 << 64
         assert encoded.dtype == (object if wide else np.uint64)
         assert encode_points(space, []).dtype == encoded.dtype
+
+
+class TestFreshRows:
+    @given(
+        st.lists(st.integers(0, 40), max_size=30),
+        st.lists(st.integers(0, 40), max_size=30),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_set_merge(self, held, shipped, wide):
+        """First occurrences not already held, in shipped order — the
+        point-list merge it replaced — on uint64 and ``object`` keys."""
+        offset, dtype = ((1 << 70), object) if wide else (0, np.uint64)
+        expected, seen = [], set(held)
+        for index, key in enumerate(shipped):
+            if key not in seen:
+                expected.append(index)
+                seen.add(key)
+        got = fresh_rows(
+            np.array([key + offset for key in held], dtype=dtype),
+            np.array([key + offset for key in shipped], dtype=dtype),
+        )
+        assert got.tolist() == expected
 
 
 class TestNaive:

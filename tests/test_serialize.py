@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from repro.protocol import (
     Channel,
     coordinate_bits,
     read_point,
+    read_point_matrix,
     read_points,
     write_point,
     write_points,
@@ -553,6 +555,50 @@ class TestPointSerialization:
         writer = BitWriter()
         write_point(writer, space, (99, 0))
         assert read_point(BitReader(writer.getvalue()), space) == (99, 0)
+
+    @pytest.mark.parametrize("lead", range(8))
+    @pytest.mark.parametrize(
+        "space",
+        [HammingSpace(9), HammingSpace(70), GridSpace(side=100, dim=5), GridSpace(4096, 2)],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("count", [0, 1, 37])
+    def test_point_list_matches_per_point_loop(self, space, lead, count, rng):
+        """The bit-matrix list codec writes the bytes of a ``write_point``
+        loop after any lead offset, and reads them back as the same
+        matrix and tuples."""
+        points = space.sample(rng, count)
+        writer, oracle = BitWriter(), BitWriter()
+        for target in (writer, oracle):
+            target.write_uint((1 << lead) - 1, lead)
+        write_points(writer, space, points)
+        oracle.write_varuint(count)
+        for point in points:
+            write_point(oracle, space, point)
+        assert writer.getvalue() == oracle.getvalue()
+        assert writer.bit_length == oracle.bit_length
+
+        def after_lead() -> BitReader:
+            reader = BitReader(writer.getvalue())
+            reader.read_uint(lead)
+            return reader
+
+        reader = after_lead()
+        assert np.array_equal(read_point_matrix(reader, space), space.point_array(points))
+        assert reader.bits_remaining == (-writer.bit_length) % 8
+        assert read_points(after_lead(), space) == points
+
+    def test_first_bad_row_is_named(self):
+        """A list holding coordinates >= side names the max of the first
+        bad row, as the per-point reader does."""
+        space = GridSpace(side=100, dim=3)
+        writer = BitWriter()
+        writer.write_varuint(3)
+        for row in ((5, 6, 99), (5, 120, 101), (127, 0, 0)):
+            for value in row:
+                writer.write_uint(value, coordinate_bits(space))
+        with pytest.raises(MalformedPayloadError, match=r"coordinate 120 outside \[0, 100\)"):
+            read_point_matrix(BitReader(writer.getvalue()), space)
 
 
 class TestChannel:

@@ -10,6 +10,7 @@ hang the suite.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 import random
 
@@ -17,6 +18,10 @@ import pytest
 
 from repro.errors import DecodeError, MalformedPayloadError
 from repro.hashing import derive_seed
+from repro.iblt.iblt import IBLT, cells_for_differences
+from repro.metric.spaces import point_tuples
+from repro.protocol.serialize import BitWriter, write_points
+from repro.reconcile.exact_iblt import encode_points
 from repro.protocol.wire import (
     HEADER_LEN,
     Frame,
@@ -29,13 +34,15 @@ from repro.server import (
     NetworkConfig,
     ReconcileClient,
     ReconcileServer,
+    ServerSession,
     SessionConfig,
     SimulatedNetwork,
     memory_pipe,
     render_session_reports,
 )
 from repro.server.network import SessionLink
-from repro.server.session import parse_json_payload
+from repro.server.server import MAX_WORKLOAD_COORDINATES
+from repro.server.session import KEY_BLOCK_BYTES, parse_json_payload
 
 SUITE_TIMEOUT = 60.0
 
@@ -311,6 +318,42 @@ class TestRenderedReport:
         )
 
 
+class TestPinnedReports:
+    """The rendered service reports, pinned by SHA-256 across commits.
+
+    The other tests compare a run with itself or with the stateless
+    server; these digests hold the bytes still when the server's
+    internals change.  A change that alters any byte of a report must
+    re-record them and say why.
+    """
+
+    @staticmethod
+    def _digest(reports) -> str:
+        return hashlib.sha256(render_session_reports(reports, seed=7).encode()).hexdigest()
+
+    def test_stateless_faulty_link(self):
+        reports, _ = run_service(_configs(4), network=_faulty_network())
+        assert sum(r.rerequests for r in reports) > 0
+        assert self._digest(reports) == (
+            "3fab3502f7ce61a7257de4e2f0a658a5b9f5945cac574f8adacf572d94b78717"
+        )
+
+    def test_store_backed_cold_then_warm(self):
+        """An undersized bound trips every breaker into the strata
+        fallback, so the store serves sketches and strata alike."""
+        from repro.store import SketchStore, StoreConfig
+
+        store = SketchStore(StoreConfig(seed=7, shards=4, capacity=16))
+        configs = _configs(3, delta=24, delta_bound=4, max_escalations=1)
+        expected = "841f5f2ce810644bb7167026bb0fcbb311c5f285188cdc5d043e9140c6beee85"
+        cold, _ = run_service(configs, store=store)
+        assert all(r.breaker_tripped for r in cold)
+        assert self._digest(cold) == expected
+        warm, _ = run_service(configs, store=store)
+        assert store.stats.hits > 0
+        assert self._digest(warm) == expected
+
+
 # -- raw-frame conversations with a live server ---------------------------
 
 
@@ -495,6 +538,33 @@ class TestServerRobustness:
 
         _raw(conversation)
 
+    @staticmethod
+    def _hello_of(peer, dim, coordinates):
+        """A HELLO whose workload is ``coordinates`` coordinates wide."""
+        delta = 16
+        config = SessionConfig(
+            session_id=1, seed=7, dim=dim, n_shared=coordinates // dim - delta, delta=delta
+        )
+        assert (config.n_shared + config.delta) * config.dim == coordinates
+        return peer.hello(config)
+
+    def test_oversized_workload_refused_before_draw(self):
+        """One coordinate over the cap is refused at HELLO with a typed
+        ERROR and no session; exactly at the cap (32 MB per party's
+        int64 matrix) opens one."""
+
+        async def conversation(peer):
+            await peer.send(self._hello_of(peer, 1, MAX_WORKLOAD_COORDINATES + 1))
+            reply = await peer.recv()
+            assert reply.msg_type is MessageType.ERROR
+            assert parse_json_payload(reply.payload)["code"] == "decode"
+            assert peer.server.sessions_opened == 0
+            await peer.send(self._hello_of(peer, 16, MAX_WORKLOAD_COORDINATES))
+            assert (await peer.recv()).msg_type is MessageType.HELLO_ACK
+            assert peer.server.sessions_opened == 1
+
+        _raw(conversation)
+
     def test_fuzzed_frames_never_crash_live_session(self):
         """Seeded damage to in-session frames: every delivery is answered
         with a typed ERROR (or ignored as duplicate), never a crash."""
@@ -540,8 +610,29 @@ class TestSessionConfig:
         config = SessionConfig(session_id=1, seed=7, dim=32, n_shared=50, delta=8)
         alice, bob = config.workload()
         assert len(alice) == 54 and len(bob) == 54
-        difference = set(alice) ^ set(bob)
+        difference = set(point_tuples(alice)) ^ set(point_tuples(bob))
         assert 0 < len(difference) <= 8
+
+    @pytest.mark.parametrize(
+        "dim, n_shared, delta",
+        [
+            (48, 2048, 16),  # many full blocks and a partial one
+            (48, 1024, 256),
+            (16, KEY_BLOCK_BYTES // 128, 3),  # exactly one full block shared
+            (70, 300, 9),  # object keys past 2^64
+            (1, 5, 3),
+            (48, 0, 0),
+            (48, 0, 5),
+            (48, 7, 0),
+        ],
+    )
+    def test_workload_keys_are_the_encoded_workload(self, dim, n_shared, delta):
+        config = SessionConfig(session_id=3, seed=7, dim=dim, n_shared=n_shared, delta=delta)
+        space = config.space()
+        for points, keys in zip(config.workload(), config.workload_keys()):
+            expected = encode_points(space, points)
+            assert keys.dtype == expected.dtype
+            assert keys.tolist() == expected.tolist()
 
     @pytest.mark.parametrize(
         "mutate",
@@ -570,6 +661,79 @@ class TestSessionConfig:
             config.attempt_coins(3).child_seed("x")
             != config.attempt_coins(2).child_seed("x")
         )
+
+
+def _merge_reference(bob, expected_union, shipped):
+    """The list-and-set merge ``ServerSession.merge_push`` replaced."""
+    final = list(bob)
+    existing = set(final)
+    for point in shipped:
+        if point not in existing:
+            final.append(point)
+            existing.add(point)
+    return existing == expected_union, final
+
+
+class TestMergePush:
+    """``merge_push`` on keys keeps the list semantics of the points it
+    replaced: first occurrences not already held, in shipped order."""
+
+    @staticmethod
+    def _case(config, shipped):
+        alice, bob = (point_tuples(side) for side in config.workload())
+        session = ServerSession(config)
+        writer = BitWriter()
+        write_points(writer, session.space, shipped)
+        union_ok, bob_size = session.merge_push(writer.getvalue())
+        expected_ok, final = _merge_reference(bob, set(alice) | set(bob), shipped)
+        assert (union_ok, bob_size) == (expected_ok, len(final))
+        # The merged keys are the reference list's, in its order.
+        assert session._bob_keys.tolist() == encode_points(session.space, final).tolist()
+        # A later sketch is built from the merged set.
+        cells = cells_for_differences(4, q=config.q)
+        table = IBLT(
+            config.attempt_coins(2), "exact-reconcile", cells=cells, q=config.q,
+            key_bits=config.key_bits,
+        )
+        table.insert_batch(encode_points(session.space, final))
+        assert session.build_sketch(2, 4) == table.to_payload()
+        return union_ok, bob_size, len(bob)
+
+    @staticmethod
+    def _alice_only(config):
+        alice, bob = (point_tuples(side) for side in config.workload())
+        held = set(bob)
+        return [point for point in alice if point not in held], bob
+
+    def test_shipped_duplicates(self):
+        config = SessionConfig(session_id=1, seed=7, dim=32, n_shared=40, delta=12)
+        alice_only, _ = self._alice_only(config)
+        shipped = alice_only + alice_only[::-1] + alice_only[:2]
+        union_ok, bob_size, bob_count = self._case(config, shipped)
+        assert union_ok and bob_size == bob_count + len(alice_only)
+
+    def test_shipped_points_bob_holds(self):
+        config = SessionConfig(session_id=2, seed=7, dim=32, n_shared=40, delta=12)
+        alice_only, bob = self._alice_only(config)
+        shipped = bob[:5] + alice_only[:3] + bob[-2:] + alice_only[3:]
+        union_ok, bob_size, bob_count = self._case(config, shipped)
+        assert union_ok and bob_size == bob_count + len(alice_only)
+
+    def test_push_missing_a_point(self):
+        config = SessionConfig(session_id=3, seed=7, dim=32, n_shared=40, delta=12)
+        alice_only, _ = self._alice_only(config)
+        union_ok, bob_size, bob_count = self._case(config, alice_only[1:])
+        assert not union_ok and bob_size == bob_count + len(alice_only) - 1
+
+    def test_bob_multiset_counts_like_the_list(self):
+        """A 3-bit space forces sampling collisions into Bob's own set:
+        his size counts them, as the point list did, and the union test
+        compares sets."""
+        config = SessionConfig(session_id=4, seed=7, dim=3, n_shared=20, delta=4)
+        alice_only, bob = self._alice_only(config)
+        assert len(set(bob)) < len(bob)
+        union_ok, bob_size, bob_count = self._case(config, alice_only + bob[:3])
+        assert union_ok and bob_size == bob_count + len(set(alice_only))
 
 
 class TestNetworkModel:
