@@ -1,7 +1,7 @@
 """Experiment-running helpers: statistics and table rendering."""
 
 from .stats import Summary, run_trials, success_rate, summarize, wilson_interval
-from .tables import format_cell, format_table, print_table
+from .tables import format_cell, format_table
 
 __all__ = [
     "Summary",
@@ -11,5 +11,4 @@ __all__ = [
     "wilson_interval",
     "format_cell",
     "format_table",
-    "print_table",
 ]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-__all__ = ["format_table", "format_cell", "print_table"]
+__all__ = ["format_table", "format_cell"]
 
 
 def format_cell(value: object) -> str:
@@ -45,12 +45,3 @@ def format_table(
     for row in rendered:
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def print_table(
-    headers: Sequence[str], rows: Sequence[Sequence[object]], title: str | None = None
-) -> None:
-    """Print :func:`format_table` output, framed by blank lines."""
-    print()
-    print(format_table(headers, rows, title=title))
-    print()

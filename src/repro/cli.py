@@ -8,7 +8,8 @@ Commands
 --------
 ``emd``        Algorithm 1 on Hamming or grid data.
 ``gap``        The Gap Guarantee protocol (general or low-dimensional).
-``exact``      Exact baselines: IBLT, auto-sized IBLT, char. polynomial.
+``exact``      Exact baselines: IBLT, auto-sized IBLT, characteristic
+               polynomial (CPI).
 ``scenarios``  The seeded scenario matrix (every protocol family) as
                deterministic JSON — what CI's smoke job runs.
 ``sweep``      A parameter-sweep campaign: many seeded trials per grid
@@ -24,6 +25,11 @@ Commands
                ``repro.events/v1`` event log; ``replay`` a log through
                per-party sketch stores over a gossip topology and emit
                a canonical ``repro.stream/v1`` report.
+
+``emd``, ``gap`` and ``exact`` each run one ad-hoc scenario through the
+scenario drivers (``emd``; ``gap``, or ``gap-lowdim`` with ``--lowdim``;
+``exact-iblt``/``exact-auto``/``exact-cpi`` by ``--method``) and print
+its metrics.
 
 Examples
 --------
@@ -52,138 +58,64 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from .analysis import format_table
-from .core import (
-    EMDProtocol,
-    GapProtocol,
-    low_dimensional_gap_protocol,
-    verify_gap_guarantee,
-)
 from .experiments import (
     ScenarioRunner,
+    ScenarioSpec,
     SweepRunner,
     builtin_campaigns,
     builtin_scenarios,
     render_report,
     render_sweep_report,
 )
+from .experiments.scenarios import _space
 from .experiments.sweeps import with_trials
 from .hashing import PublicCoins
 from .iblt.backend import BACKENDS
-from .lsh import BitSamplingMLSH, GridMLSH
-from .metric import GridSpace, HammingSpace, MetricSpace, emd, emd_k
-from .reconcile import cpi_reconcile, exact_iblt_reconcile, exact_iblt_reconcile_auto
-from .workloads import noisy_replica_pair, split_difference_pair
 
 __all__ = ["main", "build_parser"]
 
 
-def _make_space(args: argparse.Namespace) -> MetricSpace:
-    if args.space == "hamming":
-        return HammingSpace(args.dim)
-    if args.space == "l1":
-        return GridSpace(side=args.side, dim=args.dim, p=1.0)
-    if args.space == "l2":
-        return GridSpace(side=args.side, dim=args.dim, p=2.0)
-    raise ValueError(f"unknown space {args.space!r}")
+#: ``exact --method`` -> the scenario driver that runs it.
+_EXACT_PROTOCOLS = {"iblt": "exact-iblt", "auto": "exact-auto", "cpi": "exact-cpi"}
+
+_TITLES = {
+    "emd": "EMD protocol (Alg. 1)",
+    "gap": "Gap Guarantee protocol",
+    "exact": "Exact reconciliation",
+}
 
 
-def _make_workload(space: MetricSpace, args: argparse.Namespace):
-    rng = np.random.default_rng(args.seed)
-    return noisy_replica_pair(
-        space,
-        n=args.n,
-        k=args.k,
-        close_radius=args.close_radius,
-        far_radius=args.far_radius,
-        rng=rng,
-    )
-
-
-def _cmd_emd(args: argparse.Namespace) -> int:
-    space = _make_space(args)
-    workload = _make_workload(space, args)
-    protocol = EMDProtocol.for_instance(space, n=args.n, k=args.k)
-    result = protocol.run(workload.alice, workload.bob, PublicCoins(args.seed))
-    rows = [
-        ("success", result.success),
-        ("rounds", result.rounds),
-        ("bits", result.total_bits),
-        ("decoded level", result.decoded_level),
-        ("EMD before", emd(space, workload.alice, workload.bob)),
-        ("EMD_k reference", emd_k(space, workload.alice, workload.bob, args.k)),
-    ]
-    if result.success:
-        rows.append(("EMD after", emd(space, workload.alice, result.bob_final)))
-    print(format_table(["metric", "value"], rows, title="EMD protocol (Alg. 1)"))
-    return 0 if result.success else 1
-
-
-def _cmd_gap(args: argparse.Namespace) -> int:
-    space = _make_space(args)
-    if args.lowdim:
-        if not isinstance(space, GridSpace):
-            print("--lowdim requires a grid space", file=sys.stderr)
-            return 2
-        protocol = low_dimensional_gap_protocol(
-            space, n=args.n, k=args.k, r1=args.r1, r2=args.r2
-        )
+def _cmd_protocol(args: argparse.Namespace) -> int:
+    """``emd``/``gap``/``exact``: run one ad-hoc scenario, print its metrics."""
+    if args.command == "exact":
+        protocol = _EXACT_PROTOCOLS[args.method]
+        params = {"dim": args.dim, "n": args.n, "delta": args.delta}
     else:
-        if isinstance(space, HammingSpace):
-            family = BitSamplingMLSH(space, w=float(space.dim))
-        elif isinstance(space, GridSpace) and space.p == 1.0:
-            family = GridMLSH(space, w=args.r2)
-        else:
-            print("general gap CLI supports hamming or l1 spaces", file=sys.stderr)
-            return 2
-        params = family.derived_lsh_params(r1=args.r1, r2=args.r2)
-        protocol = GapProtocol(space, family, params, n=args.n, k=args.k)
-    workload = _make_workload(space, args)
-    result = protocol.run(workload.alice, workload.bob, PublicCoins(args.seed))
-    rows = [
-        ("success", result.success),
-        ("rounds", result.rounds),
-        ("bits", result.total_bits),
-        ("points transmitted", len(result.transmitted)),
-        ("planted far points", args.k),
-    ]
-    if result.success:
-        rows.append(
-            (
-                "gap guarantee holds",
-                verify_gap_guarantee(space, workload.alice, result.bob_final, args.r2),
-            )
-        )
-    print(format_table(["metric", "value"], rows, title="Gap Guarantee protocol"))
-    return 0 if result.success else 1
-
-
-def _cmd_exact(args: argparse.Namespace) -> int:
-    space = HammingSpace(args.dim)
-    rng = np.random.default_rng(args.seed)
-    alice, bob = split_difference_pair(space, rng, args.n, args.delta)
-    coins = PublicCoins(args.seed)
-    if args.method == "iblt":
-        result = exact_iblt_reconcile(space, alice, bob, args.delta * 2, coins)
-    elif args.method == "auto":
-        result = exact_iblt_reconcile_auto(space, alice, bob, coins)
-    elif args.method == "cpi":
-        result = cpi_reconcile(space, alice, bob, args.delta * 2, coins)
-    else:
-        print(f"unknown method {args.method!r}", file=sys.stderr)
-        return 2
-    rows = [
-        ("method", args.method),
-        ("success", result.success),
-        ("rounds", result.rounds),
-        ("bits", result.total_bits),
-        ("alice-only found", len(result.alice_only)),
-        ("bob-only found", len(result.bob_only)),
-        ("union reached", set(result.bob_final) == set(alice) | set(bob)),
-    ]
-    print(format_table(["metric", "value"], rows, title="Exact reconciliation"))
+        protocol = args.command
+        params = {
+            "space": args.space,
+            "dim": args.dim,
+            "side": args.side,
+            "n": args.n,
+            "k": args.k,
+            "close_radius": args.close_radius,
+            "far_radius": args.far_radius,
+        }
+        if args.command == "gap":
+            params.update(r1=args.r1, r2=args.r2)
+            if args.lowdim:
+                if args.space == "hamming":
+                    print("--lowdim requires a grid space", file=sys.stderr)
+                    return 2
+                protocol = "gap-lowdim"
+            elif args.space == "l2":
+                print("general gap CLI supports hamming or l1 spaces", file=sys.stderr)
+                return 2
+    spec = ScenarioSpec(args.command, protocol, args.seed, params)
+    result = ScenarioRunner().run(spec)
+    title = f"{_TITLES[args.command]} [{protocol}]"
+    print(format_table(["metric", "value"], list(result.metrics.items()), title=title))
     return 0 if result.success else 1
 
 
@@ -495,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     emd_parser = sub.add_parser("emd", help="run Algorithm 1")
     common(emd_parser)
-    emd_parser.set_defaults(handler=_cmd_emd)
+    emd_parser.set_defaults(handler=_cmd_protocol)
 
     gap_parser = sub.add_parser("gap", help="run the Gap Guarantee protocol")
     common(gap_parser)
@@ -503,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     gap_parser.add_argument("--r2", type=float, default=32.0)
     gap_parser.add_argument("--lowdim", action="store_true",
                             help="use the one-sided Theorem 4.5 variant")
-    gap_parser.set_defaults(handler=_cmd_gap)
+    gap_parser.set_defaults(handler=_cmd_protocol)
 
     exact_parser = sub.add_parser("exact", help="run exact baselines")
     exact_parser.add_argument("--method", choices=("iblt", "auto", "cpi"),
@@ -512,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     exact_parser.add_argument("--n", type=int, default=100)
     exact_parser.add_argument("--delta", type=int, default=8)
     exact_parser.add_argument("--seed", type=int, default=0)
-    exact_parser.set_defaults(handler=_cmd_exact)
+    exact_parser.set_defaults(handler=_cmd_protocol)
 
     scen_parser = sub.add_parser(
         "scenarios", help="run the seeded scenario matrix, emit canonical JSON"
@@ -659,12 +591,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "far_radius", None) is None and hasattr(args, "far_radius"):
-        # Default far radius: a third of the diameter-ish scale, beyond r2.
+        # Default far radius: beyond r2 for gap; otherwise a quarter of
+        # the space's diameter (at least 8).
         if args.command == "gap":
             args.far_radius = args.r2 * 1.25
         else:
-            space = _make_space(args)
-            args.far_radius = max(8.0, space.diameter / 4)
+            args.far_radius = max(8.0, _space(vars(args)).diameter / 4)
     return args.handler(args)
 
 

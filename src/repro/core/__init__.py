@@ -20,15 +20,6 @@ from .multiparty import (
 )
 from .params import EMDParameters, default_distance_bounds, derive_emd_parameters
 from .repair import repair_point_set
-from .two_way import (
-    TwoWayEMDResult,
-    TwoWayGapResult,
-    retries_for_confidence,
-    run_emd_with_retries,
-    run_gap_with_retries,
-    two_way_emd,
-    two_way_gap,
-)
 
 __all__ = [
     "EMDProtocol",
@@ -54,11 +45,4 @@ __all__ = [
     "default_distance_bounds",
     "derive_emd_parameters",
     "repair_point_set",
-    "TwoWayEMDResult",
-    "TwoWayGapResult",
-    "retries_for_confidence",
-    "run_emd_with_retries",
-    "run_gap_with_retries",
-    "two_way_emd",
-    "two_way_gap",
 ]

@@ -13,7 +13,7 @@ On top of single runs, :mod:`repro.experiments.sweeps` expands parameter
 *grids* into many independently seeded trials per grid point, executes
 them serially or on a process pool (bit-identically either way), and
 aggregates success-rate and cost curves into ``repro.sweeps/v1`` reports
-— ``python -m repro.cli sweep`` ships six paper-style campaigns.
+— ``python -m repro.cli sweep`` ships eight paper-style campaigns.
 """
 
 from .runner import ScenarioRunner, render_report

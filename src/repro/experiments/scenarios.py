@@ -6,9 +6,12 @@ dict of JSON-safe metrics (bits exchanged, rounds, decode success, and
 protocol-specific outcomes).  Every protocol family in the repo has a
 driver here — the Gap Guarantee protocol (general and low-dimensional),
 Algorithm 1 (EMD), sets-of-sets reconciliation, the strata estimator,
-exact IBLT reconciliation (fixed-bound and strata-sized), and the
-multi-party star — so CI and experiments exercise them all through one
-API instead of one ad-hoc script each.
+exact reconciliation (fixed-bound IBLT, strata-sized IBLT and the
+characteristic-polynomial baseline), raw IBLT peeling, the multi-party
+lift, the self-healing controller, the reconciliation service, the
+sketch store and the churn-stream replayer — so CI, experiments and the
+CLI's protocol demos exercise them all through one API instead of one
+ad-hoc script each.
 
 Determinism contract: for a fixed spec (including its seed) a driver
 must return identical metrics on every run and on every backend — the
@@ -37,11 +40,15 @@ from ..core import (
 from ..core.multiparty import Topology, multi_party_gap, verify_multi_party_guarantee
 from ..hashing import PublicCoins, derive_seed
 from ..iblt import IBLT
-from ..lsh import BitSamplingMLSH
+from ..lsh import BitSamplingMLSH, GridMLSH
 from ..metric import GridSpace, HammingSpace, MetricSpace, emd
 from ..protocol import Channel, FaultSpec, FaultyChannel
-from ..reconcile import exact_iblt_reconcile, outcome_metrics
-from ..reconcile.exact_iblt import exact_iblt_reconcile_auto
+from ..reconcile import (
+    cpi_reconcile,
+    exact_iblt_reconcile,
+    exact_iblt_reconcile_auto,
+    outcome_metrics,
+)
 from ..reconcile.resilient import Recovery, ResilienceConfig, resilient_reconcile
 from ..reconcile.strata import StrataEstimator
 from ..setsofsets import SetsOfSetsReconciler
@@ -106,8 +113,9 @@ class ScenarioResult:
         return entry
 
 
-def _space(params: Mapping[str, Any]) -> MetricSpace:
-    kind = params.get("space", "hamming")
+def _space(params: Mapping[str, Any], default: str = "hamming") -> MetricSpace:
+    """The metric space a scenario's params name (``space``: hamming, l1, l2)."""
+    kind = params.get("space", default)
     if kind == "hamming":
         return HammingSpace(params["dim"])
     if kind in ("l1", "l2"):
@@ -118,6 +126,7 @@ def _space(params: Mapping[str, Any]) -> MetricSpace:
 
 
 def _round6(value: float) -> float:
+    """A float rounded for the canonical reports (byte-stable JSON)."""
     return round(float(value), 6)
 
 
@@ -125,42 +134,27 @@ def _round6(value: float) -> float:
 
 
 def _drive_gap(spec: ScenarioSpec, rng: np.random.Generator, coins: PublicCoins) -> dict:
-    """The general Gap Guarantee protocol (Theorem 4.2) on Hamming data."""
-    p = spec.params
-    space = HammingSpace(p["dim"])
-    family = BitSamplingMLSH(space, w=float(p["dim"]))
-    lsh_params = family.derived_lsh_params(r1=p["r1"], r2=p["r2"])
-    protocol = GapProtocol(space, family, lsh_params, n=p["n"], k=p["k"])
-    workload = noisy_replica_pair(
-        space,
-        n=p["n"],
-        k=p["k"],
-        close_radius=p["close_radius"],
-        far_radius=p["far_radius"],
-        rng=rng,
-    )
-    result = protocol.run(workload.alice, workload.bob, coins)
-    holds = result.success and verify_gap_guarantee(
-        space, workload.alice, result.bob_final, p["r2"]
-    )
-    return {
-        "success": bool(result.success),
-        "rounds": result.rounds,
-        "bits": result.total_bits,
-        "transmitted_points": len(result.transmitted),
-        "gap_guarantee_holds": bool(holds),
-    }
+    """The Gap Guarantee protocol, in either construction.
 
-
-def _drive_gap_lowdim(
-    spec: ScenarioSpec, rng: np.random.Generator, coins: PublicCoins
-) -> dict:
-    """Theorem 4.5's one-sided low-dimensional variant on an L1 grid."""
+    ``gap`` is the general protocol (Theorem 4.2) on Hamming data (bit
+    sampling) or an L1 grid (grid MLSH of width ``r2``); ``gap-lowdim``
+    is Theorem 4.5's one-sided low-dimensional variant on a grid (L1
+    unless ``space`` says otherwise).  Only the protocol differs.
+    """
     p = spec.params
-    space = GridSpace(side=p["side"], dim=p["dim"], p=1.0)
-    protocol = low_dimensional_gap_protocol(
-        space, n=p["n"], k=p["k"], r1=p["r1"], r2=p["r2"]
-    )
+    if spec.protocol == "gap-lowdim":
+        space = _space(p, default="l1")
+        protocol = low_dimensional_gap_protocol(space, n=p["n"], k=p["k"], r1=p["r1"], r2=p["r2"])
+    else:
+        space = _space(p)
+        if isinstance(space, HammingSpace):
+            family = BitSamplingMLSH(space, w=float(space.dim))
+        elif space.p == 1.0:
+            family = GridMLSH(space, w=p["r2"])
+        else:
+            raise ValueError("the general gap protocol needs a hamming or l1 space")
+        lsh_params = family.derived_lsh_params(r1=p["r1"], r2=p["r2"])
+        protocol = GapProtocol(space, family, lsh_params, n=p["n"], k=p["k"])
     workload = noisy_replica_pair(
         space,
         n=p["n"],
@@ -316,28 +310,25 @@ def _drive_strata(
     }
 
 
-def _drive_exact_iblt(
-    spec: ScenarioSpec, rng: np.random.Generator, coins: PublicCoins
-) -> dict:
-    """Exact IBLT reconciliation with a fixed difference bound."""
+def _drive_exact(spec: ScenarioSpec, rng: np.random.Generator, coins: PublicCoins) -> dict:
+    """Exact reconciliation of a Hamming workload, one method per protocol.
+
+    ``exact-iblt`` sizes an IBLT from a fixed bound of ``4·delta``: tiny
+    tables draw occasional 2-cores and, unlike ``exact-auto``, it has no
+    estimate/retry loop to absorb an unlucky seed.  ``exact-auto`` has
+    *no* prior bound and sizes its IBLT from a strata estimate.
+    ``exact-cpi`` is the characteristic-polynomial baseline at a bound of
+    ``2·delta``, the true symmetric difference.
+    """
     p = spec.params
     space = HammingSpace(p["dim"])
     alice, bob = split_difference_pair(space, rng, p["n"], p["delta"])
-    # 4x headroom on the bound: tiny tables draw occasional 2-cores and,
-    # unlike exact-auto, this driver has no estimate/retry loop to absorb
-    # an unlucky seed.
-    result = exact_iblt_reconcile(space, alice, bob, 4 * p["delta"], coins)
-    return outcome_metrics(result, alice, bob)
-
-
-def _drive_exact_auto(
-    spec: ScenarioSpec, rng: np.random.Generator, coins: PublicCoins
-) -> dict:
-    """Exact reconciliation with *no* prior bound (strata-sized IBLT)."""
-    p = spec.params
-    space = HammingSpace(p["dim"])
-    alice, bob = split_difference_pair(space, rng, p["n"], p["delta"])
-    result = exact_iblt_reconcile_auto(space, alice, bob, coins)
+    if spec.protocol == "exact-auto":
+        result = exact_iblt_reconcile_auto(space, alice, bob, coins)
+    elif spec.protocol == "exact-cpi":
+        result = cpi_reconcile(space, alice, bob, 2 * p["delta"], coins)
+    else:
+        result = exact_iblt_reconcile(space, alice, bob, 4 * p["delta"], coins)
     return outcome_metrics(result, alice, bob)
 
 
@@ -846,12 +837,13 @@ def _drive_stream_churn(
 
 DRIVERS: dict[str, Callable[[ScenarioSpec, np.random.Generator, PublicCoins], dict]] = {
     "gap": _drive_gap,
-    "gap-lowdim": _drive_gap_lowdim,
+    "gap-lowdim": _drive_gap,
     "emd": _drive_emd,
     "setsofsets": _drive_setsofsets,
     "strata": _drive_strata,
-    "exact-iblt": _drive_exact_iblt,
-    "exact-auto": _drive_exact_auto,
+    "exact-iblt": _drive_exact,
+    "exact-auto": _drive_exact,
+    "exact-cpi": _drive_exact,
     "iblt-load": _drive_iblt_load,
     "multiparty": _drive_multiparty,
     "resilient-recon": _drive_resilient,
@@ -921,6 +913,12 @@ def builtin_scenarios(seed: int = 0) -> list[ScenarioSpec]:
         ScenarioSpec(
             "exact-auto-hamming",
             "exact-auto",
+            seed,
+            {"dim": 40, "n": 80, "delta": 8},
+        ),
+        ScenarioSpec(
+            "exact-cpi-hamming",
+            "exact-cpi",
             seed,
             {"dim": 40, "n": 80, "delta": 8},
         ),

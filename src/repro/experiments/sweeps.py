@@ -40,10 +40,10 @@ Layers
     times never enter the document.
 
 :func:`builtin_campaigns`
-    Seven paper-style curves: ``iblt-threshold``, ``gap-ratio``,
+    Eight paper-style curves: ``iblt-threshold``, ``gap-ratio``,
     ``emd-levels``, ``emd-branching``, ``fault-rate``,
-    ``multiparty-parties`` and ``store-churn``, exposed as
-    ``python -m repro.cli sweep``.
+    ``multiparty-parties``, ``store-churn`` and ``churn-topology``,
+    exposed as ``python -m repro.cli sweep``.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from ..analysis.stats import success_rate, summarize
 from ..hashing import derive_seed
 from ..iblt.backend import resolve_backend
 from .runner import ScenarioRunner
-from .scenarios import DRIVERS, ScenarioResult, ScenarioSpec
+from .scenarios import DRIVERS, ScenarioResult, ScenarioSpec, _round6
 
 __all__ = [
     "SweepSpec",
@@ -303,10 +303,6 @@ class SweepRunner:
             )
             for point, group in zip(points, grouped)
         ]
-
-
-def _round6(value: float) -> float:
-    return round(float(value), 6)
 
 
 def _aggregate_metrics(results: Sequence[ScenarioResult]) -> dict:

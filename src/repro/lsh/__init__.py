@@ -2,7 +2,6 @@
 
 from .base import LSHBatch, LSHFamily, LSHParams, MLSHFamily, batches_for_p2_half
 from .bit_sampling import BitSamplingBatch, BitSamplingMLSH
-from .distance_bloom import DistanceSensitiveBloomFilter, DSBFParameters
 from .grid import GridBatch, GridMLSH, fold_cells
 from .keys import BatchKeyBuilder, PrefixKeyBuilder, key_bits_for
 from .onesided import OneSidedGridLSH
@@ -15,8 +14,6 @@ __all__ = [
     "MLSHFamily",
     "batches_for_p2_half",
     "BitSamplingBatch",
-    "DistanceSensitiveBloomFilter",
-    "DSBFParameters",
     "BitSamplingMLSH",
     "GridBatch",
     "GridMLSH",

@@ -58,6 +58,11 @@ MAX_BOUND = 1 << 20
 #: the workload is allocated.
 MAX_WORKLOAD_COORDINATES = 1 << 22
 
+#: Ceiling on a HELLO's ``dim``.  The coordinate cap alone does not
+#: bound key width: one point of a huge ``dim`` passes it, and encoding
+#: a point into its ``dim``-bit key costs time quadratic in ``dim``.
+MAX_DIM = 1 << 10
+
 
 class ServerSession:
     """Bob's state for one session on one connection.
@@ -260,6 +265,10 @@ class ReconcileServer:
                             raise MalformedPayloadError(
                                 f"HELLO session_id {config.session_id} does not "
                                 f"match frame header session {sid}"
+                            )
+                        if config.dim > MAX_DIM:
+                            raise MalformedPayloadError(
+                                f"HELLO dim {config.dim} exceeds {MAX_DIM}"
                             )
                         coordinates = (config.n_shared + config.delta) * config.dim
                         if coordinates > MAX_WORKLOAD_COORDINATES:

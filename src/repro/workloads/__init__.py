@@ -3,7 +3,6 @@
 from .churn import ChurnGenerator, ChurnWorkload
 from .generators import (
     ReconciliationWorkload,
-    clustered_points,
     noisy_replica_pair,
     perturb_point,
     random_far_point,
@@ -15,7 +14,6 @@ __all__ = [
     "ChurnGenerator",
     "ChurnWorkload",
     "ReconciliationWorkload",
-    "clustered_points",
     "noisy_replica_pair",
     "perturb_point",
     "random_far_point",

@@ -9,8 +9,6 @@ exactly that structure for every supported space:
   it with per-point noise of magnitude at most ``close_radius`` and
   replaces ``k`` points with *far* outliers at distance at least
   ``far_radius`` from everything.
-* :func:`clustered_points` — Gaussian-ish clusters on a grid, for less
-  uniform EMD instances.
 * :func:`perturb_point` — the per-space noise model itself.
 * :func:`split_difference_arrays` — the exact-reconciliation workload:
   shared points plus a bounded symmetric difference, as two ``(n, d)``
@@ -30,7 +28,6 @@ __all__ = [
     "ReconciliationWorkload",
     "perturb_point",
     "noisy_replica_pair",
-    "clustered_points",
     "random_far_point",
     "split_difference_arrays",
     "split_difference_pair",
@@ -203,19 +200,3 @@ def noisy_replica_pair(
         close_radius=close_radius,
         far_radius=far_radius,
     )
-
-
-def clustered_points(
-    space: GridSpace,
-    n: int,
-    clusters: int,
-    spread: float,
-    rng: np.random.Generator,
-) -> list[Point]:
-    """``n`` points around ``clusters`` random centres (grid spaces)."""
-    if clusters < 1:
-        raise ValueError(f"clusters must be >= 1, got {clusters}")
-    centres = rng.integers(0, space.side, size=(clusters, space.dim))
-    assignments = rng.integers(0, clusters, size=n)
-    noise = rng.normal(0.0, spread, size=(n, space.dim))
-    return point_tuples(space.clamp(centres[assignments] + noise))

@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+from repro.analysis import format_cell
 from repro.cli import build_parser, main
+from repro.experiments import ScenarioRunner, ScenarioSpec
 
 
 class TestParser:
@@ -38,7 +40,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "EMD protocol" in out
-        assert "EMD after" in out
+        assert "emd_after" in out
 
     def test_gap_lowdim_runs(self, capsys):
         code = main([
@@ -48,7 +50,7 @@ class TestCommands:
         ])
         out = capsys.readouterr().out
         assert code == 0
-        assert "gap guarantee holds | yes" in out
+        assert "gap_guarantee_holds | yes" in out
 
     def test_gap_hamming_runs(self, capsys):
         code = main([
@@ -63,11 +65,85 @@ class TestCommands:
         code = main(["exact", "--method", method, "--n", "60", "--delta", "6"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "union reached    | yes" in out
+        assert "union_reached | yes" in out
+
+    def test_gap_l1_general_runs(self, capsys):
+        """The general protocol on an L1 grid (grid MLSH, not Theorem 4.5)."""
+        code = main([
+            "gap", "--space", "l1", "--side", "4096", "--dim", "2",
+            "--n", "24", "--k", "2", "--r1", "4", "--r2", "512",
+            "--close-radius", "4", "--far-radius", "700",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "[gap]" in out
+        assert "gap_guarantee_holds | yes" in out
 
     def test_lowdim_requires_grid(self, capsys):
         code = main(["gap", "--space", "hamming", "--lowdim", "--n", "8", "--k", "1"])
         assert code == 2
+
+    def test_general_gap_rejects_l2(self, capsys):
+        code = main(["gap", "--space", "l2", "--n", "8", "--k", "1"])
+        assert code == 2
+        assert "hamming or l1" in capsys.readouterr().err
+
+
+def _printed_rows(out):
+    """``(label, value)`` rows of a printed two-column metric table."""
+    lines = out.strip().splitlines()
+    assert lines[1].split() == ["metric", "|", "value"]
+    return [tuple(cell.strip() for cell in line.split(" | ")) for line in lines[3:]]
+
+
+#: CLI argv -> the scenario spec the command must run.
+PARITY = [
+    (
+        ["emd", "--dim", "48", "--n", "16", "--k", "1", "--close-radius", "1",
+         "--seed", "3"],
+        ScenarioSpec("emd", "emd", 3, {
+            "space": "hamming", "dim": 48, "side": 4096, "n": 16, "k": 1,
+            "close_radius": 1.0, "far_radius": 12.0,
+        }),
+    ),
+    (
+        ["gap", "--dim", "96", "--n", "16", "--k", "1", "--r1", "2", "--r2", "32",
+         "--seed", "5"],
+        ScenarioSpec("gap", "gap", 5, {
+            "space": "hamming", "dim": 96, "side": 4096, "n": 16, "k": 1,
+            "close_radius": 2.0, "far_radius": 40.0, "r1": 2.0, "r2": 32.0,
+        }),
+    ),
+    (
+        ["gap", "--space", "l1", "--dim", "2", "--n", "24", "--k", "2", "--r1", "4",
+         "--r2", "512", "--close-radius", "4", "--far-radius", "700", "--lowdim"],
+        ScenarioSpec("gap", "gap-lowdim", 0, {
+            "space": "l1", "dim": 2, "side": 4096, "n": 24, "k": 2,
+            "close_radius": 4.0, "far_radius": 700.0, "r1": 4.0, "r2": 512.0,
+        }),
+    ),
+] + [
+    (
+        ["exact", "--method", method, "--n", "60", "--delta", "6", "--seed", "2"],
+        ScenarioSpec("exact", protocol, 2, {"dim": 40, "n": 60, "delta": 6}),
+    )
+    for method, protocol in (
+        ("iblt", "exact-iblt"), ("auto", "exact-auto"), ("cpi", "exact-cpi")
+    )
+]
+
+
+class TestScenarioParity:
+    """``emd``/``gap``/``exact`` print exactly the metrics of the scenario
+    driver run on the equivalent spec: one implementation per protocol."""
+
+    @pytest.mark.parametrize("argv,spec", PARITY, ids=[spec.protocol for _, spec in PARITY])
+    def test_printed_rows_equal_driver_metrics(self, capsys, argv, spec):
+        code = main(argv)
+        rows = _printed_rows(capsys.readouterr().out)
+        metrics = ScenarioRunner().run(spec).metrics
+        assert rows == [(key, format_cell(value)) for key, value in metrics.items()]
+        assert code == (0 if metrics["success"] else 1)
 
 
 class TestScenariosCommand:

@@ -23,6 +23,7 @@ CROSS_BACKEND = (
     "setsofsets-patch",
     "strata-estimate",
     "exact-iblt-hamming",
+    "exact-cpi-hamming",
     "iblt-load-peel",
 )
 

@@ -41,7 +41,7 @@ from repro.server import (
     render_session_reports,
 )
 from repro.server.network import SessionLink
-from repro.server.server import MAX_WORKLOAD_COORDINATES
+from repro.server.server import MAX_DIM, MAX_WORKLOAD_COORDINATES
 from repro.server.session import KEY_BLOCK_BYTES, parse_json_payload
 
 SUITE_TIMEOUT = 60.0
@@ -560,6 +560,27 @@ class TestServerRobustness:
             assert parse_json_payload(reply.payload)["code"] == "decode"
             assert peer.server.sessions_opened == 0
             await peer.send(self._hello_of(peer, 16, MAX_WORKLOAD_COORDINATES))
+            assert (await peer.recv()).msg_type is MessageType.HELLO_ACK
+            assert peer.server.sessions_opened == 1
+
+        _raw(conversation)
+
+    def test_wide_dim_refused_before_session(self):
+        """A single point one coordinate wider than ``MAX_DIM`` passes the
+        coordinate cap but is refused at HELLO with a typed ERROR and no
+        session; one point exactly ``MAX_DIM`` wide opens one."""
+
+        async def conversation(peer):
+            wide = SessionConfig(session_id=1, seed=7, dim=MAX_DIM + 1, n_shared=1, delta=0)
+            assert wide.dim <= MAX_WORKLOAD_COORDINATES
+            await peer.send(peer.hello(wide))
+            reply = await peer.recv()
+            assert reply.msg_type is MessageType.ERROR
+            assert parse_json_payload(reply.payload)["code"] == "decode"
+            assert peer.server.sessions_opened == 0
+            await peer.send(
+                peer.hello(SessionConfig(session_id=1, seed=7, dim=MAX_DIM, n_shared=1, delta=0))
+            )
             assert (await peer.recv()).msg_type is MessageType.HELLO_ACK
             assert peer.server.sessions_opened == 1
 

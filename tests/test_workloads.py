@@ -7,7 +7,6 @@ import pytest
 
 from repro.metric import GridSpace, HammingSpace
 from repro.workloads import (
-    clustered_points,
     noisy_replica_pair,
     perturb_point,
     random_far_point,
@@ -125,15 +124,3 @@ class TestNoisyReplicaPair:
             noisy_replica_pair(space, n=5, k=6, close_radius=1, far_radius=10, rng=rng)
         with pytest.raises(ValueError):
             noisy_replica_pair(space, n=5, k=1, close_radius=10, far_radius=5, rng=rng)
-
-
-class TestClusteredPoints:
-    def test_count_and_containment(self, rng):
-        space = GridSpace(side=256, dim=3, p=2.0)
-        points = clustered_points(space, n=50, clusters=4, spread=5.0, rng=rng)
-        assert len(points) == 50
-        assert all(space.contains(point) for point in points)
-
-    def test_rejects_zero_clusters(self, rng):
-        with pytest.raises(ValueError):
-            clustered_points(GridSpace(64, 2, 2.0), n=10, clusters=0, spread=1.0, rng=rng)
