@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+import math
+from types import SimpleNamespace
 
 import pytest
 
+from repro import cli
 from repro.analysis import format_cell
 from repro.cli import build_parser, main
 from repro.experiments import ScenarioRunner, ScenarioSpec
@@ -31,6 +35,109 @@ class TestParser:
     def test_exact_method_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["exact", "--method", "bogus"])
+
+
+def _subparsers(parser):
+    """The ``{name: subparser}`` choices of a parser's subcommand action."""
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _options(parser):
+    return {flag for action in parser._actions for flag in action.option_strings}
+
+
+_COMMON = {"--space", "--dim", "--side", "--n", "--k", "--close-radius", "--far-radius",
+           "--seed"}
+
+#: Every subcommand's flags (``-h``/``--help`` aside): the CLI's option surface.
+OPTION_SURFACE = {
+    ("emd",): _COMMON,
+    ("gap",): _COMMON | {"--r1", "--r2", "--lowdim"},
+    ("exact",): {"--method", "--dim", "--n", "--delta", "--seed"},
+    ("scenarios",): {"--seed", "--backend", "--only", "--list", "--timings", "--output"},
+    ("sweep",): {"--campaign", "--seed", "--jobs", "--trials", "--backend", "--list",
+                 "--output", "--output-dir"},
+    ("serve",): {"--host", "--port", "--store", "--store-shards", "--store-capacity",
+                 "--seed"},
+    ("client",): {"--host", "--port", "--sessions", "--seed", "--protocol", "--dim", "--n",
+                  "--delta", "--delta-bound", "--max-attempts", "--max-escalations",
+                  "--loss-rate", "--corrupt-rate", "--duplicate-rate", "--reorder-rate",
+                  "--base-latency-ms", "--jitter-ms", "--timeout", "--output"},
+    ("stream", "record"): {"--output", "--seed", "--n", "--windows", "--rate", "--skew",
+                           "--insert-fraction", "--sources", "--key-bits"},
+    ("stream", "replay"): {"--input", "--topology", "--parties", "--branching",
+                           "--k-regular", "--delta-bound", "--q", "--max-attempts", "--seed",
+                           "--output"},
+}
+
+
+class TestOptionSurface:
+    def test_subcommands(self):
+        parser = build_parser()
+        assert list(_subparsers(parser)) == [
+            "emd", "gap", "exact", "scenarios", "sweep", "serve", "client", "stream",
+        ]
+        assert list(_subparsers(_subparsers(parser)["stream"])) == ["record", "replay"]
+
+    @pytest.mark.parametrize("path", list(OPTION_SURFACE), ids=" ".join)
+    def test_subcommand_options(self, path):
+        parser = build_parser()
+        for name in path:
+            parser = _subparsers(parser)[name]
+        assert _options(parser) - {"-h", "--help"} == OPTION_SURFACE[path]
+
+
+@pytest.fixture
+def recorded_specs(monkeypatch):
+    """Specs the protocol commands hand to the scenario runner (not run)."""
+    specs = []
+
+    class RecordingRunner:
+        def run(self, spec):
+            specs.append(spec)
+            return SimpleNamespace(metrics={"success": True}, success=True)
+
+    monkeypatch.setattr(cli, "ScenarioRunner", RecordingRunner)
+    return specs
+
+
+class TestSpecMapping:
+    """Flags -> the ad-hoc scenario spec, without running the protocol."""
+
+    @pytest.mark.parametrize(
+        "argv,far_radius",
+        [
+            (["emd"], 16.0),  # hamming 64: a quarter of the diameter
+            (["emd", "--dim", "16"], 8.0),  # never under 8
+            (["emd", "--space", "l1", "--dim", "2"], 2 * 4095 / 4),
+            (["emd", "--space", "l2", "--dim", "2"], 4095 * math.sqrt(2) / 4),
+            (["gap", "--r2", "40"], 50.0),  # gap: beyond r2
+            (["emd", "--far-radius", "5"], 5.0),
+        ],
+        ids=["hamming", "floor", "l1", "l2", "gap", "explicit"],
+    )
+    def test_far_radius_default(self, recorded_specs, argv, far_radius):
+        assert main(argv) == 0
+        (spec,) = recorded_specs
+        assert spec.params["far_radius"] == pytest.approx(far_radius)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gap", "--space", "hamming", "--lowdim"],
+            ["gap", "--space", "l2"],
+        ],
+        ids=["lowdim-hamming", "general-l2"],
+    )
+    def test_refused_input_runs_nothing(self, recorded_specs, argv):
+        assert main(argv) == 2
+        assert recorded_specs == []
+
+    def test_lowdim_on_l2_runs_gap_lowdim(self, recorded_specs):
+        assert main(["gap", "--space", "l2", "--dim", "2", "--lowdim"]) == 0
+        (spec,) = recorded_specs
+        assert (spec.name, spec.protocol, spec.params["space"]) == ("gap", "gap-lowdim", "l2")
 
 
 class TestCommands:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,9 @@ from repro.experiments import (
     builtin_scenarios,
     render_report,
 )
+from repro.experiments import scenarios
+from repro.experiments.scenarios import _space
+from repro.metric import GridSpace, HammingSpace
 
 SEED = 7
 
@@ -130,3 +134,61 @@ class TestReport:
             render_report(numpy_results, seed=SEED, include_timings=True)
         )
         assert all("wall_time_s" in entry for entry in document["scenarios"])
+
+
+class TestDrivers:
+    """One driver per protocol family; each family's methods differ only in
+    how the protocol is built."""
+
+    def test_gap_constructions_share_one_driver(self):
+        assert DRIVERS["gap"] is DRIVERS["gap-lowdim"]
+
+    def test_exact_methods_share_one_driver(self):
+        assert DRIVERS["exact-iblt"] is DRIVERS["exact-auto"] is DRIVERS["exact-cpi"]
+
+    @pytest.mark.parametrize(
+        "params,kind,p,diameter",
+        [
+            ({"space": "hamming", "dim": 40}, HammingSpace, None, 40.0),
+            ({"space": "l1", "dim": 2, "side": 64}, GridSpace, 1.0, 126.0),
+            ({"space": "l2", "dim": 2, "side": 64}, GridSpace, 2.0, 63 * math.sqrt(2)),
+            ({"dim": 24}, HammingSpace, None, 24.0),
+        ],
+        ids=["hamming", "l1", "l2", "default"],
+    )
+    def test_space_rule(self, params, kind, p, diameter):
+        space = _space(params)
+        assert isinstance(space, kind)
+        if p is not None:
+            assert space.p == p
+        assert space.diameter == pytest.approx(diameter)
+
+    def test_space_rule_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown space"):
+            _space({"space": "linf", "dim": 2, "side": 8})
+
+    def test_general_gap_rejects_l2(self):
+        spec = ScenarioSpec("gap-l2", "gap", SEED, {
+            "space": "l2", "dim": 2, "side": 64, "n": 8, "k": 1,
+            "close_radius": 1.0, "far_radius": 40.0, "r1": 2.0, "r2": 32.0,
+        })
+        with pytest.raises(ValueError, match="hamming or l1"):
+            ScenarioRunner().run(spec)
+
+    @pytest.mark.parametrize(
+        "protocol,name,factor",
+        [("exact-iblt", "exact_iblt_reconcile", 4), ("exact-cpi", "cpi_reconcile", 2)],
+    )
+    def test_exact_bound_per_method(self, monkeypatch, protocol, name, factor):
+        """IBLT is sized from ``4·delta``, CPI from ``2·delta``."""
+        real = getattr(scenarios, name)
+        bounds = []
+
+        def recording(space, alice, bob, bound, coins):
+            bounds.append(bound)
+            return real(space, alice, bob, bound, coins)
+
+        monkeypatch.setattr(scenarios, name, recording)
+        spec = ScenarioSpec("bound", protocol, SEED, {"dim": 40, "n": 60, "delta": 5})
+        assert ScenarioRunner().run(spec).success
+        assert bounds == [factor * 5]
