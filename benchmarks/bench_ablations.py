@@ -1,4 +1,4 @@
-"""E11 — ablations of the design choices DESIGN.md calls out.
+"""E11 — ablations of three of the paper's design choices.
 
 (a) RIBLT hash count ``q``: the paper fixes ``q >= 3`` and sizes tables
     at ``m = 4q²k``; sweeping ``q`` shows the cells-vs-robustness

@@ -4,8 +4,7 @@ Each experiment module computes its paper-shaped table (the rows a reader
 would compare against the paper's claims) and registers it here;
 ``pytest_terminal_summary`` prints every registered table after the
 pytest-benchmark timing output, so ``pytest benchmarks/ --benchmark-only``
-shows both machine timings and the reproduction tables.  The same rows
-are recorded in EXPERIMENTS.md.
+shows both machine timings and the reproduction tables.
 """
 
 from __future__ import annotations

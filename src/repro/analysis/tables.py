@@ -1,8 +1,8 @@
 """ASCII table rendering for benchmark output.
 
 The benchmark harness prints the paper-shaped rows (one table or figure
-series per experiment) through these helpers so the EXPERIMENTS.md
-entries and the console output stay consistent.
+series per experiment) through these helpers, so every experiment's
+reproduction table has the same layout.
 """
 
 from __future__ import annotations

@@ -16,12 +16,11 @@ the transition, and ablates the breadth-first order against LIFO
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..iblt.hypergraph import random_hypergraph
+from ..iblt.hypergraph import peel_steps, random_hypergraph
 
 __all__ = ["ErrorPropagationResult", "propagate_error", "error_propagation_trials"]
 
@@ -65,40 +64,19 @@ def propagate_error(
     seed_vertex:
         The vertex initially carrying error count 1.
     order:
-        ``"bfs"`` for the paper's first-come-first-served order (deque
-        popleft), ``"dfs"`` for the LIFO ablation.
+        ``"bfs"`` for the paper's first-come-first-served order, ``"dfs"``
+        for the LIFO ablation (see :func:`~repro.iblt.hypergraph.peel_steps`).
     """
     if order not in ("bfs", "dfs"):
         raise ValueError(f"order must be 'bfs' or 'dfs', got {order!r}")
-    incident: list[list[int]] = [[] for _ in range(m)]
-    for edge_index, edge in enumerate(edges):
-        for vertex in edge:
-            incident[vertex].append(edge_index)
-    degree = [len(edge_list) for edge_list in incident]
-    alive = [True] * len(edges)
     error = [0] * m
     error[seed_vertex] = 1
-
-    queue: deque[int] = deque(v for v in range(m) if degree[v] == 1)
     peeled = 0
-    while queue:
-        vertex = queue.popleft() if order == "bfs" else queue.pop()
-        if degree[vertex] != 1:
-            continue
-        edge_index = next(
-            (candidate for candidate in incident[vertex] if alive[candidate]), None
-        )
-        if edge_index is None:
-            continue
-        alive[edge_index] = False
+    for vertex, edge_index in peel_steps(m, edges, lifo=order == "dfs"):
         peeled += 1
         for other in edges[edge_index]:
             if other != vertex:
                 error[other] += error[vertex]
-            degree[other] -= 1
-            if degree[other] == 1:
-                queue.append(other)
-
     return ErrorPropagationResult(
         total_error=sum(error),
         touched_vertices=sum(1 for count in error if count != 0),

@@ -12,13 +12,22 @@ is his side of the min-cost matching between the decoded ``X_B`` and
 Guarantee (Theorem 3.4): with probability at least 5/8,
 ``EMD(S_A, S'_B) <= O(α^{-1} log n) · EMD_k(S_A, S_B)`` using
 ``O(k·d·log(Δn)·log(D2/D1))`` bits — which experiment E4/E5 measure.
+
+The level ladder itself — Alice's :func:`send_levels`, Bob's
+:func:`decode_levels` and the repair of :meth:`EMDResult.from_ladder` — is
+shared with the interval-scaled wrapper (:mod:`repro.core.emd_scaled`)
+and the quadtree baseline (:mod:`repro.reconcile.quadtree`); each
+protocol supplies only its tables, its per-level ``(keys, values)`` and
+its accept budget.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from ..hashing import PublicCoins
 from ..iblt.riblt import RIBLT
@@ -30,7 +39,65 @@ from ..protocol.tables import read_riblt_cells, write_riblt_cells
 from .params import EMDParameters, derive_emd_parameters
 from .repair import repair_point_set
 
-__all__ = ["EMDResult", "EMDProtocol"]
+__all__ = ["EMDResult", "EMDProtocol", "LevelDecode", "send_levels", "decode_levels"]
+
+#: One level's ``(keys, values)`` for a RIBLT batch insert or delete, by
+#: level index (0 = coarsest).
+LevelEntries = Callable[[int], tuple[np.ndarray, np.ndarray]]
+
+
+@dataclass(frozen=True)
+class LevelDecode:
+    """The level Bob accepted: its index (0 = coarsest), the values decoded
+    on Alice's side (``X_A``) and on his own (``X_B``), and their pair
+    count."""
+
+    level: int
+    alice_values: list[Point]
+    bob_values: list[Point]
+    pairs: int
+
+
+def send_levels(writer: BitWriter, shells: Iterable[RIBLT], entries: LevelEntries) -> None:
+    """Alice's half of the level ladder.
+
+    Fills each level's empty table (coarsest first) with that level's
+    ``(keys, values)`` and appends its cells to ``writer``, one header-free
+    run per level.
+    """
+    for level, table in enumerate(shells):
+        table.insert_batch(*entries(level))
+        write_riblt_cells(writer, table)
+
+
+def decode_levels(
+    reader: BitReader,
+    shells: Iterable[RIBLT],
+    entries: LevelEntries,
+    accept_pairs: int,
+    decode_rng: random.Random | None,
+) -> LevelDecode | None:
+    """Bob's half of the level ladder.
+
+    Reads every level's cells into ``shells``, then, from the finest level
+    down, deletes Bob's ``entries`` and peels; the first level that
+    decodes to at most ``accept_pairs`` pairs is returned, or None if no
+    level does.  ``decode_rng`` drives the RIBLT's randomized rounding
+    (None: each peel uses the RIBLT's own fixed seed).
+    """
+    tables = [read_riblt_cells(reader, shell) for shell in shells]
+    for level in range(len(tables) - 1, -1, -1):
+        table = tables[level]
+        table.delete_batch(*entries(level))
+        outcome = table.decode(decode_rng)
+        if outcome.success and outcome.pair_count <= accept_pairs:
+            return LevelDecode(
+                level=level,
+                alice_values=[value for _, value in outcome.inserted],
+                bob_values=[value for _, value in outcome.deleted],
+                pairs=outcome.pair_count,
+            )
+    return None
 
 
 @dataclass(frozen=True)
@@ -57,6 +124,40 @@ class EMDResult:
     decoded_pairs: int
     total_bits: int
     rounds: int
+
+    @classmethod
+    def from_ladder(
+        cls,
+        space: MetricSpace,
+        bob: np.ndarray,
+        found: LevelDecode | None,
+        channel: Channel,
+        matcher: str,
+        first_level: int = 1,
+        **extra,
+    ):
+        """Bob's repair step on the accepted level, as a result.
+
+        ``found`` None means failure: Bob keeps ``S_B``.  ``first_level``
+        is the number the coarsest level is reported as; ``extra`` fills
+        a subclass's own fields.
+        """
+        if found is None:
+            bob_final, level, pairs = point_tuples(bob), None, 0
+        else:
+            bob_final = repair_point_set(
+                space, point_tuples(bob), found.alice_values, found.bob_values, matcher=matcher
+            )
+            level, pairs = found.level + first_level, found.pairs
+        return cls(
+            success=found is not None,
+            bob_final=bob_final,
+            decoded_level=level,
+            decoded_pairs=pairs,
+            total_bits=channel.total_bits,
+            rounds=channel.rounds,
+            **extra,
+        )
 
 
 class EMDProtocol:
@@ -125,7 +226,30 @@ class EMDProtocol:
             side=self.space.side,
         )
 
+    def _entries(self, coins: PublicCoins, points: np.ndarray) -> LevelEntries:
+        keys = self._key_builder(coins).keys_for(points)  # (n, t) uint64
+        return lambda level: (keys[:, level], points)
+
     # -- the protocol ----------------------------------------------------------
+    def send(self, writer: BitWriter, alice: np.ndarray, coins: PublicCoins) -> None:
+        """Alice's half: all ``t`` levels of ``alice`` appended to ``writer``."""
+        shells = (self._table(coins, level) for level in range(self.parameters.levels))
+        send_levels(writer, shells, self._entries(coins, alice))
+
+    def receive(
+        self,
+        reader: BitReader,
+        bob: np.ndarray,
+        coins: PublicCoins,
+        decode_rng: random.Random,
+    ) -> LevelDecode | None:
+        """Bob's half: read all ``t`` levels and decode the finest one within
+        the ``4k``-pair budget (None if no level is)."""
+        shells = (self._table(coins, level) for level in range(self.parameters.levels))
+        return decode_levels(
+            reader, shells, self._entries(coins, bob), self.parameters.accept_pairs, decode_rng
+        )
+
     def run(
         self,
         alice_points: Sequence[Point],
@@ -141,7 +265,6 @@ class EMDProtocol:
         paper, "greedy" for the E4 ablation); ``decode_rng`` drives the
         RIBLT's randomized rounding (Bob's private coins).
         """
-        p = self.parameters
         alice = self.space.point_array(alice_points)
         bob = self.space.point_array(bob_points)
         if len(alice) != len(bob):
@@ -149,59 +272,9 @@ class EMDProtocol:
                 f"the EMD model requires |S_A| = |S_B| (got {len(alice)}, {len(bob)})"
             )
         channel = channel if channel is not None else Channel()
-        builder = self._key_builder(coins)
-
-        # ---- Alice: build and send all t RIBLTs --------------------------
-        alice_keys = builder.keys_for(alice)  # (n, t) uint64
-        writer = BitWriter()
-        for level in range(p.levels):
-            table = self._table(coins, level)
-            table.insert_batch(alice_keys[:, level], alice)
-            write_riblt_cells(writer, table)
-        payload = channel.send(ALICE, "emd-riblts", writer.getvalue(), writer.bit_length)
-
-        # ---- Bob: load, delete, decode the finest feasible level ---------
-        reader = BitReader(payload)
-        loaded = [
-            read_riblt_cells(reader, self._table(coins, level))
-            for level in range(p.levels)
-        ]
-        bob_keys = builder.keys_for(bob)
         decode_rng = decode_rng if decode_rng is not None else random.Random(0xB0B)
-
-        decoded_level: int | None = None
-        decoded_alice: list[Point] = []
-        decoded_bob: list[Point] = []
-        decoded_pairs = 0
-        for level in range(p.levels - 1, -1, -1):
-            table = loaded[level]
-            table.delete_batch(bob_keys[:, level], bob)
-            outcome = table.decode(decode_rng)
-            if outcome.success and outcome.pair_count <= p.accept_pairs:
-                decoded_level = level
-                decoded_alice = [value for _, value in outcome.inserted]
-                decoded_bob = [value for _, value in outcome.deleted]
-                decoded_pairs = outcome.pair_count
-                break
-
-        if decoded_level is None:
-            return EMDResult(
-                success=False,
-                bob_final=point_tuples(bob),
-                decoded_level=None,
-                decoded_pairs=0,
-                total_bits=channel.total_bits,
-                rounds=channel.rounds,
-            )
-
-        bob_final = repair_point_set(
-            self.space, point_tuples(bob), decoded_alice, decoded_bob, matcher=matcher
-        )
-        return EMDResult(
-            success=True,
-            bob_final=bob_final,
-            decoded_level=decoded_level + 1,  # paper's levels are 1-indexed
-            decoded_pairs=decoded_pairs,
-            total_bits=channel.total_bits,
-            rounds=channel.rounds,
-        )
+        writer = BitWriter()
+        self.send(writer, alice, coins)
+        payload = channel.send(ALICE, "emd-riblts", writer.getvalue(), writer.bit_length)
+        found = self.receive(BitReader(payload), bob, coins, decode_rng)
+        return EMDResult.from_ladder(self.space, bob, found, channel, matcher)

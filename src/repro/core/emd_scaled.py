@@ -9,7 +9,12 @@ width ``w = Θ(min(M, D2^{(j)}) + D2^{(j)}/k)``), and has Bob use the
 output of the smallest-index interval that did not report failure.
 
 This file implements that wrapper for any supported space.  All the
-per-interval messages travel in the protocol's single round.
+per-interval messages travel in the protocol's single round.  Each
+interval runs Algorithm 1's own level ladder
+(:meth:`EMDProtocol.send <repro.core.emd_protocol.EMDProtocol.send>` and
+:meth:`~repro.core.emd_protocol.EMDProtocol.receive`) under its own coins;
+what the wrapper adds is the choice of interval, the one message that
+carries them all, and Bob's decode coins shared across intervals.
 """
 
 from __future__ import annotations
@@ -19,29 +24,22 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..hashing import PublicCoins
-from ..lsh.keys import PrefixKeyBuilder
-from ..metric.spaces import MetricSpace, Point, point_tuples
+from ..metric.spaces import MetricSpace, Point
 from ..protocol.channel import ALICE, Channel
 from ..protocol.serialize import BitReader, BitWriter
-from ..protocol.tables import read_riblt_cells, write_riblt_cells
-from .emd_protocol import EMDProtocol
+from .emd_protocol import EMDProtocol, EMDResult
 from .params import default_distance_bounds, derive_emd_parameters
-from .repair import repair_point_set
 
 __all__ = ["ScaledEMDResult", "ScaledEMDProtocol"]
 
 
 @dataclass(frozen=True)
-class ScaledEMDResult:
-    """Outcome of the interval-scaled protocol."""
+class ScaledEMDResult(EMDResult):
+    """Outcome of the interval-scaled protocol: an :class:`EMDResult` for
+    the chosen interval (``chosen_interval`` None on failure) plus every
+    interval's ``(D1, D2)`` bounds."""
 
-    success: bool
-    bob_final: list[Point]
     chosen_interval: int | None
-    decoded_level: int | None
-    decoded_pairs: int
-    total_bits: int
-    rounds: int
     interval_bounds: tuple[tuple[float, float], ...]
 
 
@@ -130,73 +128,29 @@ class ScaledEMDProtocol:
         decode_rng = decode_rng if decode_rng is not None else random.Random(0xB0B)
         alice = self.space.point_array(alice_points)
         bob = self.space.point_array(bob_points)
+        interval_coins = [coins.child("scaled-emd", j) for j in range(self.intervals)]
 
-        # ---- Alice: every interval's tables in one message ----------------
         writer = BitWriter()
-        builders: list[PrefixKeyBuilder] = []
-        for j, instance in enumerate(self.instances):
-            interval_coins = coins.child("scaled-emd", j)
-            builder = instance._key_builder(interval_coins)
-            builders.append(builder)
-            keys = builder.keys_for(alice)
-            for level in range(instance.parameters.levels):
-                table = instance._table(interval_coins, level)
-                table.insert_batch(keys[:, level], alice)
-                write_riblt_cells(writer, table)
+        for instance, own_coins in zip(self.instances, interval_coins):
+            instance.send(writer, alice, own_coins)
         payload = channel.send(
             ALICE, "scaled-emd-riblts", writer.getvalue(), writer.bit_length
         )
 
-        # ---- Bob: decode per interval, smallest index wins ----------------
+        # Bob decodes every interval (each draws on his decode coins), then
+        # adopts the smallest index that did not fail.
         reader = BitReader(payload)
-        outcome_per_interval: list[tuple[int, list[Point], list[Point], int] | None] = []
-        for j, instance in enumerate(self.instances):
-            interval_coins = coins.child("scaled-emd", j)
-            p = instance.parameters
-            loaded = [
-                read_riblt_cells(reader, instance._table(interval_coins, level))
-                for level in range(p.levels)
-            ]
-            bob_keys = builders[j].keys_for(bob)
-            found: tuple[int, list[Point], list[Point], int] | None = None
-            for level in range(p.levels - 1, -1, -1):
-                table = loaded[level]
-                table.delete_batch(bob_keys[:, level], bob)
-                outcome = table.decode(decode_rng)
-                if outcome.success and outcome.pair_count <= p.accept_pairs:
-                    found = (
-                        level + 1,
-                        [value for _, value in outcome.inserted],
-                        [value for _, value in outcome.deleted],
-                        outcome.pair_count,
-                    )
-                    break
-            outcome_per_interval.append(found)
-
-        for j, found in enumerate(outcome_per_interval):
-            if found is None:
-                continue
-            level, decoded_alice, decoded_bob, pairs = found
-            bob_final = repair_point_set(
-                self.space, point_tuples(bob), decoded_alice, decoded_bob, matcher=matcher
-            )
-            return ScaledEMDResult(
-                success=True,
-                bob_final=bob_final,
-                chosen_interval=j,
-                decoded_level=level,
-                decoded_pairs=pairs,
-                total_bits=channel.total_bits,
-                rounds=channel.rounds,
-                interval_bounds=self.interval_bounds,
-            )
-        return ScaledEMDResult(
-            success=False,
-            bob_final=point_tuples(bob),
-            chosen_interval=None,
-            decoded_level=None,
-            decoded_pairs=0,
-            total_bits=channel.total_bits,
-            rounds=channel.rounds,
+        decoded = [
+            instance.receive(reader, bob, own_coins, decode_rng)
+            for instance, own_coins in zip(self.instances, interval_coins)
+        ]
+        chosen = next((j for j, found in enumerate(decoded) if found is not None), None)
+        return ScaledEMDResult.from_ladder(
+            self.space,
+            bob,
+            None if chosen is None else decoded[chosen],
+            channel,
+            matcher,
+            chosen_interval=chosen,
             interval_bounds=self.interval_bounds,
         )

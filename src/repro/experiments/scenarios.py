@@ -196,37 +196,10 @@ def _drive_emd(spec: ScenarioSpec, rng: np.random.Generator, coins: PublicCoins)
         far_radius=p["far_radius"],
         rng=rng,
     )
-    if p.get("scaled", False):
-        scaled = ScaledEMDProtocol(
-            space,
-            n=p["n"],
-            k=p["k"],
-            d1=p.get("d1"),
-            d2=p.get("d2"),
-            m_bound=p.get("m_bound"),
-            ratio=p.get("ratio", 8.0),
-            q=p.get("q", 3),
-            max_total_hashes=p.get("max_total_hashes"),
-        )
-        scaled_result = scaled.run(workload.alice, workload.bob, coins)
-        metrics = {
-            "success": bool(scaled_result.success),
-            "rounds": scaled_result.rounds,
-            "bits": scaled_result.total_bits,
-            "decoded_level": scaled_result.decoded_level,
-            "intervals": scaled.intervals,
-            "emd_before": _round6(emd(space, workload.alice, workload.bob)),
-        }
-        if scaled_result.chosen_interval is not None:
-            metrics["chosen_interval"] = scaled_result.chosen_interval
-        if scaled_result.success:
-            metrics["emd_after"] = _round6(emd(space, workload.alice, scaled_result.bob_final))
-        return metrics
     # Optional prior knowledge (Corollary 3.5-style tighter bounds): d1/d2
     # shrink the level schedule, which the emd-levels sweep campaign uses
     # to trace communication cost against the level count.
-    protocol = EMDProtocol.for_instance(
-        space,
+    shared = dict(
         n=p["n"],
         k=p["k"],
         d1=p.get("d1"),
@@ -235,13 +208,22 @@ def _drive_emd(spec: ScenarioSpec, rng: np.random.Generator, coins: PublicCoins)
         q=p.get("q", 3),
         max_total_hashes=p.get("max_total_hashes"),
     )
-    result = protocol.run(workload.alice, workload.bob, coins)
+    if p.get("scaled", False):
+        scaled = ScaledEMDProtocol(space, ratio=p.get("ratio", 8.0), **shared)
+        result = scaled.run(workload.alice, workload.bob, coins)
+        shape = {"intervals": scaled.intervals}
+        if result.chosen_interval is not None:
+            shape["chosen_interval"] = result.chosen_interval
+    else:
+        protocol = EMDProtocol.for_instance(space, **shared)
+        result = protocol.run(workload.alice, workload.bob, coins)
+        shape = {"levels": protocol.parameters.levels}
     metrics = {
         "success": bool(result.success),
         "rounds": result.rounds,
         "bits": result.total_bits,
         "decoded_level": result.decoded_level,
-        "levels": protocol.parameters.levels,
+        **shape,
         "emd_before": _round6(emd(space, workload.alice, workload.bob)),
     }
     if result.success:

@@ -7,6 +7,7 @@ from .hypergraph import (
     components,
     molloy_threshold,
     peel_order,
+    peel_steps,
     random_hypergraph,
     riblt_sparsity_threshold,
     two_core,
@@ -28,6 +29,7 @@ __all__ = [
     "components",
     "molloy_threshold",
     "peel_order",
+    "peel_steps",
     "random_hypergraph",
     "riblt_sparsity_threshold",
     "two_core",

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "random_hypergraph",
     "two_core",
     "peel_order",
+    "peel_steps",
     "components",
     "classify_component",
     "component_census",
@@ -59,9 +61,8 @@ def two_core(m: int, edges: list[tuple[int, ...]]) -> list[int]:
     exactly the IBLT peel.  The surviving edges form the 2-core; an empty
     result means the IBLT would decode.
     """
-    order, survivors = _peel(m, edges)
-    del order
-    return survivors
+    peeled = {edge_index for _, edge_index in peel_steps(m, edges)}
+    return [index for index in range(len(edges)) if index not in peeled]
 
 
 def peel_order(m: int, edges: list[tuple[int, ...]]) -> list[int]:
@@ -70,11 +71,20 @@ def peel_order(m: int, edges: list[tuple[int, ...]]) -> list[int]:
     Returns edge indices in peel order; edges stuck in the 2-core are not
     listed.  This is the order the RIBLT decoder uses (Section 2.2 item 1).
     """
-    order, _ = _peel(m, edges)
-    return order
+    return [edge_index for _, edge_index in peel_steps(m, edges)]
 
 
-def _peel(m: int, edges: list[tuple[int, ...]]) -> tuple[list[int], list[int]]:
+def peel_steps(
+    m: int, edges: list[tuple[int, ...]], lifo: bool = False
+) -> Iterator[tuple[int, int]]:
+    """Peel the hypergraph, yielding ``(vertex, edge_index)`` per peeled edge.
+
+    ``vertex`` is the degree-1 vertex that freed ``edges[edge_index]``.
+    Vertices whose degree reaches 1 wait in a queue served first come,
+    first served (breadth first, the RIBLT decoder's order), or last in,
+    first out with ``lifo`` (depth first).  Edges left in the 2-core are
+    never yielded.
+    """
     incident: list[list[int]] = [[] for _ in range(m)]
     for edge_index, edge in enumerate(edges):
         for vertex in edge:
@@ -85,9 +95,8 @@ def _peel(m: int, edges: list[tuple[int, ...]]) -> tuple[list[int], list[int]]:
     queue: deque[int] = deque(
         vertex for vertex in range(m) if degree[vertex] == 1
     )
-    order: list[int] = []
     while queue:
-        vertex = queue.popleft()
+        vertex = queue.pop() if lifo else queue.popleft()
         if degree[vertex] != 1:
             continue
         edge_index = next(
@@ -96,13 +105,11 @@ def _peel(m: int, edges: list[tuple[int, ...]]) -> tuple[list[int], list[int]]:
         if edge_index is None:
             continue
         alive[edge_index] = False
-        order.append(edge_index)
+        yield vertex, edge_index
         for other in edges[edge_index]:
             degree[other] -= 1
             if degree[other] == 1:
                 queue.append(other)
-    survivors = [index for index, still in enumerate(alive) if still]
-    return order, survivors
 
 
 @dataclass(frozen=True)

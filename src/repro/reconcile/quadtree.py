@@ -20,8 +20,14 @@ Implementation notes
   what [7] differs in: points are *rounded* (value = centre) rather than
   carried exactly (value = point), so recovered points are off by up to a
   cell diameter — which scales with ``d`` under ``ℓ1``.
-* Bob's repair step is the same as Algorithm 1's, keeping the comparison
-  apples-to-apples.
+* The level ladder is Algorithm 1's own
+  (:func:`~repro.core.emd_protocol.send_levels`,
+  :func:`~repro.core.emd_protocol.decode_levels` and Bob's repair step),
+  keeping the comparison apples-to-apples.  What this baseline changes is
+  the key source (folded cell ids of a shifted grid per level, with cell
+  centres as values), its own coins and table label, the ``4k`` accept
+  budget at every level, levels counted from 0, and Bob's decode coins
+  (each level's peel uses the RIBLT's fixed seed).
 """
 
 from __future__ import annotations
@@ -32,28 +38,21 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.repair import repair_point_set
+from ..core.emd_protocol import EMDResult, decode_levels, send_levels
 from ..hashing import PublicCoins
 from ..iblt.riblt import RIBLT, riblt_cells_for_pairs
 from ..lsh.grid import _FOLD_PRIME_1, _FOLD_PRIME_2, fold_cells
-from ..metric.spaces import GridSpace, Point, point_tuples
+from ..metric.spaces import GridSpace, Point
 from ..protocol.channel import ALICE, Channel
 from ..protocol.serialize import BitReader, BitWriter
-from ..protocol.tables import read_riblt_cells, write_riblt_cells
 
 __all__ = ["QuadtreeResult", "QuadtreeEMDProtocol"]
 
 
 @dataclass(frozen=True)
-class QuadtreeResult:
-    """Outcome of the quadtree baseline run."""
-
-    success: bool
-    bob_final: list[Point]
-    decoded_level: int | None
-    total_bits: int
-    rounds: int
-    decoded_pairs: int
+class QuadtreeResult(EMDResult):
+    """Outcome of the quadtree baseline run (``decoded_level`` counts the
+    coarsest level as 0)."""
 
 
 class _Level:
@@ -152,53 +151,22 @@ class QuadtreeEMDProtocol:
         levels = self._levels(coins)
         alice = self.space.point_array(alice_points)
         bob = self.space.point_array(bob_points)
-
-        # --- Alice: build and send one RIBLT per level -------------------
         writer = BitWriter()
-        for index, level in enumerate(levels):
-            table = self._table(coins, index)
-            table.insert_batch(*level.keys_and_centres(alice))
-            write_riblt_cells(writer, table)
+        send_levels(
+            writer,
+            (self._table(coins, index) for index in range(len(levels))),
+            lambda index: levels[index].keys_and_centres(alice),
+        )
         payload = channel.send(
             ALICE, "quadtree-riblts", writer.getvalue(), writer.bit_length
         )
-
-        # --- Bob: load, delete, decode finest possible level -------------
-        reader = BitReader(payload)
-        loaded = []
-        for index in range(len(levels)):
-            loaded.append(read_riblt_cells(reader, self._table(coins, index)))
-        decoded_level = None
-        decoded_alice: list[Point] = []
-        decoded_bob: list[Point] = []
-        decoded_pairs = 0
-        for index in range(len(levels) - 1, -1, -1):
-            table = loaded[index]
-            table.delete_batch(*levels[index].keys_and_centres(bob))
-            outcome = table.decode()
-            if outcome.success and outcome.pair_count <= 4 * self.k:
-                decoded_level = index
-                decoded_alice = [value for _, value in outcome.inserted]
-                decoded_bob = [value for _, value in outcome.deleted]
-                decoded_pairs = outcome.pair_count
-                break
-        if decoded_level is None:
-            return QuadtreeResult(
-                success=False,
-                bob_final=point_tuples(bob),
-                decoded_level=None,
-                total_bits=channel.total_bits,
-                rounds=channel.rounds,
-                decoded_pairs=0,
-            )
-        bob_final = repair_point_set(
-            self.space, point_tuples(bob), decoded_alice, decoded_bob, matcher=matcher
+        found = decode_levels(
+            BitReader(payload),
+            (self._table(coins, index) for index in range(len(levels))),
+            lambda index: levels[index].keys_and_centres(bob),
+            accept_pairs=4 * self.k,
+            decode_rng=None,
         )
-        return QuadtreeResult(
-            success=True,
-            bob_final=bob_final,
-            decoded_level=decoded_level,
-            total_bits=channel.total_bits,
-            rounds=channel.rounds,
-            decoded_pairs=decoded_pairs,
+        return QuadtreeResult.from_ladder(
+            self.space, bob, found, channel, matcher, first_level=0
         )

@@ -212,27 +212,40 @@ class FrameMux:
             self.stats[session_id] = SessionWireStats()
         return self.stats[session_id]
 
+    def _apply_link(
+        self, direction: str, header: FrameHeader, raw: bytes, stats: SessionWireStats
+    ) -> "tuple[list[bytes], tuple[bytes, ...], float | None]":
+        """Pass one frame through its session's link, if any, and count what
+        the link did to it.
+
+        Returns the copies to deliver now, the copies to hold back behind
+        the stream's next frame, and the wall-clock delay in seconds the
+        sender should wait (None when there is no link or its
+        ``latency_scale`` is 0).
+        """
+        link = self._links.get(header.session_id)
+        if link is None:
+            return [raw], (), None
+        decision = link.apply(direction, header.seq, header, raw)
+        stats.record_latency(decision.latency_ms)
+        stats.frames_lost += int(decision.lost)
+        stats.frames_corrupted += int(decision.corrupted)
+        stats.frames_duplicated += int(decision.duplicated)
+        stats.frames_reordered += int(decision.reordered)
+        scale = link.config.latency_scale
+        delay = decision.latency_ms * scale / 1000.0 if scale else None
+        return decision.deliveries, decision.deferred, delay
+
     # -- outgoing ----------------------------------------------------------
 
     async def send_frame(self, frame: Frame) -> None:
         """Encode, pass through the session's link (if any), transmit."""
         raw = encode_frame(frame)
         stats = self._stats(frame.session_id)
-        link = self._links.get(frame.session_id)
         header = decode_header(raw[:HEADER_LEN])
-        deliveries = [raw]
-        deferred: "tuple[bytes, ...]" = ()
-        if link is not None:
-            decision = link.apply("c2s", frame.seq, header, raw)
-            deliveries = decision.deliveries
-            deferred = decision.deferred
-            stats.record_latency(decision.latency_ms)
-            stats.frames_lost += int(decision.lost)
-            stats.frames_corrupted += int(decision.corrupted)
-            stats.frames_duplicated += int(decision.duplicated)
-            stats.frames_reordered += int(decision.reordered)
-            if link.config.latency_scale:
-                await asyncio.sleep(decision.latency_ms * link.config.latency_scale / 1000.0)
+        deliveries, deferred, delay = self._apply_link("c2s", header, raw, stats)
+        if delay is not None:
+            await asyncio.sleep(delay)
         for raw_copy in deliveries:
             await self.connection.write_raw(raw_copy)
             stats.frames_out += 1
@@ -275,18 +288,7 @@ class FrameMux:
 
     def _dispatch(self, header: FrameHeader, raw: bytes) -> None:
         stats = self._stats(header.session_id)
-        link = self._links.get(header.session_id)
-        deliveries = [raw]
-        deferred: "tuple[bytes, ...]" = ()
-        if link is not None:
-            decision = link.apply("s2c", header.seq, header, raw)
-            deliveries = decision.deliveries
-            deferred = decision.deferred
-            stats.record_latency(decision.latency_ms)
-            stats.frames_lost += int(decision.lost)
-            stats.frames_corrupted += int(decision.corrupted)
-            stats.frames_duplicated += int(decision.duplicated)
-            stats.frames_reordered += int(decision.reordered)
+        deliveries, deferred, _delay = self._apply_link("s2c", header, raw, stats)
         for raw_copy in deliveries:
             self._deliver(header, raw_copy, stats)
         # Flush stale copies behind this frame (out-of-order arrival),

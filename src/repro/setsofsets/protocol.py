@@ -4,7 +4,7 @@ The Gap protocol's middle rounds let Alice recover the multiset of Bob's
 *keys*, where a key is a length-``h`` vector of ``O(log n)``-bit entries
 and close keys differ in few entries.  The paper invokes Theorem 3.11 of
 [22] as a black box; this module implements a 3-round protocol with the
-same interface and communication *shape* (see DESIGN.md, substitution 1):
+same interface and communication *shape*:
 
 * **Round 1 (Bob -> Alice)** — a counting IBLT over Bob's *entry items*
   ``(vector index, entry value)``, multiplicities respected.  Alice

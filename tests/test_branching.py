@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -15,7 +19,7 @@ from repro.branching import (
     simulate_tree_size,
     survival_recurrence,
 )
-from repro.iblt import riblt_sparsity_threshold
+from repro.iblt import peel_order, random_hypergraph, riblt_sparsity_threshold, two_core
 
 
 class TestPoissonTail:
@@ -158,3 +162,27 @@ class TestErrorPropagation:
     def test_rejects_zero_trials(self, rng):
         with pytest.raises(ValueError):
             error_propagation_trials(100, 0.1, 3, trials=0, rng=rng)
+
+
+class TestPeelParity:
+    """``propagate_error`` in both orders, ``peel_order`` and ``two_core``
+    over 240 random hypergraphs around and above the peeling thresholds,
+    pinned by one digest of every output."""
+
+    def test_outputs_match_pinned_digest(self):
+        rng = np.random.default_rng(2024)
+        records = []
+        for trial in range(240):
+            q = 3 + trial % 2
+            m = 40 + trial % 7 * 10
+            edges = random_hypergraph(m, round((0.1 + trial % 9 * 0.1) * m), q, rng)
+            seed_vertex = int(rng.integers(0, m))
+            records.append(
+                [
+                    list(dataclasses.astuple(propagate_error(m, edges, seed_vertex, order)))
+                    for order in ("bfs", "dfs")
+                ]
+                + [peel_order(m, edges), two_core(m, edges)]
+            )
+        digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+        assert digest == "b9f76d1523ac3002d926be11e365b653b3fe3b2cfc22d6a031ec1ecd0456bd46"

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -16,6 +20,7 @@ from repro.hashing import PublicCoins
 from repro.lsh import key_bits_for
 from repro.metric import GridSpace, HammingSpace, emd, emd_k
 from repro.protocol import BitWriter, Channel, write_riblt_cells
+from repro.reconcile import QuadtreeEMDProtocol
 from repro.workloads import noisy_replica_pair
 
 
@@ -302,3 +307,80 @@ class TestUnifiedKeyStream:
         assert protocol._key_builder(coins).key_bits == p.key_bits
         assert protocol._table(coins, 0).key_bits == p.key_bits
         assert not hasattr(protocol, "fast_keys")
+
+
+def _canonical(value):
+    """JSON-ready form of a result field: tuples as lists, numpy scalars
+    as Python numbers, so the digest does not depend on container types."""
+    if isinstance(value, (list, tuple)):
+        return [_canonical(item) for item in value]
+    if isinstance(value, np.generic):
+        return value.item()
+    return value
+
+
+def _transcript_digest(runs) -> str:
+    """SHA-256 over every message (sender, label, bits, payload) and every
+    result field (by name) of ``runs``, a sequence of ``(result, channel)``."""
+    digest = hashlib.sha256()
+    for result, channel in runs:
+        for message in channel.messages:
+            header = f"{message.sender}|{message.label}|{message.payload_bits}|"
+            digest.update(header.encode())
+            digest.update(message.payload)
+        fields = {
+            field.name: _canonical(getattr(result, field.name))
+            for field in dataclasses.fields(result)
+        }
+        digest.update(json.dumps(fields, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def _ladder_runs():
+    """Fixed-seed runs of the three protocols that send one RIBLT per level:
+    Algorithm 1, its interval-scaled wrapper and the quadtree baseline.
+    Each case is ``(make_protocol, space, planted outliers, close, far)``.
+    The second case of each protocol plants more outliers than its ``k``
+    (and, for the EMD ones, caps ``D2`` below the noise), so some of its
+    runs exhaust every level's accept budget and report failure."""
+    hamming = HammingSpace(40)
+    l1 = GridSpace(side=256, dim=3, p=1.0)
+    l2 = GridSpace(side=256, dim=3, p=2.0)
+    cases = [
+        (lambda: EMDProtocol.for_instance(hamming, n=20, k=2), hamming, 2, 2, 14),
+        (lambda: EMDProtocol.for_instance(hamming, n=20, k=1, d2=16.0), hamming, 10, 10, 14),
+        (lambda: EMDProtocol.for_instance(l1, n=20, k=2), l1, 2, 3, 60),
+        (lambda: EMDProtocol.for_instance(l1, n=20, k=1, d2=16.0), l1, 10, 40, 90),
+        (lambda: ScaledEMDProtocol(hamming, n=20, k=2), hamming, 2, 2, 14),
+        (lambda: ScaledEMDProtocol(l2, n=20, k=2, ratio=16.0), l2, 2, 3, 60),
+        (lambda: ScaledEMDProtocol(l2, n=20, k=1, d2=16.0), l2, 10, 40, 90),
+        (lambda: QuadtreeEMDProtocol(l1, n=20, k=2), l1, 2, 3, 60),
+        (lambda: QuadtreeEMDProtocol(l1, n=20, k=1), l1, 8, 3, 60),
+        (lambda: QuadtreeEMDProtocol(l2, n=20, k=1), l2, 8, 3, 60),
+    ]
+    runs = []
+    for make, space, planted, close, far in cases:
+        for seed in (1, 2, 3):
+            wl = noisy_replica_pair(
+                space, n=20, k=planted, close_radius=close, far_radius=far,
+                rng=np.random.default_rng(seed),
+            )  # fmt: skip
+            channel = Channel()
+            result = make().run(wl.alice, wl.bob, PublicCoins(100 + seed), channel)
+            runs.append((result, channel))
+    return runs
+
+
+class TestLadderTranscriptPins:
+    """Every byte Alice sends and every result field Bob reports, for the
+    three level-ladder protocols, pinned by one digest on both backends."""
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_transcript_digest(self, backend, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", backend)
+        runs = _ladder_runs()
+        outcomes = [result.success for result, _ in runs]
+        assert any(outcomes) and not all(outcomes)
+        assert _transcript_digest(runs) == (
+            "144578f62f149e70b28ad7617e6bb07213427590d5fd15d49eceb35feaa8843f"
+        )
