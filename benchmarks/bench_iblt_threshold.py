@@ -29,7 +29,7 @@ def _decode_rate(load: float, trials: int = TRIALS) -> float:
         table = IBLT(coins, "e1", cells=M_CELLS, q=Q, key_bits=40)
         rng = np.random.default_rng(seed)
         keys = rng.choice(1 << 39, size=round(load * M_CELLS), replace=False)
-        table.insert_all(int(key) for key in keys)
+        table.insert_batch(int(key) for key in keys)
         if table.decode().success:
             successes += 1
     return successes / trials
@@ -74,7 +74,7 @@ def test_decode_speed(benchmark, sweep):
     def run():
         coins = PublicCoins(1)
         table = IBLT(coins, "bench", cells=M_CELLS, q=Q, key_bits=40)
-        table.insert_all(range(10_000, 10_150))
+        table.insert_batch(range(10_000, 10_150))
         return table.decode().success
 
     assert benchmark(run)

@@ -333,8 +333,8 @@ def bench_iblt_decode_tail(
             table_a.insert_batch(alice)
             table_b.insert_batch(bob)
         else:
-            table_a.insert_all(alice.tolist())
-            table_b.insert_all(bob.tolist())
+            table_a.insert_batch(alice.tolist())
+            table_b.insert_batch(bob.tolist())
         tables[backend] = (table_a, table_b)
 
     def decode(backend: str):
@@ -464,8 +464,8 @@ def bench_iblt(
             table_a.insert_batch(alice)
             table_b.insert_batch(bob)
         else:
-            table_a.insert_all(alice.tolist())
-            table_b.insert_all(bob.tolist())
+            table_a.insert_batch(alice.tolist())
+            table_b.insert_batch(bob.tolist())
         return table_a, table_b
 
     def decode(tables: tuple[IBLT, IBLT]) -> None:

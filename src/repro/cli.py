@@ -86,6 +86,25 @@ _TITLES = {
 }
 
 
+def _too_small(args: argparse.Namespace, **floors: int) -> bool:
+    """Refuse, in one stderr line, the first given count below its floor."""
+    for name, floor in floors.items():
+        value = getattr(args, name)
+        if value is not None and value < floor:
+            print(f"--{name.replace('_', '-')} must be >= {floor}, got {value}", file=sys.stderr)
+            return True
+    return False
+
+
+def _emit(document: str, path: "Path | None") -> None:
+    """Write a canonical report to ``path``, or to stdout without one."""
+    if path is None:
+        sys.stdout.write(document)
+        return
+    path.write_text(document)
+    print(f"wrote {path}", file=sys.stderr)
+
+
 def _cmd_protocol(args: argparse.Namespace) -> int:
     """``emd``/``gap``/``exact``: run one ad-hoc scenario, print its metrics."""
     if args.command == "exact":
@@ -146,12 +165,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
             f"({result.wall_time_s * 1e3:.1f} ms)",
             file=sys.stderr,
         )
-    report = render_report(results, seed=args.seed, include_timings=args.timings)
-    if args.output is not None:
-        args.output.write_text(report)
-        print(f"wrote {args.output}", file=sys.stderr)
-    else:
-        sys.stdout.write(report)
+    _emit(render_report(results, seed=args.seed, include_timings=args.timings), args.output)
     failures = [result.spec.name for result in results if not result.success]
     if failures:
         print(f"FAIL: {', '.join(failures)}", file=sys.stderr)
@@ -184,11 +198,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.jobs < 1:
-        print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
-    if args.trials is not None and args.trials < 1:
-        print(f"--trials must be >= 1, got {args.trials}", file=sys.stderr)
+    if _too_small(args, jobs=1, trials=1):
         return 2
     if args.output_dir is not None:
         args.output_dir.mkdir(parents=True, exist_ok=True)
@@ -220,16 +230,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     + (f"  mean bits {mean_bits:10.0f}" if mean_bits is not None else ""),
                     file=sys.stderr,
                 )
-            report = render_sweep_report(sweep, point_results, seed=args.seed)
-            if args.output is not None:
-                args.output.write_text(report)
-                print(f"wrote {args.output}", file=sys.stderr)
-            elif args.output_dir is not None:
-                path = args.output_dir / f"sweep-{name}.json"
-                path.write_text(report)
-                print(f"wrote {path}", file=sys.stderr)
-            else:
-                sys.stdout.write(report)
+            path = args.output_dir / f"sweep-{name}.json" if args.output_dir else args.output
+            _emit(render_sweep_report(sweep, point_results, seed=args.seed), path)
     # Decode failures are measured outcomes here (the curves include the
     # over-threshold regime), so completion is success.
     return 0
@@ -273,48 +275,24 @@ def _cmd_client(args: argparse.Namespace) -> int:
     from .server import (
         FrameConnection,
         NetworkConfig,
-        ReconcileClient,
-        SessionConfig,
         SimulatedNetwork,
         render_session_reports,
+        run_client,
+        session_configs,
     )
 
-    configs = [
-        SessionConfig(
-            session_id=session_id,
-            seed=args.seed,
-            protocol=args.protocol,
-            dim=args.dim,
-            n_shared=args.n,
-            delta=args.delta,
-            delta_bound=args.delta_bound,
-            max_attempts=args.max_attempts,
-            max_escalations=args.max_escalations,
-        )
-        for session_id in range(1, args.sessions + 1)
-    ]
+    if _too_small(args, sessions=1):
+        return 2
+    configs = session_configs(args.sessions, args.seed, vars(args))
     network = SimulatedNetwork(
-        NetworkConfig(
-            seed=derive_seed(args.seed, "recon-service-cli"),
-            loss_rate=args.loss_rate,
-            corrupt_rate=args.corrupt_rate,
-            duplicate_rate=args.duplicate_rate,
-            reorder_rate=args.reorder_rate,
-            base_latency_ms=args.base_latency_ms,
-            jitter_ms=args.jitter_ms,
-        )
+        NetworkConfig.from_params(derive_seed(args.seed, "recon-service-cli"), vars(args))
     )
 
     async def run():
         reader, writer = await asyncio.open_connection(args.host, args.port)
-        client = ReconcileClient(
-            FrameConnection(reader, writer), network=network, timeout=args.timeout
+        return await run_client(
+            FrameConnection(reader, writer), configs, network=network, timeout=args.timeout
         )
-        client.start()
-        try:
-            return await client.run_sessions(configs)
-        finally:
-            await client.aclose()
 
     reports = asyncio.run(run())
     for report in sorted(reports, key=lambda r: r.session_id):
@@ -325,12 +303,7 @@ def _cmd_client(args: argparse.Namespace) -> int:
             f"bits={report.transcript_bits} wire={report.wire.wire_bytes}B",
             file=sys.stderr,
         )
-    document = render_session_reports(reports, seed=args.seed)
-    if args.output is not None:
-        args.output.write_text(document)
-        print(f"wrote {args.output}", file=sys.stderr)
-    else:
-        sys.stdout.write(document)
+    _emit(render_session_reports(reports, seed=args.seed), args.output)
     return 0 if all(r.success and r.union_ok for r in reports) else 1
 
 
@@ -373,6 +346,8 @@ def _cmd_stream_replay(args: argparse.Namespace) -> int:
     from .core import Topology
     from .stream import EventLogReader, StreamReplayer, render_replay_report
 
+    if _too_small(args, parties=2, delta_bound=1, max_attempts=1):
+        return 2
     reader = EventLogReader.open(args.input)
     header = reader.header()
     events = reader.read_all()
@@ -399,12 +374,7 @@ def _cmd_stream_replay(args: argparse.Namespace) -> int:
         f"warm==cold={report.matches_cold_rebuild} bits={report.total_bits}",
         file=sys.stderr,
     )
-    document = render_replay_report(report, seed=args.seed, meta=dict(header["meta"]))
-    if args.output is not None:
-        args.output.write_text(document)
-        print(f"wrote {args.output}", file=sys.stderr)
-    else:
-        sys.stdout.write(document)
+    _emit(render_replay_report(report, seed=args.seed, meta=dict(header["meta"])), args.output)
     return 0 if report.success else 1
 
 

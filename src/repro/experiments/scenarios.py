@@ -130,6 +130,37 @@ def _round6(value: float) -> float:
     return round(float(value), 6)
 
 
+def _replica_pair(space: MetricSpace, p: Mapping[str, Any], rng: np.random.Generator):
+    """The gap and emd workload: ``k`` far points apart, the rest close."""
+    return noisy_replica_pair(
+        space,
+        n=p["n"],
+        k=p["k"],
+        close_radius=p["close_radius"],
+        far_radius=p["far_radius"],
+        rng=rng,
+    )
+
+
+def _split_universe(
+    rng: np.random.Generator, n: int, differences: int
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Two ``n``-key sets that differ in ``differences`` keys each way."""
+    universe = rng.choice(1 << 55, size=n + differences, replace=False).astype(np.uint64)
+    return universe[:n], np.concatenate([universe[differences:n], universe[n:]])
+
+
+def _topology(kind: str, parties: int, p: Mapping[str, Any], coins: PublicCoins) -> Topology:
+    """The gossip graph a scenario's params name."""
+    return Topology.build(
+        kind,
+        parties,
+        coins=coins.child("topology"),
+        branching=p.get("branching", 2),
+        k=p.get("k_regular", 2),
+    )
+
+
 # -- drivers ----------------------------------------------------------------
 
 
@@ -155,14 +186,7 @@ def _drive_gap(spec: ScenarioSpec, rng: np.random.Generator, coins: PublicCoins)
             raise ValueError("the general gap protocol needs a hamming or l1 space")
         lsh_params = family.derived_lsh_params(r1=p["r1"], r2=p["r2"])
         protocol = GapProtocol(space, family, lsh_params, n=p["n"], k=p["k"])
-    workload = noisy_replica_pair(
-        space,
-        n=p["n"],
-        k=p["k"],
-        close_radius=p["close_radius"],
-        far_radius=p["far_radius"],
-        rng=rng,
-    )
+    workload = _replica_pair(space, p, rng)
     result = protocol.run(workload.alice, workload.bob, coins)
     holds = result.success and verify_gap_guarantee(
         space, workload.alice, result.bob_final, p["r2"]
@@ -188,14 +212,7 @@ def _drive_emd(spec: ScenarioSpec, rng: np.random.Generator, coins: PublicCoins)
     """
     p = spec.params
     space = _space(p)
-    workload = noisy_replica_pair(
-        space,
-        n=p["n"],
-        k=p["k"],
-        close_radius=p["close_radius"],
-        far_radius=p["far_radius"],
-        rng=rng,
-    )
+    workload = _replica_pair(space, p, rng)
     # Optional prior knowledge (Corollary 3.5-style tighter bounds): d1/d2
     # shrink the level schedule, which the emd-levels sweep campaign uses
     # to trace communication cost against the level count.
@@ -271,9 +288,7 @@ def _drive_strata(
     """Strata estimation of an unknown symmetric-difference size."""
     p = spec.params
     n, differences = p["n"], p["differences"]
-    universe = rng.choice(1 << 55, size=n + differences, replace=False).astype(np.uint64)
-    alice = universe[:n]
-    bob = np.concatenate([universe[differences:n], universe[n:]])
+    alice, bob = _split_universe(rng, n, differences)
     alice_sketch = StrataEstimator(coins, "scenario-strata", key_bits=55)
     bob_sketch = StrataEstimator(coins, "scenario-strata", key_bits=55)
     alice_sketch.insert_batch(alice)
@@ -328,9 +343,7 @@ def _drive_iblt_load(
     """
     p = spec.params
     n, differences, q = p["n"], p["differences"], p.get("q", 3)
-    universe = rng.choice(1 << 55, size=n + differences, replace=False).astype(np.uint64)
-    alice = universe[:n]
-    bob = np.concatenate([universe[differences:n], universe[n:]])
+    alice, bob = _split_universe(rng, n, differences)
     table_a = IBLT(coins, "scenario-iblt-load", cells=p["cells"], q=q, key_bits=55)
     table_b = IBLT(coins, "scenario-iblt-load", cells=p["cells"], q=q, key_bits=55)
     table_a.insert_batch(alice)
@@ -414,105 +427,44 @@ def _drive_recon_service(
 ) -> dict:
     """The full reconciliation service over a seeded simulated network.
 
-    Boots the asyncio :class:`~repro.server.server.ReconcileServer` and a
-    :class:`~repro.server.client.ReconcileClient` on an in-memory framed
-    transport, multiplexes ``sessions`` concurrent reconciliations over
-    one connection, and damages traffic with a
-    :class:`~repro.server.network.SimulatedNetwork` whose fault/latency
-    streams are keyed only on ``(session, direction, seq)`` — so the
-    metrics are byte-deterministic regardless of asyncio scheduling.
-    ``success`` requires every session to reconcile *and* the server to
-    verify each union against its derived ground truth.  Wire bytes are
-    *measured* off the transport (duplicates included) with framing
-    overhead itemised apart from payload bytes.
+    ``sessions`` concurrent reconciliations share one in-memory
+    connection to a live server (:func:`~repro.server.serve_in_memory`),
+    and the metrics are the service report's aggregate plus per-frame
+    fault counts.  ``success`` requires every session to reconcile *and*
+    the server to verify each union against its derived ground truth.
     """
     from ..server import (
         NetworkConfig,
-        ReconcileClient,
         ReconcileServer,
-        SessionConfig,
-        SessionWireStats,
         SimulatedNetwork,
-        memory_pipe,
+        serve_in_memory,
+        session_aggregate,
+        session_configs,
     )
 
     p = spec.params
-    configs = [
-        SessionConfig(
-            session_id=session_id,
-            seed=spec.seed,
-            protocol=p.get("protocol", "resilient"),
-            dim=p["dim"],
-            n_shared=p["n"],
-            delta=p["delta"],
-            delta_bound=p["delta_bound"],
-            q=p.get("q", 3),
-            max_attempts=p.get("max_attempts", 8),
-            max_escalations=p.get("max_escalations", 2),
-        )
-        for session_id in range(1, p["sessions"] + 1)
-    ]
-    network = SimulatedNetwork(
-        NetworkConfig(
-            seed=derive_seed(spec.seed, "recon-service", spec.name),
-            loss_rate=p.get("loss_rate", 0.0),
-            corrupt_rate=p.get("corrupt_rate", 0.0),
-            duplicate_rate=p.get("duplicate_rate", 0.0),
-            reorder_rate=p.get("reorder_rate", 0.0),
-            base_latency_ms=p.get("base_latency_ms", 0.2),
-            jitter_ms=p.get("jitter_ms", 0.0),
+    link = NetworkConfig.from_params(derive_seed(spec.seed, "recon-service", spec.name), p)
+    reports = asyncio.run(
+        serve_in_memory(
+            ReconcileServer(),
+            session_configs(p["sessions"], spec.seed, p),
+            network=SimulatedNetwork(link),
+            timeout=30.0,
         )
     )
-
-    async def run():
-        client_conn, server_conn = memory_pipe()
-        server = ReconcileServer()
-        server_task = asyncio.ensure_future(server.serve_connection(server_conn))
-        client = ReconcileClient(client_conn, network=network, timeout=30.0)
-        client.start()
-        try:
-            return await client.run_sessions(configs)
-        finally:
-            await client.aclose()
-            server_task.cancel()
-            try:
-                await server_task
-            except asyncio.CancelledError:
-                pass
-
-    reports = sorted(asyncio.run(run()), key=lambda report: report.session_id)
-    transcript_bits = sum(r.transcript_bits for r in reports)
-    wire_bytes = sum(r.wire.wire_bytes for r in reports)
-    payload_bytes = sum(r.wire.payload_bytes for r in reports)
-    # Percentiles over the *pooled* per-frame latency draws, not a mean
-    # of per-session percentiles (which would weight sessions equally
-    # regardless of how many frames each carried).
-    pooled = SessionWireStats()
-    for r in reports:
-        pooled.sim_latency_samples.extend(r.wire.sim_latency_samples)
-    return {
-        "success": bool(all(r.success and r.union_ok for r in reports)),
-        "rounds": sum(r.transcript_rounds for r in reports),
-        "bits": transcript_bits,
-        "sessions": len(reports),
-        "sessions_reconciled": sum(1 for r in reports if r.success and r.union_ok),
-        "attempts": sum(r.attempts for r in reports),
-        "escalations": sum(r.escalations for r in reports),
-        "rerequests": sum(r.rerequests for r in reports),
-        "breakers_tripped": sum(1 for r in reports if r.breaker_tripped),
-        "wire_bytes": wire_bytes,
-        "payload_bytes": payload_bytes,
-        "framing_bytes": wire_bytes - payload_bytes,
-        "frames_lost": sum(r.wire.frames_lost for r in reports),
-        "frames_corrupted": sum(r.wire.frames_corrupted for r in reports),
-        "frames_duplicated": sum(r.wire.frames_duplicated for r in reports),
-        "frames_reordered": sum(r.wire.frames_reordered for r in reports),
-        "sim_latency_ms": _round6(sum(r.wire.sim_latency_ms for r in reports)),
-        "sim_latency_p50_ms": _round6(pooled.latency_percentile(0.50)),
-        "sim_latency_p99_ms": _round6(pooled.latency_percentile(0.99)),
-        # The physical wire must carry at least the analytical transcript.
-        "wire_covers_transcript": bool(8 * wire_bytes >= transcript_bits),
-    }
+    metrics = session_aggregate(reports)
+    metrics["success"] = metrics.pop("all_reconciled")
+    metrics["bits"] = metrics.pop("transcript_bits")
+    metrics.update(
+        rounds=sum(r.transcript_rounds for r in reports),
+        sessions=len(reports),
+        sessions_reconciled=sum(1 for r in reports if r.success and r.union_ok),
+        attempts=sum(r.attempts for r in reports),
+        frames_lost=sum(r.wire.frames_lost for r in reports),
+        frames_corrupted=sum(r.wire.frames_corrupted for r in reports),
+        frames_duplicated=sum(r.wire.frames_duplicated for r in reports),
+    )
+    return metrics
 
 
 def _drive_store_churn(
@@ -719,13 +671,7 @@ def _drive_multiparty(
         k=p["parties"],
         sos_size_multiplier=6.0,
     )
-    topology = Topology.build(
-        p.get("topology", "star"),
-        p["parties"],
-        coins=coins.child("topology"),
-        branching=p.get("branching", 2),
-        k=p.get("k_regular", 2),
-    )
+    topology = _topology(p.get("topology", "star"), p["parties"], p, coins)
     result = multi_party_gap(protocol, party_sets, coins, topology=topology)
     holds = result.success and verify_multi_party_guarantee(
         space, party_sets, result, r2
@@ -787,15 +733,8 @@ def _drive_stream_churn(
     overall = True
     bits_total = 0
     for kind in kinds:
-        topology = Topology.build(
-            kind,
-            parties,
-            coins=coins.child("topology"),
-            branching=p.get("branching", 2),
-            k=p.get("k_regular", 2),
-        )
         replayer = StreamReplayer(
-            topology,
+            _topology(kind, parties, p, coins),
             coins.child("replay"),
             key_bits=key_bits,
             delta_bound=p.get("delta_bound", 8),

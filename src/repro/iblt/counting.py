@@ -152,6 +152,7 @@ class MultisetIBLT(SumCellTable):
         """Delete a batch of keys with per-key (or scalar) multiplicities."""
         self._update_batch(keys, multiplicities, -1)
 
+    # Kept only because e2ebench/tracer.py wraps these names.
     insert_all = insert_batch
     delete_all = delete_batch
 

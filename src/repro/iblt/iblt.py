@@ -500,6 +500,7 @@ class IBLT(CellTable):
         """Remove a batch of keys (same inputs as :meth:`insert_batch`)."""
         self._update_batch(keys, -1)
 
+    # Kept only because e2ebench/tracer.py wraps these names.
     insert_all = insert_batch
     delete_all = delete_batch
 

@@ -32,8 +32,10 @@ fixed fault seed — the artifact the fault-rate sweep campaign and CI's
 fault-smoke gate aggregate.
 
 The policy itself lives in :class:`Recovery`, an I/O-free tracker: this
-controller, the service client (:mod:`repro.server.client`) and the
-store-churn scenario each drive one, so the three loops cannot drift.
+controller, the service client (:mod:`repro.server.client`), the
+store-churn scenario and the stream replayer's edge syncs
+(:mod:`repro.stream.replay`) each drive one, so the four loops cannot
+drift.
 """
 
 from __future__ import annotations

@@ -127,8 +127,6 @@ class StrataEstimator:
         for table, stratum_keys in self._route(keys):
             table.delete_batch(stratum_keys)
 
-    insert_all = insert_batch
-
     def _route(
         self, keys: "np.ndarray | Iterable[int]"
     ) -> "list[tuple[IBLT, np.ndarray | list[int]]]":

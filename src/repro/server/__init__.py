@@ -20,13 +20,16 @@ from .transport import (
     SessionWireStats,
     memory_pipe,
 )
-from .session import SessionConfig, session_workload
+from .session import SessionConfig, session_configs, session_workload
 from .server import ReconcileServer, ServerSession
 from .client import (
     ProtocolError,
     ReconcileClient,
     SessionReport,
     render_session_reports,
+    run_client,
+    serve_in_memory,
+    session_aggregate,
 )
 
 __all__ = [
@@ -40,6 +43,7 @@ __all__ = [
     "SessionWireStats",
     "memory_pipe",
     "SessionConfig",
+    "session_configs",
     "session_workload",
     "ReconcileServer",
     "ServerSession",
@@ -47,4 +51,7 @@ __all__ = [
     "ReconcileClient",
     "SessionReport",
     "render_session_reports",
+    "run_client",
+    "serve_in_memory",
+    "session_aggregate",
 ]

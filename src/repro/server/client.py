@@ -30,6 +30,7 @@ physical wire bytes and framing overhead.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 from dataclasses import dataclass, field
 
@@ -51,12 +52,16 @@ from .transport import (
     FrameConnection,
     FrameMux,
     SessionWireStats,
+    memory_pipe,
 )
 
 __all__ = [
     "ProtocolError",
     "SessionReport",
     "ReconcileClient",
+    "run_client",
+    "serve_in_memory",
+    "session_aggregate",
     "render_session_reports",
 ]
 
@@ -335,6 +340,66 @@ class _SessionState:
         self.resends = 0
 
 
+async def run_client(
+    connection: FrameConnection,
+    configs: "list[SessionConfig]",
+    network: "SimulatedNetwork | None" = None,
+    timeout: float = DEFAULT_TIMEOUT,
+) -> "list[SessionReport]":
+    """One client run: start a client on ``connection``, run every
+    session concurrently, and close the client however the run ends."""
+    client = ReconcileClient(connection, network=network, timeout=timeout)
+    client.start()
+    try:
+        return await client.run_sessions(configs)
+    finally:
+        await client.aclose()
+
+
+async def serve_in_memory(
+    server, configs: "list[SessionConfig]", **options
+) -> "list[SessionReport]":
+    """:func:`run_client` (with its ``options``) against ``server``, a
+    :class:`~repro.server.server.ReconcileServer`, over an in-memory
+    framed pipe; the server's connection task is cancelled afterwards."""
+    client_conn, server_conn = memory_pipe()
+    server_task = asyncio.ensure_future(server.serve_connection(server_conn))
+    try:
+        return await run_client(client_conn, configs, **options)
+    finally:
+        server_task.cancel()
+        with contextlib.suppress(asyncio.CancelledError):
+            await server_task
+
+
+def session_aggregate(reports: "list[SessionReport]") -> dict:
+    """Run-wide totals of finished sessions, summed in session-id order."""
+    reports = sorted(reports, key=lambda report: report.session_id)
+    wire_bytes = sum(r.wire.wire_bytes for r in reports)
+    payload_bytes = sum(r.wire.payload_bytes for r in reports)
+    transcript_bits = sum(r.transcript_bits for r in reports)
+    # Run-wide latency percentiles pool every session's drawn samples.
+    pooled = SessionWireStats()
+    for report in reports:
+        pooled.sim_latency_samples.extend(report.wire.sim_latency_samples)
+    return {
+        "all_reconciled": bool(all(r.success and r.union_ok for r in reports)),
+        "transcript_bits": transcript_bits,
+        "wire_bytes": wire_bytes,
+        "payload_bytes": payload_bytes,
+        "framing_bytes": wire_bytes - payload_bytes,
+        "rerequests": sum(r.rerequests for r in reports),
+        "escalations": sum(r.escalations for r in reports),
+        "breakers_tripped": sum(1 for r in reports if r.breaker_tripped),
+        "frames_reordered": sum(r.wire.frames_reordered for r in reports),
+        "sim_latency_ms": round(sum(r.wire.sim_latency_ms for r in reports), 6),
+        "sim_latency_p50_ms": round(pooled.latency_percentile(0.50), 6),
+        "sim_latency_p99_ms": round(pooled.latency_percentile(0.99), 6),
+        # The physical wire must carry at least the analytical transcript.
+        "wire_covers_transcript": bool(8 * wire_bytes >= transcript_bits),
+    }
+
+
 def render_session_reports(reports: "list[SessionReport]", seed: int) -> str:
     """Canonical ``repro.recon-service/v1`` JSON for a finished client run.
 
@@ -344,32 +409,11 @@ def render_session_reports(reports: "list[SessionReport]", seed: int) -> str:
     server-smoke gate compares with ``cmp``.
     """
     ordered = sorted(reports, key=lambda report: report.session_id)
-    wire_bytes = sum(r.wire.wire_bytes for r in ordered)
-    payload_bytes = sum(r.wire.payload_bytes for r in ordered)
-    transcript_bits = sum(r.transcript_bits for r in ordered)
-    # Run-wide latency percentiles pool every session's drawn samples.
-    pooled = SessionWireStats()
-    for report in ordered:
-        pooled.sim_latency_samples.extend(report.wire.sim_latency_samples)
     document = {
         "schema": "repro.recon-service/v1",
         "seed": seed,
         "session_count": len(ordered),
         "sessions": [report.to_dict() for report in ordered],
-        "aggregate": {
-            "all_reconciled": bool(all(r.success and r.union_ok for r in ordered)),
-            "transcript_bits": transcript_bits,
-            "wire_bytes": wire_bytes,
-            "payload_bytes": payload_bytes,
-            "framing_bytes": wire_bytes - payload_bytes,
-            "rerequests": sum(r.rerequests for r in ordered),
-            "escalations": sum(r.escalations for r in ordered),
-            "breakers_tripped": sum(1 for r in ordered if r.breaker_tripped),
-            "frames_reordered": sum(r.wire.frames_reordered for r in ordered),
-            "sim_latency_ms": round(sum(r.wire.sim_latency_ms for r in ordered), 6),
-            "sim_latency_p50_ms": round(pooled.latency_percentile(0.50), 6),
-            "sim_latency_p99_ms": round(pooled.latency_percentile(0.99), 6),
-            "wire_covers_transcript": bool(8 * wire_bytes >= transcript_bits),
-        },
+        "aggregate": session_aggregate(ordered),
     }
     return json.dumps(document, sort_keys=True, indent=2) + "\n"

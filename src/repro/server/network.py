@@ -39,7 +39,8 @@ poisoning its neighbours on the shared connection.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Any, Mapping
 
 from ..hashing import derive_seed
 from ..protocol.wire import HEADER_LEN, FrameHeader
@@ -74,6 +75,13 @@ class NetworkConfig:
             raise ValueError("loss_rate + corrupt_rate must not exceed 1")
         if self.base_latency_ms < 0 or self.jitter_ms < 0 or self.latency_scale < 0:
             raise ValueError("latency parameters must be >= 0")
+
+    @classmethod
+    def from_params(cls, seed: int, params: Mapping[str, Any]) -> "NetworkConfig":
+        """The link a ``client`` namespace or a scenario's params name;
+        absent conditions keep their defaults."""
+        names = [field.name for field in fields(cls) if field.name != "seed"]
+        return cls(seed=seed, **{name: params[name] for name in names if name in params})
 
     @property
     def any_faults(self) -> bool:

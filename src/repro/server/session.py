@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from ..workloads import split_difference_arrays
 
 __all__ = [
     "SessionConfig",
+    "session_configs",
     "json_payload",
     "parse_json_payload",
     "session_keys",
@@ -165,6 +167,25 @@ class SessionConfig:
     def workload_keys(self) -> "tuple[np.ndarray, np.ndarray]":
         """Derive ``(alice_keys, bob_keys)``: :meth:`workload`, encoded."""
         return session_keys(self.seed, self.session_id, self.dim, self.n_shared, self.delta)
+
+
+def session_configs(count: int, seed: int, params: Mapping[str, Any]) -> "list[SessionConfig]":
+    """Sessions ``1..count`` as a ``client`` namespace or a scenario's
+    params name them (``n`` is ``n_shared``); absent options keep their
+    defaults."""
+    options = ("protocol", "q", "max_attempts", "max_escalations")
+    return [
+        SessionConfig(
+            session_id=session_id,
+            seed=seed,
+            dim=params["dim"],
+            n_shared=params["n"],
+            delta=params["delta"],
+            delta_bound=params["delta_bound"],
+            **{name: params[name] for name in options if name in params},
+        )
+        for session_id in range(1, count + 1)
+    ]
 
 
 def session_workload(

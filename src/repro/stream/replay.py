@@ -11,11 +11,12 @@ every party to the union of all observed events.
 The anti-entropy plane reconciles **event IDs** (sequence numbers), not
 membership: event streams only ever grow, so the per-edge difference is
 exactly the events one side has not yet heard — a monotone set union,
-decoded from a small IBLT whose size escalates by doubling on failure
-(and stays escalated for that edge, like the PR-6 breaker).  Decoded
-IDs are then settled by shipping the missing events in their canonical
-crc-stamped log-line form, so wire accounting uses the exact bytes a
-log replica would.
+decoded from a small IBLT whose size escalates through a
+:class:`~repro.reconcile.resilient.Recovery` (and stays escalated for
+that edge).  Decoded IDs are then settled by shipping the missing
+events in their canonical crc-stamped log-line form, so wire accounting
+uses the exact bytes a log replica would.  A sync out of attempts ends
+gossip after its window, and the replay reports ``converged: false``.
 
 Two pins make the replay honest:
 
@@ -39,6 +40,7 @@ from dataclasses import dataclass
 from ..core.multiparty import Topology, _edge
 from ..hashing import PublicCoins, derive_seed
 from ..iblt.iblt import IBLT, cells_for_differences
+from ..reconcile.resilient import Recovery, ResilienceConfig
 from .events import MutationEvent, events_by_window
 from .log import record_line
 
@@ -132,14 +134,15 @@ class StreamReplayer:
     ):
         if delta_bound < 1:
             raise ValueError(f"delta_bound must be >= 1, got {delta_bound}")
-        if max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         self.topology = topology
         self.coins = coins
         self.key_bits = key_bits
         self.delta_bound = delta_bound
         self.q = q
-        self.max_attempts = max_attempts
+        # Every failed attempt doubles the bound, the last one included.
+        self.policy = ResilienceConfig(
+            max_attempts=max_attempts, max_escalations=max_attempts, q=q
+        )
         self.mem_coins = coins.child("stream-membership")
         self.id_coins = coins.child("stream-ids")
         self.mem_key = derive_seed(coins.seed, "stream-membership-key") & _MASK_61
@@ -191,10 +194,10 @@ class StreamReplayer:
         """
         edge = _edge(sender.index, receiver.index)
         counters["syncs"] += 1
-        bound = bounds[edge]
+        recovery = Recovery(self.policy, bounds[edge])
         decoded = None
-        for _ in range(self.max_attempts):
-            cells = cells_for_differences(bound, q=self.q)
+        for _ in recovery:
+            cells = cells_for_differences(recovery.bound, q=self.q)
             payload, bits = sender.store.serve_iblt(
                 self.id_key, self.id_coins, "ids", cells, q=self.q
             )
@@ -209,12 +212,11 @@ class StreamReplayer:
             )
             local = local_shell.from_payload(local_payload)
             result = remote.subtract(local).decode()
+            recovery.record("decoded" if result.success else "undecodable")
             if result.success:
                 decoded = result
-                break
-            counters["decode_failures"] += 1
-            bound *= 2
-        bounds[edge] = bound
+        bounds[edge] = recovery.bound
+        counters["decode_failures"] += recovery.undecodable
         if decoded is None:
             counters["sync_failures"] += 1
             return
@@ -275,6 +277,8 @@ class StreamReplayer:
                 self._sync_edge(
                     parties[parent_of[child]], parties[child], bounds, edge_bits, counters
                 )
+            if counters["sync_failures"]:
+                break  # a later window could delete a key a party never got
 
         converged = counters["sync_failures"] == 0 and all(
             party.store.keys_of(self.mem_key) == truth for party in parties

@@ -220,8 +220,8 @@ class TestStrataParity:
         for backend in ("python", "numpy"):
             sketch_a = StrataEstimator(coins, "se", backend=backend)
             sketch_b = StrataEstimator(coins, "se", backend=backend)
-            sketch_a.insert_all(int(k) for k in alice)
-            sketch_b.insert_all(int(k) for k in bob)
+            sketch_a.insert_batch(int(k) for k in alice)
+            sketch_b.insert_batch(int(k) for k in bob)
             sketches[backend] = sketch_a
             estimates[backend] = sketch_a.subtract(sketch_b).estimate()
         for python_table, numpy_table in zip(
@@ -316,10 +316,14 @@ class TestBatchIngest:
 
     @pytest.mark.parametrize("kind", sorted(_SKETCHES))
     def test_all_names_alias_batch_methods(self, kind):
+        """The ``*_all`` aliases survive only on the tables the e2e
+        tracer names; the strata estimator has none."""
         sketch_type = type(_SKETCHES[kind](PublicCoins(1), KEY_BITS, None))
+        if kind == "strata":
+            assert not hasattr(sketch_type, "insert_all")
+            return
         assert sketch_type.insert_all is sketch_type.insert_batch
-        if kind != "strata":
-            assert sketch_type.delete_all is sketch_type.delete_batch
+        assert sketch_type.delete_all is sketch_type.delete_batch
 
     @pytest.mark.parametrize("kind", ["iblt", "strata"])
     @pytest.mark.parametrize("backend", ["python", "numpy"])

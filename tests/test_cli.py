@@ -393,3 +393,45 @@ class TestSweepCommand:
         assert "emd-branching" in out
         assert "multiparty-parties" in out
         assert "churn-topology" in out
+
+
+class TestCountRefusals:
+    """An out-of-range count is refused in one stderr line with exit 2,
+    before the client connects or the replay reads its log (neither the
+    port nor the log below exists)."""
+
+    def test_client_zero_sessions(self, capsys):
+        assert main(["client", "--port", "1", "--sessions", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "--sessions must be >= 1, got 0\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag,value,floor", [
+        ("--parties", "1", 2),
+        ("--delta-bound", "0", 1),
+        ("--max-attempts", "0", 1),
+    ])
+    def test_replay_counts(self, tmp_path, capsys, flag, value, floor):
+        code = main([
+            "stream", "replay", "--input", str(tmp_path / "absent.ndjson"), flag, value,
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"{flag} must be >= {floor}, got {value}\n"
+        assert captured.out == ""
+
+
+class TestStreamReplayCommand:
+    def test_failed_sync_reports_unconverged(self, tmp_path, capsys):
+        log = tmp_path / "churn.ndjson"
+        assert main([
+            "stream", "record", "--output", str(log), "--seed", "7", "--n", "32",
+            "--windows", "3", "--rate", "6", "--skew", "1.2", "--sources", "5",
+        ]) == 0
+        code = main([
+            "stream", "replay", "--input", str(log), "--seed", "7", "--topology", "ring",
+            "--parties", "5", "--delta-bound", "1", "--max-attempts", "3",
+        ])
+        assert code == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["converged"] is False

@@ -182,7 +182,7 @@ _SKETCHES = {
     ),
     "strata": (
         lambda: StrataEstimator(COINS, "pay-load", strata=6, cells=12, key_bits=30),
-        lambda estimator: estimator.insert_all(range(40)),
+        lambda estimator: estimator.insert_batch(range(40)),
     ),
 }
 

@@ -32,13 +32,13 @@ from repro.protocol.wire import (
 from repro.server import (
     ConnectionClosedError,
     NetworkConfig,
-    ReconcileClient,
     ReconcileServer,
     ServerSession,
     SessionConfig,
     SimulatedNetwork,
     memory_pipe,
     render_session_reports,
+    serve_in_memory,
 )
 from repro.server.network import SessionLink
 from repro.server.server import MAX_DIM, MAX_WORKLOAD_COORDINATES
@@ -49,25 +49,14 @@ SUITE_TIMEOUT = 60.0
 
 def run_service(configs, network=None, timeout=15.0, store=None):
     """Run sessions against a live server over a memory pipe."""
-
-    async def run():
-        client_conn, server_conn = memory_pipe()
-        server = ReconcileServer(store=store)
-        server_task = asyncio.ensure_future(server.serve_connection(server_conn))
-        client = ReconcileClient(client_conn, network=network, timeout=timeout)
-        client.start()
-        try:
-            reports = await client.run_sessions(configs)
-        finally:
-            await client.aclose()
-            server_task.cancel()
-            try:
-                await server_task
-            except asyncio.CancelledError:
-                pass
-        return reports, server
-
-    return asyncio.run(asyncio.wait_for(run(), SUITE_TIMEOUT))
+    server = ReconcileServer(store=store)
+    reports = asyncio.run(
+        asyncio.wait_for(
+            serve_in_memory(server, configs, network=network, timeout=timeout),
+            SUITE_TIMEOUT,
+        )
+    )
+    return reports, server
 
 
 def _configs(n, seed=7, **overrides):

@@ -20,8 +20,8 @@ class TestStrataEstimator:
         keys = [int(v) for v in rng.choice(1 << 39, size=300, replace=False)]
         a = _estimator(coins)
         b = _estimator(coins)
-        a.insert_all(keys)
-        b.insert_all(keys)
+        a.insert_batch(keys)
+        b.insert_batch(keys)
         assert a.subtract(b).estimate() == 0
 
     @pytest.mark.parametrize("true_delta", [4, 16, 64, 256])
@@ -31,8 +31,8 @@ class TestStrataEstimator:
         shared = [int(v) for v in rng.choice(1 << 38, size=500, replace=False)]
         a = _estimator(coins)
         b = _estimator(coins)
-        a.insert_all(shared)
-        b.insert_all(shared)
+        a.insert_batch(shared)
+        b.insert_batch(shared)
         for index in range(true_delta):
             a.insert((1 << 39) + 2 * index)
             b.insert((1 << 39) + 2 * index + 1)
@@ -60,7 +60,7 @@ class TestStrataEstimator:
 
     def test_serialization_roundtrip(self, coins, rng):
         estimator = _estimator(coins)
-        estimator.insert_all(int(v) for v in rng.integers(0, 1 << 39, size=50))
+        estimator.insert_batch(int(v) for v in rng.integers(0, 1 << 39, size=50))
         payload, bits = estimator.to_payload()
         assert bits <= 8 * len(payload)
         shell = _estimator(coins)

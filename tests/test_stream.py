@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -349,3 +350,51 @@ class TestStreamReplayer:
         report = replayer.replay(workload.events)
         assert report.incremental_refreshes > 0
         assert report.store_hits > 0
+
+
+def _recorded_stream(seed=7):
+    """The stream ``stream record --seed 7 --n 32 --windows 3 --rate 6
+    --skew 1.2 --sources 5`` writes, drawn in-process."""
+    generator = ChurnGenerator(PublicCoins(seed).child("stream-record"), key_bits=55)
+    return generator.generate(n=32, windows=3, rate=6, skew=1.2, sources=5)
+
+
+def _recorded_replay(kind, seed=7, **options):
+    """Replay the recorded stream over five parties, as ``stream replay`` does."""
+    coins = PublicCoins(seed)
+    topology = Topology.build(kind, 5, coins=coins.child("stream-topology"))
+    replayer = StreamReplayer(topology, coins.child("stream-replay"), key_bits=55, **options)
+    return replayer.replay(_recorded_stream(seed).events)
+
+
+class TestReplayEscalation:
+    """Edge syncs escalate through the shared recovery loop."""
+
+    #: SHA-256 of the rendered report at ``delta_bound=1`` and the
+    #: default attempts, per topology.
+    PINNED = {
+        "star": "e571f2d0cda444e1b5636077d399192d8230636cf9942ac07ca02685419ac22c",
+        "ring": "49e28a91a19f369fa5587be4365ddefe92e1842d274c2303a9a1bc7e792f2828",
+        "tree": "7b83a8c4c46c0d0951f2eee230cfa3ee87eddf1655a3d37873efa7cd2dc60f3c",
+        "random": "f5994e19f6c990972d0442450e5b9ce6a544d48b1dcf534be4215fed8a08a8b8",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PINNED))
+    def test_escalating_replay_is_pinned(self, kind):
+        report = _recorded_replay(kind, delta_bound=1)
+        assert report.success
+        assert report.decode_failures >= 15
+        document = render_replay_report(report, seed=7)
+        assert hashlib.sha256(document.encode()).hexdigest() == self.PINNED[kind]
+
+    def test_failed_sync_ends_in_an_unconverged_report(self):
+        report = _recorded_replay("ring", delta_bound=1, max_attempts=3)
+        assert not report.converged
+        assert not report.success
+        assert report.decode_failures > 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("bound,attempts", [(1, 1), (1, 2), (1, 3), (2, 1)])
+    def test_exhausted_attempts_never_crash(self, seed, bound, attempts):
+        report = _recorded_replay("ring", seed, delta_bound=bound, max_attempts=attempts)
+        assert not report.converged
