@@ -283,10 +283,14 @@ def _cmd_client(args: argparse.Namespace) -> int:
 
     if _too_small(args, sessions=1):
         return 2
-    configs = session_configs(args.sessions, args.seed, vars(args))
-    network = SimulatedNetwork(
-        NetworkConfig.from_params(derive_seed(args.seed, "recon-service-cli"), vars(args))
-    )
+    try:
+        configs = session_configs(args.sessions, args.seed, vars(args))
+        network = SimulatedNetwork(
+            NetworkConfig.from_params(derive_seed(args.seed, "recon-service-cli"), vars(args))
+        )
+    except ValueError as error:
+        print(error, file=sys.stderr)
+        return 2
 
     async def run():
         reader, writer = await asyncio.open_connection(args.host, args.port)
@@ -352,21 +356,25 @@ def _cmd_stream_replay(args: argparse.Namespace) -> int:
     header = reader.header()
     events = reader.read_all()
     coins = PublicCoins(args.seed)
-    topology = Topology.build(
-        args.topology,
-        args.parties,
-        coins=coins.child("stream-topology"),
-        branching=args.branching,
-        k=args.k_regular,
-    )
-    replayer = StreamReplayer(
-        topology,
-        coins.child("stream-replay"),
-        key_bits=header["key_bits"],
-        delta_bound=args.delta_bound,
-        q=args.q,
-        max_attempts=args.max_attempts,
-    )
+    try:
+        topology = Topology.build(
+            args.topology,
+            args.parties,
+            coins=coins.child("stream-topology"),
+            branching=args.branching,
+            k=args.k_regular,
+        )
+        replayer = StreamReplayer(
+            topology,
+            coins.child("stream-replay"),
+            key_bits=header["key_bits"],
+            delta_bound=args.delta_bound,
+            q=args.q,
+            max_attempts=args.max_attempts,
+        )
+    except ValueError as error:
+        print(error, file=sys.stderr)
+        return 2
     report = replayer.replay(events)
     print(
         f"replayed {report.events} events over {args.topology} "

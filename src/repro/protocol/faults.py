@@ -32,6 +32,9 @@ from .channel import BaseChannel, Channel, Message
 
 __all__ = ["FaultSpec", "FaultEvent", "FaultSummary", "FaultyChannel"]
 
+#: Upper bound on bits flipped per corrupted message.
+MAX_FLIP_BITS = 4
+
 
 def _check_rate(name: str, rate: float) -> None:
     if not 0.0 <= rate <= 1.0:
@@ -50,28 +53,23 @@ class FaultSpec:
     truncate_rate:
         The receiver gets a strict byte prefix of the payload.
     flip_rate:
-        1..``max_flip_bits`` uniformly chosen bits of the delivered
+        1..:data:`MAX_FLIP_BITS` uniformly chosen bits of the delivered
         payload are inverted.
     duplicate_rate:
         The message is transmitted (and paid for) twice; the receiver
         still parses a single copy.
-    max_flip_bits:
-        Upper bound on bits flipped per corrupted message.
     """
 
     drop_rate: float = 0.0
     truncate_rate: float = 0.0
     flip_rate: float = 0.0
     duplicate_rate: float = 0.0
-    max_flip_bits: int = 4
 
     def __post_init__(self) -> None:
         _check_rate("drop_rate", self.drop_rate)
         _check_rate("truncate_rate", self.truncate_rate)
         _check_rate("flip_rate", self.flip_rate)
         _check_rate("duplicate_rate", self.duplicate_rate)
-        if self.max_flip_bits < 1:
-            raise ValueError(f"max_flip_bits must be >= 1, got {self.max_flip_bits}")
 
     @property
     def any_faults(self) -> bool:
@@ -199,7 +197,7 @@ class FaultyChannel(BaseChannel):
                 delivered_bits = min(delivered_bits, 8 * cut)
             if flip and len(delivered) > 0:
                 kinds.append("flip")
-                flipped_bits = 1 + rng.randrange(self.spec.max_flip_bits)
+                flipped_bits = 1 + rng.randrange(MAX_FLIP_BITS)
                 damaged = bytearray(delivered)
                 for _ in range(flipped_bits):
                     position = rng.randrange(8 * len(damaged))

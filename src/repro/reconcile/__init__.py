@@ -6,7 +6,6 @@ from .exact_iblt import (
     encode_point,
     encode_points,
     exact_iblt_reconcile,
-    exact_iblt_reconcile_auto,
 )
 from .cpi import cpi_reconcile, evaluate_characteristic
 from .outcome import ReconcileResult, outcome_metrics
@@ -16,6 +15,7 @@ from .resilient import (
     Recovery,
     RecoveryReport,
     ResilienceConfig,
+    exact_iblt_reconcile_auto,
     resilient_reconcile,
 )
 from .strata import StrataEstimator

@@ -34,7 +34,6 @@ __all__ = [
     "decode_points",
     "encode_points",
     "exact_iblt_reconcile",
-    "exact_iblt_reconcile_auto",
     "fresh_rows",
     "ship_alice_only",
     "strata_estimate",
@@ -244,47 +243,3 @@ def strata_estimate(
     bob_sketch.insert_batch(encode_points(space, bob_points))
     return received.difference_bound(bob_sketch)
 
-
-def exact_iblt_reconcile_auto(
-    space: MetricSpace,
-    alice_points: Sequence[Point],
-    bob_points: Sequence[Point],
-    coins: PublicCoins,
-    channel: Channel | None = None,
-    q: int = 3,
-    max_attempts: int = 4,
-) -> ReconcileResult:
-    """Exact reconciliation with *no* prior difference bound ([10]).
-
-    Adds a strata-estimator half-round in front of
-    :func:`exact_iblt_reconcile`: Alice ships her fixed-size strata
-    sketch, Bob subtracts his own, estimates the symmetric-difference
-    size, and sizes the reconciliation IBLT accordingly.  Small tables
-    occasionally draw a 2-core even below their load threshold, and the
-    estimate itself can undershoot, so on decode failure the bound is
-    doubled and the exchange retried (fresh coins) up to
-    ``max_attempts`` times — the standard deployment loop of [10].
-    Three rounds in the common case; two extra per retry.
-    """
-    channel = channel if channel is not None else Channel()
-    alice = space.point_array(alice_points)
-    bob = space.point_array(bob_points)
-    # Round 1 (Alice -> Bob): her strata sketch; Bob measures the bound.
-    delta_bound = strata_estimate(space, alice, bob, coins, channel, "auto-strata")
-
-    # Rounds 2-3 (+ doubling retries): the sized reconciliation.
-    result = None
-    for attempt in range(max_attempts):
-        result = exact_iblt_reconcile(
-            space,
-            alice,
-            bob,
-            delta_bound=delta_bound << attempt,
-            coins=coins.child("auto-exact", attempt),
-            channel=channel,
-            q=q,
-        )
-        if result.success:
-            break
-    assert result is not None
-    return result

@@ -12,7 +12,7 @@ deterministic recovery loop driven by the typed
   flight says nothing about the sketch being undersized.
 * **Sketch undecodable** (peeling failed on a well-formed table): the
   difference exceeded the table, so the cell count is *escalated*
-  geometrically (``delta_bound × escalation_factor`` per step), with
+  geometrically (``delta_bound × ESCALATION_FACTOR`` per step), with
   fresh coins per attempt so retries draw independent hypergraphs.
 * **Circuit breaker**: after ``max_escalations`` sizing steps have
   failed, blind escalation is abandoned — the breaker trips *open* and
@@ -31,11 +31,13 @@ Every attempt's outcome, table size, and measured bits land in a
 fixed fault seed — the artifact the fault-rate sweep campaign and CI's
 fault-smoke gate aggregate.
 
-The policy itself lives in :class:`Recovery`, an I/O-free tracker: this
-controller, the service client (:mod:`repro.server.client`), the
-store-churn scenario and the stream replayer's edge syncs
-(:mod:`repro.stream.replay`) each drive one, so the four loops cannot
-drift.
+The policy itself lives in :class:`Recovery`, an I/O-free tracker that
+five exact reconcilers drive: this controller,
+:func:`exact_iblt_reconcile_auto`, the service client
+(:mod:`repro.server.client`), the store-churn scenario and the stream
+replayer's edge syncs (:mod:`repro.stream.replay`).  Every attempt is
+[10]'s catch-up step: load the peer's served IBLT, delete your own
+keys, peel.
 """
 
 from __future__ import annotations
@@ -60,7 +62,11 @@ __all__ = [
     "AttemptRecord",
     "RecoveryReport",
     "resilient_reconcile",
+    "exact_iblt_reconcile_auto",
 ]
+
+#: Geometric growth factor for escalated (and fallback-doubled) bounds.
+ESCALATION_FACTOR = 2
 
 
 @dataclass(frozen=True)
@@ -73,18 +79,14 @@ class ResilienceConfig:
         Hard budget on reconciliation attempts (all phases combined).
     max_escalations:
         Blind sizing steps before the breaker trips: the bound grows
-        ``delta_bound × factor^k`` for ``k = 1..max_escalations``; the
-        failure after the last step opens the breaker.
-    escalation_factor:
-        Geometric growth factor for escalated (and fallback-doubled)
-        bounds.
+        ``delta_bound × ESCALATION_FACTOR^k``, ``k = 1..max_escalations``;
+        the failure after the last step opens the breaker.
     q:
         Hash count for every attempt's IBLT.
     """
 
     max_attempts: int = 8
     max_escalations: int = 2
-    escalation_factor: int = 2
     q: int = 3
 
     def __post_init__(self) -> None:
@@ -93,10 +95,6 @@ class ResilienceConfig:
         if self.max_escalations < 0:
             raise ValueError(
                 f"max_escalations must be >= 0, got {self.max_escalations}"
-            )
-        if self.escalation_factor < 2:
-            raise ValueError(
-                f"escalation_factor must be >= 2, got {self.escalation_factor}"
             )
 
 
@@ -142,12 +140,12 @@ class BreakerState:
             if self.escalations < config.max_escalations:
                 return replace(
                     self,
-                    bound=self.bound * config.escalation_factor,
+                    bound=self.bound * ESCALATION_FACTOR,
                     escalations=self.escalations + 1,
                 )
             return replace(self, breaker_open=True)
         if self.fallback_bound is not None:
-            grown = self.fallback_bound * config.escalation_factor
+            grown = self.fallback_bound * ESCALATION_FACTOR
             return replace(self, bound=grown, fallback_bound=grown)
         return self
 
@@ -423,3 +421,43 @@ def resilient_reconcile(
             report=report,
         )
     return replace(final, total_bits=channel.total_bits, rounds=channel.rounds, report=report)
+
+
+def exact_iblt_reconcile_auto(
+    space: MetricSpace,
+    alice_points: "list[Point]",
+    bob_points: "list[Point]",
+    coins: PublicCoins,
+    channel: "Channel | None" = None,
+    q: int = 3,
+    max_attempts: int = 4,
+) -> ReconcileResult:
+    """Exact reconciliation with *no* prior difference bound ([10]).
+
+    A :class:`Recovery` whose breaker is open from the start: attempt 1
+    adds a strata-estimator half-round in front of
+    :func:`~repro.reconcile.exact_iblt.exact_iblt_reconcile` (Alice ships
+    her fixed-size strata sketch, Bob subtracts his own and sizes the
+    IBLT for the estimated difference).  Small tables occasionally draw
+    a 2-core even below their load threshold, and the estimate can
+    undershoot, so each decode failure doubles the bound and retries
+    with fresh coins, up to ``max_attempts`` attempts — the standard
+    deployment loop of [10].  Three rounds in the common case; two extra
+    per retry.
+    """
+    channel = channel if channel is not None else Channel()
+    alice = space.point_array(alice_points)
+    bob = space.point_array(bob_points)
+    config = ResilienceConfig(max_attempts=max_attempts, q=q)
+    recovery = Recovery(config, 1, BreakerState(bound=1, breaker_open=True))
+    for attempt in recovery:
+        if recovery.needs_fallback:
+            # Round 1 (Alice -> Bob): her strata sketch; Bob measures the bound.
+            recovery.adopt_fallback(
+                strata_estimate(space, alice, bob, coins, channel, "auto-strata")
+            )
+        # Rounds 2-3: the sized reconciliation.
+        attempt_coins = coins.child("auto-exact", attempt - 1)
+        result = exact_iblt_reconcile(space, alice, bob, recovery.bound, attempt_coins, channel, q)
+        recovery.record("decoded" if result.success else "undecodable")
+    return result

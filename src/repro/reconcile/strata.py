@@ -9,7 +9,7 @@ set-reconciliation work the paper builds on — pairs the IBLT with a
 peeling strata from the deepest up yields an unbiased difference
 estimate from whatever strata decode.
 
-This powers :func:`repro.reconcile.exact_iblt.exact_iblt_reconcile_auto`
+This powers :func:`repro.reconcile.resilient.exact_iblt_reconcile_auto`
 — exact reconciliation with *no* prior difference bound, at the cost of
 one extra half-round carrying ``O(log|U|)`` fixed-size sketches.
 """

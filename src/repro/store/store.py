@@ -15,8 +15,7 @@ spent where it saves the most hashing:
   across Python versions, platforms and processes (pinned by tests).
 * **Warm entries** — each shard keeps an LRU-bounded map of
   :class:`StoreEntry` values: the key set itself, live IBLT tables with
-  their serialised payload bytes, strata estimates, and primed
-  :class:`~repro.iblt.frontier.KeyHashCache`\\ s.  Serving a repeat
+  their serialised payload bytes, and strata estimates.  Serving a repeat
   sketch for an unchanged entry is a dictionary lookup — **zero fresh
   Mersenne hash passes** (asserted via :class:`StoreStats`).
 * **Incremental maintenance** — :meth:`SketchStore.apply_mutations`
@@ -58,6 +57,13 @@ __all__ = ["ShardRouter", "SketchStore", "StoreConfig", "StoreEntry", "StoreStat
 #: ``[i * width, (i + 1) * width)`` of this line.
 MERSENNE_SPAN = 1 << 61
 
+#: LRU budget for distinct warm sketches (per shape/coins) held by one
+#: entry; escalation retries at new table sizes stay bounded.
+SKETCHES_PER_ENTRY = 8
+
+#: Per-shard budget for persisted per-peer breaker states.
+BREAKER_CAPACITY = 256
+
 
 @dataclass(frozen=True)
 class StoreConfig:
@@ -72,32 +78,17 @@ class StoreConfig:
         Number of key-range shards.
     capacity:
         LRU entry budget *per shard*.
-    sketches_per_entry:
-        LRU budget for distinct warm sketches (per shape/coins) held by
-        one entry; escalation retries at new table sizes stay bounded.
-    breaker_capacity:
-        Per-shard budget for persisted per-peer breaker states.
     """
 
     seed: int = 0
     shards: int = 8
     capacity: int = 32
-    sketches_per_entry: int = 8
-    breaker_capacity: int = 256
 
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
         if self.capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {self.capacity}")
-        if self.sketches_per_entry < 1:
-            raise ValueError(
-                f"sketches_per_entry must be >= 1, got {self.sketches_per_entry}"
-            )
-        if self.breaker_capacity < 1:
-            raise ValueError(
-                f"breaker_capacity must be >= 1, got {self.breaker_capacity}"
-            )
 
 
 @dataclass
@@ -325,7 +316,7 @@ class SketchStore:
         return (coins.seed, repr(label), *shape)
 
     def _bound_slots(self, slots: "OrderedDict[tuple, object]") -> None:
-        while len(slots) > self.config.sketches_per_entry:
+        while len(slots) > SKETCHES_PER_ENTRY:
             slots.popitem(last=False)
             self.stats.sketch_evictions += 1
 
@@ -347,16 +338,9 @@ class SketchStore:
         slot = entry.iblts.get(slot_key)
         if slot is None:
             table = IBLT(coins, label, cells=cells, q=q, key_bits=entry.key_bits)
-            keys = entry.sorted_keys()
-            table.insert_batch(keys)
+            table.insert_batch(entry.sorted_keys())
             self.stats.misses += 1
             self.stats.keys_hashed += len(entry.keys)
-            if entry.key_bits <= MAX_NUMPY_KEY_BITS and len(entry.keys):
-                # Warm the decode-side hash cache too (shared by every
-                # clone `subtract` hands out); behaviour-neutral.
-                primed = keys.tolist()
-                table._hash_cache.prime(primed)
-                self.stats.keys_hashed += len(primed)
             slot = _SketchSlot(table)
             entry.iblts[slot_key] = slot
             self._bound_slots(entry.iblts)
@@ -411,7 +395,7 @@ class SketchStore:
         shard, routed = self._peer_slot(peer)
         shard.breakers[routed] = state
         shard.breakers.move_to_end(routed)
-        while len(shard.breakers) > self.config.breaker_capacity:
+        while len(shard.breakers) > BREAKER_CAPACITY:
             shard.breakers.popitem(last=False)
             self.stats.evictions += 1
 

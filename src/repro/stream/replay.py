@@ -10,10 +10,12 @@ every party to the union of all observed events.
 
 The anti-entropy plane reconciles **event IDs** (sequence numbers), not
 membership: event streams only ever grow, so the per-edge difference is
-exactly the events one side has not yet heard — a monotone set union,
-decoded from a small IBLT whose size escalates through a
-:class:`~repro.reconcile.resilient.Recovery` (and stays escalated for
-that edge).  Decoded IDs are then settled by shipping the missing
+exactly the events one side has not yet heard — a monotone set union.
+Each edge sync is the catch-up step of every exact replica: the receiver
+loads the sender's served ID sketch, deletes its own IDs and peels, in
+the :class:`~repro.reconcile.resilient.Recovery` loop the other four
+exact reconcilers drive (the bound stays escalated for that edge).
+Decoded IDs are then settled by shipping the missing
 events in their canonical crc-stamped log-line form, so wire accounting
 uses the exact bytes a log replica would.  A sync out of attempts ends
 gossip after its window, and the replay reports ``converged: false``.
@@ -62,7 +64,7 @@ class ReplayReport:
     topology: str
     parties: int
     depth: int
-    windows: int
+    windows: int  #: windows gossiped: all of them unless a sync failed
     events: int
     total_bits: int
     edge_bits: tuple[tuple[int, int, int], ...]
@@ -134,6 +136,8 @@ class StreamReplayer:
     ):
         if delta_bound < 1:
             raise ValueError(f"delta_bound must be >= 1, got {delta_bound}")
+        if q < 2:
+            raise ValueError(f"q must be >= 2, got {q}")
         self.topology = topology
         self.coins = coins
         self.key_bits = key_bits
@@ -186,15 +190,16 @@ class StreamReplayer:
     ) -> None:
         """Reconcile two parties' event-ID sets across one edge.
 
-        ``sender`` serves its ID sketch; ``receiver`` subtracts its own
-        and peels.  Both sides end up with the union: receiver-missing
-        events are requested by ID and shipped as log lines,
-        sender-missing events are shipped back unprompted.  All of it
-        is charged to the edge.
+        ``sender`` serves its ID sketch; ``receiver`` loads it, deletes
+        its own IDs and peels.  Both sides end up with the union:
+        receiver-missing events are requested by ID and shipped as log
+        lines, sender-missing events are shipped back unprompted.  All
+        of it is charged to the edge.
         """
         edge = _edge(sender.index, receiver.index)
         counters["syncs"] += 1
         recovery = Recovery(self.policy, bounds[edge])
+        own_ids = sorted(receiver.known)
         decoded = None
         for _ in recovery:
             cells = cells_for_differences(recovery.bound, q=self.q)
@@ -202,16 +207,11 @@ class StreamReplayer:
                 self.id_key, self.id_coins, "ids", cells, q=self.q
             )
             edge_bits[edge] += bits
-            local_payload, _ = receiver.store.serve_iblt(
-                self.id_key, self.id_coins, "ids", cells, q=self.q
-            )
-            shell = IBLT(self.id_coins, "ids", cells=cells, q=self.q, key_bits=ID_KEY_BITS)
-            remote = shell.from_payload(payload)
-            local_shell = IBLT(
+            view = IBLT(
                 self.id_coins, "ids", cells=cells, q=self.q, key_bits=ID_KEY_BITS
-            )
-            local = local_shell.from_payload(local_payload)
-            result = remote.subtract(local).decode()
+            ).from_payload(payload)
+            view.delete_batch(own_ids)
+            result = view.decode()
             recovery.record("decoded" if result.success else "undecodable")
             if result.success:
                 decoded = result
@@ -260,8 +260,9 @@ class StreamReplayer:
         }
 
         grouped = events_by_window(events)
-        windows = sorted(grouped)
-        for window in windows:
+        gossiped = 0  # windows whose gossip wave ran, the failing one included
+        for window in sorted(grouped):
+            gossiped += 1
             for party in parties:
                 own = [
                     (seq, event)
@@ -302,7 +303,7 @@ class StreamReplayer:
             topology=self.topology.kind,
             parties=count,
             depth=max(depth_of.values()) if depth_of else 0,
-            windows=len(windows),
+            windows=gossiped,
             events=len(events),
             total_bits=sum(edge_bits.values()),
             edge_bits=tuple((u, v, edge_bits[(u, v)]) for u, v in self.topology.edges),

@@ -396,9 +396,9 @@ class TestSweepCommand:
 
 
 class TestCountRefusals:
-    """An out-of-range count is refused in one stderr line with exit 2,
-    before the client connects or the replay reads its log (neither the
-    port nor the log below exists)."""
+    """An out-of-range value is refused in one stderr line with exit 2,
+    before the client connects or any replay runs (port 1 is closed; a
+    count below its floor is refused before the replay reads its log)."""
 
     def test_client_zero_sessions(self, capsys):
         assert main(["client", "--port", "1", "--sessions", "0"]) == 2
@@ -418,6 +418,35 @@ class TestCountRefusals:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err == f"{flag} must be >= {floor}, got {value}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--q", "0"], "q must be >= 2, got 0"),
+        (["--q", "1"], "q must be >= 2, got 1"),
+        (["--topology", "tree", "--branching", "0"], "branching must be >= 1, got 0"),
+        (["--topology", "random", "--k-regular", "0"],
+         "need 1 <= k < parties, got k=0, parties=5"),
+        (["--topology", "random", "--k-regular", "5"],
+         "need 1 <= k < parties, got k=5, parties=5"),
+    ])
+    def test_replay_constructor_values(self, tmp_path, capsys, flags, message):
+        log = tmp_path / "churn.ndjson"
+        assert main(["stream", "record", "--output", str(log), "--n", "8", "--windows", "1"]) == 0
+        capsys.readouterr()
+        code = main(["stream", "replay", "--input", str(log), "--parties", "5", *flags])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--dim", "0"], "dim must be >= 1, got 0"),
+        (["--n", "-1"], "n_shared must be >= 0, got -1"),
+    ])
+    def test_client_session_values(self, capsys, flags, message):
+        assert main(["client", "--port", "1", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n"
         assert captured.out == ""
 
 

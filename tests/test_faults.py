@@ -12,6 +12,7 @@ from repro.protocol import (
     FaultyChannel,
     TranscriptSummary,
 )
+from repro.protocol.faults import MAX_FLIP_BITS
 
 
 def _run_sequence(channel):
@@ -29,8 +30,6 @@ class TestFaultSpec:
             FaultSpec(drop_rate=1.5)
         with pytest.raises(ValueError):
             FaultSpec(truncate_rate=-0.1)
-        with pytest.raises(ValueError):
-            FaultSpec(max_flip_bits=0)
 
     def test_any_faults(self):
         assert not FaultSpec().any_faults
@@ -100,7 +99,7 @@ class TestFaultKinds:
         assert channel.total_bits == 16 * 8 * 64
 
     def test_flip_preserves_length_and_bounds_flips(self, coins):
-        spec = FaultSpec(flip_rate=1.0, max_flip_bits=3)
+        spec = FaultSpec(flip_rate=1.0)
         channel = FaultyChannel(Channel(), spec, coins)
         payload = b"\x00" * 32
         for _ in range(16):
@@ -108,8 +107,8 @@ class TestFaultKinds:
             assert len(delivered) == len(payload)
             flipped = sum(bin(byte).count("1") for byte in delivered)
             # Flips can coincide and cancel, so <= drawn flips.
-            assert 0 <= flipped <= 3
-        assert all(e.kinds == ("flip",) and 1 <= e.flipped_bits <= 3
+            assert 0 <= flipped <= MAX_FLIP_BITS
+        assert all(e.kinds == ("flip",) and 1 <= e.flipped_bits <= MAX_FLIP_BITS
                    for e in channel.events)
 
     def test_duplicate_pays_twice_delivers_once(self, coins):

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from repro.hashing import PublicCoins
+from repro.iblt.backend import default_backend
 from repro.metric import HammingSpace
 from repro.protocol import Channel, FaultSpec, FaultyChannel
 from repro.reconcile import (
@@ -13,6 +18,7 @@ from repro.reconcile import (
     Recovery,
     ResilienceConfig,
     exact_iblt_reconcile,
+    exact_iblt_reconcile_auto,
     resilient_reconcile,
 )
 from repro.workloads import split_difference_pair
@@ -30,8 +36,6 @@ class TestConfig:
             ResilienceConfig(max_attempts=0)
         with pytest.raises(ValueError):
             ResilienceConfig(max_escalations=-1)
-        with pytest.raises(ValueError):
-            ResilienceConfig(escalation_factor=1)
 
 
 #: (case, config, delta_bound, resumed breaker, recorded outcomes,
@@ -355,3 +359,50 @@ class TestFaultyRuns:
             )
             renders.append(result.report.to_json())
         assert renders[0] != renders[1]
+
+
+#: ``(seed, delta, max_attempts)`` runs of the auto-sized reconciler.
+#: Seeds 2, 45, 131 and 175 fail their first sized attempt and decode on
+#: the doubled bound; the last run spends its one attempt and fails.
+_AUTO_CASES = [(seed, (4, 8, 16)[seed % 3], 4) for seed in range(40)] + [
+    (45, 4, 4),
+    (131, 8, 4),
+    (175, 8, 4),
+    (2, 16, 1),
+]
+
+
+class TestAutoSizedRecovery:
+    #: SHA-256 over every run's per-label bits, rounds and result fields,
+    #: per backend (the two peel the same difference in different orders).
+    PINNED = {
+        "numpy": "9e514fb6217d5c9ddd903b6053287bf48212caf10e4d2c94a426be794be42665",
+        "python": "37eeb23a8221dfc5874e5d7af400bdf16ed2d5846bc37f868e4a46fca33b4c0f",
+    }
+
+    def test_runs_are_pinned(self):
+        records = []
+        retried = 0
+        for seed, delta, max_attempts in _AUTO_CASES:
+            alice, bob = _workload(seed, delta=delta)
+            channel = Channel()
+            result = exact_iblt_reconcile_auto(
+                SPACE, alice, bob, PublicCoins(seed), channel, max_attempts=max_attempts
+            )
+            sized = sum(message.label == "iblt" for message in channel.messages)
+            retried += sized > 1
+            assert sized <= max_attempts
+            records.append(
+                {
+                    "bits": channel.summary().by_label,
+                    "rounds": channel.rounds,
+                    "result": {
+                        field.name: getattr(result, field.name)
+                        for field in dataclasses.fields(result)
+                    },
+                }
+            )
+        assert retried >= 4
+        assert [record["result"]["success"] for record in records].count(False) == 1
+        digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+        assert digest == self.PINNED[default_backend()]

@@ -373,10 +373,10 @@ class TestReplayEscalation:
     #: SHA-256 of the rendered report at ``delta_bound=1`` and the
     #: default attempts, per topology.
     PINNED = {
-        "star": "e571f2d0cda444e1b5636077d399192d8230636cf9942ac07ca02685419ac22c",
-        "ring": "49e28a91a19f369fa5587be4365ddefe92e1842d274c2303a9a1bc7e792f2828",
-        "tree": "7b83a8c4c46c0d0951f2eee230cfa3ee87eddf1655a3d37873efa7cd2dc60f3c",
-        "random": "f5994e19f6c990972d0442450e5b9ce6a544d48b1dcf534be4215fed8a08a8b8",
+        "star": "9e4a4855fd21da8f38b7d65a6cd731a9812c49ec9f7e84af1c5dfcbdbbf5e675",
+        "ring": "d2a51e528ff24a6f26cd2c066fa51d42b5ce35f16871f4403f67d096849347a4",
+        "tree": "23c1931ba542b47e5f324bfa99b3451d1827f6c8fb080cc6d5542215434b2a36",
+        "random": "053cabca1a77b3a6edcc46a3904486852f9abb992091c60a926012aff9268ef9",
     }
 
     @pytest.mark.parametrize("kind", sorted(PINNED))
@@ -392,6 +392,13 @@ class TestReplayEscalation:
         assert not report.converged
         assert not report.success
         assert report.decode_failures > 0
+
+    def test_failed_sync_reports_the_windows_gossiped(self):
+        """Gossip stops after the window whose sync failed, and the report
+        counts the windows gossiped, not the stream's."""
+        failed = _recorded_replay("ring", delta_bound=1, max_attempts=3)
+        assert (failed.windows, failed.syncs) == (1, 8)
+        assert _recorded_replay("ring").windows == _recorded_stream().windows + 1
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("bound,attempts", [(1, 1), (1, 2), (1, 3), (2, 1)])
