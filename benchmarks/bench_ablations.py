@@ -20,7 +20,6 @@ import pytest
 from repro.core import GapProtocol, verify_gap_guarantee
 from repro.hashing import PublicCoins
 from repro.iblt import RIBLT, riblt_cells_for_pairs
-from repro.lsh import BitSamplingMLSH
 from repro.metric import HammingSpace
 from repro.reconcile import (
     cpi_reconcile,
@@ -88,12 +87,10 @@ def _gap_with_threshold(threshold_fraction: float, seed: int):
     workload = noisy_replica_pair(
         space, n=n, k=k, close_radius=2, far_radius=r2 + 8, rng=rng
     )
-    family = BitSamplingMLSH(space, w=128.0)
-    params = family.derived_lsh_params(r1=2.0, r2=r2)
-    probe = GapProtocol(space, family, params, n=n, k=k)
+    probe = GapProtocol.for_instance(space, n=n, k=k, r1=2.0, r2=r2)
     threshold = max(1, round(threshold_fraction * probe.entries))
-    protocol = GapProtocol(
-        space, family, params, n=n, k=k, match_threshold=threshold
+    protocol = GapProtocol.for_instance(
+        space, n=n, k=k, r1=2.0, r2=r2, match_threshold=threshold
     )
     result = protocol.run(workload.alice, workload.bob, PublicCoins(seed))
     if not result.success:

@@ -14,7 +14,6 @@ import pytest
 
 from repro.core import GapProtocol, verify_gap_guarantee
 from repro.hashing import PublicCoins
-from repro.lsh import BitSamplingMLSH, GridMLSH
 from repro.metric import GridSpace, HammingSpace
 from repro.workloads import noisy_replica_pair
 
@@ -32,9 +31,7 @@ def _run_hamming(n: int, k: int, seed: int):
     workload = noisy_replica_pair(
         space, n=n, k=k, close_radius=int(R1), far_radius=R2 + 8, rng=rng
     )
-    family = BitSamplingMLSH(space, w=float(D))
-    params = family.derived_lsh_params(r1=R1, r2=R2)
-    protocol = GapProtocol(space, family, params, n=n, k=k)
+    protocol = GapProtocol.for_instance(space, n=n, k=k, r1=R1, r2=R2)
     result = protocol.run(workload.alice, workload.bob, PublicCoins(seed))
     if not result.success:
         return {"success": False}
@@ -112,9 +109,7 @@ def test_l1_configuration_cor44():
     workload = noisy_replica_pair(
         space, n=n, k=k, close_radius=4, far_radius=700.0, rng=rng
     )
-    family = GridMLSH(space, w=512.0)
-    params = family.derived_lsh_params(r1=4.0, r2=512.0)
-    protocol = GapProtocol(space, family, params, n=n, k=k)
+    protocol = GapProtocol.for_instance(space, n=n, k=k, r1=4.0, r2=512.0)
     result = protocol.run(workload.alice, workload.bob, PublicCoins(4))
     assert result.success
     assert verify_gap_guarantee(space, workload.alice, result.bob_final, 512.0)
@@ -126,9 +121,7 @@ def test_gap_speed(benchmark, sweep):
     workload = noisy_replica_pair(
         space, n=32, k=2, close_radius=int(R1), far_radius=R2 + 8, rng=rng
     )
-    family = BitSamplingMLSH(space, w=float(D))
-    params = family.derived_lsh_params(r1=R1, r2=R2)
-    protocol = GapProtocol(space, family, params, n=32, k=2)
+    protocol = GapProtocol.for_instance(space, n=32, k=2, r1=R1, r2=R2)
     result = benchmark.pedantic(
         protocol.run,
         args=(workload.alice, workload.bob, PublicCoins(5)),

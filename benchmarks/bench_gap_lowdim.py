@@ -18,7 +18,6 @@ from repro.core import (
     verify_gap_guarantee,
 )
 from repro.hashing import PublicCoins
-from repro.lsh import GridMLSH
 from repro.metric import GridSpace
 from repro.workloads import noisy_replica_pair
 
@@ -38,9 +37,7 @@ def _run_pair(dim: int, side: int, r1: float, r2: float, far: float, seed: int):
     )
     coins = PublicCoins(seed)
 
-    general_family = GridMLSH(space, w=r2)
-    general_params = general_family.derived_lsh_params(r1=r1, r2=r2)
-    general = GapProtocol(space, general_family, general_params, n=N, k=K)
+    general = GapProtocol.for_instance(space, n=N, k=K, r1=r1, r2=r2)
     general_result = general.run(workload.alice, workload.bob, coins.child("gen"))
 
     lowdim = low_dimensional_gap_protocol(space, n=N, k=K, r1=r1, r2=r2)

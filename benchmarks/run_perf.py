@@ -11,13 +11,26 @@ Usage::
 
     PYTHONPATH=src python benchmarks/run_perf.py            # full (n = 10^5)
     PYTHONPATH=src python benchmarks/run_perf.py --quick    # CI smoke (n = 2·10^4)
-    PYTHONPATH=src python benchmarks/run_perf.py --quick \
+    PYTHONPATH=src python benchmarks/run_perf.py \
         --compare benchmarks/BENCH_core.json                # regression gate
+
+Besides the hash and IBLT kernels, ``emd_keys`` times per-level digests
+over a real derived prefix schedule, ``gap_keys`` the Gap key vectors
+against the per-row scalar ``VectorHash`` reference, ``emd_round`` one
+EMD level (RIBLT batch insert/delete/decode), ``iblt_decode_tail`` the
+sparse tail-dominated decode regime, and ``cell_codec`` ``to_payload`` +
+``from_payload`` of an IBLT, a counting IBLT with multiplicities up to 9
+and a RIBLT whose checksum sums pass ``2^64``, against a per-field scalar
+``write_varint``/``write_uint``/``read_varint``/``read_uint`` reference.
+Every kernel asserts that its two sides agree.
 
 The regression gate compares *speedups* (numpy vs python on the same
 machine in the same run), not absolute times, so it is robust to slow CI
 hosts: it fails when any kernel's measured speedup drops below half of
-the committed baseline's.
+the committed baseline's.  It refuses a missing baseline (it never
+self-baselines) and a run whose ``n`` differs from the baseline's, so
+gate at full size; ``--step-summary`` appends a per-kernel markdown
+speedup table.
 """
 
 from __future__ import annotations

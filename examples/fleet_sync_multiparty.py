@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import BitSamplingMLSH, GapProtocol, HammingSpace, PublicCoins
+from repro import GapProtocol, HammingSpace, PublicCoins
 from repro.core.multiparty import multi_party_gap, verify_multi_party_guarantee
 from repro.workloads import perturb_point, random_far_point
 
@@ -36,11 +36,8 @@ def main() -> None:
         print(f"sensor {index}: {len(observations)} observations "
               f"(1 object only it saw)")
 
-    family = BitSamplingMLSH(space, w=96.0)
-    params = family.derived_lsh_params(r1=r1, r2=r2)
-    protocol = GapProtocol(
-        space, family, params, n=n + parties, k=parties,
-        sos_size_multiplier=6.0,
+    protocol = GapProtocol.for_instance(
+        space, n=n + parties, k=parties, r1=r1, r2=r2, sos_size_multiplier=6.0
     )
 
     result = multi_party_gap(protocol, party_sets, PublicCoins(2024))

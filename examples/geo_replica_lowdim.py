@@ -16,7 +16,6 @@ import numpy as np
 
 from repro import (
     GapProtocol,
-    GridMLSH,
     GridSpace,
     PublicCoins,
     low_dimensional_gap_protocol,
@@ -48,9 +47,7 @@ def main() -> None:
           f"{len(low_result.transmitted)} points shipped")
 
     # --- Theorem 4.2: the general protocol on the same instance ----------
-    family = GridMLSH(space, w=r2)
-    params = family.derived_lsh_params(r1=r1, r2=r2)
-    general = GapProtocol(space, family, params, n=n, k=k)
+    general = GapProtocol.for_instance(space, n=n, k=k, r1=r1, r2=r2)
     print(f"\ngeneral protocol: h x m = {general.entries} x {general.per_entry} "
           f"= {general.entries * general.per_entry} LSH evaluations/point")
     general_result = general.run(workload.alice, workload.bob, PublicCoins(3))

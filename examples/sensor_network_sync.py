@@ -16,7 +16,6 @@ import numpy as np
 
 from repro import (
     GapProtocol,
-    GridMLSH,
     GridSpace,
     PublicCoins,
     naive_union_transfer,
@@ -38,11 +37,9 @@ def main() -> None:
     print(f"two sensors, {n} readings each; {k} objects only sensor A saw")
     print(f"noise radius r1={r1}, object separation r2={r2} (l1)")
 
-    # An l1 MLSH family doubles as the LSH the protocol needs
+    # On an l1 grid the protocol's LSH is grid MLSH of width r2
     # (Corollary 4.4's regime: constant r2/r1 gap, large universe).
-    family = GridMLSH(space, w=r2)
-    params = family.derived_lsh_params(r1=r1, r2=r2)
-    protocol = GapProtocol(space, family, params, n=n, k=k)
+    protocol = GapProtocol.for_instance(space, n=n, k=k, r1=r1, r2=r2)
     print(f"LSH quality rho = {protocol.rho:.3f}; key vectors: "
           f"h={protocol.entries} entries x m={protocol.per_entry} hashes, "
           f"match threshold tau={protocol.match_threshold}")

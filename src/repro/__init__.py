@@ -21,8 +21,9 @@ The two protocol families:
 
 * :class:`EMDProtocol` / :class:`ScaledEMDProtocol` — Bob's final set is
   close to Alice's in earth mover's distance (Section 3).
-* :class:`GapProtocol` / :func:`low_dimensional_gap_protocol` — Bob ends
-  with a point within ``r2`` of every input point (Section 4).
+* :class:`GapProtocol` — Bob ends with a point within ``r2`` of every
+  input point (Section 4); :meth:`GapProtocol.for_instance` (Theorem 4.2)
+  and :func:`low_dimensional_gap_protocol` (Theorem 4.5) build it.
 
 Substrates (all reimplemented from scratch): multi-scale LSH families
 (:mod:`repro.lsh`), robust invertible Bloom lookup tables

@@ -1,11 +1,10 @@
 """Experiment-running helpers: statistics and table rendering."""
 
-from .stats import Summary, run_trials, success_rate, summarize, wilson_interval
+from .stats import Summary, success_rate, summarize, wilson_interval
 from .tables import format_cell, format_table
 
 __all__ = [
     "Summary",
-    "run_trials",
     "success_rate",
     "summarize",
     "wilson_interval",

@@ -1,21 +1,19 @@
 """Statistics helpers shared by the experiment harness.
 
-Small, dependency-light utilities: summary statistics with normal-
-approximation confidence intervals, success-rate estimation with Wilson
-intervals, and a generic multi-trial runner used by the benchmarks so
-every experiment reports means over independent seeds rather than single
-runs.
+Small, dependency-light utilities: summary statistics and success-rate
+estimation with Wilson intervals at 95% confidence.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Iterable, Sequence
 
-__all__ = ["Summary", "summarize", "success_rate", "wilson_interval", "run_trials"]
+__all__ = ["Summary", "summarize", "success_rate", "wilson_interval"]
 
-T = TypeVar("T")
+#: Normal quantile of the 95% Wilson interval.
+Z_95 = 1.96
 
 
 @dataclass(frozen=True)
@@ -27,13 +25,6 @@ class Summary:
     std: float
     minimum: float
     maximum: float
-
-    def confidence_interval(self, z: float = 1.96) -> tuple[float, float]:
-        """Normal-approximation CI for the mean."""
-        if self.count <= 1:
-            return (self.mean, self.mean)
-        half = z * self.std / math.sqrt(self.count)
-        return (self.mean - half, self.mean + half)
 
     def __str__(self) -> str:  # pragma: no cover - formatting
         return f"{self.mean:.3g} ± {self.std:.2g} (n={self.count})"
@@ -59,12 +50,13 @@ def summarize(values: Iterable[float]) -> Summary:
     )
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError(f"trials must be > 0, got {trials}")
     if not 0 <= successes <= trials:
         raise ValueError("successes must be in [0, trials]")
+    z = Z_95
     p = successes / trials
     denom = 1.0 + z * z / trials
     centre = (p + z * z / (2 * trials)) / denom
@@ -82,10 +74,3 @@ def success_rate(outcomes: Sequence[bool]) -> tuple[float, tuple[float, float]]:
         raise ValueError("cannot compute a rate over no outcomes")
     successes = sum(1 for outcome in outcomes if outcome)
     return successes / len(outcomes), wilson_interval(successes, len(outcomes))
-
-
-def run_trials(trial: Callable[[int], T], trials: int, seed0: int = 0) -> list[T]:
-    """Run ``trial(seed)`` for ``trials`` distinct seeds and collect results."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    return [trial(seed0 + index) for index in range(trials)]

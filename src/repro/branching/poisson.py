@@ -39,6 +39,9 @@ __all__ = [
     "simulate_survival",
 ]
 
+#: :func:`simulate_tree_size` stops counting past this many vertices.
+MAX_TREE_VERTICES = 500_000
+
 
 def poisson_tail(mean: float, at_least: int) -> float:
     """``Pr[Poisson(mean) >= at_least]`` for small ``at_least`` (1 or 2)."""
@@ -71,13 +74,6 @@ class SurvivalCurve:
     @property
     def rounds(self) -> int:
         return len(self.lam)
-
-    def extinct_by(self, tolerance: float = 1e-12) -> int | None:
-        """First round at which ``λ_j`` drops below ``tolerance``."""
-        for j, value in enumerate(self.lam):
-            if value < tolerance:
-                return j
-        return None
 
 
 def survival_recurrence(c: float, q: int, rounds: int) -> SurvivalCurve:
@@ -114,14 +110,12 @@ def expected_unconditioned_size(c: float, q: int, depth: int) -> float:
     return (factor ** (depth + 1) - 1.0) / (factor - 1.0)
 
 
-def simulate_tree_size(
-    c: float, q: int, depth: int, rng: np.random.Generator, max_vertices: int = 500_000
-) -> int:
+def simulate_tree_size(c: float, q: int, depth: int, rng: np.random.Generator) -> int:
     """Sample the vertex count of one idealized branching tree to ``depth``.
 
     Each vertex draws ``Poisson(c·q)`` child edges; each edge contributes
-    ``q-1`` child vertices.  Truncated at ``max_vertices`` (supercritical
-    trees can explode).
+    ``q-1`` child vertices.  Truncated at ``MAX_TREE_VERTICES``
+    (supercritical trees can explode).
     """
     total = 1
     frontier = 1
@@ -132,8 +126,8 @@ def simulate_tree_size(
         child_edges = int(rng.poisson(mean * frontier))
         frontier = child_edges * (q - 1)
         total += frontier
-        if total > max_vertices:
-            return max_vertices
+        if total > MAX_TREE_VERTICES:
+            return MAX_TREE_VERTICES
     return total
 
 

@@ -281,7 +281,9 @@ def _cmd_client(args: argparse.Namespace) -> int:
         session_configs,
     )
 
-    if _too_small(args, sessions=1):
+    if _too_small(
+        args, sessions=1, dim=1, n=0, delta=0, delta_bound=1, max_attempts=1, max_escalations=0
+    ):
         return 2
     try:
         configs = session_configs(args.sessions, args.seed, vars(args))
@@ -350,7 +352,17 @@ def _cmd_stream_replay(args: argparse.Namespace) -> int:
     from .core import Topology
     from .stream import EventLogReader, StreamReplayer, render_replay_report
 
-    if _too_small(args, parties=2, delta_bound=1, max_attempts=1):
+    # The topology's own count flag is checked only where it applies.
+    shape = {"tree": {"branching": 1}, "random": {"k_regular": 1}}.get(args.topology, {})
+    if _too_small(args, parties=2, delta_bound=1, q=2, max_attempts=1, **shape):
+        return 2
+    k, parties = args.k_regular, args.parties
+    if args.topology == "random" and (k >= parties or parties * k % 2):
+        print(
+            "--k-regular must be < --parties, with an even --parties * --k-regular; "
+            f"got --k-regular {k}, --parties {parties}",
+            file=sys.stderr,
+        )
         return 2
     reader = EventLogReader.open(args.input)
     header = reader.header()

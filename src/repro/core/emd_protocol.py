@@ -18,7 +18,20 @@ The level ladder itself — Alice's :func:`send_levels`, Bob's
 shared with the interval-scaled wrapper (:mod:`repro.core.emd_scaled`)
 and the quadtree baseline (:mod:`repro.reconcile.quadtree`); each
 protocol supplies only its tables, its per-level ``(keys, values)`` and
-its accept budget.
+its accept budget:
+
+* :class:`EMDProtocol` — keys from the :class:`~repro.lsh.keys.PrefixKeyBuilder`
+  matrix, points as values, a ``4k``-pair budget, levels counted from 1,
+  Bob's decode coins seeded ``0xB0B``; ``send``/``receive`` are its two
+  halves.
+* :class:`~repro.core.emd_scaled.ScaledEMDProtocol` — runs each interval
+  instance's ``send``/``receive`` under ``coins.child("scaled-emd", j)``,
+  all in one message, with one decode-coin stream across intervals; Bob
+  adopts the smallest interval that decoded (``chosen_interval``).
+* :class:`~repro.reconcile.quadtree.QuadtreeEMDProtocol` — keys are folded
+  cell ids of a shifted grid per level and values the cell centres, a
+  ``4k`` budget, levels counted from 0, and each level's peel on the
+  RIBLT's fixed seed.
 """
 
 from __future__ import annotations

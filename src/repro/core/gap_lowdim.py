@@ -11,6 +11,11 @@ vector uses ``m = 1`` LSH value per entry and only
 close as soon as *any* entry of its key matches the corresponding entry
 of any Bob key (match threshold 1).  This improves over Theorem 4.2 by
 roughly a ``log(r2/r1)`` factor in communication for constant ``d``.
+
+:func:`low_dimensional_gap_protocol` is this construction's factory, the
+counterpart of :meth:`repro.core.gap_protocol.GapProtocol.for_instance`
+(Theorem 4.2's, which takes its LSH from the space); both return a
+configured :class:`~repro.core.gap_protocol.GapProtocol`.
 """
 
 from __future__ import annotations
@@ -23,14 +28,17 @@ from .gap_protocol import GapProtocol
 
 __all__ = ["low_dimensional_gap_protocol", "low_dim_entries"]
 
+#: Entries added on top of ``2·ln n / ln(1/ρ̂)``.
+ENTRY_SLACK = 2
 
-def low_dim_entries(n: int, rho_hat: float, slack: int = 2) -> int:
+
+def low_dim_entries(n: int, rho_hat: float) -> int:
     """``h = Θ(log n / log(1/ρ̂))``: entries so a close pair misses all
     ``h`` grids with probability ``ρ̂^h <= 1/poly(n)``."""
     if not 0 < rho_hat < 1:
         raise ValueError(f"rho_hat must be in (0, 1), got {rho_hat}")
     denominator = math.log(1.0 / rho_hat)
-    return max(2, math.ceil(2.0 * math.log(max(n, 2)) / denominator) + slack)
+    return max(2, math.ceil(2.0 * math.log(max(n, 2)) / denominator) + ENTRY_SLACK)
 
 
 def low_dimensional_gap_protocol(
@@ -39,8 +47,6 @@ def low_dimensional_gap_protocol(
     k: int,
     r1: float,
     r2: float,
-    entries: int | None = None,
-    sos_size_multiplier: float = 4.0,
 ) -> GapProtocol:
     """Build Theorem 4.5's protocol as a configured :class:`GapProtocol`.
 
@@ -48,15 +54,13 @@ def low_dimensional_gap_protocol(
     needs low dimension / a wide enough gap).
     """
     lsh = OneSidedGridLSH(space, r1=r1, r2=r2)
-    h = entries if entries is not None else low_dim_entries(n, lsh.rho_hat)
     return GapProtocol(
         space,
         lsh,
         lsh.params,
         n=n,
         k=k,
-        entries=h,
+        entries=low_dim_entries(n, lsh.rho_hat),
         per_entry=1,
         match_threshold=1,
-        sos_size_multiplier=sos_size_multiplier,
     )

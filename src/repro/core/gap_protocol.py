@@ -14,9 +14,13 @@ Protocol (4 rounds):
       fewer than ``τ = h(1/2 + ε/6)`` entries (``ρ <= 1 - ε``); far pairs
       match in fewer, close pairs in more, w.h.p. (Appendix E).
 
-The same class also drives Theorem 4.5's low-dimensional variant
-(``m = 1``, one-sided LSH, match threshold 1) via
-:func:`repro.core.gap_lowdim.low_dimensional_gap_protocol`.
+Two factories build the protocol for an instance, one per construction:
+:meth:`GapProtocol.for_instance` takes its LSH from the space (bit
+sampling of width ``d`` on Hamming data, Cor. 4.3; grid MLSH of width
+``r2`` on an ℓ1 grid, Cor. 4.4), and
+:func:`repro.core.gap_lowdim.low_dimensional_gap_protocol` configures
+Theorem 4.5's low-dimensional variant (``m = 1``, one-sided LSH, match
+threshold 1) on the same class.
 """
 
 from __future__ import annotations
@@ -29,8 +33,10 @@ import numpy as np
 
 from ..hashing import PublicCoins
 from ..lsh.base import LSHFamily, LSHParams, batches_for_p2_half
+from ..lsh.bit_sampling import BitSamplingMLSH
+from ..lsh.grid import GridMLSH
 from ..lsh.keys import BatchKeyBuilder, key_bits_for
-from ..metric.spaces import MetricSpace, Point, point_tuples
+from ..metric.spaces import GridSpace, HammingSpace, MetricSpace, Point, point_tuples
 from ..protocol.channel import ALICE, Channel
 from ..protocol.serialize import BitReader, BitWriter, read_points, write_points
 from ..setsofsets.protocol import SetsOfSetsReconciler
@@ -139,6 +145,25 @@ class GapProtocol:
         )
         self.key_bits = key_bits_for(n)
         self.sos_size_multiplier = sos_size_multiplier
+
+    @classmethod
+    def for_instance(
+        cls, space: MetricSpace, n: int, k: int, r1: float, r2: float, **options
+    ) -> "GapProtocol":
+        """Theorem 4.2's protocol with the LSH the space calls for.
+
+        Hamming data uses bit sampling of width ``d`` (Cor. 4.3), an ℓ1
+        grid uses grid MLSH of width ``r2`` (Cor. 4.4); the guarantee is
+        derived at ``(r1, r2)``.  ``options`` go to the constructor.
+        """
+        if isinstance(space, HammingSpace):
+            family = BitSamplingMLSH(space, w=float(space.dim))
+        elif isinstance(space, GridSpace) and space.p == 1.0:
+            family = GridMLSH(space, w=r2)
+        else:
+            raise ValueError("the general gap protocol needs a hamming or l1 space")
+        params = family.derived_lsh_params(r1=r1, r2=r2)
+        return cls(space, family, params, n=n, k=k, **options)
 
     # -- derived quantities ----------------------------------------------------
     @property

@@ -30,7 +30,6 @@ from typing import Sequence
 import numpy as np
 
 from ..hashing import PublicCoins
-from ..lsh.bit_sampling import BitSamplingMLSH
 from ..metric.spaces import HammingSpace, Point
 from ..protocol.channel import Channel
 from .gap_protocol import GapProtocol
@@ -44,15 +43,21 @@ __all__ = [
     "one_round_subset_protocol",
 ]
 
+#: Bits added to the codeword length beyond ``4·r2 + 8·log2(n+1)``.
+LENGTH_SLACK = 8
 
-def required_dimension(n: int, r2: int, slack: int = 8) -> int:
+#: Random candidates :func:`greedy_binary_code` draws before it gives up.
+CODE_TRIES = 200_000
+
+
+def required_dimension(n: int, r2: int) -> int:
     """A codeword length comfortably supporting ``n+1`` words at distance
     >= ``r2``: random length-``L`` words have expected pairwise distance
     ``L/2`` with ``O(sqrt(L))`` fluctuations, so ``L = 2·r2 + c·log n``
     suffices (the theorem's ``d = Ω(log n + r2)`` regime)."""
     import math
 
-    return 4 * r2 + 8 * math.ceil(math.log2(max(n + 1, 2))) + slack
+    return 4 * r2 + 8 * math.ceil(math.log2(max(n + 1, 2))) + LENGTH_SLACK
 
 
 def greedy_binary_code(
@@ -60,7 +65,6 @@ def greedy_binary_code(
     length: int,
     min_distance: int,
     rng: np.random.Generator,
-    max_tries: int = 200_000,
 ) -> list[tuple[int, ...]]:
     """``count`` binary words of ``length`` bits at pairwise Hamming
     distance >= ``min_distance`` via randomized greedy selection."""
@@ -72,7 +76,7 @@ def greedy_binary_code(
     tries = 0
     while len(words) < count:
         tries += 1
-        if tries > max_tries:
+        if tries > CODE_TRIES:
             raise RuntimeError(
                 f"failed to build a ({count}, {length}, {min_distance}) code; "
                 "increase the length"
@@ -131,7 +135,6 @@ def solve_index_via_gap(
     instance: IndexInstance,
     coins: PublicCoins,
     channel: Channel | None = None,
-    entries: int | None = None,
 ) -> tuple[int | None, int, int]:
     """Run the (multi-round) Gap protocol on the reduction instance.
 
@@ -140,17 +143,13 @@ def solve_index_via_gap(
     point carries codeword ``c_i``).
     """
     channel = channel if channel is not None else Channel()
-    space = instance.space
-    # Bit-sampling MLSH widened so rho = 2*r1/r2 < 1.
-    family = BitSamplingMLSH(space, w=float(space.dim))
-    params = family.derived_lsh_params(r1=1.0, r2=float(instance.r2))
-    protocol = GapProtocol(
-        space,
-        family,
-        params,
+    # Bit sampling of width d, so rho = 2*r1/r2 < 1.
+    protocol = GapProtocol.for_instance(
+        instance.space,
         n=len(instance.alice_points) + 1,
         k=1,
-        entries=entries,
+        r1=1.0,
+        r2=float(instance.r2),
     )
     result = protocol.run(instance.alice_points, instance.bob_points, coins, channel)
     if not result.success:

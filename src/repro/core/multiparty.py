@@ -51,6 +51,12 @@ __all__ = [
 #: The topology kinds :meth:`Topology.build` accepts.
 TOPOLOGY_KINDS = ("star", "ring", "tree", "random")
 
+#: Pairing-model draws :meth:`Topology.random_k_regular` tries.
+K_REGULAR_TRIES = 256
+
+#: The spanning-tree root of every multi-party run (the star's hub).
+COORDINATOR = 0
+
 
 def _edge(u: int, v: int) -> tuple[int, int]:
     """The canonical (sorted) form of an undirected edge."""
@@ -91,12 +97,9 @@ class Topology:
 
     # -- constructors --------------------------------------------------------
     @classmethod
-    def star(cls, parties: int, hub: int = 0) -> "Topology":
-        """Every party linked to the ``hub`` (the legacy construction)."""
-        if not 0 <= hub < parties:
-            raise ValueError(f"hub index {hub} out of range")
-        edges = tuple(sorted(_edge(hub, i) for i in range(parties) if i != hub))
-        return cls("star", parties, edges)
+    def star(cls, parties: int) -> "Topology":
+        """Every party linked to party 0, the hub (the legacy construction)."""
+        return cls("star", parties, tuple((0, i) for i in range(1, parties)))
 
     @classmethod
     def ring(cls, parties: int) -> "Topology":
@@ -114,9 +117,7 @@ class Topology:
         return cls("tree", parties, edges)
 
     @classmethod
-    def random_k_regular(
-        cls, parties: int, k: int, coins: PublicCoins, max_tries: int = 256
-    ) -> "Topology":
+    def random_k_regular(cls, parties: int, k: int, coins: PublicCoins) -> "Topology":
         """A connected ``k``-regular graph, deterministic from ``coins``.
 
         Uses the pairing (configuration) model: ``k`` stubs per node are
@@ -129,7 +130,7 @@ class Topology:
             raise ValueError(f"need 1 <= k < parties, got k={k}, parties={parties}")
         if (parties * k) % 2 != 0:
             raise ValueError(f"parties * k must be even, got {parties} * {k}")
-        for attempt in range(max_tries):
+        for attempt in range(K_REGULAR_TRIES):
             rng = coins.numpy_rng("topology-k-regular", parties, k, attempt)
             stubs = [node for node in range(parties) for _ in range(k)]
             order = rng.permutation(len(stubs))
@@ -149,7 +150,7 @@ class Topology:
             except ValueError:
                 continue  # disconnected draw: reject and redraw
         raise RuntimeError(
-            f"no connected {k}-regular graph on {parties} nodes after {max_tries} draws"
+            f"no connected {k}-regular graph on {parties} nodes after {K_REGULAR_TRIES} draws"
         )
 
     @classmethod
@@ -158,13 +159,12 @@ class Topology:
         kind: str,
         parties: int,
         coins: PublicCoins | None = None,
-        hub: int = 0,
         branching: int = 2,
         k: int = 2,
     ) -> "Topology":
         """Construct a topology by kind name (the CLI/scenario surface)."""
         if kind == "star":
-            return cls.star(parties, hub=hub)
+            return cls.star(parties)
         if kind == "ring":
             return cls.ring(parties)
         if kind == "tree":
@@ -255,19 +255,11 @@ class MultiPartyGapResult:
     depth: int = 1
     edge_bits: tuple[tuple[int, int, int], ...] = ()
 
-    def party_final(self, party: int) -> list[Point]:
-        return self.final_sets[party]
-
-    def edge_bits_map(self) -> dict[tuple[int, int], int]:
-        """Per-edge transcript bits keyed by canonical edge."""
-        return {(u, v): bits for u, v, bits in self.edge_bits}
-
 
 def multi_party_gap(
     protocol: GapProtocol,
     party_sets: Sequence[Sequence[Point]],
     coins: PublicCoins,
-    coordinator: int = 0,
     channel: Channel | None = None,
     topology: Topology | None = None,
 ) -> MultiPartyGapResult:
@@ -281,12 +273,10 @@ def multi_party_gap(
         sizing, so a generous value is safe).
     party_sets:
         One point sequence per party.
-    coordinator:
-        The spanning-tree root (the hub of the default star).
     topology:
-        The gossip graph; ``None`` means the legacy star centred on the
-        coordinator, whose results are bit-identical to the
-        pre-topology implementation.
+        The gossip graph; ``None`` means the legacy star, whose results
+        are bit-identical to the pre-topology implementation.  Party
+        ``COORDINATOR`` (0, the star's hub) roots the spanning tree.
 
     Notes
     -----
@@ -301,18 +291,16 @@ def multi_party_gap(
     parties = [list(points) for points in party_sets]
     if len(parties) < 2:
         raise ValueError(f"need at least 2 parties, got {len(parties)}")
-    if not 0 <= coordinator < len(parties):
-        raise ValueError(f"coordinator index {coordinator} out of range")
     if topology is None:
-        topology = Topology.star(len(parties), hub=coordinator)
+        topology = Topology.star(len(parties))
     elif topology.parties != len(parties):
         raise ValueError(
             f"topology has {topology.parties} parties but {len(parties)} sets were given"
         )
     channel = channel if channel is not None else Channel()
 
-    parent_of, depth_of = topology.spanning_tree(coordinator)
-    up_order, down_order = topology.gossip_schedule(coordinator)
+    parent_of, depth_of = topology.spanning_tree(COORDINATOR)
+    up_order, down_order = topology.gossip_schedule(COORDINATOR)
     edge_bits = {edge: 0 for edge in topology.edges}
     runs = 0
     all_success = True
@@ -334,7 +322,7 @@ def multi_party_gap(
 
     # ---- broadcast: coordinator -> subtrees --------------------------------
     finals = [list(points) for points in parties]
-    finals[coordinator] = accumulated[coordinator]
+    finals[COORDINATOR] = accumulated[COORDINATOR]
     for child in down_order:
         parent = parent_of[child]
         before = channel.total_bits
@@ -351,7 +339,7 @@ def multi_party_gap(
     return MultiPartyGapResult(
         success=all_success,
         final_sets=finals,
-        coordinator=coordinator,
+        coordinator=COORDINATOR,
         total_bits=channel.total_bits,
         protocol_runs=runs,
         topology=topology.kind,

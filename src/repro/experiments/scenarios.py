@@ -40,7 +40,6 @@ from ..core import (
 from ..core.multiparty import Topology, multi_party_gap, verify_multi_party_guarantee
 from ..hashing import PublicCoins, derive_seed
 from ..iblt import IBLT
-from ..lsh import BitSamplingMLSH, GridMLSH
 from ..metric import GridSpace, HammingSpace, MetricSpace, emd
 from ..protocol import Channel, FaultSpec, FaultyChannel
 from ..reconcile import (
@@ -150,17 +149,6 @@ def _split_universe(
     return universe[:n], np.concatenate([universe[differences:n], universe[n:]])
 
 
-def _topology(kind: str, parties: int, p: Mapping[str, Any], coins: PublicCoins) -> Topology:
-    """The gossip graph a scenario's params name."""
-    return Topology.build(
-        kind,
-        parties,
-        coins=coins.child("topology"),
-        branching=p.get("branching", 2),
-        k=p.get("k_regular", 2),
-    )
-
-
 # -- drivers ----------------------------------------------------------------
 
 
@@ -178,14 +166,7 @@ def _drive_gap(spec: ScenarioSpec, rng: np.random.Generator, coins: PublicCoins)
         protocol = low_dimensional_gap_protocol(space, n=p["n"], k=p["k"], r1=p["r1"], r2=p["r2"])
     else:
         space = _space(p)
-        if isinstance(space, HammingSpace):
-            family = BitSamplingMLSH(space, w=float(space.dim))
-        elif space.p == 1.0:
-            family = GridMLSH(space, w=p["r2"])
-        else:
-            raise ValueError("the general gap protocol needs a hamming or l1 space")
-        lsh_params = family.derived_lsh_params(r1=p["r1"], r2=p["r2"])
-        protocol = GapProtocol(space, family, lsh_params, n=p["n"], k=p["k"])
+        protocol = GapProtocol.for_instance(space, n=p["n"], k=p["k"], r1=p["r1"], r2=p["r2"])
     workload = _replica_pair(space, p, rng)
     result = protocol.run(workload.alice, workload.bob, coins)
     holds = result.success and verify_gap_guarantee(
@@ -221,9 +202,6 @@ def _drive_emd(spec: ScenarioSpec, rng: np.random.Generator, coins: PublicCoins)
         k=p["k"],
         d1=p.get("d1"),
         d2=p.get("d2"),
-        m_bound=p.get("m_bound"),
-        q=p.get("q", 3),
-        max_total_hashes=p.get("max_total_hashes"),
     )
     if p.get("scaled", False):
         scaled = ScaledEMDProtocol(space, ratio=p.get("ratio", 8.0), **shared)
@@ -499,12 +477,11 @@ def _drive_store_churn(
     n, churn, windows = p["n"], p["churn"], p["windows"]
     key_bits = p.get("key_bits", 55)
     guests = p.get("guests", 2)
-    q = p.get("q", 3)
     policy = ResilienceConfig(
         max_attempts=p.get("max_attempts", 6),
         max_escalations=p.get("max_escalations", 3),
-        q=q,
     )
+    q = policy.q
     store = SketchStore(
         StoreConfig(
             seed=spec.seed,
@@ -643,11 +620,11 @@ def _drive_store_churn(
 def _drive_multiparty(
     spec: ScenarioSpec, rng: np.random.Generator, coins: PublicCoins
 ) -> dict:
-    """The multi-party lift of the Gap protocol over a gossip topology.
+    """The multi-party lift of the Gap protocol over the star topology.
 
-    ``topology`` defaults to the star, whose report keeps every
-    pre-redesign key at the pre-redesign value (pinned by goldens); the
-    topology, gossip depth and per-edge transcript bits are additive.
+    The report keeps every pre-topology key at its pre-topology value
+    (pinned by goldens); the topology, gossip depth and per-edge
+    transcript bits are additive.
     """
     p = spec.params
     space = HammingSpace(p["dim"])
@@ -661,18 +638,10 @@ def _drive_multiparty(
         observations.append(private)
         anchors.append(private)
         party_sets.append(observations)
-    family = BitSamplingMLSH(space, w=float(p["dim"]))
-    lsh_params = family.derived_lsh_params(r1=r1, r2=r2)
-    protocol = GapProtocol(
-        space,
-        family,
-        lsh_params,
-        n=p["n"] + p["parties"],
-        k=p["parties"],
-        sos_size_multiplier=6.0,
+    protocol = GapProtocol.for_instance(
+        space, n=p["n"] + p["parties"], k=p["parties"], r1=r1, r2=r2, sos_size_multiplier=6.0
     )
-    topology = _topology(p.get("topology", "star"), p["parties"], p, coins)
-    result = multi_party_gap(protocol, party_sets, coins, topology=topology)
+    result = multi_party_gap(protocol, party_sets, coins)
     holds = result.success and verify_multi_party_guarantee(
         space, party_sets, result, r2
     )
@@ -716,7 +685,6 @@ def _drive_stream_churn(
         windows=p.get("windows", 3),
         rate=p.get("rate", 6),
         skew=p.get("skew", 1.0),
-        insert_fraction=p.get("insert_fraction", 0.5),
         sources=parties,
     )
     kinds = (
@@ -734,12 +702,16 @@ def _drive_stream_churn(
     bits_total = 0
     for kind in kinds:
         replayer = StreamReplayer(
-            _topology(kind, parties, p, coins),
+            Topology.build(
+                kind,
+                parties,
+                coins=coins.child("topology"),
+                branching=p.get("branching", 2),
+                k=p.get("k_regular", 2),
+            ),
             coins.child("replay"),
             key_bits=key_bits,
             delta_bound=p.get("delta_bound", 8),
-            q=p.get("q", 3),
-            max_attempts=p.get("max_attempts", 6),
         )
         report = replayer.replay(workload.events)
         overall = overall and report.success

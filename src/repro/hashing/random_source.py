@@ -102,7 +102,3 @@ class PublicCoins:
     def uniform(self, *labels: Any, low: float = 0.0, high: float = 1.0, size: int | tuple[int, ...] = 1) -> np.ndarray:
         """Draw uniform floats in ``[low, high)`` from the labelled stream."""
         return self.numpy_rng(*labels).uniform(low, high, size=size)
-
-    def gaussians(self, *labels: Any, size: int | tuple[int, ...]) -> np.ndarray:
-        """Draw standard normal variates from the labelled stream."""
-        return self.numpy_rng(*labels).standard_normal(size=size)

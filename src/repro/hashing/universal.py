@@ -26,7 +26,8 @@ then exact sums of the products' 32-bit limbs (a row sum for
 :meth:`PrefixHasher.extend` paths are the reference the batch paths are
 pinned against.
 
-Hash inputs follow one element rule (:func:`exact_int`): Python
+Every hash family takes output widths in ``[1, 61]`` only.  Hash inputs
+follow one element rule (:func:`exact_int`): Python
 ints and numpy integer scalars are integers; bools and floats, which
 ``int()`` would silently truncate, are a ``ValueError``.  Matrix inputs
 take the same rule as one dtype check,

@@ -39,7 +39,24 @@ candidate set is at most :data:`PEEL_TAIL_THRESHOLD` cells with plain
 scalar arithmetic (cached hashes, no array round-trips), and the cache
 only batch-primes when at least :data:`CACHE_PRIME_THRESHOLD` keys are
 missing.  Both thresholds are behaviour-preserving knobs: any value
-produces bit-identical output, only the crossover cost changes.
+produces bit-identical output, only the crossover cost changes.  In the
+sparse regime (small difference sets, the common reconciliation case)
+the scalar tail roughly halves decode time; ``benchmarks/run_perf.py``'s
+``iblt_decode_tail`` kernel tracks it.
+
+Within a vectorised round the numpy decoder tests counts before
+checksums (the cheap half first), reads the checksums to scatter
+straight out of the pure cells, and evaluates the purity test's
+``((a2·x + a1)·x + b) mod P`` with the fused in-place
+:func:`~repro.hashing.mersenne.quadratic_mod_p`, a third fewer memory
+passes than composing the field operations.
+
+``tests/test_frontier_decoder.py`` pins the frontier decoder bit-identical
+(output order and residual cells) to a test-local decoder that re-derives
+the whole table's pure mask every round, across duplicate insertions,
+multiset counts, undecodable overloads and tail thresholds on both sides
+of the vector/scalar switch; ``tests/test_peel_engine.py`` pins
+:class:`KeyHashCache` against :class:`ScalarHashes`.
 """
 
 from __future__ import annotations

@@ -187,7 +187,7 @@ def component_census(m: int, edges: list[tuple[int, ...]], q: int) -> dict[str, 
     return census
 
 
-def molloy_threshold(q: int, grid: int = 4096) -> float:
+def molloy_threshold(q: int) -> float:
     """Molloy's peelability threshold ``c*_q = min_{x>0} x / (q(1-e^{-x})^{q-1})``.
 
     Below this edge density the 2-core is empty w.h.p. (quoted after
@@ -196,7 +196,7 @@ def molloy_threshold(q: int, grid: int = 4096) -> float:
     """
     if q < 3:
         raise ValueError(f"threshold defined for q >= 3, got {q}")
-    xs = np.linspace(1e-4, 10.0, grid)
+    xs = np.linspace(1e-4, 10.0, 4096)
     values = xs / (q * (1.0 - np.exp(-xs)) ** (q - 1))
     return float(values.min())
 

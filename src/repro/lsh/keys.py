@@ -15,11 +15,33 @@ Both protocols turn a point's vector of LSH values into compact *keys*:
 Key widths are ``Θ(log n)`` bits; both parties construct builders from the
 same public coins so keys agree without communication.
 
-:class:`PrefixKeyBuilder` is the *single* EMD key stream: its rolling hash
-runs over the Mersenne-61 field, evaluated in closed form by
-:meth:`~repro.hashing.PrefixHasher.prefix_digests_many`, and every caller
+:class:`PrefixKeyBuilder` is the *single* EMD key stream: it emits a
+``(points, levels)`` ``uint64`` key matrix at the derived width
+(:func:`key_bits_for`, capped at the full 61-bit field), and every caller
 (:class:`~repro.core.emd_protocol.EMDProtocol`, its interval-scaled
-wrapper, experiments, benchmarks) keys all resolution levels through it.
+wrapper, experiments, benchmarks) keys all resolution levels through
+it; the matrix feeds each level's RIBLT through
+``RIBLT.insert_batch``/``delete_batch``.  Its rolling hash
+``state_c = state_{c-1}·r + x_c`` over the Mersenne-61 field is evaluated
+in closed form by :meth:`~repro.hashing.PrefixHasher.prefix_digests_many`::
+
+    state_c = r^c · (b + Σ_{j≤c} x_j · r^-j)   (mod P = 2^61 - 1)
+
+* the inverse powers ``r^-1 … r^-c_t`` are cached on the hasher;
+* one blockwise field multiply (``mersenne.row_products``) weights the
+  whole ``(points, c_t)`` MLSH matrix by them;
+* exact prefix sums of the products' 32-bit limbs give ``Σ_{j≤c}`` at
+  every level.  Each product is below ``2^63``, so over ``c`` terms the
+  low limbs stay below ``c·2^32`` and the high limbs below ``c·2^31`` —
+  exact in ``uint64`` for any width below ``2^32``;
+* each distinct level length costs one multiply by ``r^c``.
+
+The Gap key vectors (:meth:`BatchKeyBuilder.key_matrix_for`,
+``VectorHash.hash_rows``) and the sets-of-sets patch search use the same
+multiply-then-limb-sum form, so no protocol path calls a scalar hash.  The
+scalar ``VectorHash.__call__`` and ``PrefixHasher.extend``/
+``prefix_digests`` stay the reference the batch paths are pinned against
+(``tests/test_hashing.py``, ``tests/test_keys.py``).
 """
 
 from __future__ import annotations
@@ -36,16 +58,22 @@ from .base import LSHBatch
 
 __all__ = ["PrefixKeyBuilder", "BatchKeyBuilder", "key_bits_for"]
 
+#: Bits of key width beyond ``2·log2(n)``.
+SLACK_BITS = 20
 
-def key_bits_for(n: int, slack_bits: int = 20) -> int:
+#: Key rows per broadcast block in :meth:`BatchKeyBuilder.best_matches`.
+MATCH_CHUNK = 256
+
+
+def key_bits_for(n: int) -> int:
     """``Θ(log n)`` key width with enough slack to avoid collisions w.h.p.
 
-    With ``B = 2·log2(n) + slack_bits`` bits, the expected number of
-    colliding pairs among ``O(n)`` keys is ``O(2^{-slack_bits})``.
+    With ``B = 2·log2(n) + SLACK_BITS`` bits, the expected number of
+    colliding pairs among ``O(n)`` keys is ``O(2^{-SLACK_BITS})``.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return min(61, max(16, 2 * math.ceil(math.log2(max(n, 2))) + slack_bits))
+    return min(61, max(16, 2 * math.ceil(math.log2(max(n, 2))) + SLACK_BITS))
 
 
 class PrefixKeyBuilder:
@@ -168,11 +196,11 @@ class BatchKeyBuilder:
         return sum(a == b for a, b in zip(key_a, key_b))
 
     @staticmethod
-    def best_matches(keys: np.ndarray, candidates: np.ndarray, chunk: int = 256) -> np.ndarray:
+    def best_matches(keys: np.ndarray, candidates: np.ndarray) -> np.ndarray:
         """For each row of ``keys``, the max :meth:`matches` over ``candidates``.
 
         Vectorised pairwise entry comparison, chunked over the key rows to
-        bound the ``chunk × len(candidates) × entries`` broadcast buffer.
+        bound the ``MATCH_CHUNK × len(candidates) × entries`` broadcast buffer.
         Returns zeros when there are no candidates.
         """
         keys = np.asarray(keys, dtype=np.uint64)
@@ -186,8 +214,8 @@ class BatchKeyBuilder:
         best = np.zeros(keys.shape[0], dtype=np.int64)
         if not candidates.size or not keys.size:
             return best
-        for start in range(0, keys.shape[0], chunk):
-            block = keys[start : start + chunk]
+        for start in range(0, keys.shape[0], MATCH_CHUNK):
+            block = keys[start : start + MATCH_CHUNK]
             agreement = (block[:, None, :] == candidates[None, :, :]).sum(axis=2)
             best[start : start + block.shape[0]] = agreement.max(axis=1)
         return best

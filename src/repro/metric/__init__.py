@@ -1,7 +1,7 @@
 """Metric substrate: spaces, points, Hungarian matching, and EMD."""
 
 from .emd import emd, emd_k, emd_k_with_exclusions, emd_with_matching
-from .matching import greedy_matching, hungarian, matching_cost, min_cost_matching
+from .matching import greedy_matching, hungarian
 from .spaces import GridSpace, HammingSpace, MetricSpace, Point, point_tuples
 
 __all__ = [
@@ -15,7 +15,5 @@ __all__ = [
     "emd_with_matching",
     "greedy_matching",
     "hungarian",
-    "matching_cost",
-    "min_cost_matching",
     "point_tuples",
 ]

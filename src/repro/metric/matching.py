@@ -15,11 +15,10 @@ library; the test-suite uses it as an independent oracle.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
-__all__ = ["hungarian", "min_cost_matching", "matching_cost", "greedy_matching"]
+__all__ = ["hungarian", "greedy_matching"]
 
 
 def hungarian(cost: np.ndarray) -> list[int]:
@@ -103,18 +102,6 @@ def hungarian(cost: np.ndarray) -> list[int]:
         if match_of_col[col] != 0:
             assignment[match_of_col[col] - 1] = col - 1
     return assignment
-
-
-def min_cost_matching(cost: np.ndarray) -> tuple[list[int], float]:
-    """Hungarian assignment plus its total cost."""
-    assignment = hungarian(cost)
-    total = float(sum(cost[row][col] for row, col in enumerate(assignment)))
-    return assignment, total
-
-
-def matching_cost(cost: np.ndarray, assignment: Sequence[int]) -> float:
-    """Total cost of an explicit assignment under ``cost``."""
-    return float(sum(cost[row][col] for row, col in enumerate(assignment)))
 
 
 def greedy_matching(cost: np.ndarray) -> tuple[list[int], float]:

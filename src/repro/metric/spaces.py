@@ -80,12 +80,6 @@ class MetricSpace(ABC):
                 out[i, j] = self.distance(x, y)
         return out
 
-    # -- universe accounting -------------------------------------------------
-    @property
-    def log2_universe(self) -> float:
-        """``log2 |U|`` — the bit-size of one point, used in comm. bounds."""
-        return self.dim * math.log2(self.side)
-
     @property
     @abstractmethod
     def diameter(self) -> float:

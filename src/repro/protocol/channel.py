@@ -46,10 +46,6 @@ class TranscriptSummary:
     by_label: dict[str, int] = field(default_factory=dict)
     by_sender: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def total_bytes(self) -> float:
-        return self.total_bits / 8.0
-
     @classmethod
     def merge(cls, summaries: Iterable["TranscriptSummary"]) -> "TranscriptSummary":
         """Combine summaries of several attempts into one aggregate.

@@ -13,8 +13,13 @@ Layout.  The stream is LSB-first: bit ``i`` of the stream is bit
 least significant bit first, and the final partial byte is zero-padded.
 A varuint is a run of 8-bit groups, least significant group first; in
 each group the continuation flag is the low bit and the next 7 value
-bits sit above it.  Values are capped at :data:`VARUINT_MAX_GROUPS`
-groups (133 bits).
+bits sit above it; signed values are zigzag-mapped (``x → 2x``,
+``-x → 2x-1``).  Values are capped at :data:`VARUINT_MAX_GROUPS` groups
+(133 bits): the writer refuses more, and a reader that sees a 19th
+continuation raises ``MalformedPayloadError``.  A point is one
+``d·w``-bit field (``w = ceil(log2 side)``, coordinate 0 lowest), the
+same bytes as ``d`` separate ``w``-bit fields; a reader rejects any
+coordinate ``>= side``.
 
 The scalar codec works a field at a time, never a bit at a time:
 :class:`BitWriter` shift-ORs each field into a Python-int accumulator
@@ -27,7 +32,10 @@ and :meth:`BitReader.read_varint_run` code a whole table's varints in
 O(1) numpy calls, and :meth:`BitWriter.write_bit_rows` /
 :meth:`BitReader.peek_bit_rows` move a fixed-stride bit matrix.  They
 produce and accept the same bytes as the scalar calls, which stay the
-reference and the error path.
+reference and the error path.  ``tests/test_serialize.py`` pins both
+codecs against a bit-at-a-time oracle, run by run, at every lead offset
+and every byte cut; ``tests/test_payload_api.py`` pins the SHA-256 of
+fixed-seed payloads of every table kind.
 """
 
 from __future__ import annotations

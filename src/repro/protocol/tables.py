@@ -18,12 +18,15 @@ Cell encodings (all via :class:`~repro.protocol.serialize.BitWriter`):
 Each table crosses as one run in O(1) numpy calls, on either backend.
 A RIBLT or counting-IBLT table is one
 :meth:`~repro.protocol.serialize.BitWriter.write_varint_run` over its
-cell columns.  An IBLT whose counts all satisfy ``|count| < 64`` has a
-one-group count varint in every cell, so each cell is exactly
-``8 + key_bits + 61`` bits and the table is one fixed-stride bit matrix.
-A short table, an IBLT with a wider count, and any run that does not
-parse take the cell-at-a-time loop instead, with the same bytes and the
-same typed errors.  A reader parses every cell, enforcing the int64
+cell columns; a column that overflows int64 goes as 49-bit limbs, and
+only values past 64 bits become Python ints on the way back (every
+emd-hamming table has such values: its checksum sums are 65–67 bits).
+An IBLT whose counts all satisfy ``|count| < 64`` has a one-group count
+varint in every cell, so each cell is exactly ``8 + key_bits + 61`` bits
+and the table is one fixed-stride bit matrix.  A short table (under 64
+varints, or 16 IBLT cells), an IBLT with a wider count, and any run that
+does not parse take the cell-at-a-time loop instead, with the same bytes
+and the same typed errors.  A reader parses every cell, enforcing the int64
 count limit, and only then assigns the columns to the shell in one
 step, so a payload that fails to parse leaves the shell empty.
 """

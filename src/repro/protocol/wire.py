@@ -136,11 +136,6 @@ class Frame:
         """Framing bytes this frame adds beyond its payload."""
         return frame_overhead(self.label)
 
-    @property
-    def wire_length(self) -> int:
-        """Total encoded size of this frame in bytes."""
-        return self.overhead_bytes + len(self.payload)
-
     def verify_payload(self) -> "Frame":
         """Check the trailing payload CRC; returns ``self`` when intact.
 

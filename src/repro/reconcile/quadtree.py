@@ -48,6 +48,9 @@ from ..protocol.serialize import BitReader, BitWriter
 
 __all__ = ["QuadtreeResult", "QuadtreeEMDProtocol"]
 
+#: RIBLT hash count at every level.
+Q = 3
+
 
 @dataclass(frozen=True)
 class QuadtreeResult(EMDResult):
@@ -91,20 +94,12 @@ class QuadtreeEMDProtocol:
         quadtree construction, which is one of the paper's motivations.
     k:
         Outlier budget; tables accept up to ``4k`` decoded pairs.
-    q:
-        RIBLT hash count.
-    max_levels:
-        Number of tree levels (default: down to unit cells).
+
+    The tree has one level per halving of the side, down to unit cells;
+    every level's RIBLT uses ``Q`` hashes.
     """
 
-    def __init__(
-        self,
-        space: GridSpace,
-        n: int,
-        k: int,
-        q: int = 3,
-        max_levels: int | None = None,
-    ):
+    def __init__(self, space: GridSpace, n: int, k: int):
         if not isinstance(space, GridSpace):
             raise TypeError(f"quadtree baseline requires a GridSpace, got {space!r}")
         if k < 1:
@@ -112,12 +107,8 @@ class QuadtreeEMDProtocol:
         self.space = space
         self.n = n
         self.k = k
-        self.q = q
-        natural_levels = max(1, math.ceil(math.log2(space.side)) + 1)
-        self.levels_count = (
-            natural_levels if max_levels is None else min(max_levels, natural_levels)
-        )
-        self.cells = riblt_cells_for_pairs(4 * k, q=q)
+        self.levels_count = max(1, math.ceil(math.log2(space.side)) + 1)
+        self.cells = riblt_cells_for_pairs(4 * k, q=Q)
         self.key_bits = 61
 
     def _levels(self, coins: PublicCoins) -> list[_Level]:
@@ -132,7 +123,7 @@ class QuadtreeEMDProtocol:
             coins,
             ("quadtree", level),
             cells=self.cells,
-            q=self.q,
+            q=Q,
             key_bits=self.key_bits,
             dim=self.space.dim,
             side=self.space.side,

@@ -68,6 +68,9 @@ __all__ = [
 #: Geometric growth factor for escalated (and fallback-doubled) bounds.
 ESCALATION_FACTOR = 2
 
+#: Attempt budget of :func:`exact_iblt_reconcile_auto`.
+AUTO_MAX_ATTEMPTS = 4
+
 
 @dataclass(frozen=True)
 class ResilienceConfig:
@@ -329,7 +332,6 @@ def resilient_reconcile(
     coins: PublicCoins,
     channel: "Channel | FaultyChannel | None" = None,
     config: ResilienceConfig = ResilienceConfig(),
-    breaker: "BreakerState | None" = None,
 ) -> ReconcileResult:
     """Exact two-way reconciliation with a deterministic recovery path.
 
@@ -337,19 +339,15 @@ def resilient_reconcile(
     :class:`~repro.protocol.channel.Channel` or a
     :class:`~repro.protocol.faults.FaultyChannel`; bits and rounds always
     come from the (inner) transcript, so recovery cost is *measured*.
-
-    ``breaker`` resumes a persisted :class:`BreakerState` (e.g. from a
-    sketch store): the first attempt runs at the persisted bound with
-    the persisted escalation budget already consumed, so a returning
-    flaky peer skips straight to where its last session ended.  Omitted,
-    the loop starts fresh at ``delta_bound`` and behaves exactly as
-    before (pinned by the no-fault parity tests).  Either way the final
-    state lands in :attr:`RecoveryReport.breaker` for persisting.
+    The loop starts fresh at ``delta_bound``; the final breaker state
+    lands in :attr:`RecoveryReport.breaker` (a caller that persists it
+    resumes through :class:`Recovery` directly, as the store-churn
+    scenario does).
     """
     channel = channel if channel is not None else Channel()
     alice = space.point_array(alice_points)
     bob = space.point_array(bob_points)
-    recovery = Recovery(config, delta_bound, breaker)
+    recovery = Recovery(config, delta_bound)
     attempts: "list[AttemptRecord]" = []
     final: "ReconcileResult | None" = None
 
@@ -429,8 +427,6 @@ def exact_iblt_reconcile_auto(
     bob_points: "list[Point]",
     coins: PublicCoins,
     channel: "Channel | None" = None,
-    q: int = 3,
-    max_attempts: int = 4,
 ) -> ReconcileResult:
     """Exact reconciliation with *no* prior difference bound ([10]).
 
@@ -441,14 +437,14 @@ def exact_iblt_reconcile_auto(
     IBLT for the estimated difference).  Small tables occasionally draw
     a 2-core even below their load threshold, and the estimate can
     undershoot, so each decode failure doubles the bound and retries
-    with fresh coins, up to ``max_attempts`` attempts — the standard
+    with fresh coins, up to ``AUTO_MAX_ATTEMPTS`` attempts — the standard
     deployment loop of [10].  Three rounds in the common case; two extra
     per retry.
     """
     channel = channel if channel is not None else Channel()
     alice = space.point_array(alice_points)
     bob = space.point_array(bob_points)
-    config = ResilienceConfig(max_attempts=max_attempts, q=q)
+    config = ResilienceConfig(max_attempts=AUTO_MAX_ATTEMPTS)
     recovery = Recovery(config, 1, BreakerState(bound=1, breaker_open=True))
     for attempt in recovery:
         if recovery.needs_fallback:
@@ -458,6 +454,6 @@ def exact_iblt_reconcile_auto(
             )
         # Rounds 2-3: the sized reconciliation.
         attempt_coins = coins.child("auto-exact", attempt - 1)
-        result = exact_iblt_reconcile(space, alice, bob, recovery.bound, attempt_coins, channel, q)
+        result = exact_iblt_reconcile(space, alice, bob, recovery.bound, attempt_coins, channel)
         recovery.record("decoded" if result.success else "undecodable")
     return result

@@ -42,6 +42,7 @@ from ..protocol.wire import (
     decode_header,
     encode_frame,
 )
+from .network import CLIENT_TO_SERVER, SERVER_TO_CLIENT
 
 __all__ = [
     "ConnectionClosedError",
@@ -243,7 +244,7 @@ class FrameMux:
         raw = encode_frame(frame)
         stats = self._stats(frame.session_id)
         header = decode_header(raw[:HEADER_LEN])
-        deliveries, deferred, delay = self._apply_link("c2s", header, raw, stats)
+        deliveries, deferred, delay = self._apply_link(CLIENT_TO_SERVER, header, raw, stats)
         if delay is not None:
             await asyncio.sleep(delay)
         for raw_copy in deliveries:
@@ -254,13 +255,13 @@ class FrameMux:
         # This frame is on the wire: any stale copy held back from an
         # earlier frame now goes out *behind* it (out-of-order arrival),
         # then this frame's own deferred copies start waiting.
-        for old_header, old_raw in self._deferred.pop((frame.session_id, "c2s"), ()):
+        for old_header, old_raw in self._deferred.pop((frame.session_id, CLIENT_TO_SERVER), ()):
             await self.connection.write_raw(old_raw)
             stats.frames_out += 1
             stats.wire_bytes_out += len(old_raw)
             stats.payload_bytes_out += old_header.payload_len
         if deferred:
-            self._deferred[(frame.session_id, "c2s")] = [
+            self._deferred[(frame.session_id, CLIENT_TO_SERVER)] = [
                 (header, raw_copy) for raw_copy in deferred
             ]
 
@@ -288,15 +289,15 @@ class FrameMux:
 
     def _dispatch(self, header: FrameHeader, raw: bytes) -> None:
         stats = self._stats(header.session_id)
-        deliveries, deferred, _delay = self._apply_link("s2c", header, raw, stats)
+        deliveries, deferred, _delay = self._apply_link(SERVER_TO_CLIENT, header, raw, stats)
         for raw_copy in deliveries:
             self._deliver(header, raw_copy, stats)
         # Flush stale copies behind this frame (out-of-order arrival),
         # then park this frame's own deferred copies.
-        for old_header, old_raw in self._deferred.pop((header.session_id, "s2c"), ()):
+        for old_header, old_raw in self._deferred.pop((header.session_id, SERVER_TO_CLIENT), ()):
             self._deliver(old_header, old_raw, stats)
         if deferred:
-            self._deferred[(header.session_id, "s2c")] = [
+            self._deferred[(header.session_id, SERVER_TO_CLIENT)] = [
                 (header, raw_copy) for raw_copy in deferred
             ]
 

@@ -59,6 +59,12 @@ KeyVector = tuple[int, ...]
 
 _CHECK_BITS = 61
 
+#: Hashes per key in the counting IBLT.
+Q = 4
+
+#: Fraction of differing entries from which a key is sent verbatim.
+VERBATIM_FRACTION = 1.0 / 3.0
+
 
 @dataclass
 class SetsOfSetsResult:
@@ -115,10 +121,10 @@ class SetsOfSetsReconciler:
     size_multiplier:
         Headroom on the counting IBLT (failure probability decays
         geometrically in this).
-    verbatim_fraction:
-        Keys with at least this fraction of differing entries are sent
-        verbatim instead of patched (far keys differ in ``> h/3`` entries
-        under the threshold analysis of Theorem 4.2).
+
+    Keys with at least ``VERBATIM_FRACTION`` of their entries differing
+    are sent verbatim instead of patched (far keys differ in ``> h/3``
+    entries under the threshold analysis of Theorem 4.2).
     """
 
     def __init__(
@@ -128,9 +134,7 @@ class SetsOfSetsReconciler:
         entries: int,
         entry_bits: int,
         expected_differences: int,
-        q: int = 4,
         size_multiplier: float = 4.0,
-        verbatim_fraction: float = 1.0 / 3.0,
         backend: str | None = None,
     ):
         if entries < 1:
@@ -146,12 +150,11 @@ class SetsOfSetsReconciler:
         self.index_bits = max(1, (self.internal_entries - 1).bit_length())
         self.item_bits = self.entry_bits + self.index_bits
         self.expected_differences = max(1, int(expected_differences))
-        self.q = q
         self.cells = cells_for_differences(
-            self.expected_differences, q=q, headroom=size_multiplier
+            self.expected_differences, q=Q, headroom=size_multiplier
         )
         self.verbatim_threshold = max(
-            1, math.ceil(verbatim_fraction * self.internal_entries)
+            1, math.ceil(VERBATIM_FRACTION * self.internal_entries)
         )
         self.signature_hash = VectorHash(
             coins, ("sos-signature", label), arity=entries, bits=entry_bits
@@ -223,7 +226,7 @@ class SetsOfSetsReconciler:
             self.coins,
             ("sos-items", self.label),
             cells=self.cells,
-            q=self.q,
+            q=Q,
             key_bits=self.item_bits,
             backend=self.backend,
         )

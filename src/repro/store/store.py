@@ -355,21 +355,17 @@ class SketchStore:
         store_key: int,
         coins: PublicCoins,
         label: object,
-        strata: int = 24,
-        cells: int = 48,
     ) -> StrataEstimator:
-        """The entry's strata estimator — warm if possible.
+        """The entry's strata estimator (default shape) — warm if possible.
 
         The returned estimator is shared warm state: callers must treat
         it as read-only (``subtract`` already returns a fresh result).
         """
         entry = self._entry(store_key)
-        slot_key = self._slot_key(coins, label, strata, cells)
+        slot_key = self._slot_key(coins, label)
         estimator = entry.stratas.get(slot_key)
         if estimator is None:
-            estimator = StrataEstimator(
-                coins, label, strata=strata, cells=cells, key_bits=entry.key_bits
-            )
+            estimator = StrataEstimator(coins, label, key_bits=entry.key_bits)
             estimator.insert_batch(entry.sorted_keys())
             self.stats.misses += 1
             self.stats.keys_hashed += len(entry.keys)

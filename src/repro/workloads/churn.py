@@ -46,15 +46,6 @@ class ChurnWorkload:
     sources: int
     events: tuple[MutationEvent, ...]
 
-    @property
-    def n_initial(self) -> int:
-        """Size of the window-0 population."""
-        return sum(1 for event in self.events if event.window == 0)
-
-    def window_events(self, window: int) -> tuple[MutationEvent, ...]:
-        """The events of one window, in stream order."""
-        return tuple(event for event in self.events if event.window == window)
-
     def membership_after(self, window: int) -> set[int]:
         """Ground-truth membership once windows ``0..window`` have applied."""
         members: set[int] = set()

@@ -33,6 +33,9 @@ __all__ = [
     "split_difference_pair",
 ]
 
+#: Uniform draws :func:`random_far_point` tries before it gives up.
+FAR_POINT_TRIES = 10_000
+
 
 @dataclass(frozen=True)
 class ReconciliationWorkload:
@@ -103,10 +106,9 @@ def random_far_point(
     anchors: list[Point],
     far_radius: float,
     rng: np.random.Generator,
-    max_tries: int = 10_000,
 ) -> Point:
     """Sample a uniform point at distance >= ``far_radius`` from all anchors."""
-    for _ in range(max_tries):
+    for _ in range(FAR_POINT_TRIES):
         candidate = space.sample(rng, 1)[0]
         if not anchors:
             return candidate
@@ -115,7 +117,7 @@ def random_far_point(
             return candidate
     raise RuntimeError(
         f"could not place a point at distance >= {far_radius} "
-        f"after {max_tries} tries; the space may be too crowded"
+        f"after {FAR_POINT_TRIES} tries; the space may be too crowded"
     )
 
 
@@ -156,15 +158,13 @@ def noisy_replica_pair(
     close_radius: float,
     far_radius: float,
     rng: np.random.Generator,
-    base_separation: float | None = None,
 ) -> ReconciliationWorkload:
     """The paper's sensor workload.
 
-    ``S_B`` is a cloud of ``n`` points (optionally mutually separated by
-    ``base_separation`` so distinct objects stay distinct); ``S_A``
-    perturbs each by at most ``close_radius`` and replaces the last ``k``
-    with outliers at distance >= ``far_radius`` from every point of
-    ``S_B`` and from each other.
+    ``S_B`` is a cloud of ``n`` uniform points; ``S_A`` perturbs each by
+    at most ``close_radius`` and replaces the last ``k`` with outliers at
+    distance >= ``far_radius`` from every point of ``S_B`` and from each
+    other.
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
@@ -172,14 +172,7 @@ def noisy_replica_pair(
         raise ValueError(
             f"need close_radius < far_radius, got {close_radius} >= {far_radius}"
         )
-    base: list[Point] = []
-    while len(base) < n:
-        candidate = space.sample(rng, 1)[0]
-        if base_separation is not None and base:
-            distances = space.distance_matrix([candidate], base)
-            if float(distances.min()) < base_separation:
-                continue
-        base.append(candidate)
+    base = [space.sample(rng, 1)[0] for _ in range(n)]
 
     alice: list[Point] = []
     far_indices: list[int] = []

@@ -421,13 +421,16 @@ class TestCountRefusals:
         assert captured.out == ""
 
     @pytest.mark.parametrize("flags,message", [
-        (["--q", "0"], "q must be >= 2, got 0"),
-        (["--q", "1"], "q must be >= 2, got 1"),
-        (["--topology", "tree", "--branching", "0"], "branching must be >= 1, got 0"),
-        (["--topology", "random", "--k-regular", "0"],
-         "need 1 <= k < parties, got k=0, parties=5"),
+        (["--q", "0"], "--q must be >= 2, got 0"),
+        (["--q", "1"], "--q must be >= 2, got 1"),
+        (["--topology", "tree", "--branching", "0"], "--branching must be >= 1, got 0"),
+        (["--topology", "random", "--k-regular", "0"], "--k-regular must be >= 1, got 0"),
         (["--topology", "random", "--k-regular", "5"],
-         "need 1 <= k < parties, got k=5, parties=5"),
+         "--k-regular must be < --parties, with an even --parties * --k-regular; "
+         "got --k-regular 5, --parties 5"),
+        (["--topology", "random", "--k-regular", "3"],
+         "--k-regular must be < --parties, with an even --parties * --k-regular; "
+         "got --k-regular 3, --parties 5"),
     ])
     def test_replay_constructor_values(self, tmp_path, capsys, flags, message):
         log = tmp_path / "churn.ndjson"
@@ -440,8 +443,12 @@ class TestCountRefusals:
         assert captured.out == ""
 
     @pytest.mark.parametrize("flags,message", [
-        (["--dim", "0"], "dim must be >= 1, got 0"),
-        (["--n", "-1"], "n_shared must be >= 0, got -1"),
+        (["--dim", "0"], "--dim must be >= 1, got 0"),
+        (["--n", "-1"], "--n must be >= 0, got -1"),
+        (["--delta", "-1"], "--delta must be >= 0, got -1"),
+        (["--delta-bound", "0"], "--delta-bound must be >= 1, got 0"),
+        (["--max-attempts", "0"], "--max-attempts must be >= 1, got 0"),
+        (["--max-escalations", "-1"], "--max-escalations must be >= 0, got -1"),
     ])
     def test_client_session_values(self, capsys, flags, message):
         assert main(["client", "--port", "1", *flags]) == 2

@@ -12,7 +12,7 @@ from repro.core import (
     verify_gap_guarantee,
 )
 from repro.hashing import PublicCoins
-from repro.lsh import BitSamplingMLSH, OneSidedGridLSH
+from repro.lsh import BitSamplingMLSH, GridMLSH, OneSidedGridLSH
 from repro.metric import GridSpace, HammingSpace
 from repro.protocol import Channel
 from repro.workloads import noisy_replica_pair
@@ -24,9 +24,7 @@ def _hamming_setup(n=32, k=2, d=96, r1=2.0, r2=32.0, seed=0):
     workload = noisy_replica_pair(
         space, n=n, k=k, close_radius=int(r1), far_radius=r2 + 6, rng=rng
     )
-    family = BitSamplingMLSH(space, w=float(d))
-    params = family.derived_lsh_params(r1=r1, r2=r2)
-    protocol = GapProtocol(space, family, params, n=n, k=k)
+    protocol = GapProtocol.for_instance(space, n=n, k=k, r1=r1, r2=r2)
     return space, workload, protocol, r2
 
 
@@ -63,8 +61,7 @@ class TestGapProtocolConstruction:
         with pytest.raises(ValueError):
             family.derived_lsh_params(r1=8.0, r2=16.0)
         # A barely-separated pair constructs fine and yields rho < 1.
-        params = family.derived_lsh_params(r1=8.0, r2=17.0)
-        protocol = GapProtocol(space, family, params, n=16, k=1)
+        protocol = GapProtocol.for_instance(space, n=16, k=1, r1=8.0, r2=17.0)
         assert protocol.rho < 1.0
 
     def test_per_entry_from_p2(self):
@@ -75,6 +72,59 @@ class TestGapProtocolConstruction:
     def test_expected_differences_positive(self):
         _, _, protocol, _ = _hamming_setup()
         assert protocol.expected_entry_differences() > 0
+
+
+class TestForInstance:
+    """The factory builds exactly the protocol a caller would by hand."""
+
+    CASES = [
+        # (space, family for the hand-built protocol, r1, r2, close, far)
+        (HammingSpace(96), lambda space: BitSamplingMLSH(space, w=96.0), 2.0, 32.0, 2, 38.0),
+        (
+            GridSpace(side=4096, dim=2, p=1.0),
+            lambda space: GridMLSH(space, w=512.0),
+            4.0,
+            512.0,
+            4,
+            700.0,
+        ),
+    ]
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_matches_hand_built(self, case, seed):
+        space, make_family, r1, r2, close, far = self.CASES[case]
+        family = make_family(space)
+        by_hand = GapProtocol(
+            space, family, family.derived_lsh_params(r1=r1, r2=r2), n=24, k=2
+        )
+        built = GapProtocol.for_instance(space, n=24, k=2, r1=r1, r2=r2)
+        assert type(built.lsh) is type(family)
+        assert built.params == by_hand.params
+        workload = noisy_replica_pair(
+            space, n=24, k=2, close_radius=close, far_radius=far,
+            rng=np.random.default_rng(seed),
+        )
+        runs = []
+        for protocol in (by_hand, built):
+            channel = Channel()
+            result = protocol.run(workload.alice, workload.bob, PublicCoins(seed), channel)
+            runs.append((result.total_bits, result.bob_final, channel.summary().by_label))
+        assert runs[0] == runs[1]
+
+    def test_options_reach_the_constructor(self):
+        protocol = GapProtocol.for_instance(
+            HammingSpace(96), n=24, k=2, r1=2.0, r2=32.0,
+            match_threshold=5, sos_size_multiplier=6.0,
+        )
+        assert protocol.match_threshold == 5
+        assert protocol.sos_size_multiplier == 6.0
+
+    def test_rejects_l2(self):
+        with pytest.raises(ValueError, match="hamming or l1"):
+            GapProtocol.for_instance(
+                GridSpace(side=4096, dim=2, p=2.0), n=24, k=2, r1=4.0, r2=512.0
+            )
 
 
 class TestGapProtocolEndToEnd:
@@ -127,9 +177,7 @@ class TestGapProtocolEndToEnd:
         """With S_A = S_B nothing is far; transmission should be empty."""
         space = HammingSpace(96)
         points = space.sample(rng, 24)
-        family = BitSamplingMLSH(space, w=96.0)
-        params = family.derived_lsh_params(r1=2.0, r2=32.0)
-        protocol = GapProtocol(space, family, params, n=24, k=1)
+        protocol = GapProtocol.for_instance(space, n=24, k=1, r1=2.0, r2=32.0)
         result = protocol.run(points, points, coins)
         assert result.success
         assert result.transmitted == []
@@ -139,10 +187,8 @@ class TestGapProtocolEndToEnd:
         space = HammingSpace(96)
         alice = space.sample(rng, 8)
         bob = space.sample(rng, 8)
-        family = BitSamplingMLSH(space, w=96.0)
-        params = family.derived_lsh_params(r1=2.0, r2=32.0)
-        protocol = GapProtocol(
-            space, family, params, n=8, k=8, sos_size_multiplier=6.0
+        protocol = GapProtocol.for_instance(
+            space, n=8, k=8, r1=2.0, r2=32.0, sos_size_multiplier=6.0
         )
         result = protocol.run(alice, bob, coins)
         assert result.success

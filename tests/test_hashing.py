@@ -63,9 +63,6 @@ class TestPublicCoins:
         assert hash(PublicCoins(4)) == hash(PublicCoins(4))
         assert PublicCoins(4) != PublicCoins(5)
 
-    def test_gaussians_shape(self):
-        assert PublicCoins(0).gaussians("g", size=(3, 4)).shape == (3, 4)
-
 
 class TestFoldToBits:
     def test_wide_passthrough(self):

@@ -12,6 +12,7 @@ from repro.core import (
     required_dimension,
     solve_index_via_gap,
 )
+from repro.core import index_lower_bound
 from repro.hashing import PublicCoins
 
 
@@ -28,9 +29,10 @@ class TestBinaryCode:
         with pytest.raises(ValueError):
             greedy_binary_code(4, 10, 20, rng)
 
-    def test_gives_up_when_too_dense(self, rng):
+    def test_gives_up_when_too_dense(self, rng, monkeypatch):
+        monkeypatch.setattr(index_lower_bound, "CODE_TRIES", 200)
         with pytest.raises(RuntimeError):
-            greedy_binary_code(100, 12, 6, rng, max_tries=200)
+            greedy_binary_code(100, 12, 6, rng)
 
     def test_required_dimension_grows(self):
         assert required_dimension(10, 4) < required_dimension(10, 40)

@@ -12,6 +12,7 @@ from repro.lsh import (
     PrefixKeyBuilder,
     key_bits_for,
 )
+from repro.lsh import keys as keys_module
 from repro.metric import HammingSpace
 
 
@@ -141,12 +142,13 @@ class TestBatchKeyBuilder:
                 batch, entries=4, per_entry=3, coins=coins, label="x", key_bits=32
             )
 
-    def test_best_matches_matches_scalar(self, rng):
+    def test_best_matches_matches_scalar(self, rng, monkeypatch):
         """The vectorised max-agreement must equal the scalar matches loop,
         including across chunk boundaries."""
+        monkeypatch.setattr(keys_module, "MATCH_CHUNK", 4)
         keys = rng.integers(0, 16, size=(10, 5)).astype(np.uint64)
         candidates = rng.integers(0, 16, size=(7, 5)).astype(np.uint64)
-        best = BatchKeyBuilder.best_matches(keys, candidates, chunk=4)
+        best = BatchKeyBuilder.best_matches(keys, candidates)
         for row, key in enumerate(keys.tolist()):
             expected = max(
                 BatchKeyBuilder.matches(key, candidate)

@@ -5,15 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import (
-    GapProtocol,
-    MultiPartyGapResult,
-    multi_party_gap,
-    verify_gap_guarantee,
-)
+from repro.core import GapProtocol, multi_party_gap, verify_gap_guarantee
 from repro.core.multiparty import verify_multi_party_guarantee
 from repro.hashing import PublicCoins
-from repro.lsh import BitSamplingMLSH
 from repro.metric import HammingSpace
 from repro.protocol import Channel
 from repro.workloads import perturb_point, random_far_point
@@ -35,11 +29,8 @@ def _setup(parties=3, n=16, k=1, seed=0):
             points.append(outlier)
             anchors.append(outlier)
         party_sets.append(points)
-    family = BitSamplingMLSH(space, w=96.0)
-    params = family.derived_lsh_params(r1=r1, r2=r2)
-    protocol = GapProtocol(
-        space, family, params, n=n + parties * k, k=parties * k,
-        sos_size_multiplier=6.0,
+    protocol = GapProtocol.for_instance(
+        space, n=n + parties * k, k=parties * k, r1=r1, r2=r2, sos_size_multiplier=6.0
     )
     return space, party_sets, protocol, r2
 
@@ -80,28 +71,7 @@ class TestMultiPartyGap:
         assert result.protocol_runs == 2
         assert result.total_bits == channel.total_bits
 
-    def test_nondefault_coordinator(self):
-        space, party_sets, protocol, r2 = _setup(parties=3, seed=5)
-        result = multi_party_gap(
-            protocol, party_sets, PublicCoins(5), coordinator=2
-        )
-        assert result.success
-        assert result.coordinator == 2
-        assert verify_multi_party_guarantee(space, party_sets, result, r2)
-
     def test_rejects_single_party(self):
         _, party_sets, protocol, _ = _setup(parties=2)
         with pytest.raises(ValueError):
             multi_party_gap(protocol, party_sets[:1], PublicCoins(6))
-
-    def test_rejects_bad_coordinator(self):
-        _, party_sets, protocol, _ = _setup(parties=2)
-        with pytest.raises(ValueError):
-            multi_party_gap(protocol, party_sets, PublicCoins(7), coordinator=5)
-
-    def test_party_final_accessor(self):
-        result = MultiPartyGapResult(
-            success=True, final_sets=[[(0,)], [(1,)]], coordinator=0,
-            total_bits=0, protocol_runs=2,
-        )
-        assert result.party_final(1) == [(1,)]

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.core import EMDProtocol, GapProtocol
 from repro.hashing import PublicCoins
-from repro.lsh import BitSamplingMLSH
 from repro.metric import HammingSpace
 from repro.protocol import Channel
 from repro.workloads import noisy_replica_pair
@@ -75,9 +74,7 @@ def test_gap_protocol_structural_invariants(seed, n, k):
     workload = noisy_replica_pair(
         space, n=n, k=k, close_radius=2, far_radius=r2 + 8, rng=rng
     )
-    family = BitSamplingMLSH(space, w=96.0)
-    params = family.derived_lsh_params(r1=2.0, r2=r2)
-    protocol = GapProtocol(space, family, params, n=n, k=k)
+    protocol = GapProtocol.for_instance(space, n=n, k=k, r1=2.0, r2=r2)
     channel = Channel()
     result = protocol.run(workload.alice, workload.bob, PublicCoins(seed), channel)
 

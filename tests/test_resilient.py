@@ -21,6 +21,7 @@ from repro.reconcile import (
     exact_iblt_reconcile_auto,
     resilient_reconcile,
 )
+from repro.reconcile import resilient
 from repro.workloads import split_difference_pair
 
 SPACE = HammingSpace(40)
@@ -232,30 +233,6 @@ class TestEscalation:
         # The fallback attempt carries the strata half-round's bits.
         assert fallback.rounds >= 3
 
-    def test_resumed_breaker_starts_at_escalated_bound(self, coins):
-        """Persisted breaker memory: a run that escalated to bound B hands
-        its final state onward, and a resumed run opens *at* B — its
-        first attempt is sized for the escalated bound, not the
-        configured initial one, and the prior escalation budget stays
-        spent."""
-        alice, bob = _workload(5, delta=12)
-        config = ResilienceConfig(max_attempts=10, max_escalations=3)
-        first = resilient_reconcile(SPACE, alice, bob, 2, coins, config=config)
-        assert first.success and first.report.escalations >= 1
-        saved = first.report.breaker
-        assert saved is not None and saved.bound > 2
-
-        # Hand the state onward as the store does: the object itself.
-        second = resilient_reconcile(
-            SPACE, alice, bob, 2, coins, config=config, breaker=saved
-        )
-        assert second.success
-        report = second.report
-        assert report.attempts[0].delta_bound == saved.bound
-        assert report.attempts[0].phase == "resumed"
-        assert report.escalations == 0  # the resumed bound already fits
-        assert len(report.attempts) == 1
-
     def test_budget_exhaustion_reports_failure(self, coins):
         alice, bob = _workload(5, delta=12)
         result = resilient_reconcile(
@@ -380,15 +357,14 @@ class TestAutoSizedRecovery:
         "python": "37eeb23a8221dfc5874e5d7af400bdf16ed2d5846bc37f868e4a46fca33b4c0f",
     }
 
-    def test_runs_are_pinned(self):
+    def test_runs_are_pinned(self, monkeypatch):
         records = []
         retried = 0
         for seed, delta, max_attempts in _AUTO_CASES:
             alice, bob = _workload(seed, delta=delta)
             channel = Channel()
-            result = exact_iblt_reconcile_auto(
-                SPACE, alice, bob, PublicCoins(seed), channel, max_attempts=max_attempts
-            )
+            monkeypatch.setattr(resilient, "AUTO_MAX_ATTEMPTS", max_attempts)
+            result = exact_iblt_reconcile_auto(SPACE, alice, bob, PublicCoins(seed), channel)
             sized = sum(message.label == "iblt" for message in channel.messages)
             retried += sized > 1
             assert sized <= max_attempts

@@ -40,7 +40,7 @@ from repro.server import (
     render_session_reports,
     serve_in_memory,
 )
-from repro.server.network import SessionLink
+from repro.server.network import SERVER_TO_CLIENT, SessionLink
 from repro.server.server import MAX_DIM, MAX_WORKLOAD_COORDINATES
 from repro.server.session import KEY_BLOCK_BYTES, parse_json_payload
 
@@ -780,7 +780,7 @@ class TestNetworkModel:
         def plan(order):
             link = SessionLink(config, 5)
             decisions = [
-                link.apply("s2c", seq, header, raw) for seq in order
+                link.apply(SERVER_TO_CLIENT, seq, header, raw) for seq in order
             ]
             return {
                 seq: (d.lost, d.corrupted, d.duplicated, d.latency_ms)
@@ -814,7 +814,7 @@ class TestNetworkModel:
         header = decode_header(raw[:HEADER_LEN])
         damaged_seen = 0
         for seq in range(32):
-            decision = link.apply("s2c", seq, header, raw)
+            decision = link.apply(SERVER_TO_CLIENT, seq, header, raw)
             for delivery in decision.deliveries:
                 assert len(delivery) == len(raw)
                 decoded, _ = decode_frame(delivery)  # header always intact

@@ -22,9 +22,6 @@ class TestHammingSpace:
     def test_diameter(self):
         assert HammingSpace(17).diameter == 17
 
-    def test_log2_universe(self):
-        assert HammingSpace(10).log2_universe == pytest.approx(10.0)
-
     def test_contains(self):
         space = HammingSpace(3)
         assert space.contains((0, 1, 1))

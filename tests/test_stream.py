@@ -16,6 +16,7 @@ from repro.stream import (
     EventLogWriter,
     MutationEvent,
     StreamReplayer,
+    events_by_window,
     record_line,
     render_replay_report,
     split_mutations,
@@ -245,15 +246,14 @@ class TestChurnGenerator:
 
     def test_window_zero_is_the_population(self):
         workload = _workload(n=16)
-        initial = workload.window_events(0)
+        initial = [event for _, event in events_by_window(workload.events)[0]]
         assert len(initial) == 16
         assert all(event.op == "insert" for event in initial)
-        assert workload.n_initial == 16
 
     def test_each_window_touches_keys_once(self):
         workload = _workload(n=16, windows=4, rate=8)
-        for window in range(workload.windows + 1):
-            keys = [event.key for event in workload.window_events(window)]
+        for pairs in events_by_window(workload.events).values():
+            keys = [event.key for _, event in pairs]
             assert len(keys) == len(set(keys))
 
     def test_ground_truth_is_consistent(self):
@@ -298,8 +298,8 @@ class TestStoreApplyEvents:
         store_b.put_set(1, (), key_bits=55)
         serve = lambda store: store.serve_iblt(1, COINS.child("s"), "slot", 24, q=3)
         serve(store_a), serve(store_b)  # build warm slots over the empty set
-        for window in range(workload.windows + 1):
-            batch = list(workload.window_events(window))
+        for pairs in events_by_window(workload.events).values():
+            batch = [event for _, event in pairs]
             applied = store_a.apply_events(1, batch)
             assert applied == len(batch)
             inserts, deletes = split_mutations(batch)

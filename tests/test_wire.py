@@ -59,7 +59,7 @@ class TestRoundtrip:
         frame = _frame()
         wire = encode_frame(frame)
         decoded, consumed = decode_frame(wire)
-        assert consumed == len(wire) == frame.wire_length
+        assert consumed == len(wire) == frame.overhead_bytes + len(frame.payload)
         assert decoded.verify_payload() is decoded
         assert decoded.msg_type is MessageType.SKETCH
         assert decoded.session_id == 7

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.metric import GridSpace, HammingSpace
+from repro.workloads import generators
 from repro.workloads import (
     noisy_replica_pair,
     perturb_point,
@@ -61,11 +61,12 @@ class TestRandomFarPoint:
         point = random_far_point(space, [], 5.0, rng)
         assert space.contains(point)
 
-    def test_impossible_raises(self, rng):
+    def test_impossible_raises(self, rng, monkeypatch):
+        monkeypatch.setattr(generators, "FAR_POINT_TRIES", 50)
         space = HammingSpace(4)
         anchors = space.sample(rng, 16)  # every point of {0,1}^4... nearly
         with pytest.raises(RuntimeError):
-            random_far_point(space, anchors, 5.0, rng, max_tries=50)
+            random_far_point(space, anchors, 5.0, rng)
 
 
 class TestNoisyReplicaPair:
@@ -102,16 +103,6 @@ class TestNoisyReplicaPair:
         wl = noisy_replica_pair(space, n=16, k=2, close_radius=3, far_radius=100, rng=rng)
         for index in range(14):
             assert space.distance(wl.alice[index], wl.bob[index]) <= 3
-
-    def test_base_separation(self, rng):
-        space = GridSpace(side=1024, dim=2, p=2.0)
-        wl = noisy_replica_pair(
-            space, n=10, k=1, close_radius=2, far_radius=100, rng=rng,
-            base_separation=50.0,
-        )
-        matrix = space.distance_matrix(wl.bob, wl.bob)
-        np.fill_diagonal(matrix, np.inf)
-        assert matrix.min() >= 50.0
 
     def test_k_zero(self, rng):
         space = HammingSpace(32)
