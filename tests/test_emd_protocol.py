@@ -2,10 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
-
 import numpy as np
 import pytest
 
@@ -22,6 +18,7 @@ from repro.metric import GridSpace, HammingSpace, emd, emd_k
 from repro.protocol import BitWriter, Channel, write_riblt_cells
 from repro.reconcile import QuadtreeEMDProtocol
 from repro.workloads import noisy_replica_pair
+from transcripts import transcript_digest
 
 
 class TestParameterDerivation:
@@ -309,33 +306,6 @@ class TestUnifiedKeyStream:
         assert not hasattr(protocol, "fast_keys")
 
 
-def _canonical(value):
-    """JSON-ready form of a result field: tuples as lists, numpy scalars
-    as Python numbers, so the digest does not depend on container types."""
-    if isinstance(value, (list, tuple)):
-        return [_canonical(item) for item in value]
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
-
-
-def _transcript_digest(runs) -> str:
-    """SHA-256 over every message (sender, label, bits, payload) and every
-    result field (by name) of ``runs``, a sequence of ``(result, channel)``."""
-    digest = hashlib.sha256()
-    for result, channel in runs:
-        for message in channel.messages:
-            header = f"{message.sender}|{message.label}|{message.payload_bits}|"
-            digest.update(header.encode())
-            digest.update(message.payload)
-        fields = {
-            field.name: _canonical(getattr(result, field.name))
-            for field in dataclasses.fields(result)
-        }
-        digest.update(json.dumps(fields, sort_keys=True).encode())
-    return digest.hexdigest()
-
-
 def _ladder_runs():
     """Fixed-seed runs of the three protocols that send one RIBLT per level:
     Algorithm 1, its interval-scaled wrapper and the quadtree baseline.
@@ -381,6 +351,6 @@ class TestLadderTranscriptPins:
         runs = _ladder_runs()
         outcomes = [result.success for result, _ in runs]
         assert any(outcomes) and not all(outcomes)
-        assert _transcript_digest(runs) == (
+        assert transcript_digest(runs) == (
             "144578f62f149e70b28ad7617e6bb07213427590d5fd15d49eceb35feaa8843f"
         )

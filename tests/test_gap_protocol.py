@@ -16,6 +16,7 @@ from repro.lsh import BitSamplingMLSH, GridMLSH, OneSidedGridLSH
 from repro.metric import GridSpace, HammingSpace
 from repro.protocol import Channel
 from repro.workloads import noisy_replica_pair
+from transcripts import transcript_digest
 
 
 def _hamming_setup(n=32, k=2, d=96, r1=2.0, r2=32.0, seed=0):
@@ -194,6 +195,66 @@ class TestGapProtocolEndToEnd:
         assert result.success
         # Random 96-bit points are ~48 apart, all far.
         assert len(result.transmitted) == 8
+
+
+def _gap_runs():
+    """Fixed-seed ``GapProtocol.run`` s at five shapes, six seeds each:
+    the gap-hamming benchmark shape, two smaller Hamming shapes, an l1
+    grid and an undersized sets-of-sets table whose Round 1 fails on
+    some seeds.  Each case is ``(make_protocol, space, n, planted
+    outliers, close, far)``."""
+    h128 = HammingSpace(128)
+    h96 = HammingSpace(96)
+    l1 = GridSpace(side=256, dim=3, p=1.0)
+
+    def benchmark_shape():
+        family = BitSamplingMLSH(h128, w=128.0)
+        return GapProtocol(h128, family, family.derived_lsh_params(r1=2, r2=40), n=64, k=2)
+
+    cases = [
+        (benchmark_shape, h128, 64, 2, 2, 48),
+        (lambda: GapProtocol.for_instance(h96, n=32, k=2, r1=2.0, r2=32.0), h96, 32, 2, 2, 38),
+        (
+            lambda: GapProtocol.for_instance(
+                h96, n=32, k=1, r1=2.0, r2=32.0, sos_size_multiplier=0.6
+            ),
+            h96, 32, 6, 2, 38,
+        ),  # fmt: skip
+        (lambda: GapProtocol.for_instance(l1, n=24, k=2, r1=3.0, r2=60.0), l1, 24, 2, 3, 90),
+        (
+            lambda: GapProtocol.for_instance(h96, n=24, k=1, r1=2.0, r2=32.0, entries=12),
+            h96, 24, 3, 4, 38,
+        ),  # fmt: skip
+    ]
+    runs = []
+    for make, space, n, planted, close, far in cases:
+        for seed in range(6):
+            wl = noisy_replica_pair(
+                space, n=n, k=planted, close_radius=close, far_radius=far,
+                rng=np.random.default_rng(seed),
+            )  # fmt: skip
+            channel = Channel()
+            result = make().run(wl.alice, wl.bob, PublicCoins(200 + seed), channel)
+            runs.append((result, channel))
+    return runs
+
+
+class TestGapTranscriptPins:
+    """Every payload of the four Gap rounds (``sos-item-iblt``,
+    ``sos-query``, ``sos-patches``, ``gap-far-points``) and every result
+    field (``sos_unresolved`` and ``pair_difference`` among them), pinned
+    by one digest on both backends."""
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_transcript_digest(self, backend, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", backend)
+        runs = _gap_runs()
+        outcomes = [result.success for result, _ in runs]
+        assert any(outcomes) and not all(outcomes)
+        assert any(result.sos_unresolved for result, _ in runs)
+        assert transcript_digest(runs) == (
+            "30d7f4cd10418a4333e37b23572a4bbee13a3731755a6054477220900a6ddd7e"
+        )
 
 
 class TestLowDimensionalGap:
