@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
 
 from ..hashing import PublicCoins
 from ..lsh.base import LSHFamily, LSHParams, batches_for_p2_half
@@ -237,13 +236,9 @@ class GapProtocol:
                 total_bits=channel.total_bits,
                 rounds=channel.rounds,
             )
-        candidates = sos.bob_key_view
 
         # ---- Alice: find far keys ------------------------------------------
-        candidate_matrix = np.asarray(candidates, dtype=np.uint64).reshape(
-            len(candidates), self.entries
-        )
-        best = BatchKeyBuilder.best_matches(alice_keys, candidate_matrix)
+        best = BatchKeyBuilder.best_matches(alice_keys, sos.bob_key_view)
         far = alice[best < self.match_threshold]
 
         # ---- Round 4: Alice -> Bob — the far elements ---------------------

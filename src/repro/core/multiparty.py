@@ -1,34 +1,28 @@
-"""Multi-party robust reconciliation over general gossip topologies.
+"""Multi-party robust reconciliation over a star, and gossip topologies.
 
 The paper's related work cites simple multi-party set reconciliation
-(Mitzenmacher & Pagh [23]).  This module lifts the *robust* Gap
-Guarantee model to ``P >= 2`` parties.  Historically it hard-coded the
-star construction; it now runs over any connected :class:`Topology`
-(``star``, ``ring``, ``tree``, ``random_k_regular``), executing the
-two-party protocol along a BFS spanning tree of the topology rooted at
-the coordinator:
+(Mitzenmacher & Pagh [23]).  :func:`multi_party_gap` lifts the *robust*
+Gap Guarantee model to ``P >= 2`` parties over a star whose hub is party
+``COORDINATOR`` (0), running the two-party protocol once per leaf in
+each direction:
 
-1. **Convergecast** (deepest nodes first): every non-root party runs
-   the two-party Gap protocol *toward* its tree parent (the parent
-   plays Bob), so accumulated knowledge flows up and the coordinator
-   ends with a set within ``depth * r2`` of every point any party
-   holds (one ``r2`` hop per tree level, by the triangle inequality).
-2. **Broadcast** (shallowest first): each parent runs the protocol
-   once *back* toward each child (the child plays Bob), delivering
-   everything the child's subtree missed.
-
-For a star the spanning tree is the star itself (every leaf at depth
-1), the hop orders reduce to ascending party index, and the per-run
-coin labels are unchanged — so star results are bit-identical to the
-pre-topology implementation (pinned by the scenario goldens).
+1. **Convergecast** (leaves in ascending order): every leaf runs the
+   two-party Gap protocol *toward* the hub (the hub plays Bob), so the
+   hub ends with a set within ``r2`` of every point any party holds.
+2. **Broadcast** (ascending order): the hub runs the protocol once
+   *back* toward each leaf (the leaf plays Bob), delivering everything
+   the leaf missed.
 
 Every pairwise run reuses the measured channel and the transcript is
-itemised *per topology edge* (:attr:`MultiPartyGapResult.edge_bits`);
-topology edges outside the spanning tree carry zero bits.  The
+itemised *per star edge* (:attr:`MultiPartyGapResult.edge_bits`).  The
 resulting guarantee: every input point of every party is within
-``2 * depth * r2`` of every party's final set (``depth`` hops into the
-coordinator's set, ``depth`` hops out; the coordinator itself enjoys
-``depth * r2``), which for the star is the familiar ``2 * r2``.
+``2 * r2`` of every party's final set (one hop in, one hop out) and
+within ``r2`` of the hub's.
+
+:class:`Topology` (star, ring, tree, random regular) is the gossip graph
+:class:`~repro.stream.StreamReplayer` reconciles event IDs over; its
+BFS spanning tree and convergecast/broadcast schedule follow the same
+two-wave shape.
 """
 
 from __future__ import annotations
@@ -237,13 +231,10 @@ class Topology:
 
 @dataclass(frozen=True)
 class MultiPartyGapResult:
-    """Outcome of a multi-party reconciliation over a gossip topology.
+    """Outcome of a multi-party reconciliation over the star.
 
-    ``edge_bits`` itemises the transcript per canonical topology edge as
-    ``(u, v, bits)`` triples (additive to the legacy total); edges the
-    spanning tree skipped carry zero bits.  ``depth`` is the spanning
-    tree's maximum hop count — the factor the guarantee radius scales
-    by (1 for the legacy star).
+    ``edge_bits`` itemises the transcript per star edge as ``(0, leaf,
+    bits)`` triples, in leaf order; they sum to ``total_bits``.
     """
 
     success: bool
@@ -251,8 +242,6 @@ class MultiPartyGapResult:
     coordinator: int
     total_bits: int
     protocol_runs: int
-    topology: str = "star"
-    depth: int = 1
     edge_bits: tuple[tuple[int, int, int], ...] = ()
 
 
@@ -261,9 +250,8 @@ def multi_party_gap(
     party_sets: Sequence[Sequence[Point]],
     coins: PublicCoins,
     channel: Channel | None = None,
-    topology: Topology | None = None,
 ) -> MultiPartyGapResult:
-    """Reconcile ``P`` parties' point sets over a gossip topology.
+    """Reconcile ``P`` parties' point sets over a star rooted at party 0.
 
     Parameters
     ----------
@@ -273,68 +261,47 @@ def multi_party_gap(
         sizing, so a generous value is safe).
     party_sets:
         One point sequence per party.
-    topology:
-        The gossip graph; ``None`` means the legacy star, whose results
-        are bit-identical to the pre-topology implementation.  Party
-        ``COORDINATOR`` (0, the star's hub) roots the spanning tree.
 
     Notes
     -----
-    Convergecast phase: each party's accumulated set flows toward its
-    tree parent (deepest levels first), so the coordinator absorbs
-    every subtree.  Broadcast phase: each party receives the points its
-    subtree missed from its parent (shallowest first).  Each hop is a
-    faithful two-party protocol run over the shared channel, with coin
-    labels ``("in", child)`` / ``("out", child)`` — exactly the legacy
-    star labels when the topology is a star.
+    Convergecast phase: each leaf's set flows into the hub's growing
+    set.  Broadcast phase: each leaf receives the points it missed from
+    the hub.  Each hop is a faithful two-party protocol run over the
+    shared channel, with coin labels ``("in", leaf)`` / ``("out", leaf)``.
     """
     parties = [list(points) for points in party_sets]
     if len(parties) < 2:
         raise ValueError(f"need at least 2 parties, got {len(parties)}")
-    if topology is None:
-        topology = Topology.star(len(parties))
-    elif topology.parties != len(parties):
-        raise ValueError(
-            f"topology has {topology.parties} parties but {len(parties)} sets were given"
-        )
     channel = channel if channel is not None else Channel()
-
-    parent_of, depth_of = topology.spanning_tree(COORDINATOR)
-    up_order, down_order = topology.gossip_schedule(COORDINATOR)
-    edge_bits = {edge: 0 for edge in topology.edges}
+    leaves = range(1, len(parties))
+    edge_bits = dict.fromkeys(leaves, 0)
     runs = 0
     all_success = True
 
-    # ---- convergecast: subtrees -> coordinator ----------------------------
-    accumulated = [list(points) for points in parties]
-    for child in up_order:
-        parent = parent_of[child]
+    # ---- convergecast: leaves -> hub ---------------------------------------
+    hub = parties[COORDINATOR]
+    for leaf in leaves:
         before = channel.total_bits
-        result = protocol.run(
-            accumulated[child], accumulated[parent], coins.child("in", child), channel
-        )
+        result = protocol.run(parties[leaf], hub, coins.child("in", leaf), channel)
         runs += 1
-        edge_bits[_edge(parent, child)] += channel.total_bits - before
+        edge_bits[leaf] += channel.total_bits - before
         if not result.success:
             all_success = False
             continue
-        accumulated[parent] = result.bob_final
+        hub = result.bob_final
 
-    # ---- broadcast: coordinator -> subtrees --------------------------------
+    # ---- broadcast: hub -> leaves ------------------------------------------
     finals = [list(points) for points in parties]
-    finals[COORDINATOR] = accumulated[COORDINATOR]
-    for child in down_order:
-        parent = parent_of[child]
+    finals[COORDINATOR] = hub
+    for leaf in leaves:
         before = channel.total_bits
-        result = protocol.run(
-            finals[parent], parties[child], coins.child("out", child), channel
-        )
+        result = protocol.run(hub, parties[leaf], coins.child("out", leaf), channel)
         runs += 1
-        edge_bits[_edge(parent, child)] += channel.total_bits - before
+        edge_bits[leaf] += channel.total_bits - before
         if not result.success:
             all_success = False
             continue
-        finals[child] = result.bob_final
+        finals[leaf] = result.bob_final
 
     return MultiPartyGapResult(
         success=all_success,
@@ -342,9 +309,7 @@ def multi_party_gap(
         coordinator=COORDINATOR,
         total_bits=channel.total_bits,
         protocol_runs=runs,
-        topology=topology.kind,
-        depth=max(depth_of.values()),
-        edge_bits=tuple((u, v, edge_bits[(u, v)]) for u, v in topology.edges),
+        edge_bits=tuple((COORDINATOR, leaf, bits) for leaf, bits in edge_bits.items()),
     )
 
 
@@ -354,21 +319,18 @@ def verify_multi_party_guarantee(
     result: MultiPartyGapResult,
     r2: float,
 ) -> bool:
-    """Check the multi-party postcondition at the result's gossip depth.
+    """Check the multi-party postcondition of the star.
 
-    Every input point of every party must be within ``depth * r2`` of
-    the coordinator's final set and within ``2 * depth * r2`` of every
-    party's final set (one ``r2`` per tree hop in, one per hop out).
-    For the star (``depth == 1``) this is the legacy ``r2`` / ``2 * r2``
-    guarantee.
+    Every input point of every party must be within ``r2`` of the hub's
+    final set and within ``2 * r2`` of every party's final set (one hop
+    in, one hop out).
     """
-    depth = max(1, result.depth)
     hub_final = result.final_sets[result.coordinator]
     for points in party_sets:
-        if not verify_gap_guarantee(space, list(points), hub_final, depth * r2):
+        if not verify_gap_guarantee(space, list(points), hub_final, r2):
             return False
     for final in result.final_sets:
         for points in party_sets:
-            if not verify_gap_guarantee(space, list(points), final, 2.0 * depth * r2):
+            if not verify_gap_guarantee(space, list(points), final, 2.0 * r2):
                 return False
     return True

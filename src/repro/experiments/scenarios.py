@@ -620,11 +620,10 @@ def _drive_store_churn(
 def _drive_multiparty(
     spec: ScenarioSpec, rng: np.random.Generator, coins: PublicCoins
 ) -> dict:
-    """The multi-party lift of the Gap protocol over the star topology.
+    """The multi-party lift of the Gap protocol over the star.
 
-    The report keeps every pre-topology key at its pre-topology value
-    (pinned by goldens); the topology, gossip depth and per-edge
-    transcript bits are additive.
+    The report itemises the transcript per star edge; the topology and
+    gossip depth keys name the star and its single hop.
     """
     p = spec.params
     space = HammingSpace(p["dim"])
@@ -651,8 +650,8 @@ def _drive_multiparty(
         "bits": result.total_bits,
         "parties": p["parties"],
         "multi_party_guarantee_holds": bool(holds),
-        "topology": result.topology,
-        "gossip_depth": result.depth,
+        "topology": "star",
+        "gossip_depth": 1,
     }
     for u, v, bits in result.edge_bits:
         metrics[f"edge_bits_{u}_{v}"] = bits

@@ -46,6 +46,7 @@ __all__ = [
     "quadratic_mod_p",
     "row_products",
     "sum_mod_p",
+    "masked_sums_mod_p",
     "prefix_sums_mod_p",
     "fold_bits",
 ]
@@ -283,6 +284,31 @@ def sum_mod_p(x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.uint64)
     return _limbs_mod_p(np.einsum("...i->...", x & _MASK32), np.einsum("...i->...", x >> _S32))
+
+
+#: Columns below which :func:`masked_sums_mod_p`'s float64 limb sums
+#: stay exact: ``2^21`` limbs below ``2^32`` sum below ``2^53``.
+_MASKED_COLUMNS = 1 << 21
+
+
+def masked_sums_mod_p(mask: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``Σ_i mask[j, i] · x[r, i] mod P`` for every pair of rows ``(j, r)``.
+
+    ``mask`` is a ``(k, c)`` 0/1 matrix and ``x`` an ``(n, c)`` ``uint64``
+    matrix (any values: folded products do); the result is ``(k, n)``.
+    The masked twin of :func:`sum_mod_p`: two float64 matrix products of
+    the mask against ``x``'s 32-bit limbs, recombined by
+    :func:`_limbs_mod_p`.  Every partial sum is an integer below
+    ``c·2^32 < 2^53``, so the products are exact in any summation order
+    for ``c < 2^21`` columns; wider matrices are a ``ValueError``.
+    """
+    x = np.asarray(x, dtype=np.uint64)
+    if x.shape[-1] >= _MASKED_COLUMNS:
+        raise ValueError(f"masked sums are exact below {_MASKED_COLUMNS} columns")
+    weights = np.asarray(mask, dtype=np.float64)
+    lo = weights @ (x & _MASK32).astype(np.float64).T
+    hi = weights @ (x >> _S32).astype(np.float64).T
+    return _limbs_mod_p(lo.astype(np.uint64), hi.astype(np.uint64))
 
 
 def prefix_sums_mod_p(x: np.ndarray, ends: np.ndarray) -> np.ndarray:

@@ -57,8 +57,8 @@ class PublicCoins:
     --------
     >>> alice = PublicCoins(7)
     >>> bob = PublicCoins(7)
-    >>> alice.integers("offsets", low=0, high=100, size=3).tolist() == \\
-    ...     bob.integers("offsets", low=0, high=100, size=3).tolist()
+    >>> alice.numpy_rng("offsets").integers(0, 100, size=3).tolist() == \\
+    ...     bob.numpy_rng("offsets").integers(0, 100, size=3).tolist()
     True
     """
 
@@ -93,12 +93,3 @@ class PublicCoins:
     def python_rng(self, *labels: Any) -> random.Random:
         """A reproducible stdlib generator for the given stream label."""
         return random.Random(self.child_seed(*labels))
-
-    # -- convenience draws ------------------------------------------------
-    def integers(self, *labels: Any, low: int, high: int, size: int | tuple[int, ...]) -> np.ndarray:
-        """Draw uniform integers in ``[low, high)`` from the labelled stream."""
-        return self.numpy_rng(*labels).integers(low, high, size=size, dtype=np.int64)
-
-    def uniform(self, *labels: Any, low: float = 0.0, high: float = 1.0, size: int | tuple[int, ...] = 1) -> np.ndarray:
-        """Draw uniform floats in ``[low, high)`` from the labelled stream."""
-        return self.numpy_rng(*labels).uniform(low, high, size=size)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.errors import (
@@ -27,6 +28,7 @@ from repro.metric import GridSpace, HammingSpace
 from repro.protocol import (
     BitReader,
     BitWriter,
+    Channel,
     iblt_payload,
     multiset_payload,
     read_iblt_cells,
@@ -37,6 +39,7 @@ from repro.protocol import (
     write_points,
 )
 from repro.reconcile import StrataEstimator
+from repro.setsofsets import SetsOfSetsReconciler
 
 COINS = PublicCoins(0xF022)
 
@@ -207,3 +210,42 @@ class TestStrataFuzz:
             shell.from_payload(mutated)
 
         _assert_only_decode_error(decode, payload, seed=505, shell=self._shell)
+
+
+class TestSetsOfSetsFuzz:
+    """The Round-2 (``sos-query``) and Round-3 (``sos-patches``) readers,
+    the latter through Alice's whole reconstruction."""
+
+    def _run(self, bob_copies: int = 1):
+        rng = np.random.default_rng(606)
+        reconciler = SetsOfSetsReconciler(
+            COINS, "fuzz-sos", entries=12, entry_bits=10, expected_differences=200
+        )
+        alice = rng.integers(0, 1 << 10, size=(20, 12))
+        bob = alice.copy()
+        bob[:6, 3] ^= 0x155  # six patched keys
+        bob[6:8] = rng.integers(0, 1 << 10, size=(2, 12))  # two verbatim keys
+        bob = np.concatenate([bob] + [bob[:1]] * (bob_copies - 1))
+        channel = Channel()
+        result = reconciler.run(alice, bob, channel)
+        assert result.success and result.recovered
+        payloads = {message.label: message.payload for message in channel.messages}
+        alice_keys = reconciler._internal_matrix(alice.astype(np.uint64))
+        return reconciler, payloads, alice_keys
+
+    @pytest.mark.parametrize("bob_copies", [1, 200], ids=["fixed-stride", "multi-group"])
+    def test_query_reader_only_decode_error_escapes(self, bob_copies):
+        reconciler, payloads, _ = self._run(bob_copies)
+
+        def decode(_target, mutated: bytes) -> None:
+            reconciler._read_query(mutated)
+
+        _assert_only_decode_error(decode, payloads["sos-query"], seed=606)
+
+    def test_patch_reader_only_decode_error_escapes(self):
+        reconciler, payloads, alice_keys = self._run()
+
+        def decode(_target, mutated: bytes) -> None:
+            reconciler._recover(mutated, alice_keys)
+
+        _assert_only_decode_error(decode, payloads["sos-patches"], seed=707)

@@ -17,34 +17,35 @@ from repro.hashing import (
     derive_seed,
     fold_to_bits,
 )
+from repro.hashing.mersenne import masked_sums_mod_p
 
 
 class TestPublicCoins:
     def test_same_seed_same_streams(self):
         a, b = PublicCoins(7), PublicCoins(7)
-        assert a.integers("s", low=0, high=1000, size=10).tolist() == b.integers(
-            "s", low=0, high=1000, size=10
-        ).tolist()
+        assert a.numpy_rng("s").integers(0, 1000, size=10).tolist() == (
+            b.numpy_rng("s").integers(0, 1000, size=10).tolist()
+        )
 
     def test_different_seed_different_streams(self):
         a, b = PublicCoins(7), PublicCoins(8)
-        assert a.integers("s", low=0, high=1 << 40, size=8).tolist() != b.integers(
-            "s", low=0, high=1 << 40, size=8
-        ).tolist()
+        assert a.numpy_rng("s").integers(0, 1 << 40, size=8).tolist() != (
+            b.numpy_rng("s").integers(0, 1 << 40, size=8).tolist()
+        )
 
     def test_different_labels_independent(self):
         coins = PublicCoins(3)
-        assert coins.integers("a", low=0, high=1 << 40, size=8).tolist() != (
-            coins.integers("b", low=0, high=1 << 40, size=8).tolist()
+        assert coins.numpy_rng("a").integers(0, 1 << 40, size=8).tolist() != (
+            coins.numpy_rng("b").integers(0, 1 << 40, size=8).tolist()
         )
 
     def test_draw_order_does_not_matter(self):
         first = PublicCoins(5)
-        x1 = first.uniform("x", size=4)
-        y1 = first.uniform("y", size=4)
+        x1 = first.numpy_rng("x").uniform(size=4)
+        y1 = first.numpy_rng("y").uniform(size=4)
         second = PublicCoins(5)
-        y2 = second.uniform("y", size=4)
-        x2 = second.uniform("x", size=4)
+        y2 = second.numpy_rng("y").uniform(size=4)
+        x2 = second.numpy_rng("x").uniform(size=4)
         assert np.allclose(x1, x2)
         assert np.allclose(y1, y2)
 
@@ -203,6 +204,29 @@ class TestVectorHash:
         h = VectorHash(PublicCoins(seed), "closed", arity=arity, bits=61)
         matrix = _matrix(fill, rows, arity, seed)
         assert h.hash_rows(matrix).tolist() == [h(row) for row in matrix.tolist()]
+
+
+class TestMaskedSums:
+    @given(
+        records=st.integers(min_value=0, max_value=12),
+        rows=st.integers(min_value=0, max_value=12),
+        columns=st.integers(min_value=1, max_value=64),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_python_ints(self, records, rows, columns, seed):
+        """Every masked row sum of arbitrary uint64 values, against exact
+        Python-int arithmetic (all-ones values drive both limbs to their
+        maximum)."""
+        rng = np.random.default_rng(seed)
+        mask = rng.random((records, columns)) < 0.5
+        x = rng.integers(0, 1 << 64, size=(rows, columns), dtype=np.uint64)
+        x[: rows // 3] = np.uint64((1 << 64) - 1)
+        expected = [
+            [sum(int(v) for v, m in zip(row, weights) if m) % MERSENNE_P for row in x.tolist()]
+            for weights in mask.tolist()
+        ]
+        assert masked_sums_mod_p(mask, x).reshape(records, rows).tolist() == expected
 
 
 class TestPrefixHasher:

@@ -71,6 +71,13 @@ class TestMultiPartyGap:
         assert result.protocol_runs == 2
         assert result.total_bits == channel.total_bits
 
+    def test_edge_bits_itemise_the_star(self):
+        space, party_sets, protocol, r2 = _setup(parties=4, seed=5)
+        result = multi_party_gap(protocol, party_sets, PublicCoins(5))
+        assert [(u, v) for u, v, _ in result.edge_bits] == [(0, 1), (0, 2), (0, 3)]
+        assert all(bits > 0 for _, _, bits in result.edge_bits)
+        assert sum(bits for _, _, bits in result.edge_bits) == result.total_bits
+
     def test_rejects_single_party(self):
         _, party_sets, protocol, _ = _setup(parties=2)
         with pytest.raises(ValueError):

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.errors import MalformedPayloadError
 from repro.hashing import PublicCoins
-from repro.protocol import Channel
+from repro.protocol import BitWriter, Channel
 from repro.setsofsets import SetsOfSetsReconciler
+from repro.setsofsets.protocol import _Patches
 
 
 def _reconciler(coins, h=8, entry_bits=20, expected=64, **kwargs):
@@ -75,7 +79,7 @@ class TestExactRecovery:
         bob.append(_random_keys(rng, 1)[0])
         result = _reconciler(coins, expected=128).run(alice, bob, Channel())
         assert result.success
-        view = set(result.bob_key_view)
+        view = set(map(tuple, result.bob_key_view.tolist()))
         assert set(bob) <= view
 
     def test_multiplicities(self, coins, rng):
@@ -205,36 +209,143 @@ class TestValidation:
             reconciler.run([], keys, Channel())
 
 
-class _StubChecksum:
-    """A key checksum that reports ``value`` for the chosen rows only."""
+class _AffineStub:
+    """A key checksum ``b + Σ 0·x_i``: every row, patched or not, hashes
+    to ``b``, so every row collides with a record whose checksum is ``b``."""
 
-    def __init__(self, rows, value):
-        self.rows = rows
-        self.value = value
+    def __init__(self, width, b):
+        self.coeff_row = np.zeros(width, dtype=np.uint64)
+        self.b = b
+        self.bits = 61
 
     def hash_rows(self, matrix):
-        out = np.zeros(len(matrix), dtype=np.uint64)
-        out[self.rows] = self.value
-        return out
+        return np.full(len(matrix), self.b, dtype=np.uint64)
+
+
+def _patches(patch_lists, checksums):
+    """Patch records in the solver's flattened form."""
+    pairs = [(owner, index, value) for owner, patch in enumerate(patch_lists)
+             for index, value in patch]  # fmt: skip
+    owners, indices, values = (np.array(column, dtype=np.int64) for column in zip(*pairs)) if pairs \
+        else (np.empty(0, dtype=np.int64),) * 3  # fmt: skip
+    return _Patches(
+        np.array(checksums, dtype=np.uint64),
+        owners,
+        indices.astype(np.uint64),
+        values.astype(np.uint64),
+    )
+
+
+def _apply_patch(reconciler, alice_keys, patch, checksum):
+    """The scalar reference search for one patch record.
+
+    Writes the patch into a copy of Alice's ``(n, entries + 1)`` matrix
+    of distinct internal keys, one pair at a time (so a repeated index
+    keeps its last value), checksums every row, and returns the external
+    key of the first matching row whose signature entry is consistent
+    with the patched vector, or ``None``.
+    """
+    candidates = alice_keys.copy()
+    for index, value in patch:
+        candidates[:, index] = value
+    matched = candidates[reconciler.key_checksum.hash_rows(candidates) == checksum]
+    signatures = reconciler.signature_hash.hash_rows(matched[:, : reconciler.entries])
+    consistent = np.flatnonzero(signatures == matched[:, reconciler.entries])
+    if not len(consistent):
+        return None
+    return tuple(matched[consistent[0], : reconciler.entries].tolist())
 
 
 class TestPatchSearch:
     def test_first_consistent_row_wins(self, coins, rng):
-        """Rows 1-3 all collide on the checksum; row 1's signature entry
-        is inconsistent, so the search must return row 2, not row 3."""
+        """Every row collides on the stub checksum.  The patch leaves rows
+        0 and 1 inconsistent with their signatures and rows 2 and 3
+        consistent, so the search must return row 2, not row 3."""
         reconciler = _reconciler(coins)
         keys = np.array(_random_keys(rng, 4), dtype=np.uint64)
         keys[3, 0] = keys[2, 0]  # the patch below keeps rows 2 and 3 valid
         internal = reconciler._internal_matrix(keys)
         internal[1, reconciler.entries] ^= np.uint64(1)
-        reconciler.key_checksum = _StubChecksum([1, 2, 3], 77)
-        patched = reconciler._apply_patch(internal, [(0, int(keys[2, 0]))], 77)
-        assert patched == tuple(keys[2].tolist())
+        reconciler.key_checksum = _AffineStub(reconciler.internal_entries, 77)
+        found, patched = reconciler._reconstruct(
+            internal, _patches([[(0, int(keys[2, 0]))], [(0, int(keys[2, 0]))]], [77, 76])
+        )
+        assert found.tolist() == [True, False]
+        assert tuple(patched[0].tolist()) == tuple(keys[2].tolist())
 
     def test_no_consistent_row(self, coins, rng):
         reconciler = _reconciler(coins)
         internal = reconciler._internal_matrix(np.array(_random_keys(rng, 3), dtype=np.uint64))
-        assert reconciler._apply_patch(internal, [(0, 5)], 1) is None
-        reconciler.key_checksum = _StubChecksum([0], 9)
-        internal[0, reconciler.entries] ^= np.uint64(1)
-        assert reconciler._apply_patch(internal, [], 9) is None
+        found, _ = reconciler._reconstruct(internal, _patches([[(0, 5)]], [1]))
+        assert found.tolist() == [False]
+        reconciler.key_checksum = _AffineStub(reconciler.internal_entries, 9)
+        internal[:, reconciler.entries] ^= np.uint64(1)
+        found, _ = reconciler._reconstruct(internal, _patches([[]], [9]))
+        assert found.tolist() == [False]
+
+    def test_repeated_index_last_write_wins(self, coins, rng):
+        reconciler = _reconciler(coins)
+        alice = np.array(_random_keys(rng, 5), dtype=np.uint64)
+        bob = alice[3].copy()
+        bob[2] ^= np.uint64(0x3F)
+        bob_internal = reconciler._internal_matrix(bob[None])
+        checksum = int(reconciler.key_checksum.hash_rows(bob_internal)[0])
+        signature = (reconciler.entries, int(bob_internal[0, reconciler.entries]))
+        internal = reconciler._internal_matrix(alice)
+        wrong, right = (2, int(alice[3, 2])), (2, int(bob[2]))
+        found, patched = reconciler._reconstruct(
+            internal,
+            _patches([[wrong, right, signature], [right, wrong, signature]], [checksum] * 2),
+        )
+        assert found.tolist() == [True, False]
+        assert tuple(patched[0].tolist()) == tuple(bob.tolist())
+
+    def test_patch_index_past_the_key_is_malformed(self, coins, rng):
+        """Index 50 fits the 6-bit index field of a 37-column matrix; the
+        reader must reject it rather than index past the key."""
+        reconciler = _reconciler(coins, h=36)
+        assert (reconciler.internal_entries, reconciler.index_bits) == (37, 6)
+        writer = BitWriter()
+        writer.write_varuint(1)  # one record
+        writer.write_bool(False)  # a patch
+        writer.write_varuint(1)  # multiplicity
+        writer.write_uint(12345, 61)  # checksum
+        writer.write_varuint(1)  # one pair
+        writer.write_uint(50, reconciler.index_bits)
+        writer.write_uint(7, reconciler.entry_bits)
+        internal = reconciler._internal_matrix(
+            np.array(_random_keys(rng, 3, h=36), dtype=np.uint64)
+        )
+        with pytest.raises(MalformedPayloadError):
+            reconciler._recover(writer.getvalue(), internal)
+
+
+@given(seed=st.integers(0, 1 << 20), rows=st.integers(1, 10), records=st.integers(0, 12))
+@settings(max_examples=60, deadline=None)
+def test_solver_matches_scalar_oracle(seed, rows, records):
+    """The affine pass equals the scalar search on random patches: true
+    patches of keys one edit away, empty and repeated-index patches,
+    and random ones.  Three-bit entries make signature collisions common,
+    so the first-consistent-row rule is exercised."""
+    rng = np.random.default_rng(seed)
+    reconciler = _reconciler(PublicCoins(seed), h=5, entry_bits=3)
+    alice = np.unique(rng.integers(0, 8, size=(rows, 5)).astype(np.uint64), axis=0)
+    internal = reconciler._internal_matrix(alice)
+    patch_lists, checksums = [], []
+    for _ in range(records):
+        bob = alice[rng.integers(len(alice))].copy()
+        bob[rng.integers(5)] = rng.integers(8)
+        bob_internal = reconciler._internal_matrix(bob[None])[0]
+        width = int(rng.integers(0, 4))
+        patch = [(int(i), int(bob_internal[i])) for i in rng.integers(0, 6, size=width)]
+        if width and rng.random() < 0.3:
+            patch.insert(0, (patch[-1][0], int(rng.integers(8))))  # overwritten later
+        patch_lists.append(patch)
+        checksum = int(reconciler.key_checksum.hash_rows(bob_internal[None])[0])
+        checksums.append(checksum if rng.random() < 0.8 else int(rng.integers(1 << 61)))
+    found, keys = reconciler._reconstruct(internal, _patches(patch_lists, checksums))
+    for record, (patch, checksum) in enumerate(zip(patch_lists, checksums)):
+        expected = _apply_patch(reconciler, internal, patch, checksum)
+        assert found[record] == (expected is not None)
+        if expected is not None:
+            assert tuple(keys[record].tolist()) == expected

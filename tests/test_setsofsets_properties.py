@@ -78,7 +78,7 @@ def test_view_covers_and_never_fabricates(seed, shared, modified, bob_extra, ali
 
     # Coverage: every Bob key is visible in the view, unless its patch
     # failed (counted in `unresolved`).
-    view = set(result.bob_key_view)
+    view = set(map(tuple, result.bob_key_view.tolist()))
     missing = [key for key in bob_multiset if key not in view]
     assert len(missing) <= result.unresolved
 

@@ -1,35 +1,11 @@
-"""Tests for the topology-general gossip layer in core/multiparty."""
+"""Tests for the gossip topologies in core/multiparty."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.core import GapProtocol, Topology, multi_party_gap
-from repro.core.multiparty import verify_multi_party_guarantee
+from repro.core import Topology
 from repro.hashing import PublicCoins
-from repro.metric import HammingSpace
-from repro.protocol import Channel
-from repro.workloads import perturb_point, random_far_point
-
-
-def _setup(parties=3, n=12, seed=0):
-    rng = np.random.default_rng(seed)
-    space = HammingSpace(96)
-    r1, r2 = 2.0, 32.0
-    base = space.sample(rng, n)
-    party_sets = []
-    anchors = list(base)
-    for _ in range(parties):
-        points = [perturb_point(space, point, int(r1), rng) for point in base]
-        outlier = random_far_point(space, anchors, r2 + 8, rng)
-        points.append(outlier)
-        anchors.append(outlier)
-        party_sets.append(points)
-    protocol = GapProtocol.for_instance(
-        space, n=n + parties, k=parties, r1=r1, r2=r2, sos_size_multiplier=6.0
-    )
-    return space, party_sets, protocol, r2
 
 
 class TestConstructors:
@@ -96,62 +72,3 @@ class TestConstructors:
         up, down = topo.gossip_schedule(0)
         assert up == [3, 4, 5, 6, 1, 2]  # deepest first
         assert down == [1, 2, 3, 4, 5, 6]  # shallowest first
-
-
-class TestMultiPartyOverTopologies:
-    def test_explicit_star_matches_default(self):
-        space, party_sets, protocol, r2 = _setup(parties=3)
-        default = multi_party_gap(protocol, party_sets, PublicCoins(1))
-        explicit = multi_party_gap(
-            protocol, party_sets, PublicCoins(1), topology=Topology.star(3)
-        )
-        assert explicit.total_bits == default.total_bits
-        assert explicit.protocol_runs == default.protocol_runs
-        assert explicit.final_sets == default.final_sets
-        assert explicit.edge_bits == default.edge_bits
-
-    def test_edge_bits_sum_to_total(self):
-        space, party_sets, protocol, r2 = _setup(parties=4, seed=3)
-        topo = Topology.ring(4)
-        result = multi_party_gap(protocol, party_sets, PublicCoins(3), topology=topo)
-        assert result.success
-        assert result.topology == "ring"
-        assert sum(bits for _, _, bits in result.edge_bits) == result.total_bits
-        assert [(u, v) for u, v, _ in result.edge_bits] == list(topo.edges)
-
-    def test_non_tree_edges_carry_zero_bits(self):
-        space, party_sets, protocol, r2 = _setup(parties=4, seed=4)
-        topo = Topology.ring(4)  # edge (2, 3) is not in the BFS tree from 0
-        result = multi_party_gap(protocol, party_sets, PublicCoins(4), topology=topo)
-        edge_bits = {(u, v): bits for u, v, bits in result.edge_bits}
-        assert edge_bits[(2, 3)] == 0
-        used = [edge for edge, bits in edge_bits.items() if bits > 0]
-        assert len(used) == 3  # spanning tree of 4 nodes
-
-    @pytest.mark.parametrize("kind", ["ring", "tree", "random"])
-    def test_guarantee_holds_off_star(self, kind):
-        space, party_sets, protocol, r2 = _setup(parties=4, seed=5)
-        topo = Topology.build(kind, 4, coins=PublicCoins(55).child("topo"))
-        result = multi_party_gap(protocol, party_sets, PublicCoins(5), topology=topo)
-        assert result.success
-        assert result.depth == topo.depth(0)
-        assert verify_multi_party_guarantee(space, party_sets, result, r2)
-
-    def test_topology_party_count_must_match(self):
-        space, party_sets, protocol, r2 = _setup(parties=3)
-        with pytest.raises(ValueError):
-            multi_party_gap(
-                protocol, party_sets, PublicCoins(1), topology=Topology.ring(4)
-            )
-
-    def test_channel_totals_match_edge_accounting(self):
-        space, party_sets, protocol, r2 = _setup(parties=3, seed=6)
-        channel = Channel()
-        result = multi_party_gap(
-            protocol,
-            party_sets,
-            PublicCoins(6),
-            channel=channel,
-            topology=Topology.tree(3),
-        )
-        assert channel.total_bits == result.total_bits
