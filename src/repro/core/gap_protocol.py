@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-
 from ..hashing import PublicCoins
 from ..lsh.base import LSHFamily, LSHParams, batches_for_p2_half
 from ..lsh.bit_sampling import BitSamplingMLSH

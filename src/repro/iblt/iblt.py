@@ -76,6 +76,7 @@ __all__ = [
     "check_key",
     "coerce_key_array",
     "key_list",
+    "key_membership",
     "partitioned_cell_indices",
 ]
 
@@ -150,6 +151,20 @@ def coerce_key_array(keys: "np.ndarray | Iterable[int]", key_bits: int) -> np.nd
     if key_bits < 64 and int(arr.max()) >= (1 << key_bits):
         raise ValueError(f"key {int(arr.max())} outside [0, 2^{key_bits})")
     return arr
+
+
+def key_membership(keys: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    """Elementwise ``key in pool`` for key arrays of any width.
+
+    One sort of ``pool`` and one ``searchsorted``: O(n log n) on the
+    ``object`` arrays of keys wider than 64 bits too, and without the
+    ``numpy.ma`` import ``np.isin`` makes on its first call (2 MB of
+    resident memory).
+    """
+    if not len(pool):
+        return np.zeros(np.shape(keys), dtype=bool)
+    pool = np.sort(pool)
+    return pool[np.minimum(np.searchsorted(pool, keys), len(pool) - 1)] == keys
 
 
 def partitioned_cell_indices(

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..hashing import PublicCoins
 from ..hashing.universal import check_integers
-from ..iblt.iblt import IBLT, cells_for_differences
+from ..iblt.iblt import IBLT, cells_for_differences, key_membership
 from ..metric.spaces import MetricSpace, Point, point_tuples
 from ..protocol.channel import ALICE, BOB, BaseChannel, Channel
 from ..protocol.serialize import BitReader, BitWriter, read_point_matrix, write_points
@@ -128,13 +128,7 @@ def fresh_rows(held: np.ndarray, shipped: np.ndarray) -> np.ndarray:
     first occurrence of each key not already held, in shipped order."""
     _, first = np.unique(shipped, return_index=True)
     first = np.sort(first)
-    if held.size:
-        # A sorted search, not ``np.isin``: it stays O(n log n) on the
-        # ``object`` key arrays of universes wider than 2^64.
-        held = np.sort(held)
-        index = np.minimum(np.searchsorted(held, shipped[first]), held.size - 1)
-        first = first[held[index] != shipped[first]]
-    return first
+    return first[~key_membership(shipped[first], held)]
 
 
 def ship_alice_only(

@@ -93,7 +93,7 @@ from ..hashing.mersenne import (
     sum_mod_p,
 )
 from ..iblt.counting import MultisetIBLT
-from ..iblt.iblt import cells_for_differences
+from ..iblt.iblt import cells_for_differences, key_membership
 from ..protocol.channel import ALICE, BOB, Channel
 from ..protocol.serialize import BitReader, BitWriter
 
@@ -136,16 +136,6 @@ def _field_values(bits: np.ndarray, *widths: int) -> list[np.ndarray]:
         values.append(bits[..., start : start + width] @ weights)
         start += width
     return values
-
-
-def _member(items: np.ndarray, pool: np.ndarray) -> np.ndarray:
-    """Elementwise ``item in pool``: ``np.isin`` by one sort and one
-    ``searchsorted``, without the ``numpy.ma`` import ``np.isin`` makes
-    (2 MB of resident memory on first use)."""
-    if not len(pool):
-        return np.zeros(items.shape, dtype=bool)
-    pool = np.sort(pool)
-    return pool[np.minimum(np.searchsorted(pool, items), len(pool) - 1)] == items
 
 
 def _distinct_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -378,7 +368,7 @@ class SetsOfSetsReconciler:
 
         # ---- Round 3: Bob -> Alice — verbatim far keys + patches ----------
         bob_distinct, first, multiplicities = _distinct_rows(bob_matrix)
-        differing = _member(bob_items[first], queried)
+        differing = key_membership(bob_items[first], queried)
         affected = differing.any(axis=1)
         writer = BitWriter()
         self._write_patches(
@@ -396,7 +386,7 @@ class SetsOfSetsReconciler:
         # signature included) ended Alice-only, so Bob's multiset covers
         # every entry and, via the signature, holds the key itself.
         alice_only = np.array(list(decoded.negative), dtype=alice_items.dtype)
-        covered = ~_member(alice_items[first], alice_only).any(axis=1)
+        covered = ~key_membership(alice_items[first], alice_only).any(axis=1)
         shared = alice_distinct[covered, : self.entries]
 
         return SetsOfSetsResult(

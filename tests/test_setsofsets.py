@@ -224,10 +224,12 @@ class _AffineStub:
 
 def _patches(patch_lists, checksums):
     """Patch records in the solver's flattened form."""
-    pairs = [(owner, index, value) for owner, patch in enumerate(patch_lists)
-             for index, value in patch]  # fmt: skip
-    owners, indices, values = (np.array(column, dtype=np.int64) for column in zip(*pairs)) if pairs \
-        else (np.empty(0, dtype=np.int64),) * 3  # fmt: skip
+    pairs = [
+        (owner, index, value)
+        for owner, patch in enumerate(patch_lists)
+        for index, value in patch
+    ]
+    owners, indices, values = np.array(pairs, dtype=np.int64).reshape(-1, 3).T
     return _Patches(
         np.array(checksums, dtype=np.uint64),
         owners,
