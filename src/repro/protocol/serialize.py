@@ -30,9 +30,11 @@ and flushes whole bytes once 64 or more bits are pending, and
 Table cells go a run at a time.  :meth:`BitWriter.write_varint_run`
 and :meth:`BitReader.read_varint_run` code a whole table's varints in
 O(1) numpy calls, and :meth:`BitWriter.write_bit_rows` /
-:meth:`BitReader.peek_bit_rows` move a fixed-stride bit matrix.  They
-produce and accept the same bytes as the scalar calls, which stay the
-reference and the error path.  ``tests/test_serialize.py`` pins both
+:meth:`BitReader.peek_bit_rows` move a fixed-stride bit matrix, which
+:func:`fields_to_bits` builds from fixed-width fields and
+:func:`bits_to_fields` splits back into them.  They produce and accept
+the same bytes as the scalar calls, which stay the reference and the
+error path.  ``tests/test_serialize.py`` pins both
 codecs against a bit-at-a-time oracle, run by run, at every lead offset
 and every byte cut; ``tests/test_payload_api.py`` pins the SHA-256 of
 fixed-seed payloads of every table kind.
@@ -58,6 +60,8 @@ __all__ = [
     "write_points",
     "read_points",
     "read_point_matrix",
+    "fields_to_bits",
+    "bits_to_fields",
 ]
 
 
@@ -460,6 +464,38 @@ class BitReader:
 
     def read_bool(self) -> bool:
         return bool(self.read_bit())
+
+
+def fields_to_bits(*fields: "tuple[np.ndarray, int]") -> np.ndarray:
+    """Side-by-side fixed-width fields as one 0/1 matrix for
+    :meth:`BitWriter.write_bit_rows`.
+
+    Each field is ``(values, width)``: non-negative integers below
+    ``2^width``, ``width <= 64``.  The result has shape
+    ``values.shape + (Σ width,)``: each field's bits in turn, least
+    significant first, the bits :meth:`BitWriter.write_uint` writes.
+    """
+    bits = []
+    for values, width in fields:
+        octets = np.ascontiguousarray(values, dtype="<u8").view(np.uint8)
+        octets = octets.reshape(np.shape(values) + (8,))
+        bits.append(np.unpackbits(octets, axis=-1, bitorder="little")[..., :width])
+    return np.concatenate(bits, axis=-1)
+
+
+def bits_to_fields(bits: np.ndarray, *widths: int) -> "list[np.ndarray]":
+    """The inverse of :func:`fields_to_bits`: one ``uint64`` array per
+    width, read from consecutive slices of the last axis.  Each field is
+    padded to 64 bits and packed as one little-endian word."""
+    values = []
+    start = 0
+    for width in widths:
+        words = np.zeros(bits.shape[:-1] + (64,), dtype=np.uint8)
+        words[..., :width] = bits[..., start : start + width]
+        packed = np.packbits(words, axis=-1, bitorder="little").view("<u8")[..., 0]
+        values.append(packed.astype(np.uint64, copy=False))
+        start += width
+    return values
 
 
 def coordinate_bits(space: MetricSpace) -> int:

@@ -39,7 +39,7 @@ from ..errors import MalformedPayloadError
 from ..iblt.counting import MultisetIBLT
 from ..iblt.iblt import IBLT
 from ..iblt.riblt import RIBLT
-from .serialize import BitReader, BitWriter
+from .serialize import BitReader, BitWriter, bits_to_fields, fields_to_bits
 
 __all__ = [
     "write_multiset_cells",
@@ -85,20 +85,6 @@ def _require_empty(shell, kind: str) -> None:
         raise ValueError(f"shell {kind} must be empty before loading cells")
 
 
-def _to_bits(column: np.ndarray, width: int) -> np.ndarray:
-    """A uint64 column as a ``(rows, width)`` LSB-first bit matrix."""
-    octets = column.astype("<u8").view(np.uint8).reshape(-1, 8)
-    return np.unpackbits(octets, axis=1, bitorder="little")[:, :width]
-
-
-def _from_bits(bits: np.ndarray) -> np.ndarray:
-    """The uint64 column of a ``(rows, width <= 64)`` LSB-first bit matrix."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    octets = np.zeros((len(bits), 8), dtype=np.uint8)
-    octets[:, : packed.shape[1]] = packed
-    return octets.view("<u8").ravel().astype(np.uint64)
-
-
 def _iblt_bit_rows(table: IBLT) -> "np.ndarray | None":
     """Every cell as one row of a fixed-stride bit matrix: the one-group
     count varint, then the key, then the checksum.  None when the table
@@ -118,15 +104,8 @@ def _iblt_bit_rows(table: IBLT) -> "np.ndarray | None":
         or (checks >> _CHECK_BITS).any()
     ):
         return None
-    groups = (((counts << 1) ^ (counts >> 63)) << 1).astype(np.uint8)
-    return np.concatenate(
-        (
-            np.unpackbits(groups[:, None], axis=1, bitorder="little"),
-            _to_bits(keys, table.key_bits),
-            _to_bits(checks, _CHECK_BITS),
-        ),
-        axis=1,
-    )
+    groups = ((counts << 1) ^ (counts >> 63)) << 1
+    return fields_to_bits((groups, 8), (keys, table.key_bits), (checks, _CHECK_BITS))
 
 
 def write_iblt_cells(writer: BitWriter, table: IBLT) -> None:
@@ -165,8 +144,7 @@ def read_iblt_cells(reader: BitReader, shell: IBLT) -> IBLT:
         reader.skip_bits(rows.size)
         groups = np.packbits(rows[:, 1:8], axis=1, bitorder="little")[:, 0].astype(np.int64)
         counts = (groups >> 1) ^ -(groups & 1)
-        keys = _from_bits(rows[:, 8 : 8 + key_bits])
-        checks = _from_bits(rows[:, 8 + key_bits :])
+        keys, checks = bits_to_fields(rows[:, 8:], key_bits, _CHECK_BITS)
     else:
         read_varint = reader.read_varint
         read_uint = reader.read_uint

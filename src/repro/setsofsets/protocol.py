@@ -95,7 +95,7 @@ from ..hashing.mersenne import (
 from ..iblt.counting import MultisetIBLT
 from ..iblt.iblt import cells_for_differences, key_membership
 from ..protocol.channel import ALICE, BOB, Channel
-from ..protocol.serialize import BitReader, BitWriter
+from ..protocol.serialize import BitReader, BitWriter, bits_to_fields, fields_to_bits
 
 __all__ = ["SetsOfSetsResult", "SetsOfSetsReconciler"]
 
@@ -111,31 +111,6 @@ VERBATIM_FRACTION = 1.0 / 3.0
 
 #: Bits of a one-group varuint (a multiplicity below ``0x80``).
 _GROUP_BITS = 8
-
-
-def _bit_fields(*fields: tuple[np.ndarray, int]) -> np.ndarray:
-    """Side-by-side fixed-width fields as one LSB-first 0/1 matrix.
-
-    Each field is ``(values, width)`` with ``uint64`` values; the result
-    has shape ``values.shape + (Σ width,)``, each field's bits in turn,
-    least significant first — the bits :meth:`BitWriter.write_uint` writes.
-    """
-    bits = [
-        (values[..., None] >> np.arange(width, dtype=np.uint64)) & np.uint64(1)
-        for values, width in fields
-    ]
-    return np.concatenate(bits, axis=-1).astype(np.uint8)
-
-
-def _field_values(bits: np.ndarray, *widths: int) -> list[np.ndarray]:
-    """The inverse of :func:`_bit_fields`: one ``uint64`` array per width."""
-    values = []
-    start = 0
-    for width in widths:
-        weights = np.uint64(1) << np.arange(width, dtype=np.uint64)
-        values.append(bits[..., start : start + width] @ weights)
-        start += width
-    return values
 
 
 def _distinct_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -414,7 +389,7 @@ class SetsOfSetsReconciler:
         values = np.array([item >> self.index_bits for item, _ in query], dtype=np.uint64)
         groups = np.array([multiplicity for _, multiplicity in query], dtype=np.uint64) << 1
         writer.write_bit_rows(
-            _bit_fields(
+            fields_to_bits(
                 (indices, self.index_bits), (values, self.entry_bits), (groups, _GROUP_BITS)
             )
         )
@@ -434,7 +409,7 @@ class SetsOfSetsReconciler:
         rows = reader.peek_bit_rows(count, stride)
         if not rows[:, self.item_bits].any():
             reader.skip_bits(count * stride)
-            indices, values = _field_values(rows, self.index_bits, self.entry_bits)
+            indices, values = bits_to_fields(rows, self.index_bits, self.entry_bits)
             return self._encode(values, indices)
         items = []
         for _ in range(count):
@@ -460,9 +435,9 @@ class SetsOfSetsReconciler:
         verbatim = lengths >= self.verbatim_threshold
         checksums = self.key_checksum.hash_rows(keys)
         # Signature entry is derivable; ship only the h real entries.
-        bodies = _bit_fields((keys[verbatim, : self.entries], self.entry_bits))
+        bodies = fields_to_bits((keys[verbatim, : self.entries], self.entry_bits))
         owners, indices = np.nonzero(differing & ~verbatim[:, None])
-        pairs = _bit_fields(
+        pairs = fields_to_bits(
             (indices.astype(np.uint64), self.index_bits),
             (keys[owners, indices], self.entry_bits),
         )
@@ -519,13 +494,13 @@ class SetsOfSetsReconciler:
         lengths = np.array(lengths, dtype=np.int64)
         keys = np.zeros((count, self.entries), dtype=np.uint64)
         bodies = stream[starts[verbatim][:, None] + np.arange(verbatim_width)]
-        keys[verbatim] = _field_values(
+        keys[verbatim] = bits_to_fields(
             bodies.reshape(-1, self.entries, self.entry_bits), self.entry_bits
         )[0]
         owners = np.repeat(np.arange(len(lengths)), lengths)
         offsets = np.arange(len(owners)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
         pair_starts = starts[~verbatim][owners] + offsets * self.item_bits
-        indices, values = _field_values(
+        indices, values = bits_to_fields(
             stream[pair_starts[:, None] + np.arange(self.item_bits)],
             self.index_bits,
             self.entry_bits,

@@ -417,6 +417,35 @@ class TestVarintRuns:
         assert str(run_error.value) == str(loop_error.value)
 
 
+class TestBitFields:
+    @given(
+        widths=st.lists(st.integers(min_value=1, max_value=64), min_size=1, max_size=4),
+        rows=st.integers(min_value=0, max_value=20),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fields_match_write_uint_and_round_trip(self, widths, rows, seed):
+        """A row of ``fields_to_bits`` is the bits ``write_uint`` writes
+        field by field, and ``bits_to_fields`` recovers every field."""
+        rng = np.random.default_rng(seed)
+        columns = [
+            rng.integers(0, 1 << width, size=rows, dtype=np.uint64)
+            if width < 64
+            else rng.integers(0, 1 << 63, size=rows, dtype=np.uint64) * np.uint64(2) + 1
+            for width in widths
+        ]
+        bits = serialize.fields_to_bits(*zip(columns, widths))
+        assert bits.shape == (rows, sum(widths))
+        matrix_writer, field_writer = BitWriter(), BitWriter()
+        matrix_writer.write_bit_rows(bits)
+        for row in range(rows):
+            for column, width in zip(columns, widths):
+                field_writer.write_uint(int(column[row]), width)
+        assert matrix_writer.getvalue() == field_writer.getvalue()
+        recovered = serialize.bits_to_fields(bits, *widths)
+        assert all((got == want).all() for got, want in zip(recovered, columns))
+
+
 class TestMalformedStreams:
     """read_uint / read_varuint must mirror the writer's validation and
     fail loudly on malformed or truncated input instead of returning 0
