@@ -263,13 +263,14 @@ def _reference_read(payload: bytes, shell):
         [cell[index] for cell in cells] for index in range(3)
     )
     if dim:
-        shell.value_sum = [cell[3:] for cell in cells]
+        shell._set_values([cell[3:] for cell in cells])
     return shell
 
 
 def _cell_columns(table) -> list:
+    """Every cell column (the value matrix as rows) as exact Python ints."""
     names = ("counts", "key_xor", "check_xor", "key_sum", "check_sum", "value_sum")
-    return [list(getattr(table, name)) for name in names if hasattr(table, name)]
+    return [np.asarray(getattr(table, name)).tolist() for name in names if hasattr(table, name)]
 
 
 def bench_cell_codec(coins: PublicCoins, n: int, repeats: int) -> tuple[float, float]:

@@ -3,11 +3,12 @@
 One round, Alice to Bob.  Alice builds ``t`` RIBLTs, one per resolution
 level; the level-``i`` key of a point is a pairwise-independent hash of
 its first ``c_i`` MLSH values, and the stored value is the point itself.
-Bob deletes his own (key, point) pairs from each table, finds ``i*`` (the
-largest level that decodes to at most ``4k`` pairs), and repairs his point
-set with the decoded values: ``S'_B = (S_B \\ Y_B) ∪ X_A`` where ``Y_B``
-is his side of the min-cost matching between the decoded ``X_B`` and
-``S_B``.
+From the finest level down, Bob deletes his own (key, point) pairs from
+a table and peels it, until he finds ``i*`` (the largest level that
+decodes to at most ``4k`` pairs); he parses only the levels he peels.
+He repairs his point set with the decoded values:
+``S'_B = (S_B \\ Y_B) ∪ X_A`` where ``Y_B`` is his side of the min-cost
+matching between the decoded ``X_B`` and ``S_B``.
 
 Guarantee (Theorem 3.4): with probability at least 5/8,
 ``EMD(S_A, S'_B) <= O(α^{-1} log n) · EMD_k(S_A, S_B)`` using
@@ -36,9 +37,10 @@ its accept budget:
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -58,6 +60,9 @@ __all__ = ["EMDResult", "EMDProtocol", "LevelDecode", "send_levels", "decode_lev
 #: level index (0 = coarsest).
 LevelEntries = Callable[[int], tuple[np.ndarray, np.ndarray]]
 
+#: One level's empty RIBLT, by level index (0 = coarsest).
+LevelShell = Callable[[int], RIBLT]
+
 
 @dataclass(frozen=True)
 class LevelDecode:
@@ -71,36 +76,54 @@ class LevelDecode:
     pairs: int
 
 
-def send_levels(writer: BitWriter, shells: Iterable[RIBLT], entries: LevelEntries) -> None:
+def send_levels(
+    writer: BitWriter, levels: int, shell: LevelShell, entries: LevelEntries
+) -> None:
     """Alice's half of the level ladder.
 
-    Fills each level's empty table (coarsest first) with that level's
-    ``(keys, values)`` and appends its cells to ``writer``, one header-free
-    run per level.
+    Fills each level's empty table ``shell(level)`` (coarsest first) with
+    that level's ``(keys, values)`` and appends its cells to ``writer``,
+    one header-free run per level.
     """
-    for level, table in enumerate(shells):
+    for level in range(levels):
+        table = shell(level)
         table.insert_batch(*entries(level))
         write_riblt_cells(writer, table)
 
 
 def decode_levels(
     reader: BitReader,
-    shells: Iterable[RIBLT],
+    levels: int,
+    shell: LevelShell,
     entries: LevelEntries,
     accept_pairs: int,
     decode_rng: random.Random | None,
 ) -> LevelDecode | None:
     """Bob's half of the level ladder.
 
-    Reads every level's cells into ``shells``, then, from the finest level
-    down, deletes Bob's ``entries`` and peels; the first level that
-    decodes to at most ``accept_pairs`` pairs is returned, or None if no
-    level does.  ``decode_rng`` drives the RIBLT's randomized rounding
-    (None: each peel uses the RIBLT's own fixed seed).
+    From the finest level down, loads a level's cells into the empty
+    table ``shell(level)``, deletes Bob's ``entries`` and peels; the first
+    level that decodes to at most ``accept_pairs`` pairs is returned, or
+    None if no level does.  ``decode_rng`` drives the RIBLT's randomized
+    rounding (None: each peel uses the RIBLT's own fixed seed).
+
+    Every level's table has the finest one's shape, so a level is a run
+    of ``m·(3 + dim)`` varints.  One pass over the terminators finds every
+    level's start and leaves ``reader`` at the end of the ladder (the
+    scaled wrapper reads several ladders from one message); a level's
+    shell is built, and its cells parsed, only when it is about to be
+    peeled.  A truncated ladder, or a varint past the group cap in any
+    level, raises the same typed error as a full parse; the cell-count
+    limit is checked only in the levels that are parsed.
     """
-    tables = [read_riblt_cells(reader, shell) for shell in shells]
-    for level in range(len(tables) - 1, -1, -1):
-        table = tables[level]
+    finest = shell(levels - 1)
+    width = finest.m * (3 + finest.dim)
+    starts = []
+    for _ in range(levels):
+        starts.append(copy.copy(reader))
+        reader.skip_varints(width)
+    for level in range(levels - 1, -1, -1):
+        table = read_riblt_cells(starts[level], finest if level == levels - 1 else shell(level))
         table.delete_batch(*entries(level))
         outcome = table.decode(decode_rng)
         if outcome.success and outcome.pair_count <= accept_pairs:
@@ -246,8 +269,12 @@ class EMDProtocol:
     # -- the protocol ----------------------------------------------------------
     def send(self, writer: BitWriter, alice: np.ndarray, coins: PublicCoins) -> None:
         """Alice's half: all ``t`` levels of ``alice`` appended to ``writer``."""
-        shells = (self._table(coins, level) for level in range(self.parameters.levels))
-        send_levels(writer, shells, self._entries(coins, alice))
+        send_levels(
+            writer,
+            self.parameters.levels,
+            lambda level: self._table(coins, level),
+            self._entries(coins, alice),
+        )
 
     def receive(
         self,
@@ -256,11 +283,17 @@ class EMDProtocol:
         coins: PublicCoins,
         decode_rng: random.Random,
     ) -> LevelDecode | None:
-        """Bob's half: read all ``t`` levels and decode the finest one within
-        the ``4k``-pair budget (None if no level is)."""
-        shells = (self._table(coins, level) for level in range(self.parameters.levels))
+        """Bob's half: decode the finest of the ``t`` levels within the
+        ``4k``-pair budget (None if no level is), leaving ``reader`` past
+        all ``t``."""
+        p = self.parameters
         return decode_levels(
-            reader, shells, self._entries(coins, bob), self.parameters.accept_pairs, decode_rng
+            reader,
+            p.levels,
+            lambda level: self._table(coins, level),
+            self._entries(coins, bob),
+            p.accept_pairs,
+            decode_rng,
         )
 
     def run(

@@ -210,11 +210,6 @@ class Topology:
         depth_of = {node: depths[node] for node in range(self.parties)}
         return parent_of, depth_of
 
-    def depth(self, root: int) -> int:
-        """The eccentricity of ``root`` in the BFS tree (max hop count)."""
-        _, depth_of = self.spanning_tree(root)
-        return max(depth_of.values())
-
     def gossip_schedule(self, root: int) -> tuple[list[int], list[int]]:
         """Convergecast and broadcast node orders for the tree wave.
 

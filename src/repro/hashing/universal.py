@@ -36,6 +36,7 @@ take the same rule as one dtype check,
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -275,13 +276,24 @@ class PrefixHasher:
         return digests
 
     def _weights(self, width: int) -> np.ndarray:
-        """The cached inverse powers ``r^-1 .. r^-width`` as a ``uint64`` row."""
+        """The cached inverse powers ``r^-1 .. r^-width`` as a ``uint64`` row.
+
+        In blocks of ``b ≈ √width``: ``r^-(b·i + j + 1) = (r^-b)^i ·
+        r^-(j+1)``, so two scalar runs of about ``√width`` powers and one
+        field multiply of their outer product give the whole row.
+        """
         if len(self._inverse_powers) < width:
-            power, powers = 1, []
-            for _ in range(width):
+            block = math.isqrt(width - 1) + 1
+            power, low = 1, []
+            for _ in range(block):
                 power = power * self._r_inverse % MERSENNE_P
-                powers.append(power)
-            self._inverse_powers = _field_row(powers)
+                low.append(power)
+            power, high = 1, []
+            for _ in range(-(-width // block)):
+                high.append(power)
+                power = power * low[-1] % MERSENNE_P
+            row = mul_mod_p(_field_row(high)[:, None], _field_row(low)[None, :])
+            self._inverse_powers = row.ravel()[:width]
         return self._inverse_powers[:width]
 
     def prefix_digests_many(

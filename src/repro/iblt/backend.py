@@ -28,10 +28,12 @@ The key width is the one other input: :func:`resolve_backend` is the
 single place that decides a table's keys are too wide for ``uint64``
 cells and vectorised Mersenne hashing, and routes it to ``"python"``.
 
-The :class:`~repro.iblt.riblt.RIBLT` has no backend.  Its cells are
-always exact Python ints, and its batch ingest takes the vectorised route
-whenever ``key_bits <= MAX_NUMPY_KEY_BITS``, under either
-``REPRO_BACKEND``; wider keys are added pair by pair.
+The :class:`~repro.iblt.riblt.RIBLT` has no backend.  Its count, key and
+checksum sums are exact Python ints; its values are one ``(m, dim)``
+matrix, ``int64`` while the bound the table tracks stays below ``2^62``
+and exact ``object`` ints past it.  Its batch ingest takes the
+vectorised route whenever ``key_bits <= MAX_NUMPY_KEY_BITS``, under
+either ``REPRO_BACKEND``; wider keys are added pair by pair.
 """
 
 from __future__ import annotations

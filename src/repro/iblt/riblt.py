@@ -12,9 +12,11 @@ from a classic IBLT in five ways (numbered as in the paper):
 3. Cells hold a *sum* of keys (not an XOR) so duplicate keys can be
    recognised and so insert/delete are exact inverses over the integers.
 4. Cells hold a *sum* of values: a ``d``-vector of integers in
-   ``{-nΔ, ..., nΔ}`` (Python ints never overflow, so the paper's widened
-   cell representation is automatic; the serializer accounts for the extra
-   ``O(d log(nΔ))`` bits per cell).
+   ``{-nΔ, ..., nΔ}``.  The table keeps them as one ``(m, d)`` matrix,
+   ``int64`` while a tracked bound (``Σ max|coordinate|·n`` over every
+   update) stays below ``2^62``, and ``object`` (exact Python ints) past
+   it, so the paper's widened cell representation stays exact; the
+   serializer accounts for the extra ``O(d log(nΔ))`` bits per cell.
 5. A cell containing ``C`` copies of the *same* key is recognised by
    divisibility plus the checksum test ``checksum(K/C)·C == S`` and peeled
    in one step: each extracted pair's value is the clamped average ``V/C``
@@ -46,6 +48,11 @@ from .backend import MAX_NUMPY_KEY_BITS
 from .iblt import SumCellTable, check_key, coerce_key_array, key_list
 
 __all__ = ["RIBLT", "RIBLTDecodeResult", "riblt_cells_for_pairs"]
+
+#: Value bound at which the value matrix leaves ``int64``: below it
+#: every cell, and every batch's ``int64`` delta accumulator, is exact.
+_VALUE_LIMIT = 1 << 62
+
 
 def riblt_cells_for_pairs(pairs: int, q: int = 3) -> int:
     """Paper sizing: ``m = 4·q²·k`` cells for up to ``4k`` decoded pairs.
@@ -106,8 +113,10 @@ class RIBLT(SumCellTable):
     """
 
     _TAG = "riblt"
-    # ``value_sum`` is a list of per-cell lists, outside ``_CELLS``:
+    # ``value_sum`` is the ``(m, dim)`` value matrix, outside ``_CELLS``:
     # :meth:`copy` and :meth:`subtract` handle it themselves.
+    # ``_value_bound`` bounds every value the matrix has held, so while it
+    # is below ``_VALUE_LIMIT`` the ``int64`` matrix is exact.
     _SHAPE = SumCellTable._SHAPE + ("dim", "side")
 
     def __init__(
@@ -128,7 +137,27 @@ class RIBLT(SumCellTable):
 
     def _alloc_cells(self) -> None:
         super()._alloc_cells()
-        self.value_sum = [[0] * self.dim for _ in range(self.m)]
+        self.value_sum = np.zeros((self.m, self.dim), dtype=np.int64)
+        self._value_bound = 0
+
+    def _grow_bound(self, amount: int) -> None:
+        """Raise the value bound by ``amount``; once it reaches
+        ``_VALUE_LIMIT`` the matrix is ``object`` (exact Python ints)."""
+        self._value_bound += amount
+        if self._value_bound >= _VALUE_LIMIT and self.value_sum.dtype != object:
+            self.value_sum = self.value_sum.astype(object)
+
+    def _set_values(self, values: "np.ndarray | list[list[int]]") -> None:
+        """Adopt an ``(m, dim)`` integer matrix (or its rows as lists) as
+        the cell values; the bound restarts at its largest magnitude."""
+        try:
+            values = np.asarray(values, dtype=np.int64)
+        except OverflowError:
+            values = np.asarray(values, dtype=object)
+        self.value_sum = values.reshape(self.m, self.dim)
+        self._value_bound = 0
+        if values.size:
+            self._grow_bound(max(int(values.max()), -int(values.min())))
 
     def _check_pair(self, key: int, value: Point) -> tuple[int, tuple[int, ...]]:
         key = check_key(key, self.key_bits)
@@ -148,10 +177,9 @@ class RIBLT(SumCellTable):
 
     def _update(self, key: int, value: Point, sign: int) -> None:
         key, value = self._check_pair(key, value)
-        for index in self._add_key(key, sign):
-            cell_value = self.value_sum[index]
-            for coordinate in range(self.dim):
-                cell_value[coordinate] += sign * value[coordinate]
+        self._grow_bound(max(map(abs, value), default=0))
+        cells = self._add_key(key, sign)
+        self.value_sum[cells] += np.array([sign * v for v in value], dtype=self.value_sum.dtype)
 
     def insert_batch(
         self, keys: "np.ndarray | Iterable[int]", values: "np.ndarray | Sequence[Point]"
@@ -185,10 +213,12 @@ class RIBLT(SumCellTable):
         route: checksums and cell indices come from the vectorised
         Mersenne hashes, and the per-cell deltas are accumulated with
         ``np.add.at`` — keys and checksums split into 32-bit limbs so
-        every int64 accumulator stays exact — then merged into the
-        unbounded Python-int cell sums once per *touched cell* instead of
-        once per pair.  Wider keys, and batches whose int64 accumulators
-        could overflow, go through :meth:`_update` pair by pair.
+        every int64 accumulator stays exact.  The value lanes join the
+        value matrix in one array addition; the count, key and checksum
+        lanes merge into the unbounded Python-int cell sums once per
+        *touched cell* instead of once per pair.  Wider keys, and batches
+        whose int64 accumulators could overflow, go through
+        :meth:`_update` pair by pair.
         """
         vector = self.key_bits <= MAX_NUMPY_KEY_BITS
         if vector:
@@ -214,6 +244,7 @@ class RIBLT(SumCellTable):
             for key, value in zip(keys.tolist() if vector else keys, values.tolist()):
                 self._update(key, value, sign)
             return
+        self._grow_bound(max_coordinate * len(keys))
         values = np.ascontiguousarray(values, dtype=np.int64)
         checks = self.checksum.hash_array(keys)
         indices = self.cell_index_matrix(keys)  # (q, n)
@@ -240,6 +271,9 @@ class RIBLT(SumCellTable):
         for j in range(self.q):
             flat = (indices[j] * lanes)[None, :] + lane_offsets
             np.add.at(delta, flat.ravel(), lane_values.ravel())
+        delta = delta.reshape(self.m, lanes)
+        value_delta = delta[:, 4:] if sign > 0 else -delta[:, 4:]
+        self.value_sum += value_delta.astype(self.value_sum.dtype, copy=False)
         count_delta = np.bincount(indices.reshape(-1), minlength=self.m)
         touched = np.flatnonzero(count_delta)
         # Merge once per touched cell, through plain Python lists — the
@@ -249,30 +283,27 @@ class RIBLT(SumCellTable):
         # beats ndarray scalar extraction several-fold in this loop.
         counts, key_sum, check_sum = self.counts, self.key_sum, self.check_sum
         count_list = count_delta[touched].tolist()
-        lane_rows = delta.reshape(self.m, lanes)[touched].tolist()
-        dim = self.dim
+        lane_rows = delta[touched, :4].tolist()
         for position, index in enumerate(touched.tolist()):
             row = lane_rows[position]
             counts[index] += sign * count_list[position]
             key_sum[index] += sign * (row[0] + (row[1] << 32))
             check_sum[index] += sign * (row[2] + (row[3] << 32))
-            cell_value = self.value_sum[index]
-            for coordinate in range(dim):
-                cell_value[coordinate] += sign * row[4 + coordinate]
 
     # -- combination ---------------------------------------------------------
     def subtract(self, other: "RIBLT") -> "RIBLT":
         """Cell-wise ``self - other`` for two structurally identical tables."""
         result = self._difference(other)
-        result.value_sum = [
-            [a - b for a, b in zip(mine, theirs)]
-            for mine, theirs in zip(self.value_sum, other.value_sum)
-        ]
+        result._grow_bound(self._value_bound + other._value_bound)
+        dtype = result.value_sum.dtype
+        result.value_sum = self.value_sum.astype(dtype, copy=False) - other.value_sum.astype(
+            dtype, copy=False
+        )
         return result
 
     def copy(self) -> "RIBLT":
         clone = super().copy()
-        clone.value_sum = [list(cell) for cell in self.value_sum]
+        clone.value_sum = self.value_sum.copy()
         return clone
 
     def to_payload(self) -> tuple[bytes, int]:
@@ -350,26 +381,29 @@ class RIBLT(SumCellTable):
         if rng is None:
             rng = random.Random(0x5EED)
         result = RIBLTDecodeResult(success=False)
+        # Peel on exact Python ints: a snapshot subtraction can push a
+        # value past any bound the matrix tracked.
+        value_sum = self.value_sum.tolist()
 
         def on_peel(index: int, key: int, cells: list[int]) -> None:
             result.peel_rounds += 1
             count = self.counts[index]
             sign = 1 if count > 0 else -1
-            snapshot = self.value_sum[index]
+            snapshot = value_sum[index]
             # Normalise sums to the positive orientation for extraction.
             value_total = [sign * coordinate for coordinate in snapshot]
             values = self._extract_values(value_total, abs(count), rng)
             target = result.inserted if sign > 0 else result.deleted
             target.extend((key, value) for value in values)
             for cell in cells:  # new lists, so ``snapshot`` stays intact
-                self.value_sum[cell] = [a - b for a, b in zip(self.value_sum[cell], snapshot)]
+                value_sum[cell] = [a - b for a, b in zip(value_sum[cell], snapshot)]
 
         result.success = self._peel(self._hash_cache, on_peel)
+        if result.peel_rounds:
+            self._set_values(value_sum)
         return result
 
     # -- introspection ---------------------------------------------------------
     def residual_value_mass(self) -> int:
         """Total absolute value residue left in cells (post-decode noise)."""
-        return sum(
-            abs(coordinate) for cell in self.value_sum for coordinate in cell
-        )
+        return sum(abs(coordinate) for coordinate in self.value_sum.ravel().tolist())

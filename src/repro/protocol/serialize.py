@@ -29,7 +29,8 @@ and flushes whole bytes once 64 or more bits are pending, and
 
 Table cells go a run at a time.  :meth:`BitWriter.write_varint_run`
 and :meth:`BitReader.read_varint_run` code a whole table's varints in
-O(1) numpy calls, and :meth:`BitWriter.write_bit_rows` /
+O(1) numpy calls, :meth:`BitReader.skip_varints` moves past a run by
+counting its terminators, and :meth:`BitWriter.write_bit_rows` /
 :meth:`BitReader.peek_bit_rows` move a fixed-stride bit matrix, which
 :func:`fields_to_bits` builds from fixed-width fields and
 :func:`bits_to_fields` splits back into them.  They produce and accept
@@ -388,20 +389,9 @@ class BitReader:
         """
         count = rows * width
         position = self._position
-        whole = (self._limit - position) >> 3  # whole groups left
-        if count < _RUN_MIN_VALUES or whole < count:
+        if count < _RUN_MIN_VALUES or (self._limit - position) >> 3 < count:
             return None
-        start, offset = position >> 3, position & 7
-        bound = min(whole, VARUINT_MAX_GROUPS * count)
-        span = min(bound, 4 * count)  # most runs fit; else widen once
-        while True:
-            raw = np.frombuffer(self._data, np.uint8, span + (offset > 0), start)
-            if offset:
-                raw = (raw[:-1] >> offset) | (raw[1:] << (8 - offset))
-            ends = np.flatnonzero(~raw & 1)
-            if len(ends) >= count or span == bound:
-                break
-            span = bound
+        raw, ends, _span = self._terminators(count)
         if len(ends) < count:
             return None
         ends = ends[:count]
@@ -445,6 +435,56 @@ class BitReader:
                 for magnitude, sign in zip(magnitudes, (low & 1).tolist())
             ]
         return values.reshape(rows, width)
+
+    def _terminators(self, count: int) -> "tuple[np.ndarray, np.ndarray, int]":
+        """The groups ahead, aligned to whole bytes, and the indices of
+        those whose continuation bit is clear: ``(raw, ends, span)``.
+
+        ``span`` groups are scanned, at most the whole groups left and
+        :data:`VARUINT_MAX_GROUPS` per value; a first pass looks at four
+        groups per value, enough for most runs, and widens once if it
+        finds fewer than ``count`` terminators.
+        """
+        start, offset = self._position >> 3, self._position & 7
+        bound = min((self._limit - self._position) >> 3, VARUINT_MAX_GROUPS * count)
+        span = min(bound, 4 * count)
+        while True:
+            raw = np.frombuffer(self._data, np.uint8, span + (offset > 0), start)
+            if offset:
+                raw = (raw[:-1] >> offset) | (raw[1:] << (8 - offset))
+            ends = np.flatnonzero(~raw & 1)
+            if len(ends) >= count or span == bound:
+                return raw, ends, span
+            span = bound
+
+    def skip_varints(self, count: int) -> None:
+        """Move past ``count`` varints without decoding them.
+
+        Only the terminators are counted, in O(1) numpy calls.  The checks
+        and errors are :meth:`read_varints`': a value still asking for
+        continuation after :data:`VARUINT_MAX_GROUPS` groups raises
+        :class:`~repro.errors.MalformedPayloadError`, and a stream that
+        ends inside a value raises
+        :class:`~repro.errors.TruncatedPayloadError`.  On an error the
+        reader does not move.
+        """
+        if count <= 0:
+            return
+        _raw, ends, span = self._terminators(count)
+        ends = ends[:count]
+        used = int(ends[-1]) + 1 if len(ends) else 0
+        longest = int(np.diff(ends, prepend=-1).max()) if len(ends) else 0
+        if len(ends) < count:
+            # The value after the last terminator continues to the end of
+            # the scan, so it needs at least one more group.
+            longest = max(longest, span - used + 1)
+        if longest > VARUINT_MAX_GROUPS:
+            raise MalformedPayloadError(
+                f"malformed varuint: more than {VARUINT_MAX_GROUPS} continuation groups"
+            )
+        if len(ends) < count:
+            raise TruncatedPayloadError("bit stream exhausted")
+        self._position += 8 * used
 
     def peek_bit_rows(self, rows: int, width: int) -> "np.ndarray | None":
         """The next ``rows × width`` bits as a ``(rows, width)`` 0/1 matrix,

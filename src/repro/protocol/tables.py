@@ -21,6 +21,8 @@ A RIBLT or counting-IBLT table is one
 cell columns; a column that overflows int64 goes as 49-bit limbs, and
 only values past 64 bits become Python ints on the way back (every
 emd-hamming table has such values: its checksum sums are 65–67 bits).
+A RIBLT's ``(m, dim)`` value matrix is written as it is and loaded as
+one slice of the parsed run, ``int64`` unless a value needs more.
 An IBLT whose counts all satisfy ``|count| < 64`` has a one-group count
 varint in every cell, so each cell is exactly ``8 + key_bits + 61`` bits
 and the table is one fixed-stride bit matrix.  A short table (under 64
@@ -214,7 +216,7 @@ def read_riblt_cells(reader: BitReader, shell: RIBLT) -> RIBLT:
     _require_empty(shell, "RIBLT")
     cells = _read_sum_cells(reader, shell.m, 3 + shell.dim)
     shell.counts, shell.key_sum, shell.check_sum = _sum_columns(cells)
-    shell.value_sum = cells[:, 3:].tolist()
+    shell._set_values(cells[:, 3:])
     return shell
 
 

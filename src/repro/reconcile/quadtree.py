@@ -145,7 +145,8 @@ class QuadtreeEMDProtocol:
         writer = BitWriter()
         send_levels(
             writer,
-            (self._table(coins, index) for index in range(len(levels))),
+            len(levels),
+            lambda index: self._table(coins, index),
             lambda index: levels[index].keys_and_centres(alice),
         )
         payload = channel.send(
@@ -153,7 +154,8 @@ class QuadtreeEMDProtocol:
         )
         found = decode_levels(
             BitReader(payload),
-            (self._table(coins, index) for index in range(len(levels))),
+            len(levels),
+            lambda index: self._table(coins, index),
             lambda index: levels[index].keys_and_centres(bob),
             accept_pairs=4 * self.k,
             decode_rng=None,

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
+import repro.core.emd_protocol as emd_protocol
 from repro.core import (
     EMDProtocol,
     ScaledEMDProtocol,
@@ -12,10 +15,11 @@ from repro.core import (
     derive_emd_parameters,
     repair_point_set,
 )
+from repro.errors import MalformedPayloadError, TruncatedPayloadError
 from repro.hashing import PublicCoins
 from repro.lsh import key_bits_for
 from repro.metric import GridSpace, HammingSpace, emd, emd_k
-from repro.protocol import BitWriter, Channel, write_riblt_cells
+from repro.protocol import BitReader, BitWriter, Channel, read_riblt_cells, write_riblt_cells
 from repro.reconcile import QuadtreeEMDProtocol
 from repro.workloads import noisy_replica_pair
 from transcripts import transcript_digest
@@ -304,6 +308,108 @@ class TestUnifiedKeyStream:
         assert protocol._key_builder(coins).key_bits == p.key_bits
         assert protocol._table(coins, 0).key_bits == p.key_bits
         assert not hasattr(protocol, "fast_keys")
+
+
+class TestLazyLevelReads:
+    """Bob finds every level of Alice's message but parses only the
+    levels he peels.  What a damaged level does depends on whether he
+    parses it: a cut or a varint past the group cap is found in any level,
+    a cell count past int64 only in a parsed one."""
+
+    SPACE = HammingSpace(32)
+
+    def _protocol(self) -> EMDProtocol:
+        return EMDProtocol.for_instance(self.SPACE, n=16, k=1, max_total_hashes=64)
+
+    def _points(self) -> np.ndarray:
+        return self.SPACE.point_array(self.SPACE.sample(np.random.default_rng(5), 16))
+
+    def _message(self, protocol, coins, points, huge_count_at=None):
+        """Alice's message and the bit at which each level ends; the first
+        cell count of level ``huge_count_at`` is set to ``2^63``."""
+        entries = protocol._entries(coins, points)
+        writer, ends = BitWriter(), []
+        for level in range(protocol.parameters.levels):
+            table = protocol._table(coins, level)
+            table.insert_batch(*entries(level))
+            if level == huge_count_at:
+                table.counts[0] = 1 << 63
+            write_riblt_cells(writer, table)
+            ends.append(writer.bit_length)
+        return writer.getvalue(), ends
+
+    def _receive(self, protocol, coins, points, payload):
+        return protocol.receive(BitReader(payload), points, coins, random.Random(1))
+
+    def test_bob_parses_only_the_level_he_peels(self, coins, monkeypatch):
+        protocol, points = self._protocol(), self._points()
+        payload, _ends = self._message(protocol, coins, points)
+        writer = BitWriter()
+        protocol.send(writer, points, coins)
+        assert writer.getvalue() == payload
+        reads = []
+
+        def counted(reader, shell):
+            reads.append(shell.label)
+            return read_riblt_cells(reader, shell)
+
+        monkeypatch.setattr(emd_protocol, "read_riblt_cells", counted)
+        found = self._receive(protocol, coins, points, payload)
+        finest = protocol.parameters.levels - 1
+        assert (found.level, found.pairs) == (finest, 0)
+        assert reads == [("emd-riblt", finest)]
+
+    @pytest.mark.parametrize("level", ["finest", "coarsest"])
+    def test_cut_inside_a_level_is_truncated(self, coins, level):
+        protocol, points = self._protocol(), self._points()
+        payload, ends = self._message(protocol, coins, points)
+        cut = (ends[-2] + ends[-1]) // 16 if level == "finest" else ends[0] // 16
+        with pytest.raises(TruncatedPayloadError):
+            self._receive(protocol, coins, points, payload[:cut])
+
+    def test_over_cap_varint_in_an_unparsed_level_is_malformed(self, coins):
+        protocol, points = self._protocol(), self._points()
+        payload, _ends = self._message(protocol, coins, points)
+        damaged = bytearray(payload)
+        for index in range(19):  # the coarsest level's first value never ends
+            damaged[index] |= 1
+        with pytest.raises(MalformedPayloadError):
+            self._receive(protocol, coins, points, bytes(damaged))
+
+    def test_huge_count_is_checked_only_in_a_parsed_level(self, coins):
+        """A cell count of ``2^63`` in the coarsest level, which Bob never
+        parses, no longer raises; in the finest level it still does."""
+        protocol, points = self._protocol(), self._points()
+        payload, ends = self._message(protocol, coins, points, huge_count_at=0)
+        found = self._receive(protocol, coins, points, payload)
+        assert (found.level, found.pairs) == (protocol.parameters.levels - 1, 0)
+        with pytest.raises(MalformedPayloadError, match="does not fit int64"):
+            read_riblt_cells(BitReader(payload), protocol._table(coins, 0))
+        finest = protocol.parameters.levels - 1
+        payload, _ends = self._message(protocol, coins, points, huge_count_at=finest)
+        with pytest.raises(MalformedPayloadError, match="does not fit int64"):
+            self._receive(protocol, coins, points, payload)
+
+    def test_scaled_receive_ends_where_a_full_parse_ends(self, coins):
+        protocol = ScaledEMDProtocol(self.SPACE, n=16, k=1, max_total_hashes=64)
+        assert protocol.intervals > 1
+        alice = self._points()
+        bob = alice.copy()
+        bob[0] ^= 1
+        interval_coins = [coins.child("scaled-emd", j) for j in range(protocol.intervals)]
+        writer = BitWriter()
+        for instance, own_coins in zip(protocol.instances, interval_coins):
+            instance.send(writer, alice, own_coins)
+        writer.write_uint(0xA5, 8)
+        payload = writer.getvalue()
+        lazy, full = BitReader(payload), BitReader(payload)
+        decode_rng = random.Random(2)
+        for instance, own_coins in zip(protocol.instances, interval_coins):
+            instance.receive(lazy, bob, own_coins, decode_rng)
+            for level in range(instance.parameters.levels):
+                read_riblt_cells(full, instance._table(own_coins, level))
+        assert lazy.bits_remaining == full.bits_remaining
+        assert lazy.read_uint(8) == 0xA5
 
 
 def _ladder_runs():

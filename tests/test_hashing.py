@@ -285,6 +285,29 @@ class TestPrefixHasher:
         with pytest.raises(ValueError):
             hasher.prefix_digests_many(values, [7])
 
+    @staticmethod
+    def _inverse_powers(hasher, width):
+        """The scalar oracle: ``r^-1 .. r^-width``, one multiply at a time."""
+        r_inverse = pow(hasher.r, MERSENNE_P - 2, MERSENNE_P)
+        power, powers = 1, []
+        for _ in range(width):
+            power = power * r_inverse % MERSENNE_P
+            powers.append(power)
+        return powers
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 1023, 1024, 1025])
+    def test_weights_match_inverse_power_loop(self, coins, width):
+        hasher = PrefixHasher(coins, ("weights", width))
+        weights = hasher._weights(width)
+        assert weights.dtype == np.uint64
+        assert weights.tolist() == self._inverse_powers(hasher, width)
+
+    def test_weights_match_after_the_row_grows_twice(self, coins):
+        """A narrower request reads the cached row; a wider one regrows it."""
+        hasher = PrefixHasher(coins, "weights-grow")
+        for width in (3, 1024, 10, 1025, 1):
+            assert hasher._weights(width).tolist() == self._inverse_powers(hasher, width)
+
     @given(
         width=st.integers(min_value=0, max_value=4096),
         rows=st.integers(min_value=0, max_value=3),

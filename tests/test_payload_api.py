@@ -298,8 +298,9 @@ class TestPayloadPins:
         loaded = RIBLT(
             _PIN_COINS, "pin-riblt", cells=36, q=3, key_bits=61, dim=5, side=1 << 16
         ).from_payload(payload)
-        for column in ("counts", "key_sum", "check_sum", "value_sum"):
+        for column in ("counts", "key_sum", "check_sum"):
             assert getattr(loaded, column) == getattr(table, column)
+        assert np.array_equal(loaded.value_sum, table.value_sum)
         assert loaded.to_payload()[0] == payload
 
     @pytest.mark.parametrize("backend", ["numpy", "python"])

@@ -208,7 +208,7 @@ class TestSerialization:
         assert loaded.counts == table.counts
         assert loaded.key_sum == table.key_sum
         assert loaded.check_sum == table.check_sum
-        assert loaded.value_sum == table.value_sum
+        assert np.array_equal(loaded.value_sum, table.value_sum)
 
     def test_loaded_decodes(self, coins):
         table = _table(coins, label="ser2")
@@ -224,7 +224,7 @@ class TestSerialization:
         payload, _ = riblt_payload(table)
         loaded = read_riblt_cells(BitReader(payload), _table(coins, label="ser3"))
         assert loaded.counts == table.counts
-        assert loaded.value_sum == table.value_sum
+        assert np.array_equal(loaded.value_sum, table.value_sum)
 
 
 class TestSizing:
@@ -293,7 +293,7 @@ class TestBatchParity:
         assert batch_table.counts == scalar_table.counts
         assert batch_table.key_sum == scalar_table.key_sum
         assert batch_table.check_sum == scalar_table.check_sum
-        assert batch_table.value_sum == scalar_table.value_sum
+        assert np.array_equal(batch_table.value_sum, scalar_table.value_sum)
 
     def test_delete_batch_cancels_insert_batch(self, coins):
         rng = np.random.default_rng(9)
@@ -352,4 +352,120 @@ class TestBatchParity:
         for key, row in zip(keys.tolist(), values.tolist()):
             scalar_table.insert(key, row)
         assert batch_table.key_sum == scalar_table.key_sum
-        assert batch_table.value_sum == scalar_table.value_sum
+        assert np.array_equal(batch_table.value_sum, scalar_table.value_sum)
+
+
+def _reference_values(table, updates):
+    """The value cells as exact Python ints, one ``(key, value, sign)``
+    update at a time: the oracle for the ``(m, dim)`` value matrix."""
+    cells = [[0] * table.dim for _ in range(table.m)]
+    for key, value, sign in updates:
+        for index in table.cell_indices(key):
+            cells[index] = [total + sign * v for total, v in zip(cells[index], value)]
+    return cells
+
+
+class TestValueMatrix:
+    """``value_sum`` is one ``(m, dim)`` matrix: ``int64`` while the
+    tracked bound (``Σ max|coordinate|·n`` over every update) stays below
+    ``2^62``, exact ``object`` ints once it reaches it."""
+
+    @given(seed=st.integers(min_value=0, max_value=2000),
+           count=st.integers(min_value=0, max_value=30))
+    @settings(max_examples=30, deadline=None)
+    def test_batches_match_the_scalar_loop(self, seed, count):
+        rng = np.random.default_rng(seed)
+        coins = PublicCoins(seed)
+        keys = rng.choice(1 << 32, size=2 * count, replace=False).astype(np.uint64)
+        values = rng.integers(-64, 64, size=(2 * count, 3), dtype=np.int64)
+        batch_table = _table(coins, label="vm")
+        scalar_table = _table(coins, label="vm")
+        batch_table.insert_batch(keys[:count], values[:count])
+        batch_table.delete_batch(keys[count // 2 :], values[count // 2 :])
+        for key, row in zip(keys[:count].tolist(), values[:count].tolist()):
+            scalar_table.insert(key, row)
+        for key, row in zip(keys[count // 2 :].tolist(), values[count // 2 :].tolist()):
+            scalar_table.delete(key, row)
+        assert batch_table.value_sum.dtype == scalar_table.value_sum.dtype == np.int64
+        assert np.array_equal(batch_table.value_sum, scalar_table.value_sum)
+        assert batch_table.counts == scalar_table.counts
+        assert batch_table.key_sum == scalar_table.key_sum
+        assert batch_table.check_sum == scalar_table.check_sum
+
+    def test_bound_crossing_widens_to_exact_ints(self, coins):
+        """Each batch alone is within ``int64``; the second takes the
+        table's bound to ``2^62``, and from there the cells are exact
+        Python ints equal to the reference."""
+        table = _table(coins, side=1 << 62, label="wide")
+        big = 1 << 60
+        first = [(1, (big, -big, 7), 1), (2, (big, 3, -big), 1)]
+        second = [(3, (2 * big, 2 * big, -2 * big), -1)]
+        table.insert_batch([1, 2], np.array([value for _, value, _ in first], dtype=np.int64))
+        assert table.value_sum.dtype == np.int64
+        assert table.value_sum.tolist() == _reference_values(table, first)
+        table.delete_batch([3], np.array([second[0][1]], dtype=np.int64))
+        assert table.value_sum.dtype == object
+        assert all(type(v) is int for v in table.value_sum.ravel().tolist())
+        assert table.value_sum.tolist() == _reference_values(table, first + second)
+
+    def test_small_batches_accumulate_the_bound(self, coins):
+        """The bound spans the table's life: batches far below ``2^62``
+        widen the matrix once their sum reaches it."""
+        table = _table(coins, side=1 << 62, label="grow")
+        updates = []
+        for key in range(1, 5):
+            value = (1 << 60, key, -(1 << 60))
+            table.insert_batch([key], np.array([value], dtype=np.int64))
+            updates.append((key, value, 1))
+            assert table.value_sum.dtype == (object if key == 4 else np.int64)
+        assert table.value_sum.tolist() == _reference_values(table, updates)
+
+    def test_scalar_update_past_int64_is_exact(self, coins):
+        table = _table(coins, side=1 << 80, label="huge")
+        updates = [(5, (1 << 70, 0, 1), 1), (6, (3, -(1 << 75), 2), -1)]
+        table.insert(5, updates[0][1])
+        table.delete(6, updates[1][1])
+        assert table.value_sum.dtype == object
+        assert table.value_sum.tolist() == _reference_values(table, updates)
+
+    def test_subtract_copy_and_mass_stay_exact(self, coins):
+        """``subtract`` sums both bounds (two int64 tables can give an
+        object one); ``copy`` is independent; the residual mass is an
+        exact Python int."""
+        big = 1 << 61
+        a = _table(coins, side=1 << 62, label="ops")
+        b = _table(coins, side=1 << 62, label="ops")
+        a.insert_batch([1], np.array([(big, 1, 2)], dtype=np.int64))
+        b.insert_batch([2], np.array([(-big, 3, big)], dtype=np.int64))
+        assert a.value_sum.dtype == b.value_sum.dtype == np.int64
+        difference = a.subtract(b)
+        assert difference.value_sum.dtype == object
+        reference = _reference_values(a, [(1, (big, 1, 2), 1), (2, (-big, 3, big), -1)])
+        assert difference.value_sum.tolist() == reference
+        clone = difference.copy()
+        clone.value_sum[0, 0] += 1
+        assert difference.value_sum.tolist() == reference
+        mass = difference.residual_value_mass()
+        assert type(mass) is int
+        assert mass == sum(abs(v) for cell in reference for v in cell)
+
+    def test_decode_after_widening_is_exact(self, coins):
+        table = _table(coins, side=1 << 80, label="dec")
+        pairs = [(11, (1 << 70, 5, 0)), (12, (0, (1 << 79) + 3, 9))]
+        for key, value in pairs:
+            table.insert(key, value)
+        assert table.value_sum.dtype == object
+        result = table.decode(random.Random(4))
+        assert result.success
+        assert sorted(result.inserted) == pairs
+        assert table.residual_value_mass() == 0
+
+    def test_loaded_values_take_the_narrowest_exact_dtype(self, coins):
+        """A payload's values load as ``int64`` unless one needs more."""
+        for value, dtype in ((60, np.int64), (1 << 70, object)):
+            table = _table(coins, side=1 << 80, label="load")
+            table.insert(3, (value, 1, 2))
+            payload, _ = riblt_payload(table)
+            loaded = read_riblt_cells(BitReader(payload), _table(coins, side=1 << 80, label="load"))
+            assert loaded.value_sum.dtype == dtype
+            assert loaded.value_sum.tolist() == table.value_sum.tolist()

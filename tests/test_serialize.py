@@ -386,6 +386,50 @@ class TestVarintRuns:
                 data, lead, rows, width, run=False
             )
 
+    @given(
+        st.integers(0, 7),
+        _runs(),
+        st.lists(st.integers(0, 1 << 20), min_size=1, max_size=3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_skip_ends_and_fails_like_the_loop(self, lead, run, flips):
+        """``skip_varints`` over every byte cut and a few bit flips: the
+        loop's exception class (the reader left where it was), or on
+        success the loop's reader position."""
+        matrix, _split = run
+        count = len(matrix) * len(matrix[0])
+        writer = BitWriter()
+        writer.write_uint(0, lead)
+        writer.write_varints([value for row in matrix for value in row])
+        payload = writer.getvalue()
+        flipped = bytearray(payload)
+        for bit in flips:
+            bit %= 8 * len(payload)
+            flipped[bit >> 3] ^= 1 << (bit & 7)
+        for data in [payload[:cut] for cut in range(len(payload) + 1)] + [bytes(flipped)]:
+            loop = _read_outcome(data, lead, count, 1, run=False)
+            reader = BitReader(data)
+            try:
+                reader.read_uint(lead)
+                start = reader.bits_remaining
+                try:
+                    reader.skip_varints(count)
+                except DecodeError:
+                    assert reader.bits_remaining == start, "a failed skip moved the reader"
+                    raise
+            except DecodeError as error:
+                assert loop == type(error)
+            else:
+                assert loop[1] == reader.bits_remaining
+
+    def test_skip_over_the_group_cap_is_malformed(self):
+        writer = BitWriter()
+        writer.write_varints(range(50))
+        writer.write_uint((1 << 152) - 1, 152)  # 19 continuing groups
+        writer.write_varints(range(50))
+        with pytest.raises(MalformedPayloadError):
+            BitReader(writer.getvalue()).skip_varints(100)
+
     def test_unparsed_run_leaves_the_position(self):
         writer = BitWriter()
         writer.write_varints(range(100))

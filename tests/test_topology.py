@@ -13,18 +13,18 @@ class TestConstructors:
         topo = Topology.star(5)
         assert topo.kind == "star"
         assert topo.edges == ((0, 1), (0, 2), (0, 3), (0, 4))
-        assert topo.depth(0) == 1
+        assert max(topo.spanning_tree(0)[1].values()) == 1
 
     def test_ring_shape(self):
         topo = Topology.ring(5)
         assert topo.edges == ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4))
         assert all(len(topo.neighbors(node)) == 2 for node in range(5))
-        assert topo.depth(0) == 2
+        assert max(topo.spanning_tree(0)[1].values()) == 2
 
     def test_tree_shape(self):
         topo = Topology.tree(7, branching=2)
         assert topo.edges == ((0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6))
-        assert topo.depth(0) == 2
+        assert max(topo.spanning_tree(0)[1].values()) == 2
 
     def test_random_k_regular_is_regular_and_deterministic(self):
         coins = PublicCoins(99)
