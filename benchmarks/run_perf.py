@@ -27,7 +27,8 @@ Every kernel asserts that its two sides agree.
 The regression gate compares *speedups* (numpy vs python on the same
 machine in the same run), not absolute times, so it is robust to slow CI
 hosts: it fails when any kernel's measured speedup drops below half of
-the committed baseline's.  It refuses a missing baseline (it never
+the committed baseline's.  Each gate row prints both sides' times beside
+the ratio, so a ratio that moved because its reference moved shows it.  It refuses a missing baseline (it never
 self-baselines) and a run whose ``n`` differs from the baseline's, so
 gate at full size; ``--step-summary`` appends a per-kernel markdown
 speedup table.
@@ -603,13 +604,20 @@ def compare(report: dict, baseline_path: Path) -> int:
     for name, entry in baseline.get("results", {}).items():
         if name not in report["results"]:
             continue
-        measured = report["results"][name]["speedup"]
+        row = report["results"][name]
+        measured = row["speedup"]
         passed, status = kernel_status(name, measured, entry)
+        # Both sides' times beside the ratio: a ratio that moved because
+        # its python reference moved shows it.
+        times = f"python {row['python_s'] * 1e3:9.2f} ms  numpy {row['numpy_s'] * 1e3:8.2f} ms"
         if name in UNGATED_KERNELS:
-            print(f"  {name:18s} speedup {measured:7.1f}x  (baseline {entry['speedup']:.1f}x, {status})")
+            print(f"  {name:18s} {times}  speedup {measured:7.1f}x  (baseline {entry['speedup']:.1f}x, {status})")
             continue
         floor = entry["speedup"] / REGRESSION_FACTOR
-        print(f"  {name:18s} speedup {measured:7.1f}x  (baseline {entry['speedup']:.1f}x, floor {floor:.1f}x)  {status}")
+        print(
+            f"  {name:18s} {times}  speedup {measured:7.1f}x  "
+            f"(baseline {entry['speedup']:.1f}x, floor {floor:.1f}x)  {status}"
+        )
         if not passed:
             failures.append(name)
     if failures:

@@ -8,18 +8,22 @@ interchangeable backends:
     Cell state lives in flat numpy arrays and the hot paths — hashing,
     batch insert/delete, subtraction, pure-cell detection — run as
     vectorised ``uint64`` operations (exact Mersenne-61 arithmetic via
-    :mod:`repro.hashing.mersenne`).  The IBLT peels with the adaptive
-    frontier decoder (:mod:`repro.iblt.frontier`); the multiset table
-    keeps its exact FIFO peel and batch-primes a shared hash cache.
+    :mod:`repro.hashing.mersenne`).  The IBLT's large peel rounds are
+    vectorised and its tail rounds scalar, over a shared hash cache
+    (:mod:`repro.iblt.frontier`); the multiset table keeps its exact
+    FIFO peel and batch-primes the cache.
 
 ``"python"``
     The original pure-Python reference implementation: cell state in
-    lists, arbitrary-precision integers everywhere.  Kept as the ground
-    truth the property tests pin the numpy backend against, and as the
-    backend for keys wider than :data:`MAX_NUMPY_KEY_BITS`.
+    lists, arbitrary-precision integers everywhere, one uncached hash
+    evaluation per lookup.  The IBLT peels in the numpy decoder's
+    rounds, every round scalar, and the multiset table in the same FIFO
+    order.  Kept as the ground truth the property tests pin the numpy
+    backend against, and as the backend for keys wider than
+    :data:`MAX_NUMPY_KEY_BITS`.
 
-Both backends are bit-identical for the same :class:`~repro.hashing.PublicCoins`
-(``tests/test_backend_parity.py``).  The process-wide default comes from
+Both backends are bit-identical for the same :class:`~repro.hashing.PublicCoins`,
+decode output and its order included (``tests/test_backend_parity.py``).  The process-wide default comes from
 the ``REPRO_BACKEND`` environment variable when set, else ``"numpy"``;
 individual tables can override it via their ``backend=`` parameter.
 This is the only environment knob the package reads.

@@ -9,17 +9,19 @@ ones actually touched by a peel.  Every decoder in this package tracks
 that frontier instead of scanning the whole table again, and they all
 share the engine pieces defined here:
 
-* :class:`PeelQueue` — the deduplicated candidate queue the scalar
-  decoders drive (FIFO for the breadth-first sum-cell peel,
+* :class:`PeelQueue` — the deduplicated FIFO candidate queue of the
+  breadth-first sum-cell peel,
   :meth:`SumCellTable._peel <repro.iblt.iblt.SumCellTable._peel>`, whose
-  error-propagation analysis depends on peel order, RIBLT Lemma 3.10;
-  LIFO for the classic IBLT's stack-based python reference).
-* :class:`PeelScratch` — preallocated round work buffers for the
-  vectorised numpy decoder (``IBLT._decode_numpy_frontier``): a flag
-  array that dedupes the touched-cell stream in ``O(m + touched)``
-  without any sort, plus reusable purity-scan scratch.  One scratch is
-  shared by a table and every clone ``subtract``/``copy`` derive from
-  it, so repeated ``decode()`` calls never reallocate.
+  error-propagation analysis depends on peel order (RIBLT Lemma 3.10).
+  The classic IBLT needs no queue: its peel order cannot change the
+  2-core, so :meth:`IBLT.decode <repro.iblt.iblt.IBLT.decode>` peels in
+  rounds on both backends.
+* :class:`PeelScratch` — preallocated work buffers for the numpy IBLT's
+  vectorised rounds: a flag array that dedupes the touched-cell stream
+  in ``O(m + touched)`` without any sort, plus reusable purity-scan
+  scratch.  One scratch is shared by a table and every clone
+  ``subtract``/``copy`` derive from it, so repeated ``decode()`` calls
+  never reallocate.
 * :class:`KeyHashCache` — memoised ``key -> (checksum, cell indices)``
   evaluations, batch-filled with the vectorised Mersenne hashes and
   consulted by the sum-cell decoders (:class:`~repro.iblt.riblt.RIBLT`,
@@ -29,20 +31,22 @@ share the engine pieces defined here:
   value-error propagation the RIBLT analysis charges — is bit-identical
   to uncached scalar evaluation.
 * :class:`ScalarHashes` — the same interface with no memo: the uncached
-  scalar evaluation itself.  The multiset's python backend peels through
-  it, and the tests pin :class:`KeyHashCache` against it.
+  scalar evaluation itself.  The python backends of the IBLT and the
+  multiset peel through it, and the tests pin :class:`KeyHashCache`
+  against it.
 
 The peel frontier shrinks geometrically (the supercritical branching
 process dies out), so a fixed-cost vectorised round is exactly wrong at
 the tail: the numpy decoder *adapts*, processing any round whose
-candidate set is at most :data:`PEEL_TAIL_THRESHOLD` cells with plain
-scalar arithmetic (cached hashes, no array round-trips), and the cache
-only batch-primes when at least :data:`CACHE_PRIME_THRESHOLD` keys are
-missing.  Both thresholds are behaviour-preserving knobs: any value
-produces bit-identical output, only the crossover cost changes.  In the
-sparse regime (small difference sets, the common reconciliation case)
-the scalar tail roughly halves decode time; ``benchmarks/run_perf.py``'s
-``iblt_decode_tail`` kernel tracks it.
+candidate set is at most :data:`PEEL_TAIL_THRESHOLD` cells with the
+python backend's scalar round (over cached hashes, no array
+round-trips), and the cache only batch-primes when at least
+:data:`CACHE_PRIME_THRESHOLD` keys are missing.  Both thresholds are
+behaviour-preserving constants: any value produces bit-identical output,
+only the crossover cost changes (the tests patch them to prove it).  In
+the sparse regime (small difference sets, the common reconciliation
+case) the scalar tail roughly halves decode time;
+``benchmarks/run_perf.py``'s ``iblt_decode_tail`` kernel tracks it.
 
 Within a vectorised round the numpy decoder tests counts before
 checksums (the cheap half first), reads the checksums to scatter
@@ -53,10 +57,11 @@ passes than composing the field operations.
 
 ``tests/test_frontier_decoder.py`` pins the frontier decoder bit-identical
 (output order and residual cells) to a test-local decoder that re-derives
-the whole table's pure mask every round, across duplicate insertions,
-multiset counts, undecodable overloads and tail thresholds on both sides
-of the vector/scalar switch; ``tests/test_peel_engine.py`` pins
-:class:`KeyHashCache` against :class:`ScalarHashes`.
+the whole table's pure mask every round and to the python backend,
+across duplicate insertions, multiset counts, undecodable overloads and
+tail thresholds on both sides of the vector/scalar switch;
+``tests/test_peel_engine.py`` pins :class:`KeyHashCache` against
+:class:`ScalarHashes`.
 """
 
 from __future__ import annotations
@@ -125,18 +130,16 @@ def divisible_key(count: int, key_total: int, key_limit: int) -> int | None:
 
 
 class PeelQueue:
-    """A deduplicated queue of candidate cell indices.
+    """A deduplicated first-in, first-out queue of candidate cell indices.
 
     A cell index is held at most once; pushing an enqueued index is a
-    no-op.  ``fifo`` selects breadth-first (popleft) or depth-first
-    (pop) order.  Membership is tracked with a flat flag table over the
-    ``m`` cells, so push/pop are O(1) regardless of table size.
+    no-op.  Membership is tracked with a flat flag table over the ``m``
+    cells, so push/pop are O(1) regardless of table size.
     """
 
-    def __init__(self, m: int, fifo: bool = True):
+    def __init__(self, m: int):
         self._queue: deque[int] = deque()
         self._enqueued = bytearray(m)
-        self._fifo = fifo
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -160,8 +163,8 @@ class PeelQueue:
             self._queue.append(index)
 
     def pop(self) -> int:
-        """Remove and return the next candidate (per the queue order)."""
-        index = self._queue.popleft() if self._fifo else self._queue.pop()
+        """Remove and return the oldest candidate."""
+        index = self._queue.popleft()
         self._enqueued[index] = 0
         return index
 
@@ -317,7 +320,9 @@ class ScalarHashes:
     :meth:`check` and :meth:`indices` call the table's own ``checksum``
     and ``cell_indices`` on every lookup and :meth:`prime` does nothing,
     so a peel through it hashes one key at a time: the pure-Python
-    reference every cached peel must match.
+    reference every cached peel must match.  The python backends of
+    :class:`~repro.iblt.iblt.IBLT` and
+    :class:`~repro.iblt.counting.MultisetIBLT` both peel through it.
     """
 
     __slots__ = ("_table",)

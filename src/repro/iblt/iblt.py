@@ -16,29 +16,31 @@ purity test and FIFO peel, :class:`SumCellTable`.
 
 Two backends are available (see :mod:`repro.iblt.backend`): the default
 ``"numpy"`` backend keeps ``counts``/``key_xor``/``check_xor`` in flat
-arrays and runs inserts, subtraction and peeling as vectorised ``uint64``
-operations; the ``"python"`` backend is the original list-of-int
-reference path, which peels one cell at a time.  Both produce
-bit-identical tables and recover the same key sets for the same public
+arrays and runs inserts and subtraction as vectorised ``uint64``
+operations; the ``"python"`` backend is the list-of-int reference path.
+Both produce bit-identical tables and, peeling in the same rounds,
+return the same decode output in the same order for the same public
 coins.
 
-The numpy decoder peels the table in *rounds*: the current frontier of
-pure cells is removed with one batched scatter per round.  All XOR/add
-cell updates commute, so this recovers exactly the key set sequential
-peeling does (the unpeelable 2-core of the hypergraph is
-order-independent).  The frontier is tracked *incrementally*: peeling a
-key can only change the cells that key hashes to, so after the one
-seeding scan each round re-tests purity only on the cells touched by the
-previous batch peel — ``O(q)`` cells per peeled key instead of a full
-``m``-cell scan per round.  A cell that stays pure across a round was
-itself peeled (its key maps to it), hence touched, so the candidate set
-always contains every pure cell of the table.  The decoder is also
-*adaptive* (see :mod:`repro.iblt.frontier`): touched cells are deduped
-through a preallocated flag array shared across rounds and repeated
-``decode()`` calls, and any round whose candidate set falls to at most
-``tail_threshold`` cells runs in scalar arithmetic — the peel frontier
-shrinks geometrically, so the tail of every decode is dominated by fixed
-numpy call overhead unless the decoder switches gears.
+:meth:`IBLT.decode` peels the table in *rounds*: every pure cell of the
+current frontier is removed in one round, each distinct key once, in
+ascending key order.  All XOR/add cell updates commute, so this recovers
+exactly the key set sequential peeling does (the unpeelable 2-core of
+the hypergraph is order-independent).  The frontier is tracked
+*incrementally*: peeling a key can only change the cells that key
+hashes to, so after the one seeding scan each round re-tests purity only
+on the cells touched by the previous round — ``O(q)`` cells per peeled
+key instead of a full ``m``-cell scan per round.  A cell that stays pure
+across a round was itself peeled (its key maps to it), hence touched, so
+the candidate set always contains every pure cell of the table.  The
+python backend runs every round in scalar arithmetic.  The numpy backend
+is *adaptive* (see :mod:`repro.iblt.frontier`): a round over more than
+``PEEL_TAIL_THRESHOLD`` candidates is one batched scatter, with touched
+cells deduped through a preallocated flag array shared across rounds and
+repeated ``decode()`` calls, and a smaller round runs in the same scalar
+arithmetic as the python backend — the peel frontier shrinks
+geometrically, so the tail of every decode is dominated by fixed numpy
+call overhead unless the decoder switches gears.
 
 That argument assumes every cell passing the purity test holds a real
 key.  A 61-bit checksum *collision* (a cell whose garbage ``key_xor``
@@ -173,29 +175,21 @@ def partitioned_cell_indices(
     """Vectorised partitioned-table cell indexing: the ``(q, n)`` matrix.
 
     Hash ``j`` maps each key into the ``j``-th block of ``block_size``
-    cells — the shared indexing scheme of every IBLT variant here.  When
-    all hashes share an output width (always true for the tables in this
-    package) the ``q`` Carter–Wegman evaluations run as one broadcast
-    ``(q, n)`` affine pass, which matters for the decoder where ``n`` is
-    a small peel frontier and per-call overhead would dominate.
+    cells — the shared indexing scheme of every IBLT variant here.  The
+    hashes share one output width (every :class:`CellTable` draws them
+    at ``bits=61``), so the ``q`` Carter–Wegman evaluations run as one
+    broadcast ``(q, n)`` affine pass, which matters for the decoder where
+    ``n`` is a small peel frontier and per-call overhead would dominate.
     """
     keys = np.ascontiguousarray(keys, dtype=np.uint64)
-    widths = {cell_hash.bits for cell_hash in cell_hashes}
-    if len(widths) == 1:
-        a = np.array([cell_hash.a for cell_hash in cell_hashes], dtype=np.uint64)
-        b = np.array([cell_hash.b for cell_hash in cell_hashes], dtype=np.uint64)
-        width = widths.pop()
-        hashed = fold_bits(
-            affine_mod_p(a[:, None], b[:, None], to_field(keys)[None, :]),
-            width,
-        )
-        indices = (hashed % np.uint64(block_size)).astype(np.int64)
-        indices += (np.arange(len(cell_hashes), dtype=np.int64) * block_size)[:, None]
-        return indices
-    indices = np.empty((len(cell_hashes), keys.shape[0]), dtype=np.int64)
-    for j, cell_hash in enumerate(cell_hashes):
-        hashed = cell_hash.hash_array(keys) % np.uint64(block_size)
-        indices[j] = hashed.astype(np.int64) + j * block_size
+    a = np.array([cell_hash.a for cell_hash in cell_hashes], dtype=np.uint64)
+    b = np.array([cell_hash.b for cell_hash in cell_hashes], dtype=np.uint64)
+    hashed = fold_bits(
+        affine_mod_p(a[:, None], b[:, None], to_field(keys)[None, :]),
+        cell_hashes[0].bits,
+    )
+    indices = (hashed % np.uint64(block_size)).astype(np.int64)
+    indices += (np.arange(len(cell_hashes), dtype=np.int64) * block_size)[:, None]
     return indices
 
 
@@ -403,7 +397,7 @@ class SumCellTable(CellTable):
         ]
         if prime:
             hashes.prime([key for _, key in seeds], want_indices=False)
-        queue = PeelQueue(self.m, fifo=True)
+        queue = PeelQueue(self.m)
         survivors = []
         for index, key in seeds:
             if hashes.check(key) * counts[index] == check_sum[index]:
@@ -464,11 +458,6 @@ class IBLT(CellTable):
         backend: str | None = None,
     ):
         self.backend = resolve_backend(backend, key_bits)
-        #: Candidate-set size at or below which the adaptive frontier
-        #: decoder runs a round in scalar arithmetic.  Behaviour-neutral
-        #: (any value decodes bit-identically); exposed for tests and
-        #: tuning.
-        self.tail_threshold = PEEL_TAIL_THRESHOLD
         # Decode work state, shared with every clone this table spawns
         # (the buffers are pure functions of the shared geometry), so
         # repeated decodes reuse one allocation.  Not thread-safe.
@@ -643,18 +632,11 @@ class IBLT(CellTable):
         return read_iblt_cells(BitReader(payload), self)
 
     # -- decoding ------------------------------------------------------------
-    def _is_pure(self, index: int) -> bool:
-        count = self.counts[index]
-        if count not in (1, -1):
-            return False
-        key = self.key_xor[index]
-        return self.check_xor[index] == self.checksum(key)
-
     def _pure_with_keys(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Pure cells among ``cells`` plus the keys they hold.
 
-        The adaptive frontier decoder always passes deduplicated,
-        ascending candidate arrays (see
+        The vectorised rounds always pass deduplicated, ascending
+        candidate arrays (see
         :meth:`~repro.iblt.frontier.PeelScratch.unique_cells`); the keys
         gathered for the checksum test are returned alongside so the
         peel round does not gather them a second time.
@@ -671,10 +653,53 @@ class IBLT(CellTable):
         ``success`` is True iff every cell ended at count 0 with zero key
         and checksum XORs (i.e. the hypergraph had an empty 2-core and no
         checksum anomalies).
+
+        Both backends peel in the same rounds, so they return the same
+        lists in the same order.  The candidates are seeded with the
+        ``|count| == 1`` cells in ascending order; thereafter each round
+        re-tests only the cells touched by the previous round.  Every
+        cell that is pure at round ``r+1`` was touched at round ``r`` (a
+        cell pure in both rounds had its own key peeled, and that key
+        maps to it), so each round peels exactly the cells a whole-table
+        purity scan would find.
+
+        The numpy backend runs a round through :meth:`_peel_round` while
+        it has more than :data:`~repro.iblt.frontier.PEEL_TAIL_THRESHOLD`
+        candidates, deduplicating the touched cells through the shared
+        :class:`~repro.iblt.frontier.PeelScratch` flag array, and through
+        :meth:`_peel_round_scalar` at or below it (returning to
+        vectorised rounds if the frontier regrows), so the geometric
+        tail of the peel pays scalar constants instead of array-call
+        overhead.  The python backend runs every round through
+        :meth:`_peel_round_scalar`, hashing one key at a time.
         """
-        if self.backend == "numpy":
-            return self._decode_numpy_frontier()
-        return self._decode_python()
+        result = IBLTDecodeResult(success=False)
+        vector = self.backend == "numpy"
+        if vector:
+            candidates = self._scratch.ones_candidates(self.counts)
+            hashes = self._hash_cache
+        else:
+            candidates = [index for index, count in enumerate(self.counts) if count in (1, -1)]
+            hashes = ScalarHashes(self)
+        # Round cap: peeling depth is O(log m) w.h.p.; the cap only guards
+        # against checksum-fluke cycles (the success check below still
+        # decides the outcome).
+        rounds_left = 2 * self.m + 64
+        while rounds_left > 0 and len(candidates):
+            rounds_left -= 1
+            if vector and len(candidates) > PEEL_TAIL_THRESHOLD:
+                cells = np.asarray(candidates, dtype=np.int64)
+                pure_cells, pure_keys = self._pure_with_keys(cells)
+                if pure_cells.size == 0:
+                    break
+                touched = self._peel_round(result, pure_cells, pure_keys)
+                candidates = self._scratch.unique_cells(touched, self.m)
+            else:
+                if isinstance(candidates, np.ndarray):
+                    candidates = candidates.tolist()
+                candidates = self._peel_round_scalar(result, candidates, hashes)
+        result.success = self.is_empty()
+        return result
 
     def _peel_round(
         self,
@@ -707,35 +732,40 @@ class IBLT(CellTable):
         self._scatter_at(indices, keys, checks, -signs)
         return indices
 
-    def _peel_round_scalar(self, result: IBLTDecodeResult, candidates: list[int]) -> list[int]:
-        """One adaptive-tail round: the same round discipline as
-        :meth:`_peel_round`, in scalar arithmetic.
+    def _peel_round_scalar(
+        self,
+        result: IBLTDecodeResult,
+        candidates: list[int],
+        hashes: KeyHashCache | ScalarHashes,
+    ) -> list[int]:
+        """One round of :meth:`_peel_round`'s discipline in scalar
+        arithmetic, on numpy or list cells; returns the touched cells in
+        ascending order.
 
         ``candidates`` must be sorted ascending (the vectorised round's
-        candidate order): the first candidate cell that passes the purity test for
-        a key is the cell its sign and checksum are read from, exactly
-        as ``np.unique``'s first-occurrence pick over the ascending pure
-        array.  Distinct keys are then peeled in ascending key order
-        (``sorted`` over Python ints == ``np.unique`` over ``uint64``),
-        so the appended output and the cell mutations are bit-identical
-        to a vectorised round — only the constant factor changes, which
-        is the point: at tail frontier sizes the fixed per-call overhead
-        of each array operation exceeds the round's useful work.
+        candidate order): the first candidate cell that passes the purity
+        test for a key is the cell its sign and checksum are read from,
+        exactly as ``np.unique``'s first-occurrence pick over the
+        ascending pure array.  Distinct keys are then peeled in ascending
+        key order (``sorted`` over Python ints == ``np.unique`` over
+        ``uint64``), so the appended output and the cell mutations are
+        bit-identical to a vectorised round.  Only the constant factor
+        changes: at tail frontier sizes the fixed per-call overhead of
+        each array operation exceeds the round's useful work.
         """
         counts, key_xor, check_xor = self.counts, self.key_xor, self.check_xor
-        cache = self._hash_cache
         peeled: dict[int, tuple[int, int]] = {}
         for index in candidates:
-            count = counts[index]
+            count = int(counts[index])
             if count != 1 and count != -1:
                 continue
             key = int(key_xor[index])
             if key in peeled:  # sign already fixed by an earlier pure cell
                 continue
-            check = cache.check(key)
+            check = hashes.check(key)
             if int(check_xor[index]) != check:
                 continue
-            peeled[key] = (int(count), check)
+            peeled[key] = (count, check)
         touched: set[int] = set()
         for key in sorted(peeled):
             sign, check = peeled[key]
@@ -743,86 +773,16 @@ class IBLT(CellTable):
                 result.inserted.append(key)
             else:
                 result.deleted.append(key)
-            key_u64, check_u64 = np.uint64(key), np.uint64(check)
-            for cell in cache.indices(key):
+            for cell in hashes.indices(key):
                 counts[cell] -= sign
-                key_xor[cell] ^= key_u64
-                check_xor[cell] ^= check_u64
+                key_xor[cell] = int(key_xor[cell]) ^ key
+                check_xor[cell] = int(check_xor[cell]) ^ check
                 touched.add(cell)
         return sorted(touched)
-
-    def _decode_numpy_frontier(self) -> IBLTDecodeResult:
-        """Adaptive round-based peeling with incremental frontier tracking.
-
-        The candidate set is seeded from one ``|count| == 1`` scan;
-        thereafter each round re-tests only the cells touched by the
-        previous batch peel, deduplicated through the shared
-        :class:`~repro.iblt.frontier.PeelScratch` flag array instead of
-        a sort-based ``np.unique`` over the duplicated ``(q, n)``
-        stream.  Every cell that is pure at round ``r+1`` was touched at
-        round ``r`` (a cell pure in both rounds had its own key peeled,
-        and that key maps to it), so the candidates always cover the
-        full pure set: each round peels exactly the cells a whole-table
-        purity scan would find.
-
-        Rounds adapt to the frontier: once the candidate set is at most
-        :attr:`tail_threshold` cells the round runs through
-        :meth:`_peel_round_scalar` (and returns to vectorised rounds if
-        the frontier regrows), so the geometric tail of the peel pays
-        scalar constants instead of array-call overhead.
-        """
-        result = IBLTDecodeResult(success=False)
-        scratch = self._scratch
-        candidates = scratch.ones_candidates(self.counts)
-        # Round cap: peeling depth is O(log m) w.h.p.; the cap only guards
-        # against checksum-fluke cycles (the success check below still
-        # decides the outcome).
-        rounds_left = 2 * self.m + 64
-        while rounds_left > 0 and candidates.size:
-            rounds_left -= 1
-            if candidates.size <= self.tail_threshold:
-                touched_cells = self._peel_round_scalar(result, candidates.tolist())
-                candidates = np.asarray(touched_cells, dtype=np.int64)
-                continue
-            pure_cells, pure_keys = self._pure_with_keys(candidates)
-            if pure_cells.size == 0:
-                break
-            touched = self._peel_round(result, pure_cells, pure_keys)
-            candidates = scratch.unique_cells(touched, self.m)
-        result.success = self.is_empty()
-        return result
-
-    def _decode_python(self) -> IBLTDecodeResult:
-        result = IBLTDecodeResult(success=False)
-        # Depth-first frontier (the historical reference discipline);
-        # candidates beyond the one seeding scan are only the cells
-        # touched by a peel.
-        queue = PeelQueue(self.m, fifo=False)
-        for index in range(self.m):
-            if self._is_pure(index):
-                queue.push(index)
-        while queue:
-            index = queue.pop()
-            if not self._is_pure(index):
-                continue
-            sign = self.counts[index]
-            key = self.key_xor[index]
-            if sign > 0:
-                result.inserted.append(key)
-            else:
-                result.deleted.append(key)
-            self._update(key, -sign)
-            for neighbor in self.cell_indices(key):
-                if not queue.pending(neighbor) and self._is_pure(neighbor):
-                    queue.push(neighbor)
-        result.success = self.is_empty()
-        return result
 
     # -- introspection ---------------------------------------------------------
     def __len__(self) -> int:
         """Net number of (signed) items currently in the table."""
-        if not self.q:
-            return 0
         if self.backend == "numpy":
             return abs(int(self.counts.sum())) // self.q
         return abs(sum(self.counts)) // self.q

@@ -207,7 +207,6 @@ class SetsOfSetsReconciler:
         entry_bits: int,
         expected_differences: int,
         size_multiplier: float = 4.0,
-        backend: str | None = None,
     ):
         if entries < 1:
             raise ValueError(f"entries must be >= 1, got {entries}")
@@ -215,7 +214,6 @@ class SetsOfSetsReconciler:
             raise ValueError(f"entry_bits must be in [1, 55], got {entry_bits}")
         self.coins = coins
         self.label = label
-        self.backend = backend
         self.entries = entries
         self.internal_entries = entries + 1  # +1 signature entry
         self.entry_bits = entry_bits
@@ -290,7 +288,6 @@ class SetsOfSetsReconciler:
             cells=self.cells,
             q=Q,
             key_bits=self.item_bits,
-            backend=self.backend,
         )
 
     # -- the protocol ----------------------------------------------------------

@@ -4,9 +4,8 @@ The ``"numpy"`` backend replaces per-key Python loops with vectorised
 uint64 field arithmetic; these tests pin the contract that, for the same
 :class:`~repro.hashing.PublicCoins`, both backends produce the same cell
 indices, the same checksums, the same cell state, and the same decode
-output — including on *failed* decodes, where the unpeelable 2-core is
-order-independent and both peeling disciplines must recover the same
-maximal key set.
+output in the same order — including on *failed* decodes, where both
+backends peel the same rounds and leave the same unpeelable 2-core.
 """
 
 from __future__ import annotations
@@ -83,9 +82,7 @@ class TestIBLTParity:
             table_a.insert_all(alice)
             table_b.insert_all(bob)
             results[backend] = table_b.subtract(table_a).decode()
-        assert results["python"].success == results["numpy"].success
-        assert sorted(results["python"].inserted) == sorted(results["numpy"].inserted)
-        assert sorted(results["python"].deleted) == sorted(results["numpy"].deleted)
+        assert results["python"] == results["numpy"]
 
     def test_decode_failure_recovers_same_partial_set(self, coins):
         """Overload both backends: the peeled (non-2-core) keys agree."""
@@ -96,8 +93,8 @@ class TestIBLTParity:
             table = IBLT(coins, "over", cells=60, q=3, key_bits=KEY_BITS, backend=backend)
             table.insert_all(keys)
             outputs[backend] = table.decode()
-        assert not outputs["python"].success and not outputs["numpy"].success
-        assert sorted(outputs["python"].inserted) == sorted(outputs["numpy"].inserted)
+        assert not outputs["python"].success
+        assert outputs["python"] == outputs["numpy"]
 
     def test_serialization_roundtrip_across_backends(self, coins):
         """A python-built payload loads into a numpy shell bit-for-bit."""
@@ -146,8 +143,39 @@ class TestIBLTParity:
         assert outcomes["numpy"].success
         assert outcomes["python"].success
         assert outcomes["numpy"].difference_count == 2 * differences
-        assert sorted(outcomes["python"].inserted) == sorted(outcomes["numpy"].inserted)
-        assert sorted(outcomes["python"].deleted) == sorted(outcomes["numpy"].deleted)
+        assert outcomes["python"] == outcomes["numpy"]
+
+    @given(
+        updates=st.lists(
+            st.tuples(
+                st.one_of(st.integers(0, 40), st.integers(0, KEY_MAX)),
+                st.sampled_from([1, -1]),
+            ),
+            min_size=0,
+            max_size=120,
+        ),
+        cells=st.sampled_from([6, 12, 24, 45]),
+        seed=st.integers(0, 1 << 20),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_signed_updates_peel_identically(self, updates, cells, seed):
+        """Both backends peel any signed-update state in the same rounds.
+
+        Duplicate inserts, repeated deletes and partial cancellations
+        leave |count| > 1 cells, and up to 120 updates overload the
+        smaller tables.  The two backends still return the same
+        verdict, the same ``inserted``/``deleted`` lists in the same
+        order, and the same residual cells."""
+        coins = PublicCoins(seed)
+        python_table, numpy_table = _tables(coins, cells=cells, q=3)
+        for table in (python_table, numpy_table):
+            for key, sign in updates:
+                if sign > 0:
+                    table.insert(key)
+                else:
+                    table.delete(key)
+        assert python_table.decode() == numpy_table.decode()
+        _assert_same_cells(python_table, numpy_table)
 
 
 class TestMultisetParity:

@@ -3,15 +3,16 @@
 The numpy backend's frontier decoder must be *bit-identical* — same
 output lists in the same order, same residual cell state — to
 :func:`_rescan_decode`, a test-local decoder that re-derives the full
-pure mask every round, and (up to the documented round-vs-sequential
-output ordering) to the pure python reference backend, across
+pure mask every round, and to the pure python reference backend, which
+peels in the same rounds one key at a time.  The states cover
 adversarial cell patterns: duplicate insertions, multiset (|count| > 1)
-cells, and undecodable overloads whose 2-core both disciplines must
-leave untouched.  The python backend cannot pin the ordered output or
-the multiset states, which is why the rescan oracle exists.
+cells, and undecodable overloads whose 2-core every decoder must leave
+untouched.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.hashing import PublicCoins
 from repro.iblt import IBLT, IBLTDecodeResult, PeelQueue
+from repro.iblt import iblt as iblt_module
 
 KEY_BITS = 56
 KEY_MAX = (1 << KEY_BITS) - 1
@@ -73,46 +75,32 @@ def _decode_all(tables):
     }
 
 
-def _assert_frontier_matches_rescan(tables, results):
-    """The core regression contract: the frontier decoder is a pure
-    optimisation of the whole-table rescan — identical output
-    lists (including order) and identical residual cell state, on any
-    *collision-free* table state (i.e. no cell whose garbage XOR passes
-    the checksum purity test — a ~2^-61-per-cell fluke that the
-    insert/delete strategies here cannot produce; see
-    ``repro.iblt.iblt``'s module docstring for the caveat)."""
-    frontier, rescan = results["frontier"], results["rescan"]
-    assert frontier.success == rescan.success
-    assert frontier.inserted == rescan.inserted
-    assert frontier.deleted == rescan.deleted
-    ft, rt = tables["frontier"], tables["rescan"]
-    assert ft.counts.tolist() == rt.counts.tolist()
-    assert ft.key_xor.tolist() == rt.key_xor.tolist()
-    assert ft.check_xor.tolist() == rt.check_xor.tolist()
+def _cells(table):
+    """A table's cell columns as plain int lists, on either backend."""
+    columns = (table.counts, table.key_xor, table.check_xor)
+    return [[int(value) for value in column] for column in columns]
 
 
 def _assert_frontier_matches_oracles(tables, results):
-    """Full three-way parity, for states where peel order cannot change
-    the outcome (every stored key has net multiplicity in {-1, 0, +1}).
+    """The core regression contract: every decoder in ``tables`` returns
+    the frontier decoder's output lists (including order) and leaves its
+    residual cell state, on any *collision-free* table state (i.e. no
+    cell whose garbage XOR passes the checksum purity test — a
+    ~2^-61-per-cell fluke that the insert/delete strategies here cannot
+    produce; see ``repro.iblt.iblt``'s module docstring for the caveat).
 
-    With |multiplicity| > 1 the parity against the *python* reference is
-    not a property any numpy decoder ever had: a cell shared between a
-    count-+2 key and a count--1 key can pass the purity test with the
-    wrong sign, and whether it is peeled before the key's honest cells
-    depends on peel order (LIFO vs rounds).  Multiset states therefore
-    assert only the frontier-vs-rescan contract above.
+    The frontier decoder is a pure optimisation of the whole-table
+    rescan, and the python reference peels in the same rounds, so the
+    contract holds for multiset (|count| > 1) states too, where a cell
+    shared between a count-+2 key and a count--1 key can pass the
+    purity test with the wrong sign.
     """
-    _assert_frontier_matches_rescan(tables, results)
-    frontier, python = results["frontier"], results["python"]
-    # vs the python reference: same key sets (peel order differs).
-    assert frontier.success == python.success
-    assert sorted(frontier.inserted) == sorted(python.inserted)
-    assert sorted(frontier.deleted) == sorted(python.deleted)
-    # Residual cell state (the unpeeled 2-core) agrees everywhere.
-    ft, pt = tables["frontier"], tables["python"]
-    assert ft.counts.tolist() == list(pt.counts)
-    assert ft.key_xor.tolist() == list(pt.key_xor)
-    assert ft.check_xor.tolist() == list(pt.check_xor)
+    frontier = results["frontier"]
+    for mode, result in results.items():
+        assert result.success == frontier.success, mode
+        assert result.inserted == frontier.inserted, mode
+        assert result.deleted == frontier.deleted, mode
+        assert _cells(tables[mode]) == _cells(tables["frontier"]), mode
 
 
 class TestFrontierParity:
@@ -149,16 +137,13 @@ class TestFrontierParity:
     @settings(max_examples=30, deadline=None)
     def test_multiset_counts(self, updates, cells, seed):
         """Duplicate insertions and repeated deletes: cells with |count|
-        far from 1, partial cancellations, negative multiplicities.
-        Peel order is semantically ambiguous in such states (see
-        ``_assert_frontier_matches_oracles``), so the assertion is the
-        frontier-vs-rescan bit-identity contract."""
+        far from 1, partial cancellations, negative multiplicities."""
         coins = PublicCoins(seed)
         tables = _fresh_tables(coins, cells)
         for table in tables.values():
             _apply_signed(table, updates)
         results = _decode_all(tables)
-        _assert_frontier_matches_rescan(tables, results)
+        _assert_frontier_matches_oracles(tables, results)
 
     def test_duplicate_insertions_never_peel(self, coins):
         """A key inserted twice is invisible to peeling (count 2 cells,
@@ -168,14 +153,15 @@ class TestFrontierParity:
         for table in tables.values():
             table.insert_all([5, 5, 77, 77, 123])
         results = _decode_all(tables)
-        _assert_frontier_matches_rescan(tables, results)
+        _assert_frontier_matches_oracles(tables, results)
         for result in results.values():
             assert not result.success
             assert result.inserted == [123]
 
     def test_undecodable_overload(self, coins):
         """60 cells, 200 keys: a huge 2-core; both numpy decoders and the
-        python reference recover the same maximal peelable set."""
+        python reference recover the same maximal peelable set in the
+        same order."""
         rng = np.random.default_rng(17)
         keys = rng.choice(KEY_MAX, size=200, replace=False).tolist()
         tables = _fresh_tables(coins, cells=60)
@@ -208,10 +194,12 @@ class TestFrontierParity:
 
 
 class TestAdaptiveThreshold:
-    """The adaptive tail is behaviour-neutral: ANY ``tail_threshold`` —
-    always-vectorised (0), always-scalar (huge), or boundary values that
-    make the decode cross the switch mid-peel — must reproduce the
-    rescan oracle bit-for-bit."""
+    """The adaptive tail is behaviour-neutral: ANY ``PEEL_TAIL_THRESHOLD``
+    — always-vectorised (0), always-scalar (huge), or boundary values
+    that make the decode cross the switch mid-peel — must reproduce the
+    rescan and python oracles bit-for-bit.  The constant is patched on
+    :mod:`repro.iblt.iblt`, whose decoder reads it; the python backend
+    never reads it (every python round is scalar)."""
 
     THRESHOLDS = (0, 1, 2, 7, 33, 1 << 30)
 
@@ -236,8 +224,8 @@ class TestAdaptiveThreshold:
             table.insert_all(bob)
             other.insert_all(alice)
             diffs[mode] = table.subtract(other)
-        diffs["frontier"].tail_threshold = threshold
-        results = _decode_all(diffs)
+        with mock.patch.object(iblt_module, "PEEL_TAIL_THRESHOLD", threshold):
+            results = _decode_all(diffs)
         _assert_frontier_matches_oracles(diffs, results)
 
     @given(
@@ -260,9 +248,9 @@ class TestAdaptiveThreshold:
         tables = _fresh_tables(coins, cells)
         for table in tables.values():
             _apply_signed(table, updates)
-        tables["frontier"].tail_threshold = threshold
-        results = _decode_all(tables)
-        _assert_frontier_matches_rescan(tables, results)
+        with mock.patch.object(iblt_module, "PEEL_TAIL_THRESHOLD", threshold):
+            results = _decode_all(tables)
+        _assert_frontier_matches_oracles(tables, results)
 
     @pytest.mark.parametrize("threshold", THRESHOLDS)
     def test_undecodable_overload_any_threshold(self, coins, threshold):
@@ -273,8 +261,8 @@ class TestAdaptiveThreshold:
         tables = _fresh_tables(coins, cells=60)
         for table in tables.values():
             table.insert_all(keys)
-        tables["frontier"].tail_threshold = threshold
-        results = _decode_all(tables)
+        with mock.patch.object(iblt_module, "PEEL_TAIL_THRESHOLD", threshold):
+            results = _decode_all(tables)
         _assert_frontier_matches_oracles(tables, results)
         assert not results["frontier"].success
 
@@ -291,8 +279,8 @@ class TestAdaptiveThreshold:
         for threshold in (0, 4, 16, 48, 130, 1 << 30):
             table = IBLT(coins, "straddle", cells=cells, q=3, key_bits=KEY_BITS, backend="numpy")
             table.insert_batch(keys)
-            table.tail_threshold = threshold
-            result = table.decode()
+            with mock.patch.object(iblt_module, "PEEL_TAIL_THRESHOLD", threshold):
+                result = table.decode()
             outcome = (result.success, result.inserted, result.deleted)
             if reference is None:
                 reference = outcome
@@ -301,21 +289,15 @@ class TestAdaptiveThreshold:
 
 class TestPeelQueue:
     def test_fifo_order_and_dedup(self):
-        queue = PeelQueue(8, fifo=True)
+        queue = PeelQueue(8)
         for index in (3, 1, 3, 5, 1):
             queue.push(index)
         assert len(queue) == 3
         assert [queue.pop() for _ in range(3)] == [3, 1, 5]
         assert not queue
 
-    def test_lifo_order(self):
-        queue = PeelQueue(8, fifo=False)
-        for index in (0, 2, 4):
-            queue.push(index)
-        assert [queue.pop() for _ in range(3)] == [4, 2, 0]
-
     def test_reenqueue_after_pop(self):
-        queue = PeelQueue(4, fifo=True)
+        queue = PeelQueue(4)
         queue.push(2)
         assert queue.pop() == 2
         queue.push(2)  # popped entries may be enqueued again

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.hashing import PublicCoins
-from repro.iblt.backend import default_backend
 from repro.metric import HammingSpace
 from repro.protocol import Channel, FaultSpec, FaultyChannel
 from repro.reconcile import (
@@ -351,11 +350,8 @@ _AUTO_CASES = [(seed, (4, 8, 16)[seed % 3], 4) for seed in range(40)] + [
 
 class TestAutoSizedRecovery:
     #: SHA-256 over every run's per-label bits, rounds and result fields,
-    #: per backend (the two peel the same difference in different orders).
-    PINNED = {
-        "numpy": "9e514fb6217d5c9ddd903b6053287bf48212caf10e4d2c94a426be794be42665",
-        "python": "37eeb23a8221dfc5874e5d7af400bdf16ed2d5846bc37f868e4a46fca33b4c0f",
-    }
+    #: the same on both backends (they peel in the same rounds).
+    PINNED = "9e514fb6217d5c9ddd903b6053287bf48212caf10e4d2c94a426be794be42665"
 
     def test_runs_are_pinned(self, monkeypatch):
         records = []
@@ -381,4 +377,4 @@ class TestAutoSizedRecovery:
         assert retried >= 4
         assert [record["result"]["success"] for record in records].count(False) == 1
         digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
-        assert digest == self.PINNED[default_backend()]
+        assert digest == self.PINNED
