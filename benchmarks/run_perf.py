@@ -369,8 +369,8 @@ def bench_sweep_trials(n: int, repeats: int) -> tuple[float, float]:
 
     Unlike the other kernels this row is not python-vs-numpy: the first
     column is ``--jobs 1`` (serial, in-process) and the second a
-    ``--jobs 2`` process-pool dispatch over the *same* numpy-backend
-    trials, so ``speedup`` is the pool's parallel efficiency — a host
+    ``--jobs 2`` process-pool dispatch over the *same* trials, on the
+    process-wide backend (``REPRO_BACKEND``, numpy unless set), so ``speedup`` is the pool's parallel efficiency — a host
     fact the tracked baseline records, not a code property (see
     ``UNGATED_KERNELS``).  The serial and parallel reports are asserted
     byte-identical, so the perf row doubles as a determinism check.
@@ -382,12 +382,12 @@ def bench_sweep_trials(n: int, repeats: int) -> tuple[float, float]:
         base_params={"n": max(512, n // 2), "differences": 48, "q": 3},
         trials=4,
     )
-    serial = SweepRunner(backend="numpy", jobs=1)
+    serial = SweepRunner(jobs=1)
     # The parallel runner's pool is *persistent*: the first run pays the
     # worker spin-up and every later campaign reuses the warm pool, which
     # is exactly how the CLI drives multi-campaign sweeps.  Best-of
     # timing therefore measures the steady state, not the cold start.
-    parallel = SweepRunner(backend="numpy", jobs=2)
+    parallel = SweepRunner(jobs=2)
 
     def serial_path():
         return render_sweep_report(sweep, serial.run(sweep, seed=7), seed=7)

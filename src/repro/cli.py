@@ -31,6 +31,9 @@ scenario drivers (``emd``; ``gap``, or ``gap-lowdim`` with ``--lowdim``;
 ``exact-iblt``/``exact-auto``/``exact-cpi`` by ``--method``) and print
 its metrics.
 
+Every command runs on the process-wide backend, ``REPRO_BACKEND``
+(``numpy`` unless set to ``python``); any other value exits 2.
+
 Examples
 --------
 ::
@@ -39,7 +42,7 @@ Examples
     python -m repro.cli gap --space l1 --side 4096 --dim 2 --n 48 --k 3 \\
         --r1 4 --r2 512 --lowdim
     python -m repro.cli exact --method cpi --n 100 --delta 8
-    python -m repro.cli scenarios --seed 7 --backend numpy --output out.json
+    REPRO_BACKEND=python python -m repro.cli scenarios --seed 7 --output out.json
     python -m repro.cli sweep --campaign iblt-threshold --seed 7 --jobs 2
     python -m repro.cli serve --port 8377 --store
     python -m repro.cli client --port 8377 --sessions 8 --seed 7 \\
@@ -71,7 +74,7 @@ from .experiments import (
 from .experiments.scenarios import _space
 from .experiments.sweeps import with_trials
 from .hashing import PublicCoins
-from .iblt.backend import BACKENDS
+from .iblt.backend import default_backend
 
 __all__ = ["main", "build_parser"]
 
@@ -152,8 +155,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
             print(f"{spec.name:22s} {spec.protocol}")
         return 0
 
-    runner = ScenarioRunner(backend=args.backend)
-    results = runner.run_all(specs)
+    results = ScenarioRunner().run_all(specs)
     # Human-readable progress goes to stderr; stdout (or --output) carries
     # only the canonical JSON so same-seed runs stay byte-identical.
     for result in results:
@@ -206,7 +208,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # One runner for every requested campaign: with --jobs > 1 the
     # persistent worker pool spins up once and every campaign reuses
     # the warm workers.
-    with SweepRunner(backend=args.backend, jobs=args.jobs) as runner:
+    with SweepRunner(jobs=args.jobs) as runner:
         for name in selected:
             sweep = campaigns[name]
             if args.trials is not None:
@@ -440,8 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
         "scenarios", help="run the seeded scenario matrix, emit canonical JSON"
     )
     scen_parser.add_argument("--seed", type=int, default=0)
-    scen_parser.add_argument("--backend", choices=BACKENDS, default=None,
-                             help="force a backend (default: process default)")
     scen_parser.add_argument("--only", action="append", metavar="NAME",
                              help="run only the named scenario (repeatable)")
     scen_parser.add_argument("--list", action="store_true",
@@ -465,8 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "reports are byte-identical regardless)")
     sweep_parser.add_argument("--trials", type=int, default=None,
                               help="override the campaigns' trials per grid point")
-    sweep_parser.add_argument("--backend", choices=BACKENDS, default=None,
-                              help="force a backend (default: process default)")
     sweep_parser.add_argument("--list", action="store_true",
                               help="list campaigns and exit")
     sweep_parser.add_argument("--output", type=Path, default=None,
@@ -580,6 +578,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        default_backend()  # a bad REPRO_BACKEND fails before any command runs
+    except ValueError as error:
+        print(error, file=sys.stderr)
+        return 2
     if getattr(args, "far_radius", None) is None and hasattr(args, "far_radius"):
         # Default far radius: beyond r2 for gap; otherwise a quarter of
         # the space's diameter (at least 8).

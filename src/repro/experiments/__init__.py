@@ -2,10 +2,10 @@
 
 A :class:`ScenarioSpec` names a workload generator, a protocol driver,
 its parameters, and a seed; a :class:`ScenarioRunner` executes specs on
-a chosen backend and returns :class:`ScenarioResult` objects whose
-canonical JSON rendering is byte-identical across runs with the same
-seed (wall-clock timings are carried separately and excluded from the
-canonical form).  ``python -m repro.cli scenarios`` exposes the built-in
+the process-wide backend (``REPRO_BACKEND``) and returns
+:class:`ScenarioResult` objects whose canonical JSON rendering is
+byte-identical across runs with the same seed (wall-clock timings are
+carried separately and excluded from the canonical form).  ``python -m repro.cli scenarios`` exposes the built-in
 matrix on the command line; CI smoke-tests it on both backends and diffs
 it against the golden reports pinned in ``tests/goldens/``.
 

@@ -1,9 +1,8 @@
 """The scenario runner and its canonical JSON report.
 
 :class:`ScenarioRunner` executes :class:`~repro.experiments.scenarios.ScenarioSpec`
-objects on a chosen backend (by scoping the ``REPRO_BACKEND`` process
-default around each run, exactly the knob CI's matrix sets globally) and
-times each run.  :func:`render_report`
+objects on the process-wide backend (``REPRO_BACKEND``, the knob CI's
+matrix sets) and times each run.  :func:`render_report`
 turns the results into the canonical JSON document: keys sorted, floats
 pre-rounded by the drivers, timings excluded unless asked for — so two
 runs with the same seed and backend produce byte-identical reports,
@@ -13,12 +12,10 @@ which is the invariant CI's ``scenarios-smoke`` job enforces.
 from __future__ import annotations
 
 import json
-import os
 import time
-from contextlib import contextmanager
 from typing import Iterable, Sequence
 
-from ..iblt.backend import default_backend, resolve_backend
+from ..iblt.backend import default_backend
 from .scenarios import DRIVERS, ScenarioResult, ScenarioSpec
 
 __all__ = ["ScenarioRunner", "render_report"]
@@ -26,45 +23,16 @@ __all__ = ["ScenarioRunner", "render_report"]
 SCHEMA = "repro.scenarios/v1"
 
 
-@contextmanager
-def _scoped_env(name: str, value: str | None):
-    """Temporarily pin an environment variable (None leaves it alone)."""
-    if value is None:
-        yield
-        return
-    previous = os.environ.get(name)
-    os.environ[name] = value
-    try:
-        yield
-    finally:
-        if previous is None:
-            del os.environ[name]
-        else:
-            os.environ[name] = previous
-
-
 class ScenarioRunner:
-    """Run scenario specs against one backend.
-
-    Parameters
-    ----------
-    backend:
-        ``"numpy"``/``"python"`` to force, or None for the process-wide
-        default (``REPRO_BACKEND`` or numpy).
-    """
-
-    def __init__(self, backend: str | None = None):
-        # Validate eagerly so a typo fails before any scenario runs.
-        self.backend = None if backend is None else resolve_backend(backend)
+    """Run scenario specs on the process-wide backend."""
 
     def run(self, spec: ScenarioSpec) -> ScenarioResult:
         """Execute one spec; raises ``KeyError`` for an unknown protocol."""
         driver = DRIVERS[spec.protocol]
-        with _scoped_env("REPRO_BACKEND", self.backend):
-            backend = default_backend()
-            start = time.perf_counter()
-            metrics = driver(spec, spec.rng(), spec.coins())
-            elapsed = time.perf_counter() - start
+        backend = default_backend()
+        start = time.perf_counter()
+        metrics = driver(spec, spec.rng(), spec.coins())
+        elapsed = time.perf_counter() - start
         return ScenarioResult(
             spec=spec,
             backend=backend,

@@ -84,7 +84,7 @@ class ScenarioSpec:
 class ScenarioResult:
     """A finished scenario: the spec, its metrics, and the wall time.
 
-    ``backend`` records the *resolved* backend (after env defaults).
+    ``backend`` records the resolved ``REPRO_BACKEND``.
     ``metrics`` is flat and JSON-safe; ``wall_time_s`` lives outside it
     so the canonical report can stay byte-deterministic.
     """

@@ -27,7 +27,8 @@ Layers
     instead of once per campaign.  Trials are dispatched in contiguous
     *chunks* — one pickle round-trip per chunk instead of one per trial
     — and are embarrassingly parallel and fully determined by their
-    :class:`ScenarioSpec`; results are re-assembled in expansion order,
+    :class:`ScenarioSpec` and ``REPRO_BACKEND``, which forked workers
+    inherit from the parent; results are re-assembled in expansion order,
     so a parallel run's report is byte-identical to the serial run's —
     the invariant CI's ``sweep-smoke`` job enforces.  Close the pool
     with :meth:`SweepRunner.close` or use the runner as a context
@@ -58,7 +59,6 @@ from typing import Any, Callable, Mapping, Sequence
 
 from ..analysis.stats import success_rate, summarize
 from ..hashing import derive_seed
-from ..iblt.backend import resolve_backend
 from .runner import ScenarioRunner
 from .scenarios import DRIVERS, ScenarioResult, ScenarioSpec, _round6
 
@@ -188,29 +188,19 @@ class SweepPointResult:
         return sum(1 for result in self.results if result.success)
 
 
-def _execute_trial(task: tuple[str | None, ScenarioSpec]) -> ScenarioResult:
-    """Worker entry point: run one spec on the requested backend.
+def _execute_trial_chunk(specs: "list[ScenarioSpec]") -> "list[ScenarioResult]":
+    """Worker entry point: run a contiguous chunk of trials, in order.
 
-    Module-level (not a closure) so process-pool workers can unpickle it;
-    everything a trial does is determined by the task tuple, which is what
-    makes parallel runs bit-identical to serial ones.
+    Module-level (not a closure) so process-pool workers can unpickle it.
+    Everything a trial does is determined by its spec and the inherited
+    ``REPRO_BACKEND``, which is what makes parallel runs bit-identical to
+    serial ones.  One submission carries a whole chunk, so the pickle/IPC
+    round-trip — which dominated small campaigns when every trial
+    travelled alone — is paid once per chunk; results come back in list
+    order, preserving the expansion-order reassembly the
+    byte-identical-reports guarantee rests on.
     """
-    backend, spec = task
-    return ScenarioRunner(backend=backend).run(spec)
-
-
-def _execute_trial_chunk(
-    tasks: "list[tuple[str | None, ScenarioSpec]]",
-) -> "list[ScenarioResult]":
-    """Worker entry point for a contiguous chunk of trials.
-
-    One submission carries a whole chunk, so the pickle/IPC round-trip —
-    which dominated small campaigns when every trial travelled alone —
-    is paid once per chunk.  Trials run in list order and results come
-    back in the same order, preserving the expansion-order reassembly
-    the byte-identical-reports guarantee rests on.
-    """
-    return [_execute_trial(task) for task in tasks]
+    return ScenarioRunner().run_all(specs)
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
@@ -223,12 +213,12 @@ def _pool_context() -> multiprocessing.context.BaseContext:
 class SweepRunner:
     """Run sweep campaigns serially or on a persistent worker pool.
 
+    Trials run on the process-wide backend; forked pool workers inherit
+    the parent's ``REPRO_BACKEND``, so pools behave exactly like the
+    parent process.
+
     Parameters
     ----------
-    backend:
-        Forced backend, as in :class:`ScenarioRunner` (None means the
-        process-wide default; resolved per-worker, so pools behave
-        exactly like the parent process).
     jobs:
         Worker count.  ``jobs=1`` runs in-process with no pool at all;
         any larger count lazily creates one persistent process pool that
@@ -240,8 +230,7 @@ class SweepRunner:
         chunking is pure transport and cannot affect report bytes.
     """
 
-    def __init__(self, backend: str | None = None, jobs: int = 1):
-        self.backend = None if backend is None else resolve_backend(backend)
+    def __init__(self, jobs: int = 1):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
@@ -278,12 +267,12 @@ class SweepRunner:
     def run(self, sweep: SweepSpec, seed: int = 0) -> list[SweepPointResult]:
         """Execute every trial of ``sweep`` and group results by grid point."""
         trials = sweep.trial_specs(seed)
-        tasks = [(self.backend, trial.spec) for trial in trials]
+        specs = [trial.spec for trial in trials]
         if self.jobs == 1:
-            results = [_execute_trial(task) for task in tasks]
+            results = _execute_trial_chunk(specs)
         else:
-            chunk = self._chunk_size(len(tasks))
-            chunks = [tasks[i : i + chunk] for i in range(0, len(tasks), chunk)]
+            chunk = self._chunk_size(len(specs))
+            chunks = [specs[i : i + chunk] for i in range(0, len(specs), chunk)]
             pool = self._ensure_pool()
             futures = [pool.submit(_execute_trial_chunk, c) for c in chunks]
             # Futures are drained in submission order regardless of which

@@ -1,43 +1,43 @@
-"""Backend selection for the IBLT family.
+"""Backend selection for the classic IBLT.
 
-:class:`~repro.iblt.iblt.IBLT` and :class:`~repro.iblt.counting.MultisetIBLT`
-(and the strata estimator built from IBLTs) take one of two
-interchangeable backends:
+:class:`~repro.iblt.iblt.IBLT` is the one table whose fixed-width XOR
+cells admit two interchangeable layouts (the strata estimator is a stack
+of IBLTs and takes whatever layout they resolve):
 
 ``"numpy"`` (default)
     Cell state lives in flat numpy arrays and the hot paths — hashing,
     batch insert/delete, subtraction, pure-cell detection — run as
     vectorised ``uint64`` operations (exact Mersenne-61 arithmetic via
-    :mod:`repro.hashing.mersenne`).  The IBLT's large peel rounds are
-    vectorised and its tail rounds scalar, over a shared hash cache
-    (:mod:`repro.iblt.frontier`); the multiset table keeps its exact
-    FIFO peel and batch-primes the cache.
+    :mod:`repro.hashing.mersenne`).  Large peel rounds are vectorised
+    and tail rounds scalar, over a shared hash cache
+    (:mod:`repro.iblt.frontier`).
 
 ``"python"``
     The original pure-Python reference implementation: cell state in
     lists, arbitrary-precision integers everywhere, one uncached hash
-    evaluation per lookup.  The IBLT peels in the numpy decoder's
-    rounds, every round scalar, and the multiset table in the same FIFO
-    order.  Kept as the ground truth the property tests pin the numpy
-    backend against, and as the backend for keys wider than
-    :data:`MAX_NUMPY_KEY_BITS`.
+    evaluation per lookup, every peel round scalar.  Kept as the ground
+    truth the property tests pin the numpy layout against, and as the
+    layout for keys wider than :data:`MAX_NUMPY_KEY_BITS`.
 
-Both backends are bit-identical for the same :class:`~repro.hashing.PublicCoins`,
-decode output and its order included (``tests/test_backend_parity.py``).  The process-wide default comes from
-the ``REPRO_BACKEND`` environment variable when set, else ``"numpy"``;
-individual tables can override it via their ``backend=`` parameter.
-This is the only environment knob the package reads.
+Both layouts are bit-identical for the same :class:`~repro.hashing.PublicCoins`,
+decode output and its order included (``tests/test_backend_parity.py``).
+There is one switch: the ``REPRO_BACKEND`` environment variable, else
+``"numpy"``; the only per-object override is ``IBLT(backend=...)``,
+which lets one process hold both layouts side by side.  This is the
+only environment knob the package reads.
 
 The key width is the one other input: :func:`resolve_backend` is the
 single place that decides a table's keys are too wide for ``uint64``
 cells and vectorised Mersenne hashing, and routes it to ``"python"``.
 
-The :class:`~repro.iblt.riblt.RIBLT` has no backend.  Its count, key and
-checksum sums are exact Python ints; its values are one ``(m, dim)``
-matrix, ``int64`` while the bound the table tracks stays below ``2^62``
-and exact ``object`` ints past it.  Its batch ingest takes the
-vectorised route whenever ``key_bits <= MAX_NUMPY_KEY_BITS``, under
-either ``REPRO_BACKEND``; wider keys are added pair by pair.
+The sum-cell tables have no backend.  The counts and sums of
+:class:`~repro.iblt.counting.MultisetIBLT` and
+:class:`~repro.iblt.riblt.RIBLT` are exact Python ints (the RIBLT's
+values are one ``(m, dim)`` matrix, ``int64`` while the bound the table
+tracks stays below ``2^62`` and exact ``object`` ints past it).  Their
+batch ingest takes the vectorised route whenever ``key_bits <=
+MAX_NUMPY_KEY_BITS``, under either ``REPRO_BACKEND``; wider keys are
+added one at a time.
 """
 
 from __future__ import annotations

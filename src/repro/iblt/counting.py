@@ -19,17 +19,15 @@ rule: exact integers within int64, else ``ValueError`` (floats and bools
 are rejected, never truncated), checked for a whole batch before any
 cell changes.
 
-Backends: cell *sums* here are unbounded integers (a pre-subtraction cell
-accumulates ``Θ(n·q/m)`` 61-bit items), so unlike the XOR-based
-:class:`~repro.iblt.iblt.IBLT` they cannot live in fixed-width numpy
-arrays without overflow.  The ``"numpy"`` backend therefore keeps exact
-Python-int cells but batch-computes the expensive part — cell indices and
-checksums — with the vectorised Mersenne hashes, which is where nearly
-all of the insert cost goes; decode likewise peels through the shared
+No backend: cell *sums* here are unbounded integers (a pre-subtraction
+cell accumulates ``Θ(n·q/m)`` 61-bit items), so unlike the XOR-based
+:class:`~repro.iblt.iblt.IBLT` they are exact Python ints, as in the
+:class:`~repro.iblt.riblt.RIBLT`.  Batch ingest computes cell indices
+and checksums — nearly all of the insert cost — with the vectorised
+Mersenne hashes when ``key_bits <= MAX_NUMPY_KEY_BITS`` and adds wider
+keys one at a time.  Decode peels through the shared
 :class:`~repro.iblt.frontier.KeyHashCache`, batch-primed by the seeding
-scan.  The ``"python"`` backend peels through
-:class:`~repro.iblt.frontier.ScalarHashes`, one scalar hash per lookup,
-as the reference.  Both run the same FIFO peel and are bit-identical.
+scan; the tests pin it against :class:`~repro.iblt.frontier.ScalarHashes`.
 """
 
 from __future__ import annotations
@@ -40,8 +38,7 @@ from typing import Iterable
 import numpy as np
 
 from ..hashing import PublicCoins, check_integers, exact_int
-from .backend import resolve_backend
-from .frontier import ScalarHashes
+from .backend import MAX_NUMPY_KEY_BITS
 from .iblt import SumCellTable, check_key, coerce_key_array, key_list
 
 __all__ = ["MultisetIBLT", "MultisetDecodeResult"]
@@ -113,9 +110,7 @@ class MultisetIBLT(SumCellTable):
         cells: int,
         q: int = 3,
         key_bits: int = 61,
-        backend: str | None = None,
     ):
-        self.backend = resolve_backend(backend, key_bits)
         super().__init__(coins, label, cells, q, key_bits)
 
     def insert(self, key: int, multiplicity: int = 1) -> None:
@@ -137,10 +132,9 @@ class MultisetIBLT(SumCellTable):
         """Insert a batch of keys (any ndarray or iterable of ints) with
         per-key (or scalar) multiplicities.
 
-        The whole batch is validated before any cell changes.  On the
-        numpy backend the cell indices and checksums — the dominant
-        insert cost — are computed in one vectorised pass; the unbounded
-        cell sums are then updated exactly.
+        The whole batch is validated before any cell changes.  Keys of
+        at most ``MAX_NUMPY_KEY_BITS`` bits get their cell indices and
+        checksums in one vectorised pass; the cell sums stay exact.
         """
         self._update_batch(keys, multiplicities, +1)
 
@@ -162,7 +156,7 @@ class MultisetIBLT(SumCellTable):
         multiplicities: np.ndarray | int,
         sign: int,
     ) -> None:
-        if self.backend != "numpy":
+        if self.key_bits > MAX_NUMPY_KEY_BITS:
             # Keys stay Python ints, so widths beyond uint64 remain exact.
             keys = key_list(keys, self.key_bits)
             mults = _multiplicity_array(multiplicities, len(keys)).tolist()
@@ -217,9 +211,7 @@ class MultisetIBLT(SumCellTable):
         <repro.iblt.iblt.SumCellTable._peel>`); destructive.
 
         Each peeled cell adds its count to its key's signed multiplicity.
-        The numpy backend peels through the shared hash cache, the python
-        backend through :class:`~repro.iblt.frontier.ScalarHashes`; the
-        results are bit-identical.
+        Hashes come from the shared hash cache.
         """
         result = MultisetDecodeResult(success=False)
         multiplicities = result.multiplicities
@@ -231,6 +223,5 @@ class MultisetIBLT(SumCellTable):
             else:
                 del multiplicities[key]
 
-        hashes = self._hash_cache if self.backend == "numpy" else ScalarHashes(self)
-        result.success = self._peel(hashes, on_peel)
+        result.success = self._peel(self._hash_cache, on_peel)
         return result

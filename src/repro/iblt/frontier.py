@@ -31,9 +31,8 @@ share the engine pieces defined here:
   value-error propagation the RIBLT analysis charges — is bit-identical
   to uncached scalar evaluation.
 * :class:`ScalarHashes` — the same interface with no memo: the uncached
-  scalar evaluation itself.  The python backends of the IBLT and the
-  multiset peel through it, and the tests pin :class:`KeyHashCache`
-  against it.
+  scalar evaluation itself.  The python-layout IBLT peels through it,
+  and the tests pin :class:`KeyHashCache` against it.
 
 The peel frontier shrinks geometrically (the supercritical branching
 process dies out), so a fixed-cost vectorised round is exactly wrong at
@@ -320,9 +319,9 @@ class ScalarHashes:
     :meth:`check` and :meth:`indices` call the table's own ``checksum``
     and ``cell_indices`` on every lookup and :meth:`prime` does nothing,
     so a peel through it hashes one key at a time: the pure-Python
-    reference every cached peel must match.  The python backends of
-    :class:`~repro.iblt.iblt.IBLT` and
-    :class:`~repro.iblt.counting.MultisetIBLT` both peel through it.
+    reference every cached peel must match.  The python-layout
+    :class:`~repro.iblt.iblt.IBLT` peels through it; the tests swap it
+    in for the sum-cell tables' cache.
     """
 
     __slots__ = ("_table",)

@@ -439,9 +439,9 @@ class IBLT(CellTable):
     key_bits:
         Width of stored keys; keys must lie in ``[0, 2^key_bits)``.
     backend:
-        ``"numpy"`` or ``"python"`` (default: the process-wide default,
-        see :mod:`repro.iblt.backend`, which also routes keys too wide
-        for ``uint64`` cells to ``"python"``).
+        ``"numpy"`` or ``"python"``: the one per-object override of
+        ``REPRO_BACKEND`` (see :mod:`repro.iblt.backend`, which also
+        routes keys too wide for ``uint64`` cells to ``"python"``).
     """
 
     _TAG = "iblt"
@@ -705,7 +705,7 @@ class IBLT(CellTable):
         self,
         result: IBLTDecodeResult,
         pure_cells: np.ndarray,
-        pure_keys: np.ndarray | None = None,
+        pure_keys: np.ndarray,
     ) -> np.ndarray:
         """Peel one round's pure cells; returns the touched-cell matrix.
 
@@ -717,11 +717,9 @@ class IBLT(CellTable):
         cells whose purity can have changed.  The checksums to scatter
         are read straight out of the pure cells — the purity test just
         proved ``check_xor == checksum(key)`` there — saving a hash pass.
-        ``pure_keys`` (``key_xor[pure_cells]``, if the caller already
-        gathered it for the purity test) likewise saves a re-gather.
+        ``pure_keys`` is ``key_xor[pure_cells]``, already gathered for
+        the purity test.
         """
-        if pure_keys is None:
-            pure_keys = self.key_xor[pure_cells]
         keys, first = np.unique(pure_keys, return_index=True)
         picked = pure_cells[first]
         signs = self.counts[picked]

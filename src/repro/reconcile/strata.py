@@ -23,7 +23,6 @@ from typing import Iterable
 import numpy as np
 
 from ..hashing import PairwiseHash, PublicCoins
-from ..iblt.backend import resolve_backend
 from ..iblt.iblt import IBLT, check_key, coerce_key_array, key_list
 from ..protocol.serialize import BitReader, BitWriter
 from ..protocol.tables import read_iblt_cells, write_iblt_cells
@@ -57,7 +56,8 @@ class StrataEstimator:
         Cells per stratum (small; each stratum only needs to decode its
         ~``d/2^i`` expected differences for *some* decodable ``i``).
     key_bits:
-        Width of the element keys.
+        Width of the element keys; with ``REPRO_BACKEND`` it settles the
+        stratum tables' IBLT layout.
     """
 
     def __init__(
@@ -67,24 +67,15 @@ class StrataEstimator:
         strata: int = _DEFAULT_STRATA,
         cells: int = _CELLS_PER_STRATUM,
         key_bits: int = 61,
-        backend: str | None = None,
     ):
         if strata < 1:
             raise ValueError(f"strata must be >= 1, got {strata}")
         self.coins = coins
         self.label = label
         self.shape = _Shape(strata=strata, cells=cells, key_bits=key_bits)
-        self.backend = resolve_backend(backend, key_bits)
         self._stratum_hash = PairwiseHash(coins, ("strata-level", label), bits=61)
         self.tables = [
-            IBLT(
-                coins,
-                ("strata", label, i),
-                cells=cells,
-                q=3,
-                key_bits=key_bits,
-                backend=self.backend,
-            )
+            IBLT(coins, ("strata", label, i), cells=cells, q=3, key_bits=key_bits)
             for i in range(strata)
         ]
 
@@ -132,10 +123,10 @@ class StrataEstimator:
     ) -> "list[tuple[IBLT, np.ndarray | list[int]]]":
         """Validate a key batch and split it into per-stratum batches.
 
-        The numpy backend assigns strata in one vectorised pass; the
-        python backend keeps the keys as exact Python ints.
+        Numpy-layout tables get strata assigned in one vectorised pass;
+        python-layout tables keep the keys as exact Python ints.
         """
-        if self.backend != "numpy":
+        if self.tables[0].backend != "numpy":
             groups: dict[int, list[int]] = {}
             for key in key_list(keys, self.shape.key_bits):
                 groups.setdefault(self._stratum_of(key), []).append(key)

@@ -10,6 +10,9 @@ backends peel the same rounds and leave the same unpeelable 2-core.
 
 from __future__ import annotations
 
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.hashing import PublicCoins
 from repro.iblt import IBLT, RIBLT, MultisetIBLT
+from repro.iblt.frontier import ScalarHashes
 from repro.reconcile.strata import StrataEstimator
 
 KEY_BITS = 56
@@ -111,18 +115,15 @@ class TestIBLTParity:
         result = loaded.decode()
         assert result.success and sorted(result.inserted) == keys
 
-    def test_wide_keys_fall_back_to_python(self, coins):
+    def test_wide_keys_fall_back_to_python(self, coins, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "numpy")
         table = IBLT(coins, "wide", cells=30, q=3, key_bits=80)
         assert table.backend == "python"
         with pytest.raises(ValueError):
             IBLT(coins, "wide", cells=30, q=3, key_bits=80, backend="numpy")
-        # The whole family honours the same contract.
-        assert MultisetIBLT(coins, "wide", cells=30, key_bits=80).backend == "python"
-        with pytest.raises(ValueError):
-            MultisetIBLT(coins, "wide", cells=30, key_bits=80, backend="numpy")
-        assert StrataEstimator(coins, "wide", key_bits=80).backend == "python"
-        with pytest.raises(ValueError):
-            StrataEstimator(coins, "wide", key_bits=80, backend="numpy")
+        # The strata estimator's tables follow the same rule.
+        estimator = StrataEstimator(coins, "wide", key_bits=80)
+        assert {table.backend for table in estimator.tables} == {"python"}
 
     def test_large_n_decode_near_threshold(self, coins):
         """A big difference table just under the q=3 peeling threshold
@@ -189,47 +190,59 @@ class TestMultisetParity:
     )
     @settings(max_examples=25, deadline=None)
     def test_insert_state_identical(self, entries, seed):
+        """The vectorised batch ingest against a scalar insert loop."""
         coins = PublicCoins(seed)
         tables = {
-            backend: MultisetIBLT(
-                coins, "mp", cells=24, q=3, key_bits=KEY_BITS, backend=backend
-            )
-            for backend in ("python", "numpy")
+            route: MultisetIBLT(coins, "mp", cells=24, q=3, key_bits=KEY_BITS)
+            for route in ("scalar", "batch")
         }
         for key, mult in entries:
-            tables["python"].insert(key, mult)
+            tables["scalar"].insert(key, mult)
         if entries:
             keys, mults = zip(*entries)
-            tables["numpy"].insert_batch(
+            tables["batch"].insert_batch(
                 np.array(keys, dtype=np.uint64), np.array(mults, dtype=np.int64)
             )
-        assert tables["python"].counts == tables["numpy"].counts
-        assert tables["python"].key_sum == tables["numpy"].key_sum
-        assert tables["python"].check_sum == tables["numpy"].check_sum
+        assert tables["scalar"].counts == tables["batch"].counts
+        assert tables["scalar"].key_sum == tables["batch"].key_sum
+        assert tables["scalar"].check_sum == tables["batch"].check_sum
 
     def test_subtract_decode_identical(self, coins):
+        """Scalar-built and batch-built tables, peeled through
+        :class:`~repro.iblt.frontier.ScalarHashes` and through the cache,
+        decode the same signed multiplicities in the same order."""
         rng = np.random.default_rng(4)
         alice = {int(k): int(m) for k, m in zip(rng.choice(KEY_MAX, 30, replace=False), rng.integers(1, 4, 30))}
         bob = dict(list(alice.items())[5:])
         bob.update({int(k): 2 for k in rng.choice(KEY_MAX, 5, replace=False)})
         decoded = {}
-        for backend in ("python", "numpy"):
-            table_a = MultisetIBLT(coins, "msd", cells=60, q=4, key_bits=KEY_BITS, backend=backend)
-            table_b = MultisetIBLT(coins, "msd", cells=60, q=4, key_bits=KEY_BITS, backend=backend)
-            for key, mult in alice.items():
-                table_a.insert(key, mult)
-            table_b.insert_batch(
-                np.array(list(bob), dtype=np.uint64),
-                np.array(list(bob.values()), dtype=np.int64),
-            )
-            decoded[backend] = table_a.subtract(table_b).decode()
-        assert decoded["python"].success == decoded["numpy"].success
-        assert decoded["python"].multiplicities == decoded["numpy"].multiplicities
+        for route in ("scalar", "batch"):
+            table_a = MultisetIBLT(coins, "msd", cells=60, q=4, key_bits=KEY_BITS)
+            table_b = MultisetIBLT(coins, "msd", cells=60, q=4, key_bits=KEY_BITS)
+            if route == "scalar":
+                for key, mult in alice.items():
+                    table_a.insert(key, mult)
+                for key, mult in bob.items():
+                    table_b.insert(key, mult)
+            else:
+                for table, entries in ((table_a, alice), (table_b, bob)):
+                    table.insert_batch(
+                        np.array(list(entries), dtype=np.uint64),
+                        np.array(list(entries.values()), dtype=np.int64),
+                    )
+            difference = table_a.subtract(table_b)
+            if route == "scalar":
+                difference._hash_cache = ScalarHashes(difference)
+            decoded[route] = difference.decode()
+        assert decoded["scalar"].success and decoded["batch"].success
+        assert list(decoded["scalar"].multiplicities.items()) == list(
+            decoded["batch"].multiplicities.items()
+        )
 
 
 class TestStrataParity:
     def test_stratum_assignment_matches_scalar(self, coins):
-        estimator = StrataEstimator(coins, "sa", backend="numpy")
+        estimator = StrataEstimator(coins, "sa")
         rng = np.random.default_rng(6)
         keys = rng.integers(0, 1 << 60, size=500, dtype=np.uint64)
         batch = estimator._strata_of_batch(keys)
@@ -246,8 +259,10 @@ class TestStrataParity:
         estimates = {}
         sketches = {}
         for backend in ("python", "numpy"):
-            sketch_a = StrataEstimator(coins, "se", backend=backend)
-            sketch_b = StrataEstimator(coins, "se", backend=backend)
+            # Hypothesis bodies cannot take the function-scoped monkeypatch.
+            with mock.patch.dict(os.environ, {"REPRO_BACKEND": backend}):
+                sketch_a = StrataEstimator(coins, "se")
+                sketch_b = StrataEstimator(coins, "se")
             sketch_a.insert_batch(int(k) for k in alice)
             sketch_b.insert_batch(int(k) for k in bob)
             sketches[backend] = sketch_a
@@ -260,15 +275,15 @@ class TestStrataParity:
         assert estimates["python"] == estimates["numpy"]
 
 
+#: Every sketch takes its layout from ``REPRO_BACKEND`` (the multiset
+#: table has none, so the process switch must not change it).
 _SKETCHES = {
-    "iblt": lambda coins, key_bits, backend: IBLT(
-        coins, "ingest", cells=30, q=3, key_bits=key_bits, backend=backend
+    "iblt": lambda coins, key_bits: IBLT(coins, "ingest", cells=30, q=3, key_bits=key_bits),
+    "multiset": lambda coins, key_bits: MultisetIBLT(
+        coins, "ingest", cells=30, q=3, key_bits=key_bits
     ),
-    "multiset": lambda coins, key_bits, backend: MultisetIBLT(
-        coins, "ingest", cells=30, q=3, key_bits=key_bits, backend=backend
-    ),
-    "strata": lambda coins, key_bits, backend: StrataEstimator(
-        coins, "ingest", strata=8, cells=12, key_bits=key_bits, backend=backend
+    "strata": lambda coins, key_bits: StrataEstimator(
+        coins, "ingest", strata=8, cells=12, key_bits=key_bits
     ),
 }
 
@@ -292,17 +307,20 @@ _KEY_INPUTS = {
 
 class TestBatchIngest:
     """One ingest path: every sketch's batch methods take any key
-    sequence on either backend, match scalar inserts byte for byte, and
-    reject a bad batch before touching a cell."""
+    sequence under either ``REPRO_BACKEND``, match scalar inserts on the
+    python layout byte for byte, and reject a bad batch before touching
+    a cell."""
 
     @pytest.mark.parametrize("form", sorted(_KEY_INPUTS))
     @pytest.mark.parametrize("backend", ["python", "numpy"])
     @pytest.mark.parametrize("kind", sorted(_SKETCHES))
-    def test_batch_matches_scalar_inserts(self, coins, kind, backend, form):
-        scalar = _SKETCHES[kind](coins, KEY_BITS, "python")
+    def test_batch_matches_scalar_inserts(self, coins, monkeypatch, kind, backend, form):
+        monkeypatch.setenv("REPRO_BACKEND", "python")
+        scalar = _SKETCHES[kind](coins, KEY_BITS)
         for key in _KEY_INPUTS[form]():
             scalar.insert(int(key))
-        batched = _SKETCHES[kind](coins, KEY_BITS, backend)
+        monkeypatch.setenv("REPRO_BACKEND", backend)
+        batched = _SKETCHES[kind](coins, KEY_BITS)
         batched.insert_batch(_KEY_INPUTS[form]())
         assert batched.to_payload() == scalar.to_payload()
         batched.delete_batch(_KEY_INPUTS[form]())
@@ -311,8 +329,9 @@ class TestBatchIngest:
     @pytest.mark.parametrize("bad", _BAD_KEYS)
     @pytest.mark.parametrize("backend", ["python", "numpy"])
     @pytest.mark.parametrize("kind", sorted(_SKETCHES))
-    def test_bad_key_rejects_whole_batch(self, coins, kind, backend, bad):
-        sketch = _SKETCHES[kind](coins, KEY_BITS, backend)
+    def test_bad_key_rejects_whole_batch(self, coins, monkeypatch, kind, backend, bad):
+        monkeypatch.setenv("REPRO_BACKEND", backend)
+        sketch = _SKETCHES[kind](coins, KEY_BITS)
         for method in (sketch.insert_batch, sketch.delete_batch):
             with pytest.raises(ValueError):
                 method([5, 6, bad, 7])
@@ -321,9 +340,10 @@ class TestBatchIngest:
     @pytest.mark.parametrize("bad", _NON_INTEGER_KEYS)
     @pytest.mark.parametrize("backend", ["python", "numpy"])
     @pytest.mark.parametrize("kind", sorted(_SKETCHES))
-    def test_non_integer_scalar_key_rejected(self, coins, kind, backend, bad):
+    def test_non_integer_scalar_key_rejected(self, coins, monkeypatch, kind, backend, bad):
         """``insert(3.9)`` must not truncate to key 3 on either backend."""
-        sketch = _SKETCHES[kind](coins, KEY_BITS, backend)
+        monkeypatch.setenv("REPRO_BACKEND", backend)
+        sketch = _SKETCHES[kind](coins, KEY_BITS)
         for method in (sketch.insert, sketch.delete):
             with pytest.raises(ValueError):
                 method(bad)
@@ -332,21 +352,21 @@ class TestBatchIngest:
     @pytest.mark.parametrize("kind", sorted(_SKETCHES))
     def test_wide_keys_take_every_form(self, coins, kind):
         wide = [1, (1 << 70) + 5, (1 << 79) + 3]
-        scalar = _SKETCHES[kind](coins, 80, None)
+        scalar = _SKETCHES[kind](coins, 80)
         for key in wide:
             scalar.insert(key)
         for keys in (np.array(wide, dtype=object), wide, set(wide), iter(wide)):
-            batched = _SKETCHES[kind](coins, 80, None)
+            batched = _SKETCHES[kind](coins, 80)
             batched.insert_batch(keys)
             assert batched.to_payload() == scalar.to_payload()
         with pytest.raises(ValueError):
-            _SKETCHES[kind](coins, 80, None).insert_batch([1 << 80])
+            _SKETCHES[kind](coins, 80).insert_batch([1 << 80])
 
     @pytest.mark.parametrize("kind", sorted(_SKETCHES))
     def test_all_names_alias_batch_methods(self, kind):
         """The ``*_all`` aliases survive only on the tables the e2e
         tracer names; the strata estimator has none."""
-        sketch_type = type(_SKETCHES[kind](PublicCoins(1), KEY_BITS, None))
+        sketch_type = type(_SKETCHES[kind](PublicCoins(1), KEY_BITS))
         if kind == "strata":
             assert not hasattr(sketch_type, "insert_all")
             return
@@ -355,8 +375,9 @@ class TestBatchIngest:
 
     @pytest.mark.parametrize("kind", ["iblt", "strata"])
     @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_apply_mutations_validates_both_deltas_first(self, coins, kind, backend):
-        sketch = _SKETCHES[kind](coins, KEY_BITS, backend)
+    def test_apply_mutations_validates_both_deltas_first(self, coins, monkeypatch, kind, backend):
+        monkeypatch.setenv("REPRO_BACKEND", backend)
+        sketch = _SKETCHES[kind](coins, KEY_BITS)
         with pytest.raises(ValueError):
             sketch.apply_mutations(inserts=[1, 2], deletes=[3, -4])
         assert sketch.is_empty()

@@ -55,9 +55,9 @@ OPTION_SURFACE = {
     ("emd",): _COMMON,
     ("gap",): _COMMON | {"--r1", "--r2", "--lowdim"},
     ("exact",): {"--method", "--dim", "--n", "--delta", "--seed"},
-    ("scenarios",): {"--seed", "--backend", "--only", "--list", "--timings", "--output"},
-    ("sweep",): {"--campaign", "--seed", "--jobs", "--trials", "--backend", "--list",
-                 "--output", "--output-dir"},
+    ("scenarios",): {"--seed", "--only", "--list", "--timings", "--output"},
+    ("sweep",): {"--campaign", "--seed", "--jobs", "--trials", "--list", "--output",
+                 "--output-dir"},
     ("serve",): {"--host", "--port", "--store", "--store-shards", "--store-capacity",
                  "--seed"},
     ("client",): {"--host", "--port", "--sessions", "--seed", "--protocol", "--dim", "--n",
@@ -251,6 +251,29 @@ class TestScenarioParity:
         metrics = ScenarioRunner().run(spec).metrics
         assert rows == [(key, format_cell(value)) for key, value in metrics.items()]
         assert code == (0 if metrics["success"] else 1)
+
+
+class TestBackendSwitch:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scenarios", "--only", "exact-iblt-hamming"],
+            ["emd"],
+            ["sweep", "--campaign", "iblt-threshold", "--trials", "1"],
+        ],
+        ids=["scenarios", "emd", "sweep"],
+    )
+    def test_bad_backend_is_one_stderr_line_and_exit_2(
+        self, monkeypatch, capsys, recorded_specs, argv
+    ):
+        """A typo in ``REPRO_BACKEND`` fails before any scenario runs."""
+        monkeypatch.setenv("REPRO_BACKEND", "fortran")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert "REPRO_BACKEND" in line and "fortran" in line
+        assert recorded_specs == []
 
 
 class TestScenariosCommand:

@@ -44,7 +44,7 @@ class TestBasics:
 INT64_MAX = (1 << 63) - 1
 
 #: (path, case id, multiplicity): each must raise ``ValueError`` and leave
-#: the table's cells untouched, on both backends.
+#: the table's cells untouched, on both batch routes.
 BAD_MULTIPLICITIES = [
     ("scalar", "float", 1.5),
     ("scalar", "numpy-float", np.float64(2.0)),
@@ -63,14 +63,19 @@ BAD_MULTIPLICITIES = [
 ]
 
 
-@pytest.mark.parametrize("backend", ["numpy", "python"])
+#: One key width per batch route: vectorised hashes, and keys wider than
+#: ``MAX_NUMPY_KEY_BITS`` added one at a time.
+ROUTE_KEY_BITS = [30, 80]
+
+
+@pytest.mark.parametrize("key_bits", ROUTE_KEY_BITS)
 @pytest.mark.parametrize(
     ("path", "multiplicity"),
     [(path, value) for path, _, value in BAD_MULTIPLICITIES],
     ids=[f"{path}-{case}" for path, case, _ in BAD_MULTIPLICITIES],
 )
-def test_non_integer_multiplicity_rejected_before_any_change(coins, backend, path, multiplicity):
-    table = MultisetIBLT(coins, "m", cells=30, q=3, key_bits=30, backend=backend)
+def test_non_integer_multiplicity_rejected_before_any_change(coins, key_bits, path, multiplicity):
+    table = MultisetIBLT(coins, "m", cells=30, q=3, key_bits=key_bits)
     table.insert(9, 2)
     before = table.to_payload()
     for update in ("insert", "delete"):
@@ -82,10 +87,10 @@ def test_non_integer_multiplicity_rejected_before_any_change(coins, backend, pat
         assert table.to_payload() == before
 
 
-@pytest.mark.parametrize("backend", ["numpy", "python"])
-def test_integer_multiplicity_forms_agree(coins, backend):
+@pytest.mark.parametrize("key_bits", ROUTE_KEY_BITS)
+def test_integer_multiplicity_forms_agree(coins, key_bits):
     """Every accepted form gives the cells a scalar insert loop gives."""
-    expected = MultisetIBLT(coins, "m", cells=30, q=3, key_bits=30, backend=backend)
+    expected = MultisetIBLT(coins, "m", cells=30, q=3, key_bits=key_bits)
     for key, multiplicity in ((4, 3), (5, INT64_MAX), (6, 1)):
         expected.insert(key, multiplicity)
     keys = [4, 5, 6]
@@ -96,12 +101,12 @@ def test_integer_multiplicity_forms_agree(coins, backend):
         np.array([3, INT64_MAX, 1], dtype=object),
         [np.int32(3), np.uint64(INT64_MAX), np.int8(1)],
     ):
-        table = MultisetIBLT(coins, "m", cells=30, q=3, key_bits=30, backend=backend)
+        table = MultisetIBLT(coins, "m", cells=30, q=3, key_bits=key_bits)
         table.insert_batch(keys, multiplicities)
         assert table.to_payload() == expected.to_payload()
         table.delete_batch(keys, multiplicities)
         assert table.is_empty()
-    table = MultisetIBLT(coins, "m", cells=30, q=3, key_bits=30, backend=backend)
+    table = MultisetIBLT(coins, "m", cells=30, q=3, key_bits=key_bits)
     table.insert(4, np.int64(3))
     table.insert_batch([5, 6], np.int16(2))
     assert table.decode().multiplicities == {4: 3, 5: 2, 6: 2}

@@ -44,7 +44,7 @@ def _rescan_decode(table):
         pure_cells = np.flatnonzero(pure)
         if pure_cells.size == 0:
             break
-        table._peel_round(result, pure_cells)
+        table._peel_round(result, pure_cells, table.key_xor[pure_cells])
     result.success = bool(
         not table.counts.any() and not table.key_xor.any() and not table.check_xor.any()
     )

@@ -235,14 +235,15 @@ def _pin_heavy_iblt(backend: str) -> IBLT:
 
 
 def _pin_multiset(backend: str) -> MultisetIBLT:
-    table = MultisetIBLT(_PIN_COINS, "pin-multiset", cells=60, q=3, key_bits=40, backend=backend)
+    del backend  # no backend: the same cells under either REPRO_BACKEND
+    table = MultisetIBLT(_PIN_COINS, "pin-multiset", cells=60, q=3, key_bits=40)
     table.insert_batch(_pin_keys(4, 40, 40), np.arange(1, 41) % 9 + 1)
     return table
 
 
 def _pin_riblt(backend: str) -> RIBLT:
     """61-bit keys: checksum sums pass 2^64."""
-    del backend  # RIBLT cells are Python ints on either backend
+    del backend  # no backend: the same cells under either REPRO_BACKEND
     table = RIBLT(_PIN_COINS, "pin-riblt", cells=36, q=3, key_bits=61, dim=5, side=1 << 16)
     values = np.random.default_rng(6).integers(0, 1 << 16, size=(120, 5))
     table.insert_batch(_pin_keys(5, 120, 61), values)
@@ -250,9 +251,8 @@ def _pin_riblt(backend: str) -> RIBLT:
 
 
 def _pin_strata(backend: str) -> StrataEstimator:
-    estimator = StrataEstimator(
-        _PIN_COINS, "pin-strata", strata=8, cells=24, key_bits=32, backend=backend
-    )
+    del backend  # the stratum tables follow REPRO_BACKEND
+    estimator = StrataEstimator(_PIN_COINS, "pin-strata", strata=8, cells=24, key_bits=32)
     for key in _pin_keys(7, 500, 32):
         estimator.insert(key)
     return estimator
@@ -274,7 +274,8 @@ class TestPayloadPins:
         ],
         ids=["iblt", "iblt-heavy", "multiset", "riblt", "strata"],
     )  # fmt: skip
-    def test_payload_digest(self, make, bits, digest, backend):
+    def test_payload_digest(self, make, bits, digest, backend, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", backend)
         payload, bit_count = make(backend).to_payload()
         assert bit_count == bits
         assert hashlib.sha256(payload).hexdigest() == digest

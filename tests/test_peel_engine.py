@@ -5,10 +5,10 @@ Three contracts pin the engine shared by the whole IBLT family:
 * the sum-cell decoders' batch-primed
   :class:`~repro.iblt.frontier.KeyHashCache` is bit-identical to scalar
   hashing — same FIFO peel sequence, same output, same residual cells —
-  for RIBLT (where peel order shapes the *value* error propagation,
-  checked against :class:`~repro.iblt.frontier.ScalarHashes`, the
-  unmemoised reference) and MultisetIBLT (numpy backend against the
-  python backend, which peels through ``ScalarHashes``) alike;
+  for RIBLT (where peel order shapes the *value* error propagation) and
+  MultisetIBLT alike, each checked against a twin table whose cache is
+  swapped for :class:`~repro.iblt.frontier.ScalarHashes`, the
+  unmemoised reference;
 * repeated ``decode()`` calls on the same table object — which reuse
   the shared scratch buffers and hash caches across calls and across
   ``subtract`` clones — are idempotent: re-decoding identical cell
@@ -191,15 +191,13 @@ class TestMultisetEngineParity:
     )
     @settings(max_examples=25, deadline=None)
     def test_cached_engine_is_bit_identical(self, seed, updates):
-        """The numpy backend's cached peel against the python backend's
-        scalar-per-step reference."""
+        """The cached peel against the scalar-per-step reference."""
         coins = PublicCoins(seed)
         tables = {
-            engine: MultisetIBLT(
-                coins, "parity", cells=24, q=3, key_bits=KEY_BITS, backend=backend
-            )
-            for engine, backend in (("scalar", "python"), ("cached", "numpy"))
+            engine: MultisetIBLT(coins, "parity", cells=24, q=3, key_bits=KEY_BITS)
+            for engine in ("scalar", "cached")
         }
+        tables["scalar"]._hash_cache = ScalarHashes(tables["scalar"])
         for key, multiplicity in updates:
             for table in tables.values():
                 table.insert(key, multiplicity)

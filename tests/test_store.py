@@ -254,10 +254,11 @@ class TestStoreChurnFallback:
     """
 
     @pytest.mark.parametrize("backend", ["numpy", "python"])
-    def test_fallback_metrics(self, backend):
+    def test_fallback_metrics(self, backend, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", backend)
         params = builtin_campaigns()["store-churn"].point_params({"churn": 16, "capacity": 4})
         spec = ScenarioSpec("store-churn-fallback", "store-churn", seed=0, params=params)
-        metrics = ScenarioRunner(backend=backend).run(spec).metrics
+        metrics = ScenarioRunner().run(spec).metrics
         assert metrics == {
             "success": True,
             "rounds": 4,

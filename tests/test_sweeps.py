@@ -34,9 +34,17 @@ def tiny_sweep(trials: int = 2, axes=None) -> SweepSpec:
     )
 
 
+@pytest.fixture(autouse=True)
+def numpy_backend(monkeypatch):
+    """Every sweep here runs on the numpy backend unless a test resets it."""
+    monkeypatch.setenv("REPRO_BACKEND", "numpy")
+
+
 @pytest.fixture(scope="module")
 def tiny_points():
-    return SweepRunner(backend="numpy").run(tiny_sweep(trials=3), seed=SEED)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_BACKEND", "numpy")
+        return SweepRunner().run(tiny_sweep(trials=3), seed=SEED)
 
 
 class TestSpec:
@@ -107,7 +115,7 @@ class TestSeedDerivation:
     def test_trials_run_through_scenario_runner_identically(self, tiny_points):
         """A sweep trial is exactly a ScenarioRunner run of its spec."""
         first = tiny_points[0].results[0]
-        again = ScenarioRunner(backend="numpy").run(first.spec)
+        again = ScenarioRunner().run(first.spec)
         assert again.metrics == first.metrics
 
 
@@ -125,8 +133,8 @@ class TestRunner:
 
     def test_parallel_report_is_byte_identical_to_serial(self):
         sweep = tiny_sweep(trials=2)
-        serial = SweepRunner(backend="numpy", jobs=1).run(sweep, seed=SEED)
-        with SweepRunner(backend="numpy", jobs=2) as runner:
+        serial = SweepRunner(jobs=1).run(sweep, seed=SEED)
+        with SweepRunner(jobs=2) as runner:
             parallel = runner.run(sweep, seed=SEED)
         assert render_sweep_report(sweep, parallel, seed=SEED) == render_sweep_report(
             sweep, serial, seed=SEED
@@ -136,8 +144,8 @@ class TestRunner:
         """One pool serves consecutive campaigns and every chunking."""
         first = tiny_sweep(trials=2)
         second = tiny_sweep(trials=3)
-        serial = SweepRunner(backend="numpy", jobs=1)
-        with SweepRunner(backend="numpy", jobs=2) as runner:
+        serial = SweepRunner(jobs=1)
+        with SweepRunner(jobs=2) as runner:
             assert runner._pool is None  # lazy until the first parallel run
             results_first = runner.run(first, seed=SEED)
             pool = runner._pool
@@ -154,10 +162,10 @@ class TestRunner:
         """Chunking is transport only: every worker count, same bytes."""
         sweep = tiny_sweep(trials=2)
         baseline = render_sweep_report(
-            sweep, SweepRunner(backend="numpy", jobs=1).run(sweep, seed=SEED), seed=SEED
+            sweep, SweepRunner(jobs=1).run(sweep, seed=SEED), seed=SEED
         )
         for jobs in (2, 3, 4):
-            with SweepRunner(backend="numpy", jobs=jobs) as runner:
+            with SweepRunner(jobs=jobs) as runner:
                 report = render_sweep_report(
                     sweep, runner.run(sweep, seed=SEED), seed=SEED
                 )
@@ -168,7 +176,7 @@ class TestRunner:
         assert SweepRunner(jobs=4)._chunk_size(1) == 1
 
     def test_close_is_idempotent(self):
-        runner = SweepRunner(backend="numpy", jobs=2)
+        runner = SweepRunner(jobs=2)
         runner.run(tiny_sweep(trials=2), seed=SEED)
         runner.close()
         runner.close()
@@ -182,6 +190,19 @@ class TestRunner:
             for point in tiny_points
             for result in point.results
         )
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_runners_record_the_env_backend(self, monkeypatch, backend):
+        """``REPRO_BACKEND`` is the one switch: the scenario runner and a
+        pool's forked workers both run on, and record, what it names."""
+        monkeypatch.setenv("REPRO_BACKEND", backend)
+        sweep = tiny_sweep(trials=1)
+        assert ScenarioRunner().run(sweep.trial_specs(SEED)[0].spec).backend == backend
+        with SweepRunner(jobs=2) as runner:
+            points = runner.run(sweep, seed=SEED)
+        assert {result.backend for point in points for result in point.results} == {backend}
+        document = json.loads(render_sweep_report(sweep, points, seed=SEED))
+        assert document["backends"] == [backend]
 
 
 class TestReport:
@@ -266,7 +287,7 @@ class TestBuiltinCampaigns:
         """Campaign trials stay runnable outside the sweep machinery."""
         campaign = builtin_campaigns()["iblt-threshold"]
         trial = campaign.trial_specs(SEED)[0]
-        result = ScenarioRunner(backend="numpy").run(trial.spec)
+        result = ScenarioRunner().run(trial.spec)
         assert isinstance(trial.spec, ScenarioSpec)
         assert result.metrics["true_differences"] == 64
 
@@ -282,7 +303,7 @@ class TestBuiltinCampaigns:
         }
         intervals = {}
         for ratio in (2, 8):
-            result = ScenarioRunner(backend="numpy").run(trials[ratio].spec)
+            result = ScenarioRunner().run(trials[ratio].spec)
             assert result.success
             intervals[ratio] = result.metrics["intervals"]
         assert intervals[2] > intervals[8]
@@ -296,7 +317,7 @@ class TestBuiltinCampaigns:
         }
         bits = {}
         for parties in (2, 4):
-            result = ScenarioRunner(backend="numpy").run(trials[parties].spec)
+            result = ScenarioRunner().run(trials[parties].spec)
             assert result.success
             assert result.metrics["parties"] == parties
             bits[parties] = result.metrics["bits"]
