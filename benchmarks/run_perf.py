@@ -48,7 +48,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np
 
 from repro.core.params import derive_emd_parameters
-from repro.experiments.sweeps import SweepRunner, SweepSpec, render_sweep_report
+from repro.experiments.sweeps import SweepSpec, render_sweep_report, run_sweep
 from repro.hashing import Checksum, PairwiseHash, PrefixHasher, PublicCoins
 from repro.iblt import IBLT, RIBLT, MultisetIBLT, cells_for_differences
 from repro.lsh import BitSamplingMLSH
@@ -369,10 +369,11 @@ def bench_sweep_trials(n: int, repeats: int) -> tuple[float, float]:
 
     Unlike the other kernels this row is not python-vs-numpy: the first
     column is ``--jobs 1`` (serial, in-process) and the second a
-    ``--jobs 2`` process-pool dispatch over the *same* trials, on the
-    process-wide backend (``REPRO_BACKEND``, numpy unless set), so ``speedup`` is the pool's parallel efficiency — a host
-    fact the tracked baseline records, not a code property (see
-    ``UNGATED_KERNELS``).  The serial and parallel reports are asserted
+    ``--jobs 2`` run over the *same* trials on a pool opened for that
+    run, both on the process-wide backend (``REPRO_BACKEND``, numpy
+    unless set), so ``speedup`` is the pool's parallel efficiency net of
+    worker start-up — a host fact the tracked baseline records, not a
+    code property (see ``UNGATED_KERNELS``).  The serial and parallel reports are asserted
     byte-identical, so the perf row doubles as a determinism check.
     """
     sweep = SweepSpec(
@@ -382,27 +383,20 @@ def bench_sweep_trials(n: int, repeats: int) -> tuple[float, float]:
         base_params={"n": max(512, n // 2), "differences": 48, "q": 3},
         trials=4,
     )
-    serial = SweepRunner(jobs=1)
-    # The parallel runner's pool is *persistent*: the first run pays the
-    # worker spin-up and every later campaign reuses the warm pool, which
-    # is exactly how the CLI drives multi-campaign sweeps.  Best-of
-    # timing therefore measures the steady state, not the cold start.
-    parallel = SweepRunner(jobs=2)
 
     def serial_path():
-        return render_sweep_report(sweep, serial.run(sweep, seed=7), seed=7)
+        return render_sweep_report(sweep, run_sweep(sweep, seed=7), seed=7)
 
+    # Every parallel run opens and closes its own pool, exactly as each
+    # CLI campaign does, so its time includes forking the workers.
     def parallel_path():
-        return render_sweep_report(sweep, parallel.run(sweep, seed=7), seed=7)
+        return render_sweep_report(sweep, run_sweep(sweep, seed=7, jobs=2), seed=7)
 
-    try:
-        assert serial_path() == parallel_path(), "parallelism leaked into the report"
-        return (
-            _best(serial_path, max(2, repeats // 2)),
-            _best(parallel_path, max(2, repeats // 2)),
-        )
-    finally:
-        parallel.close()
+    assert serial_path() == parallel_path(), "parallelism leaked into the report"
+    return (
+        _best(serial_path, max(2, repeats // 2)),
+        _best(parallel_path, max(2, repeats // 2)),
+    )
 
 
 def bench_stream_replay(n: int, repeats: int) -> tuple[float, float]:

@@ -57,9 +57,9 @@ from .errors import (
 )
 from .experiments import (
     ScenarioResult,
-    ScenarioRunner,
     ScenarioSpec,
     builtin_scenarios,
+    run_scenario,
 )
 from .hashing import PublicCoins
 from .iblt import IBLT, RIBLT, MultisetIBLT
@@ -102,9 +102,9 @@ __all__ = [
     "solve_index_via_gap",
     "verify_gap_guarantee",
     "ScenarioResult",
-    "ScenarioRunner",
     "ScenarioSpec",
     "builtin_scenarios",
+    "run_scenario",
     "PublicCoins",
     "IBLT",
     "RIBLT",

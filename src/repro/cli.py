@@ -57,22 +57,22 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import dataclasses
 import sys
 from pathlib import Path
 from typing import Sequence
 
 from .analysis import format_table
 from .experiments import (
-    ScenarioRunner,
     ScenarioSpec,
-    SweepRunner,
     builtin_campaigns,
     builtin_scenarios,
     render_report,
     render_sweep_report,
+    run_scenario,
+    run_sweep,
 )
 from .experiments.scenarios import _space
-from .experiments.sweeps import with_trials
 from .hashing import PublicCoins
 from .iblt.backend import default_backend
 
@@ -135,7 +135,7 @@ def _cmd_protocol(args: argparse.Namespace) -> int:
                 print("general gap CLI supports hamming or l1 spaces", file=sys.stderr)
                 return 2
     spec = ScenarioSpec(args.command, protocol, args.seed, params)
-    result = ScenarioRunner().run(spec)
+    result = run_scenario(spec)
     title = f"{_TITLES[args.command]} [{protocol}]"
     print(format_table(["metric", "value"], list(result.metrics.items()), title=title))
     return 0 if result.success else 1
@@ -155,7 +155,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
             print(f"{spec.name:22s} {spec.protocol}")
         return 0
 
-    results = ScenarioRunner().run_all(specs)
+    results = [run_scenario(spec) for spec in specs]
     # Human-readable progress goes to stderr; stdout (or --output) carries
     # only the canonical JSON so same-seed runs stay byte-identical.
     for result in results:
@@ -205,35 +205,27 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.output_dir is not None:
         args.output_dir.mkdir(parents=True, exist_ok=True)
 
-    # One runner for every requested campaign: with --jobs > 1 the
-    # persistent worker pool spins up once and every campaign reuses
-    # the warm workers.
-    with SweepRunner(jobs=args.jobs) as runner:
-        for name in selected:
-            sweep = campaigns[name]
-            if args.trials is not None:
-                sweep = with_trials(sweep, args.trials)
-            point_results = runner.run(sweep, seed=args.seed)
-            # Progress goes to stderr; stdout (or --output) carries only
-            # the canonical JSON, which never depends on --jobs.
-            print(f"campaign {name}:", file=sys.stderr)
-            for point_result in point_results:
-                rate = point_result.successes / len(point_result.results)
-                bits = [result.metrics.get("bits") for result in point_result.results]
-                mean_bits = (
-                    sum(bits) / len(bits) if all(b is not None for b in bits) else None
-                )
-                label = ", ".join(
-                    f"{k}={v}" for k, v in sorted(point_result.point.items())
-                )
-                print(
-                    f"  {label:28s} success {rate:5.0%} "
-                    f"({point_result.successes}/{len(point_result.results)})"
-                    + (f"  mean bits {mean_bits:10.0f}" if mean_bits is not None else ""),
-                    file=sys.stderr,
-                )
-            path = args.output_dir / f"sweep-{name}.json" if args.output_dir else args.output
-            _emit(render_sweep_report(sweep, point_results, seed=args.seed), path)
+    for name in selected:
+        sweep = campaigns[name]
+        if args.trials is not None:
+            sweep = dataclasses.replace(sweep, trials=args.trials)
+        point_results = run_sweep(sweep, seed=args.seed, jobs=args.jobs)
+        # Progress goes to stderr; stdout (or --output) carries only the
+        # canonical JSON, which never depends on --jobs.
+        print(f"campaign {name}:", file=sys.stderr)
+        for point_result in point_results:
+            rate = point_result.successes / len(point_result.results)
+            bits = [result.metrics.get("bits") for result in point_result.results]
+            mean_bits = sum(bits) / len(bits) if all(b is not None for b in bits) else None
+            label = ", ".join(f"{k}={v}" for k, v in sorted(point_result.point.items()))
+            print(
+                f"  {label:28s} success {rate:5.0%} "
+                f"({point_result.successes}/{len(point_result.results)})"
+                + (f"  mean bits {mean_bits:10.0f}" if mean_bits is not None else ""),
+                file=sys.stderr,
+            )
+        path = args.output_dir / f"sweep-{name}.json" if args.output_dir else args.output
+        _emit(render_sweep_report(sweep, point_results, seed=args.seed), path)
     # Decode failures are measured outcomes here (the curves include the
     # over-threshold regime), so completion is success.
     return 0
@@ -457,12 +449,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument("--campaign", action="append",
                               choices=sorted(builtin_campaigns()), default=None,
-                              help="built-in campaign to run (repeatable; one "
-                                   "persistent worker pool serves all of them)")
+                              help="built-in campaign to run (repeatable)")
     sweep_parser.add_argument("--seed", type=int, default=0)
     sweep_parser.add_argument("--jobs", type=int, default=1,
-                              help="worker processes (1 = serial, in-process; "
-                                   "reports are byte-identical regardless)")
+                              help="worker processes, at most one per trial and "
+                                   "CPU (1 = serial, in-process; reports are "
+                                   "byte-identical regardless)")
     sweep_parser.add_argument("--trials", type=int, default=None,
                               help="override the campaigns' trials per grid point")
     sweep_parser.add_argument("--list", action="store_true",

@@ -1,22 +1,24 @@
 """Seeded scenario harness: one API over every protocol in the repo.
 
 A :class:`ScenarioSpec` names a workload generator, a protocol driver,
-its parameters, and a seed; a :class:`ScenarioRunner` executes specs on
-the process-wide backend (``REPRO_BACKEND``) and returns
-:class:`ScenarioResult` objects whose canonical JSON rendering is
-byte-identical across runs with the same seed (wall-clock timings are
-carried separately and excluded from the canonical form).  ``python -m repro.cli scenarios`` exposes the built-in
-matrix on the command line; CI smoke-tests it on both backends and diffs
-it against the golden reports pinned in ``tests/goldens/``.
+its parameters, and a seed; :func:`run_scenario` executes a spec on the
+process-wide backend (``REPRO_BACKEND``) and returns a
+:class:`ScenarioResult` whose canonical JSON rendering is byte-identical
+across runs with the same seed (wall-clock timings are carried
+separately and excluded from the canonical form).  ``python -m repro.cli
+scenarios`` exposes the built-in matrix on the command line; CI
+smoke-tests it on both backends and diffs it against the golden reports
+pinned in ``tests/goldens/``.
 
-On top of single runs, :mod:`repro.experiments.sweeps` expands parameter
-*grids* into many independently seeded trials per grid point, executes
-them serially or on a process pool (bit-identically either way), and
-aggregates success-rate and cost curves into ``repro.sweeps/v1`` reports
-— ``python -m repro.cli sweep`` ships eight paper-style campaigns.
+On top of single runs, :func:`run_sweep` expands a parameter *grid* into
+many independently seeded trials per grid point, executes them
+in-process or on a process pool opened for the call (bit-identically
+either way), and :func:`render_sweep_report` aggregates success-rate and
+cost curves into ``repro.sweeps/v1`` reports — ``python -m repro.cli
+sweep`` ships eight paper-style campaigns.
 """
 
-from .runner import ScenarioRunner, render_report
+from .runner import render_report, run_scenario
 from .scenarios import (
     DRIVERS,
     ScenarioResult,
@@ -25,24 +27,22 @@ from .scenarios import (
 )
 from .sweeps import (
     SweepPointResult,
-    SweepRunner,
     SweepSpec,
-    SweepTrial,
     builtin_campaigns,
     render_sweep_report,
+    run_sweep,
 )
 
 __all__ = [
     "DRIVERS",
     "ScenarioResult",
-    "ScenarioRunner",
     "ScenarioSpec",
     "SweepPointResult",
-    "SweepRunner",
     "SweepSpec",
-    "SweepTrial",
     "builtin_campaigns",
     "builtin_scenarios",
     "render_report",
     "render_sweep_report",
+    "run_scenario",
+    "run_sweep",
 ]

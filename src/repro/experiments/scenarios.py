@@ -226,9 +226,7 @@ def _drive_emd(spec: ScenarioSpec, rng: np.random.Generator, coins: PublicCoins)
     return metrics
 
 
-def _drive_setsofsets(
-    spec: ScenarioSpec, rng: np.random.Generator, coins: PublicCoins
-) -> dict:
+def _drive_setsofsets(spec: ScenarioSpec, rng: np.random.Generator, coins: PublicCoins) -> dict:
     """Multiset-of-keys reconciliation (the Gap protocol's middle layer)."""
     p = spec.params
     entries, entry_bits = p["entries"], p["entry_bits"]
@@ -260,9 +258,7 @@ def _drive_setsofsets(
     }
 
 
-def _drive_strata(
-    spec: ScenarioSpec, rng: np.random.Generator, coins: PublicCoins
-) -> dict:
+def _drive_strata(spec: ScenarioSpec, rng: np.random.Generator, coins: PublicCoins) -> dict:
     """Strata estimation of an unknown symmetric-difference size."""
     p = spec.params
     n, differences = p["n"], p["differences"]
@@ -307,9 +303,7 @@ def _drive_exact(spec: ScenarioSpec, rng: np.random.Generator, coins: PublicCoin
     return outcome_metrics(result, alice, bob)
 
 
-def _drive_iblt_load(
-    spec: ScenarioSpec, rng: np.random.Generator, coins: PublicCoins
-) -> dict:
+def _drive_iblt_load(spec: ScenarioSpec, rng: np.random.Generator, coins: PublicCoins) -> dict:
     """Raw IBLT peeling at a controlled load (the XORSAT-core threshold).
 
     Two tables share ``n`` keys and differ in ``2 * differences`` of them,
@@ -340,9 +334,7 @@ def _drive_iblt_load(
     }
 
 
-def _drive_resilient(
-    spec: ScenarioSpec, rng: np.random.Generator, coins: PublicCoins
-) -> dict:
+def _drive_resilient(spec: ScenarioSpec, rng: np.random.Generator, coins: PublicCoins) -> dict:
     """Self-healing reconciliation over a (possibly faulty) channel.
 
     Runs :func:`~repro.reconcile.resilient.resilient_reconcile` on a
@@ -400,9 +392,7 @@ def _drive_resilient(
     return metrics
 
 
-def _drive_recon_service(
-    spec: ScenarioSpec, rng: np.random.Generator, coins: PublicCoins
-) -> dict:
+def _drive_recon_service(spec: ScenarioSpec, rng: np.random.Generator, coins: PublicCoins) -> dict:
     """The full reconciliation service over a seeded simulated network.
 
     ``sessions`` concurrent reconciliations share one in-memory
@@ -445,9 +435,7 @@ def _drive_recon_service(
     return metrics
 
 
-def _drive_store_churn(
-    spec: ScenarioSpec, rng: np.random.Generator, coins: PublicCoins
-) -> dict:
+def _drive_store_churn(spec: ScenarioSpec, rng: np.random.Generator, coins: PublicCoins) -> dict:
     """Windowed reconciliation against the sharded sketch store under churn.
 
     ``sets`` hot keyed sets live in a :class:`~repro.store.SketchStore`
@@ -617,9 +605,7 @@ def _drive_store_churn(
     }
 
 
-def _drive_multiparty(
-    spec: ScenarioSpec, rng: np.random.Generator, coins: PublicCoins
-) -> dict:
+def _drive_multiparty(spec: ScenarioSpec, rng: np.random.Generator, coins: PublicCoins) -> dict:
     """The multi-party lift of the Gap protocol over the star.
 
     The report itemises the transcript per star edge; the topology and
@@ -658,9 +644,7 @@ def _drive_multiparty(
     return metrics
 
 
-def _drive_stream_churn(
-    spec: ScenarioSpec, rng: np.random.Generator, coins: PublicCoins
-) -> dict:
+def _drive_stream_churn(spec: ScenarioSpec, rng: np.random.Generator, coins: PublicCoins) -> dict:
     """Replay a churn event stream over gossip topologies.
 
     A seeded :class:`~repro.workloads.ChurnGenerator` stream (Zipf

@@ -19,20 +19,15 @@ Layers
     the grid mapping changes nothing, and distinct points or trial
     indices never share :class:`~repro.hashing.PublicCoins`.
 
-:class:`SweepRunner`
-    Executes the expanded trials serially (``jobs=1``) or on a
-    *persistent* ``concurrent.futures`` process pool.  The pool is
-    created on first use and reused across every campaign the runner
-    executes, so worker startup (fork + import) is paid once per runner
-    instead of once per campaign.  Trials are dispatched in contiguous
-    *chunks* — one pickle round-trip per chunk instead of one per trial
-    — and are embarrassingly parallel and fully determined by their
-    :class:`ScenarioSpec` and ``REPRO_BACKEND``, which forked workers
-    inherit from the parent; results are re-assembled in expansion order,
-    so a parallel run's report is byte-identical to the serial run's —
-    the invariant CI's ``sweep-smoke`` job enforces.  Close the pool
-    with :meth:`SweepRunner.close` or use the runner as a context
-    manager.
+:func:`run_sweep`
+    Executes the expanded trials in-process (``jobs=1``) or, for
+    ``jobs > 1``, on a fork process pool opened for that call alone and
+    closed before it returns.  Trials are embarrassingly parallel and
+    fully determined by their :class:`ScenarioSpec` and
+    ``REPRO_BACKEND``, which the freshly forked workers inherit from the
+    caller's current environment; ``pool.map`` hands results back in
+    input order, so a parallel run's report is byte-identical to the
+    serial run's — the invariant CI's ``sweep-smoke`` job enforces.
 
 :func:`render_sweep_report`
     Aggregates per-point success rates (Wilson intervals) and numeric
@@ -49,26 +44,25 @@ Layers
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 from ..analysis.stats import success_rate, summarize
 from ..hashing import derive_seed
-from .runner import ScenarioRunner
+from .runner import run_scenario
 from .scenarios import DRIVERS, ScenarioResult, ScenarioSpec, _round6
 
 __all__ = [
-    "SweepSpec",
-    "SweepTrial",
     "SweepPointResult",
-    "SweepRunner",
+    "SweepSpec",
     "builtin_campaigns",
     "render_sweep_report",
+    "run_sweep",
 ]
 
 SWEEP_SCHEMA = "repro.sweeps/v1"
@@ -142,37 +136,27 @@ class SweepSpec:
         canonical_point = tuple(sorted(point.items()))
         return derive_seed(sweep_seed, "sweep", self.name, canonical_point, trial)
 
-    def trial_specs(self, sweep_seed: int) -> list["SweepTrial"]:
-        """Expand every (grid point, trial index) into a runnable trial."""
-        expanded: list[SweepTrial] = []
-        for point_index, point in enumerate(self.grid_points()):
+    def trial_specs(self, sweep_seed: int) -> list[ScenarioSpec]:
+        """Every trial's runnable spec in grid order.
+
+        Each grid point contributes ``trials`` consecutive specs, trial
+        index ascending, so point ``i``'s trials are the slice
+        ``[i * trials, (i + 1) * trials)``.
+        """
+        specs = []
+        for point in self.grid_points():
             params = self.point_params(point)
             label = ",".join(f"{axis}={point[axis]}" for axis in sorted(point))
             for trial in range(self.trials):
-                expanded.append(
-                    SweepTrial(
-                        point_index=point_index,
-                        trial_index=trial,
-                        point=point,
-                        spec=ScenarioSpec(
-                            name=f"{self.name}/{label}/t{trial}",
-                            protocol=self.protocol,
-                            seed=self.trial_seed(sweep_seed, point, trial),
-                            params=params,
-                        ),
+                specs.append(
+                    ScenarioSpec(
+                        name=f"{self.name}/{label}/t{trial}",
+                        protocol=self.protocol,
+                        seed=self.trial_seed(sweep_seed, point, trial),
+                        params=params,
                     )
                 )
-        return expanded
-
-
-@dataclass(frozen=True)
-class SweepTrial:
-    """One expanded trial: its grid coordinates and runnable spec."""
-
-    point_index: int
-    trial_index: int
-    point: Mapping[str, Any]
-    spec: ScenarioSpec
+        return specs
 
 
 @dataclass(frozen=True)
@@ -188,21 +172,6 @@ class SweepPointResult:
         return sum(1 for result in self.results if result.success)
 
 
-def _execute_trial_chunk(specs: "list[ScenarioSpec]") -> "list[ScenarioResult]":
-    """Worker entry point: run a contiguous chunk of trials, in order.
-
-    Module-level (not a closure) so process-pool workers can unpickle it.
-    Everything a trial does is determined by its spec and the inherited
-    ``REPRO_BACKEND``, which is what makes parallel runs bit-identical to
-    serial ones.  One submission carries a whole chunk, so the pickle/IPC
-    round-trip — which dominated small campaigns when every trial
-    travelled alone — is paid once per chunk; results come back in list
-    order, preserving the expansion-order reassembly the
-    byte-identical-reports guarantee rests on.
-    """
-    return ScenarioRunner().run_all(specs)
-
-
 def _pool_context() -> multiprocessing.context.BaseContext:
     """Prefer fork workers (cheap start, inherit sys.path); else default."""
     if "fork" in multiprocessing.get_all_start_methods():
@@ -210,88 +179,35 @@ def _pool_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context()
 
 
-class SweepRunner:
-    """Run sweep campaigns serially or on a persistent worker pool.
+def run_sweep(sweep: SweepSpec, seed: int = 0, jobs: int = 1) -> list[SweepPointResult]:
+    """Execute every trial of ``sweep`` and group results by grid point.
 
-    Trials run on the process-wide backend; forked pool workers inherit
-    the parent's ``REPRO_BACKEND``, so pools behave exactly like the
-    parent process.
-
-    Parameters
-    ----------
-    jobs:
-        Worker count.  ``jobs=1`` runs in-process with no pool at all;
-        any larger count lazily creates one persistent process pool that
-        is *kept alive across campaigns* (worker startup was the dominant
-        cost of small sweeps) until :meth:`close`.  Chunked futures are
-        collected in submission order, so the rendered report is
-        byte-identical either way.  Each campaign is split into
-        ``4 × jobs`` chunks of trials, one pickle round-trip per chunk;
-        chunking is pure transport and cannot affect report bytes.
+    ``jobs=1`` runs the trials in-process.  A larger count opens one
+    process pool for this call only, with at most ``jobs`` workers (never
+    more than there are trials or CPUs), and maps the trials over it in
+    ``4 × jobs`` chunks.  ``map`` returns results in input order, so the
+    rendered report is byte-identical either way, and workers forked
+    here run on the caller's current ``REPRO_BACKEND``.
     """
-
-    def __init__(self, jobs: int = 1):
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-        self._pool: ProcessPoolExecutor | None = None
-
-    # -- pool lifecycle ----------------------------------------------------
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        """The persistent process pool, created on first parallel run."""
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs, mp_context=_pool_context())
-        return self._pool
-
-    def close(self) -> None:
-        """Shut down the persistent pool (idempotent).
-
-        Runners used as context managers close on exit; otherwise the
-        pool lives until closed or the interpreter exits.
-        """
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def __enter__(self) -> "SweepRunner":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def _chunk_size(self, task_count: int) -> int:
-        # 4 chunks per worker: few enough that pickling stays amortised,
-        # enough that an unlucky slow chunk does not idle the pool.
-        return max(1, -(-task_count // (self.jobs * 4)))
-
-    def run(self, sweep: SweepSpec, seed: int = 0) -> list[SweepPointResult]:
-        """Execute every trial of ``sweep`` and group results by grid point."""
-        trials = sweep.trial_specs(seed)
-        specs = [trial.spec for trial in trials]
-        if self.jobs == 1:
-            results = _execute_trial_chunk(specs)
-        else:
-            chunk = self._chunk_size(len(specs))
-            chunks = [specs[i : i + chunk] for i in range(0, len(specs), chunk)]
-            pool = self._ensure_pool()
-            futures = [pool.submit(_execute_trial_chunk, c) for c in chunks]
-            # Futures are drained in submission order regardless of which
-            # worker finishes first — completion order never leaks into
-            # the report.
-            results = [result for future in futures for result in future.result()]
-
-        points = sweep.grid_points()
-        grouped: list[list[ScenarioResult]] = [[] for _ in points]
-        for trial, result in zip(trials, results):
-            grouped[trial.point_index].append(result)
-        return [
-            SweepPointResult(
-                point=point,
-                params=sweep.point_params(point),
-                results=tuple(group),
-            )
-            for point, group in zip(points, grouped)
-        ]
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    specs = sweep.trial_specs(seed)
+    if jobs == 1:
+        results = [run_scenario(spec) for spec in specs]
+    else:
+        workers = min(jobs, len(specs), os.cpu_count() or 1)
+        chunksize = -(-len(specs) // (4 * jobs))
+        with ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context()) as pool:
+            results = list(pool.map(run_scenario, specs, chunksize=chunksize))
+    per_point = sweep.trials
+    return [
+        SweepPointResult(
+            point=point,
+            params=sweep.point_params(point),
+            results=tuple(results[index * per_point : (index + 1) * per_point]),
+        )
+        for index, point in enumerate(sweep.grid_points())
+    ]
 
 
 def _aggregate_metrics(results: Sequence[ScenarioResult]) -> dict:
@@ -357,11 +273,6 @@ def render_sweep_report(
         "points": points,
     }
     return json.dumps(document, sort_keys=True, indent=2) + "\n"
-
-
-def with_trials(sweep: SweepSpec, trials: int) -> SweepSpec:
-    """A copy of ``sweep`` with its per-point trial count replaced."""
-    return dataclasses.replace(sweep, trials=trials)
 
 
 # -- built-in campaigns -----------------------------------------------------

@@ -17,7 +17,6 @@ from .events import MutationEvent, events_by_window, split_mutations
 from .log import (
     EVENT_LOG_SCHEMA,
     EventLogReader,
-    EventLogWriter,
     record_line,
     write_event_log,
 )
@@ -26,7 +25,6 @@ from .replay import ID_KEY_BITS, ReplayReport, StreamReplayer, render_replay_rep
 __all__ = [
     "EVENT_LOG_SCHEMA",
     "EventLogReader",
-    "EventLogWriter",
     "ID_KEY_BITS",
     "MutationEvent",
     "ReplayReport",

@@ -29,9 +29,9 @@ full discipline and raises only the typed
 Line length is capped *before* JSON parsing — :data:`MAX_EVENT_LINE_BYTES`
 for events, the larger :data:`MAX_HEADER_LINE_BYTES` for the header and
 its free-form ``meta`` — so a hostile line costs bounded parse time and
-memory.  Writers refuse out-of-order windows, out-of-range keys and an
-over-cap header eagerly, so a log produced by :class:`EventLogWriter`
-always round-trips.
+memory.  :func:`write_event_log` refuses out-of-order windows,
+out-of-range keys and an over-cap header before it opens the file, so a
+log it produces always round-trips and a refused stream leaves no file.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ __all__ = [
     "MAX_EVENT_LINE_BYTES",
     "MAX_HEADER_LINE_BYTES",
     "EventLogReader",
-    "EventLogWriter",
     "record_line",
     "write_event_log",
 ]
@@ -83,78 +82,45 @@ def record_line(record: Mapping) -> bytes:
     return _canonical(stamped) + b"\n"
 
 
-class EventLogWriter:
-    """Append events to a log file (header written on open).
-
-    Enforces the append-only discipline at write time: ``seq`` is
-    assigned by the writer, windows must be non-decreasing, and keys
-    must fit ``key_bits``.  Usable as a context manager.
-    """
-
-    def __init__(self, path: "str | Path", key_bits: int = 61, meta: Mapping | None = None):
-        if not 1 <= key_bits <= 64:
-            raise ValueError(f"key_bits must be in [1, 64], got {key_bits}")
-        self.key_bits = key_bits
-        self.meta = dict(meta or {})
-        self._seq = 0
-        self._window = 0
-        header = record_line(
-            {
-                "kind": "header",
-                "schema": EVENT_LOG_SCHEMA,
-                "key_bits": key_bits,
-                "meta": self.meta,
-            }
-        )
-        if len(header) - 1 > MAX_HEADER_LINE_BYTES:
-            raise ValueError(f"header line exceeds {MAX_HEADER_LINE_BYTES} bytes")
-        self._file = open(path, "wb")
-        self._file.write(header)
-
-    def append(self, event: MutationEvent) -> int:
-        """Append one event; returns the sequence number it received."""
-        if not isinstance(event, MutationEvent):
-            raise TypeError(f"expected MutationEvent, got {type(event).__name__}")
-        if event.key >= (1 << self.key_bits):
-            raise ValueError(f"key {event.key} outside [0, 2^{self.key_bits})")
-        if event.window < self._window:
-            raise ValueError(
-                f"window {event.window} regresses (last written {self._window})"
-            )
-        seq = self._seq
-        self._file.write(record_line(event.to_record(seq)))
-        self._seq += 1
-        self._window = event.window
-        return seq
-
-    def extend(self, events: Iterable[MutationEvent]) -> int:
-        """Append many events; returns the count written."""
-        count = 0
-        for event in events:
-            self.append(event)
-            count += 1
-        return count
-
-    def close(self) -> None:
-        if not self._file.closed:
-            self._file.close()
-
-    def __enter__(self) -> "EventLogWriter":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
 def write_event_log(
     path: "str | Path",
     events: Iterable[MutationEvent],
     key_bits: int = 61,
     meta: Mapping | None = None,
 ) -> int:
-    """Write a whole event stream to ``path``; returns the event count."""
-    with EventLogWriter(path, key_bits=key_bits, meta=meta) as writer:
-        return writer.extend(events)
+    """Write a whole event stream to ``path``; returns the event count.
+
+    Enforces the append-only discipline before the file is opened: every
+    event must be a :class:`MutationEvent` with a key that fits
+    ``key_bits``, and windows must be non-decreasing.  ``seq`` numbers
+    are assigned in stream order.
+    """
+    if not 1 <= key_bits <= 64:
+        raise ValueError(f"key_bits must be in [1, 64], got {key_bits}")
+    header = record_line(
+        {
+            "kind": "header",
+            "schema": EVENT_LOG_SCHEMA,
+            "key_bits": key_bits,
+            "meta": dict(meta or {}),
+        }
+    )
+    if len(header) - 1 > MAX_HEADER_LINE_BYTES:
+        raise ValueError(f"header line exceeds {MAX_HEADER_LINE_BYTES} bytes")
+    events = list(events)
+    last_window = 0
+    for event in events:
+        if not isinstance(event, MutationEvent):
+            raise TypeError(f"expected MutationEvent, got {type(event).__name__}")
+        if event.key >= (1 << key_bits):
+            raise ValueError(f"key {event.key} outside [0, 2^{key_bits})")
+        if event.window < last_window:
+            raise ValueError(f"window {event.window} regresses from {last_window}")
+        last_window = event.window
+    with open(path, "wb") as file:
+        file.write(header)
+        file.writelines(record_line(event.to_record(seq)) for seq, event in enumerate(events))
+    return len(events)
 
 
 class EventLogReader:

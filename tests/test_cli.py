@@ -12,7 +12,7 @@ import pytest
 from repro import cli
 from repro.analysis import format_cell
 from repro.cli import build_parser, main
-from repro.experiments import ScenarioRunner, ScenarioSpec
+from repro.experiments import ScenarioSpec, run_scenario
 
 
 class TestParser:
@@ -90,15 +90,14 @@ class TestOptionSurface:
 
 @pytest.fixture
 def recorded_specs(monkeypatch):
-    """Specs the protocol commands hand to the scenario runner (not run)."""
+    """Specs the protocol commands hand to ``run_scenario`` (not run)."""
     specs = []
 
-    class RecordingRunner:
-        def run(self, spec):
-            specs.append(spec)
-            return SimpleNamespace(metrics={"success": True}, success=True)
+    def recording(spec):
+        specs.append(spec)
+        return SimpleNamespace(metrics={"success": True}, success=True)
 
-    monkeypatch.setattr(cli, "ScenarioRunner", RecordingRunner)
+    monkeypatch.setattr(cli, "run_scenario", recording)
     return specs
 
 
@@ -248,7 +247,7 @@ class TestScenarioParity:
     def test_printed_rows_equal_driver_metrics(self, capsys, argv, spec):
         code = main(argv)
         rows = _printed_rows(capsys.readouterr().out)
-        metrics = ScenarioRunner().run(spec).metrics
+        metrics = run_scenario(spec).metrics
         assert rows == [(key, format_cell(value)) for key, value in metrics.items()]
         assert code == (0 if metrics["success"] else 1)
 
@@ -359,9 +358,9 @@ class TestSweepCommand:
         assert main(args + ["--jobs", "2", "--output", str(parallel)]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
-    def test_multiple_campaigns_share_one_runner(self, tmp_path):
-        """Repeatable --campaign writes one report per campaign through a
-        single persistent pool; bytes match single-campaign runs."""
+    def test_multiple_campaigns_write_one_report_each(self, tmp_path):
+        """Repeatable --campaign writes one report per campaign; bytes
+        match single-campaign runs."""
         outdir = tmp_path / "sweeps"
         code = main([
             "sweep", "--campaign", "iblt-threshold", "--campaign", "emd-levels",

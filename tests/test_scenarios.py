@@ -10,10 +10,10 @@ import pytest
 
 from repro.experiments import (
     DRIVERS,
-    ScenarioRunner,
     ScenarioSpec,
     builtin_scenarios,
     render_report,
+    run_scenario,
 )
 from repro.experiments import scenarios
 from repro.experiments.scenarios import _space
@@ -38,7 +38,7 @@ GOLDENS = Path(__file__).parent / "goldens"
 def numpy_results():
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("REPRO_BACKEND", "numpy")
-        return ScenarioRunner().run_all(builtin_scenarios(SEED))
+        return [run_scenario(spec) for spec in builtin_scenarios(SEED)]
 
 
 class TestSpec:
@@ -60,7 +60,7 @@ class TestSpec:
 
     def test_unknown_protocol_raises(self):
         with pytest.raises(KeyError):
-            ScenarioRunner().run(ScenarioSpec("nope", "no-such-protocol"))
+            run_scenario(ScenarioSpec("nope", "no-such-protocol"))
 
 
 class TestRunner:
@@ -80,19 +80,17 @@ class TestRunner:
     def test_rerun_is_identical(self, numpy_results, monkeypatch):
         """Same seed, same backend: metrics (not timings) repeat exactly."""
         monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        runner = ScenarioRunner()
         for previous in numpy_results[:3]:
-            again = runner.run(previous.spec)
+            again = run_scenario(previous.spec)
             assert again.metrics == previous.metrics
 
     def test_cross_backend_metrics_identical(self, numpy_results, monkeypatch):
         by_name = {r.spec.name: r for r in numpy_results}
         monkeypatch.setenv("REPRO_BACKEND", "python")
-        runner = ScenarioRunner()
         for spec in builtin_scenarios(SEED):
             if spec.name not in CROSS_BACKEND:
                 continue
-            python_result = runner.run(spec)
+            python_result = run_scenario(spec)
             assert python_result.backend == "python"
             assert python_result.metrics == by_name[spec.name].metrics
 
@@ -173,7 +171,7 @@ class TestDrivers:
             "close_radius": 1.0, "far_radius": 40.0, "r1": 2.0, "r2": 32.0,
         })
         with pytest.raises(ValueError, match="hamming or l1"):
-            ScenarioRunner().run(spec)
+            run_scenario(spec)
 
     @pytest.mark.parametrize(
         "protocol,name,factor",
@@ -190,5 +188,5 @@ class TestDrivers:
 
         monkeypatch.setattr(scenarios, name, recording)
         spec = ScenarioSpec("bound", protocol, SEED, {"dim": 40, "n": 60, "delta": 5})
-        assert ScenarioRunner().run(spec).success
+        assert run_scenario(spec).success
         assert bounds == [factor * 5]

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.experiments import ScenarioRunner, ScenarioSpec, builtin_campaigns
+from repro.experiments import ScenarioSpec, builtin_campaigns, run_scenario
 from repro.hashing import PublicCoins
 from repro.iblt import IBLT
 from repro.reconcile import BreakerState, ResilienceConfig
@@ -258,7 +258,7 @@ class TestStoreChurnFallback:
         monkeypatch.setenv("REPRO_BACKEND", backend)
         params = builtin_campaigns()["store-churn"].point_params({"churn": 16, "capacity": 4})
         spec = ScenarioSpec("store-churn-fallback", "store-churn", seed=0, params=params)
-        metrics = ScenarioRunner().run(spec).metrics
+        metrics = run_scenario(spec).metrics
         assert metrics == {
             "success": True,
             "rounds": 4,

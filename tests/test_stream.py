@@ -13,7 +13,6 @@ from repro.hashing import PublicCoins
 from repro.store import SketchStore, StoreConfig
 from repro.stream import (
     EventLogReader,
-    EventLogWriter,
     MutationEvent,
     StreamReplayer,
     events_by_window,
@@ -75,15 +74,17 @@ class TestEventLog:
         assert tuple(reader.read_all()) == workload.events
 
     def test_writer_enforces_discipline(self, tmp_path):
-        writer = EventLogWriter(tmp_path / "log", key_bits=8)
-        writer.append(MutationEvent(key=5, op="insert", window=1))
-        with pytest.raises(ValueError):
-            writer.append(MutationEvent(key=5, op="delete", window=0))  # regress
-        with pytest.raises(ValueError):
-            writer.append(MutationEvent(key=256, op="insert", window=1))  # range
-        with pytest.raises(TypeError):
-            writer.append("not an event")
-        writer.close()
+        """A bad event anywhere in the stream refuses it and leaves no file."""
+        path = tmp_path / "log"
+        good = MutationEvent(key=5, op="insert", window=1)
+        for bad, error in (
+            (MutationEvent(key=5, op="delete", window=0), ValueError),  # regress
+            (MutationEvent(key=256, op="insert", window=1), ValueError),  # range
+            ("not an event", TypeError),
+        ):
+            with pytest.raises(error):
+                write_event_log(path, [good, bad], key_bits=8)
+            assert not path.exists()
 
     def test_empty_and_unterminated_are_truncated(self):
         with pytest.raises(TruncatedPayloadError):
@@ -234,8 +235,8 @@ class TestEventLogFuzz:
 
     def test_writer_refuses_over_cap_header(self, tmp_path):
         with pytest.raises(ValueError):
-            EventLogWriter(
-                tmp_path / "log", key_bits=8, meta={"pad": "x" * MAX_HEADER_LINE_BYTES}
+            write_event_log(
+                tmp_path / "log", [], key_bits=8, meta={"pad": "x" * MAX_HEADER_LINE_BYTES}
             )
         assert not (tmp_path / "log").exists()
 

@@ -8,14 +8,14 @@ import pytest
 
 from repro.analysis.stats import summarize, wilson_interval
 from repro.experiments import (
-    ScenarioRunner,
     ScenarioSpec,
-    SweepRunner,
     SweepSpec,
     builtin_campaigns,
     render_sweep_report,
+    run_scenario,
+    run_sweep,
 )
-from repro.experiments.sweeps import with_trials
+from repro.experiments import sweeps
 
 SEED = 7
 
@@ -44,7 +44,7 @@ def numpy_backend(monkeypatch):
 def tiny_points():
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("REPRO_BACKEND", "numpy")
-        return SweepRunner().run(tiny_sweep(trials=3), seed=SEED)
+        return run_sweep(tiny_sweep(trials=3), seed=SEED)
 
 
 class TestSpec:
@@ -76,27 +76,23 @@ class TestSpec:
         with pytest.raises(ValueError):
             SweepSpec("x", "iblt-load", axes={"cells": ()})
         with pytest.raises(ValueError):
-            SweepRunner(jobs=0)
-
-    def test_with_trials(self):
-        assert with_trials(tiny_sweep(), 9).trials == 9
-        assert tiny_sweep().trials == 2
+            run_sweep(tiny_sweep(), jobs=0)
 
 
 class TestSeedDerivation:
     def test_distinct_points_and_trials_distinct_coins(self):
         """Every (grid point, trial) pair gets its own PublicCoins."""
-        trials = tiny_sweep(trials=3).trial_specs(SEED)
-        coins = [trial.spec.coins() for trial in trials]
-        assert len(trials) == 4 * 3
+        specs = tiny_sweep(trials=3).trial_specs(SEED)
+        coins = [spec.coins() for spec in specs]
+        assert len(specs) == 4 * 3
         assert len({c.seed for c in coins}) == len(coins)
-        seeds = [trial.spec.seed for trial in trials]
+        seeds = [spec.seed for spec in specs]
         assert len(set(seeds)) == len(seeds)
 
     def test_sweep_seed_changes_every_trial_seed(self):
         sweep = tiny_sweep()
-        seeds_a = {t.spec.seed for t in sweep.trial_specs(1)}
-        seeds_b = {t.spec.seed for t in sweep.trial_specs(2)}
+        seeds_a = {spec.seed for spec in sweep.trial_specs(1)}
+        seeds_b = {spec.seed for spec in sweep.trial_specs(2)}
         assert not seeds_a & seeds_b
 
     def test_axis_reordering_is_seed_invariant(self):
@@ -113,9 +109,9 @@ class TestSeedDerivation:
         assert sweep.trial_seed(SEED, point, 0) != sweep.trial_seed(SEED, point, 1)
 
     def test_trials_run_through_scenario_runner_identically(self, tiny_points):
-        """A sweep trial is exactly a ScenarioRunner run of its spec."""
+        """A sweep trial is exactly a ``run_scenario`` call on its spec."""
         first = tiny_points[0].results[0]
-        again = ScenarioRunner().run(first.spec)
+        again = run_scenario(first.spec)
         assert again.metrics == first.metrics
 
 
@@ -124,6 +120,9 @@ class TestRunner:
         sweep = tiny_sweep(trials=3)
         assert [dict(p.point) for p in tiny_points] == sweep.grid_points()
         assert all(len(p.results) == 3 for p in tiny_points)
+        # Point i owns trial_specs' slice [i * trials, (i + 1) * trials).
+        specs = sweep.trial_specs(SEED)
+        assert [result.spec for point in tiny_points for result in point.results] == specs
 
     def test_overload_is_an_outcome_not_an_error(self, tiny_points):
         """16 difference keys in ~16 cells is far over threshold."""
@@ -133,56 +132,54 @@ class TestRunner:
 
     def test_parallel_report_is_byte_identical_to_serial(self):
         sweep = tiny_sweep(trials=2)
-        serial = SweepRunner(jobs=1).run(sweep, seed=SEED)
-        with SweepRunner(jobs=2) as runner:
-            parallel = runner.run(sweep, seed=SEED)
+        serial = run_sweep(sweep, seed=SEED, jobs=1)
+        parallel = run_sweep(sweep, seed=SEED, jobs=2)
         assert render_sweep_report(sweep, parallel, seed=SEED) == render_sweep_report(
             sweep, serial, seed=SEED
         )
 
-    def test_persistent_pool_survives_campaigns(self):
-        """One pool serves consecutive campaigns and every chunking."""
-        first = tiny_sweep(trials=2)
-        second = tiny_sweep(trials=3)
-        serial = SweepRunner(jobs=1)
-        with SweepRunner(jobs=2) as runner:
-            assert runner._pool is None  # lazy until the first parallel run
-            results_first = runner.run(first, seed=SEED)
-            pool = runner._pool
-            assert pool is not None
-            results_second = runner.run(second, seed=SEED)
-            assert runner._pool is pool  # reused, not rebuilt
-            for sweep, results in ((first, results_first), (second, results_second)):
-                assert render_sweep_report(
-                    sweep, results, seed=SEED
-                ) == render_sweep_report(sweep, serial.run(sweep, seed=SEED), seed=SEED)
-        assert runner._pool is None  # context exit closed it
-
     def test_chunk_sizes_cannot_change_reports(self):
         """Chunking is transport only: every worker count, same bytes."""
         sweep = tiny_sweep(trials=2)
-        baseline = render_sweep_report(
-            sweep, SweepRunner(jobs=1).run(sweep, seed=SEED), seed=SEED
-        )
+        baseline = render_sweep_report(sweep, run_sweep(sweep, seed=SEED), seed=SEED)
         for jobs in (2, 3, 4):
-            with SweepRunner(jobs=jobs) as runner:
-                report = render_sweep_report(
-                    sweep, runner.run(sweep, seed=SEED), seed=SEED
-                )
+            report = render_sweep_report(sweep, run_sweep(sweep, seed=SEED, jobs=jobs), seed=SEED)
             assert report == baseline
 
-    def test_chunk_trials_validated(self):
-        assert SweepRunner(jobs=2)._chunk_size(16) == 2
-        assert SweepRunner(jobs=4)._chunk_size(1) == 1
+    def test_pool_is_capped_by_trials_and_cpus(self, monkeypatch):
+        """``jobs`` asks for workers; the trial and CPU counts cap them,
+        and the chunk size still derives from ``jobs``.  The pool here is
+        an in-process stand-in, so no process starts."""
+        calls = []
 
-    def test_close_is_idempotent(self):
-        runner = SweepRunner(jobs=2)
-        runner.run(tiny_sweep(trials=2), seed=SEED)
-        runner.close()
-        runner.close()
-        # and a closed runner can lazily re-open on the next run
-        runner.run(tiny_sweep(trials=2), seed=SEED)
-        runner.close()
+        class InProcessPool:
+            def __init__(self, max_workers, **kwargs):
+                calls.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return None
+
+            def map(self, fn, iterable, chunksize):
+                calls.append(chunksize)
+                return map(fn, iterable)
+
+        monkeypatch.setattr(sweeps, "ProcessPoolExecutor", InProcessPool)
+        sweep = tiny_sweep(trials=4)  # 16 trials
+        serial = render_sweep_report(sweep, run_sweep(sweep, seed=SEED), seed=SEED)
+        for cpus, jobs, expected in (
+            (64, 10_000, [16, 1]),  # capped by the trial count
+            (3, 10_000, [3, 1]),  # capped by the CPU count
+            (None, 10_000, [1, 1]),  # unknown CPU count: one worker
+            (64, 2, [2, 2]),  # ceil(16 / (4 * 2)) trials per chunk
+        ):
+            monkeypatch.setattr(sweeps.os, "cpu_count", lambda: cpus)
+            calls.clear()
+            points = run_sweep(sweep, seed=SEED, jobs=jobs)
+            assert calls == expected
+            assert render_sweep_report(sweep, points, seed=SEED) == serial
 
     def test_backend_recorded(self, tiny_points):
         assert all(
@@ -193,16 +190,26 @@ class TestRunner:
 
     @pytest.mark.parametrize("backend", ["numpy", "python"])
     def test_runners_record_the_env_backend(self, monkeypatch, backend):
-        """``REPRO_BACKEND`` is the one switch: the scenario runner and a
+        """``REPRO_BACKEND`` is the one switch: ``run_scenario`` and a
         pool's forked workers both run on, and record, what it names."""
         monkeypatch.setenv("REPRO_BACKEND", backend)
         sweep = tiny_sweep(trials=1)
-        assert ScenarioRunner().run(sweep.trial_specs(SEED)[0].spec).backend == backend
-        with SweepRunner(jobs=2) as runner:
-            points = runner.run(sweep, seed=SEED)
+        assert run_scenario(sweep.trial_specs(SEED)[0]).backend == backend
+        points = run_sweep(sweep, seed=SEED, jobs=2)
         assert {result.backend for point in points for result in point.results} == {backend}
         document = json.loads(render_sweep_report(sweep, points, seed=SEED))
         assert document["backends"] == [backend]
+
+    def test_each_parallel_call_forks_on_the_current_backend(self, monkeypatch):
+        """Every ``jobs > 1`` call forks fresh workers, so switching
+        ``REPRO_BACKEND`` between two calls switches what they record."""
+        sweep = tiny_sweep(trials=1)
+        recorded = []
+        for backend in ("numpy", "python"):
+            monkeypatch.setenv("REPRO_BACKEND", backend)
+            points = run_sweep(sweep, seed=SEED, jobs=2)
+            recorded.append({result.backend for point in points for result in point.results})
+        assert recorded == [{"numpy"}, {"python"}]
 
 
 class TestReport:
@@ -271,9 +278,9 @@ class TestBuiltinCampaigns:
     def test_emd_levels_axis_controls_level_count(self):
         """d2 is exactly the level-count knob (t = ceil(log2 d2) + 1)."""
         campaign = builtin_campaigns()["emd-levels"]
-        trial = campaign.trial_specs(SEED)[0]
-        assert trial.spec.params["d2"] == 8
-        assert trial.spec.params["d1"] == 1
+        spec = campaign.trial_specs(SEED)[0]
+        assert spec.params["d2"] == 8
+        assert spec.params["d1"] == 1
 
     def test_iblt_threshold_straddles_the_threshold(self):
         campaign = builtin_campaigns()["iblt-threshold"]
@@ -286,9 +293,9 @@ class TestBuiltinCampaigns:
     def test_campaign_trial_is_a_plain_scenario(self):
         """Campaign trials stay runnable outside the sweep machinery."""
         campaign = builtin_campaigns()["iblt-threshold"]
-        trial = campaign.trial_specs(SEED)[0]
-        result = ScenarioRunner().run(trial.spec)
-        assert isinstance(trial.spec, ScenarioSpec)
+        spec = campaign.trial_specs(SEED)[0]
+        result = run_scenario(spec)
+        assert isinstance(spec, ScenarioSpec)
         assert result.metrics["true_differences"] == 64
 
     def test_emd_branching_rides_the_scaled_wrapper(self):
@@ -296,28 +303,22 @@ class TestBuiltinCampaigns:
         the interval count must shrink as the ratio grows."""
         campaign = builtin_campaigns()["emd-branching"]
         assert campaign.base_params["scaled"] is True
-        trials = {
-            trial.point["ratio"]: trial
-            for trial in campaign.trial_specs(SEED)
-            if trial.trial_index == 0
-        }
+        first_trials = campaign.trial_specs(SEED)[:: campaign.trials]
+        specs = {spec.params["ratio"]: spec for spec in first_trials}
         intervals = {}
         for ratio in (2, 8):
-            result = ScenarioRunner().run(trials[ratio].spec)
+            result = run_scenario(specs[ratio])
             assert result.success
             intervals[ratio] = result.metrics["intervals"]
         assert intervals[2] > intervals[8]
 
     def test_multiparty_campaign_cost_grows_with_parties(self):
         campaign = builtin_campaigns()["multiparty-parties"]
-        trials = {
-            trial.point["parties"]: trial
-            for trial in campaign.trial_specs(SEED)
-            if trial.trial_index == 0
-        }
+        first_trials = campaign.trial_specs(SEED)[:: campaign.trials]
+        specs = {spec.params["parties"]: spec for spec in first_trials}
         bits = {}
         for parties in (2, 4):
-            result = ScenarioRunner().run(trials[parties].spec)
+            result = run_scenario(specs[parties])
             assert result.success
             assert result.metrics["parties"] == parties
             bits[parties] = result.metrics["bits"]
