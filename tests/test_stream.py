@@ -86,6 +86,16 @@ class TestEventLog:
                 write_event_log(path, [good, bad], key_bits=8)
             assert not path.exists()
 
+    def test_refused_stream_keeps_an_existing_log(self, tmp_path):
+        """Validation runs before the file opens, so a refused rewrite
+        leaves the previous log byte-for-byte in place."""
+        path = tmp_path / "log"
+        write_event_log(path, [MutationEvent(key=5, op="insert", window=1)], key_bits=8)
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            write_event_log(path, [MutationEvent(key=256, op="insert", window=1)], key_bits=8)
+        assert path.read_bytes() == before
+
     def test_empty_and_unterminated_are_truncated(self):
         with pytest.raises(TruncatedPayloadError):
             EventLogReader(b"").read_all()

@@ -120,9 +120,25 @@ class TestRunner:
         sweep = tiny_sweep(trials=3)
         assert [dict(p.point) for p in tiny_points] == sweep.grid_points()
         assert all(len(p.results) == 3 for p in tiny_points)
-        # Point i owns trial_specs' slice [i * trials, (i + 1) * trials).
+
+    def test_trial_specs_are_grouped_by_point(self, tiny_points):
+        """Point i owns trial_specs' slice [i * trials, (i + 1) * trials)."""
+        sweep = tiny_sweep(trials=3)
         specs = sweep.trial_specs(SEED)
-        assert [result.spec for point in tiny_points for result in point.results] == specs
+        for index, point in enumerate(tiny_points):
+            owned = specs[index * 3 : (index + 1) * 3]
+            assert [result.spec for result in point.results] == owned
+            assert all(dict(spec.params) == dict(point.params) for spec in owned)
+
+    def test_serial_run_starts_no_pool(self, monkeypatch):
+        """``jobs=1`` runs every trial in-process: no pool is opened."""
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("jobs=1 must not open a process pool")
+
+        monkeypatch.setattr(sweeps, "ProcessPoolExecutor", no_pool)
+        points = run_sweep(tiny_sweep(trials=1), seed=SEED, jobs=1)
+        assert sum(len(point.results) for point in points) == 4
 
     def test_overload_is_an_outcome_not_an_error(self, tiny_points):
         """16 difference keys in ~16 cells is far over threshold."""
