@@ -126,7 +126,12 @@ def bench_prefix_keys(coins: PublicCoins, n: int, repeats: int) -> tuple[float, 
 def bench_emd_keys(coins: PublicCoins, n: int, repeats: int) -> tuple[float, float]:
     """Algorithm 1's unified key stream: the Mersenne-61 PrefixKeyBuilder's
     per-level digests over a real derived prefix schedule, vectorised
-    (``prefix_digests_many``) vs the scalar per-point reference."""
+    (``prefix_digests_many``) vs the scalar per-point reference.
+
+    The derived padding width makes nearly every sampled function the
+    constant 0, so this row mostly times ``prefix_digests_many``'s skip
+    of zero columns; ``prefix_keys`` (dense 60-bit values) times its full
+    field multiply."""
     space = HammingSpace(64)
     rows = max(1, n // 10)
     params = derive_emd_parameters(space, n=rows, k=4, max_total_hashes=32)

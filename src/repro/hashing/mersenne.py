@@ -23,6 +23,12 @@ Every intermediate stays below ``2^63``, so the arithmetic is *exact* in
 functions broadcast and accept scalars or arrays; results always satisfy
 ``0 <= out < P``.
 
+Narrow operands need no split.  With ``0 <= x < 8`` and a field element
+``a < 2^61``, ``x·a < 2^64`` is one exact ``uint64`` multiply, and one
+fold ``(x·a >> 61) + (x·a & P)`` leaves it below ``2^61 + 8``, inside
+the ``2^62 + 16`` bound of a split product.  :func:`row_products` uses
+this for matrices of small values such as bit-sampling LSH's 0s and 1s.
+
 This module is the substrate for the vectorised hash families in
 :mod:`repro.hashing.universal` and, through them, for the numpy IBLT
 backend.  Bit-exact agreement with Python's ``%`` on the same inputs is
@@ -60,6 +66,10 @@ MERSENNE_P = (1 << 61) - 1
 #: temporaries stay in cache (2-core x86_64 host).  Blocks of 2^15 were
 #: as fast but raised the EMD benchmark's peak RSS by 2 MB.
 _BLOCK_ELEMENTS = 1 << 14
+
+#: :func:`row_products` entries below this bound take one ``uint64``
+#: multiply: ``8 · 2^61 = 2^64``.
+_NARROW = 8
 
 _P = np.uint64(MERSENNE_P)
 _MASK32 = np.uint64(0xFFFFFFFF)
@@ -247,10 +257,26 @@ def row_products(matrix: np.ndarray, row: np.ndarray) -> Iterator[tuple[slice, n
     below ``2^62 + 16``, which is all :func:`sum_mod_p` needs.  The row's
     limbs are split once and tiled to the block shape, so every pass runs
     over same-shape contiguous operands instead of a short broadcast row.
+
+    A matrix whose entries all lie in ``[0, _NARROW)`` (bit-sampling
+    values are 0 or 1) skips the limb split: ``x · row < 8 · 2^61 = 2^64``
+    is one exact ``uint64`` multiply, and one Mersenne fold brings it
+    below ``2^61 + 8``, inside the same bound.
     """
     row = np.asarray(row, dtype=np.uint64)
     step = max(1, _BLOCK_ELEMENTS // max(len(row), 1))
     tile = (min(step, len(matrix)), 1)
+    if matrix.size and matrix.max() < _NARROW and matrix.min() >= 0:
+        row_tile = np.tile(row, tile)
+        for start in range(0, len(matrix), step):
+            products = matrix[start : start + step].astype(np.uint64)
+            count = len(products)
+            products *= row_tile[:count]  # < 2^64
+            folded = products >> _S61
+            np.bitwise_and(products, _P, out=products)
+            products += folded  # < 2^61 + 8
+            yield slice(start, start + count), products
+        return
     row_hi = np.tile(row >> _S32, tile)
     row_lo = np.tile(row & _MASK32, tile)
     for start in range(0, len(matrix), step):

@@ -19,8 +19,9 @@ resolution level ``i`` (a hash of the first ``c_i`` MLSH values) from one
 pass over the longest prefix instead of rehashing each prefix.
 
 The batch paths evaluate every polynomial in closed form: one broadcast
-field multiply of the whole input matrix by a cached coefficient row,
-then exact sums of the products' 32-bit limbs (a row sum for
+field multiply of the input matrix by a cached coefficient row (the
+prefix hash multiplies only the columns holding a nonzero value), then
+exact sums of the products' 32-bit limbs (a row sum for
 :meth:`VectorHash.hash_rows`, a prefix sum for
 :meth:`PrefixHasher.prefix_digests_many`).  The scalar ``__call__`` /
 :meth:`PrefixHasher.extend` paths are the reference the batch paths are
@@ -306,13 +307,17 @@ class PrefixHasher:
         ``i`` equals ``prefix_digests(values[i], lengths)``.
 
         Closed form: the state after ``c`` values is
-        ``r^c · (b + Σ_{j≤c} x_j · r^-j) mod P``.  One blockwise field
-        multiply (:func:`~repro.hashing.mersenne.row_products`) weights
-        every column by its cached ``r^-j``; exact prefix sums of the
-        products' 32-bit limbs
+        ``r^c · (b + Σ_{j≤c} x_j · r^-j) mod P``.  A column of zeros adds
+        nothing to any sum, so only the *live* columns (a nonzero entry in
+        some row) are weighted, each by its cached ``r^-j``, in one
+        blockwise field multiply
+        (:func:`~repro.hashing.mersenne.row_products`).  Exact prefix sums
+        of the products' 32-bit limbs
         (:func:`~repro.hashing.mersenne.prefix_sums_mod_p`, exact for any
         width below ``2^32``) give ``Σ_{j≤c}`` at every requested length,
-        and each distinct length costs one multiply by ``r^c``.
+        ending at the last live column at or before ``c``; a length with
+        no live column sums to 0, and a matrix with none skips the
+        multiply.  Each distinct length costs one multiply by ``r^c``.
         """
         values = _integer_matrix(values)
         rows, width = values.shape
@@ -325,12 +330,20 @@ class PrefixHasher:
                 raise ValueError(f"prefix length {length} exceeds {width} values")
             consumed = length
         distinct, level = np.unique(np.array(lengths, dtype=np.int64), return_inverse=True)
-        summed = distinct > 0  # the empty prefix sums nothing
-        ends = distinct[summed] - 1
         scales = _field_row([pow(self.r, int(c), MERSENNE_P) for c in distinct])
         sums = np.zeros((rows, len(distinct)), dtype=np.uint64)
-        for block, products in row_products(values[:, :consumed], self._weights(consumed)):
-            sums[block, summed] = prefix_sums_mod_p(products, ends)
+        # A zero column adds nothing to any prefix sum: hash the live
+        # columns only and end each prefix at its last live column.
+        live = np.flatnonzero(values[:, :consumed].any(axis=0))
+        if len(live):
+            last = np.searchsorted(live, distinct - 1, side="right") - 1
+            reached = np.flatnonzero(last >= 0)  # lengths with a live column
+            ends, at = np.unique(last[reached], return_inverse=True)
+            weights = self._weights(int(live[-1]) + 1)[live]
+            # With every column live a slice serves; a gather would copy.
+            hashed = values[:, live] if len(live) < consumed else values[:, :consumed]
+            for block, products in row_products(hashed, weights):
+                sums[block, reached] = prefix_sums_mod_p(products, ends)[:, at]
         states = mul_mod_p(add_mod_p(sums, self.b), scales)
         return fold_bits(states[:, level], self.bits)
 

@@ -27,14 +27,22 @@ in closed form by :meth:`~repro.hashing.PrefixHasher.prefix_digests_many`::
 
     state_c = r^c · (b + Σ_{j≤c} x_j · r^-j)   (mod P = 2^61 - 1)
 
-* the inverse powers ``r^-1 … r^-c_t`` are cached on the hasher;
-* one blockwise field multiply (``mersenne.row_products``) weights the
-  whole ``(points, c_t)`` MLSH matrix by them;
+* a zero column adds nothing to any ``Σ_{j≤c}``, and bit-sampling MLSH
+  pads to ``w ≫ d`` (Lemma 2.3, footnote 3), so most of the ``c_t``
+  sampled functions are the constant 0.  Only the *live* columns — those
+  holding a nonzero value for some point — are hashed;
+* one blockwise field multiply (``mersenne.row_products``) weights each
+  live column by its inverse power ``r^-j`` (cached on the hasher).  MLSH
+  values of 0 and 1 take its one-multiply branch;
 * exact prefix sums of the products' 32-bit limbs give ``Σ_{j≤c}`` at
-  every level.  Each product is below ``2^63``, so over ``c`` terms the
-  low limbs stay below ``c·2^32`` and the high limbs below ``c·2^31`` —
-  exact in ``uint64`` for any width below ``2^32``;
+  every level, each level ending at its last live column (a level with
+  none sums to 0, and a matrix with none skips the multiply).  Each
+  product is below ``2^63``, so over ``c`` terms the low limbs stay below
+  ``c·2^32`` and the high limbs below ``c·2^31`` — exact in ``uint64``
+  for any width below ``2^32``;
 * each distinct level length costs one multiply by ``r^c``.
+
+The key hash thus costs what the MLSH matrix holds, not its width ``c_t``.
 
 The Gap key vectors (:meth:`BatchKeyBuilder.key_matrix_for`,
 ``VectorHash.hash_rows``) and the sets-of-sets patch search use the same
@@ -124,7 +132,8 @@ class PrefixKeyBuilder:
         first ``c_{j+1}`` MLSH values of the point.  The whole point set is
         hashed with :meth:`~repro.hashing.PrefixHasher.prefix_digests_many`
         — one broadcast field multiply and one limb-split prefix sum over
-        the ``(n, c_t)`` MLSH matrix, then one multiply per level.
+        the live columns of the ``(n, c_t)`` MLSH matrix, then one
+        multiply per level.
         """
         values = self.batch.evaluate(points)  # (n, s_max)
         return self.hasher.prefix_digests_many(values, self.prefix_lengths)

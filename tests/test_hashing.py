@@ -144,12 +144,40 @@ class TestPairwiseHash:
 
 
 #: Matrix fills at the closed form's limb-sum bounds: every term ``P - 1``,
-#: ``uint64`` values near ``2^64`` and negative ``int64`` values.
-_FILLS = ("random", "all-p-minus-1", "near-2^64", "negative")
+#: ``uint64`` values near ``2^64`` and negative ``int64`` values.  Zero and
+#: sparse fills reach the prefix hash's zero-column skip; narrow fills (and
+#: the 0/1 sparse ones) reach ``row_products``' one-multiply branch.
+_FILLS = ("random", "all-p-minus-1", "near-2^64", "negative", "zeros", "sparse", "narrow")
 
 
-def _matrix(fill: str, rows: int, width: int, seed: int) -> np.ndarray:
+def _sparse(rng: np.random.Generator, rows: int, width: int, lengths) -> np.ndarray:
+    """A few live 0/1 columns among zero ones.  Given prefix lengths, no
+    column before the first prefix end is live, while one end's column and
+    the column just past it are."""
+    live = rng.choice(width, size=min(width, 3), replace=False)
+    ends = [length - 1 for length in lengths if length > 0]
+    if ends:
+        end = ends[rng.integers(len(ends))]
+        live = np.concatenate([live[live >= ends[0]], [end, end + 1]])
+        live = live[live < width]
+    matrix = np.zeros((rows, width), dtype=np.int64)
+    matrix[:, live] = rng.integers(0, 2, size=(rows, len(live)))
+    matrix[:1, live] = 1  # every chosen column holds a nonzero entry
+    return matrix
+
+
+def _matrix(fill: str, rows: int, width: int, seed: int, lengths=()) -> np.ndarray:
     rng = np.random.default_rng(seed)
+    if fill == "zeros":
+        return np.zeros((rows, width), dtype=np.int64)
+    if fill == "sparse":
+        return _sparse(rng, rows, width, lengths)
+    if fill == "narrow":
+        # 0..7 take the one-multiply branch; on odd seeds an 8 leaves it.
+        matrix = rng.integers(0, 8, size=(rows, width), dtype=np.int64)
+        if matrix.size and seed % 2:
+            matrix.flat[rng.integers(matrix.size)] = 8
+        return matrix
     if fill == "random":
         return rng.integers(0, 1 << 63, size=(rows, width), dtype=np.int64)
     if fill == "all-p-minus-1":
@@ -318,10 +346,11 @@ class TestPrefixHasher:
     @settings(max_examples=40, deadline=None)
     def test_prefix_digests_many_closed_form(self, width, rows, fill, cuts, seed):
         """The closed form equals the rolling reference at any width up to
-        4,096, on the inputs at its limb-sum bounds."""
+        4,096, on the inputs at its limb-sum bounds and on zero, sparse and
+        narrow matrices."""
         hasher = PrefixHasher(PublicCoins(seed), "closed", bits=61)
-        values = _matrix(fill, rows, width, seed)
         lengths = sorted(round(cut * width) for cut in cuts)
+        values = _matrix(fill, rows, width, seed, lengths)
         assert hasher.prefix_digests_many(values, lengths).tolist() == [
             hasher.prefix_digests(row, lengths) for row in values.tolist()
         ]

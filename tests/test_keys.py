@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import derive_emd_parameters
 from repro.hashing import PublicCoins
 from repro.lsh import (
     BatchKeyBuilder,
@@ -250,3 +251,23 @@ class TestPrefixKeyBuilderScalarParity:
                 [int(v) for v in values[row]], list(self.LENGTHS)
             )
             assert keys[row].tolist() == expected
+
+    @pytest.mark.parametrize("seed, real", [(0, []), (77, [120, 271, 317])])
+    def test_emd_hamming_shape_matches_scalar_reference(self, seed, real):
+        """The emd-hamming benchmark's shape: ``w = 196,608`` against
+        ``d = 64`` makes nearly all of the 1,024 sampled functions the
+        constant 0, so the batch under seed 0 has no real column and the
+        one under seed 77 three, over a 13-level schedule."""
+        space = HammingSpace(64)
+        params = derive_emd_parameters(space, n=64, k=1, max_total_hashes=1024)
+        lengths = list(params.hash_counts)
+        assert len(lengths) == 13 and lengths[-1] == 1024
+        coins = PublicCoins(seed)
+        batch = params.family.sample_batch(coins, "emd-mlsh", params.total_hashes)
+        assert np.flatnonzero(batch.indices >= 0).tolist() == real
+        builder = PrefixKeyBuilder(batch, lengths, coins, "emd-keys", key_bits=params.key_bits)
+        points = space.sample(np.random.default_rng(seed), 64)
+        values = batch.evaluate(points)
+        assert builder.keys_for(points).tolist() == [
+            builder.hasher.prefix_digests(row, lengths) for row in values.tolist()
+        ]
