@@ -180,8 +180,3 @@ def test_cpi_is_most_communication_efficient(exact_baselines):
         < exact_baselines["iblt"].total_bits
         < exact_baselines["auto"].total_bits
     )
-
-
-def test_ablation_speed(benchmark, riblt_q_sweep, threshold_sweep, exact_baselines):
-    cells, _ = _riblt_decode_rate(3, 20, trials=2)
-    assert benchmark(lambda: _riblt_decode_rate(3, 20, trials=2)[1]) >= 0.0

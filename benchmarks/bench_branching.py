@@ -89,9 +89,3 @@ def test_monte_carlo_matches_recurrence(curves):
     rng = np.random.default_rng(3)
     estimate = simulate_survival(below.c, Q, 3, trials=6000, rng=rng)
     assert estimate == pytest.approx(below.lam[2], abs=0.02)
-
-
-def test_recurrence_speed(benchmark, curves):
-    threshold = riblt_sparsity_threshold(Q)
-    curve = benchmark(survival_recurrence, 0.8 * threshold, Q, 50)
-    assert curve.rounds == 50

@@ -77,15 +77,3 @@ def test_bfs_comparable_or_better_in_tail(sweep):
     for q in (3, 4):
         bfs, dfs = sweep[(q, "0.8x")]
         assert bfs < 4.0 and dfs < 8.0
-
-
-def test_propagation_speed(benchmark, sweep):
-    rng = np.random.default_rng(42)
-
-    def run():
-        return error_propagation_trials(
-            M_VERTICES, 0.8 * riblt_sparsity_threshold(3), 3, trials=5, rng=rng
-        )
-
-    results = benchmark(run)
-    assert len(results) == 5

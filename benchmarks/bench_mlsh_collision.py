@@ -8,7 +8,6 @@ both bounds for the bit-sampling, grid (ℓ1) and p-stable (ℓ2) families.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.hashing import PublicCoins
@@ -86,14 +85,3 @@ def test_rates_decay_with_distance(sweep):
     for family_rows in per_family:
         rates = [rate for _, rate, _ in family_rows]
         assert rates[0] > rates[-1]
-
-
-def test_batch_evaluation_speed(benchmark, sweep):
-    space = GridSpace(side=512, dim=8, p=2.0)
-    family = PStableMLSH(space, w=16.0)
-    rng = np.random.default_rng(0)
-    points = space.sample(rng, 256)
-    batch = family.sample_batch(PublicCoins(1), "speed", 512)
-
-    values = benchmark(batch.evaluate, points)
-    assert values.shape == (256, 512)

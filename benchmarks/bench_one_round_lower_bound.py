@@ -92,16 +92,3 @@ def test_gap_reduction_correct(reduction_runs):
     answered = [c for a, c in reduction_runs if a]
     assert len(answered) >= 2
     assert all(answered)
-
-
-def test_reduction_speed(benchmark, strawman_sweep, reduction_runs):
-    rng = np.random.default_rng(55)
-    x = [int(b) for b in rng.integers(0, 2, size=8)]
-    instance = make_index_instance(x, i=3, r2=R2, rng=rng)
-    answer, _, _ = benchmark.pedantic(
-        solve_index_via_gap,
-        args=(instance, PublicCoins(9)),
-        rounds=1,
-        iterations=1,
-    )
-    assert answer in (0, 1, None)

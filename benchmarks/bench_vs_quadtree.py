@@ -114,19 +114,3 @@ def test_lsh_wins_at_high_dimension(sweep):
 def test_quadtree_degrades_with_dimension(sweep):
     """[7]'s O(d): the quadtree ratio should grow along the d sweep."""
     assert np.median(sweep[8]["quadtree"]) > 2 * np.median(sweep[2]["quadtree"])
-
-
-def test_quadtree_speed(benchmark, sweep):
-    rng = np.random.default_rng(8)
-    space = GridSpace(side=256, dim=4, p=1.0)
-    workload = noisy_replica_pair(
-        space, n=N, k=K, close_radius=2, far_radius=200.0, rng=rng
-    )
-    protocol = QuadtreeEMDProtocol(space, n=N, k=K)
-    result = benchmark.pedantic(
-        protocol.run,
-        args=(workload.alice, workload.bob, PublicCoins(3)),
-        rounds=1,
-        iterations=1,
-    )
-    assert result.rounds == 1

@@ -2,9 +2,8 @@
 
 Each experiment module computes its paper-shaped table (the rows a reader
 would compare against the paper's claims) and registers it here;
-``pytest_terminal_summary`` prints every registered table after the
-pytest-benchmark timing output, so ``pytest benchmarks/ --benchmark-only``
-shows both machine timings and the reproduction tables.
+``pytest_terminal_summary`` prints every registered table at the end of
+the run.  Timing lives in ``run_perf.py``, not here.
 """
 
 from __future__ import annotations

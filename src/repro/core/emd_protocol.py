@@ -12,7 +12,8 @@ matching between the decoded ``X_B`` and ``S_B``.
 
 Guarantee (Theorem 3.4): with probability at least 5/8,
 ``EMD(S_A, S'_B) <= O(α^{-1} log n) · EMD_k(S_A, S_B)`` using
-``O(k·d·log(Δn)·log(D2/D1))`` bits — which experiment E4/E5 measure.
+``O(k·d·log(Δn)·log(D2/D1))`` bits — which the ``emd-n`` and
+``emd-l2-n`` sweep campaigns measure.
 
 The level ladder itself — Alice's :func:`send_levels`, Bob's
 :func:`decode_levels` and the repair of :meth:`EMDResult.from_ladder` — is
@@ -308,7 +309,7 @@ class EMDProtocol:
         """Execute Algorithm 1 end to end.
 
         ``matcher`` selects Bob's repair matching ("hungarian" per the
-        paper, "greedy" for the E4 ablation); ``decode_rng`` drives the
+        paper, "greedy" for the repair ablation); ``decode_rng`` drives the
         RIBLT's randomized rounding (Bob's private coins).
         """
         alice = self.space.point_array(alice_points)

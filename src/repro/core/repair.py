@@ -7,7 +7,7 @@ min-cost matching between ``X_B`` and ``S_B``, and outputs
 ``S'_B = (S_B \\ Y_B) ∪ X_A``.
 
 The matching is the rectangular Hungarian problem (|X_B| <= 2k rows
-against n columns).  A greedy variant is provided for the E4 ablation.
+against n columns).  A greedy variant is provided for the repair ablation.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ from ..core import (
 from ..core.multiparty import Topology, multi_party_gap, verify_multi_party_guarantee
 from ..hashing import PublicCoins, derive_seed
 from ..iblt import IBLT
-from ..metric import GridSpace, HammingSpace, MetricSpace, emd
+from ..metric import GridSpace, HammingSpace, MetricSpace, emd, emd_k
 from ..protocol import Channel, FaultSpec, FaultyChannel
 from ..reconcile import (
     cpi_reconcile,
@@ -220,6 +220,9 @@ def _drive_emd(spec: ScenarioSpec, rng: np.random.Generator, coins: PublicCoins)
         "decoded_level": result.decoded_level,
         **shape,
         "emd_before": _round6(emd(space, workload.alice, workload.bob)),
+        # EMD_k (Def. 3.3): the baseline of Corollary 3.5's approximation
+        # ratio EMD(S_A, S'_B) / EMD_k(S_A, S_B).
+        "emd_k": _round6(emd_k(space, workload.alice, workload.bob, p["k"])),
     }
     if result.success:
         metrics["emd_after"] = _round6(emd(space, workload.alice, result.bob_final))

@@ -36,10 +36,9 @@ Layers
     times never enter the document.
 
 :func:`builtin_campaigns`
-    Eight paper-style curves: ``iblt-threshold``, ``gap-ratio``,
-    ``emd-levels``, ``emd-branching``, ``fault-rate``,
-    ``multiparty-parties``, ``store-churn`` and ``churn-topology``,
-    exposed as ``python -m repro.cli sweep``.
+    The paper-style curves, exposed as ``python -m repro.cli sweep``.
+    Six of them carry the paper's probabilistic claims, which
+    ``benchmarks/bench_claims.py`` asserts over their seed-7 trials.
 """
 
 from __future__ import annotations
@@ -297,6 +296,32 @@ def _derive_fault_rate(params: dict) -> dict:
     return params
 
 
+def _derive_iblt_load(params: dict) -> dict:
+    """Turn the swept ``load`` axis into the driver's set sizes.
+
+    The driver's load is ``2·differences/cells``, so each point plants
+    ``round(load·cells/2)`` differences on each side.  The sets share no
+    key (``n = differences``): shared keys cancel in the subtraction, so
+    they would only add insert work, not change the peel.
+    """
+    params = dict(params)
+    params["differences"] = round(params.pop("load") * params["cells"] / 2)
+    params["n"] = params["differences"]
+    return params
+
+
+#: The l1 grid of each swept dimension: ``(side, r2, far_radius)``.  At
+#: ``dim = 2`` this is Corollary 4.4's configuration.
+_L1_GAP_GRIDS = {2: (4096, 512.0, 700.0), 3: (1024, 384.0, 500.0)}
+
+
+def _derive_l1_grid(params: dict) -> dict:
+    """Give the swept ``dim`` its grid side, ``r2`` and far radius."""
+    params = dict(params)
+    params["side"], params["r2"], params["far_radius"] = _L1_GAP_GRIDS[params["dim"]]
+    return params
+
+
 def _derive_gap_ratio(params: dict) -> dict:
     """Turn the swept ``ratio`` axis into the dependent gap parameters.
 
@@ -316,7 +341,7 @@ def builtin_campaigns() -> dict[str, SweepSpec]:
     ``iblt-threshold``
         Decode success against IBLT load (2·differences/cells) for two
         branching factors ``q`` — the XORSAT-core peeling threshold
-        (~0.82 of cells at q=3, ~0.77 at q=4).
+        (~0.82 of cells at q=3, ~0.77 at q=4; Theorem 2.6).
     ``gap-ratio``
         Communication cost of the Gap Guarantee protocol against the
         distance ratio ``r2/r1`` (smaller gaps need more LSH rounds).
@@ -329,6 +354,17 @@ def builtin_campaigns() -> dict[str, SweepSpec]:
         ``b`` (Corollary 3.5's geometric interval ratio): smaller ``b``
         means more parallel Algorithm 1 instances, each cheaper —
         ``[D1, D2]`` splits into ``ceil(log_b(D2/D1))`` intervals.
+    ``emd-n`` / ``emd-l2-n``
+        Algorithm 1 on Hamming data (Corollary 3.5) and the scaled
+        protocol on an l2 grid (Corollary 3.6) against ``n``: success
+        rate, ``EMD/EMD_k`` and bits, which should grow only in log n.
+    ``gap-n``
+        The Gap Guarantee protocol (Theorem 4.2) on Hamming data over
+        ``n × k``: guarantee on success and points transmitted.
+    ``gap-l1-dim`` / ``gap-lowdim-l1-dim``
+        The general and the one-sided low-dimensional Gap protocol
+        (Theorem 4.5) on the same l1 grids in dimensions 2 and 3
+        (:func:`_derive_l1_grid`; dimension 2 is Corollary 4.4's).
     ``fault-rate``
         Success rate and total recovery bits of the resilient
         reconciliation controller against the per-message fault
@@ -353,14 +389,12 @@ def builtin_campaigns() -> dict[str, SweepSpec]:
         SweepSpec(
             name="iblt-threshold",
             protocol="iblt-load",
-            axes={
-                # Loads 2·32/cells from ~0.53 up through ~0.89: both well
-                # below and above the peeling thresholds.
-                "cells": (72, 84, 96, 120),
-                "q": (3, 4),
-            },
-            base_params={"n": 256, "differences": 32},
-            trials=8,
+            # Loads from 0.3 to 1.1 keys per cell: well below 0.9·c*_q and
+            # well above 1.1·c*_q for both q (c*_3 ≈ 0.818, c*_4 ≈ 0.772).
+            axes={"load": (0.3, 0.5, 0.7, 0.8, 0.9, 1.0, 1.1), "q": (3, 4)},
+            base_params={"cells": 300},
+            trials=25,
+            derive=_derive_iblt_load,
         ),
         SweepSpec(
             name="gap-ratio",
@@ -413,6 +447,61 @@ def builtin_campaigns() -> dict[str, SweepSpec]:
                 "far_radius": 16.0,
             },
             trials=3,
+        ),
+        SweepSpec(
+            name="emd-n",
+            protocol="emd",
+            axes={"n": (16, 32, 64)},
+            base_params={
+                "space": "hamming",
+                "dim": 64,
+                "k": 2,
+                "close_radius": 1,
+                "far_radius": 20,
+            },
+            trials=3,
+        ),
+        SweepSpec(
+            name="emd-l2-n",
+            protocol="emd",
+            # D2 defaults to n·diameter, the no-prior-knowledge bound.
+            axes={"n": (16, 32)},
+            base_params={
+                "scaled": True,
+                "space": "l2",
+                "side": 4096,
+                "dim": 2,
+                "k": 2,
+                "d1": 4.0,
+                "ratio": 8.0,
+                "close_radius": 3,
+                "far_radius": 500,
+            },
+            trials=3,
+        ),
+        SweepSpec(
+            name="gap-n",
+            protocol="gap",
+            axes={"n": (32, 64), "k": (2, 4)},
+            base_params={
+                "dim": 128,
+                "r1": 2.0,
+                "r2": 32.0,
+                "close_radius": 2,
+                "far_radius": 40.0,
+            },
+            trials=3,
+        ),
+        *(
+            SweepSpec(
+                name=f"{protocol}-l1-dim",
+                protocol=protocol,
+                axes={"dim": (2, 3)},
+                base_params={"space": "l1", "n": 32, "k": 2, "r1": 4.0, "close_radius": 4},
+                trials=3,
+                derive=_derive_l1_grid,
+            )
+            for protocol in ("gap", "gap-lowdim")
         ),
         SweepSpec(
             name="fault-rate",

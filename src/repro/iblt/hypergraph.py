@@ -8,7 +8,7 @@ consist of only *trees and unicyclic components* when
 ``c < 1/(q(q-1))`` (Lemma B.3, citing [28, 17]).
 
 This module provides the model and the structural analyses the
-experiments (E1, E2) use: 2-core computation by peeling, component
+peeling experiments use: 2-core computation by peeling, component
 extraction and classification, and the sub-threshold density ``c*_q`` of
 Molloy [26] quoted in Lemma B.4.
 """

@@ -108,7 +108,7 @@ def greedy_matching(cost: np.ndarray) -> tuple[list[int], float]:
     """A fast 1-pass greedy injection rows -> cols (ablation baseline).
 
     Sorts all pairs by cost and matches greedily.  Not optimal, but
-    ``O(nm log nm)`` and used by the E4 ablation to quantify how much the
+    ``O(nm log nm)`` and used by the repair ablation to quantify how much the
     exact Hungarian repair step matters in Algorithm 1.
     """
     cost = np.asarray(cost, dtype=float)

@@ -51,6 +51,7 @@ class TestPoissonTail:
 class TestSurvivalRecurrence:
     def test_monotone_decreasing(self):
         curve = survival_recurrence(c=0.15, q=3, rounds=20)
+        assert curve.rounds == 20
         assert all(a >= b for a, b in zip(curve.lam, curve.lam[1:]))
         assert all(a >= b for a, b in zip(curve.rho, curve.rho[1:]))
 

@@ -345,7 +345,7 @@ class TestSweepCommand:
         assert document["schema"] == "repro.sweeps/v1"
         assert document["campaign"] == "iblt-threshold"
         assert document["trials_per_point"] == 1
-        assert document["point_count"] == 8
+        assert document["point_count"] == 14
         # Execution knobs must never leak into the canonical report.
         assert "jobs" not in document
         assert "success" in captured.err

@@ -222,6 +222,26 @@ class TestEMDProtocolEndToEnd:
         result = protocol.run(wl.alice, wl.bob, coins, matcher="greedy")
         assert result.success
 
+    def test_hungarian_repair_no_worse_than_greedy(self):
+        """Paired runs on the same workloads and coins: greedy repair
+        must not beat the exact Hungarian repair's EMD/EMD_k ratio."""
+        space = HammingSpace(64)
+        protocol = EMDProtocol.for_instance(space, n=24, k=2)
+        ratios = {"hungarian": [], "greedy": []}
+        for seed in range(999, 1002):
+            rng = np.random.default_rng(seed)
+            wl = noisy_replica_pair(space, n=24, k=2, close_radius=1, far_radius=20, rng=rng)
+            results = {
+                matcher: protocol.run(wl.alice, wl.bob, PublicCoins(seed), matcher=matcher)
+                for matcher in ratios
+            }
+            if all(result.success for result in results.values()):
+                baseline = max(emd_k(space, wl.alice, wl.bob, 2), 1.0)
+                for matcher, result in results.items():
+                    ratios[matcher].append(emd(space, wl.alice, result.bob_final) / baseline)
+        assert ratios["hungarian"], "no paired successes"
+        assert np.mean(ratios["hungarian"]) <= np.mean(ratios["greedy"]) + 0.5
+
 
 class TestScaledEMDProtocol:
     def test_intervals_cover_range(self):

@@ -306,6 +306,7 @@ class TestLowDimensionalGap:
         protocol = low_dimensional_gap_protocol(space, n=24, k=3, r1=4.0, r2=80.0)
         result = protocol.run(workload.alice, workload.bob, coins)
         assert result.success
+        assert result.rounds == 4
         final = set(result.bob_final)
         for outlier in workload.alice_far_points:
             assert outlier in final

@@ -82,6 +82,7 @@ class TestReductionViaGap:
             answer, bits, rounds = solve_index_via_gap(
                 instance, PublicCoins(seed)
             )
+            assert answer in (0, 1, None)
             if answer is None:
                 continue
             runs += 1

@@ -191,6 +191,8 @@ class TestPStableMLSH:
     def test_collision_within_mlsh_bounds(self, coins):
         space = GridSpace(side=256, dim=3, p=2.0)
         family = PStableMLSH(space, w=16.0)
+        points = space.sample(np.random.default_rng(0), 256)
+        assert family.sample_batch(coins, "shape", 512).evaluate(points).shape == (256, 512)
         x = (100, 100, 100)
         for offset in (2, 6):
             y = (100 + offset, 100, 100)

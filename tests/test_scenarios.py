@@ -17,7 +17,7 @@ from repro.experiments import (
 )
 from repro.experiments import scenarios
 from repro.experiments.scenarios import _space
-from repro.metric import GridSpace, HammingSpace
+from repro.metric import GridSpace, HammingSpace, emd_k
 
 SEED = 7
 
@@ -113,17 +113,22 @@ class TestReport:
             assert set(entry) == {"name", "protocol", "seed", "backend", "params", "metrics"}
             assert "wall_time_s" not in entry
 
-    def test_matches_committed_golden(self, numpy_results):
-        """The in-repo golden pins the full report byte-for-byte.
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_matches_committed_golden(self, numpy_results, monkeypatch, backend):
+        """Each backend's in-repo golden pins its full report byte-for-byte.
 
         CI's goldens-drift job enforces the same invariant through the
         CLI; this test catches drift at ``pytest`` time.
         """
-        golden = GOLDENS / "scenarios-numpy.json"
-        report = render_report(numpy_results, seed=SEED)
+        results = numpy_results
+        if backend != "numpy":
+            monkeypatch.setenv("REPRO_BACKEND", backend)
+            results = [run_scenario(spec) for spec in builtin_scenarios(SEED)]
+        golden = GOLDENS / f"scenarios-{backend}.json"
+        report = render_report(results, seed=SEED)
         assert report == golden.read_text(), (
             "scenario report drifted from the golden; if the change is "
-            "intentional, re-baseline with: REPRO_BACKEND=numpy PYTHONPATH=src "
+            f"intentional, re-baseline with: REPRO_BACKEND={backend} PYTHONPATH=src "
             f"python -m repro.cli scenarios --seed {SEED} --output {golden}"
         )
 
@@ -160,6 +165,17 @@ class TestDrivers:
         if p is not None:
             assert space.p == p
         assert space.diameter == pytest.approx(diameter)
+
+    def test_emd_k_is_the_metric_on_the_drivers_workload(self):
+        """``emd_k`` is ``repro.metric.emd_k`` on the workload the driver
+        itself draws from the spec's generator."""
+        (spec,) = [s for s in builtin_scenarios(SEED) if s.name == "emd-hamming"]
+        space = _space(spec.params)
+        workload = scenarios._replica_pair(space, spec.params, spec.rng())
+        expected = emd_k(space, workload.alice, workload.bob, spec.params["k"])
+        metrics = run_scenario(spec).metrics
+        assert metrics["emd_k"] == round(expected, 6)
+        assert metrics["emd_k"] <= metrics["emd_before"]
 
     def test_space_rule_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown space"):

@@ -16,6 +16,7 @@ from repro.experiments import (
     run_sweep,
 )
 from repro.experiments import sweeps
+from repro.iblt import molloy_threshold
 
 SEED = 7
 
@@ -267,13 +268,18 @@ class TestReport:
 
 
 class TestBuiltinCampaigns:
-    def test_all_eight_exist(self):
+    def test_all_thirteen_exist(self):
         campaigns = builtin_campaigns()
         assert set(campaigns) == {
             "iblt-threshold",
             "gap-ratio",
             "emd-levels",
             "emd-branching",
+            "emd-n",
+            "emd-l2-n",
+            "gap-n",
+            "gap-l1-dim",
+            "gap-lowdim-l1-dim",
             "fault-rate",
             "multiparty-parties",
             "store-churn",
@@ -299,12 +305,17 @@ class TestBuiltinCampaigns:
         assert spec.params["d1"] == 1
 
     def test_iblt_threshold_straddles_the_threshold(self):
+        """Every q has loads at or below 0.9·c*_q and at or above
+        1.1·c*_q, and each point plants 2·differences = load·cells keys."""
         campaign = builtin_campaigns()["iblt-threshold"]
-        loads = sorted(
-            2 * campaign.base_params["differences"] / point["cells"]
-            for point in campaign.grid_points()
-        )
-        assert loads[0] < 0.6 < 0.82 < loads[-1]
+        for q in campaign.axes["q"]:
+            loads = []
+            for point in campaign.grid_points():
+                if point["q"] == q:
+                    params = campaign.point_params(point)
+                    assert 2 * params["differences"] == round(point["load"] * params["cells"])
+                    loads.append(point["load"])
+            assert min(loads) <= 0.9 * molloy_threshold(q) < 1.1 * molloy_threshold(q) <= max(loads)
 
     def test_campaign_trial_is_a_plain_scenario(self):
         """Campaign trials stay runnable outside the sweep machinery."""
@@ -312,7 +323,19 @@ class TestBuiltinCampaigns:
         spec = campaign.trial_specs(SEED)[0]
         result = run_scenario(spec)
         assert isinstance(spec, ScenarioSpec)
-        assert result.metrics["true_differences"] == 64
+        assert result.metrics["true_differences"] == 90
+        assert result.metrics["load"] == 0.3
+
+    def test_l1_gap_campaigns_share_their_grids(self):
+        """The general and low-dimensional Gap campaigns sweep the same
+        l1 grids; their ``dim = 2`` point is Corollary 4.4's."""
+        general = builtin_campaigns()["gap-l1-dim"]
+        lowdim = builtin_campaigns()["gap-lowdim-l1-dim"]
+        assert (general.protocol, lowdim.protocol) == ("gap", "gap-lowdim")
+        for point in general.grid_points():
+            assert general.point_params(point) == lowdim.point_params(point)
+        cor44 = general.point_params({"dim": 2})
+        assert (cor44["side"], cor44["r1"], cor44["r2"]) == (4096, 4.0, 512.0)
 
     def test_emd_branching_rides_the_scaled_wrapper(self):
         """The branching-factor axis drives the interval-scaled protocol:
