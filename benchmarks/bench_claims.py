@@ -1,8 +1,8 @@
 """The paper's probabilistic claims: each one campaign plus one rule.
 
 Every claim is a :func:`~repro.experiments.builtin_campaigns` campaign run
-by :func:`~repro.experiments.run_sweep` at seed 7, the seed of CI's
-``sweep-smoke`` reports, so the trials asserted here are the trials those
+by :func:`~repro.experiments.run_sweep` at seed 7, the seed of
+``sweep --seed 7`` reports, so the trials asserted here are the trials those
 reports aggregate.  Each test is the acceptance rule over its campaign's
 :class:`~repro.experiments.SweepPointResult` list.
 

@@ -11,7 +11,7 @@ Commands
 ``exact``      Exact baselines: IBLT, auto-sized IBLT, characteristic
                polynomial (CPI).
 ``scenarios``  The seeded scenario matrix (every protocol family) as
-               deterministic JSON — what CI's smoke job runs.
+               deterministic JSON — what ``tests/goldens/`` pins.
 ``sweep``      A parameter-sweep campaign: many seeded trials per grid
                point, optionally on a process pool (``--jobs``),
                aggregated into a ``repro.sweeps/v1`` curve report.
@@ -234,6 +234,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .server import ReconcileServer
 
+    # The store's own count flags are checked only where they apply.
+    if args.store and _too_small(args, store_shards=1, store_capacity=1):
+        return 2
     store = None
     if args.store:
         from .store import SketchStore, StoreConfig
@@ -251,7 +254,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         tcp_server = await server.serve_tcp(args.host, args.port)
         bound = tcp_server.sockets[0].getsockname()
         mode = "store-backed" if store is not None else "stateless"
-        # Readiness line on stderr: CI's server-smoke gate waits for it.
+        # Readiness line on stderr: tests/test_cli.py's TCP test waits for it.
         print(f"recon-service ({mode}) listening on {bound[0]}:{bound[1]}",
               file=sys.stderr, flush=True)
         async with tcp_server:

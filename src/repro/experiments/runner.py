@@ -1,12 +1,12 @@
 """Run one scenario, and render a batch as the canonical JSON report.
 
 :func:`run_scenario` executes a :class:`~repro.experiments.scenarios.ScenarioSpec`
-on the process-wide backend (``REPRO_BACKEND``, the knob CI's matrix
-sets) and times it.  :func:`render_report` turns results into the
+on the process-wide backend (``REPRO_BACKEND``, the knob CI's test
+matrix sets) and times it.  :func:`render_report` turns results into the
 canonical JSON document: keys sorted, floats pre-rounded by the drivers,
 timings excluded unless asked for — so two runs with the same seed and
-backend produce byte-identical reports, which is the invariant CI's
-``scenarios-smoke`` job enforces.
+backend produce byte-identical reports, which is the invariant the
+committed goldens in ``tests/goldens/`` pin.
 """
 
 from __future__ import annotations

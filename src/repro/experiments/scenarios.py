@@ -118,9 +118,7 @@ def _space(params: Mapping[str, Any], default: str = "hamming") -> MetricSpace:
     if kind == "hamming":
         return HammingSpace(params["dim"])
     if kind in ("l1", "l2"):
-        return GridSpace(
-            side=params["side"], dim=params["dim"], p=1.0 if kind == "l1" else 2.0
-        )
+        return GridSpace(side=params["side"], dim=params["dim"], p=1.0 if kind == "l1" else 2.0)
     raise ValueError(f"unknown space {kind!r}")
 
 
@@ -630,9 +628,7 @@ def _drive_multiparty(spec: ScenarioSpec, rng: np.random.Generator, coins: Publi
         space, n=p["n"] + p["parties"], k=p["parties"], r1=r1, r2=r2, sos_size_multiplier=6.0
     )
     result = multi_party_gap(protocol, party_sets, coins)
-    holds = result.success and verify_multi_party_guarantee(
-        space, party_sets, result, r2
-    )
+    holds = result.success and verify_multi_party_guarantee(space, party_sets, result, r2)
     metrics = {
         "success": bool(result.success),
         "rounds": result.protocol_runs,
@@ -744,22 +740,43 @@ def builtin_scenarios(seed: int = 0) -> list[ScenarioSpec]:
             "gap-hamming",
             "gap",
             seed,
-            {"dim": 64, "n": 24, "k": 2, "r1": 2.0, "r2": 24.0,
-             "close_radius": 2.0, "far_radius": 30.0},
+            {
+                "dim": 64,
+                "n": 24,
+                "k": 2,
+                "r1": 2.0,
+                "r2": 24.0,
+                "close_radius": 2.0,
+                "far_radius": 30.0,
+            },
         ),
         ScenarioSpec(
             "gap-lowdim-l1",
             "gap-lowdim",
             seed,
-            {"side": 4096, "dim": 2, "n": 24, "k": 2, "r1": 4.0, "r2": 512.0,
-             "close_radius": 4.0, "far_radius": 700.0},
+            {
+                "side": 4096,
+                "dim": 2,
+                "n": 24,
+                "k": 2,
+                "r1": 4.0,
+                "r2": 512.0,
+                "close_radius": 4.0,
+                "far_radius": 700.0,
+            },
         ),
         ScenarioSpec(
             "emd-hamming",
             "emd",
             seed,
-            {"space": "hamming", "dim": 48, "n": 16, "k": 1,
-             "close_radius": 1.0, "far_radius": 16.0},
+            {
+                "space": "hamming",
+                "dim": 48,
+                "n": 16,
+                "k": 1,
+                "close_radius": 1.0,
+                "far_radius": 16.0,
+            },
         ),
         ScenarioSpec(
             "emd-grid-l1",
@@ -768,8 +785,15 @@ def builtin_scenarios(seed: int = 0) -> list[ScenarioSpec]:
             # far_radius 64: an L1 ball of radius 64 covers ~12.5% of the
             # 256x256 grid, so rejection sampling against 16 anchors
             # converges at any seed (96 starves on crowded draws).
-            {"space": "l1", "side": 256, "dim": 2, "n": 16, "k": 1,
-             "close_radius": 2.0, "far_radius": 64.0},
+            {
+                "space": "l1",
+                "side": 256,
+                "dim": 2,
+                "n": 16,
+                "k": 1,
+                "close_radius": 2.0,
+                "far_radius": 64.0,
+            },
         ),
         ScenarioSpec(
             "setsofsets-patch",
@@ -823,14 +847,23 @@ def builtin_scenarios(seed: int = 0) -> list[ScenarioSpec]:
         # attempt (and the single allowed escalation) to fail, tripping
         # the breaker into the strata-sized fallback; drop/truncate
         # faults on top force re-requests.  The smoke point must *still*
-        # recover — that is the gate CI's fault-smoke job enforces.
+        # recover — tests/test_scenarios.py's TestEngagement checks that
+        # it does, through the recovery path.
         ScenarioSpec(
             "resilient-recon-faulty",
             "resilient-recon",
             seed,
-            {"dim": 40, "n": 64, "delta": 12, "delta_bound": 1,
-             "max_escalations": 1, "max_attempts": 10,
-             "drop_rate": 0.25, "truncate_rate": 0.25, "duplicate_rate": 0.1},
+            {
+                "dim": 40,
+                "n": 64,
+                "delta": 12,
+                "delta_bound": 1,
+                "max_escalations": 1,
+                "max_attempts": 10,
+                "drop_rate": 0.25,
+                "truncate_rate": 0.25,
+                "duplicate_rate": 0.1,
+            },
         ),
         # The whole service stack: asyncio server + multiplexed client
         # sessions over an in-memory framed transport, with seeded
@@ -843,25 +876,46 @@ def builtin_scenarios(seed: int = 0) -> list[ScenarioSpec]:
             "recon-service-network",
             "recon-service",
             seed,
-            {"sessions": 6, "dim": 48, "n": 96, "delta": 12, "delta_bound": 4,
-             "max_escalations": 1, "max_attempts": 10,
-             "loss_rate": 0.15, "corrupt_rate": 0.1, "duplicate_rate": 0.1,
-             "reorder_rate": 0.1, "jitter_ms": 0.4},
+            {
+                "sessions": 6,
+                "dim": 48,
+                "n": 96,
+                "delta": 12,
+                "delta_bound": 4,
+                "max_escalations": 1,
+                "max_attempts": 10,
+                "loss_rate": 0.15,
+                "corrupt_rate": 0.1,
+                "duplicate_rate": 0.1,
+                "reorder_rate": 0.1,
+                "jitter_ms": 0.4,
+            },
         ),
         # The sketch store under churn: 6 hot sets across 3 shards of LRU
         # capacity 4, with per-window guest registrations forcing real
-        # evictions while the hot sets stay warm (hit rate > 0 is the CI
-        # store-smoke gate).  delta_bound 2 against 8 differences per
-        # window forces escalations whose BreakerState persists in the
-        # store, so later windows open at the escalated bound — which is
-        # exactly what keeps their sketch shape stable and warm.
+        # evictions while the hot sets stay warm (tests/test_scenarios.py's
+        # TestEngagement checks hits, evictions and refreshes).  delta_bound
+        # 2 against 8 differences per window forces escalations whose
+        # BreakerState persists in the store, so later windows open at the
+        # escalated bound — which is exactly what keeps their sketch shape
+        # stable and warm.
         ScenarioSpec(
             "store-churn-lru",
             "store-churn",
             seed,
-            {"sets": 6, "n": 64, "windows": 5, "churn": 8, "guests": 2,
-             "shards": 3, "capacity": 4, "delta_bound": 2,
-             "max_escalations": 3, "max_attempts": 6, "key_bits": 55},
+            {
+                "sets": 6,
+                "n": 64,
+                "windows": 5,
+                "churn": 8,
+                "guests": 2,
+                "shards": 3,
+                "capacity": 4,
+                "delta_bound": 2,
+                "max_escalations": 3,
+                "max_attempts": 6,
+                "key_bits": 55,
+            },
         ),
         # One Zipf-skewed churn stream replayed over all four gossip
         # topologies (topology "all"): 5 parties each observe ~1/5 of
@@ -874,8 +928,16 @@ def builtin_scenarios(seed: int = 0) -> list[ScenarioSpec]:
             "stream-churn-gossip",
             "stream-churn",
             seed,
-            {"parties": 5, "n": 32, "windows": 3, "rate": 6, "skew": 1.2,
-             "delta_bound": 8, "key_bits": 55, "k_regular": 2,
-             "branching": 2},
+            {
+                "parties": 5,
+                "n": 32,
+                "windows": 3,
+                "rate": 6,
+                "skew": 1.2,
+                "delta_bound": 8,
+                "key_bits": 55,
+                "k_regular": 2,
+                "branching": 2,
+            },
         ),
     ]

@@ -27,7 +27,8 @@ Layers
     ``REPRO_BACKEND``, which the freshly forked workers inherit from the
     caller's current environment; ``pool.map`` hands results back in
     input order, so a parallel run's report is byte-identical to the
-    serial run's — the invariant CI's ``sweep-smoke`` job enforces.
+    serial run's — the invariant ``tests/test_sweeps.py`` checks for
+    every built-in campaign.
 
 :func:`render_sweep_report`
     Aggregates per-point success rates (Wilson intervals) and numeric

@@ -13,7 +13,8 @@ Determinism contract: the fault draws for message ``i`` depend only on
 the injected coins and ``i`` — never on payload bytes, labels, or wall
 clock — so a protocol that re-sends the same sequence of messages hits
 the same sequence of faults, and the same fault seed yields byte-identical
-recovery reports (CI's fault-smoke gate pins this).
+recovery reports (the ``resilient-recon-faulty`` scenario's golden pins
+this).
 
 Accounting: the *sender* pays for what was transmitted, so the full
 payload is recorded on the inner transcript even when the receiver gets

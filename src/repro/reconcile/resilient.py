@@ -28,8 +28,9 @@ is byte-identical to calling ``exact_iblt_reconcile`` directly
 
 Every attempt's outcome, table size, and measured bits land in a
 :class:`RecoveryReport` whose canonical JSON is byte-deterministic for a
-fixed fault seed — the artifact the fault-rate sweep campaign and CI's
-fault-smoke gate aggregate.
+fixed fault seed.  The ``resilient-recon`` scenario driver copies its
+counters into flat scenario metrics: the ``fault-rate`` sweep campaign
+aggregates those, and the ``resilient-recon-faulty`` golden pins them.
 
 The policy itself lives in :class:`Recovery`, an I/O-free tracker that
 five exact reconcilers drive: this controller,

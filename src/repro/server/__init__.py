@@ -7,8 +7,8 @@ package puts the same payloads on an actual byte stream.  Frames
 multiplexes many concurrent reconciliations; the server plays Bob, the
 client plays Alice and drives the resilient recovery policy; a seeded
 :class:`~repro.server.network.SimulatedNetwork` injects deterministic
-loss/corruption/duplication/latency for the service scenarios and CI's
-server-smoke gate.
+loss/corruption/duplication/latency for the service scenarios and the
+``client`` command.
 """
 
 from .network import NetworkConfig, SessionLink, SimulatedNetwork

@@ -405,8 +405,8 @@ def render_session_reports(reports: "list[SessionReport]", seed: int) -> str:
 
     Sessions are sorted by id and every value is deterministic for a
     fixed seed (drawn sim latency, not wall clock), so two same-seed
-    runs render byte-identical documents — the invariant CI's
-    server-smoke gate compares with ``cmp``.
+    runs render byte-identical documents — the invariant
+    ``tests/test_cli.py::TestServeClientOverTcp`` checks over real TCP.
     """
     ordered = sorted(reports, key=lambda report: report.session_id)
     document = {

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -32,3 +35,12 @@ def l1_space() -> GridSpace:
 @pytest.fixture
 def l2_space() -> GridSpace:
     return GridSpace(side=128, dim=4, p=2.0)
+
+
+@pytest.fixture
+def src_env() -> dict:
+    """The environment for a subprocess that imports this checkout's ``repro``."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env

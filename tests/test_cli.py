@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import re
+import subprocess
+import sys
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -316,6 +321,20 @@ class TestScenariosCommand:
         assert code == 2
         assert "unknown scenarios" in capsys.readouterr().err
 
+    def test_failed_scenario_exits_1(self, monkeypatch, tmp_path, capsys):
+        """A scenario that fails to decode still lands in the report, and
+        the command exits 1 with one FAIL line naming it."""
+        overloaded = ScenarioSpec(
+            "overloaded-peel", "iblt-load", 7, {"n": 32, "differences": 40, "cells": 16, "q": 3}
+        )
+        (passing,) = [s for s in cli.builtin_scenarios(7) if s.name == "strata-estimate"]
+        monkeypatch.setattr(cli, "builtin_scenarios", lambda seed: [overloaded, passing])
+        output = tmp_path / "report.json"
+        assert main(["scenarios", "--seed", "7", "--output", str(output)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "FAIL: overloaded-peel"
+        assert json.loads(output.read_text())["failures"] == ["overloaded-peel"]
+
 
 class TestSweepCommand:
     def test_list_campaigns(self, capsys):
@@ -419,8 +438,9 @@ class TestSweepCommand:
 
 class TestCountRefusals:
     """An out-of-range value is refused in one stderr line with exit 2,
-    before the client connects or any replay runs (port 1 is closed; a
-    count below its floor is refused before the replay reads its log)."""
+    before the client connects, the server binds or any replay runs (port
+    1 is closed to the client and privileged to the server; a count below
+    its floor is refused before the replay reads its log)."""
 
     def test_client_zero_sessions(self, capsys):
         assert main(["client", "--port", "1", "--sessions", "0"]) == 2
@@ -464,6 +484,13 @@ class TestCountRefusals:
         assert captured.err == message + "\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flag", ["--store-shards", "--store-capacity"])
+    def test_serve_store_counts(self, capsys, flag):
+        assert main(["serve", "--port", "1", "--store", flag, "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"{flag} must be >= 1, got 0\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("flags,message", [
         (["--dim", "0"], "--dim must be >= 1, got 0"),
         (["--n", "-1"], "--n must be >= 0, got -1"),
@@ -479,13 +506,15 @@ class TestCountRefusals:
         assert captured.out == ""
 
 
+#: The churn stream the stream tests record: 32 initial keys, 3 windows.
+RECORD_FLAGS = ["--seed", "7", "--n", "32", "--windows", "3", "--rate", "6", "--skew", "1.2",
+                "--sources", "5"]
+
+
 class TestStreamReplayCommand:
     def test_failed_sync_reports_unconverged(self, tmp_path, capsys):
         log = tmp_path / "churn.ndjson"
-        assert main([
-            "stream", "record", "--output", str(log), "--seed", "7", "--n", "32",
-            "--windows", "3", "--rate", "6", "--skew", "1.2", "--sources", "5",
-        ]) == 0
+        assert main(["stream", "record", "--output", str(log), *RECORD_FLAGS]) == 0
         code = main([
             "stream", "replay", "--input", str(log), "--seed", "7", "--topology", "ring",
             "--parties", "5", "--delta-bound", "1", "--max-attempts", "3",
@@ -493,3 +522,91 @@ class TestStreamReplayCommand:
         assert code == 1
         report = json.loads(capsys.readouterr().out)
         assert report["converged"] is False
+        assert report["windows"] == 1  # only the window that gossiped counts
+
+    def test_record_and_replay_are_byte_identical(self, tmp_path, monkeypatch):
+        """Same-seed records write the same log; same-seed replays, and a
+        replay on either backend, render the same report.  Each replay
+        exits 0, so every party converged with warm == cold."""
+        logs = [tmp_path / "churn-a.ndjson", tmp_path / "churn-b.ndjson"]
+        for log in logs:
+            assert main(["stream", "record", "--output", str(log), *RECORD_FLAGS]) == 0
+        assert logs[0].read_bytes() == logs[1].read_bytes()
+
+        def replay(topology, name):
+            output = tmp_path / name
+            assert main([
+                "stream", "replay", "--input", str(logs[0]), "--seed", "7",
+                "--topology", topology, "--parties", "5", "--output", str(output),
+            ]) == 0
+            return output.read_bytes()
+
+        assert replay("ring", "replay-1.json") == replay("ring", "replay-2.json")
+        by_backend = {}
+        for backend in ("numpy", "python"):
+            monkeypatch.setenv("REPRO_BACKEND", backend)
+            by_backend[backend] = replay("tree", f"replay-{backend}.json")
+        assert by_backend["python"] == by_backend["numpy"]
+
+
+@contextlib.contextmanager
+def _serving(env, log, *flags):
+    """A ``repro.cli serve`` subprocess on an ephemeral localhost port.
+
+    Yields the port it printed in its "listening" line; the process is
+    killed on the way out, whatever the outcome.
+    """
+    command = [sys.executable, "-m", "repro.cli", "serve", "--host", "127.0.0.1", "--port", "0"]
+    with open(log, "w") as stderr:
+        server = subprocess.Popen([*command, *flags], env=env, stderr=stderr)
+    try:
+        deadline = time.monotonic() + 30.0
+        while True:
+            match = re.search(r"listening on 127\.0\.0\.1:(\d+)", log.read_text())
+            if match:
+                break
+            assert server.poll() is None, f"serve exited early: {log.read_text()}"
+            assert time.monotonic() < deadline, "serve never printed its listening line"
+            time.sleep(0.05)
+        yield int(match.group(1))
+    finally:
+        server.kill()
+        server.wait(timeout=10)
+
+
+class TestServeClientOverTcp:
+    def test_reports_are_deterministic_and_store_transparent(self, tmp_path, src_env):
+        """Real ``serve`` processes on localhost, driven by the ``client``
+        command: two same-seed runs over a lossy, corrupting, duplicating
+        link render the same report and pass the wire accounting; a
+        store-backed server serves the stateless server's bytes, cold and
+        warm, and for 70-bit keys."""
+
+        def client(port, name, *flags):
+            output = tmp_path / name
+            assert main(["client", "--port", str(port), "--seed", "7", *flags,
+                         "--output", str(output)]) == 0
+            return output.read_bytes()
+
+        faulty = ["--sessions", "8", "--loss-rate", "0.1", "--corrupt-rate", "0.05",
+                  "--duplicate-rate", "0.1", "--jitter-ms", "0.4"]
+        with _serving(src_env, tmp_path / "serve-stateless.log") as stateless, \
+                _serving(src_env, tmp_path / "serve-store.log", "--store", "--seed", "7") as store:
+            first = client(stateless, "faulty-1.json", *faulty)
+            assert client(stateless, "faulty-2.json", *faulty) == first
+            report = json.loads(first)
+            aggregate = report["aggregate"]
+            assert report["session_count"] == 8
+            assert aggregate["all_reconciled"]
+            assert aggregate["wire_covers_transcript"]
+            assert aggregate["framing_bytes"] > 0
+            assert aggregate["rerequests"] >= 1
+
+            baseline = client(stateless, "stateless.json", "--sessions", "6")
+            assert client(store, "store-cold.json", "--sessions", "6") == baseline
+            assert client(store, "store-warm.json", "--sessions", "6") == baseline
+
+            wide = ["--sessions", "4", "--dim", "70"]
+            assert client(store, "wide-store.json", *wide) == client(
+                stateless, "wide-stateless.json", *wide
+            )

@@ -117,8 +117,7 @@ class TestFrontierParity:
         tables = _fresh_tables(coins, cells)
         diffs = {}
         for mode, table in tables.items():
-            other = IBLT(coins, "fd", cells=cells, q=3, key_bits=KEY_BITS,
-                         backend=table.backend)
+            other = IBLT(coins, "fd", cells=cells, q=3, key_bits=KEY_BITS, backend=table.backend)
             table.insert_all(bob)
             other.insert_all(alice)
             diffs[mode] = table.subtract(other)
@@ -219,8 +218,7 @@ class TestAdaptiveThreshold:
         tables = _fresh_tables(coins, cells)
         diffs = {}
         for mode, table in tables.items():
-            other = IBLT(coins, "fd", cells=cells, q=3, key_bits=KEY_BITS,
-                         backend=table.backend)
+            other = IBLT(coins, "fd", cells=cells, q=3, key_bits=KEY_BITS, backend=table.backend)
             table.insert_all(bob)
             other.insert_all(alice)
             diffs[mode] = table.subtract(other)

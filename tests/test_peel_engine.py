@@ -63,9 +63,7 @@ class TestKeyHashCache:
         assert len(cache) == keys.size
         for key in keys.tolist():
             assert cache.check(key) == checksum(key)
-            expected = [
-                j * block_size + hashes[j](key) % block_size for j in range(len(hashes))
-            ]
+            expected = [j * block_size + hashes[j](key) % block_size for j in range(len(hashes))]
             assert cache.indices(key) == expected
 
     def test_scalar_fallback_memoises(self, coins):
@@ -158,18 +156,14 @@ class TestRIBLTEngineParity:
         coins = PublicCoins(seed)
         cells = 27 if overload else max(27, 9 * 2 * pairs)
         tables = {
-            engine: RIBLT(
-                coins, "parity", cells=cells, q=3, key_bits=KEY_BITS, dim=3, side=64
-            )
+            engine: RIBLT(coins, "parity", cells=cells, q=3, key_bits=KEY_BITS, dim=3, side=64)
             for engine in ("scalar", "cached")
         }
         tables["scalar"]._hash_cache = ScalarHashes(tables["scalar"])
         for key, value, sign in _signed_pairs(rng, pairs, duplicates):
             for table in tables.values():
                 (table.insert if sign > 0 else table.delete)(key, value)
-        results = {
-            engine: table.decode(random.Random(99)) for engine, table in tables.items()
-        }
+        results = {engine: table.decode(random.Random(99)) for engine, table in tables.items()}
         assert results["cached"].success == results["scalar"].success
         assert results["cached"].inserted == results["scalar"].inserted
         assert results["cached"].deleted == results["scalar"].deleted

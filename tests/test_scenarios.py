@@ -117,8 +117,8 @@ class TestReport:
     def test_matches_committed_golden(self, numpy_results, monkeypatch, backend):
         """Each backend's in-repo golden pins its full report byte-for-byte.
 
-        CI's goldens-drift job enforces the same invariant through the
-        CLI; this test catches drift at ``pytest`` time.
+        The report is what ``scenarios --seed 7`` writes, so a rerun that
+        drifts, or a scenario that stops decoding, fails here.
         """
         results = numpy_results
         if backend != "numpy":
@@ -133,10 +133,48 @@ class TestReport:
         )
 
     def test_timings_are_opt_in(self, numpy_results):
-        document = json.loads(
-            render_report(numpy_results, seed=SEED, include_timings=True)
-        )
+        document = json.loads(render_report(numpy_results, seed=SEED, include_timings=True))
         assert all("wall_time_s" in entry for entry in document["scenarios"])
+
+
+class TestEngagement:
+    """The paths the scenarios exist to exercise really ran.
+
+    A golden re-baseline pins whatever a run produced; these checks stop
+    one from accepting a run whose recovery or cache never engaged.
+    """
+
+    @staticmethod
+    def _metrics(results, name):
+        (result,) = [r for r in results if r.spec.name == name]
+        assert result.success
+        return result.metrics
+
+    def test_recovery_engaged_under_faults(self, numpy_results):
+        metrics = self._metrics(numpy_results, "resilient-recon-faulty")
+        assert metrics["union_reached"]
+        assert metrics["attempts"] >= 2
+        assert metrics["rerequests"] >= 1
+        assert metrics["breaker_tripped"]
+        assert metrics["recovery_bits"] > 0
+        assert metrics["fault_events"] >= 1
+
+    def test_store_cache_engaged(self, numpy_results):
+        metrics = self._metrics(numpy_results, "store-churn-lru")
+        for counter in (
+            "store_hits",
+            "store_hit_rate",
+            "rebuilds_avoided",
+            "incremental_refreshes",
+            "evictions",
+        ):
+            assert metrics[counter] > 0, counter
+
+    @pytest.mark.parametrize("topology", ["star", "ring", "tree", "random"])
+    def test_every_topology_converged_warm_equals_cold(self, numpy_results, topology):
+        metrics = self._metrics(numpy_results, "stream-churn-gossip")
+        assert metrics[f"converged_{topology}"]
+        assert metrics[f"matches_cold_rebuild_{topology}"]
 
 
 class TestDrivers:
@@ -182,10 +220,22 @@ class TestDrivers:
             _space({"space": "linf", "dim": 2, "side": 8})
 
     def test_general_gap_rejects_l2(self):
-        spec = ScenarioSpec("gap-l2", "gap", SEED, {
-            "space": "l2", "dim": 2, "side": 64, "n": 8, "k": 1,
-            "close_radius": 1.0, "far_radius": 40.0, "r1": 2.0, "r2": 32.0,
-        })
+        spec = ScenarioSpec(
+            "gap-l2",
+            "gap",
+            SEED,
+            {
+                "space": "l2",
+                "dim": 2,
+                "side": 64,
+                "n": 8,
+                "k": 1,
+                "close_radius": 1.0,
+                "far_radius": 40.0,
+                "r1": 2.0,
+                "r2": 32.0,
+            },
+        )
         with pytest.raises(ValueError, match="hamming or l1"):
             run_scenario(spec)
 

@@ -126,7 +126,7 @@ class TestFaultyService:
 
     def test_reports_deterministic_across_runs(self):
         """Two same-seed runs render byte-identical documents — the
-        invariant CI's server-smoke gate checks with ``cmp``."""
+        invariant ``test_cli.py``'s TCP test checks across processes."""
         first, _ = run_service(_configs(4), network=_faulty_network())
         second, _ = run_service(_configs(4), network=_faulty_network())
         assert render_session_reports(first, seed=7) == render_session_reports(

@@ -199,11 +199,7 @@ class TestRunner:
             assert render_sweep_report(sweep, points, seed=SEED) == serial
 
     def test_backend_recorded(self, tiny_points):
-        assert all(
-            result.backend == "numpy"
-            for point in tiny_points
-            for result in point.results
-        )
+        assert all(result.backend == "numpy" for point in tiny_points for result in point.results)
 
     @pytest.mark.parametrize("backend", ["numpy", "python"])
     def test_runners_record_the_env_backend(self, monkeypatch, backend):
@@ -289,6 +285,15 @@ class TestBuiltinCampaigns:
             assert campaign.name == name
             assert campaign.trials >= 1
             assert campaign.grid_points()
+
+    @pytest.mark.parametrize("name", list(builtin_campaigns()))
+    def test_pooled_report_is_byte_identical_to_serial(self, name):
+        """Each campaign at its shipped trial count: a 2-worker pool and
+        the serial run render the same report."""
+        campaign = builtin_campaigns()[name]
+        serial = render_sweep_report(campaign, run_sweep(campaign, seed=SEED, jobs=1), seed=SEED)
+        pooled = render_sweep_report(campaign, run_sweep(campaign, seed=SEED, jobs=2), seed=SEED)
+        assert pooled == serial
 
     def test_gap_ratio_derives_dependent_params(self):
         campaign = builtin_campaigns()["gap-ratio"]
